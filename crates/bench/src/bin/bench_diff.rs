@@ -5,7 +5,7 @@
 //!
 //! * **Schema drift** — top-level keys, the per-row field set of
 //!   `results`, or the set of result-row identities
-//!   (scenario/shards/mode/coord/scatter) changed. This is a **hard
+//!   (scenario/shards/mode) changed. This is a **hard
 //!   failure** (exit 1): someone added, renamed, or dropped a field
 //!   without updating the committed baseline and
 //!   `crates/bench/README.md`.
@@ -50,14 +50,7 @@ fn top_level_keys(v: &Value) -> BTreeSet<String> {
 fn row_identity(row: &Value) -> String {
     let s = |k: &str| row.get(k).and_then(Value::as_str).unwrap_or("?").to_string();
     let n = |k: &str| row.get(k).and_then(Value::as_f64).unwrap_or(f64::NAN);
-    format!(
-        "{}/shards={}/{}/{}/{}",
-        s("scenario"),
-        n("shards"),
-        s("mode"),
-        s("coord"),
-        s("scatter")
-    )
+    format!("{}/shards={}/{}", s("scenario"), n("shards"), s("mode"))
 }
 
 fn row_fields(row: &Value) -> BTreeSet<String> {

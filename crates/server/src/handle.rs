@@ -20,6 +20,14 @@ use std::thread::JoinHandle;
 
 use crate::shard::{Shard, ShardCmd, ShardReply};
 
+/// Bound of each MPSC command/reply channel in threaded mode. The
+/// coordinator gathers (or absorbs) every scatter before it sends the same
+/// shard another command, so at most one command and one reply are ever in
+/// flight per shard; 2 — the only value any caller ever configured — keeps
+/// one slot of slack above that, so neither side blocks on a send, while
+/// still bounding what a stalled peer can queue.
+const CHANNEL_CAPACITY: usize = 2;
+
 /// How shard work is executed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
@@ -52,16 +60,15 @@ pub enum ShardHandle {
 }
 
 impl ShardHandle {
-    /// Wraps a shard according to `mode`. `channel_capacity` bounds both
-    /// MPSC channels in threaded mode.
-    pub fn spawn(shard: Shard, mode: ExecMode, channel_capacity: usize) -> Self {
+    /// Wraps a shard according to `mode`.
+    pub fn spawn(shard: Shard, mode: ExecMode) -> Self {
         match mode {
             ExecMode::Inline => {
                 ShardHandle::Inline { shard: Box::new(shard), replies: VecDeque::new() }
             }
             ExecMode::Threaded => {
-                let (tx, cmd_rx) = sync_channel::<ShardCmd>(channel_capacity.max(1));
-                let (reply_tx, rx) = sync_channel::<ShardReply>(channel_capacity.max(1));
+                let (tx, cmd_rx) = sync_channel::<ShardCmd>(CHANNEL_CAPACITY);
+                let (reply_tx, rx) = sync_channel::<ShardReply>(CHANNEL_CAPACITY);
                 let join = std::thread::spawn(move || {
                     let mut shard = shard;
                     while let Ok(cmd) = cmd_rx.recv() {
@@ -148,7 +155,7 @@ mod tests {
         let p = Partition::new(1);
         let values = p.split_values(&[100.0, 500.0, 900.0]);
         for mode in [ExecMode::Inline, ExecMode::Threaded] {
-            let mut h = ShardHandle::spawn(Shard::new(&values[0]), mode, 2);
+            let mut h = ShardHandle::spawn(Shard::new(&values[0]), mode);
             match h.request(ShardCmd::ProbeAll) {
                 ShardReply::ProbedAll { values, .. } => {
                     assert_eq!(values, vec![100.0, 500.0, 900.0])

@@ -19,9 +19,11 @@
 //!   [`asf_core::workload::EventBatch`]es behind an `Arc`: the coordinator
 //!   pays O(shards) clones per window and each shard selects its own
 //!   events (`stream % shards`) inside the parallel region, so the last
-//!   O(events) coordinator stage is the protocol's report stream, not the
-//!   event copy loop ([`ScatterMode`]; the eager per-shard-copy path
-//!   remains as the differential baseline).
+//!   O(events) coordinator stage is the protocol's report stream, not an
+//!   event copy loop (see [`shard`]).
+//! * **Pipelined windows.** While the coordinator drains window *t*'s
+//!   reports the shards already evaluate window *t+1* (see [`pipeline`]);
+//!   this double-buffered coordinator is the only ingest path.
 //! * **Conservative-prefix commits.** Shards evaluate each batch
 //!   speculatively and the coordinator commits exactly the prefix that
 //!   precedes the globally first report (see [`server`]); everything else
@@ -75,8 +77,7 @@ pub use asf_telemetry::TraceDepth;
 pub use durability::{CheckpointMode, Durability, DurabilityConfig};
 pub use handle::ExecMode;
 pub use metrics::{FleetOpStats, ServerMetrics};
-pub use pipeline::CoordMode;
-pub use server::{ScatterMode, ServerConfig, ShardedServer, TelemetryConfig};
+pub use server::{ServerConfig, ShardedServer, TelemetryConfig};
 pub use shard::Partition;
 
 #[cfg(test)]

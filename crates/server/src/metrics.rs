@@ -79,21 +79,17 @@ pub struct ServerMetrics {
     /// Sum over rounds of the *maximum* shard busy time in that round —
     /// the data-plane critical path of a perfectly parallel execution.
     pub critical_path_ns: u64,
-    /// Coordinator-side scatter work per round (ns): the per-event
-    /// partition/copy loop under `ScatterMode::Eager`, or just the
-    /// O(shards) `Arc` clones of the shared window under
-    /// `ScatterMode::Broadcast`. Channel sends and any inline shard
-    /// execution are excluded — those are data-plane time, metered via
-    /// shard busy.
+    /// Coordinator-side scatter work per round (ns): sharing the window
+    /// behind its `Arc`. Channel sends and any inline shard execution are
+    /// excluded — those are data-plane time, metered via shard busy.
     pub scatter_ns: u64,
-    /// Per-shard time spent scanning shared windows for owned events
-    /// (`ScatterMode::Broadcast` only) — where the eager scatter's
-    /// partition work moved. Included in the corresponding shard busy /
-    /// critical-path figures.
+    /// Per-shard time spent scanning shared windows for owned events —
+    /// the partition work, done by every shard inside the parallel region.
+    /// Included in the corresponding shard busy / critical-path figures.
     pub shard_scan_ns: Vec<u64>,
     /// Bytes of columnar window payload shared with the shards by
-    /// reference (Σ over rounds of window bytes × participating shards) —
-    /// the traffic an eager scatter would have had to copy and partition.
+    /// reference (Σ over rounds of window bytes × shards) — traffic a
+    /// per-shard copy would have had to move.
     pub window_bytes_shared: u64,
     /// Coordinator time spent materializing ingested event slices into the
     /// pooled columnar chunk (ns). Zero when the feeder writes the chunk
@@ -114,14 +110,14 @@ pub struct ServerMetrics {
     /// Σ of all per-partition busy time inside those maintenance passes
     /// (subtracted from `serial_ns`).
     pub index_busy_sum_ns: u64,
-    /// Pipelined coordinator only: Σ over windows of
-    /// `min(drain time of window t, evaluation critical path of window
-    /// t+1)` — serial work hidden behind concurrent shard evaluation.
+    /// Σ over windows of `min(drain time of window t, evaluation critical
+    /// path of window t+1)` — serial work hidden behind concurrent shard
+    /// evaluation.
     pub overlap_saved_ns: u64,
     /// Windows whose evaluation genuinely overlapped a report drain.
     pub overlapped_windows: u64,
-    /// Maximum evaluation windows in flight at once (1 serial,
-    /// 2 pipelined once the pipe fills).
+    /// Maximum evaluation windows in flight at once (2 once the pipe
+    /// fills; 1 while every chunk fits a single window).
     pub max_inflight_windows: u64,
     /// Quiescent commit points that closed at least one consumed report —
     /// the denominator of the report-coalescing gauge.

@@ -1,10 +1,10 @@
 //! The pipelined coordinator: double-buffered evaluation windows.
 //!
-//! The serial coordinator alternates two phases that never overlap: the
-//! shards evaluate a window, then the coordinator drains the window's
-//! report stream while every shard sits idle. On report-heavy workloads
-//! (rank protocols with redeployments, reinit storms) the drain dominates,
-//! and adding shards buys nothing — the ROADMAP's `serial_ns` wall.
+//! A window-at-a-time coordinator would alternate two phases that never
+//! overlap: the shards evaluate a window, then the coordinator drains the
+//! window's report stream while every shard sits idle. On report-heavy
+//! workloads (rank protocols with redeployments, reinit storms) the drain
+//! dominates, and adding shards buys nothing.
 //!
 //! Pipelining overlaps the two: while the coordinator drains window *t*'s
 //! seq-ordered reports, the shards already evaluate window *t+1*
@@ -15,7 +15,7 @@
 //!
 //! ```text
 //!             ┌───────────── window t ─────────────┐┌─── window t+1 ───┐
-//!   shards:   │ EvalBatch(t)      (idle)           ││ EvalBatch(t+1)   │ ...
+//!   shards:   │ EvalWindow(t)     (idle)           ││ EvalWindow(t+1)  │ ...
 //!   coord:    │ scatter t | gather t | scatter t+1 || drain reports(t) | gather t+1 ...
 //! ```
 //!
@@ -60,8 +60,8 @@
 //! Reports are consumed in sequence order, windows commit in order, and a
 //! touch rolls speculation back to the exact serial state before it
 //! executes — so the pipelined coordinator is **byte-identical** to the
-//! serial coordinator and to the single-threaded engine (answers, ledgers,
-//! view bits, report counts), for any shard count and execution mode.
+//! single-threaded engine (answers, ledgers, view bits, report counts),
+//! for any shard count and execution mode.
 //! `tests/server_shard_invariance.rs` and `tests/batch_differential.rs`
 //! pin this per protocol.
 //!
@@ -76,28 +76,14 @@
 
 use asf_core::protocol::Protocol;
 
-/// How the coordinator schedules report handling against shard evaluation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CoordMode {
-    /// Evaluate a window, then drain its reports; no overlap. The
-    /// speculation baseline the differential suites compare against.
-    Serial,
-    /// Double-buffered windows: shards evaluate window `t+1` while the
-    /// coordinator drains window `t`'s reports; a fleet touch rolls back
-    /// the in-flight work it invalidates. Byte-identical to
-    /// [`CoordMode::Serial`]. The default.
-    #[default]
-    Pipelined,
-}
-
 use crate::server::ShardedServer;
 
 impl<P: Protocol> ShardedServer<P> {
     /// Double-buffered chunk application (see the module docs for the
-    /// state machine). Byte-identical to the serial path by construction.
-    /// Windows — including the rollback re-scatters after a cut — are
-    /// ranges of the one shared chunk, so under broadcast scatter each
-    /// round costs O(shards) `Arc` clones, never an event copy.
+    /// state machine). Byte-identical to the serial engine by
+    /// construction. Windows — including the rollback re-scatters after a
+    /// cut — are ranges of the one shared chunk, so each round costs
+    /// O(shards) `Arc` clones, never an event copy.
     pub(crate) fn apply_chunk_pipelined(&mut self) {
         let chunk_len = self.shared_chunk.len();
         let mut start = 0usize;
@@ -139,7 +125,7 @@ impl<P: Protocol> ShardedServer<P> {
                         // next cut or the chunk-end quiescent point).
                         // Quiet window: widen (deterministic — depends
                         // only on the event/report sequence).
-                        self.window = (self.window * 2).min(self.max_window());
+                        self.window = (self.window * 2).min(self.config.max_window());
                         start = cur_end;
                         if next_window.is_empty() {
                             self.recycle_participants(next_window);
@@ -168,9 +154,8 @@ impl<P: Protocol> ShardedServer<P> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::handle::ExecMode;
-    use crate::server::{ScatterMode, ServerConfig};
+    use crate::server::{ServerConfig, ShardedServer};
     use asf_core::engine::Engine;
     use asf_core::protocol::{Rtp, ZtNrp};
     use asf_core::query::{RangeQuery, RankQuery};
@@ -204,33 +189,18 @@ mod tests {
         engine.run(&mut w);
 
         for mode in [ExecMode::Inline, ExecMode::Threaded] {
-            for scatter in [ScatterMode::Eager, ScatterMode::Broadcast] {
-                let config = ServerConfig {
-                    num_shards: 4,
-                    batch_size: 64,
-                    mode,
-                    channel_capacity: 2,
-                    coordinator: CoordMode::Pipelined,
-                    scatter,
-                    telemetry: Default::default(),
-                };
-                let mut server = super::ShardedServer::new(&initial, ZtNrp::new(query), config);
-                server.initialize();
-                server.ingest_batch(&events);
-                assert_eq!(server.answer(), engine.answer(), "{mode:?} {scatter:?}");
-                assert_eq!(server.ledger(), engine.ledger(), "{mode:?} {scatter:?}");
-                let m = server.metrics();
-                assert_eq!(
-                    m.max_inflight_windows, 2,
-                    "the pipe must actually fill ({mode:?} {scatter:?})"
-                );
-                assert_eq!(m.speculative_commits, m.events, "every event commits exactly once");
-                assert_eq!(m.shard_events.iter().sum::<u64>(), m.events);
-                if scatter == ScatterMode::Broadcast {
-                    assert!(m.window_bytes_shared > 0, "broadcast rounds share window bytes");
-                }
-                server.shutdown();
-            }
+            let config = ServerConfig::with_shards(4).batch_size(64).mode(mode);
+            let mut server = ShardedServer::new(&initial, ZtNrp::new(query), config);
+            server.initialize();
+            server.ingest_batch(&events);
+            assert_eq!(server.answer(), engine.answer(), "{mode:?}");
+            assert_eq!(server.ledger(), engine.ledger(), "{mode:?}");
+            let m = server.metrics();
+            assert_eq!(m.max_inflight_windows, 2, "the pipe must actually fill ({mode:?})");
+            assert_eq!(m.speculative_commits, m.events, "every event commits exactly once");
+            assert_eq!(m.shard_events.iter().sum::<u64>(), m.events);
+            assert!(m.window_bytes_shared > 0, "scatter rounds share window bytes");
+            server.shutdown();
         }
     }
 
@@ -239,73 +209,44 @@ mod tests {
         // RTP's overflow/expansion handlers probe and broadcast, so a
         // moving workload reliably touches the fleet mid-drain — with a
         // window in flight, the touch must absorb and roll it back, and
-        // still match the serial engine byte for byte.
-        let (initial, events) = fixture(30, 150.0, 11);
-        let query = RankQuery::knn(500.0, 4).unwrap();
+        // still match the serial engine byte for byte. Two shapes: small
+        // windows, where cuts land with a window in flight, and a wide
+        // batch, where every cut lands on the last window of its chunk.
+        for (n, horizon, seed, k, shards, batch_size, cuts_inflight) in
+            [(30, 150.0, 11, 4, 3, 32, true), (40, 180.0, 23, 5, 4, 128, false)]
+        {
+            let (initial, events) = fixture(n, horizon, seed);
+            let query = RankQuery::knn(500.0, k).unwrap();
 
-        let mut engine = Engine::new(&initial, Rtp::new(query, 2).unwrap());
-        engine.initialize();
-        let mut w = VecWorkload::new(initial.clone(), events.clone());
-        engine.run(&mut w);
+            let mut engine = Engine::new(&initial, Rtp::new(query, 2).unwrap());
+            engine.initialize();
+            let mut w = VecWorkload::new(initial.clone(), events.clone());
+            engine.run(&mut w);
 
-        let config = ServerConfig {
-            num_shards: 3,
-            batch_size: 32,
-            mode: ExecMode::Inline,
-            channel_capacity: 2,
-            coordinator: CoordMode::Pipelined,
-            scatter: Default::default(),
-            telemetry: Default::default(),
-        };
-        let mut server = super::ShardedServer::new(&initial, Rtp::new(query, 2).unwrap(), config);
-        server.initialize();
-        server.ingest_batch(&events);
-
-        let m = server.metrics().clone();
-        assert!(m.cuts > 0, "workload should exercise the cut path");
-        assert!(
-            m.discarded_reports > 0 || m.discarded_window_busy_ns > 0,
-            "at least one cut should land while a next window is in flight \
-             (cuts={}, discarded_reports={})",
-            m.cuts,
-            m.discarded_reports
-        );
-        assert_eq!(server.answer(), engine.answer());
-        assert_eq!(server.ledger(), engine.ledger());
-        assert_eq!(server.reports_processed(), engine.reports_processed());
-        for i in 0..initial.len() {
-            let id = StreamId(i as u32);
-            assert_eq!(server.view().get(id), engine.view().get(id), "view diverged for {id}");
-        }
-        let truth = server.truth_values();
-        let serial_truth: Vec<f64> = engine.fleet().iter().map(|s| s.value()).collect();
-        assert_eq!(truth, serial_truth, "rollback must restore exact source state");
-    }
-
-    #[test]
-    fn serial_and_pipelined_coordinators_are_byte_identical() {
-        let (initial, events) = fixture(40, 180.0, 23);
-        let query = RankQuery::knn(500.0, 5).unwrap();
-        let run = |coordinator: CoordMode| {
-            let config = ServerConfig {
-                num_shards: 4,
-                batch_size: 128,
-                mode: ExecMode::Inline,
-                channel_capacity: 2,
-                coordinator,
-                scatter: Default::default(),
-                telemetry: Default::default(),
-            };
-            let mut server =
-                super::ShardedServer::new(&initial, Rtp::new(query, 2).unwrap(), config);
+            let config = ServerConfig::with_shards(shards).batch_size(batch_size);
+            let mut server = ShardedServer::new(&initial, Rtp::new(query, 2).unwrap(), config);
             server.initialize();
             server.ingest_batch(&events);
-            let answers = server.answer();
-            let ledger = server.ledger().clone();
-            let reports = server.reports_processed();
+
+            let m = server.metrics().clone();
+            assert!(m.cuts > 0, "workload should exercise the cut path");
+            assert!(
+                !cuts_inflight || m.discarded_reports > 0 || m.discarded_window_busy_ns > 0,
+                "at least one cut should land while a next window is in flight \
+                 (cuts={}, discarded_reports={})",
+                m.cuts,
+                m.discarded_reports
+            );
+            assert_eq!(server.answer(), engine.answer());
+            assert_eq!(server.ledger(), engine.ledger());
+            assert_eq!(server.reports_processed(), engine.reports_processed());
+            for i in 0..initial.len() {
+                let id = StreamId(i as u32);
+                assert_eq!(server.view().get(id), engine.view().get(id), "view diverged for {id}");
+            }
             let truth = server.truth_values();
-            (answers, ledger, reports, truth)
-        };
-        assert_eq!(run(CoordMode::Serial), run(CoordMode::Pipelined));
+            let serial_truth: Vec<f64> = engine.fleet().iter().map(|s| s.value()).collect();
+            assert_eq!(truth, serial_truth, "rollback must restore exact source state");
+        }
     }
 }

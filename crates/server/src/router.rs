@@ -35,12 +35,11 @@ use crate::shard::{Partition, ShardCmd, ShardReply, SpecEvent};
 pub(crate) struct InflightWindow<'a> {
     /// Shards with an outstanding eval reply; drained by the absorb.
     pub shards: &'a mut Vec<usize>,
-    /// Buffer pool the absorbed batch/report vectors are recycled into.
+    /// Buffer pool the absorbed report vectors are recycled into.
     pub pool: &'a mut Vec<Vec<SpecEvent>>,
     /// Coordinator-side per-shard cumulative busy accounting.
     pub shard_busy_ns: &'a mut [u64],
-    /// Coordinator-side per-shard ownership-scan accounting (broadcast
-    /// scatter).
+    /// Coordinator-side per-shard ownership-scan accounting.
     pub shard_scan_ns: &'a mut [u64],
     /// Shard busy time burned on the discarded window (metrics).
     pub discarded_busy_ns: &'a mut u64,
@@ -67,19 +66,8 @@ impl<'a> ShardRouter<'a> {
         Self { handles, partition, n, stats: None, trace: None }
     }
 
-    /// Like [`ShardRouter::new`], attributing batch fleet-op time to
-    /// `stats` (the ingest path's scaling model).
-    pub fn with_stats(
-        handles: &'a mut [ShardHandle],
-        partition: Partition,
-        n: usize,
-        stats: &'a mut FleetOpStats,
-    ) -> Self {
-        Self { handles, partition, n, stats: Some(stats), trace: None }
-    }
-
     /// Like [`ShardRouter::new`], with optional batch fleet-op attribution
-    /// and optional fleet-op trace spans.
+    /// (the ingest path's scaling model) and optional fleet-op trace spans.
     pub(crate) fn with_telemetry(
         handles: &'a mut [ShardHandle],
         partition: Partition,
@@ -200,21 +188,17 @@ impl<'a> ShardRouter<'a> {
     pub(crate) fn absorb_evals(&mut self, inflight: &mut InflightWindow<'_>) {
         for s in inflight.shards.drain(..) {
             match self.handles[s].recv() {
-                ShardReply::Evaluated { reports, busy_ns, scan_ns, batch, .. } => {
+                ShardReply::Evaluated { mut reports, busy_ns, scan_ns, .. } => {
                     inflight.shard_busy_ns[s] += busy_ns;
                     inflight.shard_scan_ns[s] += scan_ns;
                     *inflight.discarded_busy_ns += busy_ns;
                     *inflight.discarded_reports += reports.len() as u64;
-                    let mut reports = reports;
                     reports.clear();
                     if reports.capacity() > 0 {
                         inflight.pool.push(reports);
                     }
-                    if batch.capacity() > 0 {
-                        inflight.pool.push(batch);
-                    }
                 }
-                other => unreachable!("absorb of EvalBatch got {other:?}"),
+                other => unreachable!("absorb of EvalWindow got {other:?}"),
             }
         }
     }
@@ -235,23 +219,16 @@ pub struct GuardedRouter<'a> {
     inner: ShardRouter<'a>,
     keep_below: u64,
     committed: Option<Vec<(u32, u32)>>,
-    /// The pipelined coordinator's in-flight next window, absorbed (reports
+    /// The coordinator's in-flight next window, absorbed (reports
     /// discarded, applications rolled back by the cut) before the first
-    /// fleet touch executes. `None` on the serial coordinator or when no
-    /// window is in flight.
+    /// fleet touch executes. `None` when no window is in flight.
     inflight: Option<InflightWindow<'a>>,
 }
 
 impl<'a> GuardedRouter<'a> {
     /// Wraps `inner`; a first fleet operation will cut speculation at
-    /// `keep_below`.
-    pub fn new(inner: ShardRouter<'a>, keep_below: u64) -> Self {
-        Self { inner, keep_below, committed: None, inflight: None }
-    }
-
-    /// Like [`GuardedRouter::new`], additionally absorbing an in-flight
-    /// speculative window before the cut — the cross-window rollback of
-    /// the pipelined coordinator.
+    /// `keep_below`, first absorbing the in-flight speculative window (if
+    /// any) — the cross-window rollback of the pipelined coordinator.
     pub(crate) fn with_inflight(
         inner: ShardRouter<'a>,
         keep_below: u64,

@@ -5,10 +5,8 @@
 //!
 //! A window of time-ordered events — a range of the chunk's shared
 //! columnar [`EventBatch`], sequence-stamped by position — reaches the
-//! shards either by **broadcast** (one `Arc` clone per shard; each shard
-//! selects the events it owns, the default) or by **eager scatter**
-//! (coordinator-built per-shard slices, the baseline); see
-//! [`ScatterMode`]. Each shard evaluates its
+//! shards by **broadcast**: one `Arc` clone per shard, and each shard
+//! selects the events it owns. Each shard evaluates its
 //! slice **optimistically** — silent updates apply, filter violations
 //! tentatively become delivered reports — and returns its violations. The
 //! coordinator merges the per-shard report streams in sequence order and
@@ -32,10 +30,10 @@
 //! redeploy-heavy protocols pay bounded re-evaluation while silent-heavy
 //! workloads stream at full window width.
 //!
-//! Two coordinator schedules share the helpers in this module: the serial
-//! window-at-a-time baseline below, and the **pipelined** double-buffered
-//! coordinator of [`crate::pipeline`] (the default), which drains window
-//! *t*'s reports while the shards already evaluate window *t+1*.
+//! The window loop itself is the **pipelined** double-buffered coordinator
+//! of [`crate::pipeline`], which drains window *t*'s reports while the
+//! shards already evaluate window *t+1*; this module holds its scatter /
+//! gather / drain steps.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,29 +54,11 @@ use streamnet::{
 use crate::durability::{Durability, DurabilityConfig};
 use crate::handle::{ExecMode, ShardHandle};
 use crate::metrics::ServerMetrics;
-use crate::pipeline::CoordMode;
 use crate::router::{GuardedRouter, InflightWindow, ShardRouter};
 use crate::shard::{Partition, Shard, ShardCmd, ShardReply, SpecEvent};
 
 /// Smallest adaptive evaluation window (events per round).
 pub(crate) const MIN_WINDOW: usize = 32;
-
-/// How evaluation windows reach the shards.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScatterMode {
-    /// The coordinator partitions each window into per-shard `SpecEvent`
-    /// vectors and sends every shard its slice — O(events) coordinator
-    /// copies per window. Kept as the differential baseline (mirroring how
-    /// `CoordMode::Serial` and `RankMode::Sorted` earned trust).
-    Eager,
-    /// The coordinator shares each window as one columnar
-    /// [`EventBatch`] behind an `Arc` — O(shards) clones per window — and
-    /// every shard selects its own events inside the parallel region
-    /// (`stream % shards` ownership). Byte-identical to
-    /// [`ScatterMode::Eager`]. The default.
-    #[default]
-    Broadcast,
-}
 
 /// Observability configuration of a [`ShardedServer`]. Everything here is
 /// observational: any combination of settings leaves answers, ledgers, and
@@ -112,14 +92,6 @@ pub struct ServerConfig {
     pub batch_size: usize,
     /// Inline (deterministic single-thread) or threaded execution.
     pub mode: ExecMode,
-    /// Bound of each MPSC command/reply channel in threaded mode.
-    pub channel_capacity: usize,
-    /// Serial or pipelined (double-buffered) coordinator; both are
-    /// byte-identical, see [`CoordMode`].
-    pub coordinator: CoordMode,
-    /// Eager per-shard scatter or broadcast of shared columnar windows;
-    /// both are byte-identical, see [`ScatterMode`].
-    pub scatter: ScatterMode,
     /// Observability: per-cause accounting and trace recording. Purely
     /// observational at every setting, see [`TelemetryConfig`].
     pub telemetry: TelemetryConfig,
@@ -131,9 +103,6 @@ impl Default for ServerConfig {
             num_shards: 4,
             batch_size: 1024,
             mode: ExecMode::Inline,
-            channel_capacity: 2,
-            coordinator: CoordMode::Pipelined,
-            scatter: ScatterMode::Broadcast,
             telemetry: TelemetryConfig::default(),
         }
     }
@@ -157,23 +126,18 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the coordinator mode (serial vs. pipelined windows).
-    pub fn coordinator(mut self, coordinator: CoordMode) -> Self {
-        self.coordinator = coordinator;
-        self
-    }
-
-    /// Sets the scatter mode (eager per-shard copies vs. broadcast of
-    /// shared columnar windows).
-    pub fn scatter(mut self, scatter: ScatterMode) -> Self {
-        self.scatter = scatter;
-        self
-    }
-
     /// Sets the observability configuration.
     pub fn telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.telemetry = telemetry;
         self
+    }
+
+    /// Largest evaluation window the adaptive controller may reach: half
+    /// the batch, so a chunk always splits into at least two windows and
+    /// the pipe can actually fill (drain of one window overlapping
+    /// evaluation of the next).
+    pub(crate) fn max_window(&self) -> usize {
+        (self.batch_size / 2).max(1)
     }
 }
 
@@ -192,21 +156,17 @@ pub struct ShardedServer<P: Protocol> {
     /// Current adaptive evaluation window (events per round).
     pub(crate) window: usize,
     pub(crate) metrics: ServerMetrics,
-    /// Pool of scatter buffers: shards hand their consumed (cleared) batch
-    /// buffers back in every `Evaluated` reply, so steady-state rounds
-    /// scatter without allocating.
+    /// Pool of report buffers: every `EvalWindow` carries one out and the
+    /// gathered (or absorbed) `Evaluated` reply hands it back, so
+    /// steady-state rounds scatter and gather without allocating.
     pub(crate) spare_batches: Vec<Vec<SpecEvent>>,
     /// Reused per-round merge buffer for the gathered report streams.
     pub(crate) merged: Vec<(SpecEvent, usize)>,
     /// The current ingestion chunk as a shared columnar window. Refilled
     /// per chunk (recycled once every shard has dropped its clone, i.e.
     /// at every chunk boundary); every evaluation window of the chunk —
-    /// including rollback re-scatters — is an `Arc` clone of it under
-    /// [`ScatterMode::Broadcast`].
+    /// including rollback re-scatters — is an `Arc` clone of it.
     pub(crate) shared_chunk: Arc<EventBatch>,
-    /// Eager scatter's persistent per-shard partition buffers (entries are
-    /// `mem::take`n when sent and refilled from `spare_batches`).
-    eager_slices: Vec<Vec<SpecEvent>>,
     /// Pool of participant-index vectors for the window loop.
     participant_pool: Vec<Vec<usize>>,
     /// Pooled per-shard `(kept, undone)` buffer for the quiescence commit.
@@ -265,17 +225,10 @@ impl<P: Protocol> ShardedServer<P> {
             .iter()
             .enumerate()
             .map(|(s, values)| {
-                ShardHandle::spawn(
-                    Shard::with_partition(values, partition, s),
-                    config.mode,
-                    config.channel_capacity,
-                )
+                ShardHandle::spawn(Shard::with_partition(values, partition, s), config.mode)
             })
             .collect();
-        let window_ceiling = match config.coordinator {
-            CoordMode::Serial => config.batch_size,
-            CoordMode::Pipelined => (config.batch_size / 2).max(1),
-        };
+        let window_ceiling = config.max_window();
         // All trace rings share one epoch so coordinator, fleet-op, and
         // shard tracks land on a single exportable timeline.
         let tcfg = config.telemetry;
@@ -313,7 +266,6 @@ impl<P: Protocol> ShardedServer<P> {
             spare_batches: Vec::new(),
             merged: Vec::new(),
             shared_chunk: Arc::new(EventBatch::new()),
-            eager_slices: (0..config.num_shards).map(|_| Vec::new()).collect(),
             participant_pool: Vec::new(),
             commit_scratch: Vec::new(),
             fleet_trace: TraceRing::new(tcfg.trace, tcfg.trace_capacity, epoch),
@@ -400,7 +352,7 @@ impl<P: Protocol> ShardedServer<P> {
         Arc::get_mut(&mut self.shared_chunk).expect("fresh Arc is unique")
     }
 
-    /// Applies the filled `shared_chunk` through the configured
+    /// Applies the filled `shared_chunk` through the pipelined
     /// coordinator. With durability enabled, the chunk is journaled and
     /// synced **before** it applies (write-ahead); a poisoned durability
     /// handle drops the chunk un-applied, exactly as a crashed process
@@ -417,10 +369,7 @@ impl<P: Protocol> ShardedServer<P> {
             assert!(time >= self.now, "events must be time-ordered ({time} < {})", self.now);
             self.now = time;
         }
-        match self.config.coordinator {
-            CoordMode::Serial => self.apply_chunk_serial(),
-            CoordMode::Pipelined => self.apply_chunk_pipelined(),
-        }
+        self.apply_chunk_pipelined();
         self.events_processed += chunk.len() as u64;
         self.metrics.events += chunk.len() as u64;
         self.metrics.record_batch(batch_start.elapsed().as_nanos() as u64);
@@ -566,66 +515,30 @@ impl<P: Protocol> ShardedServer<P> {
     }
 
     /// Scatters `shared_chunk[start..end]` to the shards as one speculative
-    /// evaluation window. Under [`ScatterMode::Broadcast`] every shard gets
-    /// one `Arc` clone of the shared window and selects its own events;
-    /// under [`ScatterMode::Eager`] the coordinator partitions the range
-    /// into pooled per-shard `SpecEvent` buffers (shards return them,
-    /// cleared, with each `Evaluated` reply). Returns the participating
-    /// shard indices — each owes exactly one `Evaluated` reply. Only
-    /// coordinator-side partition/copy work is metered as `scatter_ns`;
-    /// channel sends (which execute the evaluation inline in
+    /// evaluation window: every shard gets one `Arc` clone of the shared
+    /// window (and a pooled report buffer) and selects its own events.
+    /// Returns the participating shard indices — each owes exactly one
+    /// `Evaluated` reply. Only the coordinator-side share is metered as
+    /// `scatter_ns`; channel sends (which execute the evaluation inline in
     /// [`ExecMode::Inline`]) are not.
     pub(crate) fn scatter_window(&mut self, start: usize, end: usize) -> Vec<usize> {
         self.core.telemetry_mut().trace.begin(TraceDepth::Coarse, "scatter_window", start as u64);
         let mut participants = self.participant_pool.pop().unwrap_or_default();
         participants.clear();
-        match self.config.scatter {
-            ScatterMode::Broadcast => {
-                let scatter_start = Instant::now();
-                let window = Arc::clone(&self.shared_chunk);
-                self.metrics.scatter_ns += scatter_start.elapsed().as_nanos() as u64;
-                let window_bytes = ((end - start) * EventBatch::EVENT_BYTES) as u64;
-                for s in 0..self.config.num_shards {
-                    let reports = self.spare_batches.pop().unwrap_or_default();
-                    self.handles[s].send(ShardCmd::EvalWindow {
-                        window: Arc::clone(&window),
-                        start,
-                        end,
-                        reports,
-                    });
-                    participants.push(s);
-                    self.metrics.window_bytes_shared += window_bytes;
-                }
-            }
-            ScatterMode::Eager => {
-                let scatter_start = Instant::now();
-                for s in 0..self.config.num_shards {
-                    if self.eager_slices[s].capacity() == 0 {
-                        if let Some(buf) = self.spare_batches.pop() {
-                            self.eager_slices[s] = buf;
-                        }
-                    }
-                }
-                let chunk = Arc::clone(&self.shared_chunk);
-                let streams = &chunk.streams()[start..end];
-                let values = &chunk.values()[start..end];
-                for (i, (&stream, &value)) in streams.iter().zip(values).enumerate() {
-                    self.eager_slices[self.partition.shard_of(stream)].push(SpecEvent {
-                        seq: (start + i) as u64,
-                        local: self.partition.local_of(stream),
-                        value,
-                    });
-                }
-                self.metrics.scatter_ns += scatter_start.elapsed().as_nanos() as u64;
-                for s in 0..self.config.num_shards {
-                    if !self.eager_slices[s].is_empty() {
-                        let events = std::mem::take(&mut self.eager_slices[s]);
-                        let reports = self.spare_batches.pop().unwrap_or_default();
-                        self.handles[s].send(ShardCmd::EvalBatch { events, reports });
-                        participants.push(s);
-                    }
-                }
-            }
+        let scatter_start = Instant::now();
+        let window = Arc::clone(&self.shared_chunk);
+        self.metrics.scatter_ns += scatter_start.elapsed().as_nanos() as u64;
+        let window_bytes = ((end - start) * EventBatch::EVENT_BYTES) as u64;
+        for s in 0..self.config.num_shards {
+            let reports = self.spare_batches.pop().unwrap_or_default();
+            self.handles[s].send(ShardCmd::EvalWindow {
+                window: Arc::clone(&window),
+                start,
+                end,
+                reports,
+            });
+            participants.push(s);
+            self.metrics.window_bytes_shared += window_bytes;
         }
         self.metrics.rounds += 1;
         self.metrics.max_inflight_windows = self.metrics.max_inflight_windows.max(1);
@@ -659,13 +572,10 @@ impl<P: Protocol> ShardedServer<P> {
         let mut round_max_busy = 0u64;
         for &s in participants {
             match self.handles[s].recv() {
-                ShardReply::Evaluated { mut reports, busy_ns, scan_ns, batch, .. } => {
+                ShardReply::Evaluated { mut reports, busy_ns, scan_ns, .. } => {
                     self.metrics.shard_busy_ns[s] += busy_ns;
                     self.metrics.shard_scan_ns[s] += scan_ns;
                     round_max_busy = round_max_busy.max(busy_ns);
-                    if batch.capacity() > 0 {
-                        self.spare_batches.push(batch);
-                    }
                     merged.extend(reports.drain(..).map(|ev| (ev, s)));
                     // The drained report buffer goes back into the pool, so
                     // steady-state rounds gather without allocating.
@@ -673,7 +583,7 @@ impl<P: Protocol> ShardedServer<P> {
                         self.spare_batches.push(reports);
                     }
                 }
-                other => unreachable!("EvalBatch got {other:?}"),
+                other => unreachable!("EvalWindow got {other:?}"),
             }
         }
         merged.sort_unstable_by_key(|(ev, _)| ev.seq);
@@ -685,8 +595,8 @@ impl<P: Protocol> ShardedServer<P> {
     /// Consumes the gathered reports of the current window serially through
     /// the protocol until one of them touches the fleet. `next_window`, if
     /// non-empty, names shards still evaluating the scattered-ahead next
-    /// window (pipelined mode): a fleet touch absorbs their replies before
-    /// the cut so the rollback covers the in-flight work it invalidates.
+    /// window: a fleet touch absorbs their replies before the cut so the
+    /// rollback covers the in-flight work it invalidates.
     /// Returns the cut sequence, if any, and the drain's pure-serial time
     /// (fleet-op shard busy excluded — that is attributed to
     /// `metrics.fleet`).
@@ -783,18 +693,6 @@ impl<P: Protocol> ShardedServer<P> {
         (cut_at, drain_pure)
     }
 
-    /// Largest evaluation window the adaptive controller may reach: the
-    /// whole batch on the serial coordinator; half of it when pipelining,
-    /// so a chunk always splits into at least two windows and the pipe can
-    /// actually fill (drain of one window overlapping evaluation of the
-    /// next).
-    pub(crate) fn max_window(&self) -> usize {
-        match self.config.coordinator {
-            CoordMode::Serial => self.config.batch_size,
-            CoordMode::Pipelined => (self.config.batch_size / 2).max(1),
-        }
-    }
-
     /// Commits every shard's surviving speculation (chunk-end quiescence).
     pub(crate) fn commit_surviving(&mut self) {
         let mut commits = std::mem::take(&mut self.commit_scratch);
@@ -814,51 +712,10 @@ impl<P: Protocol> ShardedServer<P> {
         let span = (c as usize + 1 - start).max(1);
         // Careful with tiny configs: the floor must never exceed the
         // window ceiling (clamp would panic).
-        let ceiling = self.max_window();
+        let ceiling = self.config.max_window();
         let floor = MIN_WINDOW.min(ceiling);
         self.window = (span * 2).clamp(floor, ceiling);
         self.metrics.cuts += 1;
-    }
-
-    /// One window at a time: scatter, gather, drain, commit — the
-    /// speculation baseline the pipelined coordinator is differentially
-    /// tested against.
-    fn apply_chunk_serial(&mut self) {
-        let chunk_len = self.shared_chunk.len();
-        let mut start = 0usize;
-        let mut no_next: Vec<usize> = Vec::new();
-        while start < chunk_len {
-            let end = chunk_len.min(start + self.window);
-
-            // Phase A: optimistic evaluation on every participating shard.
-            let participants = self.scatter_window(start, end);
-            let round_busy = self.gather_window(&participants);
-            self.recycle_participants(participants);
-            self.metrics.critical_path_ns += round_busy;
-
-            // Phase B: consume reports serially through the protocol until
-            // one of them touches the fleet (= invalidates speculation).
-            let (cut_at, _) = self.drain_reports(&mut no_next);
-
-            match cut_at {
-                None => {
-                    // Whole window stands: make it permanent.
-                    self.commit_surviving();
-                    start = end;
-                    // Quiet window: widen (deterministic — depends only on
-                    // the event/report sequence).
-                    self.window = (self.window * 2).min(self.max_window());
-                }
-                Some(c) => {
-                    // Speculation past `c` was rolled back inside the cut;
-                    // resume right after the invalidating report. Under
-                    // broadcast scatter the re-scatter below reuses the
-                    // already-shared chunk window — no re-copy.
-                    self.adapt_window_to_cut(start, c);
-                    start = c as usize + 1;
-                }
-            }
-        }
     }
 
     /// Initializes (if needed) and consumes the whole workload in batches

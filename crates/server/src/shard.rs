@@ -1,5 +1,5 @@
 //! A worker shard: owns one partition of the stream population and does the
-//! data-plane work — speculative batch filter evaluation, committed
+//! data-plane work — speculative window filter evaluation, committed
 //! deliveries, and the shard-side half of probes / installs / broadcasts.
 //!
 //! Sources are assigned to shards by stride: global stream `g` lives on
@@ -7,28 +7,20 @@
 //! [`SourceFleet`] uses *local* dense ids; all translation happens at the
 //! boundary.
 //!
-//! ## Getting events onto the shard: broadcast vs. eager scatter
+//! ## Getting events onto the shard: broadcast scatter
 //!
-//! Two commands start a speculative evaluation window:
-//!
-//! * [`ShardCmd::EvalWindow`] — the **broadcast scatter** path (the
-//!   default): the coordinator shares one columnar
-//!   [`asf_core::workload::EventBatch`] window behind an `Arc` and every
-//!   shard *self-partitions*, scanning the shared stream column for the
-//!   ids it owns (`stream % shards == shard_id`) and building its
-//!   [`SpecEvent`]s locally. The coordinator pays O(shards) `Arc` clones
-//!   per window; the ownership scan is metered per shard
-//!   ([`ShardReply::Evaluated::scan_ns`]) and runs inside the parallel
-//!   region.
-//! * [`ShardCmd::EvalBatch`] — the **eager** path, kept as the
-//!   differential baseline: the coordinator partitions the window into
-//!   per-shard `SpecEvent` vectors itself and sends each shard its slice.
-//!
-//! Both paths journal and evaluate identically from there on.
+//! [`ShardCmd::EvalWindow`] starts a speculative evaluation window: the
+//! coordinator shares one columnar [`asf_core::workload::EventBatch`]
+//! window behind an `Arc` and every shard *self-partitions*, scanning the
+//! shared stream column for the ids it owns (`stream % shards ==
+//! shard_id`) and building its [`SpecEvent`]s locally. The coordinator
+//! pays O(shards) `Arc` clones per window; the ownership scan is metered
+//! per shard ([`ShardReply::Evaluated::scan_ns`]) and runs inside the
+//! parallel region.
 //!
 //! ## Optimistic evaluation and the undo log
 //!
-//! [`Shard::exec`] walks its slice of a batch
+//! [`Shard::exec`] walks its slice of a window
 //! in sequence order **optimistically**: silent updates apply their value;
 //! filter violations are tentatively treated as delivered reports (value
 //! applied, last-reported refreshed) and returned to the coordinator in
@@ -114,22 +106,11 @@ pub struct SpecEvent {
 /// A command routed to a shard.
 #[derive(Debug)]
 pub enum ShardCmd {
-    /// Speculatively evaluate a slice of a batch (in `seq` order) that the
-    /// coordinator partitioned eagerly (`ScatterMode::Eager`, the
-    /// differential baseline).
-    EvalBatch {
-        /// The shard's slice, in ascending `seq` order.
-        events: Vec<SpecEvent>,
-        /// Pooled output buffer the shard fills with its tentative reports
-        /// and hands back in the `Evaluated` reply — the coordinator
-        /// recycles it, so steady-state rounds report without allocating.
-        reports: Vec<SpecEvent>,
-    },
     /// Speculatively evaluate `window[start..end]` of a **shared** columnar
     /// event window: the shard scans the stream column, selects the events
     /// it owns, and evaluates them in `seq` order (`seq` = position in the
-    /// window). The broadcast-scatter path: the same `Arc` is sent to every
-    /// shard, so the coordinator copies nothing per event.
+    /// window). The same `Arc` is sent to every shard, so the coordinator
+    /// copies nothing per event.
     EvalWindow {
         /// The shared columnar window (one `Arc` clone per shard).
         window: Arc<EventBatch>,
@@ -137,8 +118,9 @@ pub enum ShardCmd {
         start: usize,
         /// One past the last window position of this round.
         end: usize,
-        /// Pooled tentative-report output buffer (see
-        /// [`ShardCmd::EvalBatch::reports`]).
+        /// Pooled output buffer the shard fills with its tentative reports
+        /// and hands back in the `Evaluated` reply — the coordinator
+        /// recycles it, so steady-state rounds report without allocating.
         reports: Vec<SpecEvent>,
     },
     /// Commit speculative applications with `seq < keep_below`, roll back
@@ -218,24 +200,18 @@ pub enum ShardCmd {
 /// A shard's reply to one command.
 #[derive(Debug)]
 pub enum ShardReply {
-    /// Outcome of [`ShardCmd::EvalBatch`] / [`ShardCmd::EvalWindow`].
+    /// Outcome of [`ShardCmd::EvalWindow`].
     Evaluated {
         /// Tentative reports (filter violations), in ascending `seq` order.
         reports: Vec<SpecEvent>,
         /// Events speculatively applied (silent + tentative reports).
         evaluated: u32,
-        /// Wall time the shard spent on the round (ownership scan included
-        /// on the broadcast path), for metrics only.
+        /// Wall time the shard spent on the round (ownership scan
+        /// included), for metrics only.
         busy_ns: u64,
-        /// Broadcast path only: the portion of `busy_ns` spent scanning the
-        /// shared window for owned events — the work that used to be the
-        /// coordinator's serial scatter loop. Zero on the eager path.
+        /// The portion of `busy_ns` spent scanning the shared window for
+        /// owned events.
         scan_ns: u64,
-        /// Eager path: the consumed input buffer, cleared — handed back so
-        /// the coordinator can pool scatter buffers instead of allocating a
-        /// fresh `Vec` per shard per round. Empty (no allocation) on the
-        /// broadcast path, where the selection buffer stays shard-local.
-        batch: Vec<SpecEvent>,
     },
     /// Outcome of [`ShardCmd::Commit`].
     Committed {
@@ -307,8 +283,8 @@ pub struct Shard {
     local_view: ServerView,
     /// Reused sync-report buffer for broadcasts (cleared per use).
     broadcast_scratch: Vec<(StreamId, f64)>,
-    /// Reused selection buffer of the broadcast-scatter ownership scan
-    /// (cleared per window; never crosses the channel).
+    /// Reused selection buffer of the ownership scan (cleared per window;
+    /// never crosses the channel).
     select_scratch: Vec<SpecEvent>,
     /// Undo journal of the in-flight speculative batch.
     spec: SpecLog,
@@ -376,7 +352,6 @@ impl Shard {
     pub fn exec(&mut self, cmd: ShardCmd) -> ShardReply {
         let start = Instant::now();
         let mut reply = match cmd {
-            ShardCmd::EvalBatch { events, reports } => self.eval_batch(events, reports),
             ShardCmd::EvalWindow { window, start, end, reports } => {
                 self.eval_window(&window, start, end, reports)
             }
@@ -483,45 +458,6 @@ impl Shard {
         reply
     }
 
-    /// Speculatively applies `events` (already selected, in `seq` order)
-    /// into the pooled `reports` buffer: the shared evaluation core of both
-    /// scatter paths.
-    fn eval_events(&mut self, events: &[SpecEvent], reports: &mut Vec<SpecEvent>) {
-        // The pipelined coordinator scatters window t+1 while window t's
-        // entries are still journaled, so the log may legitimately be
-        // non-empty here; `SpecLog::apply` enforces that sequence numbers
-        // keep increasing across the window boundary.
-        reports.clear();
-        for &ev in events {
-            let id = StreamId(ev.local);
-            if self.spec.apply(&mut self.fleet, ev.seq, id, ev.value).is_some() {
-                reports.push(ev);
-            }
-        }
-    }
-
-    fn eval_batch(
-        &mut self,
-        mut events: Vec<SpecEvent>,
-        mut reports: Vec<SpecEvent>,
-    ) -> ShardReply {
-        let start = Instant::now();
-        let seq0 = events.first().map_or(0, |ev| ev.seq);
-        self.trace.begin(TraceDepth::Coarse, "shard_eval", seq0);
-        self.eval_events(&events, &mut reports);
-        let evaluated = events.len() as u32;
-        events.clear();
-        self.trace.instant(TraceDepth::Fine, "spec_tip", self.spec.last_seq().unwrap_or(0));
-        self.trace.end(TraceDepth::Coarse);
-        ShardReply::Evaluated {
-            reports,
-            evaluated,
-            busy_ns: start.elapsed().as_nanos() as u64,
-            scan_ns: 0,
-            batch: events,
-        }
-    }
-
     fn eval_window(
         &mut self,
         window: &EventBatch,
@@ -530,10 +466,9 @@ impl Shard {
         mut reports: Vec<SpecEvent>,
     ) -> ShardReply {
         // Phase 1 — ownership scan: walk the shared stream column and
-        // select this shard's events into the pooled local buffer. This is
-        // exactly the partitioning work the coordinator's eager scatter
-        // loop used to do serially for all shards; here every shard scans
-        // its window concurrently, and the time is reported as `scan_ns`.
+        // select this shard's events into the pooled local buffer. Every
+        // shard scans its window concurrently, and the time is reported as
+        // `scan_ns`.
         let scan_start = Instant::now();
         self.trace.begin(TraceDepth::Coarse, "shard_eval", start as u64);
         self.trace.begin(TraceDepth::Fine, "ownership_scan", start as u64);
@@ -553,9 +488,19 @@ impl Shard {
         self.trace.end(TraceDepth::Fine);
         let scan_ns = scan_start.elapsed().as_nanos() as u64;
 
-        // Phase 2 — the same optimistic evaluation as the eager path.
+        // Phase 2 — optimistic evaluation of the selected events. The
+        // coordinator scatters window t+1 while window t's entries are
+        // still journaled, so the log may legitimately be non-empty here;
+        // `SpecLog::apply` enforces that sequence numbers keep increasing
+        // across the window boundary.
         let eval_start = Instant::now();
-        self.eval_events(&selected, &mut reports);
+        reports.clear();
+        for &ev in &selected {
+            let id = StreamId(ev.local);
+            if self.spec.apply(&mut self.fleet, ev.seq, id, ev.value).is_some() {
+                reports.push(ev);
+            }
+        }
         let evaluated = selected.len() as u32;
         self.select_scratch = selected;
         self.trace.instant(TraceDepth::Fine, "spec_tip", self.spec.last_seq().unwrap_or(0));
@@ -565,7 +510,6 @@ impl Shard {
             evaluated,
             busy_ns: scan_ns + eval_start.elapsed().as_nanos() as u64,
             scan_ns,
-            batch: Vec::new(),
         }
     }
 
@@ -602,26 +546,48 @@ mod tests {
         assert_eq!(per[1], vec![11.0, 13.0]);
     }
 
+    /// A shared columnar window of `(global stream, value)` events; the
+    /// event's position is its `seq`.
+    fn window_of(events: &[(u32, f64)]) -> Arc<EventBatch> {
+        let mut window = EventBatch::new();
+        for (t, &(g, v)) in events.iter().enumerate() {
+            window.push_parts(t as f64, StreamId(g), v);
+        }
+        Arc::new(window)
+    }
+
+    fn eval(shard: &mut Shard, window: &Arc<EventBatch>, start: usize, end: usize) -> ShardReply {
+        shard.exec(ShardCmd::EvalWindow {
+            window: Arc::clone(window),
+            start,
+            end,
+            reports: Vec::new(),
+        })
+    }
+
     #[test]
     fn eval_reports_violations_and_commit_rolls_back_suffix() {
-        // Sources at 500 / 100 with active filters (probe marks reported).
-        let mut shard = Shard::new(&[500.0, 100.0]);
+        // Shard 0 of 2 owns globals 0 / 2 (locals 0 / 1) at 500 / 100, with
+        // active filters (probe marks reported).
+        let mut shard = Shard::with_partition(&[500.0, 100.0], Partition::new(2), 0);
         shard.exec(ShardCmd::ProbeAll);
         shard.exec(ShardCmd::Install { local: 0, filter: Filter::interval(400.0, 600.0) });
         shard.exec(ShardCmd::Install { local: 1, filter: Filter::interval(0.0, 200.0) });
 
         // seq 0: silent, seq 2: silent, seq 5: violation, seq 7: silent
-        // (post-violation state: source 0 reported 700, outside -> outside).
-        let reply = shard.exec(ShardCmd::EvalBatch {
-            events: vec![
-                SpecEvent { seq: 0, local: 0, value: 550.0 },
-                SpecEvent { seq: 2, local: 1, value: 150.0 },
-                SpecEvent { seq: 5, local: 0, value: 700.0 },
-                SpecEvent { seq: 7, local: 0, value: 800.0 },
-            ],
-            reports: Vec::new(),
-        });
-        match reply {
+        // (post-violation state: source 0 reported 700, outside -> outside);
+        // the other positions belong to shard 1 and must be skipped.
+        let window = window_of(&[
+            (0, 550.0),
+            (1, 1.0),
+            (2, 150.0),
+            (1, 2.0),
+            (3, 3.0),
+            (0, 700.0),
+            (1, 4.0),
+            (0, 800.0),
+        ]);
+        match eval(&mut shard, &window, 0, 8) {
             ShardReply::Evaluated { reports, evaluated, .. } => {
                 assert_eq!(reports.len(), 1);
                 assert_eq!((reports[0].seq, reports[0].local, reports[0].value), (5, 0, 700.0));
@@ -650,113 +616,102 @@ mod tests {
         }
     }
 
-    /// Replays `cmds` through a fresh shard pair and returns, per shard,
-    /// the reports of each eval round plus the final truth snapshot.
-    fn reports_of(reply: ShardReply) -> Vec<(u64, u32, f64)> {
-        match reply {
-            ShardReply::Evaluated { reports, .. } => {
-                reports.into_iter().map(|ev| (ev.seq, ev.local, ev.value)).collect()
+    /// One evaluation round over `shards`: the merged reports as
+    /// `(seq, global stream, value)` in `seq` order.
+    fn eval_round(
+        shards: &mut [Shard],
+        partition: Partition,
+        window: &Arc<EventBatch>,
+        start: usize,
+        end: usize,
+    ) -> Vec<(u64, StreamId, f64)> {
+        let mut merged = Vec::new();
+        for (s, shard) in shards.iter_mut().enumerate() {
+            match eval(shard, window, start, end) {
+                ShardReply::Evaluated { reports, .. } => merged.extend(
+                    reports
+                        .into_iter()
+                        .map(|ev| (ev.seq, partition.global_of(s, ev.local), ev.value)),
+                ),
+                other => panic!("expected Evaluated, got {other:?}"),
             }
-            other => panic!("expected Evaluated, got {other:?}"),
         }
+        merged.sort_by_key(|&(seq, ..)| seq);
+        merged
+    }
+
+    /// Commits every shard at `keep_below`; the fleet-wide `(kept, undone)`.
+    fn commit_round(shards: &mut [Shard], keep_below: u64) -> (u32, u32) {
+        let mut total = (0, 0);
+        for shard in shards {
+            match shard.exec(ShardCmd::Commit { keep_below }) {
+                ShardReply::Committed { kept, undone } => {
+                    total = (total.0 + kept, total.1 + undone);
+                }
+                other => panic!("expected Committed, got {other:?}"),
+            }
+        }
+        total
     }
 
     #[test]
-    fn broadcast_self_partitioning_with_rollback_equals_eager_scatter() {
-        // Shared columnar window over 2 shards; both scatter paths must
-        // produce identical reports, identical rollback behaviour on a
-        // mid-window cut, and identical source state after the re-scatter
-        // of the surviving suffix.
+    fn self_partitioning_shards_with_rollback_equal_one_whole_population_shard() {
+        // One shared columnar window, evaluated by two self-partitioning
+        // shards and by a single shard owning the whole population (the
+        // reference: no ownership split at all). Both must produce
+        // identical reports, identical rollback behaviour on a mid-window
+        // cut, and identical source state after the re-scatter of the
+        // surviving suffix.
         let initial = [500.0, 100.0, 450.0, 150.0]; // shard0: {0,2}→{500,450}, shard1: {1,3}
-        let partition = Partition::new(2);
-        let per_shard = partition.split_values(&initial);
-        let make = || -> Vec<Shard> {
-            (0..2)
-                .map(|s| {
-                    let mut shard = Shard::with_partition(&per_shard[s], partition, s);
+        let make = |k: usize| -> (Partition, Vec<Shard>) {
+            let partition = Partition::new(k);
+            let shards = partition
+                .split_values(&initial)
+                .iter()
+                .enumerate()
+                .map(|(s, values)| {
+                    let mut shard = Shard::with_partition(values, partition, s);
                     shard.exec(ShardCmd::ProbeAll);
                     shard.exec(ShardCmd::Broadcast { filter: Filter::interval(400.0, 600.0) });
                     shard
                 })
-                .collect()
+                .collect();
+            (partition, shards)
         };
-        let mut eager = make();
-        let mut broadcast = make();
+        let (one, mut whole) = make(1);
+        let (two, mut split) = make(2);
 
-        let mut window = EventBatch::new();
-        for (t, (g, v)) in
-            [(0u32, 550.0), (1, 650.0), (2, 700.0), (3, 500.0), (0, 800.0), (2, 420.0)]
-                .into_iter()
-                .enumerate()
-        {
-            window.push_parts(t as f64, StreamId(g), v);
-        }
-        let window = Arc::new(window);
+        let window =
+            window_of(&[(0, 550.0), (1, 650.0), (2, 700.0), (3, 500.0), (0, 800.0), (2, 420.0)]);
 
-        // Eager partitioning: what the coordinator's scatter loop builds.
-        let eager_slices = |start: usize, end: usize| -> Vec<Vec<SpecEvent>> {
-            let mut slices = vec![Vec::new(), Vec::new()];
-            for i in start..end {
-                let g = window.streams()[i];
-                slices[partition.shard_of(g)].push(SpecEvent {
-                    seq: i as u64,
-                    local: partition.local_of(g),
-                    value: window.values()[i],
-                });
-            }
-            slices
-        };
-
-        for s in 0..2 {
-            let e = reports_of(eager[s].exec(ShardCmd::EvalBatch {
-                events: eager_slices(0, 6)[s].clone(),
-                reports: Vec::new(),
-            }));
-            let b = reports_of(broadcast[s].exec(ShardCmd::EvalWindow {
-                window: Arc::clone(&window),
-                start: 0,
-                end: 6,
-                reports: Vec::new(),
-            }));
-            assert_eq!(e, b, "shard {s}: scatter paths diverged");
-        }
+        let reference = eval_round(&mut whole, one, &window, 0, 6);
+        assert!(!reference.is_empty(), "the window must produce reports to compare");
+        assert_eq!(eval_round(&mut split, two, &window, 0, 6), reference, "reports diverged");
 
         // A fleet touch at seq 2 cuts speculation: keep seqs 0..=2, roll
-        // back the rest, then re-scatter the suffix — the broadcast path
-        // reuses the *same* shared window, no re-copy.
-        for s in 0..2 {
-            let ShardReply::Committed { kept, undone } =
-                eager[s].exec(ShardCmd::Commit { keep_below: 3 })
-            else {
-                panic!()
-            };
-            let ShardReply::Committed { kept: bk, undone: bu } =
-                broadcast[s].exec(ShardCmd::Commit { keep_below: 3 })
-            else {
-                panic!()
-            };
-            assert_eq!((kept, undone), (bk, bu), "shard {s}: commit diverged");
-        }
-        for s in 0..2 {
-            let e = reports_of(eager[s].exec(ShardCmd::EvalBatch {
-                events: eager_slices(3, 6)[s].clone(),
-                reports: Vec::new(),
-            }));
-            let b = reports_of(broadcast[s].exec(ShardCmd::EvalWindow {
-                window: Arc::clone(&window),
-                start: 3,
-                end: 6,
-                reports: Vec::new(),
-            }));
-            assert_eq!(e, b, "shard {s}: re-scatter diverged");
-            eager[s].exec(ShardCmd::Commit { keep_below: u64::MAX });
-            broadcast[s].exec(ShardCmd::Commit { keep_below: u64::MAX });
-            let ShardReply::Truth(et) = eager[s].exec(ShardCmd::TruthSnapshot) else { panic!() };
-            let ShardReply::Truth(bt) = broadcast[s].exec(ShardCmd::TruthSnapshot) else {
-                panic!()
-            };
-            assert_eq!(et, bt, "shard {s}: final source state diverged");
-        }
+        // back the rest, then re-scatter the suffix — reusing the *same*
+        // shared window, no re-copy.
+        let cut = commit_round(&mut whole, 3);
+        assert_eq!(cut, (3, 3));
+        assert_eq!(commit_round(&mut split, 3), cut, "commit diverged");
+
+        let reference = eval_round(&mut whole, one, &window, 3, 6);
+        assert_eq!(eval_round(&mut split, two, &window, 3, 6), reference, "re-scatter diverged");
+        assert_eq!(commit_round(&mut whole, u64::MAX), commit_round(&mut split, u64::MAX));
+
+        let truth = |shards: &mut [Shard], partition: Partition| -> Vec<f64> {
+            let mut values = vec![0.0; initial.len()];
+            for (s, shard) in shards.iter_mut().enumerate() {
+                let ShardReply::Truth(local) = shard.exec(ShardCmd::TruthSnapshot) else {
+                    panic!()
+                };
+                for (l, v) in local.into_iter().enumerate() {
+                    values[partition.global_of(s, l as u32).index()] = v;
+                }
+            }
+            values
+        };
+        assert_eq!(truth(&mut split, two), truth(&mut whole, one), "final source state diverged");
     }
 
     #[test]
@@ -766,14 +721,7 @@ mod tests {
         shard.exec(ShardCmd::Install { local: 0, filter: Filter::interval(400.0, 600.0) });
 
         // seq 0 silent, seq 1 tentative report, seq 2 silent-after-report.
-        shard.exec(ShardCmd::EvalBatch {
-            events: vec![
-                SpecEvent { seq: 0, local: 0, value: 510.0 },
-                SpecEvent { seq: 1, local: 0, value: 700.0 },
-                SpecEvent { seq: 2, local: 0, value: 900.0 },
-            ],
-            reports: Vec::new(),
-        });
+        eval(&mut shard, &window_of(&[(0, 510.0), (0, 700.0), (0, 900.0)]), 0, 3);
         // Roll everything back: value, last-reported, and traffic must be
         // exactly as before the batch.
         shard.exec(ShardCmd::Commit { keep_below: 0 });

@@ -18,8 +18,7 @@ use asf_core::multi_query::{CellMode, MultiRangeZt};
 use asf_core::query::RangeQuery;
 use asf_core::workload::{UpdateEvent, VecWorkload, Workload};
 use asf_server::{
-    CoordMode, DurabilityConfig, ExecMode, ScatterMode, ServerConfig, ShardedServer,
-    TelemetryConfig, TraceDepth,
+    DurabilityConfig, ExecMode, ServerConfig, ShardedServer, TelemetryConfig, TraceDepth,
 };
 use simkit::fault::FaultMix;
 use streamnet::{ChaosConfig, StreamId};
@@ -64,18 +63,15 @@ fn main() {
         queries().len()
     );
 
-    // Sharded, threaded server with the pipelined (double-buffered)
-    // coordinator — shards evaluate window t+1 while the coordinator
-    // drains window t's reports — and broadcast scatter: each window is a
-    // shared columnar batch the shards self-partition, so the coordinator
-    // never copies events per shard.
+    // Sharded, threaded server. The coordinator is pipelined
+    // (double-buffered) — shards evaluate window t+1 while it drains
+    // window t's reports — and each window is a shared columnar batch the
+    // shards self-partition, so the coordinator never copies events per
+    // shard.
     let config = ServerConfig {
         num_shards: 4,
         batch_size: 1024,
         mode: ExecMode::Threaded,
-        channel_capacity: 2,
-        coordinator: CoordMode::Pipelined,
-        scatter: ScatterMode::Broadcast,
         telemetry: TelemetryConfig {
             causes: true,
             trace: if trace_out.is_some() { TraceDepth::Fine } else { TraceDepth::Off },

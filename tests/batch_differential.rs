@@ -20,9 +20,7 @@ use asf_core::protocol::{FtNrp, FtNrpConfig, Protocol, Rtp, ZtRp};
 use asf_core::query::{RangeQuery, RankQuery};
 use asf_core::tolerance::FractionTolerance;
 use asf_core::workload::{EventBatch, UpdateEvent, Workload};
-use asf_server::{
-    CoordMode, ExecMode, ScatterMode, ServerConfig, ShardedServer, TelemetryConfig, TraceDepth,
-};
+use asf_server::{ExecMode, ServerConfig, ShardedServer, TelemetryConfig, TraceDepth};
 use streamnet::{Filter, FleetOps, Ledger, ServerView, SourceFleet, StreamId};
 use workloads::{SyntheticConfig, SyntheticWorkload};
 
@@ -154,55 +152,40 @@ where
         "{label}: rank order diverges"
     );
 
-    // Sharded batch execution: every shard count, execution mode,
-    // coordinator (serial window-at-a-time and pipelined double-buffered),
-    // and scatter mode (eager per-shard copies and broadcast over the
-    // shared columnar window) must reproduce the scalar baseline exactly.
+    // Sharded batch execution: every shard count, execution mode, and
+    // ingest entry (event slices and the columnar batch) must reproduce
+    // the scalar baseline exactly.
     let mut combos = Vec::new();
-    for (shards, mode, coordinator) in [
-        (1, ExecMode::Inline, CoordMode::Serial),
-        (1, ExecMode::Inline, CoordMode::Pipelined),
-        (4, ExecMode::Inline, CoordMode::Serial),
-        (4, ExecMode::Inline, CoordMode::Pipelined),
-        (4, ExecMode::Threaded, CoordMode::Serial),
-        (4, ExecMode::Threaded, CoordMode::Pipelined),
-        (8, ExecMode::Inline, CoordMode::Serial),
-        (8, ExecMode::Inline, CoordMode::Pipelined),
+    for (shards, mode) in [
+        (1, ExecMode::Inline),
+        (4, ExecMode::Inline),
+        (4, ExecMode::Threaded),
+        (8, ExecMode::Inline),
     ] {
-        for scatter in [ScatterMode::Eager, ScatterMode::Broadcast] {
-            combos.push((shards, mode, coordinator, scatter));
+        for columnar in [false, true] {
+            combos.push((shards, mode, columnar));
         }
     }
-    for (shards, mode, coordinator, scatter) in combos {
+    for (shards, mode, columnar) in combos {
         // Half the sweep runs with telemetry fully off, half with cause
         // attribution + fine tracing: all of it must match the one scalar
         // baseline, proving telemetry is purely observational.
-        let telemetry = match scatter {
-            ScatterMode::Eager => {
-                TelemetryConfig { causes: false, trace: TraceDepth::Off, trace_capacity: 0 }
-            }
-            ScatterMode::Broadcast => {
-                TelemetryConfig { causes: true, trace: TraceDepth::Fine, trace_capacity: 2048 }
-            }
+        let telemetry = if columnar {
+            TelemetryConfig { causes: true, trace: TraceDepth::Fine, trace_capacity: 2048 }
+        } else {
+            TelemetryConfig { causes: false, trace: TraceDepth::Off, trace_capacity: 0 }
         };
-        let config = ServerConfig {
-            num_shards: shards,
-            batch_size: 128,
-            mode,
-            channel_capacity: 2,
-            coordinator,
-            scatter,
-            telemetry,
-        };
+        let config =
+            ServerConfig::with_shards(shards).batch_size(128).mode(mode).telemetry(telemetry);
         let mut server = ShardedServer::new(initial, make(), config);
         server.initialize();
-        // Broadcast servers ingest the columnar batch natively; eager ones
-        // take the event-slice entry — both paths must agree.
-        match scatter {
-            ScatterMode::Broadcast => server.ingest_event_batch(&batch),
-            ScatterMode::Eager => server.ingest_batch(events),
+        // Both ingest entries must agree.
+        if columnar {
+            server.ingest_event_batch(&batch);
+        } else {
+            server.ingest_batch(events);
         }
-        let tag = format!("{label} shards={shards} {mode:?} {coordinator:?} {scatter:?}");
+        let tag = format!("{label} shards={shards} {mode:?} columnar={columnar}");
         assert_eq!(server.answer(), scalar.answer(), "{tag}: answers diverge");
         assert_eq!(server.ledger(), scalar.ledger(), "{tag}: ledgers diverge");
         assert_eq!(view_bits(server.view()), view_bits(scalar.view()), "{tag}: views diverge");

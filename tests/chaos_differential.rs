@@ -12,14 +12,14 @@
 //! so its ledger pays the same logical messages). The convergence contract:
 //! once faults cease and repair quiesces, the chaos run's answers, views,
 //! ground truth, and post-resync ledger/report deltas are **byte-identical**
-//! to the baseline's — swept per protocol × shard count × coordinator ×
-//! fault mix. While faults are active, the tolerance oracle checks
-//! rank/fraction/exactness bounds over the verified-live (leased)
-//! population, surfacing every dead answer member as a potential violation.
+//! to the baseline's — swept per protocol × shard count × fault mix. While
+//! faults are active, the tolerance oracle checks rank/fraction/exactness
+//! bounds over the verified-live (leased) population, surfacing every dead
+//! answer member as a potential violation.
 //!
-//! The chaos run itself must also be byte-identical across shard counts and
-//! coordinators — fault draws are consumed in the protocol's deterministic
-//! consumed-report order, never in backend-dependent order.
+//! The chaos run itself must also be byte-identical across shard counts —
+//! fault draws are consumed in the protocol's deterministic consumed-report
+//! order, never in backend-dependent order.
 
 use asf_core::multi_query::{CellMode, MultiRangeZt};
 use asf_core::oracle;
@@ -30,7 +30,7 @@ use asf_core::query::{RangeQuery, RankQuery};
 use asf_core::tolerance::{FractionTolerance, RankTolerance};
 use asf_core::workload::{UpdateEvent, Workload};
 use asf_core::AnswerSet;
-use asf_server::{CoordMode, ExecMode, ScatterMode, ServerConfig, ShardedServer};
+use asf_server::{ServerConfig, ShardedServer};
 use simkit::FaultMix;
 use streamnet::{ChaosConfig, ChaosStats, SourceFleet, StreamId};
 use workloads::{SyntheticConfig, SyntheticWorkload};
@@ -51,18 +51,6 @@ fn fixture(seed: u64) -> (Vec<f64>, Vec<UpdateEvent>) {
         events.push(ev);
     }
     (initial, events)
-}
-
-fn config(shards: usize, coordinator: CoordMode) -> ServerConfig {
-    ServerConfig {
-        num_shards: shards,
-        batch_size: BATCH,
-        mode: ExecMode::Inline,
-        channel_capacity: 2,
-        coordinator,
-        scatter: ScatterMode::Broadcast,
-        telemetry: Default::default(),
-    }
 }
 
 /// A protocol-specific tolerance check over the live population:
@@ -90,11 +78,11 @@ fn run_one<P: Protocol, F: Fn() -> P>(
     suffix: &[UpdateEvent],
     make: &F,
     shards: usize,
-    coordinator: CoordMode,
     chaos: Option<ChaosConfig>,
     live_check: Option<LiveCheck>,
 ) -> (Outcome, Option<ChaosStats>, [u64; 5]) {
-    let mut server = ShardedServer::new(initial, make(), config(shards, coordinator));
+    let config = ServerConfig::with_shards(shards).batch_size(BATCH);
+    let mut server = ShardedServer::new(initial, make(), config);
     server.initialize();
     let faulted = chaos.is_some();
     if let Some(cfg) = chaos {
@@ -189,7 +177,7 @@ fn check_in_fault<P: Protocol>(
 }
 
 /// Runs the full sweep for one protocol: baseline vs chaos per fault mix ×
-/// shard count × coordinator, asserting post-resync convergence and
+/// shard count, asserting post-resync convergence and
 /// cross-backend identity of the chaos runs themselves.
 fn assert_chaos_converges<P: Protocol, F: Fn() -> P>(
     name: &str,
@@ -203,17 +191,8 @@ fn assert_chaos_converges<P: Protocol, F: Fn() -> P>(
     let (prefix, suffix) = events.split_at(split);
     assert!(!suffix.is_empty(), "fixture must leave a post-fault suffix");
 
-    let (baseline, _, _) = run_one(
-        &format!("{name} baseline"),
-        &initial,
-        prefix,
-        suffix,
-        &make,
-        1,
-        CoordMode::Serial,
-        None,
-        live_check,
-    );
+    let (baseline, _, _) =
+        run_one(&format!("{name} baseline"), &initial, prefix, suffix, &make, 1, None, live_check);
 
     let horizon = (split / 2) as u64;
     let mixes: [(&str, FaultMix); 3] = [
@@ -224,67 +203,56 @@ fn assert_chaos_converges<P: Protocol, F: Fn() -> P>(
     for (mix_name, mix) in mixes {
         let mut reference: Option<(Outcome, ChaosStats, [u64; 5])> = None;
         for shards in [1usize, 2, 8] {
-            for coordinator in [CoordMode::Serial, CoordMode::Pipelined] {
-                let tag = format!("{name} mix={mix_name} shards={shards} {coordinator:?}");
-                let cfg = ChaosConfig::new(0xC4A05, mix, horizon).lease_ticks(512);
-                let (outcome, stats, ledger) = run_one(
-                    &tag,
-                    &initial,
-                    prefix,
-                    suffix,
-                    &make,
-                    shards,
-                    coordinator,
-                    Some(cfg),
-                    live_check,
-                );
-                let stats = stats.expect("chaos enabled");
+            let tag = format!("{name} mix={mix_name} shards={shards}");
+            let cfg = ChaosConfig::new(0xC4A05, mix, horizon).lease_ticks(512);
+            let (outcome, stats, ledger) =
+                run_one(&tag, &initial, prefix, suffix, &make, shards, Some(cfg), live_check);
+            let stats = stats.expect("chaos enabled");
 
-                // Convergence: byte-identical to the never-faulted run once
-                // faults ceased and repair quiesced.
-                assert_eq!(outcome.answer, baseline.answer, "{tag}: answers diverged");
-                assert_eq!(outcome.view, baseline.view, "{tag}: views diverged");
-                assert_eq!(outcome.truth, baseline.truth, "{tag}: ground truth diverged");
-                assert_eq!(
-                    outcome.ledger_delta, baseline.ledger_delta,
-                    "{tag}: post-resync ledger deltas diverged"
-                );
-                assert_eq!(
-                    outcome.reports_delta, baseline.reports_delta,
-                    "{tag}: post-resync report counts diverged"
-                );
+            // Convergence: byte-identical to the never-faulted run once
+            // faults ceased and repair quiesced.
+            assert_eq!(outcome.answer, baseline.answer, "{tag}: answers diverged");
+            assert_eq!(outcome.view, baseline.view, "{tag}: views diverged");
+            assert_eq!(outcome.truth, baseline.truth, "{tag}: ground truth diverged");
+            assert_eq!(
+                outcome.ledger_delta, baseline.ledger_delta,
+                "{tag}: post-resync ledger deltas diverged"
+            );
+            assert_eq!(
+                outcome.reports_delta, baseline.reports_delta,
+                "{tag}: post-resync report counts diverged"
+            );
 
-                // The fault layer must actually have engaged.
-                match mix_name {
-                    "loss" => assert!(
-                        stats.reports_lost + stats.heartbeats_lost > 0,
-                        "{tag}: loss mix injected nothing: {stats:?}"
-                    ),
-                    // Report-frugal protocols (FT) may expose the delay mix
-                    // only through duplicated heartbeats/requests, which
-                    // land in `overhead_frames` beyond the per-round
-                    // heartbeat baseline.
-                    "delay+reorder" => assert!(
-                        stats.reports_delayed
-                            + stats.dup_frames
-                            + (stats.overhead_frames - stats.heartbeats_sent)
-                            > 0,
-                        "{tag}: delay mix injected nothing: {stats:?}"
-                    ),
-                    _ => assert!(stats.crashes > 0, "{tag}: crash mix injected nothing: {stats:?}"),
-                }
+            // The fault layer must actually have engaged.
+            match mix_name {
+                "loss" => assert!(
+                    stats.reports_lost + stats.heartbeats_lost > 0,
+                    "{tag}: loss mix injected nothing: {stats:?}"
+                ),
+                // Report-frugal protocols (FT) may expose the delay mix
+                // only through duplicated heartbeats/requests, which
+                // land in `overhead_frames` beyond the per-round
+                // heartbeat baseline.
+                "delay+reorder" => assert!(
+                    stats.reports_delayed
+                        + stats.dup_frames
+                        + (stats.overhead_frames - stats.heartbeats_sent)
+                        > 0,
+                    "{tag}: delay mix injected nothing: {stats:?}"
+                ),
+                _ => assert!(stats.crashes > 0, "{tag}: crash mix injected nothing: {stats:?}"),
+            }
 
-                // Backend invariance of the chaos run itself: fault draws
-                // follow the consumed-report order, so the whole run —
-                // cumulative ledger included — is identical across shard
-                // counts and coordinators.
-                match &reference {
-                    None => reference = Some((outcome, stats, ledger)),
-                    Some((ref_outcome, ref_stats, ref_ledger)) => {
-                        assert_eq!(&outcome, ref_outcome, "{tag}: chaos outcome backend-dependent");
-                        assert_eq!(&stats, ref_stats, "{tag}: chaos stats backend-dependent");
-                        assert_eq!(&ledger, ref_ledger, "{tag}: chaos ledger backend-dependent");
-                    }
+            // Backend invariance of the chaos run itself: fault draws
+            // follow the consumed-report order, so the whole run —
+            // cumulative ledger included — is identical across shard
+            // counts.
+            match &reference {
+                None => reference = Some((outcome, stats, ledger)),
+                Some((ref_outcome, ref_stats, ref_ledger)) => {
+                    assert_eq!(&outcome, ref_outcome, "{tag}: chaos outcome backend-dependent");
+                    assert_eq!(&stats, ref_stats, "{tag}: chaos stats backend-dependent");
+                    assert_eq!(&ledger, ref_ledger, "{tag}: chaos ledger backend-dependent");
                 }
             }
         }

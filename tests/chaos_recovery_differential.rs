@@ -17,7 +17,7 @@
 //! to the never-crashed chaotic run — answers, views, ground truth, the
 //! cumulative ledger, chaos statistics, per-channel epochs and adaptive
 //! lease lengths, and the dead set — swept per protocol × fault mix ×
-//! shard count × coordinator × crash point inside the fault window.
+//! shard count × crash point inside the fault window.
 //!
 //! Also proven here: `enable_chaos`/`enable_durability` compose in either
 //! order, and a cold recovery (checkpoints lost, whole journal replayed)
@@ -34,9 +34,7 @@ use asf_core::query::{RangeQuery, RankQuery};
 use asf_core::tolerance::FractionTolerance;
 use asf_core::workload::{UpdateEvent, Workload};
 use asf_core::AnswerSet;
-use asf_server::{
-    CheckpointMode, CoordMode, DurabilityConfig, ExecMode, ScatterMode, ServerConfig, ShardedServer,
-};
+use asf_server::{CheckpointMode, DurabilityConfig, ServerConfig, ShardedServer};
 use asf_telemetry::Cause;
 use simkit::FaultMix;
 use streamnet::{ChaosConfig, ChaosStats, StreamId};
@@ -60,16 +58,8 @@ fn fixture(seed: u64) -> (Vec<f64>, Vec<UpdateEvent>) {
     (initial, events)
 }
 
-fn config(shards: usize, coordinator: CoordMode) -> ServerConfig {
-    ServerConfig {
-        num_shards: shards,
-        batch_size: BATCH,
-        mode: ExecMode::Inline,
-        channel_capacity: 2,
-        coordinator,
-        scatter: ScatterMode::Broadcast,
-        telemetry: Default::default(),
-    }
+fn config(shards: usize) -> ServerConfig {
+    ServerConfig::with_shards(shards).batch_size(BATCH)
 }
 
 fn test_dir(tag: &str) -> PathBuf {
@@ -141,7 +131,7 @@ fn reference<P: Protocol, F: Fn() -> P>(
     make: &F,
     cfg: ChaosConfig,
 ) -> Observed {
-    let mut server = ShardedServer::new(initial, make(), config(1, CoordMode::Serial));
+    let mut server = ShardedServer::new(initial, make(), config(1));
     server.initialize();
     server.enable_chaos(cfg);
     server.ingest_batch(events);
@@ -150,18 +140,16 @@ fn reference<P: Protocol, F: Fn() -> P>(
 
 /// Crash at `crash_at` (a chunk multiple inside the fault window), recover
 /// from disk, ingest the rest, and capture the final state.
-#[allow(clippy::too_many_arguments)]
 fn crashed_run<P: Protocol, F: Fn() -> P>(
     tag: &str,
     initial: &[f64],
     events: &[UpdateEvent],
     make: &F,
     shards: usize,
-    coordinator: CoordMode,
     cfg: ChaosConfig,
     crash_at: usize,
 ) -> Observed {
-    let config = config(shards, coordinator);
+    let config = config(shards);
     let dir = test_dir("storm");
     let durable = durable(&dir);
 
@@ -194,8 +182,8 @@ fn crashed_run<P: Protocol, F: Fn() -> P>(
 }
 
 /// The full sweep for one protocol: per fault mix, the recovered run is
-/// byte-identical to the never-crashed chaotic run across shard counts,
-/// coordinators, and crash points inside the fault window. (Chaos runs are
+/// byte-identical to the never-crashed chaotic run across shard counts and
+/// crash points inside the fault window. (Chaos runs are
 /// backend-invariant — proven by `chaos_differential` — so one reference
 /// per mix serves every backend.)
 fn assert_storm_recovery_identical<P: Protocol, F: Fn() -> P>(name: &str, make: F) {
@@ -220,24 +208,11 @@ fn assert_storm_recovery_identical<P: Protocol, F: Fn() -> P>(name: &str, make: 
         let cfg = ChaosConfig::new(0xC4A05, mix, horizon).lease_ticks(512);
         let want = reference(&initial, &events, &make, cfg.clone());
         assert!(want.stats.lease_renewals > 0, "{name}: leases never renewed");
-        let mut combo = 0usize;
         for shards in [1usize, 2, 8] {
-            for coordinator in [CoordMode::Serial, CoordMode::Pipelined] {
-                let crash_at = crash_points[combo % crash_points.len()];
-                combo += 1;
-                let tag = format!(
-                    "{name} mix={mix_name} shards={shards} {coordinator:?} crash@{crash_at}"
-                );
-                let got = crashed_run(
-                    &tag,
-                    &initial,
-                    &events,
-                    &make,
-                    shards,
-                    coordinator,
-                    cfg.clone(),
-                    crash_at,
-                );
+            for crash_at in crash_points {
+                let tag = format!("{name} mix={mix_name} shards={shards} crash@{crash_at}");
+                let got =
+                    crashed_run(&tag, &initial, &events, &make, shards, cfg.clone(), crash_at);
                 assert_eq!(got, want, "{tag}: recovered run diverged from the uncrashed run");
             }
         }
@@ -317,7 +292,7 @@ fn enable_order_is_irrelevant_to_durable_chaos() {
 
     for chaos_first in [true, false] {
         let tag = format!("order chaos_first={chaos_first}");
-        let server_config = config(2, CoordMode::Serial);
+        let server_config = config(2);
         let dir = test_dir("order");
         let durable = durable(&dir);
 
@@ -358,7 +333,7 @@ fn crash_after_the_horizon_restores_a_quiet_schedule() {
     let cfg = ChaosConfig::new(0xC4A05, FaultMix::loss_only(0.1), horizon).lease_ticks(512);
     let want = reference(&initial, &events, &make, cfg.clone());
 
-    let server_config = config(2, CoordMode::Serial);
+    let server_config = config(2);
     let dir = test_dir("quiet");
     let durable = durable(&dir);
     let mut crashed = ShardedServer::new(&initial, make(), server_config);
@@ -398,7 +373,7 @@ fn cold_chaotic_recovery_replays_the_fault_stream_from_tick_zero() {
     let cfg = ChaosConfig::new(0xC4A05, FaultMix::loss_only(0.1), u64::MAX).lease_ticks(512);
     let want = reference(&initial, &events, &make, cfg.clone());
 
-    let server_config = config(2, CoordMode::Serial);
+    let server_config = config(2);
     let dir = test_dir("cold");
     let durable = durable(&dir);
     let mut crashed = ShardedServer::new(&initial, make(), server_config);

@@ -283,3 +283,52 @@ fn rtp_survives_mass_exodus_and_reinitializes() {
     assert!(v.is_none(), "{}", v.unwrap());
     assert!(engine.protocol().expansions() + engine.protocol().reinits() > 0);
 }
+
+#[test]
+fn tiny_batch_sizes_match_serial_engine() {
+    // Chunks too small to split into two evaluation windows: the window
+    // ceiling is `(batch_size / 2).max(1)`, so batch_size 1 never fills
+    // the pipe, 2 and 3 run one-event windows, and 5 splits into windows
+    // of 2, 2 and 1. RTP on a moving workload reports often and its
+    // handlers probe and broadcast, so speculation cuts land on every one
+    // of those shapes.
+    use asf_core::workload::Workload;
+    use asf_server::{ExecMode, ServerConfig, ShardedServer};
+    use workloads::{SyntheticConfig, SyntheticWorkload};
+
+    let mut w = SyntheticWorkload::new(SyntheticConfig {
+        num_streams: 30,
+        horizon: 120.0,
+        seed: 11,
+        ..Default::default()
+    });
+    let initial = w.initial_values();
+    let mut events = Vec::new();
+    while let Some(ev) = w.next_event() {
+        events.push(ev);
+    }
+    let query = RankQuery::knn(500.0, 4).unwrap();
+
+    let mut engine = Engine::new(&initial, Rtp::new(query, 2).unwrap());
+    engine.initialize();
+    engine.run(&mut VecWorkload::new(initial.clone(), events.clone()));
+    assert!(engine.reports_processed() > 0, "workload must be report-heavy");
+
+    for batch_size in [1usize, 2, 3, 5] {
+        for mode in [ExecMode::Inline, ExecMode::Threaded] {
+            let config = ServerConfig::with_shards(3).batch_size(batch_size).mode(mode);
+            let mut server = ShardedServer::new(&initial, Rtp::new(query, 2).unwrap(), config);
+            server.initialize();
+            server.ingest_batch(&events);
+            let tag = format!("batch_size={batch_size} {mode:?}");
+            assert!(server.metrics().cuts > 0, "{tag}: workload should exercise the cut path");
+            assert_eq!(server.answer(), engine.answer(), "{tag}: answers diverged");
+            assert_eq!(server.ledger(), engine.ledger(), "{tag}: ledgers diverged");
+            assert_eq!(
+                server.reports_processed(),
+                engine.reports_processed(),
+                "{tag}: report counts diverged"
+            );
+        }
+    }
+}

@@ -322,7 +322,7 @@ fn lease_expiry_and_rejoin_keep_the_live_view_consistent() {
     use asf_core::protocol::ZtNrp;
     use asf_core::query::RangeQuery;
     use asf_core::workload::Workload;
-    use asf_server::{CoordMode, ExecMode, ScatterMode, ServerConfig, ShardedServer};
+    use asf_server::{ServerConfig, ShardedServer};
     use workloads::{SyntheticConfig, SyntheticWorkload};
 
     const STREAMS: usize = 64;
@@ -340,15 +340,7 @@ fn lease_expiry_and_rejoin_keep_the_live_view_consistent() {
     }
     assert!(events.len() >= 3 * BATCH, "fixture too short for three chunks");
 
-    let config = ServerConfig {
-        num_shards: 2,
-        batch_size: BATCH,
-        mode: ExecMode::Inline,
-        channel_capacity: 2,
-        coordinator: CoordMode::Serial,
-        scatter: ScatterMode::Broadcast,
-        telemetry: Default::default(),
-    };
+    let config = ServerConfig::with_shards(2).batch_size(BATCH);
     let mut server =
         ShardedServer::new(&initial, ZtNrp::new(RangeQuery::new(400.0, 600.0).unwrap()), config);
     server.initialize();

@@ -3,10 +3,10 @@
 //! its durability directory (latest valid checkpoint + journal-suffix
 //! replay) is **byte-identical** — answers, message ledgers, views, rank
 //! order, cause matrix, ground truth — to a server that processed the same
-//! durable prefix without ever crashing, across shard counts and both
-//! coordinator schedules. Fault-injection cases (torn journal tails, torn
-//! checkpoints, lost checkpoints, bit flips) recover to the last durable
-//! quiescent point instead of panicking or silently replaying corruption.
+//! durable prefix without ever crashing, across shard counts.
+//! Fault-injection cases (torn journal tails, torn checkpoints, lost
+//! checkpoints, bit flips) recover to the last durable quiescent point
+//! instead of panicking or silently replaying corruption.
 
 use std::path::PathBuf;
 
@@ -17,9 +17,7 @@ use asf_core::protocol::{
 use asf_core::query::{RangeQuery, RankQuery};
 use asf_core::tolerance::FractionTolerance;
 use asf_core::workload::{UpdateEvent, Workload};
-use asf_server::{
-    CheckpointMode, CoordMode, DurabilityConfig, ExecMode, ServerConfig, ShardedServer,
-};
+use asf_server::{CheckpointMode, DurabilityConfig, ExecMode, ServerConfig, ShardedServer};
 use asf_telemetry::Cause;
 use streamnet::StreamId;
 use workloads::{SyntheticConfig, SyntheticWorkload};
@@ -102,7 +100,7 @@ fn reference<P: Protocol, F: Fn() -> P>(
 
 /// The tentpole differential: crash `make()`'s protocol at 60% of the
 /// stream, recover from disk, feed the rest, and demand byte-identity with
-/// the never-crashed run — across shard counts and both coordinators.
+/// the never-crashed run — across shard counts.
 fn assert_crash_recovery_identical<P, F>(name: &str, make: F)
 where
     P: Protocol,
@@ -111,35 +109,32 @@ where
     let (initial, events) = fixture(0xFEED);
     let split = events.len() * 6 / 10;
     for shards in [1usize, 2, 8] {
-        for coordinator in [CoordMode::Serial, CoordMode::Pipelined] {
-            let tag = format!("{name} shards={shards} {coordinator:?}");
-            let config = ServerConfig::with_shards(shards).batch_size(64).coordinator(coordinator);
-            let dir = test_dir("diff");
-            let durable =
-                DurabilityConfig::new(&dir).checkpoint_every(100).mode(CheckpointMode::Sync);
+        let tag = format!("{name} shards={shards}");
+        let config = ServerConfig::with_shards(shards).batch_size(64);
+        let dir = test_dir("diff");
+        let durable = DurabilityConfig::new(&dir).checkpoint_every(100).mode(CheckpointMode::Sync);
 
-            let mut crashed = ShardedServer::new(&initial, make(), config);
-            crashed.initialize();
-            crashed.enable_durability(durable.clone()).unwrap();
-            crashed.ingest_batch(&events[..split]);
-            assert_eq!(crashed.events_processed(), split as u64);
-            assert!(crashed.metrics().checkpoints > 1, "{tag}: cadence never fired");
-            // Crash: drop without shutdown — no final checkpoint, no flush.
-            drop(crashed);
+        let mut crashed = ShardedServer::new(&initial, make(), config);
+        crashed.initialize();
+        crashed.enable_durability(durable.clone()).unwrap();
+        crashed.ingest_batch(&events[..split]);
+        assert_eq!(crashed.events_processed(), split as u64);
+        assert!(crashed.metrics().checkpoints > 1, "{tag}: cadence never fired");
+        // Crash: drop without shutdown — no final checkpoint, no flush.
+        drop(crashed);
 
-            let mut recovered = ShardedServer::recover(&initial, make(), config, durable).unwrap();
-            assert_eq!(
-                recovered.events_processed(),
-                split as u64,
-                "{tag}: recovery lost durable events"
-            );
-            assert!(recovered.metrics().recovery_replay_ns > 0, "{tag}: replay not metered");
-            recovered.ingest_batch(&events[split..]);
+        let mut recovered = ShardedServer::recover(&initial, make(), config, durable).unwrap();
+        assert_eq!(
+            recovered.events_processed(),
+            split as u64,
+            "{tag}: recovery lost durable events"
+        );
+        assert!(recovered.metrics().recovery_replay_ns > 0, "{tag}: replay not metered");
+        recovered.ingest_batch(&events[split..]);
 
-            let mut want = reference(&initial, &events, &make, config);
-            assert_state_identical(&tag, &mut recovered, &mut want, false);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let mut want = reference(&initial, &events, &make, config);
+        assert_state_identical(&tag, &mut recovered, &mut want, false);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

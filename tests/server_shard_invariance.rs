@@ -1,11 +1,9 @@
 //! Concurrency correctness of `asf-server`: for **every** protocol, running
 //! the same seeded workload with 1, 2, and 8 shards — inline and threaded,
-//! under the serial *and* the pipelined (double-buffered) coordinator,
-//! with eager per-shard scatter *and* broadcast scatter over shared
-//! columnar windows — yields byte-identical `AnswerSet`s, message ledgers,
-//! views, and ground-truth states to the single-threaded `Engine`, and the
-//! tolerance oracle reaches the same verdict on the sharded runtime as on
-//! the serial one.
+//! telemetry off and fully on — through the pipelined coordinator yields
+//! byte-identical `AnswerSet`s, message ledgers, views, and ground-truth
+//! states to the single-threaded `Engine`, and the tolerance oracle
+//! reaches the same verdict on the sharded runtime as on the serial one.
 
 use asf_core::engine::Engine;
 use asf_core::multi_query::{CellMode, MultiRangeZt};
@@ -16,9 +14,7 @@ use asf_core::protocol::{
 use asf_core::query::{RangeQuery, RankQuery};
 use asf_core::tolerance::{FractionTolerance, RankTolerance};
 use asf_core::workload::{UpdateEvent, VecWorkload, Workload};
-use asf_server::{
-    CoordMode, ExecMode, ScatterMode, ServerConfig, ShardedServer, TelemetryConfig, TraceDepth,
-};
+use asf_server::{ExecMode, ServerConfig, ShardedServer, TelemetryConfig, TraceDepth};
 use streamnet::StreamId;
 use workloads::{SyntheticConfig, SyntheticWorkload};
 
@@ -56,73 +52,56 @@ where
     let serial_truth: Vec<f64> = engine.fleet().iter().map(|s| s.value()).collect();
 
     let mut sharded_truth = Vec::new();
+    // Telemetry must be purely observational, so the sweep runs every
+    // combination with everything off and with cause attribution + fine
+    // tracing on: any divergence between the halves would fail against the
+    // one shared serial baseline.
+    let telemetry_off =
+        TelemetryConfig { causes: false, trace: TraceDepth::Off, trace_capacity: 0 };
+    let telemetry_on =
+        TelemetryConfig { causes: true, trace: TraceDepth::Fine, trace_capacity: 4096 };
     for shards in [1usize, 2, 8] {
         for mode in [ExecMode::Inline, ExecMode::Threaded] {
-            for coordinator in [CoordMode::Serial, CoordMode::Pipelined] {
-                for scatter in [ScatterMode::Eager, ScatterMode::Broadcast] {
-                    // Telemetry must be purely observational, so the sweep
-                    // runs half its combinations with everything off and
-                    // half with cause attribution + fine tracing on: any
-                    // divergence between the halves would fail against the
-                    // one shared serial baseline.
-                    let telemetry = match scatter {
-                        ScatterMode::Eager => TelemetryConfig {
-                            causes: false,
-                            trace: TraceDepth::Off,
-                            trace_capacity: 0,
-                        },
-                        ScatterMode::Broadcast => TelemetryConfig {
-                            causes: true,
-                            trace: TraceDepth::Fine,
-                            trace_capacity: 4096,
-                        },
-                    };
-                    let config = ServerConfig {
-                        num_shards: shards,
-                        batch_size: 128,
-                        mode,
-                        channel_capacity: 2,
-                        coordinator,
-                        scatter,
-                        telemetry,
-                    };
-                    let mut server = ShardedServer::new(&initial, make(), config);
-                    server.initialize();
-                    server.ingest_batch(&events);
+            for telemetry in [telemetry_off, telemetry_on] {
+                let config = ServerConfig::with_shards(shards)
+                    .batch_size(128)
+                    .mode(mode)
+                    .telemetry(telemetry);
+                let mut server = ShardedServer::new(&initial, make(), config);
+                server.initialize();
+                server.ingest_batch(&events);
 
-                    let tag =
-                        format!("{name} shards={shards} {mode:?} {coordinator:?} {scatter:?}");
-                    assert_eq!(server.answer(), engine.answer(), "{tag}: answers diverged");
-                    assert_eq!(server.ledger(), engine.ledger(), "{tag}: ledgers diverged");
+                let tag = format!("{name} shards={shards} {mode:?} trace={:?}", telemetry.trace);
+                assert_eq!(server.answer(), engine.answer(), "{tag}: answers diverged");
+                assert_eq!(server.ledger(), engine.ledger(), "{tag}: ledgers diverged");
+                assert_eq!(
+                    server.reports_processed(),
+                    engine.reports_processed(),
+                    "{tag}: report counts diverged"
+                );
+                assert_eq!(
+                    server.events_processed(),
+                    engine.events_processed(),
+                    "{tag}: event counts diverged"
+                );
+                for i in 0..NUM_STREAMS {
+                    let id = StreamId(i as u32);
                     assert_eq!(
-                        server.reports_processed(),
-                        engine.reports_processed(),
-                        "{tag}: report counts diverged"
+                        server.view().is_known(id),
+                        engine.view().is_known(id),
+                        "{tag}: view knowledge diverged for {id}"
                     );
-                    assert_eq!(
-                        server.events_processed(),
-                        engine.events_processed(),
-                        "{tag}: event counts diverged"
-                    );
-                    for i in 0..NUM_STREAMS {
-                        let id = StreamId(i as u32);
+                    if server.view().is_known(id) {
                         assert_eq!(
-                            server.view().is_known(id),
-                            engine.view().is_known(id),
-                            "{tag}: view knowledge diverged for {id}"
+                            server.view().get(id),
+                            engine.view().get(id),
+                            "{tag}: view diverged for {id}"
                         );
-                        if server.view().is_known(id) {
-                            assert_eq!(
-                                server.view().get(id),
-                                engine.view().get(id),
-                                "{tag}: view diverged for {id}"
-                            );
-                        }
                     }
-                    let truth = server.truth_values();
-                    assert_eq!(truth, serial_truth, "{tag}: ground truth diverged");
-                    sharded_truth = truth;
                 }
+                let truth = server.truth_values();
+                assert_eq!(truth, serial_truth, "{tag}: ground truth diverged");
+                sharded_truth = truth;
             }
         }
     }
@@ -217,15 +196,11 @@ fn telemetry_depth_sweep_is_invisible_to_the_protocol() {
 
     for causes in [false, true] {
         for trace in [TraceDepth::Off, TraceDepth::Coarse, TraceDepth::Fine] {
-            let config = ServerConfig {
-                num_shards: 2,
-                batch_size: 64,
-                mode: ExecMode::Inline,
-                channel_capacity: 2,
-                coordinator: CoordMode::Pipelined,
-                scatter: ScatterMode::Broadcast,
-                telemetry: TelemetryConfig { causes, trace, trace_capacity: 1024 },
-            };
+            let config = ServerConfig::with_shards(2).batch_size(64).telemetry(TelemetryConfig {
+                causes,
+                trace,
+                trace_capacity: 1024,
+            });
             let mut server = ShardedServer::new(&initial, Rtp::new(query, 3).unwrap(), config);
             server.initialize();
             server.ingest_batch(&events);

@@ -7,9 +7,7 @@
 use asf_core::protocol::ZtNrp;
 use asf_core::query::RangeQuery;
 use asf_core::workload::{UpdateEvent, Workload};
-use asf_server::{
-    CoordMode, ExecMode, ScatterMode, ServerConfig, ShardedServer, TelemetryConfig, TraceDepth,
-};
+use asf_server::{ServerConfig, ShardedServer, TelemetryConfig, TraceDepth};
 use asf_telemetry::{json, validate_chrome_trace, LogHistogram};
 use workloads::{SyntheticConfig, SyntheticWorkload};
 
@@ -141,15 +139,11 @@ fn traced_server_after_ingest(
     while let Some(ev) = w.next_event() {
         events.push(ev);
     }
-    let config = ServerConfig {
-        num_shards: 3,
-        batch_size: 64,
-        mode: ExecMode::Inline,
-        channel_capacity: 2,
-        coordinator: CoordMode::Pipelined,
-        scatter: ScatterMode::Broadcast,
-        telemetry: TelemetryConfig { causes: true, trace, trace_capacity: 8192 },
-    };
+    let config = ServerConfig::with_shards(3).batch_size(64).telemetry(TelemetryConfig {
+        causes: true,
+        trace,
+        trace_capacity: 8192,
+    });
     let query = RangeQuery::new(400.0, 600.0).unwrap();
     let mut server = ShardedServer::new(&initial, ZtNrp::new(query), config);
     server.initialize();
