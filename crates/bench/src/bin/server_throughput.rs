@@ -1174,10 +1174,14 @@ fn main() {
          events/5\"}},"
     );
     let _ = writeln!(json, "  \"hardware\": {{\"cpus\": {cpus}}},");
+    // Like the `wall_gate` note above: only a single-CPU host caps wall
+    // numbers at one core.
+    let one_core =
+        if cpus == 1 { " Wall numbers on a 1-CPU container cannot exceed one core." } else { "" };
     let _ = writeln!(
         json,
         "  \"note\": \"modeled_ns = critical_path_ns + fleet_parallel_ns + \
-         index_parallel_ns + serial_ns - overlap_saved_ns; wall numbers on a {cpus}-CPU container cannot exceed one core. \
+         index_parallel_ns + serial_ns - overlap_saved_ns.{one_core} \
          Every field is documented in crates/bench/README.md.\","
     );
     let _ = writeln!(json, "  \"modeled_speedup_8_shards_vs_1\": {speedup_8x:.2},");

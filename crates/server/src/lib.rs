@@ -24,10 +24,12 @@
 //! * **Pipelined windows.** While the coordinator drains window *t*'s
 //!   reports the shards already evaluate window *t+1* (see [`pipeline`]);
 //!   this double-buffered coordinator is the only ingest path.
-//! * **Conservative-prefix commits.** Shards evaluate each batch
-//!   speculatively and the coordinator commits exactly the prefix that
-//!   precedes the globally first report (see [`server`]); everything else
-//!   rolls back and re-evaluates after the protocol reacts. The result is
+//! * **Touch-invalidated commits.** Shards evaluate each batch
+//!   speculatively; a report handler that touches one stream with no
+//!   speculated successor event is forwarded with the speculation
+//!   standing, any other fleet touch commits exactly the prefix up to the
+//!   report being handled (see [`server`]) and everything later rolls back
+//!   and re-evaluates after the protocol reacts. The result is
 //!   **byte-identical** to the single-threaded [`asf_core::engine::Engine`]
 //!   — same answers, same message ledger, same view — for any shard count,
 //!   verified per-protocol by `tests/server_shard_invariance.rs`.
@@ -67,6 +69,7 @@
 pub mod durability;
 pub mod handle;
 pub mod metrics;
+mod occurrence;
 pub mod pipeline;
 pub mod router;
 pub mod server;

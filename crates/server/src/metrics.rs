@@ -70,8 +70,15 @@ pub struct ServerMetrics {
     pub rolled_back: u64,
     /// Reports consumed by the protocol core.
     pub reports_consumed: u64,
-    /// Speculation invalidations (a report's handler touched the fleet).
+    /// Full speculation cuts: a report's handler touched the fleet in a
+    /// way that invalidated speculated work (a batch or fleet-wide
+    /// operation, or a single-stream one whose stream recurs before the
+    /// speculation tip), so every shard rolled back to the report.
     pub cuts: u64,
+    /// Scoped touches: single-stream `probe` / `install` operations
+    /// forwarded to the owning shard **without** a cut, because the stream
+    /// had no speculated successor event.
+    pub scoped_touches: u64,
     /// Per-shard committed-event counts (occupancy).
     pub shard_events: Vec<u64>,
     /// Per-shard cumulative speculative-evaluation busy time (ns).
@@ -266,13 +273,14 @@ impl ServerMetrics {
             }
         }
         format!(
-            "batches={} rounds={} cuts={} events={} reports={} rolled_back={} \
+            "batches={} rounds={} cuts={} scoped_touches={} events={} reports={} rolled_back={} \
              parallel_fraction={:.3} occupancy_skew={} window_depth={} \
              coalesced_reports_per_group={} overlap_saved={:.1}us \
              batch_apply p50={}us p99={}us",
             self.batches,
             self.rounds,
             self.cuts,
+            self.scoped_touches,
             self.events,
             self.reports_consumed,
             self.rolled_back,
@@ -298,6 +306,7 @@ impl ServerMetrics {
         reg.counter("server.rolled_back", self.rolled_back);
         reg.counter("server.reports_consumed", self.reports_consumed);
         reg.counter("server.cuts", self.cuts);
+        reg.counter("server.scoped_touches", self.scoped_touches);
         reg.counter("server.report_groups", self.report_groups);
         reg.counter("server.max_inflight_windows", self.max_inflight_windows);
         reg.counter("server.shard_busy_ns", self.shard_busy_ns.iter().sum());

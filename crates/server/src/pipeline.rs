@@ -30,15 +30,27 @@
 //!              │                      │ drain t's reports      │
 //!              │                      ▼                        │
 //!              │      ┌─ no handler touched the fleet ─┐       │
-//!              │      │  window t stands; gather t+1   ├───────┘
-//!              │      │  (its eval overlapped the      │   t := t+1
-//!              │      │   drain: `overlap_saved_ns`)   │
+//!              │      │  window t stands; gather t+1   ├───────┤
+//!              │      │  (its eval overlapped the      │       │ t := t+1
+//!              │      │   drain: `overlap_saved_ns`)   │       │
+//!              │      └────────────────────────────────┘       │
+//!              │                                               │
+//!              │      ┌─ handler touched ONE stream s at seq c,│
+//!              │      │  s has no event in (c, tip) ───┐       │
+//!              │      │ 1. early-gather the owning     │       │
+//!              │      │    shard's `Evaluated` reply   │       │
+//!              │      │    of t+1 into its slot        ├───────┘
+//!              │      │ 2. forward the op: the source  │ window t stands,
+//!              │      │    is in its exact serial state│ keep draining
 //!              │      └────────────────────────────────┘
 //!              │
-//!              │      ┌─ handler touched the fleet at seq c ──────────┐
-//!   refill the │      │ 1. absorb t+1's `Evaluated` replies (reports  │
-//!   pipe at    │      │    discarded, buffers recycled)               │
-//!   c+1        │      │ 2. commit_below(c+1): applications with       │
+//!              │      ┌─ any other fleet touch at seq c ──────────────┐
+//!              │      │ (batch / fleet-wide op, or a single stream    │
+//!              │      │  that recurs before the tip)                  │
+//!   refill the │      │ 1. absorb t+1's `Evaluated` replies, stashed  │
+//!   pipe at    │      │    or not (reports discarded, buffers         │
+//!   c+1        │      │    recycled)                                  │
+//!              │      │ 2. commit_below(c+1): applications with       │
 //!              │      │    seq ≤ c stand, everything later — rest of  │
 //!              │      │    t *and* all of t+1 — rolls back, newest    │
 //!              │      │    first                                      │
@@ -49,6 +61,13 @@
 //!                     └───────────────────────────────────────────────┘
 //! ```
 //!
+//! The middle branch is the **scoped touch**: the *speculation tip* is one
+//! past the last chunk position scattered (window *t+1* included), and a
+//! single-stream `probe` / `install` on a stream that does not occur in
+//! `(c, tip)` can invalidate nothing — sources are independent — so the
+//! window loop below never learns of it (see
+//! [`crate::router::GuardedRouter`]).
+//!
 //! The cut's `commit_below(c + 1)` is the cross-window rollback: the
 //! [`streamnet::SpecLog`] journals both windows' applications under one
 //! strictly-increasing sequence, so one cut rolls back precisely the
@@ -58,12 +77,13 @@
 //! ## Determinism
 //!
 //! Reports are consumed in sequence order, windows commit in order, and a
-//! touch rolls speculation back to the exact serial state before it
-//! executes — so the pipelined coordinator is **byte-identical** to the
+//! touch either finds the one source it reaches in its exact serial state
+//! (scoped) or rolls speculation back to that state before it executes
+//! (cut) — so the pipelined coordinator is **byte-identical** to the
 //! single-threaded engine (answers, ledgers, view bits, report counts),
 //! for any shard count and execution mode.
-//! `tests/server_shard_invariance.rs` and `tests/batch_differential.rs`
-//! pin this per protocol.
+//! `tests/server_shard_invariance.rs`, `tests/batch_differential.rs` and
+//! `tests/scoped_touch_differential.rs` pin this per protocol.
 //!
 //! Because no handler ran between window *t*'s evaluation and its drain,
 //! a whole burst of independent reports — reports whose handlers only
@@ -91,31 +111,29 @@ impl<P: Protocol> ShardedServer<P> {
             // Fill the pipe: evaluate the first window with nothing to
             // overlap (there are no reports to drain yet).
             let end = chunk_len.min(start + self.window);
-            let participants = self.scatter_window(start, end);
-            self.metrics.critical_path_ns += self.gather_window(&participants);
-            self.recycle_participants(participants);
+            self.scatter_window(start, end);
+            self.metrics.critical_path_ns += self.gather_window();
             let mut cur_end = end;
 
             // Steady state: window t's reports drain while window t+1
             // evaluates.
             loop {
-                let mut next_window: Vec<usize> = Vec::new();
+                // The speculation tip: `cur_end`, or the end of the
+                // scattered-ahead window when there is one.
                 let mut next_end = cur_end;
                 if cur_end < chunk_len {
                     next_end = chunk_len.min(cur_end + self.window);
-                    next_window = self.scatter_window(cur_end, next_end);
+                    self.scatter_window(cur_end, next_end);
                     self.metrics.max_inflight_windows = self.metrics.max_inflight_windows.max(2);
                 }
 
-                let (cut_at, drain_pure) = self.drain_reports(&mut next_window);
+                let (cut_at, drain_pure) = self.drain_reports(next_end);
 
                 match cut_at {
                     Some(c) => {
                         // The guarded cut absorbed the in-flight window
                         // (if any) and rolled everything past `c` back;
                         // refill the pipe right after the touch.
-                        debug_assert!(next_window.is_empty(), "cut leaves no window in flight");
-                        self.recycle_participants(next_window);
                         self.adapt_window_to_cut(start, c);
                         start = c as usize + 1;
                         continue 'refill;
@@ -127,14 +145,12 @@ impl<P: Protocol> ShardedServer<P> {
                         // only on the event/report sequence).
                         self.window = (self.window * 2).min(self.config.max_window());
                         start = cur_end;
-                        if next_window.is_empty() {
-                            self.recycle_participants(next_window);
+                        if next_end == cur_end {
                             break 'refill;
                         }
                         // Gather t+1: its evaluation ran while the drain
                         // above did — serial time hidden by the pipeline.
-                        let cp_next = self.gather_window(&next_window);
-                        self.recycle_participants(next_window);
+                        let cp_next = self.gather_window();
                         self.metrics.critical_path_ns += cp_next;
                         let saved = drain_pure.min(cp_next);
                         self.metrics.overlap_saved_ns += saved;
@@ -147,8 +163,9 @@ impl<P: Protocol> ShardedServer<P> {
             }
         }
         // Quiescent: make every surviving speculative application
-        // permanent.
+        // permanent, and forget the chunk's occurrence index.
         self.commit_surviving();
+        self.occurrences.reset(self.shared_chunk.streams());
     }
 }
 

@@ -16,6 +16,13 @@
 //! results in the caller's request order — the coordinator stops being a
 //! per-stream round-trip bottleneck for initialization, fleet-wide filter
 //! deployments, and reinit storms.
+//!
+//! During ingest the protocol sees the fleet through the
+//! [`GuardedRouter`], which decides per operation how much of the
+//! in-flight speculation it invalidates: a single-stream `probe` /
+//! `install` on a stream with no speculated successor event is a **scoped
+//! touch** (forwarded, nothing rolls back); everything else takes the
+//! **full cut**.
 
 use std::time::Instant;
 
@@ -24,17 +31,86 @@ use streamnet::{Filter, FleetOps, Ledger, MessageKind, ServerView, StreamId};
 
 use crate::handle::ShardHandle;
 use crate::metrics::FleetOpStats;
+use crate::occurrence::OccurrenceIndex;
 use crate::shard::{Partition, ShardCmd, ShardReply, SpecEvent};
 
-/// The coordinator-side view of an evaluation window still being computed
-/// by the shards (the pipelined coordinator's window *t+1*). When a report
-/// handler touches the fleet while such a window is in flight, the
-/// [`GuardedRouter`] must absorb the outstanding `Evaluated` replies —
-/// discarding their tentative reports and recycling their buffers — before
-/// it can commit the speculation cut, because per-shard channels are FIFO.
+/// The payload of one shard's `Evaluated` reply.
+#[derive(Debug)]
+pub(crate) struct EvalReply {
+    /// Tentative reports, in ascending `seq` order (a pooled buffer).
+    pub reports: Vec<SpecEvent>,
+    /// Shard wall time of the round (ownership scan included).
+    pub busy_ns: u64,
+    /// The ownership-scan portion of `busy_ns`.
+    pub scan_ns: u64,
+}
+
+/// What one shard owes the coordinator for the evaluation window in
+/// flight. Every shard participates in every window, so a scatter sets
+/// every slot to `Owed` and a gather (or a cut's absorb) returns every
+/// slot to `Idle`.
+#[derive(Debug, Default)]
+pub(crate) enum EvalSlot {
+    /// No window in flight on this shard.
+    #[default]
+    Idle,
+    /// The shard owes one `Evaluated` reply, still on its channel.
+    Owed,
+    /// A scoped touch needed the shard's channel and gathered the reply
+    /// early; the window's gather (or absorb) consumes it from here.
+    Stashed(EvalReply),
+}
+
+impl EvalSlot {
+    /// Takes the shard's reply — stashed or still on the channel — leaving
+    /// the slot `Idle`; `None` if the shard owed nothing.
+    pub(crate) fn take(&mut self, handle: &mut ShardHandle) -> Option<EvalReply> {
+        match std::mem::take(self) {
+            EvalSlot::Idle => None,
+            EvalSlot::Owed => Some(recv_eval(handle)),
+            EvalSlot::Stashed(reply) => Some(reply),
+        }
+    }
+
+    /// Gathers an owed reply early so the shard's FIFO channel is free for
+    /// a request/reply of its own.
+    fn stash(&mut self, handle: &mut ShardHandle) {
+        if matches!(self, EvalSlot::Owed) {
+            *self = EvalSlot::Stashed(recv_eval(handle));
+        }
+    }
+}
+
+fn recv_eval(handle: &mut ShardHandle) -> EvalReply {
+    match handle.recv() {
+        ShardReply::Evaluated { reports, busy_ns, scan_ns, .. } => {
+            EvalReply { reports, busy_ns, scan_ns }
+        }
+        other => unreachable!("EvalWindow got {other:?}"),
+    }
+}
+
+/// The coordinator-side view of the speculation standing beyond the report
+/// being handled: the rest of window *t* plus, while the pipe is full, the
+/// scattered-ahead window *t+1* the shards may still be evaluating. The
+/// [`GuardedRouter`] consults it on every fleet touch — to decide whether
+/// the touch can leave the speculation standing, and otherwise to absorb
+/// the outstanding `Evaluated` replies (discarding their tentative reports
+/// and recycling their buffers) before it commits the speculation cut,
+/// because per-shard channels are FIFO.
 pub(crate) struct InflightWindow<'a> {
-    /// Shards with an outstanding eval reply; drained by the absorb.
-    pub shards: &'a mut Vec<usize>,
+    /// Per-shard reply state of the window in flight (all `Idle` when
+    /// none is); drained by the absorb.
+    pub shards: &'a mut [EvalSlot],
+    /// The speculation tip: one past the last chunk position any shard
+    /// was asked to evaluate.
+    pub tip: usize,
+    /// The chunk's stream column (position = `seq`).
+    pub streams: &'a [StreamId],
+    /// The chunk's stream-occurrence index (built on first use).
+    pub occurrences: &'a mut OccurrenceIndex,
+    /// Pooled per-shard `(kept, undone)` buffer a cut fills.
+    pub commits: &'a mut Vec<(u32, u32)>,
     /// Buffer pool the absorbed report vectors are recycled into.
     pub pool: &'a mut Vec<Vec<SpecEvent>>,
     /// Coordinator-side per-shard cumulative busy accounting.
@@ -45,6 +121,8 @@ pub(crate) struct InflightWindow<'a> {
     pub discarded_busy_ns: &'a mut u64,
     /// Tentative reports discarded with the window (metrics).
     pub discarded_reports: &'a mut u64,
+    /// Single-stream operations forwarded without a cut (metrics).
+    pub scoped_touches: &'a mut u64,
 }
 
 /// A routing fleet over the shard handles (borrowed for one protocol call).
@@ -160,15 +238,9 @@ impl<'a> ShardRouter<'a> {
     }
 
     /// Commits/rolls back every shard's speculative log around `keep_below`
-    /// (scatter, then gather). Returns per-shard `(kept, undone)`.
-    pub(crate) fn commit_all(&mut self, keep_below: u64) -> Vec<(u32, u32)> {
-        let mut out = Vec::with_capacity(self.handles.len());
-        self.commit_all_into(keep_below, &mut out);
-        out
-    }
-
-    /// [`ShardRouter::commit_all`] into a caller-pooled buffer, so the
-    /// per-chunk quiescence commit stays allocation-free in steady state.
+    /// (scatter, then gather) into the caller-pooled `out` as per-shard
+    /// `(kept, undone)`, so cuts and the per-chunk quiescence commit stay
+    /// allocation-free in steady state.
     pub(crate) fn commit_all_into(&mut self, keep_below: u64, out: &mut Vec<(u32, u32)>) {
         out.clear();
         for handle in self.handles.iter_mut() {
@@ -182,74 +254,101 @@ impl<'a> ShardRouter<'a> {
         }
     }
 
-    /// Receives and discards the outstanding `Evaluated` replies of an
-    /// in-flight window: its tentative reports are dropped (the cut below
-    /// will roll their applications back) and its buffers recycled.
-    pub(crate) fn absorb_evals(&mut self, inflight: &mut InflightWindow<'_>) {
-        for s in inflight.shards.drain(..) {
-            match self.handles[s].recv() {
-                ShardReply::Evaluated { mut reports, busy_ns, scan_ns, .. } => {
-                    inflight.shard_busy_ns[s] += busy_ns;
-                    inflight.shard_scan_ns[s] += scan_ns;
-                    *inflight.discarded_busy_ns += busy_ns;
-                    *inflight.discarded_reports += reports.len() as u64;
-                    reports.clear();
-                    if reports.capacity() > 0 {
-                        inflight.pool.push(reports);
-                    }
+    /// Takes and discards the `Evaluated` replies of an in-flight window —
+    /// still on the channels or stashed by a scoped touch: its tentative
+    /// reports are dropped (the cut below will roll their applications
+    /// back) and its buffers recycled.
+    fn absorb_evals(&mut self, inflight: &mut InflightWindow<'_>) {
+        for (s, slot) in inflight.shards.iter_mut().enumerate() {
+            if let Some(mut reply) = slot.take(&mut self.handles[s]) {
+                inflight.shard_busy_ns[s] += reply.busy_ns;
+                inflight.shard_scan_ns[s] += reply.scan_ns;
+                *inflight.discarded_busy_ns += reply.busy_ns;
+                *inflight.discarded_reports += reply.reports.len() as u64;
+                reply.reports.clear();
+                if reply.reports.capacity() > 0 {
+                    inflight.pool.push(reply.reports);
                 }
-                other => unreachable!("absorb of EvalWindow got {other:?}"),
             }
         }
     }
 }
 
-/// A [`ShardRouter`] that lazily *invalidates* the in-flight speculation
-/// the first time the protocol touches the fleet.
+/// A [`ShardRouter`] that lazily *invalidates* exactly as much of the
+/// in-flight speculation as the protocol's fleet touches require.
 ///
 /// The coordinator consumes speculative reports in sequence order; while a
 /// handler only mutates protocol state, the shards' optimistic evaluation
-/// of later events remains exactly serial (sources are independent). The
-/// first install / probe / broadcast / delivery, however, can change
-/// source state that later events depend on — so before forwarding that
-/// operation, this router commits every shard's log at `keep_below` (just
-/// past the report being handled), rolling the fleet back to the precise
-/// serial state the operation must observe.
+/// of later events remains exactly serial (sources are independent). A
+/// fleet touch issued while handling the report at position `c` can change
+/// source state that speculated events in `(c, tip)` depend on — but only
+/// events of the sources it touches:
+///
+/// * **Scoped touch.** A single-stream `probe` / `install` whose stream
+///   does not occur in `(c, tip)` (asked of the chunk's stream-occurrence
+///   index) finds that source in precisely its serial state
+///   and invalidates nothing. It is forwarded straight to the owning shard
+///   — first gathering that one shard's outstanding `Evaluated` reply into
+///   its per-shard slot, because the channel is FIFO — and the speculation
+///   stands: no cut, no rollback, no re-scatter.
+/// * **Full cut.** A single-stream touch whose stream *does* recur before
+///   the tip (a collision), and every batch or fleet-wide operation
+///   (`install_many`, `probe_many`, `probe_all*`, `broadcast`, `deliver`),
+///   first commits every shard's log at `keep_below = c + 1`, rolling the
+///   fleet back to the precise serial state the operation must observe.
+///   Once the cut has fired, the rest of the handler's operations run
+///   against that state directly.
 pub struct GuardedRouter<'a> {
     inner: ShardRouter<'a>,
     keep_below: u64,
-    committed: Option<Vec<(u32, u32)>>,
-    /// The coordinator's in-flight next window, absorbed (reports
-    /// discarded, applications rolled back by the cut) before the first
-    /// fleet touch executes. `None` when no window is in flight.
-    inflight: Option<InflightWindow<'a>>,
+    cut: bool,
+    /// The speculation standing beyond the report being handled.
+    inflight: InflightWindow<'a>,
 }
 
 impl<'a> GuardedRouter<'a> {
-    /// Wraps `inner`; a first fleet operation will cut speculation at
+    /// Wraps `inner` for the handler of the report at `keep_below - 1`; a
+    /// fleet touch that invalidates `inflight` will cut speculation at
     /// `keep_below`, first absorbing the in-flight speculative window (if
     /// any) — the cross-window rollback of the pipelined coordinator.
     pub(crate) fn with_inflight(
         inner: ShardRouter<'a>,
         keep_below: u64,
-        inflight: Option<InflightWindow<'a>>,
+        inflight: InflightWindow<'a>,
     ) -> Self {
-        Self { inner, keep_below, committed: None, inflight }
+        Self { inner, keep_below, cut: false, inflight }
     }
 
-    /// Whether the cut fired, and the per-shard `(kept, undone)` counts if
-    /// it did.
-    pub fn into_cut(self) -> Option<Vec<(u32, u32)>> {
-        self.committed
+    /// Whether a full cut fired; its per-shard `(kept, undone)` counts are
+    /// then in [`InflightWindow::commits`].
+    pub(crate) fn cut_fired(&self) -> bool {
+        self.cut
     }
 
     fn ensure_cut(&mut self) {
-        if self.committed.is_none() {
-            if let Some(inflight) = self.inflight.as_mut() {
-                self.inner.absorb_evals(inflight);
-            }
-            self.committed = Some(self.inner.commit_all(self.keep_below));
+        if !self.cut {
+            self.inner.absorb_evals(&mut self.inflight);
+            self.inner.commit_all_into(self.keep_below, self.inflight.commits);
+            self.cut = true;
         }
+    }
+
+    /// Prepares a single-stream operation on `id`: a scoped touch if no
+    /// speculated event of `id` follows the report being handled, else the
+    /// full cut.
+    fn touch_stream(&mut self, id: StreamId) {
+        if self.cut {
+            return;
+        }
+        let w = &mut self.inflight;
+        let pos = (self.keep_below - 1) as usize;
+        if w.occurrences.next_after(w.streams, id, pos).is_some_and(|p| p < w.tip) {
+            self.ensure_cut();
+            return;
+        }
+        let s = self.inner.partition.shard_of(id);
+        w.shards[s].stash(&mut self.inner.handles[s]);
+        *w.scoped_touches += 1;
     }
 }
 
@@ -270,7 +369,7 @@ impl FleetOps for GuardedRouter<'_> {
     }
 
     fn probe(&mut self, id: StreamId, ledger: &mut Ledger, view: &mut ServerView) -> f64 {
-        self.ensure_cut();
+        self.touch_stream(id);
         self.inner.probe(id, ledger, view)
     }
 
@@ -328,7 +427,7 @@ impl FleetOps for GuardedRouter<'_> {
         ledger: &mut Ledger,
         view: &mut ServerView,
     ) -> Option<f64> {
-        self.ensure_cut();
+        self.touch_stream(id);
         self.inner.install(id, filter, ledger, view)
     }
 
@@ -567,5 +666,164 @@ impl FleetOps for ShardRouter<'_> {
         self.record_batch_op(started, &busy);
         self.trace_end();
         syncs
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use asf_core::workload::EventBatch;
+
+    use super::*;
+    use crate::handle::ExecMode;
+    use crate::shard::Shard;
+
+    /// Window *t* is positions `0..2`, window *t+1* positions `2..6`.
+    /// Stream 0 (shard 0) reports at 0 and never recurs; stream 1
+    /// (shard 1) reports at 1 and recurs at 4.
+    const EVENTS: [(u32, f64); 6] =
+        [(0, 700.0), (1, 650.0), (2, 700.0), (3, 450.0), (1, 500.0), (2, 420.0)];
+
+    /// Everything an [`InflightWindow`] borrows from the server.
+    struct Coordinator {
+        handles: Vec<ShardHandle>,
+        slots: Vec<EvalSlot>,
+        window: Arc<EventBatch>,
+        occurrences: OccurrenceIndex,
+        commits: Vec<(u32, u32)>,
+        pool: Vec<Vec<SpecEvent>>,
+        busy: Vec<u64>,
+        scan: Vec<u64>,
+        discarded_busy_ns: u64,
+        discarded_reports: u64,
+        scoped_touches: u64,
+    }
+
+    impl Coordinator {
+        /// Two threaded shards over four streams at 500 under `[400, 600]`
+        /// filters, window *t* gathered and window *t+1* in flight.
+        fn with_next_window_in_flight() -> Self {
+            let partition = Partition::new(2);
+            let mut handles: Vec<ShardHandle> = (0..2)
+                .map(|s| {
+                    let shard = Shard::with_partition(&[500.0, 500.0], partition, s);
+                    ShardHandle::spawn(shard, ExecMode::Threaded)
+                })
+                .collect();
+            for handle in handles.iter_mut() {
+                handle.request(ShardCmd::ProbeAll);
+                handle.request(ShardCmd::Broadcast { filter: Filter::interval(400.0, 600.0) });
+            }
+            let mut window = EventBatch::new();
+            for (t, &(g, v)) in EVENTS.iter().enumerate() {
+                window.push_parts(t as f64, StreamId(g), v);
+            }
+            let mut c = Self {
+                handles,
+                slots: vec![EvalSlot::Idle, EvalSlot::Idle],
+                window: Arc::new(window),
+                occurrences: OccurrenceIndex::new(4),
+                commits: Vec::new(),
+                pool: Vec::new(),
+                busy: vec![0; 2],
+                scan: vec![0; 2],
+                discarded_busy_ns: 0,
+                discarded_reports: 0,
+                scoped_touches: 0,
+            };
+            c.scatter(0, 2);
+            assert_eq!(c.gather(), vec![(0, 0, 700.0), (1, 1, 650.0)]);
+            c.scatter(2, 6);
+            c
+        }
+
+        fn scatter(&mut self, start: usize, end: usize) {
+            for (handle, slot) in self.handles.iter_mut().zip(&mut self.slots) {
+                handle.send(ShardCmd::EvalWindow {
+                    window: Arc::clone(&self.window),
+                    start,
+                    end,
+                    reports: Vec::new(),
+                });
+                *slot = EvalSlot::Owed;
+            }
+        }
+
+        /// The in-flight window's reports as `(seq, global stream, value)`.
+        fn gather(&mut self) -> Vec<(u64, u32, f64)> {
+            let partition = Partition::new(2);
+            let mut merged = Vec::new();
+            for (s, (handle, slot)) in self.handles.iter_mut().zip(&mut self.slots).enumerate() {
+                let reply = slot.take(handle).expect("window in flight");
+                merged.extend(
+                    reply
+                        .reports
+                        .iter()
+                        .map(|ev| (ev.seq, partition.global_of(s, ev.local).0, ev.value)),
+                );
+            }
+            merged.sort_by_key(|&(seq, ..)| seq);
+            merged
+        }
+
+        /// Installs `[0, 1000]` at `id` from the handler of the report at
+        /// position `c`; returns whether the full cut fired.
+        fn install_from_handler(&mut self, c: u64, id: StreamId) -> bool {
+            let inner = ShardRouter::new(&mut self.handles, Partition::new(2), 4);
+            let inflight = InflightWindow {
+                shards: &mut self.slots,
+                tip: EVENTS.len(),
+                streams: self.window.streams(),
+                occurrences: &mut self.occurrences,
+                commits: &mut self.commits,
+                pool: &mut self.pool,
+                shard_busy_ns: &mut self.busy,
+                shard_scan_ns: &mut self.scan,
+                discarded_busy_ns: &mut self.discarded_busy_ns,
+                discarded_reports: &mut self.discarded_reports,
+                scoped_touches: &mut self.scoped_touches,
+            };
+            let mut router = GuardedRouter::with_inflight(inner, c + 1, inflight);
+            let (mut ledger, mut view) = (Ledger::new(), ServerView::new(4));
+            let sync = router.install(id, Filter::interval(0.0, 1000.0), &mut ledger, &mut view);
+            assert_eq!(sync, None, "the source is in its serial state: nothing to sync");
+            assert_eq!(ledger.count(MessageKind::FilterInstall), 1);
+            router.cut_fired()
+        }
+    }
+
+    #[test]
+    fn scoped_install_stashes_the_owning_shards_reply_and_the_gather_is_unchanged() {
+        let mut plain = Coordinator::with_next_window_in_flight();
+        let expected = plain.gather();
+        assert_eq!(expected, vec![(2, 2, 700.0), (4, 1, 500.0), (5, 2, 420.0)]);
+
+        // Stream 0 does not occur in (0, 6): the install goes to shard 0
+        // while both shards still owe window t+1 — shard 0's reply must
+        // come off its FIFO channel first and wait in the slot.
+        let mut c = Coordinator::with_next_window_in_flight();
+        assert!(!c.install_from_handler(0, StreamId(0)), "no successor, no cut");
+        assert!(matches!(c.slots[0], EvalSlot::Stashed(_)), "shard 0's reply was gathered early");
+        assert!(matches!(c.slots[1], EvalSlot::Owed), "shard 1 was not involved");
+        assert_eq!((c.scoped_touches, c.discarded_reports), (1, 0));
+        assert!(c.commits.is_empty(), "no shard committed or rolled back");
+        assert_eq!(c.gather(), expected, "the stash is invisible to the gather");
+        assert!(c.slots.iter().all(|slot| matches!(slot, EvalSlot::Idle)));
+    }
+
+    #[test]
+    fn colliding_install_takes_the_full_cut_and_absorbs_stashed_replies() {
+        let mut c = Coordinator::with_next_window_in_flight();
+        assert!(!c.install_from_handler(0, StreamId(0)));
+        // Stream 1 recurs at 4 < tip: the handler of the report at 1 must
+        // roll everything past it back — including the reply stashed above.
+        assert!(c.install_from_handler(1, StreamId(1)), "a speculated successor forces the cut");
+        assert!(c.slots.iter().all(|slot| matches!(slot, EvalSlot::Idle)), "window absorbed");
+        assert_eq!(c.discarded_reports, 3, "all of window t+1's tentative reports are dropped");
+        assert_eq!(c.scoped_touches, 1, "a cut is not a scoped touch");
+        // Positions 0..=1 stand, 2..6 roll back: shard 0 owns {0, 2, 5},
+        // shard 1 owns {1, 3, 4}.
+        assert_eq!(c.commits, vec![(1, 2), (1, 2)]);
     }
 }

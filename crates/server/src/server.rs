@@ -18,12 +18,21 @@
 //! only mutates protocol bookkeeping (the common case for quiet
 //! maintenance — ZT/FT range protocols, RTP cases 1–2, multi-query cell
 //! tracking) invalidates nothing, and a whole window commits in a single
-//! scatter/gather round. The first handler action that *does* touch the
-//! fleet — an install, probe, broadcast, or delivery — trips the
-//! [`crate::router::GuardedRouter`]: every shard rolls its speculation
-//! back to just past the report being handled, the action executes against
-//! that exact serial state, the remaining speculative reports are
-//! discarded, and evaluation resumes after the cut.
+//! scatter/gather round. A handler action that *does* touch the fleet goes
+//! through the [`crate::router::GuardedRouter`], which invalidates only
+//! what the touch can reach:
+//!
+//! * a `probe` / `install` of **one stream** with no speculated successor
+//!   event — the paper's usual answer to a report, re-installing a filter
+//!   at the stream that reported — is a *scoped touch*: that source is in
+//!   its exact serial state and no other source is affected, so the
+//!   operation is forwarded to the owning shard and the window stands;
+//! * any other touch — a batch or fleet-wide operation, a delivery, or a
+//!   single-stream one whose stream recurs before the speculation tip —
+//!   is a *full cut*: every shard rolls its speculation back to just past
+//!   the report being handled, the action executes against that exact
+//!   serial state, the remaining speculative reports are discarded, and
+//!   evaluation resumes after the cut.
 //!
 //! The window size adapts to the observed cut density (deterministically —
 //! it depends only on the event/report sequence, never on timing), so
@@ -54,7 +63,8 @@ use streamnet::{
 use crate::durability::{Durability, DurabilityConfig};
 use crate::handle::{ExecMode, ShardHandle};
 use crate::metrics::ServerMetrics;
-use crate::router::{GuardedRouter, InflightWindow, ShardRouter};
+use crate::occurrence::OccurrenceIndex;
+use crate::router::{EvalSlot, GuardedRouter, InflightWindow, ShardRouter};
 use crate::shard::{Partition, Shard, ShardCmd, ShardReply, SpecEvent};
 
 /// Smallest adaptive evaluation window (events per round).
@@ -159,7 +169,11 @@ pub struct ShardedServer<P: Protocol> {
     /// Pool of report buffers: every `EvalWindow` carries one out and the
     /// gathered (or absorbed) `Evaluated` reply hands it back, so
     /// steady-state rounds scatter and gather without allocating.
-    pub(crate) spare_batches: Vec<Vec<SpecEvent>>,
+    report_buffers: Vec<Vec<SpecEvent>>,
+    /// Per-shard state of the evaluation window in flight: whether the
+    /// shard still owes its `Evaluated` reply, or a scoped touch already
+    /// gathered it early.
+    eval_slots: Vec<EvalSlot>,
     /// Reused per-round merge buffer for the gathered report streams.
     pub(crate) merged: Vec<(SpecEvent, usize)>,
     /// The current ingestion chunk as a shared columnar window. Refilled
@@ -167,9 +181,11 @@ pub struct ShardedServer<P: Protocol> {
     /// at every chunk boundary); every evaluation window of the chunk —
     /// including rollback re-scatters — is an `Arc` clone of it.
     pub(crate) shared_chunk: Arc<EventBatch>,
-    /// Pool of participant-index vectors for the window loop.
-    participant_pool: Vec<Vec<usize>>,
-    /// Pooled per-shard `(kept, undone)` buffer for the quiescence commit.
+    /// The chunk's stream-occurrence index, consulted (and lazily built)
+    /// by scoped fleet touches and reset at every chunk boundary.
+    pub(crate) occurrences: OccurrenceIndex,
+    /// Pooled per-shard `(kept, undone)` buffer for speculation cuts and
+    /// the quiescence commit.
     commit_scratch: Vec<(u32, u32)>,
     /// The fleet-op trace ring (the `fleet-ops` timeline track); threaded
     /// into the [`ShardRouter`] of every report drain.
@@ -263,10 +279,11 @@ impl<P: Protocol> ShardedServer<P> {
                 .min(256)
                 .clamp(MIN_WINDOW.min(window_ceiling), window_ceiling),
             metrics: ServerMetrics::new(config.num_shards),
-            spare_batches: Vec::new(),
+            report_buffers: Vec::new(),
+            eval_slots: (0..config.num_shards).map(|_| EvalSlot::Idle).collect(),
             merged: Vec::new(),
             shared_chunk: Arc::new(EventBatch::new()),
-            participant_pool: Vec::new(),
+            occurrences: OccurrenceIndex::new(initial_values.len()),
             commit_scratch: Vec::new(),
             fleet_trace: TraceRing::new(tcfg.trace, tcfg.trace_capacity, epoch),
             durability: None,
@@ -516,74 +533,54 @@ impl<P: Protocol> ShardedServer<P> {
 
     /// Scatters `shared_chunk[start..end]` to the shards as one speculative
     /// evaluation window: every shard gets one `Arc` clone of the shared
-    /// window (and a pooled report buffer) and selects its own events.
-    /// Returns the participating shard indices — each owes exactly one
-    /// `Evaluated` reply. Only the coordinator-side share is metered as
-    /// `scatter_ns`; channel sends (which execute the evaluation inline in
-    /// [`ExecMode::Inline`]) are not.
-    pub(crate) fn scatter_window(&mut self, start: usize, end: usize) -> Vec<usize> {
+    /// window (and a pooled report buffer), selects its own events, and
+    /// owes exactly one `Evaluated` reply. Only the coordinator-side share
+    /// is metered as `scatter_ns`; channel sends (which execute the
+    /// evaluation inline in [`ExecMode::Inline`]) are not.
+    pub(crate) fn scatter_window(&mut self, start: usize, end: usize) {
         self.core.telemetry_mut().trace.begin(TraceDepth::Coarse, "scatter_window", start as u64);
-        let mut participants = self.participant_pool.pop().unwrap_or_default();
-        participants.clear();
         let scatter_start = Instant::now();
         let window = Arc::clone(&self.shared_chunk);
         self.metrics.scatter_ns += scatter_start.elapsed().as_nanos() as u64;
         let window_bytes = ((end - start) * EventBatch::EVENT_BYTES) as u64;
-        for s in 0..self.config.num_shards {
-            let reports = self.spare_batches.pop().unwrap_or_default();
-            self.handles[s].send(ShardCmd::EvalWindow {
-                window: Arc::clone(&window),
-                start,
-                end,
-                reports,
-            });
-            participants.push(s);
+        for (handle, slot) in self.handles.iter_mut().zip(&mut self.eval_slots) {
+            debug_assert!(matches!(slot, EvalSlot::Idle), "one window in flight per shard");
+            let reports = self.report_buffers.pop().unwrap_or_default();
+            handle.send(ShardCmd::EvalWindow { window: Arc::clone(&window), start, end, reports });
+            *slot = EvalSlot::Owed;
             self.metrics.window_bytes_shared += window_bytes;
         }
         self.metrics.rounds += 1;
         self.metrics.max_inflight_windows = self.metrics.max_inflight_windows.max(1);
         self.core.telemetry_mut().trace.end(TraceDepth::Coarse);
-        participants
     }
 
-    /// Returns a participant vector to the window-loop pool (zero-capacity
-    /// vectors — the pipelined loop's untouched `Vec::new()` placeholders —
-    /// are dropped so the pool stays bounded).
-    pub(crate) fn recycle_participants(&mut self, mut participants: Vec<usize>) {
-        if participants.capacity() > 0 {
-            participants.clear();
-            self.participant_pool.push(participants);
-        }
-    }
-
-    /// Gathers one window's `Evaluated` replies into the pooled `merged`
-    /// buffer, sorted by sequence number. (Each per-shard list is already
-    /// sorted; an unstable sort of the concatenation is fine since seqs
-    /// are unique.) Returns the round's maximum per-shard busy time — the
-    /// window's evaluation critical path.
-    pub(crate) fn gather_window(&mut self, participants: &[usize]) -> u64 {
+    /// Gathers the in-flight window's `Evaluated` replies — off the
+    /// channels, or out of the slots a scoped touch stashed them in — into
+    /// the pooled `merged` buffer, sorted by sequence number. (Each
+    /// per-shard list is already sorted; an unstable sort of the
+    /// concatenation is fine since seqs are unique.) Returns the round's
+    /// maximum per-shard busy time — the window's evaluation critical
+    /// path.
+    pub(crate) fn gather_window(&mut self) -> u64 {
         self.core.telemetry_mut().trace.begin(
             TraceDepth::Coarse,
             "gather_window",
-            participants.len() as u64,
+            self.handles.len() as u64,
         );
         let mut merged = std::mem::take(&mut self.merged);
         merged.clear();
         let mut round_max_busy = 0u64;
-        for &s in participants {
-            match self.handles[s].recv() {
-                ShardReply::Evaluated { mut reports, busy_ns, scan_ns, .. } => {
-                    self.metrics.shard_busy_ns[s] += busy_ns;
-                    self.metrics.shard_scan_ns[s] += scan_ns;
-                    round_max_busy = round_max_busy.max(busy_ns);
-                    merged.extend(reports.drain(..).map(|ev| (ev, s)));
-                    // The drained report buffer goes back into the pool, so
-                    // steady-state rounds gather without allocating.
-                    if reports.capacity() > 0 {
-                        self.spare_batches.push(reports);
-                    }
-                }
-                other => unreachable!("EvalWindow got {other:?}"),
+        for (s, (handle, slot)) in self.handles.iter_mut().zip(&mut self.eval_slots).enumerate() {
+            let mut reply = slot.take(handle).expect("every shard owes the window's reply");
+            self.metrics.shard_busy_ns[s] += reply.busy_ns;
+            self.metrics.shard_scan_ns[s] += reply.scan_ns;
+            round_max_busy = round_max_busy.max(reply.busy_ns);
+            merged.extend(reply.reports.drain(..).map(|ev| (ev, s)));
+            // The drained report buffer goes back into the pool, so
+            // steady-state rounds gather without allocating.
+            if reply.reports.capacity() > 0 {
+                self.report_buffers.push(reply.reports);
             }
         }
         merged.sort_unstable_by_key(|(ev, _)| ev.seq);
@@ -593,14 +590,17 @@ impl<P: Protocol> ShardedServer<P> {
     }
 
     /// Consumes the gathered reports of the current window serially through
-    /// the protocol until one of them touches the fleet. `next_window`, if
-    /// non-empty, names shards still evaluating the scattered-ahead next
-    /// window: a fleet touch absorbs their replies before the cut so the
-    /// rollback covers the in-flight work it invalidates.
+    /// the protocol until one of them forces a full cut. `tip` is the
+    /// speculation tip — one past the last chunk position scattered,
+    /// including the scattered-ahead next window if one is in flight: a
+    /// single-stream fleet touch whose stream does not recur before it
+    /// leaves the speculation standing, any other touch absorbs the
+    /// in-flight replies before the cut so the rollback covers the work it
+    /// invalidates.
     /// Returns the cut sequence, if any, and the drain's pure-serial time
     /// (fleet-op shard busy excluded — that is attributed to
     /// `metrics.fleet`).
-    pub(crate) fn drain_reports(&mut self, next_window: &mut Vec<usize>) -> (Option<u64>, u64) {
+    pub(crate) fn drain_reports(&mut self, tip: usize) -> (Option<u64>, u64) {
         let serial_start = Instant::now();
         self.core.telemetry_mut().trace.begin(
             TraceDepth::Coarse,
@@ -616,6 +616,7 @@ impl<P: Protocol> ShardedServer<P> {
         let mut cut_at: Option<u64> = None;
         let mut consumed = 0u64;
         let merged = std::mem::take(&mut self.merged);
+        let chunk = Arc::clone(&self.shared_chunk);
         let mut chaos = self.chaos.take();
         for &(ev, shard) in &merged {
             let id = self.partition.global_of(shard, ev.local);
@@ -636,14 +637,19 @@ impl<P: Protocol> ShardedServer<P> {
                 Some(&mut self.metrics.fleet),
                 Some(&mut self.fleet_trace),
             );
-            let inflight = (!next_window.is_empty()).then(|| InflightWindow {
-                shards: &mut *next_window,
-                pool: &mut self.spare_batches,
+            let inflight = InflightWindow {
+                shards: &mut self.eval_slots,
+                tip,
+                streams: chunk.streams(),
+                occurrences: &mut self.occurrences,
+                commits: &mut self.commit_scratch,
+                pool: &mut self.report_buffers,
                 shard_busy_ns: &mut self.metrics.shard_busy_ns,
                 shard_scan_ns: &mut self.metrics.shard_scan_ns,
                 discarded_busy_ns: &mut self.metrics.discarded_window_busy_ns,
                 discarded_reports: &mut self.metrics.discarded_reports,
-            });
+                scoped_touches: &mut self.metrics.scoped_touches,
+            };
             let mut router = GuardedRouter::with_inflight(inner, ev.seq + 1, inflight);
             match chaos.as_mut() {
                 Some(ch) => {
@@ -652,12 +658,12 @@ impl<P: Protocol> ShardedServer<P> {
                 }
                 None => self.core.ingest_report(id, ev.value, &mut router),
             }
-            let cut = router.into_cut();
+            let cut = router.cut_fired();
             consumed += 1;
             self.metrics.reports_consumed += 1;
-            if let Some(commits) = cut {
+            if cut {
                 let mut undone_total = 0u64;
-                for (s, &(kept, undone)) in commits.iter().enumerate() {
+                for (s, &(kept, undone)) in self.commit_scratch.iter().enumerate() {
                     self.metrics.shard_events[s] += kept as u64;
                     self.metrics.speculative_commits += kept as u64;
                     self.metrics.rolled_back += undone as u64;

@@ -31,9 +31,12 @@
 //! through the protocol. As long as handling a report touches **no** other
 //! source (no install / probe / broadcast), the speculation is exactly
 //! what serial execution would have done — sources are independent — and
-//! the whole slice commits in one round. The moment a handler touches the
-//! fleet, the coordinator issues [`ShardCmd::Commit`] with `keep_below`
-//! just past the report being handled: later applications roll back
+//! the whole slice commits in one round. When a handler touches the fleet
+//! in a way that can reach speculated events (anything but a single-stream
+//! operation on a stream with no speculated successor, which the shard
+//! simply executes), the coordinator issues [`ShardCmd::Commit`] with
+//! `keep_below` just past the report being handled: later applications
+//! roll back
 //! (newest first) and re-evaluate after the protocol's actions, which is
 //! what keeps the sharded runtime byte-identical to the serial engine.
 

@@ -30,7 +30,7 @@ use asf_core::query::{RangeQuery, RankQuery};
 use asf_core::tolerance::{FractionTolerance, RankTolerance};
 use asf_core::workload::{UpdateEvent, Workload};
 use asf_core::AnswerSet;
-use asf_server::{ServerConfig, ShardedServer};
+use asf_server::{ServerConfig, ServerMetrics, ShardedServer};
 use simkit::FaultMix;
 use streamnet::{ChaosConfig, ChaosStats, SourceFleet, StreamId};
 use workloads::{SyntheticConfig, SyntheticWorkload};
@@ -80,7 +80,7 @@ fn run_one<P: Protocol, F: Fn() -> P>(
     shards: usize,
     chaos: Option<ChaosConfig>,
     live_check: Option<LiveCheck>,
-) -> (Outcome, Option<ChaosStats>, [u64; 5]) {
+) -> (Outcome, Option<ChaosStats>, [u64; 5], ServerMetrics) {
     let config = ServerConfig::with_shards(shards).batch_size(BATCH);
     let mut server = ShardedServer::new(initial, make(), config);
     server.initialize();
@@ -138,7 +138,7 @@ fn run_one<P: Protocol, F: Fn() -> P>(
         reports_delta: server.reports_processed() - reports_at_resync,
     };
     let stats = server.chaos_stats().copied();
-    (outcome, stats, after)
+    (outcome, stats, after, server.metrics().clone())
 }
 
 /// In-fault oracle: dead sources are never verified, the degraded view
@@ -178,12 +178,13 @@ fn check_in_fault<P: Protocol>(
 
 /// Runs the full sweep for one protocol: baseline vs chaos per fault mix ×
 /// shard count, asserting post-resync convergence and
-/// cross-backend identity of the chaos runs themselves.
+/// cross-backend identity of the chaos runs themselves. Returns the server
+/// metrics of every chaos run, for protocol-specific path checks.
 fn assert_chaos_converges<P: Protocol, F: Fn() -> P>(
     name: &str,
     make: F,
     live_check: Option<LiveCheck>,
-) {
+) -> Vec<(String, ServerMetrics)> {
     let (initial, events) = fixture(0xFA17);
     // The faulted phase ends on a chunk boundary so every run — sliced or
     // contiguous — sees identical chunk ends (= identical repair rounds).
@@ -191,8 +192,9 @@ fn assert_chaos_converges<P: Protocol, F: Fn() -> P>(
     let (prefix, suffix) = events.split_at(split);
     assert!(!suffix.is_empty(), "fixture must leave a post-fault suffix");
 
-    let (baseline, _, _) =
+    let (baseline, ..) =
         run_one(&format!("{name} baseline"), &initial, prefix, suffix, &make, 1, None, live_check);
+    let mut chaos_metrics = Vec::new();
 
     let horizon = (split / 2) as u64;
     let mixes: [(&str, FaultMix); 3] = [
@@ -205,9 +207,10 @@ fn assert_chaos_converges<P: Protocol, F: Fn() -> P>(
         for shards in [1usize, 2, 8] {
             let tag = format!("{name} mix={mix_name} shards={shards}");
             let cfg = ChaosConfig::new(0xC4A05, mix, horizon).lease_ticks(512);
-            let (outcome, stats, ledger) =
+            let (outcome, stats, ledger, metrics) =
                 run_one(&tag, &initial, prefix, suffix, &make, shards, Some(cfg), live_check);
             let stats = stats.expect("chaos enabled");
+            chaos_metrics.push((tag.clone(), metrics));
 
             // Convergence: byte-identical to the never-faulted run once
             // faults ceased and repair quiesced.
@@ -257,6 +260,7 @@ fn assert_chaos_converges<P: Protocol, F: Fn() -> P>(
             }
         }
     }
+    chaos_metrics
 }
 
 fn live_range_exact(
@@ -381,6 +385,28 @@ fn multi_query_converges_under_chaos() {
         move || MultiRangeZt::with_mode(queries.clone(), CellMode::ServerManaged).unwrap(),
         None,
     );
+}
+
+#[test]
+fn dense_multi_query_takes_scoped_touches_under_chaos() {
+    // 100 narrow server-managed queries: nearly every event reports and
+    // re-installs at its reporter, through `ChaosFleet` wrapping the
+    // `GuardedRouter`. Lost and delayed report frames leave sources
+    // inconsistent with the view, so installs sync-report mid-handler —
+    // on the scoped path (no speculated successor) and on the collision
+    // fallback alike, the whole convergence contract must hold.
+    let queries: Vec<RangeQuery> = (0..100)
+        .map(|j| RangeQuery::new(j as f64 * 10.0, j as f64 * 10.0 + 10.0).unwrap())
+        .collect();
+    let runs = assert_chaos_converges(
+        "MULTI-ZT-DENSE",
+        move || MultiRangeZt::with_mode(queries.clone(), CellMode::ServerManaged).unwrap(),
+        None,
+    );
+    for (tag, m) in &runs {
+        assert!(m.scoped_touches > 0, "{tag}: scoped path never taken");
+        assert!(m.cuts > 0, "{tag}: collision fallback never taken");
+    }
 }
 
 #[test]

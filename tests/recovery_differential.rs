@@ -10,13 +10,14 @@
 
 use std::path::PathBuf;
 
-use asf_core::multi_query::MultiRangeZt;
+use asf_core::engine::Engine;
+use asf_core::multi_query::{CellMode, MultiRangeZt};
 use asf_core::protocol::{
     FtNrp, FtNrpConfig, FtRp, FtRpConfig, NoFilter, Protocol, Rtp, VtMax, ZtNrp, ZtRp,
 };
 use asf_core::query::{RangeQuery, RankQuery};
 use asf_core::tolerance::FractionTolerance;
-use asf_core::workload::{UpdateEvent, Workload};
+use asf_core::workload::{UpdateEvent, VecWorkload, Workload};
 use asf_server::{CheckpointMode, DurabilityConfig, ExecMode, ServerConfig, ShardedServer};
 use asf_telemetry::Cause;
 use streamnet::StreamId;
@@ -220,6 +221,66 @@ fn routed_multi_query_fleet_recovers_byte_identical() {
     assert_crash_recovery_identical("MULTI-ZT-1K", move || {
         MultiRangeZt::new(queries.clone()).unwrap()
     });
+}
+
+#[test]
+fn journal_replay_through_scoped_touches_recovers_byte_identical() {
+    // Server-managed MULTI-ZT over 100 narrow queries re-installs at the
+    // reporter on nearly every event. Replay is ordinary ingest, so the
+    // journal suffix goes through the stream-scoped path: reports whose
+    // stream has no speculated successor are forwarded without a cut, the
+    // rest collide and take the full cut. A cadence longer than the run
+    // leaves the whole crashed prefix to the replay.
+    let (initial, events) = fixture(0x5C09ED);
+    let split = events.len() * 6 / 10;
+    let queries: Vec<RangeQuery> = (0..100)
+        .map(|j| RangeQuery::new(j as f64 * 10.0, j as f64 * 10.0 + 10.0).unwrap())
+        .collect();
+    let make = || MultiRangeZt::with_mode(queries.clone(), CellMode::ServerManaged).unwrap();
+
+    let mut engine = Engine::new(&initial, make());
+    engine.initialize();
+    engine.run(&mut VecWorkload::new(initial.clone(), events.clone()));
+
+    for (shards, mode) in
+        [(1usize, ExecMode::Inline), (2, ExecMode::Threaded), (8, ExecMode::Inline)]
+    {
+        let tag = format!("scoped replay shards={shards} {mode:?}");
+        let config = ServerConfig::with_shards(shards).batch_size(64).mode(mode);
+        let dir = test_dir("scoped");
+        let durable =
+            DurabilityConfig::new(&dir).checkpoint_every(1 << 40).mode(CheckpointMode::Sync);
+
+        let mut crashed = ShardedServer::new(&initial, make(), config);
+        crashed.initialize();
+        crashed.enable_durability(durable.clone()).unwrap();
+        crashed.ingest_batch(&events[..split]);
+        drop(crashed);
+
+        let mut recovered = ShardedServer::recover(&initial, make(), config, durable).unwrap();
+        assert_eq!(recovered.events_processed(), split as u64, "{tag}: replay lost events");
+        // A recovered server's metrics start at zero: these are the replay's.
+        let replay = recovered.metrics().clone();
+        assert!(replay.scoped_touches > 0, "{tag}: replay should forward scoped touches");
+        assert!(replay.cuts > 0, "{tag}: replay should also hit collisions");
+        recovered.ingest_batch(&events[split..]);
+
+        let mut want = reference(&initial, &events, &make, config);
+        assert_state_identical(&tag, &mut recovered, &mut want, false);
+        // And both agree with the serial engine, per query.
+        assert_eq!(recovered.ledger(), engine.ledger(), "{tag}: ledger vs engine");
+        assert_eq!(recovered.reports_processed(), engine.reports_processed(), "{tag}");
+        for j in 0..queries.len() {
+            assert_eq!(
+                recovered.protocol().answer_of(j),
+                engine.protocol().answer_of(j),
+                "{tag}: answer of query {j} vs engine"
+            );
+        }
+        recovered.shutdown();
+        want.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -190,6 +190,8 @@ fn telemetry_snapshot_has_the_documented_schema() {
         "server.batches",
         "server.events",
         "server.speculative_commits",
+        "server.cuts",
+        "server.scoped_touches",
         "server.batch_apply_ns",
         "server.parallel_fraction",
         "server.retries",
