@@ -1,8 +1,8 @@
 //! Runs every figure reproduction in sequence (Figures 9–15), then the
-//! ablations. `cargo run --release -p asf-bench --bin repro [--quick]`.
+//! ablations. `cargo run --release -p bench_harness --bin repro [--quick]`.
 //!
-//! The output of this binary (at paper scale) is what EXPERIMENTS.md
-//! records.
+//! Each figure binary prints its own table; `crates/bench/README.md`
+//! describes them. No file records a paper-scale run.
 
 use std::process::Command;
 

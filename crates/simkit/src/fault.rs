@@ -163,6 +163,7 @@ impl FaultSchedule {
     }
 
     /// Draws the fate of one frame sent at tick `now`.
+    #[inline]
     pub fn draw(&mut self, now: u64) -> FaultDecision {
         if !self.active(now) {
             return FaultDecision::Deliver;

@@ -46,6 +46,15 @@
 //! and the decorator is byte-transparent, which is what lets the chaos
 //! differential suite demand exact convergence with a never-faulted run.
 //!
+//! ## Layout
+//!
+//! What every round reads for every source lives in three hot columns
+//! (`last_heard`, `lease_len`, a `flags` byte); the epoch / sequence /
+//! outage record is cold and a healthy source's heartbeat never loads it.
+//! The round is one ascending-id pass whose per-source order is the RNG
+//! draw order — part of the determinism contract, pinned by
+//! `tests/chaos_pinned.rs` (ARCHITECTURE.md has the cost model).
+//!
 //! ## Durability
 //!
 //! The whole machine — config, fault-RNG words, logical clock, every
@@ -213,34 +222,52 @@ impl RepairPlan {
     }
 }
 
-/// Per-source channel state (epoch / sequence / lease machine).
-#[derive(Debug, Clone, Default)]
-struct ChannelState {
+/// Per-source **cold** record: the epoch / sequence machine and the crash
+/// outage. The lease machine lives in [`ChaosState`]'s hot columns.
+#[derive(Debug, Clone, Copy, Default)]
+struct Channel {
     /// Epoch of the filter currently installed at the source.
     epoch: u64,
     /// Frames the source has sent (stamped on each report).
     send_seq: u64,
-    /// Highest source frame the server has accepted or superseded.
+    /// Highest source frame the server has accepted or superseded; never
+    /// above `send_seq`.
     recv_seq: u64,
-    /// Tick at which the server last heard from the source.
-    last_heard: u64,
     /// The source is down (crash outage) until this tick.
     down_until: u64,
-    /// This channel's current lease length. Pinned at the configured
-    /// `lease_ticks` unless adaptive leases are on, in which case it grows
-    /// and shrinks multiplicatively with observed heartbeat jitter, bounded
-    /// by `[lease_ticks, lease_ticks × MAX_LEASE_FACTOR]`.
-    lease_len: u64,
-    /// The source restarted (or rejoined) and needs a repair re-probe.
-    needs_repair: bool,
-    /// Heartbeat arrived in the current quiescent round.
-    heard_this_round: bool,
-    /// Channel fully caught up as of the last completed round.
-    verified: bool,
+}
+
+/// The source restarted (or rejoined) and needs a repair re-probe.
+const NEEDS_REPAIR: u8 = 1 << 0;
+/// Heartbeat arrived in the current quiescent round.
+const HEARD: u8 = 1 << 1;
+/// Channel fully caught up as of the last completed round.
+const VERIFIED: u8 = 1 << 2;
+/// The lease expired and no frame has revived the source yet.
+const DEAD: u8 = 1 << 3;
+/// `recv_seq < send_seq`, maintained wherever either number moves.
+const GAP: u8 = 1 << 4;
+/// A crash set `down_until` and no round has seen it pass yet. Clear means
+/// `now >= down_until` without looking; set means "compare".
+const MAYBE_DOWN: u8 = 1 << 5;
+
+fn set_flag(flags: &mut u8, bit: u8, on: bool) {
+    *flags = if on { *flags | bit } else { *flags & !bit };
+}
+
+/// Reads a length prefix, bounded by the bytes actually present (`item_bytes`
+/// is one item's encoded size) so that a corrupt count is an error, not an
+/// allocation request.
+fn bounded_len(r: &mut StateReader<'_>, item_bytes: usize) -> asf_persist::Result<usize> {
+    let len = r.get_u64()? as usize;
+    if len > r.remaining() / item_bytes {
+        return Err(PersistError::corrupt("chaos length prefix exceeds payload"));
+    }
+    Ok(len)
 }
 
 /// A report frame sitting in the simulated network.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct ParkedReport {
     due: u64,
     seq: u64,
@@ -255,11 +282,20 @@ pub struct ChaosState {
     cfg: ChaosConfig,
     schedule: FaultSchedule,
     clock: TickClock,
-    channels: Vec<ChannelState>,
+    /// Cold per-source records.
+    channels: Vec<Channel>,
+    /// Hot column: tick at which the server last heard from the source.
+    last_heard: Vec<u64>,
+    /// Hot column: the channel's current lease length, adapted within
+    /// `[lease_ticks, lease_ticks × MAX_LEASE_FACTOR]` (pinned at the floor
+    /// when adaptive leases are off).
+    lease_len: Vec<u64>,
+    /// Hot column: `NEEDS_REPAIR | HEARD | VERIFIED | DEAD | GAP | MAYBE_DOWN`.
+    flags: Vec<u8>,
     parked: Vec<ParkedReport>,
+    /// Scratch for [`ChaosState::take_due_reports`]; empty between calls.
+    due: Vec<ParkedReport>,
     stats: ChaosStats,
-    dead: Vec<bool>,
-    dead_count: usize,
     /// Lease lengths that changed this round (drained by the server into
     /// its `lease_len` histogram). Empty at every quiescent checkpoint.
     lease_samples: Vec<u64>,
@@ -282,11 +318,13 @@ impl ChaosState {
             cfg,
             schedule,
             clock: TickClock::new(),
-            channels: vec![ChannelState { verified: true, lease_len, ..Default::default() }; n],
+            channels: vec![Channel::default(); n],
+            last_heard: vec![0; n],
+            lease_len: vec![lease_len; n],
+            flags: vec![VERIFIED; n],
             parked: Vec::new(),
+            due: Vec::new(),
             stats: ChaosStats::default(),
-            dead: vec![false; n],
-            dead_count: 0,
             lease_samples: Vec::new(),
             repair_window: false,
         }
@@ -346,7 +384,7 @@ impl ChaosState {
     /// A channel's current lease length in ticks (equals the configured
     /// `lease_ticks` unless adaptive leases have grown or shrunk it).
     pub fn lease_len_of(&self, id: StreamId) -> u64 {
-        self.channels[id.index()].lease_len
+        self.lease_len[id.index()]
     }
 
     /// Drains the lease lengths that changed since the last drain — the
@@ -365,17 +403,17 @@ impl ChaosState {
 
     /// Number of sources currently considered dead (lease expired).
     pub fn dead_count(&self) -> usize {
-        self.dead_count
+        self.flags.iter().filter(|&&f| f & DEAD != 0).count()
     }
 
     /// Whether a source's lease has expired.
     pub fn is_dead(&self, id: StreamId) -> bool {
-        self.dead[id.index()]
+        self.flags[id.index()] & DEAD != 0
     }
 
     /// Ids of all currently-dead sources, ascending.
     pub fn dead_ids(&self) -> Vec<StreamId> {
-        (0..self.dead.len()).filter(|&i| self.dead[i]).map(|i| StreamId(i as u32)).collect()
+        self.ids_with(DEAD)
     }
 
     /// Whether the source's channel was fully caught up (heartbeat
@@ -386,22 +424,33 @@ impl ChaosState {
     /// population: these are the sources whose view entries the server can
     /// currently vouch for.
     pub fn is_verified(&self, id: StreamId) -> bool {
-        self.channels[id.index()].verified
+        self.flags[id.index()] & VERIFIED != 0
     }
 
     /// Ids of all verified-live sources, ascending.
     pub fn verified_live_ids(&self) -> Vec<StreamId> {
-        (0..self.channels.len())
-            .filter(|&i| self.channels[i].verified)
-            .map(|i| StreamId(i as u32))
-            .collect()
+        self.ids_with(VERIFIED)
+    }
+
+    fn ids_with(&self, bit: u8) -> Vec<StreamId> {
+        let set = self.flags.iter().enumerate().filter(|(_, &f)| f & bit != 0);
+        set.map(|(i, _)| StreamId(i as u32)).collect()
+    }
+
+    /// The server accepted frame `seq` of channel `i` at tick `now`.
+    fn accept_frame(&mut self, i: usize, seq: u64, now: u64) {
+        let ch = &mut self.channels[i];
+        ch.recv_seq = seq;
+        self.last_heard[i] = now;
+        set_flag(&mut self.flags[i], GAP, seq < ch.send_seq);
     }
 
     /// Admits one source→server report, stamping it with the channel's
     /// current `(epoch, seq)` and drawing its fate.
     pub fn admit_report(&mut self, id: StreamId, value: f64) -> ReportFate {
         let now = self.clock.now();
-        let ch = &mut self.channels[id.index()];
+        let i = id.index();
+        let ch = &mut self.channels[i];
         if now < ch.down_until {
             // The reporting process is down; the frame is never sent. The
             // value evolution itself continues (sensor hardware keeps
@@ -410,6 +459,7 @@ impl ChaosState {
             return ReportFate::Lost;
         }
         ch.send_seq += 1;
+        self.flags[i] |= GAP; // until the server accepts the frame
         let (seq, epoch) = (ch.send_seq, ch.epoch);
         match self.schedule.draw(now) {
             FaultDecision::Drop => {
@@ -427,15 +477,11 @@ impl ChaosState {
                 // Ghost copy arrives shortly after; the sequence rule will
                 // reject it.
                 self.parked.push(ParkedReport { due: now + 1, seq, epoch, id, value });
-                let ch = &mut self.channels[id.index()];
-                ch.recv_seq = seq;
-                ch.last_heard = now;
+                self.accept_frame(i, seq, now);
                 ReportFate::Deliver
             }
             FaultDecision::Deliver => {
-                let ch = &mut self.channels[id.index()];
-                ch.recv_seq = seq;
-                ch.last_heard = now;
+                self.accept_frame(i, seq, now);
                 ReportFate::Deliver
             }
         }
@@ -449,26 +495,26 @@ impl ChaosState {
     pub fn take_due_reports(&mut self, out: &mut Vec<(StreamId, f64)>) {
         out.clear();
         let now = self.clock.now();
-        let mut due: Vec<ParkedReport> = Vec::new();
+        let mut due = std::mem::take(&mut self.due);
         self.parked.retain(|f| {
             if f.due <= now {
-                due.push(f.clone());
-                false
-            } else {
-                true
+                due.push(*f);
             }
+            f.due > now
         });
-        due.sort_by_key(|f| (f.due, f.id.0, f.seq));
-        for f in due {
-            let ch = &mut self.channels[f.id.index()];
+        // `(id, seq)` names one frame of the pool, so the keys are unique
+        // and the unstable sort is as deterministic as a stable one.
+        due.sort_unstable_by_key(|f| (f.due, f.id.0, f.seq));
+        for f in due.drain(..) {
+            let ch = &self.channels[f.id.index()];
             if f.epoch == ch.epoch && f.seq > ch.recv_seq {
-                ch.recv_seq = f.seq;
-                ch.last_heard = now;
+                self.accept_frame(f.id.index(), f.seq, now);
                 out.push((f.id, f.value));
             } else {
                 self.stats.epoch_rejects += 1;
             }
         }
+        self.due = due;
     }
 
     /// Draws crash-restarts for this round (no-op once faults ceased).
@@ -478,16 +524,18 @@ impl ChaosState {
     /// and it is flagged for a repair re-probe once it is heard from again.
     pub fn draw_crashes(&mut self) {
         let now = self.clock.now();
+        // Exactly the cases in which `draw_crash` consumes no randomness.
+        if !self.schedule.active(now) || self.schedule.mix().crash_p == 0.0 {
+            return;
+        }
         for i in 0..self.channels.len() {
-            if now < self.channels[i].down_until {
+            if self.flags[i] & MAYBE_DOWN != 0 && now < self.channels[i].down_until {
                 continue; // already down
             }
             if let Some(outage) = self.schedule.draw_crash(now) {
                 self.stats.crashes += 1;
-                let ch = &mut self.channels[i];
-                ch.down_until = now + outage;
-                ch.needs_repair = true;
-                ch.verified = false;
+                self.channels[i].down_until = now + outage;
+                self.flags[i] = (self.flags[i] | NEEDS_REPAIR | MAYBE_DOWN) & !VERIFIED;
             }
         }
     }
@@ -496,101 +544,88 @@ impl ChaosState {
     /// frame (fault-droppable, metered as overhead, never in the ledger)
     /// carrying its `send_seq` and restart flag. Returns the repair work
     /// the server must execute before calling [`ChaosState::finish_round`].
+    ///
+    /// One ascending-id pass over the hot columns; the per-source order
+    /// below is the RNG draw order and must not change.
     pub fn heartbeat_round(&mut self) -> RepairPlan {
         let now = self.clock.now();
+        let adaptive = self.cfg.adaptive_lease;
+        let lease_floor = self.cfg.lease_ticks;
+        let lease_cap = lease_floor.saturating_mul(MAX_LEASE_FACTOR);
         let mut plan = RepairPlan::default();
-        for i in 0..self.channels.len() {
-            self.channels[i].heard_this_round = false;
-            if now < self.channels[i].down_until {
-                continue; // down: silent
-            }
-            self.stats.heartbeats_sent += 1;
-            self.stats.overhead_frames += 1;
-            let heard = match self.schedule.draw(now) {
-                FaultDecision::Drop => {
-                    self.stats.heartbeats_lost += 1;
-                    false
-                }
-                FaultDecision::Duplicate => {
-                    self.stats.overhead_frames += 1;
-                    true
-                }
+        let (mut sent, mut lost, mut dups, mut spurious) = (0u64, 0u64, 0u64, 0u64);
+        let Self { schedule, channels, last_heard, lease_len, flags, lease_samples, .. } = self;
+        let hot = flags.iter_mut().zip(last_heard.iter_mut()).zip(lease_len.iter_mut());
+        for (i, ((flags, last_heard), lease_len)) in hot.enumerate() {
+            let mut f = *flags & !HEARD;
+            let up = f & MAYBE_DOWN == 0 || now >= channels[i].down_until;
+            if up {
+                f &= !MAYBE_DOWN;
+                sent += 1;
+                let fate = schedule.draw(now);
+                lost += u64::from(fate == FaultDecision::Drop);
+                dups += u64::from(fate == FaultDecision::Duplicate);
                 // A delayed heartbeat still lands well before the next
                 // round; treat it as delivered for lease purposes.
-                FaultDecision::Delay(_) | FaultDecision::Deliver => true,
-            };
-            if heard {
-                let ch = &mut self.channels[i];
-                if self.cfg.adaptive_lease {
-                    // The gap since the last delivered frame is this
-                    // channel's observed heartbeat jitter: a gap eating
-                    // more than half the lease doubles it (up to the
-                    // ceiling); a gap under an eighth halves it back
-                    // toward the configured floor. Pure integer arithmetic
-                    // on deterministic quantities — no clock, no RNG.
-                    let gap = now.saturating_sub(ch.last_heard);
-                    if gap.saturating_mul(2) > ch.lease_len {
-                        let cap = self.cfg.lease_ticks.saturating_mul(MAX_LEASE_FACTOR);
-                        let grown = ch.lease_len.saturating_mul(2).min(cap);
-                        if grown != ch.lease_len {
-                            ch.lease_len = grown;
-                            self.lease_samples.push(grown);
-                        }
-                    } else if gap.saturating_mul(8) < ch.lease_len {
-                        let shrunk = (ch.lease_len / 2).max(self.cfg.lease_ticks);
-                        if shrunk != ch.lease_len {
-                            ch.lease_len = shrunk;
-                            self.lease_samples.push(shrunk);
+                if fate != FaultDecision::Drop {
+                    if adaptive {
+                        // The gap since the last delivered frame is this
+                        // channel's observed heartbeat jitter: a gap eating
+                        // more than half the lease doubles it (up to the
+                        // ceiling); a gap under an eighth halves it back
+                        // toward the configured floor. Pure integer arithmetic
+                        // on deterministic quantities — no clock, no RNG.
+                        let gap = now.saturating_sub(*last_heard);
+                        let adapted = if gap.saturating_mul(2) > *lease_len {
+                            lease_len.saturating_mul(2).min(lease_cap)
+                        } else if gap.saturating_mul(8) < *lease_len {
+                            (*lease_len / 2).max(lease_floor)
+                        } else {
+                            *lease_len
+                        };
+                        if adapted != *lease_len {
+                            *lease_len = adapted;
+                            lease_samples.push(adapted);
                         }
                     }
+                    *last_heard = now;
+                    f |= HEARD;
                 }
-                self.stats.lease_renewals += 1;
-                ch.last_heard = now;
-                ch.heard_this_round = true;
             }
-        }
-        for i in 0..self.channels.len() {
-            let id = StreamId(i as u32);
-            let expired =
-                now.saturating_sub(self.channels[i].last_heard) > self.channels[i].lease_len;
-            if expired && !self.dead[i] {
-                self.dead[i] = true;
-                self.dead_count += 1;
-                self.channels[i].verified = false;
-                self.stats.lease_expirations += 1;
-                if now >= self.channels[i].down_until {
-                    // The source is up — only its heartbeats died in the
-                    // channel. This expiration is a false positive.
-                    self.stats.spurious_expirations += 1;
-                }
-                plan.newly_dead.push(id);
-            } else if !expired && self.dead[i] {
+            let expired = now.saturating_sub(*last_heard) > *lease_len;
+            if expired && f & DEAD == 0 {
+                f = (f | DEAD) & !VERIFIED;
+                // An up source whose lease expired only lost heartbeats in
+                // the channel: a false positive.
+                spurious += u64::from(up);
+                plan.newly_dead.push(StreamId(i as u32));
+            } else if !expired && f & DEAD != 0 {
                 // Heard again: the source rejoins and must be re-probed.
-                self.dead[i] = false;
-                self.dead_count -= 1;
-                self.channels[i].needs_repair = true;
+                f = (f & !DEAD) | NEEDS_REPAIR;
             }
-            let ch = &self.channels[i];
-            if ch.heard_this_round
-                && !self.dead[i]
-                && (ch.needs_repair || ch.recv_seq < ch.send_seq)
-            {
-                plan.reprobe.push(id);
+            if f & (HEARD | DEAD) == HEARD && f & (NEEDS_REPAIR | GAP) != 0 {
+                plan.reprobe.push(StreamId(i as u32));
             }
+            *flags = f;
         }
-        self.stats.repaired_sources += plan.reprobe.len() as u64;
+        let stats = &mut self.stats;
+        stats.heartbeats_sent += sent;
+        stats.heartbeats_lost += lost;
+        stats.overhead_frames += sent + dups;
+        stats.lease_renewals += sent - lost;
+        stats.lease_expirations += plan.newly_dead.len() as u64;
+        stats.spurious_expirations += spurious;
+        stats.repaired_sources += plan.reprobe.len() as u64;
         plan
     }
 
     /// Recomputes verified-live flags after the round's repair work ran.
     pub fn finish_round(&mut self) {
         let now = self.clock.now();
-        for (i, ch) in self.channels.iter_mut().enumerate() {
-            ch.verified = !self.dead[i]
-                && ch.heard_this_round
-                && !ch.needs_repair
-                && ch.recv_seq == ch.send_seq
-                && now >= ch.down_until;
+        for (f, ch) in self.flags.iter_mut().zip(&self.channels) {
+            let caught_up = *f & (DEAD | HEARD | NEEDS_REPAIR | GAP) == HEARD
+                && (*f & MAYBE_DOWN == 0 || now >= ch.down_until);
+            set_flag(f, VERIFIED, caught_up);
         }
     }
 
@@ -655,29 +690,25 @@ impl ChaosState {
     /// lease-expired source on the spot (no rejoin re-probe needed: this
     /// reply already carried fresh state).
     fn on_probed(&mut self, id: StreamId) {
-        let now = self.clock.now();
-        let i = id.index();
-        if self.dead[i] {
-            self.dead[i] = false;
-            self.dead_count -= 1;
-        }
-        let ch = &mut self.channels[i];
-        ch.recv_seq = ch.send_seq;
-        ch.last_heard = now;
-        ch.needs_repair = false;
+        self.flags[id.index()] &= !(DEAD | NEEDS_REPAIR);
+        self.last_heard[id.index()] = self.clock.now();
+        self.on_synced(id);
     }
 
     /// Bookkeeping after an install ack: bumps the filter epoch (staling
     /// every in-flight report produced under the old filter) and refreshes
-    /// the lease. A sync reply additionally supersedes in-flight frames.
-    fn on_installed(&mut self, id: StreamId, synced: bool) {
-        let now = self.clock.now();
+    /// the lease.
+    fn on_installed(&mut self, id: StreamId) {
+        self.channels[id.index()].epoch += 1;
+        self.last_heard[id.index()] = self.clock.now();
+    }
+
+    /// A probe or install-sync reply supersedes every frame still in
+    /// flight from the source.
+    fn on_synced(&mut self, id: StreamId) {
         let ch = &mut self.channels[id.index()];
-        ch.epoch += 1;
-        ch.last_heard = now;
-        if synced {
-            ch.recv_seq = ch.send_seq;
-        }
+        ch.recv_seq = ch.send_seq;
+        self.flags[id.index()] &= !GAP;
     }
 
     /// Serializes the complete machine — config, fault-RNG words, logical
@@ -714,16 +745,16 @@ impl ChaosState {
         w.put_u64(self.clock.now());
         // Channels.
         w.put_u64(self.channels.len() as u64);
-        for ch in &self.channels {
+        for (i, ch) in self.channels.iter().enumerate() {
             w.put_u64(ch.epoch);
             w.put_u64(ch.send_seq);
             w.put_u64(ch.recv_seq);
-            w.put_u64(ch.last_heard);
+            w.put_u64(self.last_heard[i]);
             w.put_u64(ch.down_until);
-            w.put_u64(ch.lease_len);
-            w.put_bool(ch.needs_repair);
-            w.put_bool(ch.heard_this_round);
-            w.put_bool(ch.verified);
+            w.put_u64(self.lease_len[i]);
+            w.put_bool(self.flags[i] & NEEDS_REPAIR != 0);
+            w.put_bool(self.flags[i] & HEARD != 0);
+            w.put_bool(self.flags[i] & VERIFIED != 0);
         }
         // Parked frames (in pool order — order is state: `take_due_reports`
         // sorts due frames, but `retain` preserves pool order for the rest).
@@ -736,8 +767,8 @@ impl ChaosState {
             w.put_f64(f.value);
         }
         // Dead bitmap (dead_count is recomputed on decode).
-        for &d in &self.dead {
-            w.put_bool(d);
+        for &f in &self.flags {
+            w.put_bool(f & DEAD != 0);
         }
         // Counters.
         w.put_u64(self.stats.retries);
@@ -769,8 +800,10 @@ impl ChaosState {
     /// decision sequence continues byte-identically.
     ///
     /// Every field that a constructor would assert on (fault probabilities,
-    /// backoff shape, lease bounds) is validated here first and surfaces as
-    /// [`PersistError::Corrupt`] — bytes off a disk must never panic.
+    /// backoff shape, lease bounds), every length prefix and every
+    /// cross-field condition the machine relies on is validated here and
+    /// surfaces as [`PersistError::Corrupt`] — bytes off a disk must never
+    /// panic or abort. `GAP` and `MAYBE_DOWN` are derived, not recorded.
     pub fn decode(r: &mut StateReader<'_>) -> asf_persist::Result<Self> {
         if r.get_u8()? != CHAOS_STATE_VERSION {
             return Err(PersistError::corrupt("unknown chaos-state version"));
@@ -821,42 +854,58 @@ impl ChaosState {
         let now = r.get_u64()?;
         let mut clock = TickClock::new();
         clock.advance_to(now);
-        let n = r.get_u64()? as usize;
+        // Per channel: six words, three flag bytes, one dead-bitmap byte.
+        let n = bounded_len(r, 6 * 8 + 3 + 1)?;
         let lease_cap = lease_ticks.saturating_mul(MAX_LEASE_FACTOR);
         let mut channels = Vec::with_capacity(n);
+        let mut last_heard = Vec::with_capacity(n);
+        let mut lease_len = Vec::with_capacity(n);
+        let mut flags = Vec::with_capacity(n);
         for _ in 0..n {
-            let ch = ChannelState {
-                epoch: r.get_u64()?,
-                send_seq: r.get_u64()?,
-                recv_seq: r.get_u64()?,
-                last_heard: r.get_u64()?,
-                down_until: r.get_u64()?,
-                lease_len: r.get_u64()?,
-                needs_repair: r.get_bool()?,
-                heard_this_round: r.get_bool()?,
-                verified: r.get_bool()?,
-            };
-            if ch.lease_len < lease_ticks || ch.lease_len > lease_cap {
+            let (epoch, send_seq, recv_seq) = (r.get_u64()?, r.get_u64()?, r.get_u64()?);
+            last_heard.push(r.get_u64()?);
+            let down_until = r.get_u64()?;
+            let lease = r.get_u64()?;
+            if lease < lease_ticks || lease > lease_cap {
                 return Err(PersistError::corrupt("chaos lease length out of bounds"));
             }
-            channels.push(ch);
+            if recv_seq > send_seq {
+                return Err(PersistError::corrupt("chaos channel received past sent"));
+            }
+            lease_len.push(lease);
+            channels.push(Channel { epoch, send_seq, recv_seq, down_until });
+            let mut f = 0;
+            set_flag(&mut f, NEEDS_REPAIR, r.get_bool()?);
+            set_flag(&mut f, HEARD, r.get_bool()?);
+            set_flag(&mut f, VERIFIED, r.get_bool()?);
+            set_flag(&mut f, GAP, recv_seq < send_seq);
+            set_flag(&mut f, MAYBE_DOWN, now < down_until);
+            flags.push(f);
         }
-        let parked_len = r.get_u64()? as usize;
+        let parked_len = bounded_len(r, 3 * 8 + 4 + 8)?;
         let mut parked = Vec::with_capacity(parked_len);
         for _ in 0..parked_len {
-            parked.push(ParkedReport {
+            let frame = ParkedReport {
                 due: r.get_u64()?,
                 seq: r.get_u64()?,
                 epoch: r.get_u64()?,
                 id: StreamId(r.get_u32()?),
                 value: r.get_f64()?,
-            });
+            };
+            if frame.id.index() >= n {
+                return Err(PersistError::corrupt("chaos parked frame from unknown source"));
+            }
+            parked.push(frame);
         }
-        let mut dead = Vec::with_capacity(n);
-        for _ in 0..n {
-            dead.push(r.get_bool()?);
+        for f in &mut flags {
+            if r.get_bool()? {
+                // The lease machine never vouches for a dead source.
+                if *f & VERIFIED != 0 {
+                    return Err(PersistError::corrupt("chaos dead bitmap contradicts channels"));
+                }
+                *f |= DEAD;
+            }
         }
-        let dead_count = dead.iter().filter(|&&d| d).count();
         let stats = ChaosStats {
             retries: r.get_u64()?,
             timeouts: r.get_u64()?,
@@ -875,7 +924,7 @@ impl ChaosState {
             repair_batches: r.get_u64()?,
             repair_frames: r.get_u64()?,
         };
-        let samples_len = r.get_u64()? as usize;
+        let samples_len = bounded_len(r, 8)?;
         let mut lease_samples = Vec::with_capacity(samples_len);
         for _ in 0..samples_len {
             lease_samples.push(r.get_u64()?);
@@ -885,10 +934,12 @@ impl ChaosState {
             schedule,
             clock,
             channels,
+            last_heard,
+            lease_len,
+            flags,
             parked,
+            due: Vec::new(),
             stats,
-            dead,
-            dead_count,
             lease_samples,
             repair_window: false,
         })
@@ -1007,7 +1058,10 @@ impl FleetOps for ChaosFleet<'_> {
     ) -> Option<f64> {
         self.state.charge_request(id, true);
         let sync = self.inner.install(id, filter, ledger, view);
-        self.state.on_installed(id, sync.is_some());
+        self.state.on_installed(id);
+        if sync.is_some() {
+            self.state.on_synced(id);
+        }
         sync
     }
 
@@ -1022,9 +1076,11 @@ impl FleetOps for ChaosFleet<'_> {
             self.state.charge_request(*id, true);
         }
         self.inner.install_many(installs, ledger, view, syncs);
-        let synced: Vec<StreamId> = syncs.iter().map(|(id, _)| *id).collect();
         for (id, _) in installs {
-            self.state.on_installed(*id, synced.contains(id));
+            self.state.on_installed(*id);
+        }
+        for (id, _) in syncs.iter() {
+            self.state.on_synced(*id);
         }
     }
 
@@ -1041,9 +1097,10 @@ impl FleetOps for ChaosFleet<'_> {
         }
         let syncs = self.inner.broadcast(filter, ledger, view);
         for i in 0..self.inner.len() {
-            let id = StreamId(i as u32);
-            let synced = syncs.iter().any(|(s, _)| *s == id);
-            self.state.on_installed(id, synced);
+            self.state.on_installed(StreamId(i as u32));
+        }
+        for (id, _) in &syncs {
+            self.state.on_synced(*id);
         }
         syncs
     }
@@ -1429,5 +1486,113 @@ mod tests {
                 assert_eq!(state.recv_seq_of(id), state.send_seq_of(id));
             }
         }
+    }
+
+    #[test]
+    fn fast_exits_consume_no_randomness() {
+        // Past the horizon a whole round draws nothing.
+        let mut state = ChaosState::new(64, ChaosConfig::new(3, FaultMix::crash_restart(0.5), 100));
+        state.draw_crashes();
+        assert!(state.stats().crashes > 0);
+        state.advance(100);
+        let words = state.schedule.rng_state();
+        state.draw_crashes();
+        state.heartbeat_round();
+        state.finish_round();
+        assert_eq!(state.schedule.rng_state(), words);
+        // At `crash_p == 0` the crash draw is skipped; the heartbeats still
+        // draw (one word per up source).
+        let mut state =
+            ChaosState::new(64, ChaosConfig::new(3, FaultMix::loss_only(0.5), u64::MAX));
+        let words = state.schedule.rng_state();
+        state.draw_crashes();
+        assert_eq!(state.schedule.rng_state(), words);
+        state.heartbeat_round();
+        assert_ne!(state.schedule.rng_state(), words);
+    }
+
+    #[test]
+    fn maybe_down_clears_in_the_first_round_at_or_after_the_outage_end() {
+        let mix = FaultMix { crash_p: 1.0, max_outage_ticks: 30, ..FaultMix::none() };
+        let mut state = ChaosState::new(1, ChaosConfig::new(6, mix, 1).lease_ticks(10_000));
+        state.draw_crashes();
+        let down_until = state.channels[0].down_until;
+        assert!(down_until > 0 && state.flags[0] & MAYBE_DOWN != 0);
+        state.advance(down_until - 1);
+        state.heartbeat_round();
+        assert_eq!(state.stats().heartbeats_sent, 0, "still down: silent");
+        assert!(state.flags[0] & MAYBE_DOWN != 0);
+        state.advance(1);
+        state.heartbeat_round();
+        assert_eq!(state.stats().heartbeats_sent, 1);
+        assert_eq!(state.flags[0] & MAYBE_DOWN, 0);
+    }
+
+    /// The per-source formula `finish_round` evaluated before the flags
+    /// column existed — the oracle for the flag-only version.
+    fn verified_by_formula(state: &ChaosState, i: usize) -> bool {
+        let ch = &state.channels[i];
+        !state.is_dead(StreamId(i as u32))
+            && state.flags[i] & HEARD != 0
+            && state.flags[i] & NEEDS_REPAIR == 0
+            && ch.recv_seq == ch.send_seq
+            && state.now() >= ch.down_until
+    }
+
+    #[test]
+    fn derived_flags_agree_with_the_cold_records_on_a_random_walk() {
+        const N: usize = 12;
+        let mix = FaultMix {
+            drop_p: 0.1,
+            delay_p: 0.1,
+            dup_p: 0.05,
+            crash_p: 0.02,
+            max_delay_ticks: 40,
+            max_outage_ticks: 120,
+        };
+        let cfg = ChaosConfig::new(0xFACE, mix, u64::MAX).lease_ticks(40);
+        let mut state = ChaosState::new(N, cfg);
+        let mut fleet = SourceFleet::from_values(&[0.0; N]);
+        let (mut ledger, mut view) = (Ledger::new(), ServerView::new(N));
+        let mut rng = simkit::rng::SimRng::seed_from_u64(7);
+        let mut due = Vec::new();
+        let check = |state: &ChaosState, verified: bool| {
+            for (i, ch) in state.channels.iter().enumerate() {
+                assert_eq!(state.flags[i] & GAP != 0, ch.recv_seq < ch.send_seq, "GAP of {i}");
+                assert!(state.flags[i] & MAYBE_DOWN != 0 || state.now() >= ch.down_until);
+                if verified {
+                    assert_eq!(
+                        state.is_verified(StreamId(i as u32)),
+                        verified_by_formula(state, i)
+                    );
+                }
+            }
+        };
+        for _ in 0..10_000 {
+            for _ in 0..rng.index(6) {
+                let id = StreamId(rng.index(N) as u32);
+                state.admit_report(id, 1.0);
+                let mut chaos = ChaosFleet::new(&mut state, &mut fleet);
+                match rng.index(6) {
+                    0 => drop(chaos.install(id, Filter::wildcard(), &mut ledger, &mut view)),
+                    1 => drop(chaos.probe(id, &mut ledger, &mut view)),
+                    _ => {}
+                }
+            }
+            state.advance(1 + rng.index(30) as u64);
+            state.draw_crashes();
+            state.take_due_reports(&mut due);
+            check(&state, false);
+            let plan = state.heartbeat_round();
+            // Repair only some of the plan, so unrepaired channels persist.
+            for &id in plan.reprobe.iter().filter(|id| id.0 % 3 != 0) {
+                ChaosFleet::new(&mut state, &mut fleet).probe(id, &mut ledger, &mut view);
+            }
+            state.finish_round();
+            check(&state, true);
+        }
+        let stats = state.stats();
+        assert!(stats.crashes > 100 && stats.lease_expirations > 100 && stats.epoch_rejects > 100);
+        assert!(!state.verified_live_ids().is_empty());
     }
 }
