@@ -58,8 +58,12 @@ fn main() {
     let r = run_to_completion(NoFilter::rank(knn), &mut fresh());
     show("no-filter (k-NN)", &r);
 
-    let r = run_to_completion(Rtp::new(knn, 10).unwrap(), &mut fresh());
+    let r = run_to_completion(Rtp::paper(knn, 10).unwrap(), &mut fresh());
     show("RTP (r=10)", &r);
+
+    // The library's default deployment: installs replace the broadcasts.
+    let r = run_to_completion(Rtp::new(knn, 10).unwrap(), &mut fresh());
+    show("RTP scoped (r=10)", &r);
 
     let r = run_to_completion(ZtRp::new(knn).unwrap(), &mut fresh());
     show("ZT-RP", &r);

@@ -69,7 +69,7 @@ fn main() {
     for &r in &rs {
         let mut w = TcpLikeWorkload::new(cfg);
         let query = RankQuery::top_k(1).unwrap();
-        let mut engine = Engine::new(&w.initial_values(), Rtp::new(query, r).unwrap());
+        let mut engine = Engine::new(&w.initial_values(), Rtp::paper(query, r).unwrap());
         let mut worst = 0usize;
         engine.run_with_hook(&mut w, |fleet, protocol, _| {
             if let Some(answer) = protocol.answer().iter().next() {

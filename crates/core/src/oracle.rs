@@ -12,6 +12,7 @@
 use streamnet::{SourceFleet, StreamId};
 
 use crate::answer::AnswerSet;
+use crate::protocol::Rtp;
 use crate::query::{RangeQuery, RankQuery, RankSpace};
 use crate::rank::{rank_values, RankIndex};
 use crate::tolerance::{FractionTolerance, RankTolerance};
@@ -57,6 +58,37 @@ pub fn rank_violation(
                 "{member} has true rank {rank} > epsilon {} (value {})",
                 tol.epsilon(),
                 fleet.true_value(member)
+            ));
+        }
+    }
+    None
+}
+
+/// Checks RTP's held-bound ledger against the fleet at a quiescent point:
+/// every source carries exactly the ball the server believes it deployed
+/// there, every `X` member holds `R` itself (invariant (a) of the
+/// [`Rtp`] module docs), and every other source holds a ball at least as
+/// wide as `R` that its last report lies outside (invariant (b)) — the two
+/// facts from which "truly inside `R`" = `X` and Definition 1 follow.
+pub fn rtp_held_bound_violation(rtp: &Rtp, fleet: &SourceFleet) -> Option<String> {
+    let space = rtp.query().space();
+    let d = rtp.threshold();
+    for s in fleet.iter() {
+        let id = s.id();
+        let h = rtp.held_bound(id);
+        if *s.filter() != space.ball(h) {
+            return Some(format!("{id} carries {:?} but the ledger says ball({h})", s.filter()));
+        }
+        if rtp.x_set().contains(&id) {
+            if h != d {
+                return Some(format!("X member {id} holds {h}, not d = {d}"));
+            }
+        } else if h < d {
+            return Some(format!("{id} outside X holds {h}, tighter than d = {d}"));
+        } else if s.last_reported().is_none_or(|v| space.key(v) <= h) {
+            return Some(format!(
+                "{id} outside X last reported {:?}, inside the ball({h}) it holds",
+                s.last_reported()
             ));
         }
     }

@@ -26,7 +26,9 @@ pub enum Cause {
     ReinitStorm,
     /// FT error correction: targeted probe + filter reallocation.
     FixError,
-    /// Zero-tolerance bound recompute after a boundary crossing.
+    /// Single-source bound refresh: a zero-tolerance bound recompute after
+    /// a boundary crossing, or RTP's one install of `R` answering a report
+    /// from a source that holds a wider ball (annulus report or absorb).
     BoundRecompute,
     /// End-of-handler deferred filter installations flushed as one batch.
     DeferredFlush,

@@ -13,6 +13,10 @@
 //!   acceptance (direct or from the parked/reordered pool) strictly
 //!   advances `recv_seq`, so replaying any prefix of duplicated frames
 //!   cannot double-deliver.
+//!
+//! Plus the interleavings RTP's scoped bound deployment adds: the report a
+//! stale-bound source sends on entering the wider ball it holds is dropped,
+//! delayed past a shrink, or duplicated — and the chunk-end round heals it.
 
 use simkit::fault::FaultMix;
 use simkit::rng::SimRng;
@@ -390,4 +394,122 @@ fn lease_expiry_and_rejoin_keep_the_live_view_consistent() {
         STREAMS as u64,
         "heartbeat-only loss makes every expiration spurious"
     );
+}
+
+/// RTP's scoped deployment leaves sources outside `R` holding a wider ball,
+/// and a report from such a source (it entered its ball, not `R`) must be
+/// answered with an install of `R`. The new interleavings: that report is
+/// dropped, delayed past an overflow shrink, or duplicated. In each, the
+/// chunk-end round heals the ledger invariant and Definition 1.
+#[test]
+fn rtp_stale_bound_reports_survive_drop_delay_and_duplication() {
+    use asf_core::engine::ProtocolCore;
+    use asf_core::oracle;
+    use asf_core::protocol::Rtp;
+    use asf_core::query::RankQuery;
+    use asf_core::tolerance::RankTolerance;
+
+    // Figure-6 layout: distances from q = 100 are 5, 10, 20, 30, 45, 60, 80.
+    let initial = [105.0, 90.0, 120.0, 70.0, 145.0, 40.0, 180.0];
+    let query = RankQuery::knn(100.0, 2).unwrap();
+    let tol = RankTolerance::new(2, 2).unwrap();
+
+    struct Rig {
+        core: ProtocolCore<Rtp>,
+        fleet: SourceFleet,
+        state: ChaosState,
+    }
+    impl Rig {
+        /// One workload update: the source applies it and, if its filter
+        /// says so, emits a report frame whose fate the channel draws.
+        fn update(&mut self, s: u32, value: f64) -> Option<ReportFate> {
+            let id = StreamId(s);
+            let (mut shard_ledger, mut shard_view) = (Ledger::new(), ServerView::new(7));
+            self.fleet.deliver_update(id, value, &mut shard_ledger, &mut shard_view)?;
+            let fate = self.state.admit_report(id, value);
+            if fate == ReportFate::Deliver {
+                let mut chaos = ChaosFleet::new(&mut self.state, &mut self.fleet);
+                self.core.ingest_report(id, value, &mut chaos);
+            }
+            Some(fate)
+        }
+        /// The chunk-end round: due frames, heartbeats, repair re-probes.
+        fn chunk_end(&mut self, ticks: u64) -> usize {
+            self.state.advance(ticks);
+            self.state.draw_crashes();
+            let mut due = Vec::new();
+            self.state.take_due_reports(&mut due);
+            for &(id, value) in &due {
+                let mut chaos = ChaosFleet::new(&mut self.state, &mut self.fleet);
+                self.core.ingest_report(id, value, &mut chaos);
+            }
+            let plan = self.state.heartbeat_round();
+            let mut chaos = ChaosFleet::new(&mut self.state, &mut self.fleet);
+            self.core.repair_sources(&mut chaos, &plan.reprobe);
+            self.state.finish_round();
+            due.len()
+        }
+        fn ledger_violation(&self) -> Option<String> {
+            oracle::rtp_held_bound_violation(self.core.protocol(), &self.fleet)
+        }
+    }
+
+    // Faults are active for tick 0 only: exactly the stale-bound report.
+    let rig = |mix: FaultMix| {
+        let mut fleet = SourceFleet::from_values(&initial);
+        let mut core = ProtocolCore::new(7, Rtp::new(query, 2).unwrap());
+        core.initialize(&mut fleet);
+        // S5 enters R: overflow shrink to 32.5; S4 (45) keeps ball(37.5).
+        core.deliver_and_handle(StreamId(5), 135.0, &mut fleet);
+        assert_eq!(core.protocol().held_bound(StreamId(4)), 37.5);
+        Rig { core, fleet, state: ChaosState::new(7, ChaosConfig::new(9, mix, 1)) }
+    };
+    let healthy = |tag: &str, rig: &Rig| {
+        let v = rig.ledger_violation();
+        assert!(v.is_none(), "{tag}: {}", v.unwrap());
+        let all_live = |_: StreamId| true;
+        let v = oracle::live_rank_violation(query, tol, &rig.core.answer(), &rig.fleet, all_live);
+        assert!(v.is_none(), "{tag}: {}", v.unwrap());
+    };
+
+    // Dropped: the server never hears that S4 entered ball(37.5), so S4 then
+    // walks into R unseen — until the round re-probes the gapped channel and
+    // the repair's on_update takes the Case-3 arm.
+    let mut r = rig(FaultMix::loss_only(1.0));
+    assert_eq!(r.update(4, 135.0), Some(ReportFate::Lost));
+    assert!(r.ledger_violation().is_some(), "a lost annulus report must break invariant (b)");
+    assert_eq!(r.update(4, 128.0), None, "inside its ball, S4 is silent");
+    r.chunk_end(8);
+    assert!(r.core.protocol().x_set().contains(&StreamId(4)), "repair must track S4");
+    healthy("dropped", &r);
+
+    // Dropped, and S4 stays in the annulus: the repair takes the annulus arm.
+    let mut r = rig(FaultMix::loss_only(1.0));
+    assert_eq!(r.update(4, 135.0), Some(ReportFate::Lost));
+    let installs = r.core.ledger().count(MessageKind::FilterInstall);
+    r.chunk_end(8);
+    assert_eq!(r.core.ledger().count(MessageKind::FilterInstall), installs + 1);
+    assert_eq!(r.core.protocol().held_bound(StreamId(4)), 32.5);
+    healthy("dropped in the annulus", &r);
+
+    // Delayed past a shrink: the frame surfaces after R moved to 30.5 and is
+    // judged against the new R, not the one it was sent under.
+    let mut r = rig(FaultMix { delay_p: 1.0, max_delay_ticks: 4, ..FaultMix::none() });
+    assert_eq!(r.update(4, 135.0), Some(ReportFate::Parked));
+    r.state.advance(1);
+    assert_eq!(r.update(6, 131.0), Some(ReportFate::Deliver));
+    assert_eq!(r.core.protocol().threshold(), 30.5);
+    assert_eq!(r.core.protocol().held_bound(StreamId(4)), 37.5, "S4 is not a shrink target");
+    assert_eq!(r.chunk_end(8), 1, "the delayed frame must surface");
+    assert_eq!(r.core.protocol().held_bound(StreamId(4)), 30.5);
+    healthy("delayed", &r);
+
+    // Duplicated: the ghost frame is rejected by sequence; one install.
+    let mut r = rig(FaultMix { dup_p: 1.0, ..FaultMix::none() });
+    let installs = r.core.ledger().count(MessageKind::FilterInstall);
+    assert_eq!(r.update(4, 135.0), Some(ReportFate::Deliver));
+    assert_eq!(r.chunk_end(8), 0, "the ghost frame must be rejected");
+    assert!(r.state.stats().epoch_rejects >= 1);
+    assert_eq!(r.core.ledger().count(MessageKind::FilterInstall), installs + 1);
+    healthy("duplicated", &r);
 }

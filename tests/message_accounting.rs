@@ -63,6 +63,38 @@ fn conservation_rtp() {
     check_conservation(Rtp::new(q, 4).unwrap(), 4);
 }
 
+/// ROADMAP item 5(d)'s rule on the paper's §6.2 synthetic model at the
+/// benchmark's scale (n = 10k, k = r = 16): a filter protocol must cost
+/// fewer maintenance messages than no filter at all (1.0 per event). The
+/// paper-faithful deployment does not — every overflow shrink is an
+/// n-message broadcast — and the scoped one must, and must never cost more
+/// than the paper's on the same input.
+#[test]
+fn rtp_scoped_deployment_beats_no_filter_and_the_paper_bill() {
+    let (k, r) = (16, 16);
+    let query = RankQuery::knn(500.0, k).unwrap();
+    for seed in [48_764u64, 7, 101] {
+        let bill = |protocol: Rtp| {
+            let mut w = SyntheticWorkload::new(SyntheticConfig {
+                num_streams: 10_000,
+                horizon: 2_100.0,
+                seed,
+                ..Default::default()
+            });
+            let mut engine = Engine::new(&w.initial_values(), protocol);
+            engine.initialize();
+            let init = engine.ledger().total();
+            engine.run(&mut w);
+            assert!(engine.events_processed() >= 1_000_000, "fixture too short");
+            (engine.ledger().total() - init) as f64 / engine.events_processed() as f64
+        };
+        let scoped = bill(Rtp::new(query, r).unwrap());
+        let paper = bill(Rtp::paper(query, r).unwrap());
+        assert!(scoped < 1.0, "seed {seed}: scoped RTP sends {scoped} msg/event, no filter 1.0");
+        assert!(scoped <= paper, "seed {seed}: scoped {scoped} > paper-faithful {paper}");
+    }
+}
+
 #[test]
 fn conservation_zt_rp() {
     let q = RankQuery::knn(500.0, 6).unwrap();

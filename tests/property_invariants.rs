@@ -257,14 +257,17 @@ fn multi_query_is_always_exact() {
     });
 }
 
-/// RTP keeps Definition 1 at every quiescent point on random walks.
+/// RTP keeps Definition 1 — and the held-bound ledger it rests on — at
+/// every quiescent point on random walks, in every rank space.
 #[test]
 fn rtp_never_violates_rank_tolerance() {
+    let mut case_no = 0;
     cases(24, |rng| {
         let seed = rng.next_u64() % 10_000;
         let k = 2 + rng.index(6);
         let r = rng.index(6);
         let sigma = rng.range_f64(5.0, 60.0);
+        case_no += 1;
         let mut w = SyntheticWorkload::new(SyntheticConfig {
             num_streams: 40,
             horizon: 120.0,
@@ -272,21 +275,28 @@ fn rtp_never_violates_rank_tolerance() {
             seed,
             ..Default::default()
         });
-        let query = RankQuery::knn(500.0, k).unwrap();
+        let query = match case_no % 3 {
+            0 => RankQuery::top_k(k),
+            1 => RankQuery::knn(500.0, k),
+            _ => RankQuery::k_min(k),
+        }
+        .unwrap();
         let tol = RankTolerance::new(k, r).unwrap();
         let mut engine = Engine::new(&w.initial_values(), Rtp::new(query, r).unwrap());
         // O(k log n) per quiescent point via the maintained truth index.
         let mut truth = oracle::TruthRanks::new(query.space(), engine.fleet());
         let mut violation: Option<String> = None;
-        engine.run_with_event_hook(&mut w, |_, protocol, _, ev| {
+        engine.run_with_event_hook(&mut w, |fleet, protocol, _, ev| {
             if let Some(ev) = ev {
                 truth.apply(ev);
             }
             if violation.is_none() {
-                violation = truth.rank_violation(tol, &protocol.answer());
+                violation = truth
+                    .rank_violation(tol, &protocol.answer())
+                    .or_else(|| oracle::rtp_held_bound_violation(protocol, fleet));
             }
         });
-        assert!(violation.is_none(), "seed={seed} k={k} r={r}: {}", violation.unwrap());
+        assert!(violation.is_none(), "seed={seed} {query:?} r={r}: {}", violation.unwrap());
     });
 }
 

@@ -76,9 +76,17 @@ fn zt_rp_is_always_exact() {
 
 #[test]
 fn rtp_rank_tolerance_holds_at_every_quiescent_point() {
-    for (k, r, seed) in [(5usize, 3usize, 10u64), (3, 0, 11), (8, 5, 12), (4, 10, 13)] {
+    let knn = |k| RankQuery::knn(500.0, k).unwrap();
+    for (query, r, seed) in [
+        (knn(5), 3usize, 10u64),
+        (knn(3), 0, 11),
+        (knn(8), 5, 12),
+        (knn(4), 10, 13),
+        (RankQuery::k_min(5).unwrap(), 3, 14),
+        (RankQuery::top_k(3).unwrap(), 1, 15),
+    ] {
+        let k = query.k();
         let mut w = synthetic(60, 250.0, 25.0, seed);
-        let query = RankQuery::knn(500.0, k).unwrap();
         let tol = RankTolerance::new(k, r).unwrap();
         let mut engine = Engine::new(&w.initial_values(), Rtp::new(query, r).unwrap());
         let mut truth = oracle::TruthRanks::new(query.space(), engine.fleet());
@@ -90,7 +98,9 @@ fn rtp_rank_tolerance_holds_at_every_quiescent_point() {
             // The indexed and sort-based oracles must agree.
             let v_sorted = oracle::rank_violation(query, tol, &protocol.answer(), fleet);
             assert_eq!(v.is_some(), v_sorted.is_some(), "oracle paths disagree at t={t}");
-            assert!(v.is_none(), "k={k} r={r} seed={seed} t={t}: {}", v.unwrap());
+            assert!(v.is_none(), "{query:?} r={r} seed={seed} t={t}: {}", v.unwrap());
+            let v = oracle::rtp_held_bound_violation(protocol, fleet);
+            assert!(v.is_none(), "{query:?} r={r} seed={seed} t={t}: {}", v.unwrap());
         });
     }
 }
@@ -104,11 +114,13 @@ fn rtp_rank_tolerance_holds_for_topk_on_tcp_like() {
     let tol = RankTolerance::new(k, r).unwrap();
     let mut engine = Engine::new(&w.initial_values(), Rtp::new(query, r).unwrap());
     let mut truth = oracle::TruthRanks::new(query.space(), engine.fleet());
-    engine.run_with_event_hook(&mut w, |_, protocol, t, ev| {
+    engine.run_with_event_hook(&mut w, |fleet, protocol, t, ev| {
         if let Some(ev) = ev {
             truth.apply(ev);
         }
         let v = truth.rank_violation(tol, &protocol.answer());
+        assert!(v.is_none(), "t={t}: {}", v.unwrap());
+        let v = oracle::rtp_held_bound_violation(protocol, fleet);
         assert!(v.is_none(), "t={t}: {}", v.unwrap());
     });
 }

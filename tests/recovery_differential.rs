@@ -83,6 +83,14 @@ fn assert_state_identical<P: Protocol>(
         assert_eq!(got.causes(), want.causes(), "{tag}: cause matrices diverged");
     }
     assert_eq!(got.truth_values(), want.truth_values(), "{tag}: ground truth diverged");
+    // Everything the protocol checkpoints — for RTP that includes the
+    // held-bound ledger the next deployment is computed from.
+    let saved = |server: &ShardedServer<P>| {
+        let mut w = asf_persist::StateWriter::new();
+        server.protocol().save_state(&mut w);
+        w.into_bytes()
+    };
+    assert_eq!(saved(got), saved(want), "{tag}: protocol state diverged");
 }
 
 /// Runs `make()`'s protocol to the end without crashing (no durability
@@ -109,13 +117,28 @@ where
 {
     let (initial, events) = fixture(0xFEED);
     let split = events.len() * 6 / 10;
+    assert_crash_at_recovers_identical(name, make, &initial, &events, split);
+}
+
+/// [`assert_crash_recovery_identical`] with the crash after
+/// `events[..split]`.
+fn assert_crash_at_recovers_identical<P, F>(
+    name: &str,
+    make: F,
+    initial: &[f64],
+    events: &[UpdateEvent],
+    split: usize,
+) where
+    P: Protocol,
+    F: Fn() -> P,
+{
     for shards in [1usize, 2, 8] {
         let tag = format!("{name} shards={shards}");
         let config = ServerConfig::with_shards(shards).batch_size(64);
         let dir = test_dir("diff");
         let durable = DurabilityConfig::new(&dir).checkpoint_every(100).mode(CheckpointMode::Sync);
 
-        let mut crashed = ShardedServer::new(&initial, make(), config);
+        let mut crashed = ShardedServer::new(initial, make(), config);
         crashed.initialize();
         crashed.enable_durability(durable.clone()).unwrap();
         crashed.ingest_batch(&events[..split]);
@@ -124,7 +147,7 @@ where
         // Crash: drop without shutdown — no final checkpoint, no flush.
         drop(crashed);
 
-        let mut recovered = ShardedServer::recover(&initial, make(), config, durable).unwrap();
+        let mut recovered = ShardedServer::recover(initial, make(), config, durable).unwrap();
         assert_eq!(
             recovered.events_processed(),
             split as u64,
@@ -133,7 +156,7 @@ where
         assert!(recovered.metrics().recovery_replay_ns > 0, "{tag}: replay not metered");
         recovered.ingest_batch(&events[split..]);
 
-        let mut want = reference(&initial, &events, &make, config);
+        let mut want = reference(initial, events, &make, config);
         assert_state_identical(&tag, &mut recovered, &mut want, false);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -179,6 +202,34 @@ fn ft_rp_recovers_byte_identical() {
 fn rtp_recovers_byte_identical() {
     let query = RankQuery::knn(500.0, 5).unwrap();
     assert_crash_recovery_identical("RTP", move || Rtp::new(query, 3).unwrap());
+}
+
+#[test]
+fn rtp_crash_between_a_shrink_and_the_next_expansion_recovers_the_ledger() {
+    // The held-bound ledger decides where the next expansion installs, so a
+    // recovered server must carry the crashed server's exact ledger: crash
+    // right before an expansion search that starts from a non-empty
+    // exception list (left there by earlier overflow shrinks).
+    let (initial, events) = fixture(0xFEED);
+    let query = RankQuery::knn(500.0, 5).unwrap();
+    let make = move || Rtp::new(query, 1).unwrap();
+    let mut serial = Engine::new(&initial, make());
+    serial.initialize();
+    let split = events
+        .iter()
+        .position(|&ev| {
+            let before = (serial.protocol().expansions(), serial.protocol().held_exceptions());
+            serial.apply_event(ev);
+            let p = serial.protocol();
+            // Past the second checkpoint, an expansion that did not
+            // broadcast, out of a ledger with exceptions in it.
+            serial.events_processed() > 200
+                && before.1 > 0
+                && p.expansions() > before.0
+                && p.full_broadcasts() == 1
+        })
+        .expect("fixture has no scoped expansion after a shrink");
+    assert_crash_at_recovers_identical("RTP", make, &initial, &events, split);
 }
 
 #[test]

@@ -50,6 +50,13 @@ where
     let mut w = VecWorkload::new(initial.clone(), events.clone());
     engine.run(&mut w);
     let serial_truth: Vec<f64> = engine.fleet().iter().map(|s| s.value()).collect();
+    // Everything the protocol checkpoints (for RTP: A, X, R and the
+    // held-bound ledger) must come out of every backend the same.
+    let saved = |protocol: &P| {
+        let mut w = asf_persist::StateWriter::new();
+        protocol.save_state(&mut w);
+        w.into_bytes()
+    };
 
     let mut sharded_truth = Vec::new();
     // Telemetry must be purely observational, so the sweep runs every
@@ -102,6 +109,11 @@ where
                 let truth = server.truth_values();
                 assert_eq!(truth, serial_truth, "{tag}: ground truth diverged");
                 sharded_truth = truth;
+                assert_eq!(
+                    saved(server.protocol()),
+                    saved(engine.protocol()),
+                    "{tag}: protocol state diverged"
+                );
             }
         }
     }
@@ -142,14 +154,34 @@ fn ft_nrp_is_shard_invariant_and_oracle_agrees() {
 #[test]
 fn rtp_is_shard_invariant_and_oracle_agrees() {
     let (k, r) = (5usize, 3usize);
-    let query = RankQuery::knn(500.0, k).unwrap();
     let tol = RankTolerance::new(k, r).unwrap();
-    let (engine, truth) = assert_shard_invariant("RTP", || Rtp::new(query, r).unwrap());
-    let sharded_fleet = streamnet::SourceFleet::from_values(&truth);
-    let serial_verdict = oracle::rank_violation(query, tol, &engine.answer(), engine.fleet());
-    let sharded_verdict = oracle::rank_violation(query, tol, &engine.answer(), &sharded_fleet);
-    assert_eq!(serial_verdict, sharded_verdict);
-    assert!(sharded_verdict.is_none(), "tolerance violated: {sharded_verdict:?}");
+    let queries = [
+        RankQuery::knn(500.0, k).unwrap(),
+        RankQuery::top_k(k).unwrap(),
+        RankQuery::k_min(k).unwrap(),
+    ];
+    for query in queries {
+        let space = query.space();
+        let name = format!("RTP {space:?}");
+        let (engine, truth) = assert_shard_invariant(&name, || Rtp::new(query, r).unwrap());
+        let sharded_fleet = streamnet::SourceFleet::from_values(&truth);
+        let serial_verdict = oracle::rank_violation(query, tol, &engine.answer(), engine.fleet());
+        let sharded_verdict = oracle::rank_violation(query, tol, &engine.answer(), &sharded_fleet);
+        assert_eq!(serial_verdict, sharded_verdict);
+        assert!(sharded_verdict.is_none(), "{name}: tolerance violated: {sharded_verdict:?}");
+        // The held-bound ledger (shown above to be the same on every
+        // backend) matches the filters the serial fleet carries, and what
+        // it is for holds on the shards' own ground truth — `truth` is
+        // values only — too: truly inside R = X.
+        let p = engine.protocol();
+        assert!(p.held_exceptions() > 0, "{name}: the scoped deployment never engaged");
+        let ledger_verdict = oracle::rtp_held_bound_violation(p, engine.fleet());
+        assert!(ledger_verdict.is_none(), "{name}: {}", ledger_verdict.unwrap());
+        for s in sharded_fleet.iter() {
+            let inside = space.in_ball(s.value(), p.threshold());
+            assert_eq!(inside, p.x_set().contains(&s.id()), "{name}: {} vs R", s.id());
+        }
+    }
 }
 
 #[test]
