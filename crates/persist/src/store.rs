@@ -36,8 +36,10 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use crate::crc::Crc32;
 use crate::record::{
-    decode_header, encode_header, encode_record, scan_records, FileKind, HEADER_LEN,
+    decode_header, encode_header, scan_records, FileKind, HEADER_LEN, MAX_RECORD_LEN,
+    RECORD_OVERHEAD,
 };
 use crate::{PersistError, Result};
 
@@ -128,6 +130,37 @@ impl CrashPoint {
             }
         }
     }
+}
+
+/// Writes one framed record `tag | len | seq | body | crc` — the bytes
+/// [`crate::record::encode_record`] produces for the payload
+/// `seq | body` — straight from `body` under `crash`'s budget,
+/// checksumming as it goes, so no framed copy of a (multi-megabyte) body
+/// is ever built. Returns the bytes written.
+///
+/// # Panics
+///
+/// Panics if the payload exceeds [`crate::record::MAX_RECORD_LEN`].
+fn write_seq_record(
+    crash: &mut CrashPoint,
+    file: &mut File,
+    tag: u32,
+    seq: u64,
+    body: &[u8],
+) -> Result<u64> {
+    let len = u32::try_from(8 + body.len()).expect("record payload too long");
+    assert!(len <= MAX_RECORD_LEN, "record payload too long");
+    let mut head = [0u8; 16];
+    head[..4].copy_from_slice(&tag.to_le_bytes());
+    head[4..8].copy_from_slice(&len.to_le_bytes());
+    head[8..].copy_from_slice(&seq.to_le_bytes());
+    let mut crc = Crc32::new();
+    crc.update(&head);
+    crc.update(body);
+    crash.write(file, &head)?;
+    crash.write(file, body)?;
+    crash.write(file, &crc.finish().to_le_bytes())?;
+    Ok((RECORD_OVERHEAD + len as usize) as u64)
 }
 
 fn fsync_dir(dir: &Path) -> Result<()> {
@@ -283,21 +316,17 @@ impl SnapshotStore {
     ///
     /// On success the checkpoint is fully fsynced and atomically renamed
     /// into place. On any error — including an injected crash — the
-    /// previous checkpoint is still intact and selectable.
+    /// previous checkpoint is still intact and selectable. The file is
+    /// streamed from `state` (header, record frame, state, checksum); no
+    /// copy of the image is built.
     pub fn save(&mut self, seq: u64, state: &[u8]) -> Result<()> {
         let slot = SLOT_NAMES[self.next_slot];
         let tmp = self.dir.join(format!("{slot}.tmp"));
         let dst = self.dir.join(slot);
 
-        let mut image = Vec::with_capacity(HEADER_LEN + 12 + 8 + state.len());
-        image.extend_from_slice(&encode_header(FileKind::Snapshot));
-        let mut payload = Vec::with_capacity(8 + state.len());
-        payload.extend_from_slice(&seq.to_le_bytes());
-        payload.extend_from_slice(state);
-        encode_record(TAG_SNAPSHOT, &payload, &mut image);
-
         let mut file = File::create(&tmp)?;
-        self.crash.write(&mut file, &image)?;
+        self.crash.write(&mut file, &encode_header(FileKind::Snapshot))?;
+        write_seq_record(&mut self.crash, &mut file, TAG_SNAPSHOT, seq, state)?;
         file.sync_all()?;
         drop(file);
         fs::rename(&tmp, &dst)?;
@@ -416,7 +445,6 @@ pub struct Journal {
     last_seq: Option<u64>,
     crash: CrashPoint,
     rotate_crash: Option<RotateStep>,
-    scratch: Vec<u8>,
 }
 
 impl Journal {
@@ -495,7 +523,6 @@ impl Journal {
             last_seq: entries.last().map(|e| e.seq),
             crash: CrashPoint::default(),
             rotate_crash: None,
-            scratch: Vec::new(),
         };
         Ok((journal, entries))
     }
@@ -515,22 +542,14 @@ impl Journal {
         self.bytes
     }
 
-    /// Appends one committed chunk keyed by its starting event sequence.
+    /// Appends one committed chunk keyed by its starting event sequence,
+    /// streamed from `payload` without building a framed copy.
     pub fn append(&mut self, seq: u64, payload: &[u8]) -> Result<()> {
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&seq.to_le_bytes());
-        self.scratch.extend_from_slice(payload);
-        let mut framed = Vec::with_capacity(12 + self.scratch.len());
-        encode_record(TAG_JOURNAL_CHUNK, &self.scratch, &mut framed);
-        let res = self.crash.write(&mut self.file, &framed);
-        match res {
-            Ok(()) => {
-                self.bytes += framed.len() as u64;
-                self.last_seq = Some(self.last_seq.map_or(seq, |s| s.max(seq)));
-                Ok(())
-            }
-            Err(e) => Err(e),
-        }
+        let written =
+            write_seq_record(&mut self.crash, &mut self.file, TAG_JOURNAL_CHUNK, seq, payload)?;
+        self.bytes += written;
+        self.last_seq = Some(self.last_seq.map_or(seq, |s| s.max(seq)));
+        Ok(())
     }
 
     /// Fsyncs the journal file.
@@ -747,6 +766,7 @@ pub fn read_journal_bytes(dir: impl AsRef<Path>) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::encode_record;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn test_dir(tag: &str) -> PathBuf {
@@ -811,6 +831,79 @@ mod tests {
                 assert_eq!(seq, 6, "budget={budget}");
                 assert_eq!(state, b"newer checkpoint state!");
             }
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What the streamed writers must put on disk: the `seq | body`
+    /// payload framed by `encode_record`.
+    fn framed(tag: u32, seq: u64, body: &[u8]) -> Vec<u8> {
+        let mut payload = seq.to_le_bytes().to_vec();
+        payload.extend_from_slice(body);
+        let mut out = Vec::new();
+        encode_record(tag, &payload, &mut out);
+        out
+    }
+
+    fn body_of(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 131 % 251) as u8).collect()
+    }
+
+    #[test]
+    fn streamed_files_match_encode_record_framing() {
+        let dir = test_dir("framing");
+        let mut store = SnapshotStore::open(&dir).unwrap();
+        let mut journal = Journal::open(&dir).unwrap();
+        for (i, len) in [0usize, 1, 7, 8, 9, 63, 4096, 100_003].into_iter().enumerate() {
+            let (seq, body) = (1000 + i as u64, body_of(len));
+            store.save(seq, &body).unwrap();
+            let mut image = encode_header(FileKind::Snapshot).to_vec();
+            image.extend_from_slice(&framed(TAG_SNAPSHOT, seq, &body));
+            let slot = SLOT_NAMES[store.next_slot ^ 1];
+            assert_eq!(fs::read(dir.join(slot)).unwrap(), image, "snapshot of {len} bytes");
+
+            let before = journal.len_bytes() as usize;
+            journal.append(seq, &body).unwrap();
+            let on_disk = read_journal_bytes(&dir).unwrap();
+            assert_eq!(on_disk[before..], framed(TAG_JOURNAL_CHUNK, seq, &body), "chunk of {len}");
+            assert_eq!(journal.len_bytes() as usize, on_disk.len());
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn streamed_writes_tear_at_exactly_the_budget() {
+        let dir = test_dir("tear-budget");
+        let body = body_of(37);
+        let mut image = encode_header(FileKind::Snapshot).to_vec();
+        image.extend_from_slice(&framed(TAG_SNAPSHOT, 9, &body));
+        for budget in 0..=image.len() as u64 + 2 {
+            let mut store = SnapshotStore::open(&dir).unwrap();
+            let slot = SLOT_NAMES[store.next_slot];
+            store.set_crash_after(budget);
+            let res = store.save(9, &body);
+            if budget < image.len() as u64 {
+                assert!(matches!(res, Err(PersistError::InjectedCrash)), "budget={budget}");
+                let torn = fs::read(dir.join(format!("{slot}.tmp"))).unwrap();
+                assert_eq!(torn, image[..budget as usize], "budget={budget}");
+            } else {
+                res.unwrap();
+                assert_eq!(fs::read(dir.join(slot)).unwrap(), image, "budget={budget}");
+            }
+        }
+        let chunk = framed(TAG_JOURNAL_CHUNK, 5, &body);
+        let mut j = Journal::open(&dir).unwrap();
+        j.append(1, b"durable").unwrap();
+        let durable = read_journal_bytes(&dir).unwrap();
+        drop(j);
+        for budget in 0..chunk.len() as u64 {
+            fs::write(dir.join(JOURNAL_NAME), &durable).unwrap();
+            let mut j = Journal::open(&dir).unwrap();
+            j.set_crash_after(budget);
+            assert!(matches!(j.append(5, &body), Err(PersistError::InjectedCrash)));
+            let on_disk = read_journal_bytes(&dir).unwrap();
+            assert_eq!(on_disk[..durable.len()], durable[..], "budget={budget}");
+            assert_eq!(on_disk[durable.len()..], chunk[..budget as usize], "budget={budget}");
         }
         fs::remove_dir_all(&dir).unwrap();
     }

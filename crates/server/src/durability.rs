@@ -20,7 +20,10 @@
 //!   `fsync`+rename runs on a dedicated writer thread behind a bounded
 //!   channel of depth 1 — if the writer is still busy with the previous
 //!   checkpoint, the new one is *coalesced* (skipped; retried at the next
-//!   boundary), so ingest never blocks on checkpoint I/O.
+//!   boundary), so ingest never blocks on checkpoint I/O. A coalesced
+//!   checkpoint is never serialized:
+//!   [`Durability::save_checkpoint_with`] takes the encoder and runs it
+//!   only once the writer's queue slot is free.
 //! * [`CheckpointMode::Sync`]: the save happens inline. Deterministic, and
 //!   the mode under which checkpoint crash injection is supported.
 //!
@@ -47,7 +50,7 @@
 //! compaction is invisible to the recovery differential.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -120,7 +123,15 @@ pub enum CheckpointMode {
 
 enum Writer {
     Sync(SnapshotStore),
-    Background { tx: SyncSender<(u64, Vec<u8>)>, join: JoinHandle<()> },
+    Background {
+        tx: SyncSender<(u64, Vec<u8>)>,
+        /// Set by the coordinator before each send, cleared by the writer
+        /// as it takes the image out of the queue: `true` means the
+        /// queue's one slot is occupied and a new image would be
+        /// coalesced.
+        queued: Arc<AtomicBool>,
+        join: JoinHandle<()>,
+    },
 }
 
 impl std::fmt::Debug for Writer {
@@ -222,21 +233,34 @@ impl Durability {
         mut store: SnapshotStore,
         floor: Arc<AtomicU64>,
     ) -> asf_persist::Result<Writer> {
+        // A failed background save leaves the previous checkpoint
+        // selectable; the next boundary retries. The floor advances only
+        // after the save fully lands.
+        Self::spawn_writer_with(move |seq, state| {
+            if store.save(seq, &state).is_ok() {
+                floor.store(seq, Ordering::Release);
+            }
+        })
+    }
+
+    /// The background writer loop around an arbitrary `save` (tests hold
+    /// the writer busy through it).
+    fn spawn_writer_with(
+        mut save: impl FnMut(u64, Vec<u8>) + Send + 'static,
+    ) -> asf_persist::Result<Writer> {
         let (tx, rx) = mpsc::sync_channel::<(u64, Vec<u8>)>(1);
+        let queued = Arc::new(AtomicBool::new(false));
+        let slot = Arc::clone(&queued);
         let join = std::thread::Builder::new()
             .name("asf-checkpoint".into())
             .spawn(move || {
                 while let Ok((seq, state)) = rx.recv() {
-                    // A failed background save leaves the previous
-                    // checkpoint selectable; the next boundary retries.
-                    // The floor advances only after the save fully lands.
-                    if store.save(seq, &state).is_ok() {
-                        floor.store(seq, Ordering::Release);
-                    }
+                    slot.store(false, Ordering::Release);
+                    save(seq, state);
                 }
             })
             .map_err(PersistError::Io)?;
-        Ok(Writer::Background { tx, join })
+        Ok(Writer::Background { tx, queued, join })
     }
 
     /// Appends one committed chunk (keyed by the event sequence it starts
@@ -259,14 +283,28 @@ impl Durability {
             && seq.saturating_sub(self.last_checkpoint_seq) >= self.checkpoint_every_events
     }
 
-    /// Persists (or schedules) a checkpoint of `state` taken at `seq`.
-    /// Returns `Ok(true)` if the checkpoint was written/queued, `Ok(false)`
-    /// if a busy background writer coalesced it (retried at the next
-    /// boundary).
+    /// Persists (or schedules) an already-encoded checkpoint `state` taken
+    /// at `seq` — [`Self::save_checkpoint_with`] for a caller that holds
+    /// the image anyway.
     pub fn save_checkpoint(&mut self, seq: u64, state: Vec<u8>) -> asf_persist::Result<bool> {
+        self.save_checkpoint_with(seq, || state)
+    }
+
+    /// Persists (or schedules) a checkpoint taken at `seq`, calling
+    /// `encode` for its image only when the writer will take it: always in
+    /// [`CheckpointMode::Sync`], and in [`CheckpointMode::Background`] only
+    /// when the writer's queue slot is free. Returns `Ok(true)` if the
+    /// checkpoint was written/queued, `Ok(false)` if a busy background
+    /// writer coalesced it (retried at the next boundary; `encode` did not
+    /// run).
+    pub fn save_checkpoint_with(
+        &mut self,
+        seq: u64,
+        encode: impl FnOnce() -> Vec<u8>,
+    ) -> asf_persist::Result<bool> {
         self.check_poison()?;
         match &mut self.writer {
-            Writer::Sync(store) => match store.save(seq, &state) {
+            Writer::Sync(store) => match store.save(seq, &encode()) {
                 Ok(()) => {
                     self.last_checkpoint_seq = seq;
                     self.durable_floor.store(seq, Ordering::Release);
@@ -277,17 +315,27 @@ impl Durability {
                     Err(e)
                 }
             },
-            Writer::Background { tx, .. } => match tx.try_send((seq, state)) {
-                Ok(()) => {
-                    self.last_checkpoint_seq = seq;
-                    Ok(true)
+            Writer::Background { tx, queued, join } => {
+                // The queue's slot still holds an image the writer has not
+                // taken: this checkpoint would be coalesced, so it is not
+                // encoded. (A dead writer falls through to `try_send`,
+                // which reports the disconnect.)
+                if queued.load(Ordering::Acquire) && !join.is_finished() {
+                    return Ok(false);
                 }
-                Err(TrySendError::Full(_)) => Ok(false),
-                Err(TrySendError::Disconnected(_)) => {
-                    self.poisoned = Some("checkpoint writer thread died".into());
-                    Err(PersistError::corrupt("checkpoint writer thread died"))
+                queued.store(true, Ordering::Release);
+                match tx.try_send((seq, encode())) {
+                    Ok(()) => {
+                        self.last_checkpoint_seq = seq;
+                        Ok(true)
+                    }
+                    Err(TrySendError::Full(_)) => Ok(false),
+                    Err(TrySendError::Disconnected(_)) => {
+                        self.poisoned = Some("checkpoint writer thread died".into());
+                        Err(PersistError::corrupt("checkpoint writer thread died"))
+                    }
                 }
-            },
+            }
         }
     }
 
@@ -383,7 +431,7 @@ impl Durability {
     pub fn shutdown(self) {
         let Durability { journal, writer, .. } = self;
         drop(journal);
-        if let Writer::Background { tx, join } = writer {
+        if let Writer::Background { tx, join, .. } = writer {
             drop(tx);
             let _ = join.join();
         }
@@ -500,6 +548,49 @@ mod tests {
         let entries = Journal::read_all(&dir).unwrap();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].payload, b"durable");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn busy_background_writer_never_encodes_a_coalesced_checkpoint() {
+        let dir = test_dir("coalesce");
+        let cfg = DurabilityConfig::new(&dir).mode(CheckpointMode::Sync);
+        let mut d = Durability::new(&cfg, 0, b"anchor").unwrap();
+        // A writer that announces each image it takes and then holds it
+        // until released.
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        d.writer = Durability::spawn_writer_with(move |seq, _| {
+            let _ = started_tx.send(seq);
+            let _ = release_rx.recv();
+        })
+        .unwrap();
+        let encodes = std::cell::Cell::new(0);
+        let encode = || {
+            encodes.set(encodes.get() + 1);
+            b"image".to_vec()
+        };
+
+        // The writer takes checkpoint 10 and stays busy with it; 20 fills
+        // the queue's one slot.
+        assert!(d.save_checkpoint_with(10, encode).unwrap());
+        assert_eq!(started_rx.recv().unwrap(), 10);
+        assert!(d.save_checkpoint_with(20, encode).unwrap());
+        assert_eq!(encodes.get(), 2);
+        // Every boundary while the slot is held coalesces without encoding.
+        for _ in 0..3 {
+            assert!(!d.save_checkpoint_with(30, encode).unwrap());
+        }
+        assert_eq!(encodes.get(), 2, "a coalesced checkpoint was encoded");
+        // The writer finishes 10 and takes 20: the slot is free again, and
+        // the next boundary encodes exactly once.
+        release_tx.send(()).unwrap();
+        assert_eq!(started_rx.recv().unwrap(), 20);
+        assert!(d.save_checkpoint_with(30, encode).unwrap());
+        assert_eq!(encodes.get(), 3);
+        release_tx.send(()).unwrap();
+        release_tx.send(()).unwrap();
+        d.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

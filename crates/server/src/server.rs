@@ -435,7 +435,8 @@ impl<P: Protocol> ShardedServer<P> {
     }
 
     /// Serializes the full server state and hands it to the checkpoint
-    /// writer. The serialization (and, in `CheckpointMode::Sync`, the save
+    /// writer — or, when a busy background writer would coalesce it, does
+    /// neither. The serialization (and, in `CheckpointMode::Sync`, the save
     /// itself) is the metered `checkpoint_ns` critical-path cost.
     fn checkpoint_now(&mut self) {
         let start = Instant::now();
@@ -445,11 +446,11 @@ impl<P: Protocol> ShardedServer<P> {
             self.events_processed,
         );
         let seq = self.events_processed;
-        let state = self.snapshot_state();
-        let d = self.durability.as_mut().expect("caller checked durability");
-        if matches!(d.save_checkpoint(seq, state), Ok(true)) {
+        let mut d = self.durability.take().expect("caller checked durability");
+        if matches!(d.save_checkpoint_with(seq, || self.snapshot_state()), Ok(true)) {
             self.metrics.checkpoints += 1;
         }
+        self.durability = Some(d);
         self.metrics.checkpoint_ns += start.elapsed().as_nanos() as u64;
         self.core.telemetry_mut().trace.end(TraceDepth::Coarse);
     }

@@ -12,11 +12,15 @@
 //! [`ShardCmd::EvalWindow`] starts a speculative evaluation window: the
 //! coordinator shares one columnar [`asf_core::workload::EventBatch`]
 //! window behind an `Arc` and every shard *self-partitions*, scanning the
-//! shared stream column for the ids it owns (`stream % shards ==
-//! shard_id`) and building its [`SpecEvent`]s locally. The coordinator
+//! shared stream column for the ids it owns and building its
+//! [`SpecEvent`]s locally. The scan is one multiply-high per event
+//! ([`Partition`]'s reciprocal, no division) and a predicated write (no
+//! ownership branch, which is a coin flip at two shards). The coordinator
 //! pays O(shards) `Arc` clones per window; the ownership scan is metered
 //! per shard ([`ShardReply::Evaluated::scan_ns`]) and runs inside the
-//! parallel region.
+//! parallel region. Every shard reads every window, so the scan is
+//! O(k · window) in total; pre-partitioning the window on the
+//! coordinator would only pay off at k ≫ 2.
 //!
 //! ## Optimistic evaluation and the undo log
 //!
@@ -47,18 +51,27 @@ use asf_core::workload::EventBatch;
 use asf_telemetry::{TraceDepth, TraceEvent, TraceRing};
 use streamnet::{Filter, Ledger, ServerView, SourceFleet, SpecLog, StreamId};
 
-/// Strided assignment of global stream ids to `k` shards.
+/// Strided assignment of global stream ids to `k` shards: global `g` lives
+/// on shard `g % k` at local index `g / k`.
+///
+/// Neither is computed with a division. The map stores the reciprocal
+/// `m = ⌈2⁶⁴ / k⌉` once, and `g / k = (g · m) >> 64` — one multiply-high —
+/// is exact for every 32-bit `g` and every `k ≥ 1` (Lemire, Kaser & Kurz,
+/// "Faster remainder by direct computation", 2019: 64 fractional bits
+/// suffice for 32-bit operands). `k = 1` makes `m = 2⁶⁴`, hence the
+/// `u128`. The shard is then `g − (g / k) · k`.
 #[derive(Clone, Copy, Debug)]
 pub struct Partition {
     k: u32,
+    m: u128,
 }
 
 impl Partition {
     /// Creates the partition map for `k` shards.
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "need at least one shard");
-        assert!(u32::try_from(k).is_ok(), "too many shards");
-        Self { k: k as u32 }
+        let k = u32::try_from(k).expect("too many shards");
+        Self { k, m: (1u128 << 64).div_ceil(u128::from(k)) }
     }
 
     /// Number of shards.
@@ -66,16 +79,24 @@ impl Partition {
         self.k as usize
     }
 
+    /// `(shard, local)` of a global stream id — the one definition of
+    /// ownership every other method derives from.
+    #[inline]
+    fn split(&self, id: StreamId) -> (u32, u32) {
+        let local = ((u128::from(id.0) * self.m) >> 64) as u32;
+        (id.0 - local * self.k, local)
+    }
+
     /// The shard owning a global stream id.
     #[inline]
     pub fn shard_of(&self, id: StreamId) -> usize {
-        (id.0 % self.k) as usize
+        self.split(id).0 as usize
     }
 
     /// The owning shard's local index for a global stream id.
     #[inline]
     pub fn local_of(&self, id: StreamId) -> u32 {
-        id.0 / self.k
+        self.split(id).1
     }
 
     /// The global id of `(shard, local)`.
@@ -88,7 +109,7 @@ impl Partition {
     pub fn split_values(&self, initial: &[f64]) -> Vec<Vec<f64>> {
         let mut per_shard: Vec<Vec<f64>> = vec![Vec::new(); self.shards()];
         for (g, &v) in initial.iter().enumerate() {
-            per_shard[(g as u32 % self.k) as usize].push(v);
+            per_shard[self.shard_of(StreamId(g as u32))].push(v);
         }
         per_shard
     }
@@ -286,9 +307,10 @@ pub struct Shard {
     local_view: ServerView,
     /// Reused sync-report buffer for broadcasts (cleared per use).
     broadcast_scratch: Vec<(StreamId, f64)>,
-    /// Reused selection buffer of the ownership scan (cleared per window;
-    /// never crosses the channel).
-    select_scratch: Vec<SpecEvent>,
+    /// Reused selection buffer of the ownership scan: `(offset into the
+    /// round, local index)` per owned event. Its length is a high-water
+    /// mark, not a count; it never crosses the channel.
+    select_scratch: Vec<(u32, u32)>,
     /// Undo journal of the in-flight speculative batch.
     spec: SpecLog,
     /// Cumulative busy time (ns), metrics only.
@@ -420,9 +442,7 @@ impl Shard {
                 self.broadcast_scratch = syncs;
                 ShardReply::Broadcasted { syncs: reply, busy_ns: 0 }
             }
-            ShardCmd::TruthSnapshot => {
-                ShardReply::Truth(self.fleet.iter().map(|s| s.value()).collect())
-            }
+            ShardCmd::TruthSnapshot => ShardReply::Truth(self.fleet.values().collect()),
             ShardCmd::SaveState => {
                 debug_assert!(
                     self.spec.is_empty(),
@@ -471,22 +491,25 @@ impl Shard {
         // Phase 1 — ownership scan: walk the shared stream column and
         // select this shard's events into the pooled local buffer. Every
         // shard scans its window concurrently, and the time is reported as
-        // `scan_ns`.
+        // `scan_ns`. The loop is branch-free: every event is written to the
+        // next free slot, and the slot is kept — the write index advanced —
+        // only when this shard owns the event. Slots past `owned` hold
+        // stale entries.
         let scan_start = Instant::now();
         self.trace.begin(TraceDepth::Coarse, "shard_eval", start as u64);
         self.trace.begin(TraceDepth::Fine, "ownership_scan", start as u64);
         let mut selected = std::mem::take(&mut self.select_scratch);
-        selected.clear();
         let streams = &window.streams()[start..end];
         let values = &window.values()[start..end];
-        for (i, (&stream, &value)) in streams.iter().zip(values).enumerate() {
-            if self.partition.shard_of(stream) == self.shard_id as usize {
-                selected.push(SpecEvent {
-                    seq: (start + i) as u64,
-                    local: self.partition.local_of(stream),
-                    value,
-                });
-            }
+        assert!(u32::try_from(streams.len()).is_ok(), "evaluation round too long for u32 offsets");
+        if selected.len() < streams.len() {
+            selected.resize(streams.len(), (0, 0));
+        }
+        let mut owned = 0usize;
+        for (i, &stream) in streams.iter().enumerate() {
+            let (shard, local) = self.partition.split(stream);
+            selected[owned] = (i as u32, local);
+            owned += usize::from(shard == self.shard_id);
         }
         self.trace.end(TraceDepth::Fine);
         let scan_ns = scan_start.elapsed().as_nanos() as u64;
@@ -498,13 +521,14 @@ impl Shard {
         // across the window boundary.
         let eval_start = Instant::now();
         reports.clear();
-        for &ev in &selected {
-            let id = StreamId(ev.local);
-            if self.spec.apply(&mut self.fleet, ev.seq, id, ev.value).is_some() {
+        for &(i, local) in &selected[..owned] {
+            let ev =
+                SpecEvent { seq: (start + i as usize) as u64, local, value: values[i as usize] };
+            if self.spec.apply(&mut self.fleet, ev.seq, StreamId(local), ev.value).is_some() {
                 reports.push(ev);
             }
         }
-        let evaluated = selected.len() as u32;
+        let evaluated = owned as u32;
         self.select_scratch = selected;
         self.trace.instant(TraceDepth::Fine, "spec_tip", self.spec.last_seq().unwrap_or(0));
         self.trace.end(TraceDepth::Coarse);
@@ -547,6 +571,93 @@ mod tests {
         let per = p.split_values(&[10.0, 11.0, 12.0, 13.0, 14.0]);
         assert_eq!(per[0], vec![10.0, 12.0, 14.0]);
         assert_eq!(per[1], vec![11.0, 13.0]);
+    }
+
+    #[test]
+    fn reciprocal_ownership_equals_division_at_the_extremes() {
+        let mut rng = simkit::SimRng::seed_from_u64(0xD1_5EED);
+        for k in [1u32, 2, 3, 7, 8, 255, 1 << 31, u32::MAX] {
+            let p = Partition::new(k as usize);
+            let mut ids = vec![0, k - 1, k, u32::MAX];
+            ids.extend((0..64).map(|_| rng.next_u64() as u32));
+            if k <= 255 {
+                ids.extend(0..10_000);
+            }
+            for g in ids {
+                let id = StreamId(g);
+                assert_eq!(p.shard_of(id), (g % k) as usize, "shard_of({g}) at k = {k}");
+                assert_eq!(p.local_of(id), g / k, "local_of({g}) at k = {k}");
+                assert_eq!(p.global_of(p.shard_of(id), p.local_of(id)), id, "k = {k}");
+            }
+            if k <= 255 {
+                let initial: Vec<f64> = (0..1000).map(f64::from).collect();
+                let per = p.split_values(&initial);
+                for (s, local) in per.iter().enumerate() {
+                    let stride: Vec<f64> =
+                        initial.iter().copied().skip(s).step_by(k as usize).collect();
+                    assert_eq!(*local, stride, "split_values shard {s} at k = {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn branch_free_selection_equals_a_filter_and_push_scan() {
+        // Shard 1 of 3 over 30 sources that were never reported: every
+        // owned event is a report, so the reports are the selection.
+        let (k, me, n) = (3u32, 1u32, 30u32);
+        let partition = Partition::new(k as usize);
+        let initial: Vec<f64> = (0..n).map(f64::from).collect();
+        let mut shard =
+            Shard::with_partition(&partition.split_values(&initial)[me as usize], partition, 1);
+        let reference = |window: &EventBatch, start: usize, end: usize| -> Vec<(u64, u32, u64)> {
+            (start..end)
+                .filter(|&i| window.streams()[i].0 % k == me)
+                .map(|i| (i as u64, window.streams()[i].0 / k, window.values()[i].to_bits()))
+                .collect()
+        };
+        let selected = |shard: &mut Shard, window: &Arc<EventBatch>, start, end| match eval(
+            shard, window, start, end,
+        ) {
+            ShardReply::Evaluated { reports, evaluated, .. } => {
+                assert_eq!(evaluated as usize, reports.len(), "every owned event reports");
+                reports.iter().map(|e| (e.seq, e.local, e.value.to_bits())).collect::<Vec<_>>()
+            }
+            other => panic!("expected Evaluated, got {other:?}"),
+        };
+        let owned: Vec<u32> = (0..n).filter(|g| g % k == me).collect();
+        let foreign: Vec<u32> = (0..n).filter(|g| g % k != me).collect();
+        let events = |ids: &[u32], len: usize| -> Vec<(u32, f64)> {
+            (0..len).map(|i| (ids[i * 7 % ids.len()], 100.0 + i as f64)).collect()
+        };
+        let mut edges = events(&foreign, 40);
+        edges[0].0 = owned[2];
+        edges[39].0 = owned[5];
+        // The all-owned window comes first, so the shorter windows after it
+        // run over a buffer full of stale owned events.
+        for window in
+            [events(&owned, 64), events(&foreign, 50), edges, events(&[5, 7, 8, 1, 4], 45)]
+        {
+            let window = window_of(&window);
+            assert_eq!(
+                selected(&mut shard, &window, 0, window.len()),
+                reference(&window, 0, window.len())
+            );
+            commit_round(std::slice::from_mut(&mut shard), u64::MAX);
+        }
+
+        // A cut mid-window, then the re-scatter of the suffix from `start`.
+        let window = window_of(&events(&[4, 0, 7, 13, 2, 10, 1], 48));
+        let all = selected(&mut shard, &window, 0, window.len());
+        assert_eq!(all, reference(&window, 0, window.len()));
+        let start = 21;
+        let (kept, undone) = commit_round(std::slice::from_mut(&mut shard), start as u64);
+        assert_eq!(kept as usize, reference(&window, 0, start).len());
+        assert_eq!(undone as usize, reference(&window, start, window.len()).len());
+        assert_eq!(
+            selected(&mut shard, &window, start, window.len()),
+            reference(&window, start, window.len())
+        );
     }
 
     /// A shared columnar window of `(global stream, value)` events; the

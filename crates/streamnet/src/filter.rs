@@ -182,12 +182,22 @@ impl Filter {
     pub fn violated(&self, last_reported: f64, current: f64) -> bool {
         match self {
             Filter::ReportAll => true,
-            Filter::Interval { .. } => self.contains(last_reported) != self.contains(current),
+            Filter::Interval { lo, hi } => interval_violated(*lo, *hi, last_reported, current),
             Filter::Cells(cuts) => {
                 Self::cell_index(cuts, last_reported) != Self::cell_index(cuts, current)
             }
         }
     }
+}
+
+/// The `Interval` arm of [`Filter::violated`] on bare bounds: exactly one
+/// of `last_reported`, `current` lies in `[lo, hi]`. The fleet's hot path
+/// evaluates its cached interval bounds through this, so the §3.1 test has
+/// one definition.
+#[inline]
+pub(crate) fn interval_violated(lo: f64, hi: f64, last_reported: f64, current: f64) -> bool {
+    debug_assert!(!last_reported.is_nan() && !current.is_nan(), "stream values must not be NaN");
+    (lo <= last_reported && last_reported <= hi) != (lo <= current && current <= hi)
 }
 
 #[cfg(test)]

@@ -22,9 +22,9 @@
 //! Batch outputs are written into caller-provided buffers so hot callers
 //! can reuse one allocation across rounds.
 
-use crate::filter::Filter;
+use crate::filter::{interval_violated, Filter};
 use crate::message::{Ledger, MessageKind};
-use crate::source::StreamSource;
+use crate::source::{must_report, must_sync, StreamSource};
 use crate::view::ServerView;
 use crate::StreamId;
 
@@ -174,10 +174,58 @@ pub trait FleetOps {
     ) -> Vec<(StreamId, f64)>;
 }
 
+/// The per-source state a workload update reads and writes, packed into
+/// one 32-byte record so the §3.1 test of a silent update touches half a
+/// cache line.
+///
+/// Two NaN sentinels keep it flat. Stream values are finite by contract
+/// (`from_values`, every update, and `decode` enforce it), so a NaN
+/// `last_reported` can only mean "never reported". NaN bounds mean the
+/// filter is not an `Interval` (`ReportAll` or `Cells`): the update then
+/// takes the cold path through [`Cold::filter`], which stays authoritative
+/// — the bounds here are a cache that only an install writes.
+#[derive(Clone, Copy, Debug)]
+#[repr(C, align(32))]
+struct Hot {
+    value: f64,
+    last_reported: f64,
+    lo: f64,
+    hi: f64,
+}
+
+impl Hot {
+    fn last_reported(&self) -> Option<f64> {
+        (!self.last_reported.is_nan()).then_some(self.last_reported)
+    }
+
+    /// Caches `filter`'s bounds (NaN unless it is an `Interval`).
+    fn set_bounds(&mut self, filter: &Filter) {
+        (self.lo, self.hi) = match *filter {
+            Filter::Interval { lo, hi } => (lo, hi),
+            Filter::ReportAll | Filter::Cells(_) => (f64::NAN, f64::NAN),
+        };
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<Hot>() == 32);
+
+/// The per-source state only installs, reports and snapshots touch.
+#[derive(Clone, Debug)]
+struct Cold {
+    filter: Filter,
+    traffic: u64,
+}
+
 /// All `n` stream sources of the simulated system.
+///
+/// Stored as two parallel columns, a hot 32-byte record per source
+/// and a cold record holding the filter and the traffic counter; callers
+/// see whole [`StreamSource`] values only as snapshots
+/// ([`SourceFleet::source`], [`SourceFleet::iter`]).
 #[derive(Clone, Debug)]
 pub struct SourceFleet {
-    sources: Vec<StreamSource>,
+    hot: Vec<Hot>,
+    cold: Vec<Cold>,
 }
 
 impl SourceFleet {
@@ -190,45 +238,74 @@ impl SourceFleet {
     pub fn from_values(initial: &[f64]) -> Self {
         assert!(!initial.is_empty(), "a fleet needs at least one source");
         assert!(u32::try_from(initial.len()).is_ok(), "too many sources");
-        let sources = initial
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| StreamSource::new(StreamId(i as u32), v))
-            .collect();
-        Self { sources }
+        let mut fleet = Self::with_capacity(initial.len());
+        for (i, &v) in initial.iter().enumerate() {
+            fleet.push(StreamSource::new(StreamId(i as u32), v));
+        }
+        fleet
+    }
+
+    fn with_capacity(n: usize) -> Self {
+        Self { hot: Vec::with_capacity(n), cold: Vec::with_capacity(n) }
+    }
+
+    fn push(&mut self, s: StreamSource) {
+        let mut hot = Hot {
+            value: s.value,
+            last_reported: s.last_reported.unwrap_or(f64::NAN),
+            lo: f64::NAN,
+            hi: f64::NAN,
+        };
+        hot.set_bounds(&s.filter);
+        self.hot.push(hot);
+        self.cold.push(Cold { filter: s.filter, traffic: s.traffic });
     }
 
     /// Number of sources.
     pub fn len(&self) -> usize {
-        self.sources.len()
+        self.hot.len()
     }
 
     /// Whether the fleet is empty (never true post-construction).
     pub fn is_empty(&self) -> bool {
-        self.sources.is_empty()
+        self.hot.is_empty()
     }
 
-    /// Read-only access to one source (ground truth — for oracles/tests).
-    pub fn source(&self, id: StreamId) -> &StreamSource {
-        &self.sources[id.index()]
+    /// A snapshot of one source (ground truth — for oracles/tests).
+    pub fn source(&self, id: StreamId) -> StreamSource {
+        let (hot, cold) = (&self.hot[id.index()], &self.cold[id.index()]);
+        StreamSource {
+            id,
+            value: hot.value,
+            last_reported: hot.last_reported(),
+            filter: cold.filter.clone(),
+            traffic: cold.traffic,
+        }
     }
 
-    /// Iterates over all sources (ground truth — for oracles/tests).
-    pub fn iter(&self) -> impl Iterator<Item = &StreamSource> {
-        self.sources.iter()
+    /// Snapshots of all sources in id order (ground truth — for
+    /// oracles/tests; [`Self::values`] reads values without copying
+    /// filters).
+    pub fn iter(&self) -> impl Iterator<Item = StreamSource> + '_ {
+        (0..self.len()).map(|i| self.source(StreamId(i as u32)))
+    }
+
+    /// Ground-truth current values in id order (oracle/test use only).
+    pub fn values(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        self.hot.iter().map(|h| h.value)
     }
 
     /// Ground-truth current value of a stream (oracle/test use only; the
     /// server must [`Self::probe`] to learn it).
     pub fn true_value(&self, id: StreamId) -> f64 {
-        self.sources[id.index()].value()
+        self.hot[id.index()].value
     }
 
     /// Serializes every source's full state (positionally) into a durable
     /// checkpoint.
     pub fn encode(&self, w: &mut asf_persist::StateWriter) {
-        w.put_u64(self.sources.len() as u64);
-        for s in &self.sources {
+        w.put_u64(self.len() as u64);
+        for s in self.iter() {
             s.encode(w);
         }
     }
@@ -242,11 +319,59 @@ impl SourceFleet {
         if n == 0 || n > r.remaining() / 18 + 1 {
             return Err(asf_persist::PersistError::corrupt("fleet length implausible"));
         }
-        let mut sources = Vec::with_capacity(n);
+        let mut fleet = Self::with_capacity(n);
         for i in 0..n {
-            sources.push(StreamSource::decode(StreamId(i as u32), r)?);
+            // `StreamSource::decode` rejects a non-finite value or
+            // last-reported and a NaN bound, so no decoded number can
+            // alias a NaN sentinel.
+            fleet.push(StreamSource::decode(StreamId(i as u32), r)?);
         }
-        Ok(Self { sources })
+        Ok(fleet)
+    }
+
+    /// Applies a workload value to source `i` and decides whether it must
+    /// report ([`must_report`]), without marking it reported. The hot path
+    /// of every update: an `Interval` filter on a reported source is
+    /// decided from the 32-byte hot record alone.
+    #[inline]
+    fn apply(&mut self, i: usize, value: f64) -> bool {
+        assert!(value.is_finite(), "stream values must be finite, got {value}");
+        let hot = &mut self.hot[i];
+        hot.value = value;
+        if hot.last_reported.is_nan() || hot.lo.is_nan() {
+            return must_report(&self.cold[i].filter, hot.last_reported(), value);
+        }
+        interval_violated(hot.lo, hot.hi, hot.last_reported, value)
+    }
+
+    /// Source `i`'s current value reached the server, carried by
+    /// `messages` messages of its traffic.
+    #[inline]
+    fn mark_reported(&mut self, i: usize, messages: u64) {
+        let hot = &mut self.hot[i];
+        hot.last_reported = hot.value;
+        self.cold[i].traffic += messages;
+    }
+
+    /// Installs `filter` at source `i` (one message of its traffic);
+    /// `Some(value)` iff the source must sync ([`must_sync`]), already
+    /// marked reported and charged.
+    fn install_at(&mut self, i: usize, filter: Filter) -> Option<f64> {
+        let (hot, cold) = (&mut self.hot[i], &mut self.cold[i]);
+        cold.traffic += 1;
+        hot.set_bounds(&filter);
+        let sync = must_sync(&filter, hot.last_reported(), hot.value);
+        cold.filter = filter;
+        sync.then(|| {
+            self.mark_reported(i, 1);
+            self.hot[i].value
+        })
+    }
+
+    /// Probes source `i` (two messages of its traffic); returns its value.
+    fn probe_at(&mut self, i: usize) -> f64 {
+        self.mark_reported(i, 2);
+        self.hot[i].value
     }
 
     /// Delivers a workload update to a source. If the source's filter is
@@ -260,10 +385,8 @@ impl SourceFleet {
         ledger: &mut Ledger,
         view: &mut ServerView,
     ) -> Option<f64> {
-        let src = &mut self.sources[id.index()];
-        if src.apply_value(value) {
-            src.mark_reported();
-            src.add_traffic(1);
+        if self.apply(id.index(), value) {
+            self.mark_reported(id.index(), 1);
             ledger.record(MessageKind::Update, 1);
             view.set(id, value);
             Some(value)
@@ -276,12 +399,9 @@ impl SourceFleet {
     /// reply = 2 messages). Refreshes the server view and the source's
     /// last-reported value, and returns the value.
     pub fn probe(&mut self, id: StreamId, ledger: &mut Ledger, view: &mut ServerView) -> f64 {
-        let src = &mut self.sources[id.index()];
         ledger.record(MessageKind::ProbeRequest, 1);
         ledger.record(MessageKind::ProbeReply, 1);
-        src.add_traffic(2);
-        src.mark_reported();
-        let v = src.value();
+        let v = self.probe_at(id.index());
         view.set(id, v);
         v
     }
@@ -289,7 +409,7 @@ impl SourceFleet {
     /// Probes every source (the Initialization phases' "request all streams
     /// to send their values"): `2n` messages.
     pub fn probe_all(&mut self, ledger: &mut Ledger, view: &mut ServerView) {
-        for i in 0..self.sources.len() {
+        for i in 0..self.len() {
             self.probe(StreamId(i as u32), ledger, view);
         }
     }
@@ -307,18 +427,12 @@ impl SourceFleet {
         view: &mut ServerView,
     ) -> Option<f64> {
         ledger.record(MessageKind::FilterInstall, 1);
-        let src = &mut self.sources[id.index()];
-        src.add_traffic(1);
-        if src.install(filter) {
-            src.mark_reported();
-            src.add_traffic(1);
+        let sync = self.install_at(id.index(), filter);
+        if let Some(v) = sync {
             ledger.record(MessageKind::Update, 1);
-            let v = src.value();
             view.set(id, v);
-            Some(v)
-        } else {
-            None
         }
+        sync
     }
 
     /// Broadcasts a filter to every source (`n` messages). Returns the sync
@@ -330,7 +444,7 @@ impl SourceFleet {
         ledger: &mut Ledger,
         view: &mut ServerView,
     ) -> Vec<(StreamId, f64)> {
-        ledger.record(MessageKind::FilterBroadcast, self.sources.len() as u64);
+        ledger.record(MessageKind::FilterBroadcast, self.len() as u64);
         let syncs = self.install_all_unmetered(filter, view);
         for _ in &syncs {
             ledger.record(MessageKind::Update, 1);
@@ -367,14 +481,11 @@ impl SourceFleet {
         syncs: &mut Vec<(StreamId, f64)>,
     ) {
         syncs.clear();
-        for src in &mut self.sources {
-            src.add_traffic(1);
-            if src.install(filter.clone()) {
-                src.mark_reported();
-                src.add_traffic(1);
-                let v = src.value();
-                view.set(src.id(), v);
-                syncs.push((src.id(), v));
+        for i in 0..self.len() {
+            if let Some(v) = self.install_at(i, filter.clone()) {
+                let id = StreamId(i as u32);
+                view.set(id, v);
+                syncs.push((id, v));
             }
         }
     }
@@ -394,10 +505,7 @@ impl SourceFleet {
         ledger.record(MessageKind::ProbeRequest, ids.len() as u64);
         ledger.record(MessageKind::ProbeReply, ids.len() as u64);
         for &id in ids {
-            let src = &mut self.sources[id.index()];
-            src.add_traffic(2);
-            src.mark_reported();
-            let v = src.value();
+            let v = self.probe_at(id.index());
             view.set(id, v);
             out.push(v);
         }
@@ -417,13 +525,8 @@ impl SourceFleet {
         syncs.clear();
         ledger.record(MessageKind::FilterInstall, installs.len() as u64);
         for (id, filter) in installs {
-            let src = &mut self.sources[id.index()];
-            src.add_traffic(1);
-            if src.install(filter.clone()) {
-                src.mark_reported();
-                src.add_traffic(1);
+            if let Some(v) = self.install_at(id.index(), filter.clone()) {
                 ledger.record(MessageKind::Update, 1);
-                let v = src.value();
                 view.set(*id, v);
                 syncs.push((*id, v));
             }
@@ -458,22 +561,34 @@ impl SourceFleet {
 /// delivered report (value applied, last-reported refreshed, source traffic
 /// charged, **nothing** recorded in any ledger or view: the coordinator
 /// meters reports when it consumes them in sequence order). Every
-/// application is journaled here with the source's prior state so that an
-/// invalidation — the protocol touching the fleet while handling an
-/// earlier report — can roll the fleet back to any sequence point exactly.
+/// application is journaled here with the source's prior value and
+/// last-reported value and whether it reported, so that an invalidation —
+/// the protocol touching the fleet while handling an earlier report — can
+/// roll the fleet back to any sequence point exactly.
+///
+/// Rollback un-charges traffic (`-1` per undone report) rather than
+/// restoring an absolute count. That is exact because nothing else touches
+/// a source between a speculative application and its rollback: the server
+/// lets a handler touch a single stream without a cut only when that stream
+/// has no later speculated event, and a cut rolls back before the touching
+/// operation runs.
 #[derive(Clone, Debug, Default)]
 pub struct SpecLog {
     entries: Vec<SpecUndo>,
 }
 
+/// One journaled application — 32 bytes.
 #[derive(Clone, Copy, Debug)]
 struct SpecUndo {
     seq: u64,
     id: StreamId,
+    reported: bool,
     prev_value: f64,
-    prev_last_reported: Option<f64>,
-    prev_traffic: u64,
+    /// The prior hot `last_reported`, NaN sentinel included.
+    prev_last_reported: f64,
 }
+
+const _: () = assert!(std::mem::size_of::<SpecUndo>() == 32);
 
 impl SpecLog {
     /// Creates an empty log.
@@ -505,6 +620,7 @@ impl SpecLog {
     /// update applies the value only. Either way the prior state is
     /// journaled under `seq`; sequence numbers must be strictly
     /// increasing within one log generation.
+    #[inline]
     pub fn apply(
         &mut self,
         fleet: &mut SourceFleet,
@@ -516,21 +632,20 @@ impl SpecLog {
             self.entries.last().is_none_or(|e| e.seq < seq),
             "speculative sequence numbers must increase"
         );
-        let src = &mut fleet.sources[id.index()];
+        let i = id.index();
+        let prev = fleet.hot[i];
+        let reported = fleet.apply(i, value);
+        if reported {
+            fleet.mark_reported(i, 1);
+        }
         self.entries.push(SpecUndo {
             seq,
             id,
-            prev_value: src.value(),
-            prev_last_reported: src.last_reported(),
-            prev_traffic: src.traffic(),
+            reported,
+            prev_value: prev.value,
+            prev_last_reported: prev.last_reported,
         });
-        if src.apply_value(value) {
-            src.mark_reported();
-            src.add_traffic(1);
-            Some(value)
-        } else {
-            None
-        }
+        reported.then_some(value)
     }
 
     /// Commits applications with `seq < keep_below`, rolls back the rest
@@ -541,7 +656,11 @@ impl SpecLog {
             if e.seq < keep_below {
                 break;
             }
-            fleet.sources[e.id.index()].restore(e.prev_value, e.prev_last_reported, e.prev_traffic);
+            let i = e.id.index();
+            let hot = &mut fleet.hot[i];
+            hot.value = e.prev_value;
+            hot.last_reported = e.prev_last_reported;
+            fleet.cold[i].traffic -= u64::from(e.reported);
             self.entries.pop();
             undone += 1;
         }
@@ -835,5 +954,107 @@ mod tests {
         assert_eq!(fleet.true_value(StreamId(1)), 550.0);
         assert_eq!(fleet.source(StreamId(1)).traffic(), traffic_before);
         assert_eq!(fleet.source(StreamId(1)).last_reported(), Some(500.0));
+    }
+
+    /// Every observable field of every source.
+    type Observed = Vec<(u64, Option<u64>, Filter, u64)>;
+
+    fn observe(fleet: &SourceFleet) -> Observed {
+        fleet
+            .iter()
+            .map(|s| {
+                let last = s.last_reported().map(f64::to_bits);
+                (s.value().to_bits(), last, s.filter().clone(), s.traffic())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn spec_log_rollback_equals_clone_before_apply() {
+        let mut rng = simkit::SimRng::seed_from_u64(0x5BEC);
+        let filter = |rng: &mut simkit::SimRng, v: f64| match rng.index(5) {
+            0 => Filter::ReportAll,
+            1 => Filter::wildcard(),
+            2 => Filter::suppress(),
+            3 => Filter::cells(std::sync::Arc::from([v - 90.0, v - 10.0, v + 40.0])),
+            _ => Filter::interval(v - 60.0, v + 60.0),
+        };
+        for case in 0..300 {
+            let n = 1 + rng.index(6);
+            let initial: Vec<f64> = (0..n).map(|i| 100.0 * i as f64).collect();
+            let mut fleet = SourceFleet::from_values(&initial);
+            let (mut ledger, mut view) = (Ledger::new(), ServerView::new(n));
+            // Some sources stay never-reported; the rest carry any filter.
+            for (i, &v) in initial.iter().enumerate() {
+                if rng.index(4) > 0 {
+                    let id = StreamId(i as u32);
+                    fleet.probe(id, &mut ledger, &mut view);
+                    let f = filter(&mut rng, v);
+                    fleet.install(id, f, &mut ledger, &mut view);
+                }
+            }
+            let mut log = SpecLog::new();
+            let mut seq = 0u64;
+            for round in 0..8 {
+                // The reference: a clone of the observable state taken
+                // before every application.
+                let mut before = Vec::new();
+                let first = seq;
+                for _ in 0..rng.index(12) {
+                    before.push((seq, observe(&fleet)));
+                    let id = StreamId(rng.index(n) as u32);
+                    let v = fleet.true_value(id) + rng.range_f64(-150.0, 150.0);
+                    log.apply(&mut fleet, seq, id, v);
+                    seq += 1 + rng.index(2) as u64;
+                }
+                let after = observe(&fleet);
+                let keep_below = first + rng.index((seq - first) as usize + 2) as u64;
+                log.commit_below(&mut fleet, keep_below);
+                let want = before
+                    .into_iter()
+                    .find(|(s, _)| *s >= keep_below)
+                    .map_or(after, |(_, observed)| observed);
+                assert_eq!(observe(&fleet), want, "case {case} round {round}");
+                // Between speculation generations the server may touch any
+                // source.
+                if rng.index(2) == 0 {
+                    let id = StreamId(rng.index(n) as u32);
+                    let f = filter(&mut rng, fleet.true_value(id));
+                    fleet.install(id, f, &mut ledger, &mut view);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_never_aliases_the_nan_sentinels() {
+        use asf_persist::{PersistError, StateReader, StateWriter};
+        // A one-source fleet image: value, last-reported, interval filter,
+        // traffic.
+        let image = |last: Option<f64>, lo: f64, hi: f64| {
+            let mut w = StateWriter::new();
+            w.put_u64(1);
+            w.put_f64(5.0);
+            w.put_opt_f64(last);
+            w.put_u8(1);
+            w.put_f64(lo);
+            w.put_f64(hi);
+            w.put_u64(3);
+            w.into_bytes()
+        };
+        let decode = |bytes: Vec<u8>| SourceFleet::decode(&mut StateReader::new(&bytes));
+        let corrupt =
+            |r: asf_persist::Result<SourceFleet>| matches!(r, Err(PersistError::Corrupt(_)));
+
+        let fleet = decode(image(Some(1.0), 0.0, 10.0)).unwrap();
+        assert_eq!(fleet.source(StreamId(0)).last_reported(), Some(1.0));
+        let fleet = decode(image(None, 0.0, 10.0)).unwrap();
+        assert_eq!(fleet.source(StreamId(0)).last_reported(), None);
+        for last in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(corrupt(decode(image(Some(last), 0.0, 10.0))), "last_reported {last}");
+        }
+        for (lo, hi) in [(f64::NAN, 10.0), (0.0, f64::NAN), (f64::NAN, f64::NAN)] {
+            assert!(corrupt(decode(image(Some(1.0), lo, hi))), "bounds [{lo}, {hi}]");
+        }
     }
 }

@@ -9,19 +9,41 @@ use crate::StreamId;
 ///
 /// Holds the ground-truth current value, the value last reported to the
 /// server, and the installed filter. All message accounting is done by the
-/// caller ([`crate::fleet::SourceFleet`]), keeping this type pure state.
+/// caller, keeping this type pure state. [`crate::fleet::SourceFleet`]
+/// stores its sources in its own hot/cold layout and hands out
+/// `StreamSource` values as read-only snapshots; both apply the same two
+/// rules, the §3.1 report rule and the install-time sync rule.
 #[derive(Clone, Debug)]
 pub struct StreamSource {
-    id: StreamId,
-    value: f64,
+    pub(crate) id: StreamId,
+    pub(crate) value: f64,
     /// Last value the server has seen from this source (via report or
     /// probe). `None` until the first interaction: before the server knows
     /// anything, any update must be reported (there is no basis to filter).
-    last_reported: Option<f64>,
-    filter: Filter,
+    pub(crate) last_reported: Option<f64>,
+    pub(crate) filter: Filter,
     /// Total messages this source has sent or received; used for the energy
     /// accounting extension (shut-down sensors send/receive nothing).
-    traffic: u64,
+    pub(crate) traffic: u64,
+}
+
+/// The §3.1 report rule: a source holding `filter`, whose server last heard
+/// `last_reported`, must report `value` iff the filter is violated — or if
+/// the server has never heard from it (there is no basis to filter).
+#[inline]
+pub(crate) fn must_report(filter: &Filter, last_reported: Option<f64>, value: f64) -> bool {
+    last_reported.is_none_or(|prev| filter.violated(prev, value))
+}
+
+/// The install-time sync rule: a freshly installed `filter` forces an
+/// immediate report iff the server's knowledge is inconsistent with it —
+/// membership of the last reported value differs from membership of the
+/// actual current `value`. `ReportAll` and a never-reported source never
+/// sync (the next update reports anyway).
+#[inline]
+pub(crate) fn must_sync(filter: &Filter, last_reported: Option<f64>, value: f64) -> bool {
+    !matches!(filter, Filter::ReportAll)
+        && last_reported.is_some_and(|prev| filter.violated(prev, value))
 }
 
 impl StreamSource {
@@ -61,18 +83,6 @@ impl StreamSource {
         self.traffic
     }
 
-    pub(crate) fn add_traffic(&mut self, n: u64) {
-        self.traffic += n;
-    }
-
-    /// Restores value / last-reported / traffic — speculative-execution
-    /// rollback support for [`crate::fleet::SpecLog`].
-    pub(crate) fn restore(&mut self, value: f64, last_reported: Option<f64>, traffic: u64) {
-        self.value = value;
-        self.last_reported = last_reported;
-        self.traffic = traffic;
-    }
-
     /// Serializes the full source state (value, last-reported, filter,
     /// traffic) into a durable checkpoint. The id is not written — it is
     /// positional in the fleet encoding.
@@ -108,10 +118,7 @@ impl StreamSource {
     pub fn apply_value(&mut self, new_value: f64) -> bool {
         assert!(new_value.is_finite(), "stream values must be finite, got {new_value}");
         self.value = new_value;
-        match self.last_reported {
-            None => true,
-            Some(prev) => self.filter.violated(prev, new_value),
-        }
+        must_report(&self.filter, self.last_reported, new_value)
     }
 
     /// Marks the current value as known to the server (report or probe
@@ -132,11 +139,7 @@ impl StreamSource {
     /// §3.2).
     pub fn install(&mut self, filter: Filter) -> bool {
         self.filter = filter;
-        match (&self.filter, self.last_reported) {
-            (Filter::ReportAll, _) => false,
-            (_, None) => false, // nothing reported yet; first update will report
-            (f, Some(prev)) => f.violated(prev, self.value),
-        }
+        must_sync(&self.filter, self.last_reported, self.value)
     }
 }
 
@@ -232,7 +235,7 @@ mod tests {
         s.mark_reported();
         s.install(Filter::interval(400.0, 600.0));
         s.apply_value(550.0);
-        s.add_traffic(7);
+        s.traffic = 7;
         let mut w = StateWriter::new();
         s.encode(&mut w);
         let bytes = w.into_bytes();
