@@ -86,7 +86,7 @@ use crate::answer::AnswerSet;
 use crate::error::ConfigError;
 use crate::protocol::{Protocol, ServerCtx};
 use crate::query::{RankQuery, RankSpace};
-use crate::rank::cmp_key;
+use crate::rank::{cmp_key, Ranks};
 
 /// An f64 rank key with the total order of [`cmp_key`], so probed
 /// expansion-search candidates can live in a `BTreeSet` ordered exactly
@@ -105,6 +105,46 @@ impl Ord for TotalKey {
 impl PartialOrd for TotalKey {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+/// The expansion search's "old ranking scores": the ranking at its entry,
+/// read lazily. The search stops a few ranks past `ε + 1`, so it starts
+/// from the top `2(ε + 1)` pairs instead of all `n`, and doubles the
+/// snapshot whenever a ring passes it.
+///
+/// Extending from the *current* ranking is exact because the search
+/// re-keys only streams it probed, and it probes only snapshot members:
+/// every other stream keeps its entry key, hence its relative order and its
+/// place behind the whole snapshot. The old pairs past the snapshot are
+/// therefore the current ranking minus the snapshot's ids, and among the
+/// current top `2L` at least `L` are not snapshot members.
+struct OldRanking {
+    pairs: Vec<(f64, StreamId)>,
+    /// How many streams the ranking holds.
+    total: usize,
+}
+
+impl OldRanking {
+    fn new(ranks: &Ranks<'_>, len: usize) -> Self {
+        Self { pairs: ranks.top_pairs(len.min(ranks.len())), total: ranks.len() }
+    }
+
+    /// The number of old pairs read so far.
+    fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// Doubles the snapshot (capped at the population) from `ranks`, the
+    /// current ranking.
+    fn extend(&mut self, ranks: &Ranks<'_>) {
+        let len = self.pairs.len();
+        let want = (2 * len).min(self.total);
+        let mut taken: Vec<StreamId> = self.pairs.iter().map(|&(_, id)| id).collect();
+        taken.sort_unstable();
+        let fresh =
+            ranks.top_pairs(want).into_iter().filter(|(_, id)| taken.binary_search(id).is_err());
+        self.pairs.extend(fresh.take(want - len));
     }
 }
 
@@ -327,7 +367,9 @@ impl Rtp {
 
     /// Maintenance step 4: expanding ring search for replacement candidates.
     ///
-    /// The candidate set `U(t)` is maintained *incrementally*: each ring
+    /// The old ranking is an [`OldRanking`]: the top `2(ε + 1)` pairs at
+    /// entry, doubled only when a ring passes them. The candidate set
+    /// `U(t)` is maintained *incrementally*: each ring
     /// step probes only the streams it newly covers and files them in a
     /// `(key, id)`-ordered set, so checking "does `R'` hold two candidates
     /// yet?" is a bounded range peek instead of a full re-scan of `probed`
@@ -340,10 +382,9 @@ impl Rtp {
         self.expansions += 1;
         ctx.set_cause(Cause::ExpansionRing);
         let space = self.query.space();
-        // Snapshot of the server's "old ranking scores" at entry (O(n) off
-        // the maintained index; one sort on the differential baseline).
-        let old: Vec<(f64, StreamId)> = ctx.ranks(space).ordered_pairs();
-        let n = old.len();
+        // The server's "old ranking scores" at entry, read lazily.
+        let mut old = OldRanking::new(&ctx.ranks(space), 2 * (self.epsilon() + 1));
+        let n = old.total;
         let mut probed: BTreeSet<StreamId> = BTreeSet::new();
         // U(t): probed non-answer streams ordered by *current* (post-probe)
         // key. Values are frozen during resolution, so a candidate's key is
@@ -353,14 +394,17 @@ impl Rtp {
         let mut ring: Vec<StreamId> = Vec::new();
 
         for j in (self.epsilon() + 1)..=n {
+            if j > old.len() {
+                old.extend(&ctx.ranks(space));
+            }
             // R' reaches the old j-th ranked stream.
-            let d_prime = old[j - 1].0;
+            let d_prime = old.pairs[j - 1].0;
             // Probe every stream the ring newly covers (streams of old rank
             // <= j, skipping answer members), in old rank order, as one
             // batch.
             ring.clear();
             while covered < j {
-                let id = old[covered].1;
+                let id = old.pairs[covered].1;
                 covered += 1;
                 if !self.answer.contains(id) && probed.insert(id) {
                     ring.push(id);
@@ -886,6 +930,76 @@ mod tests {
         // An unlisted X member holds the floor, which must then equal d.
         assert!(load(&state_bytes(10.0, &[2], 20.0, 0, &[])).is_err());
         assert!(load(&state_bytes(10.0, &[2], 10.0, 0, &[])).is_ok());
+    }
+
+    #[test]
+    fn old_ranking_extended_past_its_snapshot_equals_the_full_snapshot() {
+        // Between extensions, re-key some snapshot members — what the
+        // ring probes do — and the extended snapshot must still be the
+        // full ranking taken at entry, off the index at 1–4 parts and off
+        // a sort of the view alike. Keys tie often.
+        use crate::rank::RankForest;
+        let mut rng = simkit::SimRng::seed_from_u64(0x01D_4A4C);
+        let space = RankSpace::Knn { q: 500.0 };
+        let value = |rng: &mut simkit::SimRng| (rng.index(40) * 25) as f64;
+        for case in 0..60 {
+            let n = 2 + rng.index(200);
+            let mut view = ServerView::new(n);
+            for i in 0..n {
+                view.set(StreamId(i as u32), value(&mut rng));
+            }
+            let mut forest = RankForest::new(space, n, 1 + rng.index(4));
+            forest.rebuild_from_view(&view);
+            let full = forest.ordered_pairs();
+            let first = 1 + rng.index(12);
+            let mut indexed = OldRanking::new(&Ranks::Indexed(&forest), first);
+            let mut sorted = OldRanking::new(&Ranks::from_view(space, &view), first);
+            while indexed.len() < n {
+                for _ in 0..rng.index(indexed.len() + 1) {
+                    let (_, id) = indexed.pairs[rng.index(indexed.len())];
+                    let v = value(&mut rng);
+                    view.set(id, v);
+                    forest.update(id, v);
+                }
+                indexed.extend(&Ranks::Indexed(&forest));
+                sorted.extend(&Ranks::from_view(space, &view));
+            }
+            assert_eq!(indexed.pairs, full, "case {case}: indexed");
+            assert_eq!(sorted.pairs, full, "case {case}: sorted");
+        }
+    }
+
+    #[test]
+    fn expansion_ring_past_the_first_snapshot_matches_the_full_ranking() {
+        // 1-NN at q = 0 with r = 1 (ε = 2, a first snapshot of 6 pairs)
+        // over keys 1..=40. S2..S25 drift far away silently, X drains, and
+        // the answer leaves: the ring must walk the stale view past ranks
+        // 6, 12 and 24 until S26 and S27 (27, 28) are the two candidates,
+        // exactly as a search over the full ranking does.
+        use crate::engine::RankMode;
+        let initial: Vec<f64> = (1..=40).map(f64::from).collect();
+        let query = RankQuery::knn(0.0, 1).unwrap();
+        for mode in [RankMode::Indexed, RankMode::Sorted] {
+            let mut engine = Engine::with_rank_mode(&initial, Rtp::new(query, 1).unwrap(), mode);
+            engine.initialize();
+            assert_eq!(engine.protocol().threshold(), 2.5);
+            for s in 2..26u32 {
+                engine.apply_event(ev(1.0, s, 1000.0 + f64::from(s)));
+            }
+            engine.apply_event(ev(2.0, 1, 500.0)); // Case 1
+            let base = engine.ledger().total();
+            engine.apply_event(ev(3.0, 0, 600.0)); // Case 2, X - A empty
+            let p = engine.protocol();
+            assert_eq!((p.expansions(), p.reinits()), (1, 0), "{mode:?}");
+            assert_eq!(engine.answer().iter().collect::<Vec<_>>(), vec![StreamId(26)], "{mode:?}");
+            assert_eq!(p.x_set().iter().map(|s| s.0).collect::<Vec<_>>(), vec![26, 27]);
+            // Between S27 (28) and S28 (29), wider than the floor: a broadcast.
+            assert_eq!(p.threshold(), 28.5, "{mode:?}");
+            // Cost: report + 26 ring probes (S2..=S27, old ranks 1..=26) +
+            // the broadcast.
+            assert_eq!(engine.ledger().total(), base + 1 + 2 * 26 + 40, "{mode:?}");
+            assert_ledger_exact(&engine);
+        }
     }
 
     #[test]

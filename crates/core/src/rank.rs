@@ -1167,14 +1167,6 @@ impl Ranks<'_> {
         self.top_ids(self.len())
     }
 
-    /// Every ranked `(key, id)` pair, best-first.
-    pub fn ordered_pairs(&self) -> Vec<(f64, StreamId)> {
-        match self {
-            Ranks::Indexed(index) => index.ordered_pairs(),
-            Ranks::Sorted(pairs) => pairs.clone(),
-        }
-    }
-
     /// The 1-based rank of `id`, if ranked.
     pub fn rank_of(&self, id: StreamId) -> Option<usize> {
         match self {
@@ -1429,7 +1421,7 @@ mod tests {
             let sorted = Ranks::from_view(space, &view);
             assert_eq!(indexed.len(), sorted.len());
             assert_eq!(indexed.ordered_ids(), sorted.ordered_ids());
-            assert_eq!(indexed.ordered_pairs(), sorted.ordered_pairs());
+            assert_eq!(indexed.top_pairs(values.len()), sorted.top_pairs(values.len()));
             for m in 1..values.len() {
                 assert_eq!(indexed.select(m), sorted.select(m), "select {m} parts {parts}");
                 assert_eq!(indexed.midpoint(m), sorted.midpoint(m), "midpoint {m} parts {parts}");

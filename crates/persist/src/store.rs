@@ -190,6 +190,19 @@ fn peek_snapshot_seq(bytes: &[u8]) -> Option<u64> {
     Some(u64::from_le_bytes(seq.try_into().ok()?))
 }
 
+/// [`peek_snapshot_seq`] of a slot file, reading only the prefix that
+/// holds the claim; `None` for a missing or unreadable-as-snapshot file.
+fn peek_slot_seq(path: &Path) -> Result<Option<u64>> {
+    let file = match File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e.into()),
+    };
+    let mut prefix = Vec::with_capacity(HEADER_LEN + 16);
+    file.take((HEADER_LEN + 16) as u64).read_to_end(&mut prefix)?;
+    Ok(peek_snapshot_seq(&prefix))
+}
+
 /// Validates a snapshot file image and locates its parts: the checkpoint
 /// sequence and the byte range of the state payload within the image.
 /// `None` if invalid in any way (wrong header, torn, extra records, wrong
@@ -266,30 +279,28 @@ impl SnapshotStore {
 
     /// Opens the store and loads the newest valid checkpoint in one pass.
     ///
-    /// Recovery's hot path: each slot file is read at most once, and the
-    /// slot whose header *claims* the higher sequence is CRC-validated
+    /// Recovery's hot path: only the slot headers are peeked, and the slot
+    /// whose header *claims* the higher sequence is read and CRC-validated
     /// first — when it proves valid (the overwhelmingly common case) the
-    /// other slot is never scanned at all. `open` + [`latest`](Self::latest)
-    /// would read and checksum both slots twice.
+    /// other slot is never read at all, so recovery holds one image, not
+    /// two. `open` + [`latest`](Self::latest) would read and checksum both
+    /// slots twice.
     ///
     /// The store always writes next into the slot that does NOT hold the
     /// newest valid snapshot, so the newest survives a torn write.
     pub fn open_and_latest(dir: impl Into<PathBuf>) -> Result<(Self, Option<SnapshotImage>)> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let mut images: Vec<Option<Vec<u8>>> =
-            SLOT_NAMES.iter().map(|name| read_file(&dir.join(name))).collect::<Result<_>>()?;
-        let peeked: Vec<Option<u64>> =
-            images.iter().map(|img| img.as_deref().and_then(peek_snapshot_seq)).collect();
+        let peeked =
+            [peek_slot_seq(&dir.join(SLOT_NAMES[0]))?, peek_slot_seq(&dir.join(SLOT_NAMES[1]))?];
         // A corrupt slot may peek an arbitrary sequence; that only costs
         // one wasted validation before the other slot is tried.
         let order: [usize; 2] =
             if peeked[1].unwrap_or(0) > peeked[0].unwrap_or(0) { [1, 0] } else { [0, 1] };
         for slot in order {
-            if let Some(bytes) = &images[slot] {
-                if let Some((seq, state)) = parse_snapshot_bounds(bytes) {
+            if let Some(image) = read_file(&dir.join(SLOT_NAMES[slot]))? {
+                if let Some((seq, state)) = parse_snapshot_bounds(&image) {
                     let store = Self { dir, next_slot: slot ^ 1, crash: CrashPoint::default() };
-                    let image = images[slot].take().expect("slot image present");
                     return Ok((store, Some(SnapshotImage { image, state, seq })));
                 }
             }
@@ -382,29 +393,97 @@ fn list_segment_indices(dir: &Path) -> Result<Vec<u64>> {
     Ok(indices)
 }
 
-/// Strictly validates one sealed segment image and appends its entries to
-/// `out`, returning the segment's highest entry sequence. Sealed segments
-/// are immutable — a bad header, a torn tail, or a foreign record is
-/// corruption, never something to truncate around.
-fn read_sealed_segment(bytes: &[u8], out: &mut Vec<JournalEntry>) -> Result<u64> {
-    if decode_header(bytes)? != FileKind::Journal {
-        return Err(PersistError::corrupt("sealed segment has wrong kind"));
+/// How a journal file read by [`read_journal_file`] ended.
+enum JournalFile {
+    /// No such file.
+    Missing,
+    /// Shorter than a header, or a header that does not decode.
+    BadHeader,
+    /// A journal: `valid_end` is the file offset one past the last valid
+    /// record, `torn` whether bytes past it failed to verify.
+    Records { valid_end: u64, torn: bool },
+}
+
+/// Streams the journal file at `path` record by record, appending every
+/// fully-written entry to `out` — the record-by-record equivalent of
+/// [`scan_records`], so recovery never holds a journal file image beside
+/// the entries read from it. A CRC-valid record that is not a journal
+/// chunk is corruption; a wrong file kind is corruption.
+fn read_journal_file(path: &Path, out: &mut Vec<JournalEntry>) -> Result<JournalFile> {
+    let file = match File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(JournalFile::Missing),
+        Err(e) => return Err(e.into()),
+    };
+    let file_len = file.metadata()?.len();
+    if file_len < HEADER_LEN as u64 {
+        return Ok(JournalFile::BadHeader);
     }
-    let scan = scan_records(&bytes[HEADER_LEN..]);
-    if scan.torn_tail {
-        return Err(PersistError::corrupt("torn record in sealed journal segment"));
+    let mut reader = std::io::BufReader::new(file);
+    let mut header = [0u8; HEADER_LEN];
+    reader.read_exact(&mut header)?;
+    match decode_header(&header) {
+        Err(_) => return Ok(JournalFile::BadHeader),
+        Ok(FileKind::Journal) => {}
+        Ok(_) => return Err(PersistError::corrupt("journal file has wrong kind")),
     }
-    let mut max_seq = 0u64;
-    out.reserve(scan.records.len());
-    for rec in scan.records {
-        if rec.tag != TAG_JOURNAL_CHUNK || rec.payload.len() < 8 {
-            return Err(PersistError::corrupt("unexpected record in sealed journal segment"));
+    let mut pos = HEADER_LEN as u64;
+    let torn = loop {
+        let rest = file_len - pos;
+        if rest == 0 {
+            break false;
         }
-        let seq = u64::from_le_bytes(rec.payload[..8].try_into().expect("8 bytes"));
-        max_seq = max_seq.max(seq);
-        out.push(JournalEntry { seq, payload: rec.payload[8..].to_vec() });
+        if rest < RECORD_OVERHEAD as u64 {
+            break true;
+        }
+        let mut head = [0u8; 8];
+        reader.read_exact(&mut head)?;
+        let tag = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
+        let len = u32::from_le_bytes(head[4..].try_into().expect("4 bytes"));
+        if len > MAX_RECORD_LEN || u64::from(len) > rest - RECORD_OVERHEAD as u64 {
+            break true;
+        }
+        // `seq | body`; a payload shorter than a seq is read whole into
+        // `seq`, which only serves to verify it before it is rejected.
+        let mut seq = [0u8; 8];
+        let seq_len = (len as usize).min(8);
+        reader.read_exact(&mut seq[..seq_len])?;
+        let mut body = vec![0u8; len as usize - seq_len];
+        reader.read_exact(&mut body)?;
+        let mut stored = [0u8; 4];
+        reader.read_exact(&mut stored)?;
+        let mut crc = Crc32::new();
+        crc.update(&head);
+        crc.update(&seq[..seq_len]);
+        crc.update(&body);
+        if crc.finish() != u32::from_le_bytes(stored) {
+            break true;
+        }
+        if tag != TAG_JOURNAL_CHUNK || len < 8 {
+            return Err(PersistError::corrupt("unexpected record in journal"));
+        }
+        out.push(JournalEntry { seq: u64::from_le_bytes(seq), payload: body });
+        pos += (RECORD_OVERHEAD + len as usize) as u64;
+    };
+    Ok(JournalFile::Records { valid_end: pos, torn })
+}
+
+/// Strictly reads one sealed segment, appending its entries to `out`, and
+/// returns its highest entry sequence and its length. Sealed segments are
+/// immutable — a bad header, a torn tail, or a foreign record is
+/// corruption, never something to truncate around.
+fn read_sealed_segment(path: &Path, out: &mut Vec<JournalEntry>) -> Result<(u64, u64)> {
+    let start = out.len();
+    match read_journal_file(path, out)? {
+        JournalFile::Missing => Err(PersistError::corrupt("segment vanished")),
+        JournalFile::BadHeader => Err(PersistError::corrupt("sealed segment header unreadable")),
+        JournalFile::Records { torn: true, .. } => {
+            Err(PersistError::corrupt("torn record in sealed journal segment"))
+        }
+        JournalFile::Records { valid_end, torn: false } => {
+            Ok((out[start..].iter().map(|e| e.seq).max().unwrap_or(0), valid_end))
+        }
     }
-    Ok(max_seq)
 }
 
 /// One sealed (immutable) journal segment on disk.
@@ -464,36 +543,17 @@ impl Journal {
         let mut entries = Vec::new();
         let mut sealed = Vec::new();
         for index in list_segment_indices(dir)? {
-            let path = dir.join(segment_name(index));
-            let bytes =
-                read_file(&path)?.ok_or_else(|| PersistError::corrupt("segment vanished"))?;
-            let max_seq = read_sealed_segment(&bytes, &mut entries)?;
-            sealed.push(SealedSegment { index, bytes: bytes.len() as u64, max_seq });
+            let (max_seq, bytes) =
+                read_sealed_segment(&dir.join(segment_name(index)), &mut entries)?;
+            sealed.push(SealedSegment { index, bytes, max_seq });
         }
         let next_segment = sealed.last().map_or(0, |s| s.index + 1);
         let path = dir.join(JOURNAL_NAME);
-        let existing = read_file(&path)?;
-        let valid_end = match existing {
-            None => None,
-            Some(ref bytes) => {
-                if bytes.len() < HEADER_LEN || decode_header(bytes).is_err() {
-                    // Header itself never fully landed: start the file over.
-                    None
-                } else if decode_header(bytes)? != FileKind::Journal {
-                    return Err(PersistError::corrupt("journal file has wrong kind"));
-                } else {
-                    let scan = scan_records(&bytes[HEADER_LEN..]);
-                    entries.reserve(scan.records.len());
-                    for rec in scan.records {
-                        if rec.tag != TAG_JOURNAL_CHUNK || rec.payload.len() < 8 {
-                            return Err(PersistError::corrupt("unexpected record in journal"));
-                        }
-                        let seq = u64::from_le_bytes(rec.payload[..8].try_into().expect("8 bytes"));
-                        entries.push(JournalEntry { seq, payload: rec.payload[8..].to_vec() });
-                    }
-                    Some((HEADER_LEN + scan.valid_len) as u64)
-                }
-            }
+        let valid_end = match read_journal_file(&path, &mut entries)? {
+            // A missing file, or a header that never fully landed: start
+            // the file over.
+            JournalFile::Missing | JournalFile::BadHeader => None,
+            JournalFile::Records { valid_end, .. } => Some(valid_end),
         };
         let mut file =
             OpenOptions::new().read(true).write(true).create(true).truncate(false).open(&path)?;
@@ -681,29 +741,9 @@ impl Journal {
         let dir = dir.as_ref();
         let mut out = Vec::new();
         for index in list_segment_indices(dir)? {
-            let bytes = read_file(&dir.join(segment_name(index)))?
-                .ok_or_else(|| PersistError::corrupt("segment vanished"))?;
-            read_sealed_segment(&bytes, &mut out)?;
+            read_sealed_segment(&dir.join(segment_name(index)), &mut out)?;
         }
-        let path = dir.join(JOURNAL_NAME);
-        let Some(bytes) = read_file(&path)? else {
-            return Ok(out);
-        };
-        if bytes.len() < HEADER_LEN || decode_header(&bytes).is_err() {
-            return Ok(out);
-        }
-        if decode_header(&bytes)? != FileKind::Journal {
-            return Err(PersistError::corrupt("journal file has wrong kind"));
-        }
-        let scan = scan_records(&bytes[HEADER_LEN..]);
-        out.reserve(scan.records.len());
-        for rec in scan.records {
-            if rec.tag != TAG_JOURNAL_CHUNK || rec.payload.len() < 8 {
-                return Err(PersistError::corrupt("unexpected record in journal"));
-            }
-            let seq = u64::from_le_bytes(rec.payload[..8].try_into().expect("8 bytes"));
-            out.push(JournalEntry { seq, payload: rec.payload[8..].to_vec() });
-        }
+        read_journal_file(&dir.join(JOURNAL_NAME), &mut out)?;
         Ok(out)
     }
 
@@ -835,6 +875,37 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    #[test]
+    fn open_and_latest_reads_past_a_newer_slot_that_fails_validation() {
+        // `open_and_latest` reads only the slot whose header claims the
+        // newer seq unless it fails validation; every case must agree with
+        // `latest`, which reads and validates both slots.
+        let dir = test_dir("snap-peek");
+        let mut store = SnapshotStore::open(&dir).unwrap();
+        store.save(7, b"older state").unwrap();
+        store.save(8, b"newer state").unwrap();
+        let newer = dir.join(SLOT_NAMES[1]);
+        let image = fs::read(&newer).unwrap();
+        let loaded = |dir: &Path| {
+            let (_, image) = SnapshotStore::open_and_latest(dir).unwrap();
+            let loaded = image.map(|img| (img.seq(), img.state().to_vec()));
+            assert_eq!(loaded, SnapshotStore::open(dir).unwrap().latest().unwrap());
+            loaded
+        };
+        assert_eq!(loaded(&dir), Some((8, b"newer state".to_vec())));
+        // A flipped state byte: the header still claims 8, the CRC fails.
+        let mut flipped = image.clone();
+        *flipped.iter_mut().rev().nth(6).unwrap() ^= 1;
+        fs::write(&newer, &flipped).unwrap();
+        assert_eq!(loaded(&dir), Some((7, b"older state".to_vec())));
+        // Shorter than the claim's prefix, and missing.
+        fs::write(&newer, &image[..HEADER_LEN + 4]).unwrap();
+        assert_eq!(loaded(&dir), Some((7, b"older state".to_vec())));
+        fs::remove_file(&newer).unwrap();
+        assert_eq!(loaded(&dir), Some((7, b"older state".to_vec())));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// What the streamed writers must put on disk: the `seq | body`
     /// payload framed by `encode_record`.
     fn framed(tag: u32, seq: u64, body: &[u8]) -> Vec<u8> {
@@ -923,6 +994,68 @@ mod tests {
                 JournalEntry { seq: 4, payload: b"chunk-four".to_vec() },
             ]
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn streamed_journal_reads_equal_a_scan_of_the_whole_image() {
+        // Journal reads stream record by record. Every truncation and every
+        // single-bit flip of an active journal must read exactly the
+        // entries `scan_records` finds in the whole image, and `open` must
+        // truncate to its `valid_len`; as a sealed segment, the same image
+        // must read the same entries, or be corruption when the scan finds
+        // a torn tail. A CRC-valid record too short for a seq is
+        // corruption.
+        let dir = test_dir("jrnl-stream");
+        let (path, segment) = (dir.join(JOURNAL_NAME), dir.join(segment_name(0)));
+        let mut j = Journal::open(&dir).unwrap();
+        for (seq, len) in [(0u64, 0usize), (3, 5), (10, 300), (11, 1)] {
+            j.append(seq, &vec![seq as u8; len]).unwrap();
+        }
+        drop(j);
+        let image = fs::read(&path).unwrap();
+        let mut variants: Vec<Vec<u8>> =
+            (0..=image.len()).map(|cut| image[..cut].to_vec()).collect();
+        for bit in HEADER_LEN * 8..image.len() * 8 {
+            let mut flipped = image.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            variants.push(flipped);
+        }
+        for bytes in &variants {
+            fs::write(&path, bytes).unwrap();
+            let (entries, valid_end, torn) = if bytes.len() < HEADER_LEN {
+                (Vec::new(), HEADER_LEN as u64, true)
+            } else {
+                let scan = scan_records(&bytes[HEADER_LEN..]);
+                let entries = scan.records.iter().map(|r| {
+                    assert!(r.tag == TAG_JOURNAL_CHUNK && r.payload.len() >= 8);
+                    let seq = u64::from_le_bytes(r.payload[..8].try_into().unwrap());
+                    JournalEntry { seq, payload: r.payload[8..].to_vec() }
+                });
+                (entries.collect(), (HEADER_LEN + scan.valid_len) as u64, scan.torn_tail)
+            };
+            assert_eq!(Journal::read_all(&dir).unwrap(), entries, "{} bytes", bytes.len());
+            let (j, read) = Journal::open_and_read(&dir).unwrap();
+            assert_eq!(
+                (read, j.len_bytes()),
+                (entries.clone(), valid_end),
+                "{} bytes",
+                bytes.len()
+            );
+            fs::remove_file(&path).unwrap();
+            fs::write(&segment, bytes).unwrap();
+            match (Journal::read_all(&dir), torn) {
+                (Err(PersistError::Corrupt(_)), true) => {}
+                (Ok(sealed), false) => assert_eq!(sealed, entries, "{} bytes", bytes.len()),
+                (other, _) => panic!("{} bytes, torn={torn}: sealed read {other:?}", bytes.len()),
+            }
+            fs::remove_file(&segment).unwrap();
+        }
+        let mut short = image;
+        encode_record(TAG_JOURNAL_CHUNK, b"seq", &mut short);
+        fs::write(&path, &short).unwrap();
+        assert!(matches!(Journal::read_all(&dir), Err(PersistError::Corrupt(_))));
+        assert!(matches!(Journal::open_and_read(&dir), Err(PersistError::Corrupt(_))));
         fs::remove_dir_all(&dir).unwrap();
     }
 

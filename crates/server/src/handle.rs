@@ -21,7 +21,7 @@ use std::thread::JoinHandle;
 use crate::shard::{Shard, ShardCmd, ShardReply};
 
 /// Bound of each MPSC command/reply channel in threaded mode. The
-/// coordinator gathers (or absorbs, or — for a scoped touch — stashes)
+/// coordinator gathers (or absorbs, or — for a fleet touch — stashes)
 /// every scatter's reply before it sends the same shard another command,
 /// so at most one command and one reply are ever in flight per shard; 2 — the only value any caller ever configured — keeps
 /// one slot of slack above that, so neither side blocks on a send, while

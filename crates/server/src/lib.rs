@@ -24,12 +24,14 @@
 //! * **Pipelined windows.** While the coordinator drains window *t*'s
 //!   reports the shards already evaluate window *t+1* (see [`pipeline`]);
 //!   this double-buffered coordinator is the only ingest path.
-//! * **Touch-invalidated commits.** Shards evaluate each batch
-//!   speculatively; a report handler that touches one stream with no
-//!   speculated successor event is forwarded with the speculation
-//!   standing, any other fleet touch commits exactly the prefix up to the
-//!   report being handled (see [`server`]) and everything later rolls back
-//!   and re-evaluates after the protocol reacts. The result is
+//! * **Touch-respeculated commits.** Shards evaluate each batch
+//!   speculatively; a report handler's `probe` / `install` carries the
+//!   touched streams' speculated positions, and the owning shard
+//!   respeculates just those (see [`router`]) while every other stream's
+//!   speculation stands. Only a fleet-wide operation commits exactly the
+//!   prefix up to the report being handled (see [`server`]) and rolls
+//!   everything later back to re-evaluate after the protocol reacts. The
+//!   result is
 //!   **byte-identical** to the single-threaded [`asf_core::engine::Engine`]
 //!   — same answers, same message ledger, same view — for any shard count,
 //!   verified per-protocol by `tests/server_shard_invariance.rs`.
@@ -196,8 +198,9 @@ mod tests {
     fn tiny_batch_size_survives_speculation_cuts() {
         // Regression: batch_size below the adaptive window floor used to
         // panic (`clamp` with min > max) on the first invalidation cut.
-        // RTP's overflow/expansion handlers probe and broadcast, so they
-        // cut reliably on a moving workload.
+        // The paper's RTP answers every redeployment with a broadcast, so
+        // it cuts reliably on a moving workload; the scoped RTP's installs
+        // respeculate instead, on the same tiny windows.
         use asf_core::protocol::Rtp;
         use asf_core::query::RankQuery;
 
@@ -211,18 +214,26 @@ mod tests {
         let events = collect_events(&mut w);
         let query = RankQuery::knn(500.0, 4).unwrap();
 
-        let mut engine = Engine::new(&initial, Rtp::new(query, 2).unwrap());
-        engine.initialize();
-        let mut vw = VecWorkload::new(initial.clone(), events.clone());
-        engine.run(&mut vw);
+        for paper in [true, false] {
+            let make = || if paper { Rtp::paper(query, 2) } else { Rtp::new(query, 2) }.unwrap();
+            let mut engine = Engine::new(&initial, make());
+            engine.initialize();
+            let mut vw = VecWorkload::new(initial.clone(), events.clone());
+            engine.run(&mut vw);
 
-        let config = ServerConfig::with_shards(3).batch_size(16);
-        let mut server = ShardedServer::new(&initial, Rtp::new(query, 2).unwrap(), config);
-        server.initialize();
-        server.ingest_batch(&events);
-        assert!(server.metrics().cuts > 0, "workload should exercise the cut path");
-        assert_eq!(server.answer(), engine.answer());
-        assert_eq!(server.ledger(), engine.ledger());
+            let config = ServerConfig::with_shards(3).batch_size(16);
+            let mut server = ShardedServer::new(&initial, make(), config);
+            server.initialize();
+            server.ingest_batch(&events);
+            let m = server.metrics();
+            if paper {
+                assert!(m.cuts > 0, "the paper's RTP should exercise the cut path");
+            } else {
+                assert!(m.respeculated > 0, "the scoped RTP should exercise respeculation");
+            }
+            assert_eq!(server.answer(), engine.answer(), "paper={paper}");
+            assert_eq!(server.ledger(), engine.ledger(), "paper={paper}");
+        }
     }
 
     #[test]

@@ -70,15 +70,20 @@ pub struct ServerMetrics {
     pub rolled_back: u64,
     /// Reports consumed by the protocol core.
     pub reports_consumed: u64,
-    /// Full speculation cuts: a report's handler touched the fleet in a
-    /// way that invalidated speculated work (a batch or fleet-wide
-    /// operation, or a single-stream one whose stream recurs before the
-    /// speculation tip), so every shard rolled back to the report.
+    /// Full speculation cuts: a report's handler issued a fleet-wide
+    /// operation (`broadcast`, `probe_all*`, `deliver`), so every shard
+    /// rolled back to the report.
     pub cuts: u64,
-    /// Scoped touches: single-stream `probe` / `install` operations
-    /// forwarded to the owning shard **without** a cut, because the stream
-    /// had no speculated successor event.
+    /// Fleet touches served without a cut: `probe` / `install` operations,
+    /// single or batch, forwarded to the owning shards with the touched
+    /// streams' speculated positions, which the shards respeculate.
     pub scoped_touches: u64,
+    /// Speculated applications rewound and re-applied around a fleet touch
+    /// (zero for touches of streams with no speculated successor).
+    pub respeculated: u64,
+    /// Respeculated applications whose report bit flipped, each inserted
+    /// into or removed from the tentative report stream.
+    pub respec_flips: u64,
     /// Per-shard committed-event counts (occupancy).
     pub shard_events: Vec<u64>,
     /// Per-shard cumulative speculative-evaluation busy time (ns).
@@ -273,7 +278,8 @@ impl ServerMetrics {
             }
         }
         format!(
-            "batches={} rounds={} cuts={} scoped_touches={} events={} reports={} rolled_back={} \
+            "batches={} rounds={} cuts={} scoped_touches={} respeculated={} respec_flips={} \
+             events={} reports={} rolled_back={} \
              parallel_fraction={:.3} occupancy_skew={} window_depth={} \
              coalesced_reports_per_group={} overlap_saved={:.1}us \
              batch_apply p50={}us p99={}us",
@@ -281,6 +287,8 @@ impl ServerMetrics {
             self.rounds,
             self.cuts,
             self.scoped_touches,
+            self.respeculated,
+            self.respec_flips,
             self.events,
             self.reports_consumed,
             self.rolled_back,
@@ -307,6 +315,8 @@ impl ServerMetrics {
         reg.counter("server.reports_consumed", self.reports_consumed);
         reg.counter("server.cuts", self.cuts);
         reg.counter("server.scoped_touches", self.scoped_touches);
+        reg.counter("server.respeculated", self.respeculated);
+        reg.counter("server.respec_flips", self.respec_flips);
         reg.counter("server.report_groups", self.report_groups);
         reg.counter("server.max_inflight_windows", self.max_inflight_windows);
         reg.counter("server.shard_busy_ns", self.shard_busy_ns.iter().sum());

@@ -1,19 +1,20 @@
 //! The per-chunk **stream-occurrence index**: where does a stream occur
-//! next in the chunk being ingested?
+//! later in the chunk being ingested?
 //!
-//! [`crate::router::GuardedRouter`] asks it before a single-stream fleet
-//! operation (`probe` / `install`) issued while handling the report at
-//! chunk position `c`: sources are independent, so the operation can only
-//! invalidate speculated events *of that same stream* in `(c, tip)`. If
-//! the stream does not occur there, the speculation stands and the
-//! operation is forwarded without a cut.
+//! [`crate::router::GuardedRouter`] asks it for every stream a fleet
+//! operation (`probe` / `install`, single or batch) touches while handling
+//! the report at chunk position `c`: sources are independent, so the
+//! operation can only invalidate speculated events *of the streams it
+//! touches* in `(c, tip)`, and exactly those positions are respeculated on
+//! the owning shard. A stream that does not occur there needs nothing but
+//! the operation itself.
 //!
 //! Two `u32` columns — the first position per stream and, per chunk
 //! position, the next position of the same stream — built lazily by one
 //! reverse pass over the chunk's stream column on the first lookup, and
 //! reset by walking the same column at the chunk boundary. Chunks whose
-//! handlers never issue a single-stream operation pay nothing, and a
-//! server that never does allocates nothing.
+//! handlers never touch a stream pay nothing, and a server that never
+//! does allocates nothing.
 
 use streamnet::StreamId;
 
@@ -46,12 +47,7 @@ impl OccurrenceIndex {
     /// `id` is the stream there (the reporter re-installing its own
     /// filter — one step), else walks `id`'s chain from its first
     /// occurrence.
-    pub(crate) fn next_after(
-        &mut self,
-        streams: &[StreamId],
-        id: StreamId,
-        pos: usize,
-    ) -> Option<usize> {
+    fn next_after(&mut self, streams: &[StreamId], id: StreamId, pos: usize) -> Option<usize> {
         if !self.built {
             self.build(streams);
         }
@@ -61,6 +57,24 @@ impl OccurrenceIndex {
             p = self.next[p as usize];
         }
         (p != NONE).then_some(p as usize)
+    }
+
+    /// Appends every position of `id` in `(pos, tip)` to `out`, ascending
+    /// (the chain walk of [`Self::next_after`], continued to the tip).
+    pub(crate) fn positions_between(
+        &mut self,
+        streams: &[StreamId],
+        id: StreamId,
+        pos: usize,
+        tip: usize,
+        out: &mut Vec<u64>,
+    ) {
+        let Some(mut p) = self.next_after(streams, id, pos) else { return };
+        // `NONE as usize` is past every tip, so it ends the walk.
+        while p < tip {
+            out.push(p as u64);
+            p = self.next[p] as usize;
+        }
     }
 
     /// Forgets the chunk: `first` goes back to all-[`NONE`] by walking the
@@ -155,9 +169,36 @@ mod tests {
     }
 
     #[test]
+    fn positions_between_lists_the_speculated_occurrences_before_the_tip() {
+        //                      0  1  2  3  4  5  6  7
+        let streams = column(&[2, 0, 2, 1, 2, 0, 2, 0]);
+        let mut index = OccurrenceIndex::new(4);
+        let between = |index: &mut OccurrenceIndex, id: u32, pos: usize, tip: usize| {
+            let mut out = vec![99];
+            index.positions_between(&streams, StreamId(id), pos, tip, &mut out);
+            out
+        };
+        assert_eq!(between(&mut index, 2, 0, 8), vec![99, 2, 4, 6], "appends, from pos + 1");
+        assert_eq!(between(&mut index, 2, 1, 6), vec![99, 2, 4], "the tip is not speculated");
+        assert_eq!(between(&mut index, 0, 3, 7), vec![99, 5]);
+        assert_eq!(between(&mut index, 1, 3, 8), vec![99], "nothing after the last occurrence");
+        assert_eq!(between(&mut index, 3, 0, 8), vec![99], "a stream the chunk lacks");
+        for id in 0..4u32 {
+            for pos in 0..streams.len() {
+                for tip in pos + 1..=streams.len() {
+                    let scan: Vec<u64> = (pos + 1..tip)
+                        .filter(|&p| streams[p] == StreamId(id))
+                        .map(|p| p as u64)
+                        .collect();
+                    assert_eq!(between(&mut index, id, pos, tip)[1..], scan, "{id} {pos} {tip}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn a_next_occurrence_exactly_at_the_tip_is_not_speculated() {
-        // The router's collision test is `next_after(..) < tip`: positions
-        // `pos+1 .. tip` are speculated, `tip` itself is not.
+        // Positions `pos+1 .. tip` are speculated, `tip` itself is not.
         let streams = column(&[7, 1, 2, 7, 7]);
         let mut index = OccurrenceIndex::new(8);
         let next = index.next_after(&streams, StreamId(7), 0);

@@ -11,7 +11,7 @@
 //! speculatively. This is sound for exactly the same reason in-window
 //! speculation is sound — a report handler that touches no source state
 //! cannot change any evaluation, because sources are independent — and the
-//! guarded cut generalizes across the window boundary:
+//! guarded touch generalizes across the window boundary:
 //!
 //! ```text
 //!             ┌───────────── window t ─────────────┐┌─── window t+1 ───┐
@@ -28,25 +28,31 @@
 //!              ┌────────►│ scatter t+1 (speculative)│◄─────────┐
 //!              │         └────────────┬─────────────┘          │
 //!              │                      │ drain t's reports      │
-//!              │                      ▼                        │
-//!              │      ┌─ no handler touched the fleet ─┐       │
-//!              │      │  window t stands; gather t+1   ├───────┤
-//!              │      │  (its eval overlapped the      │       │ t := t+1
-//!              │      │   drain: `overlap_saved_ns`)   │       │
-//!              │      └────────────────────────────────┘       │
-//!              │                                               │
-//!              │      ┌─ handler touched ONE stream s at seq c,│
-//!              │      │  s has no event in (c, tip) ───┐       │
-//!              │      │ 1. early-gather the owning     │       │
-//!              │      │    shard's `Evaluated` reply   │       │
-//!              │      │    of t+1 into its slot        ├───────┘
-//!              │      │ 2. forward the op: the source  │ window t stands,
-//!              │      │    is in its exact serial state│ keep draining
-//!              │      └────────────────────────────────┘
+//!              │                      ▼ (index loop)           │
+//!              │      ┌─ no fleet-wide op in any handler ─┐    │
+//!              │      │  window t stands; gather t+1      ├────┘
+//!              │      │  (its eval overlapped the drain:  │  t := t+1
+//!              │      │   `overlap_saved_ns`)             │
+//!              │      └─────────────────▲─────────────────┘
+//!              │                        │ keep draining
+//!              │      ┌─ probe / install (single or batch) ─────┐
+//!              │      │  at seq c, touching streams S:          │
+//!              │      │ 1. positions of S in (c, tip), from the │
+//!              │      │    occurrence index (duplicates folded) │
+//!              │      │ 2. early-gather each owning shard's     │
+//!              │      │    `Evaluated` reply of t+1 into its    │
+//!              │      │    slot (FIFO channel)                  │
+//!              │      │ 3. one shard command per owner: rewind  │
+//!              │      │    those positions newest first, run    │
+//!              │      │    the op on the exact serial state,    │
+//!              │      │    re-apply them oldest first           │
+//!              │      │ 4. insert / remove the positions whose  │
+//!              │      │    report bit flipped, in t's `merged`  │
+//!              │      │    or in the stashed t+1 reply          │
+//!              │      └─────────────────────────────────────────┘
 //!              │
-//!              │      ┌─ any other fleet touch at seq c ──────────────┐
-//!              │      │ (batch / fleet-wide op, or a single stream    │
-//!              │      │  that recurs before the tip)                  │
+//!              │      ┌─ fleet-wide op at seq c ──────────────────────┐
+//!              │      │ (broadcast, probe_all*, deliver)              │
 //!   refill the │      │ 1. absorb t+1's `Evaluated` replies, stashed  │
 //!   pipe at    │      │    or not (reports discarded, buffers         │
 //!   c+1        │      │    recycled)                                  │
@@ -54,19 +60,22 @@
 //!              │      │    seq ≤ c stand, everything later — rest of  │
 //!              │      │    t *and* all of t+1 — rolls back, newest    │
 //!              │      │    first                                      │
-//!              │      │ 3. the touch executes against the exact       │
-//!              │      │    serial state; remaining reports of t are   │
-//!              │      │    dropped (they will re-evaluate)            │
+//!              │      │ 3. the op executes against the exact serial   │
+//!              │      │    state; remaining reports of t are dropped  │
+//!              │      │    (they will re-evaluate)                    │
 //!              └──────┤ 4. re-scatter from c+1 (adapted window)       │
 //!                     └───────────────────────────────────────────────┘
 //! ```
 //!
-//! The middle branch is the **scoped touch**: the *speculation tip* is one
-//! past the last chunk position scattered (window *t+1* included), and a
-//! single-stream `probe` / `install` on a stream that does not occur in
-//! `(c, tip)` can invalidate nothing — sources are independent — so the
-//! window loop below never learns of it (see
-//! [`crate::router::GuardedRouter`]).
+//! The middle branch is **per-stream respeculation**: the *speculation
+//! tip* is one past the last chunk position scattered (window *t+1*
+//! included), and a `probe` / `install` can invalidate only the touched
+//! streams' speculated events in `(c, tip)` — sources are independent — so
+//! exactly those are rewound and re-applied, and the window loop below
+//! never learns of it (see [`crate::router::GuardedRouter`]). A stream
+//! with no such event is the bare operation. A respeculation re-applies a
+//! subset of the suffix a cut would roll back and re-scan, so it never
+//! costs more than the cut it replaces.
 //!
 //! The cut's `commit_below(c + 1)` is the cross-window rollback: the
 //! [`streamnet::SpecLog`] journals both windows' applications under one
@@ -77,10 +86,11 @@
 //! ## Determinism
 //!
 //! Reports are consumed in sequence order, windows commit in order, and a
-//! touch either finds the one source it reaches in its exact serial state
-//! (scoped) or rolls speculation back to that state before it executes
-//! (cut) — so the pipelined coordinator is **byte-identical** to the
-//! single-threaded engine (answers, ledgers, view bits, report counts),
+//! touch either runs each source it reaches against its exact serial state
+//! and re-applies that source's later events as serial execution would
+//! (respeculation), or rolls speculation back to that state before it
+//! executes (cut) — so the pipelined coordinator is **byte-identical** to
+//! the single-threaded engine (answers, ledgers, view bits, report counts),
 //! for any shard count and execution mode.
 //! `tests/server_shard_invariance.rs`, `tests/batch_differential.rs` and
 //! `tests/scoped_touch_differential.rs` pin this per protocol.
@@ -127,7 +137,7 @@ impl<P: Protocol> ShardedServer<P> {
                     self.metrics.max_inflight_windows = self.metrics.max_inflight_windows.max(2);
                 }
 
-                let (cut_at, drain_pure) = self.drain_reports(next_end);
+                let (cut_at, drain_pure) = self.drain_reports(cur_end, next_end);
 
                 match cut_at {
                     Some(c) => {
@@ -223,47 +233,61 @@ mod tests {
 
     #[test]
     fn cross_window_touch_rolls_back_inflight_window() {
-        // RTP's overflow/expansion handlers probe and broadcast, so a
-        // moving workload reliably touches the fleet mid-drain — with a
-        // window in flight, the touch must absorb and roll it back, and
-        // still match the serial engine byte for byte. Two shapes: small
-        // windows, where cuts land with a window in flight, and a wide
-        // batch, where every cut lands on the last window of its chunk.
-        for (n, horizon, seed, k, shards, batch_size, cuts_inflight) in
+        // RTP's overflow/expansion handlers probe and install (the paper's
+        // deployment broadcasts), so a moving workload reliably touches the
+        // fleet mid-drain with a window in flight. A broadcast must absorb
+        // and roll the window back; the scoped deployment's probes and
+        // installs must respeculate inside it. Both must match the serial
+        // engine byte for byte. Two shapes: small windows, where touches
+        // land with a window in flight, and a wide batch, where every touch
+        // lands on the last window of its chunk.
+        for (n, horizon, seed, k, shards, batch_size, inflight) in
             [(30, 150.0, 11, 4, 3, 32, true), (40, 180.0, 23, 5, 4, 128, false)]
         {
             let (initial, events) = fixture(n, horizon, seed);
             let query = RankQuery::knn(500.0, k).unwrap();
+            for paper in [true, false] {
+                let make =
+                    || if paper { Rtp::paper(query, 2) } else { Rtp::new(query, 2) }.unwrap();
+                let mut engine = Engine::new(&initial, make());
+                engine.initialize();
+                let mut w = VecWorkload::new(initial.clone(), events.clone());
+                engine.run(&mut w);
 
-            let mut engine = Engine::new(&initial, Rtp::new(query, 2).unwrap());
-            engine.initialize();
-            let mut w = VecWorkload::new(initial.clone(), events.clone());
-            engine.run(&mut w);
+                let config = ServerConfig::with_shards(shards).batch_size(batch_size);
+                let mut server = ShardedServer::new(&initial, make(), config);
+                server.initialize();
+                server.ingest_batch(&events);
 
-            let config = ServerConfig::with_shards(shards).batch_size(batch_size);
-            let mut server = ShardedServer::new(&initial, Rtp::new(query, 2).unwrap(), config);
-            server.initialize();
-            server.ingest_batch(&events);
-
-            let m = server.metrics().clone();
-            assert!(m.cuts > 0, "workload should exercise the cut path");
-            assert!(
-                !cuts_inflight || m.discarded_reports > 0 || m.discarded_window_busy_ns > 0,
-                "at least one cut should land while a next window is in flight \
-                 (cuts={}, discarded_reports={})",
-                m.cuts,
-                m.discarded_reports
-            );
-            assert_eq!(server.answer(), engine.answer());
-            assert_eq!(server.ledger(), engine.ledger());
-            assert_eq!(server.reports_processed(), engine.reports_processed());
-            for i in 0..initial.len() {
-                let id = StreamId(i as u32);
-                assert_eq!(server.view().get(id), engine.view().get(id), "view diverged for {id}");
+                let m = server.metrics().clone();
+                let tag = format!("n={n} paper={paper}");
+                if paper {
+                    assert!(m.cuts > 0, "{tag}: the broadcasts should exercise the cut path");
+                    assert!(
+                        !inflight || m.discarded_reports > 0 || m.discarded_window_busy_ns > 0,
+                        "{tag}: at least one cut should land while a next window is in flight \
+                         (cuts={}, discarded_reports={})",
+                        m.cuts,
+                        m.discarded_reports
+                    );
+                } else {
+                    assert!(m.respeculated > 0, "{tag}: installs should respeculate");
+                }
+                assert_eq!(server.answer(), engine.answer(), "{tag}");
+                assert_eq!(server.ledger(), engine.ledger(), "{tag}");
+                assert_eq!(server.reports_processed(), engine.reports_processed(), "{tag}");
+                for i in 0..initial.len() {
+                    let id = StreamId(i as u32);
+                    assert_eq!(
+                        server.view().get(id),
+                        engine.view().get(id),
+                        "{tag}: view diverged for {id}"
+                    );
+                }
+                let truth = server.truth_values();
+                let serial_truth: Vec<f64> = engine.fleet().iter().map(|s| s.value()).collect();
+                assert_eq!(truth, serial_truth, "{tag}: rollback must restore exact source state");
             }
-            let truth = server.truth_values();
-            let serial_truth: Vec<f64> = engine.fleet().iter().map(|s| s.value()).collect();
-            assert_eq!(truth, serial_truth, "rollback must restore exact source state");
         }
     }
 }

@@ -18,21 +18,23 @@
 //! deployments, and reinit storms.
 //!
 //! During ingest the protocol sees the fleet through the
-//! [`GuardedRouter`], which decides per operation how much of the
-//! in-flight speculation it invalidates: a single-stream `probe` /
-//! `install` on a stream with no speculated successor event is a **scoped
-//! touch** (forwarded, nothing rolls back); everything else takes the
-//! **full cut**.
+//! [`GuardedRouter`], which keeps the in-flight speculation standing
+//! through every `probe` / `install` (single or batch): the touched
+//! streams' speculated positions travel with the operation and the owning
+//! shard **respeculates** them, reporting back only the positions whose
+//! report bit flipped. Only a fleet-wide operation (`broadcast`,
+//! `probe_all*`, `deliver`) takes the **full cut**.
 
 use std::time::Instant;
 
+use asf_core::workload::EventBatch;
 use asf_telemetry::{TraceDepth, TraceRing};
 use streamnet::{Filter, FleetOps, Ledger, MessageKind, ServerView, StreamId};
 
 use crate::handle::ShardHandle;
 use crate::metrics::FleetOpStats;
 use crate::occurrence::OccurrenceIndex;
-use crate::shard::{Partition, ShardCmd, ShardReply, SpecEvent};
+use crate::shard::{Partition, ShardCmd, ShardReply, SpecEvent, FLIP_REPORTS};
 
 /// The payload of one shard's `Evaluated` reply.
 #[derive(Debug)]
@@ -56,8 +58,9 @@ pub(crate) enum EvalSlot {
     Idle,
     /// The shard owes one `Evaluated` reply, still on its channel.
     Owed,
-    /// A scoped touch needed the shard's channel and gathered the reply
-    /// early; the window's gather (or absorb) consumes it from here.
+    /// A fleet touch needed the shard's channel and gathered the reply
+    /// early; respeculation flips are patched into it here, and the
+    /// window's gather (or absorb) consumes it from here.
     Stashed(EvalReply),
 }
 
@@ -93,22 +96,35 @@ fn recv_eval(handle: &mut ShardHandle) -> EvalReply {
 /// The coordinator-side view of the speculation standing beyond the report
 /// being handled: the rest of window *t* plus, while the pipe is full, the
 /// scattered-ahead window *t+1* the shards may still be evaluating. The
-/// [`GuardedRouter`] consults it on every fleet touch — to decide whether
-/// the touch can leave the speculation standing, and otherwise to absorb
-/// the outstanding `Evaluated` replies (discarding their tentative reports
-/// and recycling their buffers) before it commits the speculation cut,
-/// because per-shard channels are FIFO.
+/// [`GuardedRouter`] consults it on every fleet touch — to find the touched
+/// streams' speculated positions and patch the flips of their
+/// respeculation into the tentative report streams, or, for a fleet-wide
+/// operation, to absorb the outstanding `Evaluated` replies (discarding
+/// their tentative reports and recycling their buffers) before it commits
+/// the speculation cut, because per-shard channels are FIFO.
 pub(crate) struct InflightWindow<'a> {
     /// Per-shard reply state of the window in flight (all `Idle` when
     /// none is); drained by the absorb.
     pub shards: &'a mut [EvalSlot],
+    /// Window *t*'s gathered tentative reports with their shard, in `seq`
+    /// order — the drain's index loop reads it, and flips at positions
+    /// below `window_end` are patched into it.
+    pub merged: &'a mut Vec<(SpecEvent, usize)>,
+    /// One past window *t*'s last position: flips at or beyond it belong
+    /// to window *t+1*'s stashed replies.
+    pub window_end: usize,
     /// The speculation tip: one past the last chunk position any shard
     /// was asked to evaluate.
     pub tip: usize,
-    /// The chunk's stream column (position = `seq`).
-    pub streams: &'a [StreamId],
+    /// The chunk being ingested (position = `seq`): its stream column
+    /// feeds the occurrence index, and a flip's event is the chunk's event
+    /// at the flip's position.
+    pub chunk: &'a EventBatch,
     /// The chunk's stream-occurrence index (built on first use).
     pub occurrences: &'a mut OccurrenceIndex,
+    /// Pooled positions buffer of a single-stream touch: it travels to the
+    /// shard and comes back holding the flips.
+    pub positions: &'a mut Vec<u64>,
     /// Pooled per-shard `(kept, undone)` buffer a cut fills.
     pub commits: &'a mut Vec<(u32, u32)>,
     /// Buffer pool the absorbed report vectors are recycled into.
@@ -121,8 +137,12 @@ pub(crate) struct InflightWindow<'a> {
     pub discarded_busy_ns: &'a mut u64,
     /// Tentative reports discarded with the window (metrics).
     pub discarded_reports: &'a mut u64,
-    /// Single-stream operations forwarded without a cut (metrics).
+    /// Fleet touches served without a cut (metrics).
     pub scoped_touches: &'a mut u64,
+    /// Speculated applications rewound and re-applied (metrics).
+    pub respeculated: &'a mut u64,
+    /// Respeculated applications whose report bit flipped (metrics).
+    pub respec_flips: &'a mut u64,
 }
 
 /// A routing fleet over the shard handles (borrowed for one protocol call).
@@ -254,8 +274,184 @@ impl<'a> ShardRouter<'a> {
         }
     }
 
+    /// [`FleetOps::probe`], respeculating the source's applications at
+    /// `positions`; returns the value and the flips (in the same buffer).
+    fn probe_at(
+        &mut self,
+        id: StreamId,
+        positions: Vec<u64>,
+        ledger: &mut Ledger,
+        view: &mut ServerView,
+    ) -> (f64, Vec<u64>) {
+        let (handle, local) = self.route(id);
+        match handle.request(ShardCmd::Probe { local, positions }) {
+            ShardReply::Probed { value, flips } => {
+                ledger.record(MessageKind::ProbeRequest, 1);
+                ledger.record(MessageKind::ProbeReply, 1);
+                view.set(id, value);
+                (value, flips)
+            }
+            other => unreachable!("Probe got {other:?}"),
+        }
+    }
+
+    /// [`FleetOps::install`], respeculating the source's applications at
+    /// `positions`; returns the sync report and the flips (in the same
+    /// buffer).
+    fn install_at(
+        &mut self,
+        id: StreamId,
+        filter: Filter,
+        positions: Vec<u64>,
+        ledger: &mut Ledger,
+        view: &mut ServerView,
+    ) -> (Option<f64>, Vec<u64>) {
+        let (handle, local) = self.route(id);
+        match handle.request(ShardCmd::Install { local, filter, positions }) {
+            ShardReply::Installed { sync, flips } => {
+                ledger.record(MessageKind::FilterInstall, 1);
+                if let Some(v) = sync {
+                    ledger.record(MessageKind::Update, 1);
+                    view.set(id, v);
+                }
+                (sync, flips)
+            }
+            other => unreachable!("Install got {other:?}"),
+        }
+    }
+
+    /// [`FleetOps::probe_many`], respeculating `positions[s]` on each shard
+    /// `s` (an empty `positions` respeculates nothing); returns the
+    /// non-empty flip lists by shard.
+    fn probe_many_at(
+        &mut self,
+        ids: &[StreamId],
+        mut positions: Vec<Vec<u64>>,
+        ledger: &mut Ledger,
+        view: &mut ServerView,
+        out: &mut Vec<f64>,
+    ) -> Vec<(usize, Vec<u64>)> {
+        out.clear();
+        let mut all_flips = Vec::new();
+        if ids.is_empty() {
+            return all_flips;
+        }
+        // Scatter each shard's slice (in request order) and let the shards
+        // probe concurrently; probes are independent, so only the reassembly
+        // order below is observable — and it is the request order.
+        let started = Instant::now();
+        self.trace_begin("fleet_probe_many", ids.len() as u64);
+        let k = self.partition.shards();
+        let mut busy = vec![0u64; k];
+        let mut per_shard: Vec<Vec<u32>> = vec![Vec::new(); k];
+        for &id in ids {
+            per_shard[self.partition.shard_of(id)].push(self.partition.local_of(id));
+        }
+        let mut participants = Vec::new();
+        for (s, locals) in per_shard.into_iter().enumerate() {
+            if !locals.is_empty() {
+                let positions = positions.get_mut(s).map(std::mem::take).unwrap_or_default();
+                self.handles[s].send(ShardCmd::ProbeMany { locals, positions });
+                participants.push(s);
+            }
+        }
+        let mut values: Vec<Vec<f64>> = vec![Vec::new(); k];
+        for &s in &participants {
+            match self.handles[s].recv() {
+                ShardReply::ProbedMany { values: shard_values, flips, busy_ns } => {
+                    values[s] = shard_values;
+                    busy[s] = busy_ns;
+                    if !flips.is_empty() {
+                        all_flips.push((s, flips));
+                    }
+                }
+                other => unreachable!("ProbeMany got {other:?}"),
+            }
+        }
+        ledger.record(MessageKind::ProbeRequest, ids.len() as u64);
+        ledger.record(MessageKind::ProbeReply, ids.len() as u64);
+        out.reserve(ids.len());
+        let mut cursor = vec![0usize; k];
+        for &id in ids {
+            let s = self.partition.shard_of(id);
+            let v = values[s][cursor[s]];
+            cursor[s] += 1;
+            view.set(id, v);
+            out.push(v);
+        }
+        self.record_batch_op(started, &busy);
+        self.trace_end();
+        all_flips
+    }
+
+    /// [`FleetOps::install_many`], respeculating as
+    /// [`Self::probe_many_at`] does.
+    fn install_many_at(
+        &mut self,
+        installs: &[(StreamId, Filter)],
+        mut positions: Vec<Vec<u64>>,
+        ledger: &mut Ledger,
+        view: &mut ServerView,
+        syncs: &mut Vec<(StreamId, f64)>,
+    ) -> Vec<(usize, Vec<u64>)> {
+        syncs.clear();
+        let mut all_flips = Vec::new();
+        if installs.is_empty() {
+            return all_flips;
+        }
+        // Scatter each shard's slice (in installation order); installs touch
+        // only their own source, so the shards can run concurrently. Sync
+        // reports are reassembled in installation order — exactly the queue
+        // the serial per-stream loop would build.
+        let started = Instant::now();
+        self.trace_begin("fleet_install_many", installs.len() as u64);
+        let k = self.partition.shards();
+        let mut busy = vec![0u64; k];
+        let mut per_shard: Vec<Vec<(u32, Filter)>> = vec![Vec::new(); k];
+        for (id, filter) in installs {
+            per_shard[self.partition.shard_of(*id)]
+                .push((self.partition.local_of(*id), filter.clone()));
+        }
+        let mut participants = Vec::new();
+        for (s, items) in per_shard.into_iter().enumerate() {
+            if !items.is_empty() {
+                let positions = positions.get_mut(s).map(std::mem::take).unwrap_or_default();
+                self.handles[s].send(ShardCmd::InstallMany { items, positions });
+                participants.push(s);
+            }
+        }
+        let mut replies: Vec<Vec<Option<f64>>> = vec![Vec::new(); k];
+        for &s in &participants {
+            match self.handles[s].recv() {
+                ShardReply::InstalledMany { syncs: shard_syncs, flips, busy_ns } => {
+                    replies[s] = shard_syncs;
+                    busy[s] = busy_ns;
+                    if !flips.is_empty() {
+                        all_flips.push((s, flips));
+                    }
+                }
+                other => unreachable!("InstallMany got {other:?}"),
+            }
+        }
+        ledger.record(MessageKind::FilterInstall, installs.len() as u64);
+        let mut cursor = vec![0usize; k];
+        for (id, _) in installs {
+            let s = self.partition.shard_of(*id);
+            let sync = replies[s][cursor[s]];
+            cursor[s] += 1;
+            if let Some(v) = sync {
+                ledger.record(MessageKind::Update, 1);
+                view.set(*id, v);
+                syncs.push((*id, v));
+            }
+        }
+        self.record_batch_op(started, &busy);
+        self.trace_end();
+        all_flips
+    }
+
     /// Takes and discards the `Evaluated` replies of an in-flight window —
-    /// still on the channels or stashed by a scoped touch: its tentative
+    /// still on the channels or stashed by a fleet touch: its tentative
     /// reports are dropped (the cut below will roll their applications
     /// back) and its buffers recycled.
     fn absorb_evals(&mut self, inflight: &mut InflightWindow<'_>) {
@@ -274,30 +470,34 @@ impl<'a> ShardRouter<'a> {
     }
 }
 
-/// A [`ShardRouter`] that lazily *invalidates* exactly as much of the
-/// in-flight speculation as the protocol's fleet touches require.
+/// A [`ShardRouter`] that keeps the in-flight speculation exact through
+/// the protocol's fleet touches.
 ///
 /// The coordinator consumes speculative reports in sequence order; while a
 /// handler only mutates protocol state, the shards' optimistic evaluation
 /// of later events remains exactly serial (sources are independent). A
 /// fleet touch issued while handling the report at position `c` can change
 /// source state that speculated events in `(c, tip)` depend on — but only
-/// events of the sources it touches:
+/// events of the sources it touches. One rule covers every `probe`,
+/// `install`, `probe_many` and `install_many`:
 ///
-/// * **Scoped touch.** A single-stream `probe` / `install` whose stream
-///   does not occur in `(c, tip)` (asked of the chunk's stream-occurrence
-///   index) finds that source in precisely its serial state
-///   and invalidates nothing. It is forwarded straight to the owning shard
-///   — first gathering that one shard's outstanding `Evaluated` reply into
-///   its per-shard slot, because the channel is FIFO — and the speculation
-///   stands: no cut, no rollback, no re-scatter.
-/// * **Full cut.** A single-stream touch whose stream *does* recur before
-///   the tip (a collision), and every batch or fleet-wide operation
-///   (`install_many`, `probe_many`, `probe_all*`, `broadcast`, `deliver`),
-///   first commits every shard's log at `keep_below = c + 1`, rolling the
-///   fleet back to the precise serial state the operation must observe.
-///   Once the cut has fired, the rest of the handler's operations run
-///   against that state directly.
+/// 1. ask the chunk's stream-occurrence index for each touched stream's
+///    positions in `(c, tip)` (a batch folds duplicate ids);
+/// 2. gather each owning shard's outstanding `Evaluated` reply into its
+///    slot, because the channel is FIFO;
+/// 3. send the operation with those positions: the shard rewinds them,
+///    runs the operation against the exact serial state, and re-applies
+///    them against the new filter;
+/// 4. insert or remove exactly the positions whose report bit flipped —
+///    in window *t*'s `merged` stream or in the stashed window-*t+1*
+///    reply.
+///
+/// A stream with no positions is the bare operation, allocation-free.
+/// Only a fleet-wide operation (`broadcast`, `probe_all*`, `deliver`)
+/// takes the **full cut**: it commits every shard's log at
+/// `keep_below = c + 1`, rolling the fleet back to the precise serial state
+/// the operation must observe. Once the cut has fired, the rest of the
+/// handler's operations run against that state directly.
 pub struct GuardedRouter<'a> {
     inner: ShardRouter<'a>,
     keep_below: u64,
@@ -308,9 +508,9 @@ pub struct GuardedRouter<'a> {
 
 impl<'a> GuardedRouter<'a> {
     /// Wraps `inner` for the handler of the report at `keep_below - 1`; a
-    /// fleet touch that invalidates `inflight` will cut speculation at
-    /// `keep_below`, first absorbing the in-flight speculative window (if
-    /// any) — the cross-window rollback of the pipelined coordinator.
+    /// fleet-wide operation will cut speculation at `keep_below`, first
+    /// absorbing the in-flight speculative window (if any) — the
+    /// cross-window rollback of the pipelined coordinator.
     pub(crate) fn with_inflight(
         inner: ShardRouter<'a>,
         keep_below: u64,
@@ -333,22 +533,89 @@ impl<'a> GuardedRouter<'a> {
         }
     }
 
-    /// Prepares a single-stream operation on `id`: a scoped touch if no
-    /// speculated event of `id` follows the report being handled, else the
-    /// full cut.
-    fn touch_stream(&mut self, id: StreamId) {
-        if self.cut {
-            return;
-        }
+    /// Steps 1–2 of the touch rule for one stream: appends `id`'s
+    /// speculated positions to `positions` and stashes its owning shard's
+    /// outstanding reply. Returns the shard.
+    fn touch_stream(&mut self, id: StreamId, positions: &mut Vec<u64>) -> usize {
         let w = &mut self.inflight;
-        let pos = (self.keep_below - 1) as usize;
-        if w.occurrences.next_after(w.streams, id, pos).is_some_and(|p| p < w.tip) {
-            self.ensure_cut();
-            return;
-        }
+        let c = (self.keep_below - 1) as usize;
+        w.occurrences.positions_between(w.chunk.streams(), id, c, w.tip, positions);
         let s = self.inner.partition.shard_of(id);
         w.shards[s].stash(&mut self.inner.handles[s]);
-        *w.scoped_touches += 1;
+        s
+    }
+
+    /// Steps 1–2 for a single-stream operation, in the pooled positions
+    /// buffer: the owning shard and `id`'s positions.
+    fn touch_one(&mut self, id: StreamId) -> (usize, Vec<u64>) {
+        let mut positions = std::mem::take(self.inflight.positions);
+        positions.clear();
+        let s = self.touch_stream(id, &mut positions);
+        self.count_touch(positions.len());
+        (s, positions)
+    }
+
+    /// Step 4 for a single-stream operation; returns the buffer to the
+    /// pool.
+    fn patch_one(&mut self, s: usize, flips: Vec<u64>) {
+        self.patch(s, &flips);
+        *self.inflight.positions = flips;
+    }
+
+    /// [`Self::touch_stream`] over a batch: per-shard positions, ascending,
+    /// each once however often its stream recurs in `ids`.
+    fn touch_streams(&mut self, ids: impl Iterator<Item = StreamId>) -> Vec<Vec<u64>> {
+        let mut positions = vec![Vec::new(); self.inner.partition.shards()];
+        for id in ids {
+            let s = self.inner.partition.shard_of(id);
+            self.touch_stream(id, &mut positions[s]);
+        }
+        for shard_positions in &mut positions {
+            shard_positions.sort_unstable();
+            shard_positions.dedup();
+        }
+        self.count_touch(positions.iter().map(Vec::len).sum());
+        positions
+    }
+
+    /// Counts one fleet touch served without a cut, respeculating
+    /// `respeculated` applications.
+    fn count_touch(&mut self, respeculated: usize) {
+        *self.inflight.scoped_touches += 1;
+        *self.inflight.respeculated += respeculated as u64;
+    }
+
+    /// Step 4 of the touch rule: applies shard `s`'s flips to the tentative
+    /// report stream that holds their positions.
+    fn patch(&mut self, s: usize, flips: &[u64]) {
+        let w = &mut self.inflight;
+        *w.respec_flips += flips.len() as u64;
+        for &flip in flips {
+            let (seq, reports) = (flip & !FLIP_REPORTS, flip & FLIP_REPORTS != 0);
+            let p = seq as usize;
+            let local = self.inner.partition.local_of(w.chunk.streams()[p]);
+            let event = SpecEvent { seq, local, value: w.chunk.values()[p] };
+            if p < w.window_end {
+                let at = w.merged.partition_point(|(ev, _)| ev.seq < seq);
+                splice(w.merged, at, (event, s), reports);
+            } else {
+                let EvalSlot::Stashed(reply) = &mut w.shards[s] else {
+                    unreachable!("a respeculating shard's window-t+1 reply is stashed")
+                };
+                let at = reply.reports.partition_point(|ev| ev.seq < seq);
+                splice(&mut reply.reports, at, event, reports);
+            }
+        }
+    }
+}
+
+/// Inserts `item` at `at` if it now `reports`, else removes the entry
+/// there (which is its tentative report).
+fn splice<T>(reports: &mut Vec<T>, at: usize, item: T, now_reports: bool) {
+    if now_reports {
+        reports.insert(at, item);
+    } else {
+        reports.remove(at);
     }
 }
 
@@ -369,8 +636,13 @@ impl FleetOps for GuardedRouter<'_> {
     }
 
     fn probe(&mut self, id: StreamId, ledger: &mut Ledger, view: &mut ServerView) -> f64 {
-        self.touch_stream(id);
-        self.inner.probe(id, ledger, view)
+        if self.cut {
+            return self.inner.probe(id, ledger, view);
+        }
+        let (s, positions) = self.touch_one(id);
+        let (value, flips) = self.inner.probe_at(id, positions, ledger, view);
+        self.patch_one(s, flips);
+        value
     }
 
     fn probe_all(&mut self, ledger: &mut Ledger, view: &mut ServerView) {
@@ -395,14 +667,14 @@ impl FleetOps for GuardedRouter<'_> {
         view: &mut ServerView,
         out: &mut Vec<f64>,
     ) {
-        // An empty batch sends no messages — it is not a fleet touch, so it
-        // must not invalidate the in-flight speculation.
-        if ids.is_empty() {
-            out.clear();
-            return;
+        // An empty batch sends no messages — it is not a fleet touch.
+        if ids.is_empty() || self.cut {
+            return self.inner.probe_many(ids, ledger, view, out);
         }
-        self.ensure_cut();
-        self.inner.probe_many(ids, ledger, view, out)
+        let positions = self.touch_streams(ids.iter().copied());
+        for (s, flips) in self.inner.probe_many_at(ids, positions, ledger, view, out) {
+            self.patch(s, &flips);
+        }
     }
 
     fn install_many(
@@ -412,12 +684,13 @@ impl FleetOps for GuardedRouter<'_> {
         view: &mut ServerView,
         syncs: &mut Vec<(StreamId, f64)>,
     ) {
-        if installs.is_empty() {
-            syncs.clear();
-            return;
+        if installs.is_empty() || self.cut {
+            return self.inner.install_many(installs, ledger, view, syncs);
         }
-        self.ensure_cut();
-        self.inner.install_many(installs, ledger, view, syncs)
+        let positions = self.touch_streams(installs.iter().map(|(id, _)| *id));
+        for (s, flips) in self.inner.install_many_at(installs, positions, ledger, view, syncs) {
+            self.patch(s, &flips);
+        }
     }
 
     fn install(
@@ -427,8 +700,13 @@ impl FleetOps for GuardedRouter<'_> {
         ledger: &mut Ledger,
         view: &mut ServerView,
     ) -> Option<f64> {
-        self.touch_stream(id);
-        self.inner.install(id, filter, ledger, view)
+        if self.cut {
+            return self.inner.install(id, filter, ledger, view);
+        }
+        let (s, positions) = self.touch_one(id);
+        let (sync, flips) = self.inner.install_at(id, filter, positions, ledger, view);
+        self.patch_one(s, flips);
+        sync
     }
 
     fn broadcast(
@@ -470,16 +748,7 @@ impl FleetOps for ShardRouter<'_> {
     }
 
     fn probe(&mut self, id: StreamId, ledger: &mut Ledger, view: &mut ServerView) -> f64 {
-        let (handle, local) = self.route(id);
-        match handle.request(ShardCmd::Probe { local }) {
-            ShardReply::Probed(v) => {
-                ledger.record(MessageKind::ProbeRequest, 1);
-                ledger.record(MessageKind::ProbeReply, 1);
-                view.set(id, v);
-                v
-            }
-            other => unreachable!("Probe got {other:?}"),
-        }
+        self.probe_at(id, Vec::new(), ledger, view).0
     }
 
     fn probe_all(&mut self, ledger: &mut Ledger, view: &mut ServerView) {
@@ -503,51 +772,7 @@ impl FleetOps for ShardRouter<'_> {
         view: &mut ServerView,
         out: &mut Vec<f64>,
     ) {
-        out.clear();
-        if ids.is_empty() {
-            return;
-        }
-        // Scatter each shard's slice (in request order) and let the shards
-        // probe concurrently; probes are independent, so only the reassembly
-        // order below is observable — and it is the request order.
-        let started = Instant::now();
-        self.trace_begin("fleet_probe_many", ids.len() as u64);
-        let k = self.partition.shards();
-        let mut busy = vec![0u64; k];
-        let mut per_shard: Vec<Vec<u32>> = vec![Vec::new(); k];
-        for &id in ids {
-            per_shard[self.partition.shard_of(id)].push(self.partition.local_of(id));
-        }
-        let mut participants = Vec::new();
-        for (s, locals) in per_shard.into_iter().enumerate() {
-            if !locals.is_empty() {
-                self.handles[s].send(ShardCmd::ProbeMany { locals });
-                participants.push(s);
-            }
-        }
-        let mut values: Vec<Vec<f64>> = vec![Vec::new(); k];
-        for &s in &participants {
-            match self.handles[s].recv() {
-                ShardReply::ProbedMany { values: shard_values, busy_ns } => {
-                    values[s] = shard_values;
-                    busy[s] = busy_ns;
-                }
-                other => unreachable!("ProbeMany got {other:?}"),
-            }
-        }
-        ledger.record(MessageKind::ProbeRequest, ids.len() as u64);
-        ledger.record(MessageKind::ProbeReply, ids.len() as u64);
-        out.reserve(ids.len());
-        let mut cursor = vec![0usize; k];
-        for &id in ids {
-            let s = self.partition.shard_of(id);
-            let v = values[s][cursor[s]];
-            cursor[s] += 1;
-            view.set(id, v);
-            out.push(v);
-        }
-        self.record_batch_op(started, &busy);
-        self.trace_end();
+        self.probe_many_at(ids, Vec::new(), ledger, view, out);
     }
 
     fn install_many(
@@ -557,54 +782,7 @@ impl FleetOps for ShardRouter<'_> {
         view: &mut ServerView,
         syncs: &mut Vec<(StreamId, f64)>,
     ) {
-        syncs.clear();
-        if installs.is_empty() {
-            return;
-        }
-        // Scatter each shard's slice (in installation order); installs touch
-        // only their own source, so the shards can run concurrently. Sync
-        // reports are reassembled in installation order — exactly the queue
-        // the serial per-stream loop would build.
-        let started = Instant::now();
-        self.trace_begin("fleet_install_many", installs.len() as u64);
-        let k = self.partition.shards();
-        let mut busy = vec![0u64; k];
-        let mut per_shard: Vec<Vec<(u32, Filter)>> = vec![Vec::new(); k];
-        for (id, filter) in installs {
-            per_shard[self.partition.shard_of(*id)]
-                .push((self.partition.local_of(*id), filter.clone()));
-        }
-        let mut participants = Vec::new();
-        for (s, items) in per_shard.into_iter().enumerate() {
-            if !items.is_empty() {
-                self.handles[s].send(ShardCmd::InstallMany { items });
-                participants.push(s);
-            }
-        }
-        let mut replies: Vec<Vec<Option<f64>>> = vec![Vec::new(); k];
-        for &s in &participants {
-            match self.handles[s].recv() {
-                ShardReply::InstalledMany { syncs: shard_syncs, busy_ns } => {
-                    replies[s] = shard_syncs;
-                    busy[s] = busy_ns;
-                }
-                other => unreachable!("InstallMany got {other:?}"),
-            }
-        }
-        ledger.record(MessageKind::FilterInstall, installs.len() as u64);
-        let mut cursor = vec![0usize; k];
-        for (id, _) in installs {
-            let s = self.partition.shard_of(*id);
-            let sync = replies[s][cursor[s]];
-            cursor[s] += 1;
-            if let Some(v) = sync {
-                ledger.record(MessageKind::Update, 1);
-                view.set(*id, v);
-                syncs.push((*id, v));
-            }
-        }
-        self.record_batch_op(started, &busy);
-        self.trace_end();
+        self.install_many_at(installs, Vec::new(), ledger, view, syncs);
     }
 
     fn install(
@@ -614,20 +792,7 @@ impl FleetOps for ShardRouter<'_> {
         ledger: &mut Ledger,
         view: &mut ServerView,
     ) -> Option<f64> {
-        let (handle, local) = self.route(id);
-        match handle.request(ShardCmd::Install { local, filter }) {
-            ShardReply::Installed(sync) => {
-                ledger.record(MessageKind::FilterInstall, 1);
-                if let Some(v) = sync {
-                    ledger.record(MessageKind::Update, 1);
-                    view.set(id, v);
-                    Some(v)
-                } else {
-                    None
-                }
-            }
-            other => unreachable!("Install got {other:?}"),
-        }
+        self.install_at(id, filter, Vec::new(), ledger, view).0
     }
 
     fn broadcast(
@@ -681,7 +846,8 @@ mod tests {
 
     /// Window *t* is positions `0..2`, window *t+1* positions `2..6`.
     /// Stream 0 (shard 0) reports at 0 and never recurs; stream 1
-    /// (shard 1) reports at 1 and recurs at 4.
+    /// (shard 1) reports at 1 and again at 4 (back inside); stream 3
+    /// (shard 1) moves silently at 3.
     const EVENTS: [(u32, f64); 6] =
         [(0, 700.0), (1, 650.0), (2, 700.0), (3, 450.0), (1, 500.0), (2, 420.0)];
 
@@ -689,8 +855,10 @@ mod tests {
     struct Coordinator {
         handles: Vec<ShardHandle>,
         slots: Vec<EvalSlot>,
+        merged: Vec<(SpecEvent, usize)>,
         window: Arc<EventBatch>,
         occurrences: OccurrenceIndex,
+        positions: Vec<u64>,
         commits: Vec<(u32, u32)>,
         pool: Vec<Vec<SpecEvent>>,
         busy: Vec<u64>,
@@ -698,11 +866,14 @@ mod tests {
         discarded_busy_ns: u64,
         discarded_reports: u64,
         scoped_touches: u64,
+        respeculated: u64,
+        respec_flips: u64,
     }
 
     impl Coordinator {
         /// Two threaded shards over four streams at 500 under `[400, 600]`
-        /// filters, window *t* gathered and window *t+1* in flight.
+        /// filters, window *t* gathered into `merged` and window *t+1* in
+        /// flight.
         fn with_next_window_in_flight() -> Self {
             let partition = Partition::new(2);
             let mut handles: Vec<ShardHandle> = (0..2)
@@ -722,8 +893,10 @@ mod tests {
             let mut c = Self {
                 handles,
                 slots: vec![EvalSlot::Idle, EvalSlot::Idle],
+                merged: Vec::new(),
                 window: Arc::new(window),
                 occurrences: OccurrenceIndex::new(4),
+                positions: Vec::new(),
                 commits: Vec::new(),
                 pool: Vec::new(),
                 busy: vec![0; 2],
@@ -731,9 +904,12 @@ mod tests {
                 discarded_busy_ns: 0,
                 discarded_reports: 0,
                 scoped_touches: 0,
+                respeculated: 0,
+                respec_flips: 0,
             };
             c.scatter(0, 2);
-            assert_eq!(c.gather(), vec![(0, 0, 700.0), (1, 1, 650.0)]);
+            c.merged = c.take_window();
+            assert_eq!(c.window_t(), vec![(0, 0, 700.0), (1, 1, 650.0)]);
             c.scatter(2, 6);
             c
         }
@@ -750,32 +926,44 @@ mod tests {
             }
         }
 
-        /// The in-flight window's reports as `(seq, global stream, value)`.
-        fn gather(&mut self) -> Vec<(u64, u32, f64)> {
-            let partition = Partition::new(2);
+        /// The in-flight window's reports with their shard, in `seq` order.
+        fn take_window(&mut self) -> Vec<(SpecEvent, usize)> {
             let mut merged = Vec::new();
             for (s, (handle, slot)) in self.handles.iter_mut().zip(&mut self.slots).enumerate() {
                 let reply = slot.take(handle).expect("window in flight");
-                merged.extend(
-                    reply
-                        .reports
-                        .iter()
-                        .map(|ev| (ev.seq, partition.global_of(s, ev.local).0, ev.value)),
-                );
+                merged.extend(reply.reports.iter().map(|&ev| (ev, s)));
             }
-            merged.sort_by_key(|&(seq, ..)| seq);
+            merged.sort_by_key(|(ev, _)| ev.seq);
             merged
         }
 
-        /// Installs `[0, 1000]` at `id` from the handler of the report at
-        /// position `c`; returns whether the full cut fired.
-        fn install_from_handler(&mut self, c: u64, id: StreamId) -> bool {
+        /// Window *t*'s reports as `(seq, global stream, value)`.
+        fn window_t(&self) -> Vec<(u64, u32, f64)> {
+            triples(&self.merged)
+        }
+
+        /// Gathers window *t+1*'s reports as `(seq, global stream, value)`.
+        fn gather(&mut self) -> Vec<(u64, u32, f64)> {
+            let window = self.take_window();
+            triples(&window)
+        }
+
+        /// Runs `op` from the handler of the report at position `c`;
+        /// returns its result and whether the full cut fired.
+        fn run_in_handler<R>(
+            &mut self,
+            c: u64,
+            op: impl FnOnce(&mut GuardedRouter<'_>, &mut Ledger, &mut ServerView) -> R,
+        ) -> (R, bool) {
             let inner = ShardRouter::new(&mut self.handles, Partition::new(2), 4);
             let inflight = InflightWindow {
                 shards: &mut self.slots,
+                merged: &mut self.merged,
+                window_end: 2,
                 tip: EVENTS.len(),
-                streams: self.window.streams(),
+                chunk: &self.window,
                 occurrences: &mut self.occurrences,
+                positions: &mut self.positions,
                 commits: &mut self.commits,
                 pool: &mut self.pool,
                 shard_busy_ns: &mut self.busy,
@@ -783,14 +971,48 @@ mod tests {
                 discarded_busy_ns: &mut self.discarded_busy_ns,
                 discarded_reports: &mut self.discarded_reports,
                 scoped_touches: &mut self.scoped_touches,
+                respeculated: &mut self.respeculated,
+                respec_flips: &mut self.respec_flips,
             };
             let mut router = GuardedRouter::with_inflight(inner, c + 1, inflight);
             let (mut ledger, mut view) = (Ledger::new(), ServerView::new(4));
-            let sync = router.install(id, Filter::interval(0.0, 1000.0), &mut ledger, &mut view);
-            assert_eq!(sync, None, "the source is in its serial state: nothing to sync");
-            assert_eq!(ledger.count(MessageKind::FilterInstall), 1);
-            router.cut_fired()
+            let out = op(&mut router, &mut ledger, &mut view);
+            (out, router.cut_fired())
         }
+
+        /// Installs `[0, 1000]` at `id` from the handler of the report at
+        /// position `c`; returns whether the full cut fired.
+        fn install_from_handler(&mut self, c: u64, id: StreamId) -> bool {
+            let (sync, cut) = self.run_in_handler(c, |router, ledger, view| {
+                let sync = router.install(id, Filter::interval(0.0, 1000.0), ledger, view);
+                assert_eq!(ledger.count(MessageKind::FilterInstall), 1);
+                sync
+            });
+            assert_eq!(sync, None, "the source is in its serial state: nothing to sync");
+            cut
+        }
+
+        /// Every source's ground truth, in global order.
+        fn truth(&mut self) -> Vec<f64> {
+            let mut values = vec![0.0; 4];
+            for (s, handle) in self.handles.iter_mut().enumerate() {
+                let ShardReply::Truth(local) = handle.request(ShardCmd::TruthSnapshot) else {
+                    panic!("expected Truth")
+                };
+                for (l, v) in local.into_iter().enumerate() {
+                    values[Partition::new(2).global_of(s, l as u32).index()] = v;
+                }
+            }
+            values
+        }
+    }
+
+    fn triples(merged: &[(SpecEvent, usize)]) -> Vec<(u64, u32, f64)> {
+        let partition = Partition::new(2);
+        merged
+            .iter()
+            .map(|&(ev, s)| (ev.seq, partition.global_of(s, ev.local).0, ev.value))
+            .collect()
     }
 
     #[test]
@@ -806,24 +1028,78 @@ mod tests {
         assert!(!c.install_from_handler(0, StreamId(0)), "no successor, no cut");
         assert!(matches!(c.slots[0], EvalSlot::Stashed(_)), "shard 0's reply was gathered early");
         assert!(matches!(c.slots[1], EvalSlot::Owed), "shard 1 was not involved");
-        assert_eq!((c.scoped_touches, c.discarded_reports), (1, 0));
+        assert_eq!((c.scoped_touches, c.respeculated, c.discarded_reports), (1, 0, 0));
         assert!(c.commits.is_empty(), "no shard committed or rolled back");
+        assert_eq!(c.window_t(), vec![(0, 0, 700.0), (1, 1, 650.0)]);
         assert_eq!(c.gather(), expected, "the stash is invisible to the gather");
         assert!(c.slots.iter().all(|slot| matches!(slot, EvalSlot::Idle)));
     }
 
     #[test]
-    fn colliding_install_takes_the_full_cut_and_absorbs_stashed_replies() {
+    fn colliding_install_respeculates_and_a_broadcast_absorbs_stashed_replies() {
+        // Stream 1 recurs at 4 < tip: the install at it from the handler of
+        // its report at 1 respeculates position 4 instead of cutting. Under
+        // [0, 1000] the return to 500 is silent, so the stashed window-t+1
+        // reply loses that report.
         let mut c = Coordinator::with_next_window_in_flight();
         assert!(!c.install_from_handler(0, StreamId(0)));
-        // Stream 1 recurs at 4 < tip: the handler of the report at 1 must
-        // roll everything past it back — including the reply stashed above.
-        assert!(c.install_from_handler(1, StreamId(1)), "a speculated successor forces the cut");
+        assert!(!c.install_from_handler(1, StreamId(1)), "a collision respeculates");
+        assert!(c.commits.is_empty(), "nothing rolled back");
+        assert_eq!((c.scoped_touches, c.respeculated, c.respec_flips), (2, 1, 1));
+        assert!(c.slots.iter().all(|slot| matches!(slot, EvalSlot::Stashed(_))));
+        // Only a fleet-wide operation still cuts: it rolls everything past
+        // 1 back — including both stashed replies, one of them patched.
+        let (syncs, cut) = c.run_in_handler(1, |router, ledger, view| {
+            router.broadcast(Filter::interval(0.0, 1000.0), ledger, view)
+        });
+        assert!(cut && syncs.is_empty());
         assert!(c.slots.iter().all(|slot| matches!(slot, EvalSlot::Idle)), "window absorbed");
-        assert_eq!(c.discarded_reports, 3, "all of window t+1's tentative reports are dropped");
-        assert_eq!(c.scoped_touches, 1, "a cut is not a scoped touch");
-        // Positions 0..=1 stand, 2..6 roll back: shard 0 owns {0, 2, 5},
-        // shard 1 owns {1, 3, 4}.
+        assert_eq!(c.discarded_reports, 2, "window t+1's remaining reports are dropped");
+        assert_eq!(c.scoped_touches, 2, "a cut is not a scoped touch");
+        // Positions 0..=1 stand, 2..6 roll back — the re-journaled 4 too:
+        // shard 0 owns {0, 2, 5}, shard 1 owns {1, 3, 4}.
         assert_eq!(c.commits, vec![(1, 2), (1, 2)]);
+        assert_eq!(c.truth(), vec![700.0, 650.0, 500.0, 500.0]);
+    }
+
+    #[test]
+    fn respeculation_patches_flips_into_window_t_and_the_stashed_window() {
+        // From the handler of the report at 0: [0, 1000] at stream 1
+        // silences its reports at 1 (window t) and 4 (window t+1), and
+        // [0, 460] at stream 3 turns its silent move to 450 at 3 into a
+        // report. Once as two single installs, once as one batch that
+        // names stream 1 twice (its positions are respeculated once).
+        fn single(router: &mut GuardedRouter<'_>, ledger: &mut Ledger, view: &mut ServerView) {
+            let syncs = [
+                router.install(StreamId(1), Filter::interval(0.0, 1000.0), ledger, view),
+                router.install(StreamId(3), Filter::interval(0.0, 460.0), ledger, view),
+            ];
+            assert_eq!(syncs, [None, None]);
+        }
+        fn batch(router: &mut GuardedRouter<'_>, ledger: &mut Ledger, view: &mut ServerView) {
+            let wide = Filter::interval(0.0, 1000.0);
+            let plan = [
+                (StreamId(1), wide.clone()),
+                (StreamId(3), Filter::interval(0.0, 460.0)),
+                (StreamId(1), wide),
+            ];
+            let mut syncs = Vec::new();
+            router.install_many(&plan, ledger, view, &mut syncs);
+            assert!(syncs.is_empty());
+        }
+        type Op = fn(&mut GuardedRouter<'_>, &mut Ledger, &mut ServerView);
+        for (name, op, touches) in [("single", single as Op, 2), ("batch", batch as Op, 1)] {
+            let mut c = Coordinator::with_next_window_in_flight();
+            let ((), cut) = c.run_in_handler(0, op);
+            assert!(!cut, "{name}");
+            assert_eq!((c.scoped_touches, c.respeculated, c.respec_flips), (touches, 3, 3));
+            assert_eq!(c.window_t(), vec![(0, 0, 700.0)], "{name}: 1 left window t");
+            assert_eq!(
+                c.gather(),
+                vec![(2, 2, 700.0), (3, 3, 450.0), (5, 2, 420.0)],
+                "{name}: 3 joined window t+1, 4 left it"
+            );
+            assert_eq!(c.truth(), vec![700.0, 500.0, 420.0, 450.0], "{name}");
+        }
     }
 }

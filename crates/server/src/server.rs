@@ -22,22 +22,23 @@
 //! through the [`crate::router::GuardedRouter`], which invalidates only
 //! what the touch can reach:
 //!
-//! * a `probe` / `install` of **one stream** with no speculated successor
-//!   event — the paper's usual answer to a report, re-installing a filter
-//!   at the stream that reported — is a *scoped touch*: that source is in
-//!   its exact serial state and no other source is affected, so the
-//!   operation is forwarded to the owning shard and the window stands;
-//! * any other touch — a batch or fleet-wide operation, a delivery, or a
-//!   single-stream one whose stream recurs before the speculation tip —
-//!   is a *full cut*: every shard rolls its speculation back to just past
-//!   the report being handled, the action executes against that exact
-//!   serial state, the remaining speculative reports are discarded, and
+//! * a `probe` / `install`, single or batch — the paper's usual answer to
+//!   a report is re-installing a filter at the stream that reported, and
+//!   RTP's overflow shrink probes `X` and installs at `ε + 1` candidates —
+//!   is **respeculated**: the owning shards rewind the touched streams'
+//!   speculated events past the report, run the operation against their
+//!   exact serial state and re-apply them, and only the reports whose bit
+//!   flipped are spliced into the report stream; the window stands;
+//! * a fleet-wide operation — `broadcast`, `probe_all*`, a delivery — is a
+//!   *full cut*: every shard rolls its speculation back to just past the
+//!   report being handled, the action executes against that exact serial
+//!   state, the remaining speculative reports are discarded, and
 //!   evaluation resumes after the cut.
 //!
 //! The window size adapts to the observed cut density (deterministically —
 //! it depends only on the event/report sequence, never on timing), so
-//! redeploy-heavy protocols pay bounded re-evaluation while silent-heavy
-//! workloads stream at full window width.
+//! broadcast-heavy protocols pay bounded re-evaluation while everything
+//! else streams at full window width.
 //!
 //! The window loop itself is the **pipelined** double-buffered coordinator
 //! of [`crate::pipeline`], which drains window *t*'s reports while the
@@ -171,7 +172,7 @@ pub struct ShardedServer<P: Protocol> {
     /// steady-state rounds scatter and gather without allocating.
     report_buffers: Vec<Vec<SpecEvent>>,
     /// Per-shard state of the evaluation window in flight: whether the
-    /// shard still owes its `Evaluated` reply, or a scoped touch already
+    /// shard still owes its `Evaluated` reply, or a fleet touch already
     /// gathered it early.
     eval_slots: Vec<EvalSlot>,
     /// Reused per-round merge buffer for the gathered report streams.
@@ -182,8 +183,11 @@ pub struct ShardedServer<P: Protocol> {
     /// including rollback re-scatters — is an `Arc` clone of it.
     pub(crate) shared_chunk: Arc<EventBatch>,
     /// The chunk's stream-occurrence index, consulted (and lazily built)
-    /// by scoped fleet touches and reset at every chunk boundary.
+    /// by fleet touches and reset at every chunk boundary.
     pub(crate) occurrences: OccurrenceIndex,
+    /// Pooled positions buffer of single-stream fleet touches (it makes
+    /// the round trip to the shard and back with the flips).
+    touch_positions: Vec<u64>,
     /// Pooled per-shard `(kept, undone)` buffer for speculation cuts and
     /// the quiescence commit.
     commit_scratch: Vec<(u32, u32)>,
@@ -284,6 +288,7 @@ impl<P: Protocol> ShardedServer<P> {
             merged: Vec::new(),
             shared_chunk: Arc::new(EventBatch::new()),
             occurrences: OccurrenceIndex::new(initial_values.len()),
+            touch_positions: Vec::new(),
             commit_scratch: Vec::new(),
             fleet_trace: TraceRing::new(tcfg.trace, tcfg.trace_capacity, epoch),
             durability: None,
@@ -557,7 +562,7 @@ impl<P: Protocol> ShardedServer<P> {
     }
 
     /// Gathers the in-flight window's `Evaluated` replies — off the
-    /// channels, or out of the slots a scoped touch stashed them in — into
+    /// channels, or out of the slots a fleet touch stashed them in — into
     /// the pooled `merged` buffer, sorted by sequence number. (Each
     /// per-shard list is already sorted; an unstable sort of the
     /// concatenation is fine since seqs are unique.) Returns the round's
@@ -590,18 +595,19 @@ impl<P: Protocol> ShardedServer<P> {
         round_max_busy
     }
 
-    /// Consumes the gathered reports of the current window serially through
-    /// the protocol until one of them forces a full cut. `tip` is the
-    /// speculation tip — one past the last chunk position scattered,
-    /// including the scattered-ahead next window if one is in flight: a
-    /// single-stream fleet touch whose stream does not recur before it
-    /// leaves the speculation standing, any other touch absorbs the
-    /// in-flight replies before the cut so the rollback covers the work it
-    /// invalidates.
+    /// Consumes the gathered reports of window *t* (positions below
+    /// `window_end`) serially through the protocol until one of them forces
+    /// a full cut. `tip` is the speculation tip — one past the last chunk
+    /// position scattered, including the scattered-ahead window *t+1* if
+    /// one is in flight. A `probe` / `install` respeculates the touched
+    /// streams' positions in `(c, tip)` and patches the flips into `merged`
+    /// (the loop re-reads it by index) or into a stashed window-*t+1*
+    /// reply; a fleet-wide operation absorbs the in-flight replies before
+    /// the cut so the rollback covers the work it invalidates.
     /// Returns the cut sequence, if any, and the drain's pure-serial time
     /// (fleet-op shard busy excluded — that is attributed to
     /// `metrics.fleet`).
-    pub(crate) fn drain_reports(&mut self, tip: usize) -> (Option<u64>, u64) {
+    pub(crate) fn drain_reports(&mut self, window_end: usize, tip: usize) -> (Option<u64>, u64) {
         let serial_start = Instant::now();
         self.core.telemetry_mut().trace.begin(
             TraceDepth::Coarse,
@@ -616,10 +622,12 @@ impl<P: Protocol> ShardedServer<P> {
         );
         let mut cut_at: Option<u64> = None;
         let mut consumed = 0u64;
-        let merged = std::mem::take(&mut self.merged);
+        let mut merged = std::mem::take(&mut self.merged);
         let chunk = Arc::clone(&self.shared_chunk);
         let mut chaos = self.chaos.take();
-        for &(ev, shard) in &merged {
+        let mut next = 0;
+        while let Some(&(ev, shard)) = merged.get(next) {
+            next += 1;
             let id = self.partition.global_of(shard, ev.local);
             // Unreliable channels: the source emitted the report (its
             // last-reported state advanced in the shard), but the frame may
@@ -640,9 +648,12 @@ impl<P: Protocol> ShardedServer<P> {
             );
             let inflight = InflightWindow {
                 shards: &mut self.eval_slots,
+                merged: &mut merged,
+                window_end,
                 tip,
-                streams: chunk.streams(),
+                chunk: &chunk,
                 occurrences: &mut self.occurrences,
+                positions: &mut self.touch_positions,
                 commits: &mut self.commit_scratch,
                 pool: &mut self.report_buffers,
                 shard_busy_ns: &mut self.metrics.shard_busy_ns,
@@ -650,6 +661,8 @@ impl<P: Protocol> ShardedServer<P> {
                 discarded_busy_ns: &mut self.metrics.discarded_window_busy_ns,
                 discarded_reports: &mut self.metrics.discarded_reports,
                 scoped_touches: &mut self.metrics.scoped_touches,
+                respeculated: &mut self.metrics.respeculated,
+                respec_flips: &mut self.metrics.respec_flips,
             };
             let mut router = GuardedRouter::with_inflight(inner, ev.seq + 1, inflight);
             match chaos.as_mut() {
@@ -862,6 +875,25 @@ impl<P: Protocol> ShardedServer<P> {
             tracks.push(((2 + s) as u32, shard_names[s].as_str(), events));
         }
         chrome_trace(&tracks)
+    }
+
+    /// Trace events suppressed because a ring was full, summed over the
+    /// coordinator, fleet-op and shard rings. Zero means every exported
+    /// timeline is complete; rings keep the count across exports.
+    pub fn trace_spans_dropped(&mut self) -> u64 {
+        let mut dropped = self.core.telemetry().trace.dropped() + self.fleet_trace.dropped();
+        if self.config.telemetry.trace != TraceDepth::Off {
+            for handle in self.handles.iter_mut() {
+                handle.send(ShardCmd::TraceDropped);
+            }
+            for handle in self.handles.iter_mut() {
+                match handle.recv() {
+                    ShardReply::TraceDropped(n) => dropped += n,
+                    other => unreachable!("TraceDropped got {other:?}"),
+                }
+            }
+        }
+        dropped
     }
 
     /// The maintained rank index, if the protocol is rank-based

@@ -32,17 +32,22 @@
 //! source's prior state.
 //!
 //! The coordinator consumes the merged, sequence-ordered report stream
-//! through the protocol. As long as handling a report touches **no** other
-//! source (no install / probe / broadcast), the speculation is exactly
-//! what serial execution would have done — sources are independent — and
-//! the whole slice commits in one round. When a handler touches the fleet
-//! in a way that can reach speculated events (anything but a single-stream
-//! operation on a stream with no speculated successor, which the shard
-//! simply executes), the coordinator issues [`ShardCmd::Commit`] with
+//! through the protocol. As long as handling a report touches **no**
+//! source, the speculation is exactly what serial execution would have
+//! done — sources are independent — and the whole slice commits in one
+//! round. A `probe` / `install` (single or batch) issued while handling
+//! the report at position `c` carries the touched sources' speculated
+//! positions in `(c, tip)`: inside the one command the shard rewinds those
+//! applications, runs the operation against the sources' exact serial
+//! state, replays them against the new filter, and replies with the
+//! positions whose report bit flipped ([`FLIP_REPORTS`]), written over
+//! the ones it was sent, so the buffer makes the round trip without
+//! allocating. Only a fleet-wide
+//! operation makes the coordinator issue [`ShardCmd::Commit`] with
 //! `keep_below` just past the report being handled: later applications
-//! roll back
-//! (newest first) and re-evaluate after the protocol's actions, which is
-//! what keeps the sharded runtime byte-identical to the serial engine.
+//! roll back (newest first) and re-evaluate after the protocol's actions.
+//! Either way the sharded runtime stays byte-identical to the serial
+//! engine.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -127,6 +132,13 @@ pub struct SpecEvent {
     pub value: f64,
 }
 
+/// Tag bit of a flip in a respeculating reply: a flip is the position of
+/// a speculated application whose report bit flipped, `| FLIP_REPORTS`
+/// when it became a tentative report and bare when it stopped being one.
+/// Positions index a chunk and fit in 32 bits, so the top bit is free; the
+/// event itself is the chunk's at that position.
+pub const FLIP_REPORTS: u64 = 1 << 63;
+
 /// A command routed to a shard.
 #[derive(Debug)]
 pub enum ShardCmd {
@@ -160,31 +172,44 @@ pub enum ShardCmd {
         /// The new value.
         value: f64,
     },
-    /// Probe one source.
+    /// Probe one source, respeculating its applications at `positions`.
     Probe {
         /// Shard-local source index.
         local: u32,
+        /// The source's speculated positions past the report being handled
+        /// (ascending; empty outside a drain or when it has none).
+        positions: Vec<u64>,
     },
     /// Probe every source of the partition.
     ProbeAll,
     /// Probe a batch of sources (this shard's slice of a fleet-wide
-    /// `probe_many`), in slice order.
+    /// `probe_many`), in slice order, respeculating the applications at
+    /// `positions`.
     ProbeMany {
         /// Shard-local source indices.
         locals: Vec<u32>,
+        /// The probed sources' speculated positions past the report being
+        /// handled (ascending, each once).
+        positions: Vec<u64>,
     },
-    /// Install a filter at one source.
+    /// Install a filter at one source, respeculating its applications at
+    /// `positions`.
     Install {
         /// Shard-local source index.
         local: u32,
         /// The filter to install.
         filter: Filter,
+        /// As for [`ShardCmd::Probe`].
+        positions: Vec<u64>,
     },
     /// Install a filter per source (this shard's slice of a fleet-wide
-    /// `install_many`), in slice order.
+    /// `install_many`), in slice order, respeculating the applications at
+    /// `positions`.
     InstallMany {
         /// Shard-local `(source index, filter)` pairs.
         items: Vec<(u32, Filter)>,
+        /// As for [`ShardCmd::ProbeMany`].
+        positions: Vec<u64>,
     },
     /// Install a filter at every source of the partition (shard half of a
     /// global broadcast; the coordinator meters the operation).
@@ -217,6 +242,9 @@ pub enum ShardCmd {
     },
     /// Drain the shard's recorded trace events for export.
     TakeTrace,
+    /// Report how many trace events the shard's ring suppressed because it
+    /// was full.
+    TraceDropped,
     /// Stop the worker loop (threaded mode only).
     Shutdown,
 }
@@ -248,7 +276,12 @@ pub enum ShardReply {
     /// was violated.
     Delivered(Option<f64>),
     /// Outcome of [`ShardCmd::Probe`].
-    Probed(f64),
+    Probed {
+        /// The probed value.
+        value: f64,
+        /// The command's `positions` buffer, now holding the flips.
+        flips: Vec<u64>,
+    },
     /// Outcome of [`ShardCmd::ProbeAll`].
     ProbedAll {
         /// Values in local order.
@@ -261,15 +294,24 @@ pub enum ShardReply {
     ProbedMany {
         /// Values aligned with the requested slice.
         values: Vec<f64>,
+        /// The command's `positions` buffer, now holding the flips.
+        flips: Vec<u64>,
         /// Wall time the shard spent on its slice.
         busy_ns: u64,
     },
-    /// Outcome of [`ShardCmd::Install`]: the sync-report value, if any.
-    Installed(Option<f64>),
+    /// Outcome of [`ShardCmd::Install`].
+    Installed {
+        /// The sync-report value, if any.
+        sync: Option<f64>,
+        /// The command's `positions` buffer, now holding the flips.
+        flips: Vec<u64>,
+    },
     /// Outcome of [`ShardCmd::InstallMany`].
     InstalledMany {
         /// Per-item sync-report values aligned with the requested slice.
         syncs: Vec<Option<f64>>,
+        /// The command's `positions` buffer, now holding the flips.
+        flips: Vec<u64>,
         /// Wall time the shard spent on its slice.
         busy_ns: u64,
     },
@@ -289,6 +331,8 @@ pub enum ShardReply {
     Ack,
     /// Outcome of [`ShardCmd::TakeTrace`]: the recorded events, in order.
     Trace(Vec<TraceEvent>),
+    /// Outcome of [`ShardCmd::TraceDropped`].
+    TraceDropped(u64),
 }
 
 /// A worker shard owning one partition of sources.
@@ -311,6 +355,9 @@ pub struct Shard {
     /// round, local index)` per owned event. Its length is a high-water
     /// mark, not a count; it never crosses the channel.
     select_scratch: Vec<(u32, u32)>,
+    /// Reused flip buffer of a respeculation, copied into the command's
+    /// `positions` buffer for the reply.
+    flips: Vec<u64>,
     /// Undo journal of the in-flight speculative batch.
     spec: SpecLog,
     /// Cumulative busy time (ns), metrics only.
@@ -350,6 +397,7 @@ impl Shard {
             local_view: ServerView::new(n),
             broadcast_scratch: Vec::new(),
             select_scratch: Vec::new(),
+            flips: Vec::new(),
             spec: SpecLog::new(),
             busy_ns: 0,
             trace: TraceRing::disabled(),
@@ -387,11 +435,12 @@ impl Shard {
                 &mut self.scratch,
                 &mut self.local_view,
             )),
-            ShardCmd::Probe { local } => ShardReply::Probed(self.fleet.probe(
-                StreamId(local),
-                &mut self.scratch,
-                &mut self.local_view,
-            )),
+            ShardCmd::Probe { local, mut positions } => {
+                let value = self.respeculate(&mut positions, |fleet, ledger, view| {
+                    fleet.probe(StreamId(local), ledger, view)
+                });
+                ShardReply::Probed { value, flips: positions }
+            }
             ShardCmd::ProbeAll => {
                 let mut values = Vec::with_capacity(self.fleet.len());
                 for local in 0..self.fleet.len() as u32 {
@@ -403,34 +452,26 @@ impl Shard {
                 }
                 ShardReply::ProbedAll { values, busy_ns: 0 }
             }
-            ShardCmd::ProbeMany { locals } => {
-                let mut values = Vec::with_capacity(locals.len());
-                for local in locals {
-                    values.push(self.fleet.probe(
-                        StreamId(local),
-                        &mut self.scratch,
-                        &mut self.local_view,
-                    ));
-                }
-                ShardReply::ProbedMany { values, busy_ns: 0 }
+            ShardCmd::ProbeMany { locals, mut positions } => {
+                let values = self.respeculate(&mut positions, |fleet, ledger, view| {
+                    locals.iter().map(|&local| fleet.probe(StreamId(local), ledger, view)).collect()
+                });
+                ShardReply::ProbedMany { values, flips: positions, busy_ns: 0 }
             }
-            ShardCmd::Install { local, filter } => ShardReply::Installed(self.fleet.install(
-                StreamId(local),
-                filter,
-                &mut self.scratch,
-                &mut self.local_view,
-            )),
-            ShardCmd::InstallMany { items } => {
-                let mut syncs = Vec::with_capacity(items.len());
-                for (local, filter) in items {
-                    syncs.push(self.fleet.install(
-                        StreamId(local),
-                        filter,
-                        &mut self.scratch,
-                        &mut self.local_view,
-                    ));
-                }
-                ShardReply::InstalledMany { syncs, busy_ns: 0 }
+            ShardCmd::Install { local, filter, mut positions } => {
+                let sync = self.respeculate(&mut positions, |fleet, ledger, view| {
+                    fleet.install(StreamId(local), filter, ledger, view)
+                });
+                ShardReply::Installed { sync, flips: positions }
+            }
+            ShardCmd::InstallMany { items, mut positions } => {
+                let syncs = self.respeculate(&mut positions, |fleet, ledger, view| {
+                    items
+                        .into_iter()
+                        .map(|(local, filter)| fleet.install(StreamId(local), filter, ledger, view))
+                        .collect()
+                });
+                ShardReply::InstalledMany { syncs, flips: positions, busy_ns: 0 }
             }
             ShardCmd::Broadcast { filter } => {
                 // The sync buffer is shard-held scratch (reinit storms
@@ -464,6 +505,7 @@ impl Shard {
                 ShardReply::Ack
             }
             ShardCmd::TakeTrace => ShardReply::Trace(self.trace.take()),
+            ShardCmd::TraceDropped => ShardReply::TraceDropped(self.trace.dropped()),
             ShardCmd::Shutdown => unreachable!("Shutdown is handled by the worker loop"),
         };
         let elapsed = start.elapsed().as_nanos() as u64;
@@ -538,6 +580,34 @@ impl Shard {
             busy_ns: scan_ns + eval_start.elapsed().as_nanos() as u64,
             scan_ns,
         }
+    }
+
+    /// Runs `touch` (a probe or install) against the exact serial state of
+    /// the sources it reaches: their speculated applications at
+    /// `positions` are rewound first and replayed after
+    /// ([`SpecLog::respeculate`]), and `positions` is overwritten with the
+    /// flips ([`FLIP_REPORTS`]) — a subset, so it never grows. Empty
+    /// `positions` — a source with no speculated successor — is the bare
+    /// touch. Neither allocates once the flip scratch is warm.
+    fn respeculate<R>(
+        &mut self,
+        positions: &mut Vec<u64>,
+        touch: impl FnOnce(&mut SourceFleet, &mut Ledger, &mut ServerView) -> R,
+    ) -> R {
+        if !positions.is_empty() {
+            self.trace.instant(TraceDepth::Fine, "respeculate", positions.len() as u64);
+        }
+        let (scratch, view, flips) = (&mut self.scratch, &mut self.local_view, &mut self.flips);
+        flips.clear();
+        let out = self.spec.respeculate(
+            &mut self.fleet,
+            positions,
+            |fleet| touch(fleet, scratch, view),
+            |seq, _, _, reports| flips.push(seq | if reports { FLIP_REPORTS } else { 0 }),
+        );
+        positions.clear();
+        positions.extend_from_slice(flips);
+        out
     }
 
     fn commit(&mut self, keep_below: u64) -> ShardReply {
@@ -670,6 +740,86 @@ mod tests {
         Arc::new(window)
     }
 
+    /// Installs `filter` at `local`, respeculating `positions`: the sync
+    /// report and the flips as `(seq, now_reports)`.
+    fn install(
+        shard: &mut Shard,
+        local: u32,
+        filter: Filter,
+        positions: Vec<u64>,
+    ) -> (Option<f64>, Vec<(u64, bool)>) {
+        match shard.exec(ShardCmd::Install { local, filter, positions }) {
+            ShardReply::Installed { sync, flips } => {
+                (sync, flips.iter().map(|&f| (f & !FLIP_REPORTS, f & FLIP_REPORTS != 0)).collect())
+            }
+            other => panic!("expected Installed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn install_respeculates_later_positions_and_reports_exactly_the_flips() {
+        // One source at 500 under [400, 600]: seq 1 reports (700), seq 3
+        // reports (back inside), seq 0, 2 and 4 are silent.
+        let mut shard = Shard::new(&[500.0]);
+        shard.exec(ShardCmd::ProbeAll);
+        install(&mut shard, 0, Filter::interval(400.0, 600.0), Vec::new());
+        let window = window_of(&[(0, 550.0), (0, 700.0), (0, 650.0), (0, 500.0), (0, 520.0)]);
+        let ShardReply::Evaluated { reports, .. } = eval(&mut shard, &window, 0, 5) else {
+            panic!("expected Evaluated")
+        };
+        assert_eq!(reports.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![1, 3]);
+
+        // The handler of the report at 0 widens the filter: 700 and 500
+        // stop reporting, the silent ones stay silent.
+        let wide = install(&mut shard, 0, Filter::interval(0.0, 1000.0), vec![1, 2, 3, 4]);
+        assert_eq!(wide, (None, vec![(1, false), (3, false)]));
+        // Narrowing again at 2 (positions 3, 4 only): 500 re-enters and
+        // reports, 520 does not; the install syncs 650 (the server last
+        // heard 500, inside; the source is at 650, outside).
+        let narrow = install(&mut shard, 0, Filter::interval(400.0, 600.0), vec![3, 4]);
+        assert_eq!(narrow, (Some(650.0), vec![(3, true)]));
+
+        // The same history, serially, on a fresh shard.
+        let mut serial = Shard::new(&[500.0]);
+        serial.exec(ShardCmd::ProbeAll);
+        install(&mut serial, 0, Filter::interval(400.0, 600.0), Vec::new());
+        let deliver =
+            |shard: &mut Shard, value| match shard.exec(ShardCmd::Deliver { local: 0, value }) {
+                ShardReply::Delivered(r) => r,
+                other => panic!("expected Delivered, got {other:?}"),
+            };
+        assert_eq!(deliver(&mut serial, 550.0), None);
+        install(&mut serial, 0, Filter::interval(0.0, 1000.0), Vec::new());
+        assert_eq!(deliver(&mut serial, 700.0), None);
+        assert_eq!(deliver(&mut serial, 650.0), None);
+        assert_eq!(
+            install(&mut serial, 0, Filter::interval(400.0, 600.0), Vec::new()).0,
+            Some(650.0)
+        );
+        assert_eq!(deliver(&mut serial, 500.0), Some(500.0));
+        assert_eq!(deliver(&mut serial, 520.0), None);
+
+        // Rolling the re-journaled suffix back from 3 must land on the
+        // serial state after 2 — value, last-reported, filter, traffic.
+        commit_round(std::slice::from_mut(&mut shard), 3);
+        let mut at_two = Shard::new(&[500.0]);
+        at_two.exec(ShardCmd::ProbeAll);
+        install(&mut at_two, 0, Filter::interval(400.0, 600.0), Vec::new());
+        deliver(&mut at_two, 550.0);
+        install(&mut at_two, 0, Filter::interval(0.0, 1000.0), Vec::new());
+        deliver(&mut at_two, 700.0);
+        deliver(&mut at_two, 650.0);
+        install(&mut at_two, 0, Filter::interval(400.0, 600.0), Vec::new());
+        let observe = |shard: &Shard| {
+            let s = shard.fleet.source(StreamId(0));
+            (s.value(), s.last_reported(), s.filter().clone(), s.traffic())
+        };
+        assert_eq!(observe(&shard), observe(&at_two));
+        assert_eq!(deliver(&mut shard, 500.0), Some(500.0));
+        assert_eq!(deliver(&mut shard, 520.0), None);
+        assert_eq!(observe(&shard), observe(&serial));
+    }
+
     fn eval(shard: &mut Shard, window: &Arc<EventBatch>, start: usize, end: usize) -> ShardReply {
         shard.exec(ShardCmd::EvalWindow {
             window: Arc::clone(window),
@@ -685,8 +835,8 @@ mod tests {
         // active filters (probe marks reported).
         let mut shard = Shard::with_partition(&[500.0, 100.0], Partition::new(2), 0);
         shard.exec(ShardCmd::ProbeAll);
-        shard.exec(ShardCmd::Install { local: 0, filter: Filter::interval(400.0, 600.0) });
-        shard.exec(ShardCmd::Install { local: 1, filter: Filter::interval(0.0, 200.0) });
+        install(&mut shard, 0, Filter::interval(400.0, 600.0), Vec::new());
+        install(&mut shard, 1, Filter::interval(0.0, 200.0), Vec::new());
 
         // seq 0: silent, seq 2: silent, seq 5: violation, seq 7: silent
         // (post-violation state: source 0 reported 700, outside -> outside);
@@ -832,7 +982,7 @@ mod tests {
     fn rollback_restores_report_state_exactly() {
         let mut shard = Shard::new(&[500.0]);
         shard.exec(ShardCmd::ProbeAll);
-        shard.exec(ShardCmd::Install { local: 0, filter: Filter::interval(400.0, 600.0) });
+        install(&mut shard, 0, Filter::interval(400.0, 600.0), Vec::new());
 
         // seq 0 silent, seq 1 tentative report, seq 2 silent-after-report.
         eval(&mut shard, &window_of(&[(0, 510.0), (0, 700.0), (0, 900.0)]), 0, 3);

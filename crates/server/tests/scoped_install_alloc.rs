@@ -1,0 +1,130 @@
+//! A fleet touch allocates nothing in steady state: the positions buffer
+//! is pooled and comes back holding the flips, and the stash keeps the
+//! pooled reply. Steady-state ingest in which every event reports and every
+//! report re-installs a filter at its reporter must therefore run without a
+//! single allocation — whether the reporter never recurs within its chunk
+//! (the bare touch) or recurs and respeculates.
+//!
+//! Its own test binary, because the counting allocator is process-wide
+//! (`asf-server` itself forbids `unsafe`).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use asf_core::protocol::{Protocol, ServerCtx};
+use asf_core::workload::UpdateEvent;
+use asf_core::AnswerSet;
+use asf_server::{ServerConfig, ServerMetrics, ShardedServer};
+use streamnet::{Filter, StreamId};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a const-initialised thread-local
+// `Cell` without a destructor, so touching it neither allocates nor can
+// observe a torn-down slot.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's `layout` obligations pass through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `alloc` and `dealloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Answers every report with one install of a band around the reported
+/// value at the reporter.
+struct Reinstall;
+
+impl Protocol for Reinstall {
+    fn name(&self) -> &'static str {
+        "REINSTALL"
+    }
+
+    fn initialize(&mut self, ctx: &mut ServerCtx<'_>) {
+        ctx.probe_all();
+    }
+
+    fn on_update(&mut self, id: StreamId, value: f64, ctx: &mut ServerCtx<'_>) {
+        ctx.install(id, Filter::interval(value - 10.0, value + 10.0));
+    }
+
+    fn answer(&self) -> AnswerSet {
+        AnswerSet::new()
+    }
+}
+
+/// Ingests two structurally identical passes of `8 · n` round-robin events
+/// over `n` streams in chunks of `batch`, the `step`-th visit of a stream
+/// moving it to `offset(step)` above its initial value; returns the
+/// allocations of the second pass (the first grows every pool to its
+/// size) and the final metrics.
+fn second_pass_allocations(
+    n: usize,
+    batch: usize,
+    offset: impl Fn(usize) -> f64,
+) -> (u64, ServerMetrics) {
+    let initial: Vec<f64> = (0..n).map(|i| 100.0 * i as f64).collect();
+    let pass = |round: usize| -> Vec<UpdateEvent> {
+        (0..n * 8)
+            .map(|i| {
+                let (s, step) = (i % n, round * 8 + i / n);
+                let value = initial[s] + offset(step);
+                UpdateEvent { time: (round * n * 8 + i) as f64, stream: StreamId(s as u32), value }
+            })
+            .collect()
+    };
+    let config = ServerConfig::with_shards(2).batch_size(batch);
+    let mut server = ShardedServer::new(&initial, Reinstall, config);
+    server.initialize();
+    server.ingest_batch(&pass(0));
+    let events = pass(1);
+    let before = ALLOCATIONS.with(Cell::get);
+    server.ingest_batch(&events);
+    let allocated = ALLOCATIONS.with(Cell::get) - before;
+    (allocated, server.metrics().clone())
+}
+
+#[test]
+fn steady_state_installs_without_later_positions_do_not_allocate() {
+    // Chunks of n events, so no stream occurs twice in a chunk; every step
+    // of 20 leaves the band installed at the last one, so every event
+    // reports.
+    let n = 64;
+    let (allocated, m) =
+        second_pass_allocations(n, n, |step| if step % 2 == 0 { 20.0 } else { 0.0 });
+    assert_eq!(m.reports_consumed, 2 * 8 * n as u64, "every event reports");
+    assert_eq!(m.scoped_touches, m.reports_consumed, "every report installs");
+    assert_eq!((m.cuts, m.respeculated), (0, 0), "no touched stream recurs in its chunk");
+    assert_eq!(allocated, 0, "{}", m.summary());
+}
+
+#[test]
+fn steady_state_respeculating_installs_do_not_allocate() {
+    // Chunks of 4n events, so every install at a reporter respeculates its
+    // stream's later events in the chunk. Steps of 8 against ±10 bands make
+    // the install move the band across some of those events, so their
+    // report bits flip.
+    let n = 64;
+    let (allocated, m) = second_pass_allocations(n, 4 * n, |step| 8.0 * (step % 4) as f64);
+    assert_eq!(m.cuts, 0, "{}", m.summary());
+    assert!(m.respeculated > 0 && m.respec_flips > 0, "{}", m.summary());
+    assert_eq!(allocated, 0, "{}", m.summary());
+}

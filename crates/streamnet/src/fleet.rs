@@ -566,12 +566,15 @@ impl SourceFleet {
 /// the protocol touching the fleet while handling an earlier report — can
 /// roll the fleet back to any sequence point exactly.
 ///
+/// A fleet touch of a source with later journaled applications does not
+/// need the whole suffix rolled back: [`SpecLog::respeculate`] rewinds just
+/// that source's applications, runs the touch against its exact serial
+/// state, and re-applies them in place against the new filter.
+///
 /// Rollback un-charges traffic (`-1` per undone report) rather than
-/// restoring an absolute count. That is exact because nothing else touches
-/// a source between a speculative application and its rollback: the server
-/// lets a handler touch a single stream without a cut only when that stream
-/// has no later speculated event, and a cut rolls back before the touching
-/// operation runs.
+/// restoring an absolute count. That is exact because nothing touches a
+/// source between an application and its rollback except a respeculation,
+/// which rewinds first and re-journals in place.
 #[derive(Clone, Debug, Default)]
 pub struct SpecLog {
     entries: Vec<SpecUndo>,
@@ -667,6 +670,68 @@ impl SpecLog {
         let kept = self.entries.len() as u32;
         self.entries.clear();
         (kept, undone)
+    }
+
+    /// Runs `touch` — a probe or install of some sources — as if it had
+    /// executed before the applications at `seqs`, which must be ascending,
+    /// journaled, and every later application of each source `touch`
+    /// reaches (other sources' applications stand untouched).
+    ///
+    /// Those applications are rewound newest first, `touch` runs against
+    /// the sources' exact serial state, and they are re-applied oldest
+    /// first, re-journaled in place, so a later rollback stays exact. An
+    /// entry's applied value is the source's value when the rewind reaches
+    /// it; it waits in the entry's `prev_value` until the replay. Every
+    /// application whose report bit changed is passed to
+    /// `flipped(seq, id, value, now_reports)`. With no `seqs` this is just
+    /// `touch`.
+    pub fn respeculate<R>(
+        &mut self,
+        fleet: &mut SourceFleet,
+        seqs: &[u64],
+        touch: impl FnOnce(&mut SourceFleet) -> R,
+        mut flipped: impl FnMut(u64, StreamId, f64, bool),
+    ) -> R {
+        let mut end = self.entries.len();
+        for &seq in seqs.iter().rev() {
+            end = self.find(seq, 0, end);
+            let e = &mut self.entries[end];
+            let i = e.id.index();
+            let hot = &mut fleet.hot[i];
+            e.prev_value = std::mem::replace(&mut hot.value, e.prev_value);
+            hot.last_reported = e.prev_last_reported;
+            fleet.cold[i].traffic -= u64::from(e.reported);
+        }
+        let out = touch(fleet);
+        let mut start = 0;
+        for &seq in seqs {
+            let k = self.find(seq, start, self.entries.len());
+            start = k + 1;
+            let e = &mut self.entries[k];
+            let (i, value) = (e.id.index(), e.prev_value);
+            let prev = fleet.hot[i];
+            let reported = fleet.apply(i, value);
+            if reported {
+                fleet.mark_reported(i, 1);
+            }
+            if reported != e.reported {
+                flipped(seq, e.id, value, reported);
+            }
+            e.reported = reported;
+            e.prev_value = prev.value;
+            e.prev_last_reported = prev.last_reported;
+        }
+        out
+    }
+
+    /// Index of the entry journaled under `seq` within `entries[lo..hi]`.
+    fn find(&self, seq: u64, lo: usize, hi: usize) -> usize {
+        let at = self.entries[lo..hi].partition_point(|e| e.seq < seq);
+        assert!(
+            self.entries.get(lo + at).is_some_and(|e| e.seq == seq),
+            "respeculated position {seq} is not journaled"
+        );
+        lo + at
     }
 }
 
@@ -1024,6 +1089,191 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One step of a serial history: a workload event, or a touch that ran
+    /// right after the event at `anchor` (and after earlier touches there).
+    #[derive(Clone, Debug)]
+    enum Step {
+        Event { seq: u64, id: StreamId, value: f64 },
+        Touch { anchor: u64, id: StreamId, install: Option<Filter> },
+    }
+
+    impl Step {
+        /// Serial order: by position, events before the touches after them.
+        fn key(&self) -> (u64, bool) {
+            match *self {
+                Step::Event { seq, .. } => (seq, false),
+                Step::Touch { anchor, .. } => (anchor, true),
+            }
+        }
+    }
+
+    /// Runs `touch` on `fleet` with throwaway metering: a probe's value or
+    /// an install's sync report.
+    fn run_touch(fleet: &mut SourceFleet, id: StreamId, install: &Option<Filter>) -> Option<f64> {
+        let (mut ledger, mut view) = (Ledger::new(), ServerView::new(fleet.len()));
+        match install {
+            None => Some(fleet.probe(id, &mut ledger, &mut view)),
+            Some(f) => fleet.install(id, f.clone(), &mut ledger, &mut view),
+        }
+    }
+
+    /// The history executed serially on a clone of `base`: the fleet, the
+    /// report bit of every event by seq, and the result of the touch that
+    /// runs last (the sort is stable, so with the greatest anchor it is
+    /// the one pushed last).
+    fn serial(
+        base: &SourceFleet,
+        history: &[Step],
+    ) -> (SourceFleet, Vec<(u64, bool)>, Option<f64>) {
+        let mut fleet = base.clone();
+        let mut steps = history.to_vec();
+        steps.sort_by_key(Step::key);
+        let (mut bits, mut last) = (Vec::new(), None);
+        let (mut ledger, mut view) = (Ledger::new(), ServerView::new(fleet.len()));
+        for step in &steps {
+            match step {
+                Step::Event { seq, id, value } => {
+                    bits.push((
+                        *seq,
+                        fleet.deliver_update(*id, *value, &mut ledger, &mut view).is_some(),
+                    ));
+                }
+                Step::Touch { id, install, .. } => last = run_touch(&mut fleet, *id, install),
+            }
+        }
+        bits.sort_unstable_by_key(|&(seq, _)| seq);
+        (fleet, bits, last)
+    }
+
+    #[test]
+    fn spec_log_respeculation_equals_serial_execution() {
+        // Random interleavings of speculative applications, touches (a probe
+        // or an install) respeculating the touched source's later
+        // applications, and commits, against the same history executed
+        // serially on a clone — every source's value, last-reported,
+        // filter and traffic, the flip list, and the touch's result.
+        let mut rng = simkit::SimRng::seed_from_u64(0x2E5BEC);
+        let filter = |rng: &mut simkit::SimRng, v: f64| match rng.index(4) {
+            0 => Filter::ReportAll,
+            1 => Filter::wildcard(),
+            2 => Filter::cells(std::sync::Arc::from([v - 90.0, v - 10.0, v + 40.0])),
+            _ => Filter::interval(v - 60.0, v + 60.0),
+        };
+        let (mut flipped_to, mut touches_with_positions) = ([0u32; 2], 0u32);
+        for case in 0..300 {
+            let n = 1 + rng.index(4);
+            let initial: Vec<f64> = (0..n).map(|i| 100.0 * i as f64).collect();
+            let mut fleet = SourceFleet::from_values(&initial);
+            for (i, &v) in initial.iter().enumerate() {
+                if rng.index(4) > 0 {
+                    run_touch(&mut fleet, StreamId(i as u32), &None);
+                    run_touch(&mut fleet, StreamId(i as u32), &Some(filter(&mut rng, v)));
+                }
+            }
+            // `base` is the state at the last commit, `history` everything
+            // since; seqs start at 1 so that anchor 0 precedes them all.
+            let (mut base, mut history) = (fleet.clone(), Vec::new());
+            let mut log = SpecLog::new();
+            let (mut next_seq, mut floor) = (1u64, 0u64);
+            for op in 0..40 {
+                let tag = format!("case {case} op {op}");
+                match rng.index(5) {
+                    0 | 1 => {
+                        for _ in 0..1 + rng.index(4) {
+                            let id = StreamId(rng.index(n) as u32);
+                            let value = fleet.true_value(id) + rng.range_f64(-150.0, 150.0);
+                            log.apply(&mut fleet, next_seq, id, value);
+                            history.push(Step::Event { seq: next_seq, id, value });
+                            next_seq += 1 + rng.index(2) as u64;
+                        }
+                    }
+                    2 | 3 => {
+                        // The report being handled: at or after the last
+                        // touch's, before the speculation tip.
+                        let anchor = floor + rng.index((next_seq - floor) as usize) as u64;
+                        floor = anchor;
+                        let id = StreamId(rng.index(n) as u32);
+                        let seqs: Vec<u64> = history
+                            .iter()
+                            .filter_map(|s| match *s {
+                                Step::Event { seq, id: sid, .. } if sid == id && seq > anchor => {
+                                    Some(seq)
+                                }
+                                _ => None,
+                            })
+                            .collect();
+                        let near = fleet.true_value(id) + rng.range_f64(-80.0, 80.0);
+                        let install = (rng.index(2) == 0).then(|| filter(&mut rng, near));
+                        let (_, before, _) = serial(&base, &history);
+                        history.push(Step::Touch { anchor, id, install: install.clone() });
+                        let (want, after, want_out) = serial(&base, &history);
+                        let mut flips = Vec::new();
+                        let out = log.respeculate(
+                            &mut fleet,
+                            &seqs,
+                            |fleet| run_touch(fleet, id, &install),
+                            |seq, fid, value, reports| {
+                                flips.push((seq, fid, value.to_bits(), reports))
+                            },
+                        );
+                        let want_flips: Vec<(u64, StreamId, u64, bool)> = before
+                            .iter()
+                            .zip(&after)
+                            .filter(|(b, a)| b.1 != a.1)
+                            .map(|(_, &(seq, reports))| {
+                                let Some(Step::Event { value, .. }) = history
+                                    .iter()
+                                    .find(|s| matches!(s, Step::Event { seq: q, .. } if *q == seq))
+                                else {
+                                    unreachable!()
+                                };
+                                (seq, id, value.to_bits(), reports)
+                            })
+                            .collect();
+                        assert_eq!(flips, want_flips, "{tag}: flips");
+                        assert_eq!(
+                            out.map(f64::to_bits),
+                            want_out.map(f64::to_bits),
+                            "{tag}: result"
+                        );
+                        assert_eq!(observe(&fleet), observe(&want), "{tag}: fleet after the touch");
+                        touches_with_positions += u32::from(!seqs.is_empty());
+                        for f in &flips {
+                            flipped_to[usize::from(f.3)] += 1;
+                        }
+                    }
+                    _ => {
+                        // A cut just past the last touch's report, or the
+                        // quiescent commit of everything.
+                        let keep_below = if rng.index(3) == 0 {
+                            u64::MAX
+                        } else {
+                            floor + 1 + rng.index(3) as u64
+                        };
+                        history.retain(
+                            |s| !matches!(s, Step::Event { seq, .. } if *seq >= keep_below),
+                        );
+                        let (want, _, _) = serial(&base, &history);
+                        let kept =
+                            history.iter().filter(|s| matches!(s, Step::Event { .. })).count();
+                        let (k, _) = log.commit_below(&mut fleet, keep_below);
+                        assert_eq!(k as usize, kept, "{tag}: kept");
+                        assert_eq!(
+                            observe(&fleet),
+                            observe(&want),
+                            "{tag}: fleet after the commit"
+                        );
+                        (base, history) = (want, Vec::new());
+                        next_seq = next_seq.min(keep_below);
+                        floor = next_seq - 1;
+                    }
+                }
+            }
+        }
+        assert!(touches_with_positions > 1000, "the model must respeculate");
+        assert!(flipped_to.iter().all(|&f| f > 100), "flips both ways: {flipped_to:?}");
     }
 
     #[test]

@@ -393,8 +393,8 @@ fn dense_multi_query_takes_scoped_touches_under_chaos() {
     // re-installs at its reporter, through `ChaosFleet` wrapping the
     // `GuardedRouter`. Lost and delayed report frames leave sources
     // inconsistent with the view, so installs sync-report mid-handler —
-    // on the scoped path (no speculated successor) and on the collision
-    // fallback alike, the whole convergence contract must hold.
+    // on a stream with no speculated successor and on a colliding one
+    // that respeculates alike, the whole convergence contract must hold.
     let queries: Vec<RangeQuery> = (0..100)
         .map(|j| RangeQuery::new(j as f64 * 10.0, j as f64 * 10.0 + 10.0).unwrap())
         .collect();
@@ -405,7 +405,7 @@ fn dense_multi_query_takes_scoped_touches_under_chaos() {
     );
     for (tag, m) in &runs {
         assert!(m.scoped_touches > 0, "{tag}: scoped path never taken");
-        assert!(m.cuts > 0, "{tag}: collision fallback never taken");
+        assert!(m.respeculated > 0, "{tag}: collisions never respeculated");
     }
 }
 

@@ -289,46 +289,75 @@ fn tiny_batch_sizes_match_serial_engine() {
     // Chunks too small to split into two evaluation windows: the window
     // ceiling is `(batch_size / 2).max(1)`, so batch_size 1 never fills
     // the pipe, 2 and 3 run one-event windows, and 5 splits into windows
-    // of 2, 2 and 1. RTP on a moving workload reports often and its
-    // handlers probe and broadcast, so speculation cuts land on every one
-    // of those shapes.
+    // of 2, 2 and 1. RTP on a moving workload reports often: the paper's
+    // deployment broadcasts, so speculation cuts land on every one of
+    // those shapes. Server-managed dense ranges over four streams install
+    // at every reporter, whose next event is often the very next one, so
+    // respeculation lands on every shape that speculates past the report.
+    use asf_core::protocol::Protocol;
     use asf_core::workload::Workload;
-    use asf_server::{ExecMode, ServerConfig, ShardedServer};
+    use asf_server::{ExecMode, ServerConfig, ServerMetrics, ShardedServer};
     use workloads::{SyntheticConfig, SyntheticWorkload};
 
-    let mut w = SyntheticWorkload::new(SyntheticConfig {
-        num_streams: 30,
-        horizon: 120.0,
-        seed: 11,
-        ..Default::default()
-    });
-    let initial = w.initial_values();
-    let mut events = Vec::new();
-    while let Some(ev) = w.next_event() {
-        events.push(ev);
-    }
-    let query = RankQuery::knn(500.0, 4).unwrap();
-
-    let mut engine = Engine::new(&initial, Rtp::new(query, 2).unwrap());
-    engine.initialize();
-    engine.run(&mut VecWorkload::new(initial.clone(), events.clone()));
-    assert!(engine.reports_processed() > 0, "workload must be report-heavy");
-
-    for batch_size in [1usize, 2, 3, 5] {
-        for mode in [ExecMode::Inline, ExecMode::Threaded] {
-            let config = ServerConfig::with_shards(3).batch_size(batch_size).mode(mode);
-            let mut server = ShardedServer::new(&initial, Rtp::new(query, 2).unwrap(), config);
-            server.initialize();
-            server.ingest_batch(&events);
-            let tag = format!("batch_size={batch_size} {mode:?}");
-            assert!(server.metrics().cuts > 0, "{tag}: workload should exercise the cut path");
-            assert_eq!(server.answer(), engine.answer(), "{tag}: answers diverged");
-            assert_eq!(server.ledger(), engine.ledger(), "{tag}: ledgers diverged");
-            assert_eq!(
-                server.reports_processed(),
-                engine.reports_processed(),
-                "{tag}: report counts diverged"
-            );
+    fn sweep<P: Protocol>(
+        name: &str,
+        initial: &[f64],
+        events: &[UpdateEvent],
+        make: impl Fn() -> P,
+        path: impl Fn(&ServerMetrics, usize) -> bool,
+    ) {
+        let mut engine = Engine::new(initial, make());
+        engine.initialize();
+        engine.run(&mut VecWorkload::new(initial.to_vec(), events.to_vec()));
+        assert!(engine.reports_processed() > 0, "{name}: workload must be report-heavy");
+        for batch_size in [1usize, 2, 3, 5] {
+            for mode in [ExecMode::Inline, ExecMode::Threaded] {
+                let config = ServerConfig::with_shards(3).batch_size(batch_size).mode(mode);
+                let mut server = ShardedServer::new(initial, make(), config);
+                server.initialize();
+                server.ingest_batch(events);
+                let tag = format!("{name} batch_size={batch_size} {mode:?}");
+                let m = server.metrics();
+                assert!(path(m, batch_size), "{tag}: touch path not taken: {}", m.summary());
+                assert_eq!(server.answer(), engine.answer(), "{tag}: answers diverged");
+                assert_eq!(server.ledger(), engine.ledger(), "{tag}: ledgers diverged");
+                assert_eq!(
+                    server.reports_processed(),
+                    engine.reports_processed(),
+                    "{tag}: report counts diverged"
+                );
+            }
         }
     }
+
+    let fixture = |num_streams: usize, horizon: f64| {
+        let mut w = SyntheticWorkload::new(SyntheticConfig {
+            num_streams,
+            horizon,
+            seed: 11,
+            ..Default::default()
+        });
+        let initial = w.initial_values();
+        let mut events = Vec::new();
+        while let Some(ev) = w.next_event() {
+            events.push(ev);
+        }
+        (initial, events)
+    };
+    let (initial, events) = fixture(30, 120.0);
+    let query = RankQuery::knn(500.0, 4).unwrap();
+    sweep("RTP paper", &initial, &events, || Rtp::paper(query, 2).unwrap(), |m, _| m.cuts > 0);
+    sweep("RTP", &initial, &events, || Rtp::new(query, 2).unwrap(), |_, _| true);
+    let (initial, events) = fixture(4, 2_000.0);
+    let dense: Vec<RangeQuery> = (0..100)
+        .map(|j| RangeQuery::new(j as f64 * 10.0, j as f64 * 10.0 + 10.0).unwrap())
+        .collect();
+    sweep(
+        "dense MULTI-ZT",
+        &initial,
+        &events,
+        || MultiRangeZt::with_mode(dense.clone(), CellMode::ServerManaged).unwrap(),
+        // One-event chunks speculate nothing past the report.
+        |m, batch_size| m.cuts == 0 && (batch_size == 1 || m.respeculated > 0),
+    );
 }

@@ -278,10 +278,10 @@ fn routed_multi_query_fleet_recovers_byte_identical() {
 fn journal_replay_through_scoped_touches_recovers_byte_identical() {
     // Server-managed MULTI-ZT over 100 narrow queries re-installs at the
     // reporter on nearly every event. Replay is ordinary ingest, so the
-    // journal suffix goes through the stream-scoped path: reports whose
-    // stream has no speculated successor are forwarded without a cut, the
-    // rest collide and take the full cut. A cadence longer than the run
-    // leaves the whole crashed prefix to the replay.
+    // journal suffix goes through the same touch rule: reports whose
+    // stream has no speculated successor are forwarded as they are, the
+    // rest collide and respeculate — never a cut. A cadence longer than
+    // the run leaves the whole crashed prefix to the replay.
     let (initial, events) = fixture(0x5C09ED);
     let split = events.len() * 6 / 10;
     let queries: Vec<RangeQuery> = (0..100)
@@ -313,7 +313,8 @@ fn journal_replay_through_scoped_touches_recovers_byte_identical() {
         // A recovered server's metrics start at zero: these are the replay's.
         let replay = recovered.metrics().clone();
         assert!(replay.scoped_touches > 0, "{tag}: replay should forward scoped touches");
-        assert!(replay.cuts > 0, "{tag}: replay should also hit collisions");
+        assert!(replay.respeculated > 0, "{tag}: replay should also hit collisions");
+        assert_eq!(replay.cuts, 0, "{tag}: collisions respeculate, they do not cut");
         recovered.ingest_batch(&events[split..]);
 
         let mut want = reference(&initial, &events, &make, config);

@@ -1,22 +1,28 @@
-//! Stream-scoped speculation cuts against the serial `Engine`.
+//! Fleet touches that keep the speculation standing, against the serial
+//! `Engine`.
 //!
-//! A report handler that touches **one** stream (`probe` / `install`)
-//! whose next event is not yet speculated is forwarded to the owning shard
-//! with no cut; if the stream recurs before the speculation tip (a
-//! collision) the full cut is taken. Both paths must leave per-query
-//! answers, the ledger, `reports_processed`, the view bits and the
-//! sources' ground truth byte-identical to the single-threaded engine —
+//! A report handler's `probe` / `install` (single or batch) is forwarded
+//! to the owning shards with the touched streams' speculated positions
+//! past the report; a stream with none is the bare operation, and one
+//! that recurs before the speculation tip (a collision) is
+//! **respeculated**: its later applications are rewound, the operation
+//! runs against the exact serial state, and they are re-applied against
+//! the new filter. Both paths must leave per-query answers, the ledger,
+//! `reports_processed`, the view bits and the sources' ground truth
+//! byte-identical to the single-threaded engine, without a single cut —
 //! swept here over populations that collide on almost every report
-//! (n = 4), sometimes (n = 64) and almost never (n = 5000).
+//! (n = 4), sometimes (n = 64) and almost never (n = 5000), and over
+//! fixtures whose installs flip later report bits both ways.
 
 use asf_core::engine::Engine;
 use asf_core::multi_query::{CellMode, MultiRangeZt};
-use asf_core::protocol::{FtNrp, FtNrpConfig, Protocol};
+use asf_core::protocol::{FtNrp, FtNrpConfig, Protocol, ServerCtx};
 use asf_core::query::RangeQuery;
 use asf_core::tolerance::FractionTolerance;
 use asf_core::workload::{UpdateEvent, VecWorkload, Workload};
+use asf_core::AnswerSet;
 use asf_server::{ExecMode, ServerConfig, ShardedServer};
-use streamnet::StreamId;
+use streamnet::{Filter, StreamId};
 use workloads::{SyntheticConfig, SyntheticWorkload};
 
 fn fixture(n: usize, horizon: f64, seed: u64) -> (Vec<f64>, Vec<UpdateEvent>) {
@@ -94,12 +100,25 @@ fn assert_matches_engine<P: Protocol>(
     server
 }
 
-/// Which fleet-touch path a population mostly takes in a wide window.
+/// How often a population's touched streams recur before the tip.
 #[derive(Clone, Copy, Debug)]
 enum Mostly {
     Collides,
     Mixed,
     Scoped,
+}
+
+/// Asserts the touch path `expect` names at `batch_size` 64. Every report
+/// issues one install, so `respeculated < scoped_touches` proves some
+/// touch had no speculated position, and `respeculated > 0` that some did.
+fn assert_paths(tag: &str, m: &asf_server::ServerMetrics, expect: Mostly) {
+    let (scoped, respec) = (m.scoped_touches, m.respeculated);
+    let ok = match expect {
+        Mostly::Collides => respec > 5 * scoped && m.respec_flips > 0,
+        Mostly::Mixed => 0 < respec && respec < scoped && m.respec_flips > 0,
+        Mostly::Scoped => 10 * respec < scoped,
+    };
+    assert!(ok, "{tag}: expected {expect:?}, got scoped={scoped} respeculated={respec}");
 }
 
 /// `MultiRangeZt` (`ServerManaged`) over `n` streams × shards {1, 2, 8} ×
@@ -131,23 +150,14 @@ fn sweep_server_managed(n: usize, horizon: f64, expect: Mostly) {
                 }
                 let m = server.metrics();
                 assert!(m.reports_consumed > 0, "{tag}: the fixture must report");
-                // Every report issues exactly one single-stream install:
-                // it was either forwarded scoped or it cut.
-                assert_eq!(
-                    m.scoped_touches + m.cuts,
-                    m.reports_consumed,
-                    "{tag}: each report is one scoped touch or one cut"
-                );
-                // Which path dominates in a wide window is a property of
-                // the population.
-                if batch_size == 4096 {
-                    let (cuts, scoped) = (m.cuts, m.scoped_touches);
-                    let ok = match expect {
-                        Mostly::Collides => cuts > scoped,
-                        Mostly::Mixed => cuts > 0 && scoped > 0,
-                        Mostly::Scoped => scoped > 10 * cuts.max(1),
-                    };
-                    assert!(ok, "{tag}: expected {expect:?}, got cuts={cuts} scoped={scoped}");
+                // Every report issues exactly one single-stream install,
+                // and none of them cuts.
+                assert_eq!(m.cuts, 0, "{tag}: a per-stream touch never cuts");
+                assert_eq!(m.scoped_touches, m.reports_consumed, "{tag}: one touch per report");
+                // How far a touch reaches into the speculation is a
+                // property of the population.
+                if batch_size == 64 {
+                    assert_paths(&tag, m, expect);
                 }
             }
         }
@@ -155,7 +165,7 @@ fn sweep_server_managed(n: usize, horizon: f64, expect: Mostly) {
 }
 
 #[test]
-fn four_streams_collide_on_almost_every_report_and_fall_back_to_the_full_cut() {
+fn four_streams_collide_on_almost_every_report_and_respeculate() {
     sweep_server_managed(4, 10_000.0, Mostly::Collides);
 }
 
@@ -201,7 +211,7 @@ fn collision_free_chunks_never_cut_or_roll_back() {
     }
 
     // The same streams in one wide chunk recur every 64 positions: with a
-    // tip further out than that, touches collide and take the full cut.
+    // tip further out than that, touches collide and respeculate.
     let config = ServerConfig::with_shards(2).batch_size(4096);
     let server = assert_matches_engine(
         "round-robin wide",
@@ -211,7 +221,9 @@ fn collision_free_chunks_never_cut_or_roll_back() {
         config,
         &engine,
     );
-    assert!(server.metrics().cuts > 0, "recurring streams inside the tip must cut");
+    let m = server.metrics();
+    assert_eq!((m.cuts, m.rolled_back), (0, 0), "collisions respeculate, they do not cut");
+    assert!(m.respeculated > 0, "recurring streams inside the tip must respeculate");
 }
 
 #[test]
@@ -237,6 +249,100 @@ fn scoped_touch_of_a_stream_other_than_the_reporter_matches_engine() {
                 assert_eq!(server.protocol().fix_errors(), engine.protocol().fix_errors());
                 let m = server.metrics();
                 assert!(m.scoped_touches > 0, "{tag}: Fix_Error should be forwarded scoped");
+            }
+        }
+    }
+}
+
+/// A handler that retunes the filters of the streams it touches from the
+/// reported value, so that later speculated events flip both ways: above
+/// 600 a wide `[0, 1000]` silences the return inside, below 400 a narrow
+/// `[0, 350]` makes a silent drift to 380 report, and anything else
+/// restores `[400, 600]`. `Single` re-installs at the reporter only;
+/// `Batch` does what RTP's overflow shrink does — one `probe_many` (the
+/// reporter twice, and its partner `id ^ 1`) and one `install_many` at
+/// both.
+#[derive(Clone, Copy, Debug)]
+enum Retune {
+    Single,
+    Batch,
+}
+
+fn retuned(v: f64) -> Filter {
+    if v > 600.0 && v < 1000.0 {
+        Filter::interval(0.0, 1000.0)
+    } else if v < 400.0 {
+        Filter::interval(0.0, 350.0)
+    } else {
+        Filter::interval(400.0, 600.0)
+    }
+}
+
+impl Protocol for Retune {
+    fn name(&self) -> &'static str {
+        "RETUNE"
+    }
+
+    fn initialize(&mut self, ctx: &mut ServerCtx<'_>) {
+        ctx.probe_all();
+        ctx.broadcast(Filter::interval(400.0, 600.0));
+    }
+
+    fn on_update(&mut self, id: StreamId, value: f64, ctx: &mut ServerCtx<'_>) {
+        match self {
+            Retune::Single => ctx.install(id, retuned(value)),
+            Retune::Batch => {
+                let partner = StreamId(id.0 ^ 1);
+                ctx.probe_many(&[id, partner, id]);
+                let plan = [(id, retuned(value)), (partner, retuned(ctx.view().get(partner)))];
+                ctx.install_many(&plan);
+            }
+        }
+    }
+
+    fn answer(&self) -> AnswerSet {
+        AnswerSet::new()
+    }
+}
+
+#[test]
+fn installs_that_flip_later_reports_both_ways_respeculate_in_either_window() {
+    // 16 streams at 500 each walk the same cycle, two consecutive events
+    // per stream per round: 700 (report; wide filter) then 500 (a report
+    // the wide filter silences), 1200, 500, 300 (report; narrow filter),
+    // 380 (silent under [400, 600], a report under the narrow one), 500,
+    // 200, 500. The pair partner sits at the very next position, so even
+    // one-event windows (batch 3) respeculate it in window t+1, while
+    // wider windows respeculate it and the stream's later pairs in window
+    // t as well.
+    const CYCLE: [f64; 9] = [700.0, 500.0, 1200.0, 500.0, 300.0, 380.0, 500.0, 200.0, 500.0];
+    let n = 16usize;
+    let initial = vec![500.0; n];
+    let mut events = Vec::new();
+    for round in 0..60 {
+        for s in 0..n {
+            for step in [2 * round, 2 * round + 1] {
+                let value = CYCLE[(step + s) % CYCLE.len()];
+                let time = events.len() as f64;
+                events.push(UpdateEvent { time, stream: StreamId(s as u32), value });
+            }
+        }
+    }
+    for retune in [Retune::Single, Retune::Batch] {
+        let engine = serial(&initial, &events, retune);
+        assert!(engine.reports_processed() > 0);
+        for shards in [1usize, 2, 8] {
+            for mode in [ExecMode::Inline, ExecMode::Threaded] {
+                for batch_size in [3usize, 64, 4096] {
+                    let tag = format!("{retune:?} shards={shards} {mode:?} batch={batch_size}");
+                    let config =
+                        ServerConfig::with_shards(shards).batch_size(batch_size).mode(mode);
+                    let server =
+                        assert_matches_engine(&tag, &initial, &events, retune, config, &engine);
+                    let m = server.metrics();
+                    assert_eq!(m.cuts, 0, "{tag}: no fleet-wide operation, no cut");
+                    assert!(m.respeculated > 0 && m.respec_flips > 0, "{tag}: {}", m.summary());
+                }
             }
         }
     }

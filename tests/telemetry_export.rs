@@ -128,6 +128,14 @@ fn histogram_merge_is_exact() {
 fn traced_server_after_ingest(
     trace: TraceDepth,
 ) -> (ShardedServer<ZtNrp>, Vec<f64>, Vec<UpdateEvent>) {
+    traced_server_with(trace, 3, 8192)
+}
+
+fn traced_server_with(
+    trace: TraceDepth,
+    shards: usize,
+    trace_capacity: usize,
+) -> (ShardedServer<ZtNrp>, Vec<f64>, Vec<UpdateEvent>) {
     let mut w = SyntheticWorkload::new(SyntheticConfig {
         num_streams: 48,
         horizon: 80.0,
@@ -139,10 +147,10 @@ fn traced_server_after_ingest(
     while let Some(ev) = w.next_event() {
         events.push(ev);
     }
-    let config = ServerConfig::with_shards(3).batch_size(64).telemetry(TelemetryConfig {
+    let config = ServerConfig::with_shards(shards).batch_size(64).telemetry(TelemetryConfig {
         causes: true,
         trace,
-        trace_capacity: 8192,
+        trace_capacity,
     });
     let query = RangeQuery::new(400.0, 600.0).unwrap();
     let mut server = ShardedServer::new(&initial, ZtNrp::new(query), config);
@@ -177,6 +185,27 @@ fn chrome_trace_export_is_well_formed_and_names_the_pipeline_stages() {
     // timeline (metadata-only).
     let again = server.export_chrome_trace();
     assert_eq!(validate_chrome_trace(&again), Ok(0), "rings must drain on export");
+    assert_eq!(server.trace_spans_dropped(), 0, "a roomy ring drops nothing");
+}
+
+#[test]
+fn trace_spans_dropped_sums_the_coordinator_fleet_op_and_shard_rings() {
+    // Four-event rings overflow at once. The coordinator and fleet-op
+    // rings record the same spans at any shard count, so the eight-shard
+    // server's surplus over the one-shard server is its seven extra shard
+    // rings.
+    let dropped = |shards| {
+        let (mut server, ..) = traced_server_with(TraceDepth::Fine, shards, 4);
+        let dropped = server.trace_spans_dropped();
+        drop(server.export_chrome_trace());
+        assert_eq!(server.trace_spans_dropped(), dropped, "an export keeps the count");
+        dropped
+    };
+    let (one, eight) = (dropped(1), dropped(8));
+    assert!(one > 0, "a four-event ring must overflow");
+    assert!(eight > one, "shard rings must count: {one} at 1 shard, {eight} at 8");
+    let (mut off, ..) = traced_server_with(TraceDepth::Off, 8, 4);
+    assert_eq!(off.trace_spans_dropped(), 0, "tracing off records and drops nothing");
 }
 
 #[test]
@@ -192,6 +221,8 @@ fn telemetry_snapshot_has_the_documented_schema() {
         "server.speculative_commits",
         "server.cuts",
         "server.scoped_touches",
+        "server.respeculated",
+        "server.respec_flips",
         "server.batch_apply_ns",
         "server.parallel_fraction",
         "server.retries",
