@@ -57,8 +57,8 @@ use asf_persist::{Journal, PersistError, SnapshotStore, StateReader, StateWriter
 use asf_telemetry::{chrome_trace, Cause, Registry, TraceDepth, TraceEvent, TraceRing};
 use simkit::SimTime;
 use streamnet::{
-    ChaosConfig, ChaosFleet, ChaosState, ChaosStats, Ledger, MessageKind, ReportFate, ServerView,
-    SourceFleet, StreamId,
+    ChaosConfig, ChaosFleet, ChaosState, ChaosStats, Ledger, MessageKind, RepairPlan, ReportFate,
+    ServerView, SourceFleet, StreamId,
 };
 
 use crate::durability::{Durability, DurabilityConfig};
@@ -204,6 +204,8 @@ pub struct ShardedServer<P: Protocol> {
     chaos: Option<ChaosState>,
     /// Pooled buffer for delayed report frames surfacing at chunk end.
     chaos_scratch: Vec<(StreamId, f64)>,
+    /// Pooled repair plan of the chunk-end round.
+    chaos_plan: RepairPlan,
 }
 
 impl<P: Protocol> ShardedServer<P> {
@@ -294,6 +296,7 @@ impl<P: Protocol> ShardedServer<P> {
             durability: None,
             chaos: None,
             chaos_scratch: Vec::new(),
+            chaos_plan: RepairPlan::default(),
         }
     }
 
@@ -492,7 +495,8 @@ impl<P: Protocol> ShardedServer<P> {
             self.metrics.reports_consumed += 1;
         }
         self.chaos_scratch = due;
-        let plan = chaos.heartbeat_round();
+        let mut plan = std::mem::take(&mut self.chaos_plan);
+        chaos.heartbeat_round_into(&mut plan);
         if !plan.newly_dead.is_empty() {
             let mut inner = ShardRouter::with_telemetry(
                 &mut self.handles,
@@ -521,6 +525,7 @@ impl<P: Protocol> ShardedServer<P> {
             chaos.set_repair_window(false);
         }
         chaos.finish_round();
+        self.chaos_plan = plan;
         let stats = *chaos.stats();
         self.metrics.retries = stats.retries;
         self.metrics.timeouts = stats.timeouts;

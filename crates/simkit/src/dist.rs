@@ -3,7 +3,8 @@
 //! The paper's workloads need: exponential inter-arrival times (§6.2, mean 20
 //! time units), normal value steps (§6.2, `N(0, σ)`), and — for the
 //! TCP-trace substitute (DESIGN.md §5) — log-normal connection sizes, Zipf
-//! subnet activity, and Pareto heavy tails. `rand_distr` is not among the
+//! subnet activity, and Pareto heavy tails; the fault schedule needs
+//! geometric gaps between faulted channels. `rand_distr` is not among the
 //! approved offline crates, so the transforms live here with their own tests.
 
 use crate::rng::SimRng;
@@ -234,6 +235,85 @@ impl Sample for Zipf {
     }
 }
 
+/// Geometric distribution on `{0, 1, 2, …}`: the number of failures before
+/// the first success of independent Bernoulli(`p`) trials,
+/// `P(G = k) = (1 − p)^k · p`.
+///
+/// Sampled without libm. `survival[k]` holds `⌊2⁶⁴ (1 − p)^(k+1)⌋`, computed
+/// once in 128-bit fixed point; a draw is one `u64` word `y`, and `G` is the
+/// number of thresholds above `y` (a prefix: they are non-increasing). The
+/// search starts at `above[y >> 56]`, the count of thresholds above every
+/// word with `y`'s top byte, so it scans only the thresholds inside that
+/// byte's range — a quarter of one on average. A word below all 64
+/// thresholds means `G ≥ 64`: the distribution is memoryless, so the sampler
+/// adds 64 and redraws. The variate is a pure function of the RNG words on
+/// every platform (no transcendental's last bit to disagree on), exact to
+/// within 64 · 2⁻⁶⁴ per threshold, and costs one word per 64 skipped trials
+/// at worst.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Geometric {
+    survival: [u64; 64],
+    above: [u8; 256],
+}
+
+impl Geometric {
+    /// Creates the distribution for success probability `p`, or `None` when
+    /// `p < 2⁻⁶⁴` (a success that never comes is not representable).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `p` is in `[0, 1]`.
+    pub fn new(p: f64) -> Option<Self> {
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "geometric success probability must be in [0, 1], got {p}"
+        );
+        const ONE: u128 = 1 << 64;
+        // `p · 2⁶⁴` is exact for p ≥ 2⁻¹²; below that it truncates by < 2⁻⁶⁴.
+        let hit = (p * ONE as f64) as u128;
+        if hit == 0 {
+            return None;
+        }
+        let miss = ONE - hit;
+        let mut s = ONE;
+        let mut survival = [0u64; 64];
+        for slot in &mut survival {
+            // s ≤ 2⁶⁴ and miss < 2⁶⁴, so the product fits in 128 bits.
+            s = (s * miss) >> 64;
+            *slot = s as u64;
+        }
+        let (mut above, mut count) = ([0u8; 256], survival.len());
+        for (byte, slot) in above.iter_mut().enumerate() {
+            let top = (byte as u64) << 56 | ((1 << 56) - 1);
+            while count > 0 && survival[count - 1] <= top {
+                count -= 1;
+            }
+            *slot = count as u8;
+        }
+        Some(Self { survival, above })
+    }
+
+    /// Draws one variate. At `p = 1` it is always 0 and draws nothing.
+    #[inline]
+    pub fn sample_u64(&self, rng: &mut SimRng) -> u64 {
+        if self.survival[0] == 0 {
+            return 0;
+        }
+        let mut skipped = 0u64;
+        loop {
+            let y = rng.next_u64();
+            let mut k = usize::from(self.above[(y >> 56) as usize]);
+            while k < self.survival.len() && self.survival[k] > y {
+                k += 1;
+            }
+            if k < self.survival.len() {
+                return skipped.saturating_add(k as u64);
+            }
+            skipped = skipped.saturating_add(64);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,6 +425,101 @@ mod tests {
         for _ in 0..10_000 {
             let k = z.sample_rank(&mut r);
             assert!((1..=7).contains(&k));
+        }
+    }
+
+    /// Pearson's χ² of the empirical pmf against `(1 − p)^k p`, over bins
+    /// expecting ≥ 20 draws each plus one tail bin, must stay under the
+    /// 0.9999 quantile (Wilson–Hilferty) of its degrees of freedom.
+    #[test]
+    fn geometric_pmf_passes_chi_square() {
+        for p in [0.01, 0.05, 0.2, 0.5] {
+            let g = Geometric::new(p).unwrap();
+            let draws = 200_000usize;
+            let pmf = |k: usize| (1.0 - p).powi(k as i32) * p;
+            let bins = (0..).take_while(|&k| pmf(k) * draws as f64 >= 20.0).count();
+            let mut counts = vec![0usize; bins + 1];
+            let mut r = rng();
+            for _ in 0..draws {
+                counts[(g.sample_u64(&mut r) as usize).min(bins)] += 1;
+            }
+            let tail = 1.0 - (0..bins).map(pmf).sum::<f64>();
+            let chi2: f64 = counts
+                .iter()
+                .enumerate()
+                .map(|(k, &seen)| {
+                    let want = draws as f64 * if k < bins { pmf(k) } else { tail };
+                    (seen as f64 - want).powi(2) / want
+                })
+                .sum();
+            let df = bins as f64;
+            let z = 3.72;
+            let critical = df * (1.0 - 2.0 / (9.0 * df) + z * (2.0 / (9.0 * df)).sqrt()).powi(3);
+            assert!(chi2 < critical, "p={p}: chi2 {chi2:.1} over {critical:.1} at df {df}");
+        }
+    }
+
+    #[test]
+    fn geometric_mean_and_variance_match() {
+        for p in [0.01, 0.05, 0.2, 0.5] {
+            let g = Geometric::new(p).unwrap();
+            let mut r = rng();
+            let n = 200_000;
+            let xs: Vec<f64> = (0..n).map(|_| g.sample_u64(&mut r) as f64).collect();
+            let mean = xs.iter().sum::<f64>() / n as f64;
+            let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
+            let (want_mean, want_var) = ((1.0 - p) / p, (1.0 - p) / (p * p));
+            assert!((mean / want_mean - 1.0).abs() < 0.02, "p={p}: mean {mean} vs {want_mean}");
+            assert!((var / want_var - 1.0).abs() < 0.05, "p={p}: var {var} vs {want_var}");
+        }
+    }
+
+    /// The byte index only shortens the search: every draw equals the full
+    /// count of thresholds above its word.
+    #[test]
+    fn geometric_index_agrees_with_a_full_count() {
+        for p in [0.001, 0.05, 0.5, 0.999] {
+            let g = Geometric::new(p).unwrap();
+            let mut r = rng();
+            for _ in 0..100_000 {
+                let y = SimRng::from_state(r.state()).next_u64();
+                let count = g.survival.iter().filter(|&&t| t > y).count() as u64;
+                let got = g.sample_u64(&mut r);
+                if count < 64 {
+                    assert_eq!(got, count, "p={p} y={y:#x}");
+                } else {
+                    assert!(got >= 64);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn geometric_certain_success_is_zero_without_drawing() {
+        let g = Geometric::new(1.0).unwrap();
+        let mut r = rng();
+        let before = r.state();
+        assert!((0..1000).all(|_| g.sample_u64(&mut r) == 0));
+        assert_eq!(r.state(), before);
+    }
+
+    #[test]
+    fn geometric_impossible_success_is_unrepresentable() {
+        assert_eq!(Geometric::new(0.0), None);
+        assert_eq!(Geometric::new(1e-30), None);
+        assert!(Geometric::new(1e-12).is_some());
+    }
+
+    #[test]
+    fn geometric_resumes_from_rng_words() {
+        let g = Geometric::new(0.003).unwrap();
+        let mut a = rng();
+        for _ in 0..17 {
+            g.sample_u64(&mut a);
+        }
+        let mut b = SimRng::from_state(a.state());
+        for _ in 0..1000 {
+            assert_eq!(g.sample_u64(&mut a), g.sample_u64(&mut b));
         }
     }
 

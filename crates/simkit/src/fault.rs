@@ -5,21 +5,23 @@
 //! duplicate, or reorder frames — and sources themselves can crash and
 //! restart. This module is the deterministic source of those faults: a
 //! [`FaultSchedule`] draws one [`FaultDecision`] per frame from a seeded
-//! [`SimRng`] stream, and a [`Backoff`] computes capped exponential retry
+//! [`SimRng`] stream and the channels that fault at each quiescent round
+//! from a second one, and a [`Backoff`] computes capped exponential retry
 //! delays in logical ticks (see [`crate::time::TickClock`]).
 //!
 //! Determinism contract: given the same seed, mix, and the same sequence of
 //! draw calls, a schedule produces the same decisions. Once the clock passes
-//! the schedule's `horizon`, every frame delivers and no crashes are drawn —
+//! the schedule's `horizon`, every frame delivers and no round faults —
 //! this is the "faults cease" boundary the convergence proofs rely on.
 
+use crate::dist::Geometric;
 use crate::rng::SimRng;
 
 /// Per-frame fault probabilities plus crash/outage parameters.
 ///
 /// Probabilities are evaluated in order drop → delay → duplicate on a single
 /// uniform draw, so `drop_p + delay_p + dup_p` must be ≤ 1. `crash_p` is a
-/// separate per-source, per-round probability drawn at quiescent points.
+/// separate per-source, per-round probability applied at quiescent points.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultMix {
     /// Probability a frame is silently dropped.
@@ -102,18 +104,55 @@ pub enum FaultDecision {
     Duplicate,
 }
 
-/// Deterministic per-frame fault source with a hard fault horizon.
+/// Label of the round stream, derived from the frame stream's initial state.
+const ROUND_STREAM: u64 = 0x4842_4741_5053; // "HBGAPS"
+
+/// Deterministic fault source with a hard fault horizon.
 ///
-/// All draws come from one seeded [`SimRng`] stream, so the decision
-/// sequence is a pure function of `(seed, mix, call sequence)`. Draws at or
-/// past `horizon` ticks return [`FaultDecision::Deliver`] without consuming
-/// randomness, which keeps post-horizon execution byte-identical to a run
-/// that never had a fault schedule attached.
+/// Two seeded [`SimRng`] streams, so every decision is a pure function of
+/// `(seed, mix, call sequence)`:
+///
+/// * the **frame stream** draws one [`FaultDecision`] per report or request
+///   frame ([`FaultSchedule::draw`]);
+/// * the **round stream** decides which channels fault at a quiescent round
+///   — heartbeat faults and crash-restarts — by drawing the geometric gap
+///   from one faulted channel to the next, so a round costs one draw per
+///   fault rather than one per channel.
+///
+/// At or past `horizon` ticks neither stream is consulted: frames deliver
+/// and rounds fault nothing without consuming randomness, which keeps
+/// post-horizon execution byte-identical to a run that never had a fault
+/// schedule attached.
 #[derive(Debug, Clone)]
 pub struct FaultSchedule {
     rng: SimRng,
     mix: FaultMix,
     horizon: u64,
+    rounds: SimRng,
+    /// Gap between heartbeat faults (`None`: heartbeats never fault).
+    heartbeat_gap: Option<Geometric>,
+    /// Gap between crash-restarts (`None`: sources never crash).
+    crash_gap: Option<Geometric>,
+    /// Trials left before the next heartbeat fault. Trials run over every
+    /// channel in ascending order, round after round, so the pending gap
+    /// carries into the next round.
+    heartbeat_skip: u64,
+    /// Trials left before the next crash-restart, likewise.
+    crash_skip: u64,
+}
+
+/// Everything a [`FaultSchedule`] needs, besides its mix and horizon, to
+/// resume its exact decision stream after a crash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScheduleState {
+    /// Frame-stream RNG words.
+    pub frames: [u64; 4],
+    /// Round-stream RNG words.
+    pub rounds: [u64; 4],
+    /// Pending heartbeat gap.
+    pub heartbeat_skip: u64,
+    /// Pending crash gap.
+    pub crash_skip: u64,
 }
 
 impl FaultSchedule {
@@ -123,8 +162,65 @@ impl FaultSchedule {
     ///
     /// Panics if the mix's probabilities are malformed.
     pub fn new(seed: u64, mix: FaultMix, horizon: u64) -> Self {
+        Self::resume_frames(SimRng::seed_from_u64(seed).state(), mix, horizon)
+    }
+
+    /// Resumes from a frame-stream state alone — a checkpoint written before
+    /// the round stream existed. The frame stream continues exactly; the
+    /// round stream starts from those words as [`FaultSchedule::new`] starts
+    /// it from the seed's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mix's probabilities are malformed.
+    pub fn resume_frames(frames: [u64; 4], mix: FaultMix, horizon: u64) -> Self {
         mix.validate();
-        Self { rng: SimRng::seed_from_u64(seed), mix, horizon }
+        let rng = SimRng::from_state(frames);
+        let mut rounds = rng.clone().derive(ROUND_STREAM);
+        let (heartbeat_gap, crash_gap) = Self::gaps(&mix);
+        let mut first =
+            |gap: &Option<Geometric>| gap.as_ref().map_or(0, |g| g.sample_u64(&mut rounds));
+        let (heartbeat_skip, crash_skip) = (first(&heartbeat_gap), first(&crash_gap));
+        Self { rng, mix, horizon, rounds, heartbeat_gap, crash_gap, heartbeat_skip, crash_skip }
+    }
+
+    /// Rebuilds a schedule mid-stream from a state captured by
+    /// [`FaultSchedule::state`]; it draws the byte-identical continuation of
+    /// the original's decisions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mix's probabilities are malformed.
+    pub fn resume(state: ScheduleState, mix: FaultMix, horizon: u64) -> Self {
+        mix.validate();
+        let (heartbeat_gap, crash_gap) = Self::gaps(&mix);
+        Self {
+            rng: SimRng::from_state(state.frames),
+            mix,
+            horizon,
+            rounds: SimRng::from_state(state.rounds),
+            heartbeat_gap,
+            crash_gap,
+            heartbeat_skip: state.heartbeat_skip,
+            crash_skip: state.crash_skip,
+        }
+    }
+
+    /// A heartbeat faults when it is dropped or duplicated; a delayed one
+    /// still lands before the next round, so delay is no heartbeat fault.
+    fn gaps(mix: &FaultMix) -> (Option<Geometric>, Option<Geometric>) {
+        (Geometric::new(mix.drop_p + mix.dup_p), Geometric::new(mix.crash_p))
+    }
+
+    /// The checkpointing hook: persisting this (plus the mix and horizon) is
+    /// enough to resume the exact decision stream mid-schedule.
+    pub fn state(&self) -> ScheduleState {
+        ScheduleState {
+            frames: self.rng.state(),
+            rounds: self.rounds.state(),
+            heartbeat_skip: self.heartbeat_skip,
+            crash_skip: self.crash_skip,
+        }
     }
 
     /// Whether faults can still occur at tick `now`.
@@ -135,31 +231,6 @@ impl FaultSchedule {
     /// The tick at which faults cease.
     pub fn horizon(&self) -> u64 {
         self.horizon
-    }
-
-    /// The configured fault mix.
-    pub fn mix(&self) -> &FaultMix {
-        &self.mix
-    }
-
-    /// The RNG's raw state words — the checkpointing hook: persisting these
-    /// four words (plus the mix and horizon) is enough to resume the exact
-    /// decision stream mid-schedule after a crash.
-    pub fn rng_state(&self) -> [u64; 4] {
-        self.rng.state()
-    }
-
-    /// Rebuilds a schedule mid-stream: same mix and horizon, RNG resumed
-    /// from a state captured by [`FaultSchedule::rng_state`]. The resumed
-    /// schedule draws the byte-identical continuation of the original's
-    /// decision sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mix's probabilities are malformed.
-    pub fn resume(state: [u64; 4], mix: FaultMix, horizon: u64) -> Self {
-        mix.validate();
-        Self { rng: SimRng::from_state(state), mix, horizon }
     }
 
     /// Draws the fate of one frame sent at tick `now`.
@@ -181,18 +252,59 @@ impl FaultSchedule {
         }
     }
 
-    /// Draws whether a source crashes at tick `now`; on a crash, returns the
-    /// outage length in ticks.
-    pub fn draw_crash(&mut self, now: u64) -> Option<u64> {
-        if !self.active(now) || self.mix.crash_p == 0.0 {
-            return None;
-        }
-        if self.rng.next_f64() < self.mix.crash_p {
-            Some(1 + self.rng.index(self.mix.max_outage_ticks as usize) as u64)
-        } else {
-            None
-        }
+    /// The heartbeat faults of one round at tick `now` over channels
+    /// `0..n`: appends `(channel, dropped)` for each faulted channel in
+    /// ascending order (`dropped` false means duplicated). Each channel's
+    /// heartbeat faults independently with probability `drop_p + dup_p`;
+    /// when the mix has both, one more draw splits the fault. Past the
+    /// horizon, or when no heartbeat can fault, appends and draws nothing.
+    pub fn heartbeat_faults(&mut self, now: u64, n: usize, out: &mut Vec<(u32, bool)>) {
+        let Some(gap) = self.heartbeat_gap.as_ref().filter(|_| now < self.horizon) else {
+            return;
+        };
+        let (drop_p, dup_p) = (self.mix.drop_p, self.mix.dup_p);
+        walk(&mut self.rounds, gap, &mut self.heartbeat_skip, n, |rng, channel| {
+            let dropped = match (drop_p > 0.0, dup_p > 0.0) {
+                (true, true) => rng.next_f64() * (drop_p + dup_p) < drop_p,
+                (dropping, _) => dropping,
+            };
+            out.push((channel, dropped));
+        });
     }
+
+    /// The crash-restarts of one round at tick `now` over channels `0..n`:
+    /// appends `(channel, outage ticks)` for each crashed channel in
+    /// ascending order. Each channel crashes independently with probability
+    /// `crash_p`, for an outage uniform in `1..=max_outage_ticks`. Past the
+    /// horizon, or at `crash_p == 0`, appends and draws nothing.
+    pub fn crashes(&mut self, now: u64, n: usize, out: &mut Vec<(u32, u64)>) {
+        let Some(gap) = self.crash_gap.as_ref().filter(|_| now < self.horizon) else {
+            return;
+        };
+        let max_outage = self.mix.max_outage_ticks as usize;
+        walk(&mut self.rounds, gap, &mut self.crash_skip, n, |rng, channel| {
+            out.push((channel, 1 + rng.index(max_outage) as u64));
+        });
+    }
+}
+
+/// Walks one round of a Bernoulli trial stream over channels `0..n`,
+/// calling `hit` at each success: `skip` is the pending gap on entry and
+/// the gap carried into the next round on exit.
+fn walk(
+    rng: &mut SimRng,
+    gap: &Geometric,
+    skip: &mut u64,
+    n: usize,
+    mut hit: impl FnMut(&mut SimRng, u32),
+) {
+    let n = n as u64;
+    let mut at = *skip;
+    while at < n {
+        hit(rng, at as u32);
+        at = at.saturating_add(1).saturating_add(gap.sample_u64(rng));
+    }
+    *skip = at - n;
 }
 
 /// Capped exponential backoff in logical ticks.
@@ -255,7 +367,14 @@ mod tests {
         for t in 10..100 {
             assert_eq!(s.draw(t), FaultDecision::Deliver);
         }
-        assert_eq!(s.draw_crash(10), None);
+        let mut s =
+            FaultSchedule::new(1, FaultMix { crash_p: 1.0, ..FaultMix::crash_restart(0.0) }, 10);
+        let before = s.state();
+        let (mut faults, mut crashes) = (Vec::new(), Vec::new());
+        s.heartbeat_faults(10, 64, &mut faults);
+        s.crashes(10, 64, &mut crashes);
+        assert!(faults.is_empty() && crashes.is_empty());
+        assert_eq!(s.state(), before, "a quiet round draws nothing");
     }
 
     #[test]
@@ -287,30 +406,95 @@ mod tests {
     #[test]
     fn crash_draws_bounded_outages() {
         let mut s = FaultSchedule::new(3, FaultMix::crash_restart(0.5), u64::MAX);
-        let mut crashes = 0;
-        for _ in 0..1000 {
-            if let Some(outage) = s.draw_crash(0) {
-                assert!((1..=4096).contains(&outage));
-                crashes += 1;
-            }
+        let mut crashes = Vec::new();
+        for _ in 0..10 {
+            s.crashes(0, 100, &mut crashes);
         }
-        assert!((350..=650).contains(&crashes), "crash count {crashes} far from 50%");
+        assert!(crashes.iter().all(|&(_, outage)| (1..=4096).contains(&outage)));
+        let count = crashes.len();
+        assert!((350..=650).contains(&count), "crash count {count} far from 50%");
     }
 
     #[test]
     fn resumed_schedule_continues_exact_stream() {
         let mix = FaultMix { drop_p: 0.3, delay_p: 0.2, dup_p: 0.1, ..FaultMix::none() };
-        let mix = FaultMix { max_delay_ticks: 16, ..mix };
+        let mix = FaultMix { max_delay_ticks: 16, crash_p: 0.05, max_outage_ticks: 9, ..mix };
+        let round = |s: &mut FaultSchedule, t: u64| {
+            let (mut faults, mut crashes) = (Vec::new(), Vec::new());
+            s.heartbeat_faults(t, 37, &mut faults);
+            s.crashes(t, 37, &mut crashes);
+            (s.draw(t), faults, crashes)
+        };
         let mut original = FaultSchedule::new(99, mix, 10_000);
         for t in 0..257 {
-            original.draw(t);
-            original.draw_crash(t);
+            round(&mut original, t);
         }
-        let mut resumed = FaultSchedule::resume(original.rng_state(), mix, 10_000);
+        let mut resumed = FaultSchedule::resume(original.state(), mix, 10_000);
         for t in 257..1_000 {
-            assert_eq!(original.draw(t), resumed.draw(t));
-            assert_eq!(original.draw_crash(t), resumed.draw_crash(t));
+            assert_eq!(round(&mut original, t), round(&mut resumed, t));
         }
+    }
+
+    #[test]
+    fn frame_state_alone_resumes_like_the_seed() {
+        let mix = FaultMix::crash_restart(0.1);
+        let fresh = FaultSchedule::new(5, mix, 100);
+        let resumed = FaultSchedule::resume_frames(SimRng::seed_from_u64(5).state(), mix, 100);
+        assert_eq!(fresh.state(), resumed.state());
+    }
+
+    /// Heartbeat faults hit each channel with probability `drop_p + dup_p`
+    /// per round, independently across channels and rounds — the gap
+    /// stream is one Bernoulli trial per (round, channel), not per round.
+    #[test]
+    fn heartbeat_faults_are_bernoulli_per_channel_and_round() {
+        let mix = FaultMix {
+            drop_p: 0.06,
+            dup_p: 0.04,
+            delay_p: 0.3,
+            max_delay_ticks: 8,
+            ..FaultMix::none()
+        };
+        let (n, rounds) = (97usize, 4_000usize);
+        let mut s = FaultSchedule::new(11, mix, u64::MAX);
+        let (mut hit, mut both, mut dropped, mut total) = (vec![false; n], 0usize, 0usize, 0usize);
+        let mut faults = Vec::new();
+        for _ in 0..rounds {
+            faults.clear();
+            s.heartbeat_faults(0, n, &mut faults);
+            assert!(faults.windows(2).all(|w| w[0].0 < w[1].0), "ascending, no repeats");
+            let mut now = vec![false; n];
+            for &(c, d) in &faults {
+                now[c as usize] = true;
+                dropped += usize::from(d);
+            }
+            both += (0..n).filter(|&c| hit[c] && now[c]).count();
+            total += faults.len();
+            hit = now;
+        }
+        let trials = (n * rounds) as f64;
+        let rate = total as f64 / trials;
+        assert!((rate - 0.1).abs() < 0.004, "fault rate {rate}");
+        let repeat = both as f64 / trials;
+        assert!((repeat - 0.01).abs() < 0.0015, "consecutive-round fault rate {repeat}");
+        let drop_share = dropped as f64 / total as f64;
+        assert!((drop_share - 0.6).abs() < 0.02, "drop share {drop_share}");
+    }
+
+    #[test]
+    fn certain_and_impossible_heartbeat_faults_draw_nothing() {
+        let mut faults = Vec::new();
+        let mut s = FaultSchedule::new(2, FaultMix::loss_only(1.0), u64::MAX);
+        let before = s.state();
+        s.heartbeat_faults(0, 50, &mut faults);
+        assert_eq!(faults, (0..50).map(|c| (c, true)).collect::<Vec<_>>());
+        assert_eq!(s.state(), before);
+        let mut s = FaultSchedule::new(2, FaultMix::delay_reorder(0.0), u64::MAX);
+        let before = s.state();
+        faults.clear();
+        s.heartbeat_faults(0, 50, &mut faults);
+        assert!(faults.is_empty());
+        assert_eq!(s.state(), before);
     }
 
     #[test]

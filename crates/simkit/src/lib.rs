@@ -30,8 +30,8 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use dist::{Exponential, LogNormal, Normal, Pareto, Uniform, Zipf};
-pub use fault::{Backoff, FaultDecision, FaultMix, FaultSchedule};
+pub use dist::{Exponential, Geometric, LogNormal, Normal, Pareto, Uniform, Zipf};
+pub use fault::{Backoff, FaultDecision, FaultMix, FaultSchedule, ScheduleState};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use stats::{percentile, RunningStats};

@@ -48,24 +48,39 @@
 //!
 //! ## Layout
 //!
-//! What every round reads for every source lives in three hot columns
-//! (`last_heard`, `lease_len`, a `flags` byte); the epoch / sequence /
-//! outage record is cold and a healthy source's heartbeat never loads it.
-//! The round is one ascending-id pass whose per-source order is the RNG
-//! draw order — part of the determinism contract, pinned by
-//! `tests/chaos_pinned.rs` (ARCHITECTURE.md has the cost model).
+//! The round costs O(faults + changed channels), not O(n). A channel heard
+//! in the last round, caught up, with nothing pending, is **steady**: it
+//! carries no per-round state (its `last_heard` is the last round's tick)
+//! and no round visits it. Everything else — a channel the schedule faulted
+//! this round, one a report, probe, install or crash touched since the last
+//! round, one that is down, dead, gapped, awaiting repair or whose lease
+//! just adapted — is in the **exception set**, a bitmap over channel ids.
+//! The round is one ascending pass over it with the per-channel rule a full
+//! sweep would apply, plus one over the steady channels whose heartbeat the
+//! schedule dropped. The schedule skip-samples which channels fault (one
+//! draw per fault, see [`simkit::fault::FaultSchedule`]), and a lease is
+//! `lease_ticks · 2^k` for k ≤ 4, so the steady channels fall into five
+//! classes: when a round's gap would adapt a class, that class is swept
+//! into the exception set first. The `flags` column stays dense, so a
+//! steady channel stays verified without being written. Per-channel
+//! equivalence with a full per-source sweep is proven against that sweep,
+//! kept as the reference model in this module's tests; the draw order is
+//! pinned by `tests/chaos_pinned.rs` (ARCHITECTURE.md §8 has the cost
+//! model).
 //!
 //! ## Durability
 //!
-//! The whole machine — config, fault-RNG words, logical clock, every
-//! channel, the parked-frame pool, the dead set, and the counters — round-
-//! trips through [`ChaosState::encode`] / [`ChaosState::decode`], so a
-//! durable server checkpoints its channel layer alongside protocol state
-//! and a crash+recover *inside* a fault window resumes the exact decision
-//! stream (see `asf-server`'s chaos-recovery differential suite).
+//! The whole machine — config, both fault-RNG streams and their gap
+//! cursors, logical clock, every channel, the exception set, the
+//! parked-frame pool, and the counters — round-trips through
+//! [`ChaosState::encode`] / [`ChaosState::decode`], so a durable server
+//! checkpoints its channel layer alongside protocol state and a
+//! crash+recover *inside* a fault window resumes the exact decision stream
+//! (see `asf-server`'s chaos-recovery differential suite). Version-1
+//! records decode through a stated migration.
 
 use asf_persist::{PersistError, StateReader, StateWriter};
-use simkit::fault::{Backoff, FaultDecision, FaultMix, FaultSchedule};
+use simkit::fault::{Backoff, FaultDecision, FaultMix, FaultSchedule, ScheduleState};
 use simkit::time::TickClock;
 
 use crate::filter::Filter;
@@ -109,8 +124,9 @@ pub struct ChaosConfig {
 pub const MAX_LEASE_FACTOR: u64 = 16;
 
 /// Version tag of the serialized chaos-state record
-/// ([`ChaosState::encode`] / [`ChaosState::decode`]).
-const CHAOS_STATE_VERSION: u8 = 1;
+/// ([`ChaosState::encode`] / [`ChaosState::decode`]). Version 1 — one RNG
+/// stream, a dense `last_heard` and lease column — still decodes.
+const CHAOS_STATE_VERSION: u8 = 2;
 
 impl ChaosConfig {
     /// Creates a config with conventional lease/backoff defaults.
@@ -250,6 +266,64 @@ const GAP: u8 = 1 << 4;
 /// A crash set `down_until` and no round has seen it pass yet. Clear means
 /// `now >= down_until` without looking; set means "compare".
 const MAYBE_DOWN: u8 = 1 << 5;
+/// Set by `heartbeat_round` when the heartbeat adapted the lease, read and
+/// cleared by `finish_round`: the channel stays an exception for one more
+/// round, since the next gap may adapt it again.
+const ADAPTED: u8 = 1 << 6;
+/// An exception channel's heartbeat was dropped this round; lives inside
+/// `heartbeat_round` only.
+const LOST: u8 = 1 << 7;
+/// The bits a record carries (`GAP` and `MAYBE_DOWN` are derived from the
+/// cold record; `ADAPTED` and `LOST` never outlive a round).
+const RECORDED: u8 = NEEDS_REPAIR | HEARD | VERIFIED | DEAD;
+/// The flags of a **steady** channel: heard in the last round, caught up,
+/// nothing pending. Only steady channels may leave the exception set.
+const STEADY: u8 = HEARD | VERIFIED;
+
+/// Lease classes: a channel's lease is `lease_ticks · 2^k` for
+/// `k < LEASE_CLASSES`.
+const LEASE_CLASSES: usize = MAX_LEASE_FACTOR.trailing_zeros() as usize + 1;
+
+/// A config's lease length per class: `lease_ticks · 2^k`.
+#[derive(Debug, Clone, Copy)]
+struct Leases([u64; LEASE_CLASSES]);
+
+impl Leases {
+    fn new(lease_ticks: u64) -> Self {
+        Self(std::array::from_fn(|k| lease_ticks.saturating_mul(1 << k)))
+    }
+
+    /// The class a delivered heartbeat moves a class-`k` channel to after
+    /// `gap` silent ticks: the gap is the channel's observed heartbeat
+    /// jitter, and one eating more than half the lease doubles it (up to
+    /// the ceiling), one under an eighth halves it back toward the
+    /// configured floor. Pure integer arithmetic on deterministic
+    /// quantities — no clock, no RNG.
+    fn adapted(&self, k: u8, gap: u64) -> u8 {
+        let lease = self.0[k as usize];
+        let to = if gap.saturating_mul(2) > lease {
+            (k + 1).min(LEASE_CLASSES as u8 - 1)
+        } else if gap.saturating_mul(8) < lease {
+            k.saturating_sub(1)
+        } else {
+            k
+        };
+        if self.0[to as usize] == lease {
+            k
+        } else {
+            to
+        }
+    }
+}
+
+/// An exception bitmap holding every one of `n` channels.
+fn all_exceptions(n: usize) -> Vec<u64> {
+    let mut bits = vec![u64::MAX; n.div_ceil(64)];
+    if let Some(last) = bits.last_mut().filter(|_| n % 64 != 0) {
+        *last = (1 << (n % 64)) - 1;
+    }
+    bits
+}
 
 fn set_flag(flags: &mut u8, bit: u8, on: bool) {
     *flags = if on { *flags | bit } else { *flags & !bit };
@@ -284,14 +358,33 @@ pub struct ChaosState {
     clock: TickClock,
     /// Cold per-source records.
     channels: Vec<Channel>,
-    /// Hot column: tick at which the server last heard from the source.
+    /// Hot column: tick at which the server last heard from an exception
+    /// channel. A steady channel's entry is stale — it was heard at
+    /// `round_tick` — and is rewritten when the channel becomes an
+    /// exception again.
     last_heard: Vec<u64>,
-    /// Hot column: the channel's current lease length, adapted within
-    /// `[lease_ticks, lease_ticks × MAX_LEASE_FACTOR]` (pinned at the floor
-    /// when adaptive leases are off).
-    lease_len: Vec<u64>,
-    /// Hot column: `NEEDS_REPAIR | HEARD | VERIFIED | DEAD | GAP | MAYBE_DOWN`.
+    /// Hot column: the lease class (always 0 when adaptive leases are off).
+    lease_class: Vec<u8>,
+    leases: Leases,
+    /// Hot column: `NEEDS_REPAIR | HEARD | VERIFIED | DEAD | GAP |
+    /// MAYBE_DOWN`, plus the in-round `ADAPTED` and `LOST`.
     flags: Vec<u8>,
+    /// The exception set, one bit per channel: every channel that is not
+    /// steady, whose lease just adapted, or that a report, probe, install or
+    /// crash touched since the last round. Rounds visit only these.
+    exceptions: Vec<u64>,
+    /// Channels outside the exception set, per lease class.
+    steady: [usize; LEASE_CLASSES],
+    /// Tick of the last heartbeat round: when every steady channel was last
+    /// heard.
+    round_tick: u64,
+    /// Channels with `DEAD` set.
+    dead: usize,
+    /// The last round's heartbeat faults on up channels, ascending
+    /// `(channel, dropped)`.
+    faults: Vec<(u32, bool)>,
+    /// Scratch for [`ChaosState::draw_crashes`].
+    crashes: Vec<(u32, u64)>,
     parked: Vec<ParkedReport>,
     /// Scratch for [`ChaosState::take_due_reports`]; empty between calls.
     due: Vec<ParkedReport>,
@@ -310,23 +403,30 @@ impl ChaosState {
     ///
     /// Channels start fully caught up: the server is expected to have
     /// initialized (probed the world) over a reliable channel before chaos
-    /// is attached.
+    /// is attached. None has been heard in a round yet, so all start as
+    /// exceptions; the first round settles them.
     pub fn new(n: usize, cfg: ChaosConfig) -> Self {
         let schedule = FaultSchedule::new(cfg.seed, cfg.mix, cfg.fault_horizon_ticks);
-        let lease_len = cfg.lease_ticks;
         Self {
-            cfg,
             schedule,
             clock: TickClock::new(),
             channels: vec![Channel::default(); n],
             last_heard: vec![0; n],
-            lease_len: vec![lease_len; n],
+            lease_class: vec![0; n],
+            leases: Leases::new(cfg.lease_ticks),
             flags: vec![VERIFIED; n],
+            exceptions: all_exceptions(n),
+            steady: [0; LEASE_CLASSES],
+            round_tick: 0,
+            dead: 0,
+            faults: Vec::new(),
+            crashes: Vec::new(),
             parked: Vec::new(),
             due: Vec::new(),
             stats: ChaosStats::default(),
             lease_samples: Vec::new(),
             repair_window: false,
+            cfg,
         }
     }
 
@@ -384,13 +484,14 @@ impl ChaosState {
     /// A channel's current lease length in ticks (equals the configured
     /// `lease_ticks` unless adaptive leases have grown or shrunk it).
     pub fn lease_len_of(&self, id: StreamId) -> u64 {
-        self.lease_len[id.index()]
+        self.leases.0[self.lease_class[id.index()] as usize]
     }
 
     /// Drains the lease lengths that changed since the last drain — the
-    /// server feeds these into its `lease_len` histogram.
-    pub fn drain_lease_samples(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.lease_samples)
+    /// server feeds these into its `lease_len` histogram. The buffer keeps
+    /// its capacity for the next round.
+    pub fn drain_lease_samples(&mut self) -> std::vec::Drain<'_, u64> {
+        self.lease_samples.drain(..)
     }
 
     /// Marks the start (`true`) / end (`false`) of a chunk-end repair
@@ -403,7 +504,7 @@ impl ChaosState {
 
     /// Number of sources currently considered dead (lease expired).
     pub fn dead_count(&self) -> usize {
-        self.flags.iter().filter(|&&f| f & DEAD != 0).count()
+        self.dead
     }
 
     /// Whether a source's lease has expired.
@@ -437,8 +538,28 @@ impl ChaosState {
         set.map(|(i, _)| StreamId(i as u32)).collect()
     }
 
+    fn is_exception(&self, i: usize) -> bool {
+        self.exceptions[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    fn is_up(&self, i: usize, now: u64) -> bool {
+        self.flags[i] & MAYBE_DOWN == 0 || now >= self.channels[i].down_until
+    }
+
+    /// Makes channel `i` an exception — every writer outside the round
+    /// calls this before it changes the channel — so its implicit
+    /// `last_heard` becomes explicit.
+    fn touch(&mut self, i: usize) {
+        if !self.is_exception(i) {
+            self.exceptions[i / 64] |= 1 << (i % 64);
+            self.last_heard[i] = self.round_tick;
+            self.steady[self.lease_class[i] as usize] -= 1;
+        }
+    }
+
     /// The server accepted frame `seq` of channel `i` at tick `now`.
     fn accept_frame(&mut self, i: usize, seq: u64, now: u64) {
+        self.touch(i);
         let ch = &mut self.channels[i];
         ch.recv_seq = seq;
         self.last_heard[i] = now;
@@ -450,14 +571,15 @@ impl ChaosState {
     pub fn admit_report(&mut self, id: StreamId, value: f64) -> ReportFate {
         let now = self.clock.now();
         let i = id.index();
-        let ch = &mut self.channels[i];
-        if now < ch.down_until {
+        if now < self.channels[i].down_until {
             // The reporting process is down; the frame is never sent. The
             // value evolution itself continues (sensor hardware keeps
             // running) — only the channel is dark.
             self.stats.reports_lost += 1;
             return ReportFate::Lost;
         }
+        self.touch(i);
+        let ch = &mut self.channels[i];
         ch.send_seq += 1;
         self.flags[i] |= GAP; // until the server accepts the frame
         let (seq, epoch) = (ch.send_seq, ch.epoch);
@@ -522,92 +644,180 @@ impl ChaosState {
     /// A crashed source goes dark for a bounded outage: its reports are
     /// swallowed, its heartbeats stop (so its lease eventually expires),
     /// and it is flagged for a repair re-probe once it is heard from again.
+    /// The schedule draws the gap from one crashed channel to the next; a
+    /// hit on a channel that is already down is void.
     pub fn draw_crashes(&mut self) {
         let now = self.clock.now();
-        // Exactly the cases in which `draw_crash` consumes no randomness.
-        if !self.schedule.active(now) || self.schedule.mix().crash_p == 0.0 {
-            return;
-        }
-        for i in 0..self.channels.len() {
-            if self.flags[i] & MAYBE_DOWN != 0 && now < self.channels[i].down_until {
-                continue; // already down
+        let mut crashes = std::mem::take(&mut self.crashes);
+        crashes.clear();
+        self.schedule.crashes(now, self.len(), &mut crashes);
+        for &(c, outage) in &crashes {
+            let i = c as usize;
+            if !self.is_up(i, now) {
+                continue;
             }
-            if let Some(outage) = self.schedule.draw_crash(now) {
-                self.stats.crashes += 1;
-                self.channels[i].down_until = now + outage;
-                self.flags[i] = (self.flags[i] | NEEDS_REPAIR | MAYBE_DOWN) & !VERIFIED;
-            }
+            self.touch(i);
+            self.stats.crashes += 1;
+            self.channels[i].down_until = now + outage;
+            self.flags[i] = (self.flags[i] | NEEDS_REPAIR | MAYBE_DOWN) & !VERIFIED;
         }
+        self.crashes = crashes;
     }
 
     /// Runs the heartbeat + lease round: every up source emits a heartbeat
     /// frame (fault-droppable, metered as overhead, never in the ledger)
     /// carrying its `send_seq` and restart flag. Returns the repair work
     /// the server must execute before calling [`ChaosState::finish_round`].
-    ///
-    /// One ascending-id pass over the hot columns; the per-source order
-    /// below is the RNG draw order and must not change.
     pub fn heartbeat_round(&mut self) -> RepairPlan {
-        let now = self.clock.now();
-        let adaptive = self.cfg.adaptive_lease;
-        let lease_floor = self.cfg.lease_ticks;
-        let lease_cap = lease_floor.saturating_mul(MAX_LEASE_FACTOR);
         let mut plan = RepairPlan::default();
-        let (mut sent, mut lost, mut dups, mut spurious) = (0u64, 0u64, 0u64, 0u64);
-        let Self { schedule, channels, last_heard, lease_len, flags, lease_samples, .. } = self;
-        let hot = flags.iter_mut().zip(last_heard.iter_mut()).zip(lease_len.iter_mut());
-        for (i, ((flags, last_heard), lease_len)) in hot.enumerate() {
-            let mut f = *flags & !HEARD;
-            let up = f & MAYBE_DOWN == 0 || now >= channels[i].down_until;
-            if up {
-                f &= !MAYBE_DOWN;
-                sent += 1;
-                let fate = schedule.draw(now);
-                lost += u64::from(fate == FaultDecision::Drop);
-                dups += u64::from(fate == FaultDecision::Duplicate);
-                // A delayed heartbeat still lands well before the next
-                // round; treat it as delivered for lease purposes.
-                if fate != FaultDecision::Drop {
-                    if adaptive {
-                        // The gap since the last delivered frame is this
-                        // channel's observed heartbeat jitter: a gap eating
-                        // more than half the lease doubles it (up to the
-                        // ceiling); a gap under an eighth halves it back
-                        // toward the configured floor. Pure integer arithmetic
-                        // on deterministic quantities — no clock, no RNG.
-                        let gap = now.saturating_sub(*last_heard);
-                        let adapted = if gap.saturating_mul(2) > *lease_len {
-                            lease_len.saturating_mul(2).min(lease_cap)
-                        } else if gap.saturating_mul(8) < *lease_len {
-                            (*lease_len / 2).max(lease_floor)
-                        } else {
-                            *lease_len
-                        };
-                        if adapted != *lease_len {
-                            *lease_len = adapted;
-                            lease_samples.push(adapted);
+        self.heartbeat_round_into(&mut plan);
+        plan
+    }
+
+    /// [`ChaosState::heartbeat_round`] into a caller-owned plan, which is
+    /// cleared first and keeps its capacity from round to round.
+    ///
+    /// The round visits only the exception set and this round's lost
+    /// heartbeats. A steady channel the schedule did not fault is heard
+    /// again, and nothing about it changes unless this round's gap adapts
+    /// its lease class — in which case the whole class is swept into the
+    /// exception set first.
+    pub fn heartbeat_round_into(&mut self, plan: &mut RepairPlan) {
+        plan.reprobe.clear();
+        plan.newly_dead.clear();
+        let now = self.clock.now();
+        let n = self.len();
+        let adaptive = self.cfg.adaptive_lease;
+        // Every steady channel was last heard at `round_tick`.
+        let gap = now.saturating_sub(self.round_tick);
+        // (1) Sweep each steady class whose lease this gap adapts.
+        if adaptive {
+            for k in 0..LEASE_CLASSES as u8 {
+                if self.steady[k as usize] > 0 && self.leases.adapted(k, gap) != k {
+                    for i in 0..n {
+                        if self.lease_class[i] == k {
+                            self.touch(i);
                         }
                     }
-                    *last_heard = now;
-                    f |= HEARD;
                 }
             }
-            let expired = now.saturating_sub(*last_heard) > *lease_len;
-            if expired && f & DEAD == 0 {
-                f = (f | DEAD) & !VERIFIED;
-                // An up source whose lease expired only lost heartbeats in
-                // the channel: a false positive.
-                spurious += u64::from(up);
-                plan.newly_dead.push(StreamId(i as u32));
-            } else if !expired && f & DEAD != 0 {
-                // Heard again: the source rejoins and must be re-probed.
-                f = (f & !DEAD) | NEEDS_REPAIR;
-            }
-            if f & (HEARD | DEAD) == HEARD && f & (NEEDS_REPAIR | GAP) != 0 {
-                plan.reprobe.push(StreamId(i as u32));
-            }
-            *flags = f;
         }
+        // (2) The schedule's faults. A down source sends nothing, so a hit
+        // on it is void. A duplicated heartbeat still renews the lease, so
+        // it leaves a steady channel as it was; a dropped one is settled in
+        // (3) for an exception and in (4) for a steady channel.
+        let mut faults = std::mem::take(&mut self.faults);
+        faults.clear();
+        self.schedule.heartbeat_faults(now, n, &mut faults);
+        faults.retain(|&(c, _)| self.is_up(c as usize, now));
+        let (mut lost, mut dups) = (0u64, 0u64);
+        for &(c, dropped) in &faults {
+            if dropped {
+                lost += 1;
+                if self.is_exception(c as usize) {
+                    self.flags[c as usize] |= LOST;
+                }
+            } else {
+                dups += 1;
+            }
+        }
+        // (3) One ascending pass over the exception set, applying the rule
+        // a full per-source sweep applies to every channel.
+        let (mut down, mut spurious) = (0u64, 0u64);
+        if self.steady.iter().sum::<usize>() < n {
+            let Self {
+                channels,
+                last_heard,
+                lease_class,
+                flags,
+                exceptions,
+                steady,
+                dead,
+                leases,
+                lease_samples,
+                ..
+            } = self;
+            // Slices keep the columns' bases and lengths in registers.
+            let (channels, last_heard) = (channels.as_slice(), last_heard.as_mut_slice());
+            let (lease_class, flags) = (lease_class.as_mut_slice(), flags.as_mut_slice());
+            for (w, word) in exceptions.iter_mut().enumerate() {
+                let mut bits = *word;
+                while bits != 0 {
+                    let i = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let old = flags[i];
+                    let mut f = old & !(HEARD | ADAPTED | LOST);
+                    let up = f & MAYBE_DOWN == 0 || now >= channels[i].down_until;
+                    if up {
+                        f &= !MAYBE_DOWN;
+                    } else {
+                        down += 1;
+                    }
+                    let delivered = up && old & LOST == 0;
+                    let before = last_heard[i];
+                    let mut k = lease_class[i];
+                    if delivered {
+                        let to = leases.adapted(k, now.saturating_sub(before));
+                        if to != k && adaptive {
+                            k = to;
+                            lease_class[i] = k;
+                            lease_samples.push(leases.0[k as usize]);
+                            f |= ADAPTED;
+                        }
+                        last_heard[i] = now;
+                        f |= HEARD;
+                    }
+                    let expired = now.saturating_sub(last_heard[i]) > leases.0[k as usize];
+                    if expired && f & DEAD == 0 {
+                        f = (f | DEAD) & !VERIFIED;
+                        *dead += 1;
+                        // An up source whose lease expired only lost
+                        // heartbeats in the channel: a false positive.
+                        spurious += u64::from(up);
+                        plan.newly_dead.push(StreamId(i as u32));
+                    } else if !expired && f & DEAD != 0 {
+                        // Heard again: the source rejoins and must be
+                        // re-probed.
+                        f = (f & !DEAD) | NEEDS_REPAIR;
+                        *dead -= 1;
+                    }
+                    if f & (NEEDS_REPAIR | GAP) != 0 && f & (HEARD | DEAD) == HEARD {
+                        plan.reprobe.push(StreamId(i as u32));
+                    }
+                    flags[i] = f;
+                    // `HEARD` implies `last_heard == now`.
+                    if f == STEADY {
+                        *word &= !(1 << (i % 64));
+                        steady[k as usize] += 1;
+                    }
+                }
+            }
+        }
+        // (4) A steady channel whose heartbeat was dropped: still unheard
+        // since `round_tick`, so it expires iff its class's lease is shorter
+        // than the gap. (Pass (3) released no lost channel, so "steady" reads
+        // the same as it did in (2).)
+        let newly_dead = plan.newly_dead.len();
+        for &(c, dropped) in &faults {
+            let i = c as usize;
+            if !dropped || self.is_exception(i) {
+                continue;
+            }
+            self.touch(i);
+            self.flags[i] = STEADY & !HEARD;
+            if gap > self.leases.0[self.lease_class[i] as usize] {
+                self.flags[i] = DEAD;
+                self.dead += 1;
+                spurious += 1;
+                plan.newly_dead.push(StreamId(c));
+            }
+        }
+        if plan.newly_dead.len() > newly_dead {
+            plan.newly_dead.sort_unstable();
+        }
+        self.faults = faults;
+        self.round_tick = now;
+        let sent = (n as u64) - down;
         let stats = &mut self.stats;
         stats.heartbeats_sent += sent;
         stats.heartbeats_lost += lost;
@@ -616,16 +826,37 @@ impl ChaosState {
         stats.lease_expirations += plan.newly_dead.len() as u64;
         stats.spurious_expirations += spurious;
         stats.repaired_sources += plan.reprobe.len() as u64;
-        plan
     }
 
-    /// Recomputes verified-live flags after the round's repair work ran.
+    /// Recomputes verified-live flags after the round's repair work ran —
+    /// over the exception set only: a steady channel stays verified.
     pub fn finish_round(&mut self) {
+        if self.steady.iter().sum::<usize>() == self.len() {
+            return;
+        }
         let now = self.clock.now();
-        for (f, ch) in self.flags.iter_mut().zip(&self.channels) {
-            let caught_up = *f & (DEAD | HEARD | NEEDS_REPAIR | GAP) == HEARD
-                && (*f & MAYBE_DOWN == 0 || now >= ch.down_until);
-            set_flag(f, VERIFIED, caught_up);
+        let round_tick = self.round_tick;
+        let Self { channels, last_heard, lease_class, flags, exceptions, steady, .. } = self;
+        let (channels, last_heard) = (channels.as_slice(), last_heard.as_slice());
+        let (lease_class, flags) = (lease_class.as_slice(), flags.as_mut_slice());
+        for (w, word) in exceptions.iter_mut().enumerate() {
+            let (mut bits, mut keep) = (*word, *word);
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let f = flags[i];
+                let up = f & MAYBE_DOWN == 0 || now >= channels[i].down_until;
+                let caught_up = (f & (DEAD | HEARD | NEEDS_REPAIR | GAP) == HEARD) & up;
+                let settled = (f & !(ADAPTED | VERIFIED)) | (u8::from(caught_up) * VERIFIED);
+                flags[i] = settled;
+                // Branch-free: lost and recovering channels interleave at
+                // random, so whether one settles is a coin flip.
+                let release =
+                    (f & ADAPTED == 0) & (settled == STEADY) & (last_heard[i] == round_tick);
+                keep &= !(u64::from(release) << (i % 64));
+                steady[lease_class[i] as usize] += usize::from(release);
+            }
+            *word = keep;
         }
     }
 
@@ -690,8 +921,11 @@ impl ChaosState {
     /// lease-expired source on the spot (no rejoin re-probe needed: this
     /// reply already carried fresh state).
     fn on_probed(&mut self, id: StreamId) {
-        self.flags[id.index()] &= !(DEAD | NEEDS_REPAIR);
-        self.last_heard[id.index()] = self.clock.now();
+        let i = id.index();
+        self.touch(i);
+        self.dead -= usize::from(self.flags[i] & DEAD != 0);
+        self.flags[i] &= !(DEAD | NEEDS_REPAIR);
+        self.last_heard[i] = self.clock.now();
         self.on_synced(id);
     }
 
@@ -699,62 +933,56 @@ impl ChaosState {
     /// every in-flight report produced under the old filter) and refreshes
     /// the lease.
     fn on_installed(&mut self, id: StreamId) {
-        self.channels[id.index()].epoch += 1;
-        self.last_heard[id.index()] = self.clock.now();
+        let i = id.index();
+        self.touch(i);
+        self.channels[i].epoch += 1;
+        self.last_heard[i] = self.clock.now();
     }
 
     /// A probe or install-sync reply supersedes every frame still in
-    /// flight from the source.
+    /// flight from the source. It can only clear a `GAP`, which a steady
+    /// channel never has, so it needs no [`ChaosState::touch`].
     fn on_synced(&mut self, id: StreamId) {
         let ch = &mut self.channels[id.index()];
         ch.recv_seq = ch.send_seq;
         self.flags[id.index()] &= !GAP;
     }
 
-    /// Serializes the complete machine — config, fault-RNG words, logical
-    /// clock, every channel, the parked-frame pool, the dead set, and all
-    /// counters — into `w`. The record is self-describing (the config
-    /// travels with the state), so [`ChaosState::decode`] needs no
-    /// out-of-band [`ChaosConfig`].
+    /// Serializes the complete machine — config, both fault-RNG streams and
+    /// their gap cursors, logical clock, every channel, the exception set,
+    /// the parked-frame pool, and all counters — into `w` as a version-2
+    /// record. The record is self-describing (the config travels with the
+    /// state), so [`ChaosState::decode`] needs no out-of-band
+    /// [`ChaosConfig`].
     ///
     /// The transient `repair_window` flag is deliberately not recorded:
     /// checkpoints only ever happen at quiescent points, outside any repair
     /// pass.
     pub fn encode(&self, w: &mut StateWriter) {
         w.put_u8(CHAOS_STATE_VERSION);
-        // Config.
-        w.put_u64(self.cfg.seed);
-        w.put_f64(self.cfg.mix.drop_p);
-        w.put_f64(self.cfg.mix.delay_p);
-        w.put_f64(self.cfg.mix.dup_p);
-        w.put_f64(self.cfg.mix.crash_p);
-        w.put_u64(self.cfg.mix.max_delay_ticks);
-        w.put_u64(self.cfg.mix.max_outage_ticks);
-        w.put_u64(self.cfg.fault_horizon_ticks);
-        w.put_u64(self.cfg.lease_ticks);
-        w.put_u64(self.cfg.timeout_ticks);
-        w.put_u64(self.cfg.backoff.base());
-        w.put_u64(self.cfg.backoff.cap());
-        w.put_u32(self.cfg.max_retries);
-        w.put_bool(self.cfg.adaptive_lease);
-        w.put_bool(self.cfg.batched_repair);
-        // Fault-RNG resume point and logical clock.
-        for word in self.schedule.rng_state() {
+        self.encode_config(w);
+        let schedule = self.schedule.state();
+        for word in schedule.frames.into_iter().chain(schedule.rounds) {
             w.put_u64(word);
         }
+        w.put_u64(schedule.heartbeat_skip);
+        w.put_u64(schedule.crash_skip);
         w.put_u64(self.clock.now());
-        // Channels.
+        w.put_u64(self.round_tick);
         w.put_u64(self.channels.len() as u64);
         for (i, ch) in self.channels.iter().enumerate() {
             w.put_u64(ch.epoch);
             w.put_u64(ch.send_seq);
             w.put_u64(ch.recv_seq);
-            w.put_u64(self.last_heard[i]);
             w.put_u64(ch.down_until);
-            w.put_u64(self.lease_len[i]);
-            w.put_bool(self.flags[i] & NEEDS_REPAIR != 0);
-            w.put_bool(self.flags[i] & HEARD != 0);
-            w.put_bool(self.flags[i] & VERIFIED != 0);
+            w.put_u8(self.flags[i] & RECORDED);
+            w.put_u8(self.lease_class[i]);
+        }
+        let exceptions = (0..self.len()).filter(|&i| self.is_exception(i));
+        w.put_u64(exceptions.clone().count() as u64);
+        for i in exceptions {
+            w.put_u32(i as u32);
+            w.put_u64(self.last_heard[i]);
         }
         // Parked frames (in pool order — order is state: `take_due_reports`
         // sorts due frames, but `retain` preserves pool order for the rest).
@@ -766,11 +994,6 @@ impl ChaosState {
             w.put_u32(f.id.0);
             w.put_f64(f.value);
         }
-        // Dead bitmap (dead_count is recomputed on decode).
-        for &f in &self.flags {
-            w.put_bool(f & DEAD != 0);
-        }
-        // Counters.
         w.put_u64(self.stats.retries);
         w.put_u64(self.stats.timeouts);
         w.put_u64(self.stats.epoch_rejects);
@@ -795,9 +1018,33 @@ impl ChaosState {
         }
     }
 
+    fn encode_config(&self, w: &mut StateWriter) {
+        w.put_u64(self.cfg.seed);
+        w.put_f64(self.cfg.mix.drop_p);
+        w.put_f64(self.cfg.mix.delay_p);
+        w.put_f64(self.cfg.mix.dup_p);
+        w.put_f64(self.cfg.mix.crash_p);
+        w.put_u64(self.cfg.mix.max_delay_ticks);
+        w.put_u64(self.cfg.mix.max_outage_ticks);
+        w.put_u64(self.cfg.fault_horizon_ticks);
+        w.put_u64(self.cfg.lease_ticks);
+        w.put_u64(self.cfg.timeout_ticks);
+        w.put_u64(self.cfg.backoff.base());
+        w.put_u64(self.cfg.backoff.cap());
+        w.put_u32(self.cfg.max_retries);
+        w.put_bool(self.cfg.adaptive_lease);
+        w.put_bool(self.cfg.batched_repair);
+    }
+
     /// Decodes a record written by [`ChaosState::encode`], rebuilding the
-    /// fault schedule mid-stream from the persisted RNG words so the
-    /// decision sequence continues byte-identically.
+    /// fault schedule mid-stream from the persisted RNG words and gap
+    /// cursors so the decision sequence continues byte-identically.
+    ///
+    /// A version-1 record (one RNG stream, every channel's `last_heard`,
+    /// the lease in ticks, a separate dead bitmap) migrates: every channel
+    /// becomes an exception, and the round stream is derived from the v1
+    /// RNG words as a fresh schedule derives it from the seed. Any other
+    /// version is an error.
     ///
     /// Every field that a constructor would assert on (fault probabilities,
     /// backoff shape, lease bounds), every length prefix and every
@@ -805,9 +1052,97 @@ impl ChaosState {
     /// surfaces as [`PersistError::Corrupt`] — bytes off a disk must never
     /// panic or abort. `GAP` and `MAYBE_DOWN` are derived, not recorded.
     pub fn decode(r: &mut StateReader<'_>) -> asf_persist::Result<Self> {
-        if r.get_u8()? != CHAOS_STATE_VERSION {
+        let version = r.get_u8()?;
+        if version != 1 && version != CHAOS_STATE_VERSION {
             return Err(PersistError::corrupt("unknown chaos-state version"));
         }
+        let cfg = Self::decode_config(r)?;
+        let (mix, horizon) = (cfg.mix, cfg.fault_horizon_ticks);
+        let mut words = || -> asf_persist::Result<[u64; 4]> {
+            Ok([r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?])
+        };
+        let schedule = if version == 1 {
+            FaultSchedule::resume_frames(words()?, mix, horizon)
+        } else {
+            let (frames, rounds) = (words()?, words()?);
+            let (heartbeat_skip, crash_skip) = (r.get_u64()?, r.get_u64()?);
+            let state = ScheduleState { frames, rounds, heartbeat_skip, crash_skip };
+            FaultSchedule::resume(state, mix, horizon)
+        };
+        let now = r.get_u64()?;
+        let mut clock = TickClock::new();
+        clock.advance_to(now);
+        let mut state = Self::new(0, cfg);
+        state.schedule = schedule;
+        state.clock = clock;
+        if version == 1 {
+            state.decode_v1_channels(r)?;
+        } else {
+            state.decode_v2_channels(r)?;
+        }
+        let n = state.len();
+        let parked_len = bounded_len(r, 3 * 8 + 4 + 8)?;
+        state.parked.reserve_exact(parked_len);
+        for _ in 0..parked_len {
+            let frame = ParkedReport {
+                due: r.get_u64()?,
+                seq: r.get_u64()?,
+                epoch: r.get_u64()?,
+                id: StreamId(r.get_u32()?),
+                value: r.get_f64()?,
+            };
+            if frame.id.index() >= n {
+                return Err(PersistError::corrupt("chaos parked frame from unknown source"));
+            }
+            state.parked.push(frame);
+        }
+        if version == 1 {
+            for i in 0..n {
+                if r.get_bool()? {
+                    // The lease machine never vouches for a dead source.
+                    if state.flags[i] & VERIFIED != 0 {
+                        return Err(PersistError::corrupt(
+                            "chaos dead bitmap contradicts channels",
+                        ));
+                    }
+                    state.flags[i] |= DEAD;
+                }
+            }
+        }
+        state.stats = ChaosStats {
+            retries: r.get_u64()?,
+            timeouts: r.get_u64()?,
+            epoch_rejects: r.get_u64()?,
+            reports_lost: r.get_u64()?,
+            reports_delayed: r.get_u64()?,
+            dup_frames: r.get_u64()?,
+            heartbeats_sent: r.get_u64()?,
+            heartbeats_lost: r.get_u64()?,
+            crashes: r.get_u64()?,
+            repaired_sources: r.get_u64()?,
+            overhead_frames: r.get_u64()?,
+            lease_renewals: r.get_u64()?,
+            lease_expirations: r.get_u64()?,
+            spurious_expirations: r.get_u64()?,
+            repair_batches: r.get_u64()?,
+            repair_frames: r.get_u64()?,
+        };
+        let samples_len = bounded_len(r, 8)?;
+        state.lease_samples.reserve_exact(samples_len);
+        for _ in 0..samples_len {
+            state.lease_samples.push(r.get_u64()?);
+        }
+        state.dead = state.flags.iter().filter(|&&f| f & DEAD != 0).count();
+        state.steady = [0; LEASE_CLASSES];
+        for i in 0..n {
+            if !state.is_exception(i) {
+                state.steady[state.lease_class[i] as usize] += 1;
+            }
+        }
+        Ok(state)
+    }
+
+    fn decode_config(r: &mut StateReader<'_>) -> asf_persist::Result<ChaosConfig> {
         let seed = r.get_u64()?;
         let mix = FaultMix {
             drop_p: r.get_f64()?,
@@ -838,7 +1173,7 @@ impl ChaosState {
         if backoff_base == 0 || backoff_cap < backoff_base {
             return Err(PersistError::corrupt("chaos backoff malformed"));
         }
-        let cfg = ChaosConfig {
+        Ok(ChaosConfig {
             seed,
             mix,
             fault_horizon_ticks,
@@ -848,101 +1183,100 @@ impl ChaosState {
             max_retries: r.get_u32()?,
             adaptive_lease: r.get_bool()?,
             batched_repair: r.get_bool()?,
-        };
-        let rng_words = [r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?];
-        let schedule = FaultSchedule::resume(rng_words, mix, fault_horizon_ticks);
-        let now = r.get_u64()?;
-        let mut clock = TickClock::new();
-        clock.advance_to(now);
-        // Per channel: six words, three flag bytes, one dead-bitmap byte.
-        let n = bounded_len(r, 6 * 8 + 3 + 1)?;
-        let lease_cap = lease_ticks.saturating_mul(MAX_LEASE_FACTOR);
-        let mut channels = Vec::with_capacity(n);
-        let mut last_heard = Vec::with_capacity(n);
-        let mut lease_len = Vec::with_capacity(n);
-        let mut flags = Vec::with_capacity(n);
+        })
+    }
+
+    /// Appends one decoded channel, deriving `GAP` and `MAYBE_DOWN`.
+    fn push_channel(&mut self, ch: Channel, flags: u8, class: u8) -> asf_persist::Result<()> {
+        if ch.recv_seq > ch.send_seq {
+            return Err(PersistError::corrupt("chaos channel received past sent"));
+        }
+        let mut f = flags;
+        set_flag(&mut f, GAP, ch.recv_seq < ch.send_seq);
+        set_flag(&mut f, MAYBE_DOWN, self.clock.now() < ch.down_until);
+        self.channels.push(ch);
+        self.flags.push(f);
+        self.lease_class.push(class);
+        Ok(())
+    }
+
+    /// Version 2: 34 bytes a channel, then the exception set with its
+    /// explicit `last_heard`s.
+    fn decode_v2_channels(&mut self, r: &mut StateReader<'_>) -> asf_persist::Result<()> {
+        let round_tick = r.get_u64()?;
+        if round_tick > self.clock.now() {
+            return Err(PersistError::corrupt("chaos round tick past the clock"));
+        }
+        self.round_tick = round_tick;
+        let n = bounded_len(r, 4 * 8 + 2)?;
+        self.reserve_channels(n);
         for _ in 0..n {
-            let (epoch, send_seq, recv_seq) = (r.get_u64()?, r.get_u64()?, r.get_u64()?);
-            last_heard.push(r.get_u64()?);
-            let down_until = r.get_u64()?;
-            let lease = r.get_u64()?;
-            if lease < lease_ticks || lease > lease_cap {
+            let ch = Channel {
+                epoch: r.get_u64()?,
+                send_seq: r.get_u64()?,
+                recv_seq: r.get_u64()?,
+                down_until: r.get_u64()?,
+            };
+            let (flags, class) = (r.get_u8()?, r.get_u8()?);
+            if flags & !RECORDED != 0 || flags & (DEAD | VERIFIED) == DEAD | VERIFIED {
+                return Err(PersistError::corrupt("chaos channel flags malformed"));
+            }
+            if class as usize >= LEASE_CLASSES {
                 return Err(PersistError::corrupt("chaos lease length out of bounds"));
             }
-            if recv_seq > send_seq {
-                return Err(PersistError::corrupt("chaos channel received past sent"));
-            }
-            lease_len.push(lease);
-            channels.push(Channel { epoch, send_seq, recv_seq, down_until });
-            let mut f = 0;
-            set_flag(&mut f, NEEDS_REPAIR, r.get_bool()?);
-            set_flag(&mut f, HEARD, r.get_bool()?);
-            set_flag(&mut f, VERIFIED, r.get_bool()?);
-            set_flag(&mut f, GAP, recv_seq < send_seq);
-            set_flag(&mut f, MAYBE_DOWN, now < down_until);
-            flags.push(f);
+            self.push_channel(ch, flags, class)?;
         }
-        let parked_len = bounded_len(r, 3 * 8 + 4 + 8)?;
-        let mut parked = Vec::with_capacity(parked_len);
-        for _ in 0..parked_len {
-            let frame = ParkedReport {
-                due: r.get_u64()?,
-                seq: r.get_u64()?,
-                epoch: r.get_u64()?,
-                id: StreamId(r.get_u32()?),
-                value: r.get_f64()?,
+        self.last_heard = vec![round_tick; n];
+        self.exceptions = vec![0; n.div_ceil(64)];
+        let count = bounded_len(r, 4 + 8)?;
+        let mut next = 0;
+        for _ in 0..count {
+            let i = r.get_u32()? as usize;
+            if i < next || i >= n {
+                return Err(PersistError::corrupt("chaos exception set out of order"));
+            }
+            next = i + 1;
+            self.exceptions[i / 64] |= 1 << (i % 64);
+            self.last_heard[i] = r.get_u64()?;
+        }
+        // `GAP` and `MAYBE_DOWN` are derived by now, so this also checks
+        // the cold record.
+        if (0..n).any(|i| !self.is_exception(i) && self.flags[i] != STEADY) {
+            return Err(PersistError::corrupt("chaos channel outside the exception set"));
+        }
+        Ok(())
+    }
+
+    /// Version 1: 52 bytes a channel, every one an exception.
+    fn decode_v1_channels(&mut self, r: &mut StateReader<'_>) -> asf_persist::Result<()> {
+        // Per channel: six words, three flag bytes, one dead-bitmap byte.
+        let n = bounded_len(r, 6 * 8 + 3 + 1)?;
+        self.reserve_channels(n);
+        self.last_heard.reserve_exact(n);
+        self.round_tick = self.clock.now();
+        for _ in 0..n {
+            let (epoch, send_seq, recv_seq) = (r.get_u64()?, r.get_u64()?, r.get_u64()?);
+            self.last_heard.push(r.get_u64()?);
+            let down_until = r.get_u64()?;
+            let lease = r.get_u64()?;
+            let class = (0..LEASE_CLASSES as u8).find(|&k| self.leases.0[k as usize] == lease);
+            let Some(class) = class else {
+                return Err(PersistError::corrupt("chaos lease length out of bounds"));
             };
-            if frame.id.index() >= n {
-                return Err(PersistError::corrupt("chaos parked frame from unknown source"));
-            }
-            parked.push(frame);
+            let mut flags = 0;
+            set_flag(&mut flags, NEEDS_REPAIR, r.get_bool()?);
+            set_flag(&mut flags, HEARD, r.get_bool()?);
+            set_flag(&mut flags, VERIFIED, r.get_bool()?);
+            self.push_channel(Channel { epoch, send_seq, recv_seq, down_until }, flags, class)?;
         }
-        for f in &mut flags {
-            if r.get_bool()? {
-                // The lease machine never vouches for a dead source.
-                if *f & VERIFIED != 0 {
-                    return Err(PersistError::corrupt("chaos dead bitmap contradicts channels"));
-                }
-                *f |= DEAD;
-            }
-        }
-        let stats = ChaosStats {
-            retries: r.get_u64()?,
-            timeouts: r.get_u64()?,
-            epoch_rejects: r.get_u64()?,
-            reports_lost: r.get_u64()?,
-            reports_delayed: r.get_u64()?,
-            dup_frames: r.get_u64()?,
-            heartbeats_sent: r.get_u64()?,
-            heartbeats_lost: r.get_u64()?,
-            crashes: r.get_u64()?,
-            repaired_sources: r.get_u64()?,
-            overhead_frames: r.get_u64()?,
-            lease_renewals: r.get_u64()?,
-            lease_expirations: r.get_u64()?,
-            spurious_expirations: r.get_u64()?,
-            repair_batches: r.get_u64()?,
-            repair_frames: r.get_u64()?,
-        };
-        let samples_len = bounded_len(r, 8)?;
-        let mut lease_samples = Vec::with_capacity(samples_len);
-        for _ in 0..samples_len {
-            lease_samples.push(r.get_u64()?);
-        }
-        Ok(Self {
-            cfg,
-            schedule,
-            clock,
-            channels,
-            last_heard,
-            lease_len,
-            flags,
-            parked,
-            due: Vec::new(),
-            stats,
-            lease_samples,
-            repair_window: false,
-        })
+        self.exceptions = all_exceptions(n);
+        Ok(())
+    }
+
+    fn reserve_channels(&mut self, n: usize) {
+        self.channels.reserve_exact(n);
+        self.flags.reserve_exact(n);
+        self.lease_class.reserve_exact(n);
     }
 }
 
@@ -1105,6 +1439,9 @@ impl FleetOps for ChaosFleet<'_> {
         syncs
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1428,8 +1765,8 @@ mod tests {
         }
         assert_eq!(state.lease_len_of(id), 8);
         assert!(state.stats().lease_renewals >= 20);
-        assert!(!state.drain_lease_samples().is_empty());
-        assert!(state.drain_lease_samples().is_empty(), "drain must empty the buffer");
+        assert_ne!(state.drain_lease_samples().len(), 0);
+        assert_eq!(state.drain_lease_samples().len(), 0, "drain must empty the buffer");
     }
 
     #[test]
@@ -1441,7 +1778,7 @@ mod tests {
             state.heartbeat_round();
         }
         assert_eq!(state.lease_len_of(StreamId(0)), 4);
-        assert!(state.drain_lease_samples().is_empty());
+        assert_eq!(state.drain_lease_samples().len(), 0);
     }
 
     #[test]
@@ -1495,20 +1832,89 @@ mod tests {
         state.draw_crashes();
         assert!(state.stats().crashes > 0);
         state.advance(100);
-        let words = state.schedule.rng_state();
+        let words = state.schedule.state();
         state.draw_crashes();
         state.heartbeat_round();
         state.finish_round();
-        assert_eq!(state.schedule.rng_state(), words);
-        // At `crash_p == 0` the crash draw is skipped; the heartbeats still
-        // draw (one word per up source).
+        assert_eq!(state.schedule.state(), words);
+        // At `crash_p == 0` crashes draw nothing; the heartbeats still draw
+        // (one gap per fault) from the round stream, never the frame stream.
         let mut state =
             ChaosState::new(64, ChaosConfig::new(3, FaultMix::loss_only(0.5), u64::MAX));
-        let words = state.schedule.rng_state();
+        let words = state.schedule.state();
         state.draw_crashes();
-        assert_eq!(state.schedule.rng_state(), words);
+        assert_eq!(state.schedule.state(), words);
         state.heartbeat_round();
-        assert_ne!(state.schedule.rng_state(), words);
+        assert_ne!(state.schedule.state().rounds, words.rounds);
+        assert_eq!(state.schedule.state().frames, words.frames);
+    }
+
+    #[test]
+    fn a_settled_healthy_fleet_has_no_exceptions() {
+        let cfg = ChaosConfig::new(3, FaultMix::loss_only(0.2), 4096).lease_ticks(4 * 4096);
+        let mut state = ChaosState::new(1000, cfg);
+        state.advance(4096);
+        state.heartbeat_round();
+        state.finish_round();
+        // Past the horizon: the first round settles every channel heard in
+        // it, and later rounds visit nothing.
+        assert_eq!(exception_count(&state), 0);
+        let stats = *state.stats();
+        state.advance(4096);
+        assert!(state.heartbeat_round().is_empty());
+        state.finish_round();
+        assert_eq!(exception_count(&state), 0);
+        assert_eq!(state.stats().heartbeats_sent, stats.heartbeats_sent + 1000);
+        assert_eq!(state.verified_live_ids().len(), 1000);
+    }
+
+    #[test]
+    fn lossy_rounds_keep_an_exception_set_the_size_of_the_faults() {
+        // 5% loss, leases four rounds long: each round's exceptions are this
+        // round's ~50 losses and last round's ~50 recoveries.
+        let cfg = ChaosConfig::new(8, FaultMix::loss_only(0.05), u64::MAX).lease_ticks(4 * 512);
+        let mut state = ChaosState::new(1000, cfg);
+        for _ in 0..200 {
+            state.advance(512);
+            state.heartbeat_round();
+            state.finish_round();
+            assert!(exception_count(&state) < 150, "{} exceptions", exception_count(&state));
+        }
+        assert_eq!(state.stats().heartbeats_sent, 200 * 1000);
+        let lost = state.stats().heartbeats_lost as f64 / 200_000.0;
+        assert!((lost - 0.05).abs() < 0.005, "loss rate {lost}");
+    }
+
+    #[test]
+    fn dead_count_matches_a_scan() {
+        let mix =
+            FaultMix { drop_p: 0.3, crash_p: 0.05, max_outage_ticks: 200, ..FaultMix::none() };
+        let mut state = ChaosState::new(100, ChaosConfig::new(21, mix, 20_000).lease_ticks(40));
+        let (mut fleet, mut ledger, mut view) =
+            (SourceFleet::from_values(&[0.0; 100]), Ledger::new(), ServerView::new(100));
+        let scan = |s: &ChaosState| s.flags.iter().filter(|&&f| f & DEAD != 0).count();
+        for r in 0..400u64 {
+            state.advance(30);
+            state.draw_crashes();
+            let plan = state.heartbeat_round();
+            assert_eq!(state.dead_count(), scan(&state));
+            // Repair some rejoiners and probe some dead sources back.
+            let mut chaos = ChaosFleet::new(&mut state, &mut fleet);
+            for &id in plan.reprobe.iter().chain(&plan.newly_dead).filter(|id| id.0 % 2 == 0) {
+                chaos.probe(id, &mut ledger, &mut view);
+            }
+            state.finish_round();
+            assert_eq!(state.dead_count(), scan(&state), "round {r}");
+        }
+        assert!(state.stats().lease_expirations > 50);
+        let mut w = StateWriter::new();
+        state.encode(&mut w);
+        let restored = ChaosState::decode(&mut StateReader::new(w.bytes())).unwrap();
+        assert_eq!(restored.dead_count(), scan(&state));
+    }
+
+    fn exception_count(state: &ChaosState) -> usize {
+        state.exceptions.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     #[test]

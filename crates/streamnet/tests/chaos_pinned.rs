@@ -7,13 +7,17 @@
 //! and chunk-end rounds under four fault mixes × adaptive lease on/off and
 //! compare a digest of everything observable against constants.
 //!
-//! **The constants (and `fixtures/chaos_state_v1.bin`) were generated on
-//! commit 0bec03b555ca5ef7faba5b664a65ed58646043b9**, the last one with
-//! array-of-struct channel records and a four-sweep round. A mismatch means
-//! a draw moved, a counter drifted or the record format changed: either a
-//! bug, or a deliberate schedule bump that replaces the constants (a failing
-//! assertion prints the new value) together with a `CHAOS_STATE_VERSION`
-//! decision.
+//! **The constants and `fixtures/chaos_state_v2.bin` were generated by the
+//! skip-sampled schedule (record version 2) on top of commit
+//! 7371cd7aca9e3006329af92bbd64752b98d0de62.** They were re-pinned on
+//! purpose: version 2 draws the gap from one faulted channel to the next
+//! instead of one trial per channel, so the same fault distribution is
+//! realised by different RNG outputs. `fixtures/chaos_state_v1.bin` was
+//! written on commit 0bec03b555ca5ef7faba5b664a65ed58646043b9 and is frozen:
+//! it pins the version-1 migration. A mismatch means a draw moved, a counter
+//! drifted or the record format changed: either a bug, or a deliberate
+//! schedule bump that replaces the constants (a failing assertion prints the
+//! new value) together with a `CHAOS_STATE_VERSION` decision.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -180,7 +184,7 @@ impl Rig {
         self.state.finish_round();
         let samples = self.state.drain_lease_samples();
         d.word(samples.len() as u64);
-        samples.iter().for_each(|&s| d.word(s));
+        samples.for_each(|s| d.word(s));
 
         if r % 8 == 3 {
             let installs: Vec<(StreamId, Filter)> = (0..20)
@@ -265,16 +269,17 @@ fn pinned_run(mix: FaultMix, adaptive: bool) -> u64 {
     d.0
 }
 
-/// Generated on 0bec03b (see the module docs): `(mix, adaptive, digest)`.
+/// Generated by record version 2 (see the module docs): `(mix, adaptive,
+/// digest)`.
 const PINNED: [(&str, bool, u64); 8] = [
-    ("loss_only", true, 0x8218dc957914c099),
-    ("loss_only", false, 0x80cb2c6caf468cd4),
-    ("delay_reorder", true, 0xa0d626f826497c04),
-    ("delay_reorder", false, 0x346009e7f580fd66),
-    ("crash_restart", true, 0x15daf1e49db4bcad),
-    ("crash_restart", false, 0x9d5c5f7a62dc1b09),
-    ("none", true, 0x3802a19fdc8af97f),
-    ("none", false, 0x6b7114d40b985e15),
+    ("loss_only", true, 0xd135d165bc55c2a6),
+    ("loss_only", false, 0x5d28fd89c695b3a7),
+    ("delay_reorder", true, 0x3b1e540608a1c337),
+    ("delay_reorder", false, 0xf48c335d66f2b7f3),
+    ("crash_restart", true, 0x81983056fcdaf10d),
+    ("crash_restart", false, 0x3d2e701535a081e5),
+    ("none", true, 0x953a97acadd5633f),
+    ("none", false, 0x91a093d018588191),
 ];
 
 #[test]
@@ -317,15 +322,22 @@ fn pinned_runs_exercise_every_fault_path() {
     assert!((0..N).any(|i| rig.state.lease_len_of(StreamId(i as u32)) > 100));
 }
 
-const RECORD: &[u8] = include_bytes!("fixtures/chaos_state_v1.bin");
-/// Digest of 32 more rounds + calm + 8 rounds resumed from `RECORD`,
-/// generated on 0bec03b.
-const RECORD_RESUME_DIGEST: u64 = 0x3c281524b79ec797;
+/// A version-1 record: 36 storm rounds at n = 24, written on commit
+/// 0bec03b.
+const RECORD_V1: &[u8] = include_bytes!("fixtures/chaos_state_v1.bin");
+/// Digest of `resume_digest` over a fresh n = 24 storm rig whose channel
+/// state is `RECORD_V1`, migrated.
+const RECORD_V1_RESUME_DIGEST: u64 = 0x36672832f53fb8b8;
 
-/// The rig that wrote `RECORD`: 36 storm rounds at n = 24.
+const RECORD: &[u8] = include_bytes!("fixtures/chaos_state_v2.bin");
+/// Digest of 32 more rounds + calm + 8 rounds resumed from `RECORD`.
+const RECORD_RESUME_DIGEST: u64 = 0x603696142b7e7e80;
+
+/// The rig that wrote `RECORD`: 28 storm rounds at n = 24, which leave
+/// frames parked and a source dead.
 fn record_rig() -> Rig {
     let mut rig = Rig::new(24, storm_mix(), true);
-    rig.rounds(36, &mut Digest::new());
+    rig.rounds(28, &mut Digest::new());
     rig
 }
 
@@ -338,28 +350,59 @@ fn resume_digest(rig: &mut Rig) -> u64 {
     d.0
 }
 
-/// A version-1 record written by the parent commit decodes, re-encodes to
-/// the same bytes, and resumes the parent's exact decision stream.
+/// The version-1 record written by the array-of-struct commit decodes
+/// through the migration (every channel an exception, the round stream
+/// derived from its RNG words), lands on a canonical version-2 state, and
+/// resumes a pinned decision stream.
 #[test]
 fn parent_commit_record_decodes_and_resumes_identically() {
+    assert_eq!(RECORD_V1[0], 1, "the frozen fixture is a version-1 record");
+    let state = decoded(RECORD_V1).expect("version-1 record decodes");
+    assert!(state.parked_len() > 0 && state.dead_count() > 0, "record is mid-storm");
+    let v2 = encoded(&state);
+    assert_eq!(v2[0], 2, "a migrated state encodes as version 2");
+    assert_eq!(encoded(&decoded(&v2).expect("migrated record decodes")), v2);
+    let mut rig = Rig::new(24, storm_mix(), true);
+    rig.state = state;
+    let got = resume_digest(&mut rig);
+    assert_eq!(got, RECORD_V1_RESUME_DIGEST, "migrated stream drifted: got {got:#018x}");
+}
+
+/// A version-2 record decodes, re-encodes to the same bytes, and resumes
+/// the exact decision stream the live rig continues with.
+#[test]
+fn version_2_record_decodes_and_resumes_identically() {
     let mut rig = record_rig();
     assert_eq!(encoded(&rig.state), RECORD, "the live state no longer encodes to the record");
     assert!(rig.state.parked_len() > 0 && rig.state.dead_count() > 0, "record is mid-storm");
-    rig.state = decoded(RECORD).expect("parent record decodes");
+    rig.state = decoded(RECORD).expect("record decodes");
     assert_eq!(encoded(&rig.state), RECORD);
     let got = resume_digest(&mut rig);
     assert_eq!(got, RECORD_RESUME_DIGEST, "resumed stream drifted: got {got:#018x}");
 }
 
-/// Rewrites `fixtures/chaos_state_v1.bin` and prints its resume digest —
-/// only for a deliberate schedule bump.
+/// An unknown record version fails loudly instead of guessing a layout.
+#[test]
+fn unknown_record_versions_are_rejected() {
+    for version in [0u8, 3, 0xFF] {
+        let mut bytes = RECORD.to_vec();
+        bytes[0] = version;
+        assert!(decoded(&bytes).is_err(), "version {version} decoded");
+    }
+}
+
+/// Rewrites `fixtures/chaos_state_v2.bin` and prints both resume digests —
+/// only for a deliberate schedule bump. (The version-1 fixture is frozen.)
 #[test]
 #[ignore = "regenerates the checked-in record"]
 fn regenerate_record() {
     let mut rig = record_rig();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/chaos_state_v1.bin");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/chaos_state_v2.bin");
     std::fs::write(path, encoded(&rig.state)).expect("write fixture record");
     println!("RECORD_RESUME_DIGEST = {:#018x}", resume_digest(&mut rig));
+    let mut rig = Rig::new(24, storm_mix(), true);
+    rig.state = decoded(RECORD_V1).expect("version-1 record decodes");
+    println!("RECORD_V1_RESUME_DIGEST = {:#018x}", resume_digest(&mut rig));
 }
 
 /// `decode(encode(s))` then 32 rounds equals 32 rounds on `s`, for every mix.
@@ -379,11 +422,12 @@ fn codec_round_trip_resumes_exact_stream_under_every_mix() {
     }
 }
 
-/// Every single-byte overwrite and every truncation of a mid-storm record
-/// either fails to decode or decodes to a state that re-encodes to exactly
-/// the bytes it consumed — and never panics or aborts. (On 0bec03b a
-/// corrupted length prefix went straight into `Vec::with_capacity` and the
-/// process died with `memory allocation of … bytes failed`.)
+/// Every single-byte overwrite and every truncation of a mid-storm record,
+/// version 2 and version 1, either fails to decode or decodes to a state
+/// that re-encodes to exactly the bytes it consumed (a version-1 input: to
+/// a version-2 record that does) — and never panics or aborts. (On 0bec03b
+/// a corrupted length prefix went straight into `Vec::with_capacity` and
+/// the process died with `memory allocation of … bytes failed`.)
 #[test]
 fn decode_survives_every_byte_flip_and_truncation() {
     let check = |bytes: &[u8], what: &str| {
@@ -395,25 +439,33 @@ fn decode_survives_every_byte_flip_and_truncation() {
             Err(_) => panic!("decode panicked on {what}"),
             Ok(Err(_)) => false,
             Ok(Ok((state, consumed))) => {
-                assert_eq!(encoded(&state), &bytes[..consumed], "{what} does not round-trip");
+                let again = encoded(&state);
+                let canonical = if bytes[0] == 1 {
+                    encoded(&decoded(&again).expect("a migrated state decodes"))
+                } else {
+                    bytes[..consumed].to_vec()
+                };
+                assert_eq!(again, canonical, "{what} does not round-trip");
                 true
             }
         }
     };
-    let mut bytes = RECORD.to_vec();
-    for cut in 0..bytes.len() {
-        assert!(
-            !check(&bytes[..cut], &format!("truncation at {cut}")),
-            "truncated record accepted"
-        );
-    }
-    for at in 0..bytes.len() {
-        let original = bytes[at];
-        for poison in [0x00, 0x7F, 0x80, 0xFF] {
-            bytes[at] = poison;
-            check(&bytes, &format!("byte {at} = {poison:#04x}"));
+    for record in [RECORD, RECORD_V1] {
+        let mut bytes = record.to_vec();
+        for cut in 0..bytes.len() {
+            assert!(
+                !check(&bytes[..cut], &format!("truncation at {cut}")),
+                "truncated record accepted"
+            );
         }
-        bytes[at] = original;
+        for at in 0..bytes.len() {
+            let original = bytes[at];
+            for poison in [0x00, 0x7F, 0x80, 0xFF] {
+                bytes[at] = poison;
+                check(&bytes, &format!("byte {at} = {poison:#04x}"));
+            }
+            bytes[at] = original;
+        }
     }
 }
 

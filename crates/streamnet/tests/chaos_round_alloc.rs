@@ -1,5 +1,6 @@
-//! A chunk-end round over an all-healthy population allocates nothing: the
-//! returned `RepairPlan` is two empty vectors and the counters are locals.
+//! A chunk-end round allocates nothing: over an all-healthy population the
+//! returned `RepairPlan` is two empty vectors and the counters are locals,
+//! and under loss every buffer the round fills keeps its capacity.
 //!
 //! Its own test binary, because the counting allocator is process-wide
 //! (`streamnet` itself forbids `unsafe`).
@@ -8,7 +9,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use simkit::fault::FaultMix;
-use streamnet::{ChaosConfig, ChaosState};
+use streamnet::{ChaosConfig, ChaosState, RepairPlan};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -59,5 +60,36 @@ fn healthy_rounds_do_not_allocate() {
         let allocated = ALLOCATIONS.with(Cell::get) - before;
         assert_eq!(allocated, 0, "adaptive={adaptive}");
         assert_eq!(state.verified_live_ids().len(), 10_000);
+    }
+}
+
+/// Under 5% heartbeat loss a round has work — faulted channels, lease
+/// samples, expirations, rejoin re-probes — and still allocates nothing
+/// once its buffers have grown: the fault list, the lease samples and a
+/// caller-owned plan all keep their capacity from round to round.
+#[test]
+fn lossy_steady_state_rounds_do_not_allocate() {
+    for adaptive in [true, false] {
+        // Leases of two rounds, so runs of lost heartbeats expire and rejoin.
+        let cfg = ChaosConfig::new(9, FaultMix::loss_only(0.05), u64::MAX)
+            .lease_ticks(2 * 512)
+            .adaptive_lease(adaptive);
+        let mut state = ChaosState::new(10_000, cfg);
+        let mut plan = RepairPlan::default();
+        let round = |state: &mut ChaosState, plan: &mut RepairPlan| {
+            state.advance(512);
+            state.draw_crashes();
+            state.heartbeat_round_into(plan);
+            state.finish_round();
+            state.drain_lease_samples().count()
+        };
+        let warm: usize = (0..64).map(|_| round(&mut state, &mut plan)).sum();
+        let before = ALLOCATIONS.with(Cell::get);
+        let samples: usize = (0..8).map(|_| round(&mut state, &mut plan)).sum();
+        let allocated = ALLOCATIONS.with(Cell::get) - before;
+        assert_eq!(allocated, 0, "adaptive={adaptive}");
+        let stats = state.stats();
+        assert!(stats.heartbeats_lost > 0 && stats.lease_expirations > 0, "adaptive={adaptive}");
+        assert_eq!(warm + samples > 0, adaptive, "lease samples only under adaptive leases");
     }
 }
