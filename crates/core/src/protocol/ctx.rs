@@ -35,10 +35,6 @@ pub struct CtxStats {
     /// Wall time rebuilding or delta-refreshing the rank index after
     /// `probe_all`, ns.
     pub index_build_ns: u64,
-    /// Σ over index maintenance passes of the **maximum** per-partition
-    /// busy time — the parallel component of forest maintenance (the parts
-    /// of a [`RankForest`] are independent).
-    pub index_parallel_ns: u64,
     /// Σ of all per-partition busy time inside index maintenance passes.
     pub index_busy_sum_ns: u64,
     /// Σ per maintenance pass of `min(busy sum, pass wall)` — the portion
@@ -81,12 +77,11 @@ pub struct CtxStats {
 
 impl CtxStats {
     /// Records one forest maintenance pass (delta refresh or bulk
-    /// rebuild): wall, parallel (max part), busy sum, and the
-    /// per-pass-bounded hidden portion the serial accounting subtracts.
-    fn record_index_pass(&mut self, timing: crate::rank::ForestTiming, pass_wall_ns: u64) {
-        self.index_parallel_ns += timing.max_ns;
-        self.index_busy_sum_ns += timing.sum_ns;
-        self.index_hidden_ns += timing.sum_ns.min(pass_wall_ns);
+    /// rebuild): wall, busy sum across the parts, and the per-pass-bounded
+    /// hidden portion the serial accounting subtracts.
+    fn record_index_pass(&mut self, busy_sum_ns: u64, pass_wall_ns: u64) {
+        self.index_busy_sum_ns += busy_sum_ns;
+        self.index_hidden_ns += busy_sum_ns.min(pass_wall_ns);
         self.index_build_ns += pass_wall_ns;
     }
 }
@@ -267,9 +262,9 @@ impl<'a> ServerCtx<'a> {
                 );
                 self.stats.index_delta_refreshes += 1;
                 self.stats.index_delta_rekeys += self.scratch.changed.len() as u64;
-                let timing = forest.refresh_from_changed(self.view, &self.scratch.changed);
+                let busy_ns = forest.refresh_from_changed(self.view, &self.scratch.changed);
                 self.telem.trace.end(TraceDepth::Fine);
-                self.stats.record_index_pass(timing, t.elapsed().as_nanos() as u64);
+                self.stats.record_index_pass(busy_ns, t.elapsed().as_nanos() as u64);
             }
             Some(forest) => {
                 self.fleet.probe_all(self.ledger, self.view);
@@ -277,9 +272,9 @@ impl<'a> ServerCtx<'a> {
                 let t = Instant::now();
                 self.telem.trace.begin(TraceDepth::Fine, "forest_bulk_build", 0);
                 self.stats.index_bulk_builds += 1;
-                let timing = forest.rebuild_from_view(self.view);
+                let busy_ns = forest.rebuild_from_view(self.view);
                 self.telem.trace.end(TraceDepth::Fine);
-                self.stats.record_index_pass(timing, t.elapsed().as_nanos() as u64);
+                self.stats.record_index_pass(busy_ns, t.elapsed().as_nanos() as u64);
             }
         }
         self.cause_commit(before);

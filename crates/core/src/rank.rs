@@ -655,16 +655,6 @@ impl Iterator for InorderIter<'_> {
     }
 }
 
-/// Timing of one partition-parallel index maintenance pass.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ForestTiming {
-    /// Maximum per-part busy time, ns — what a parallel execution waits
-    /// for.
-    pub max_ns: u64,
-    /// Total busy time across all parts, ns.
-    pub sum_ns: u64,
-}
-
 /// A **sharded rank index**: `p` independent [`RankIndex`] treaps, part `p`
 /// owning the global stream ids `≡ p (mod parts)` under local ids
 /// `global / parts` — the same strided partitioning `asf-server` uses for
@@ -683,9 +673,9 @@ pub struct ForestTiming {
 /// The point of the split is *maintenance parallelism*: a reinit storm's
 /// `probe_all` re-keys only the streams that drifted, and those re-keys
 /// partition by ownership — [`RankForest::refresh_from_changed`] runs the
-/// parts on scoped threads (when the batch is worth it) and reports per-
-/// part busy time, so index maintenance scales with the shard count
-/// instead of serializing on the coordinator. Smaller per-part arenas also
+/// parts on scoped threads (when the batch is worth it), so index
+/// maintenance scales with the shard count instead of serializing on the
+/// coordinator. Smaller per-part arenas also
 /// make every re-key cheaper (shallower treaps, cache-resident nodes).
 #[derive(Debug)]
 pub struct RankForest {
@@ -783,36 +773,33 @@ impl RankForest {
 
     /// Rebuilds the whole forest from a fully-known view, each part by one
     /// sorted [`RankIndex::bulk_build`] pass over its stride slice.
-    /// Returns per-part timing (the parts are independent).
+    /// Returns the busy time summed over the parts, ns.
     ///
     /// # Panics
     ///
     /// Panics if the view population differs from the forest population or
     /// the view is not fully known.
-    pub fn rebuild_from_view(&mut self, view: &ServerView) -> ForestTiming {
+    pub fn rebuild_from_view(&mut self, view: &ServerView) -> u64 {
         assert_eq!(view.len(), self.n, "view/forest population mismatch");
         assert!(view.all_known(), "cannot index a partially-known view");
         let stride = self.stride;
-        let mut timing = ForestTiming::default();
+        let mut busy_ns = 0;
         for (p, part) in self.parts.iter_mut().enumerate() {
             let t = std::time::Instant::now();
             part.bulk_build((0..part.capacity()).map(|l| {
                 let g = StreamId((l * stride + p) as u32);
                 (StreamId(l as u32), view.get(g))
             }));
-            let ns = t.elapsed().as_nanos() as u64;
-            timing.max_ns = timing.max_ns.max(ns);
-            timing.sum_ns += ns;
+            busy_ns += t.elapsed().as_nanos() as u64;
         }
-        timing
+        busy_ns
     }
 
     /// Re-keys exactly the `changed` ids to their current view values —
     /// the reinit-storm maintenance pass. The re-keys partition by
     /// ownership, so the parts run on scoped threads when the batch is
-    /// large enough to amortize the spawns; per-part busy time is
-    /// returned so callers can attribute the maximum as the parallel
-    /// component of their scaling model. Results are byte-identical to
+    /// large enough to amortize the spawns; the busy time summed over the
+    /// parts is returned, ns. Results are byte-identical to
     /// calling [`RankForest::update`] per id in any order (the treap over
     /// a `(key, id, priority)` set is unique).
     ///
@@ -821,11 +808,7 @@ impl RankForest {
     /// Panics if the view population differs from the forest population or
     /// the forest is not fully populated (bulk-build first — a partially
     /// populated forest would silently answer wrong global ranks).
-    pub fn refresh_from_changed(
-        &mut self,
-        view: &ServerView,
-        changed: &[StreamId],
-    ) -> ForestTiming {
+    pub fn refresh_from_changed(&mut self, view: &ServerView, changed: &[StreamId]) -> u64 {
         assert_eq!(view.len(), self.n, "view/forest population mismatch");
         assert!(
             self.is_fully_populated(),
@@ -843,14 +826,10 @@ impl RankForest {
             let (p, l) = (id.index() % stride, id.0 / stride as u32);
             slices[p].push((l, view.get(id)));
         }
-        let mut timing = ForestTiming::default();
-        let record = |ns: u64, timing: &mut ForestTiming| {
-            timing.max_ns = timing.max_ns.max(ns);
-            timing.sum_ns += ns;
-        };
+        let mut busy_ns = 0;
         // Spawn only when real cores exist: on a single-CPU host the
         // scoped threads would interleave and each part's wall-clock would
-        // measure the whole pass, corrupting the per-part busy attribution
+        // measure the whole pass, inflating the summed busy time
         // (results are identical either way — this is a metering/
         // performance gate only).
         let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
@@ -871,7 +850,7 @@ impl RankForest {
                     })
                     .collect();
                 for handle in handles {
-                    record(handle.join().expect("rank part refresh panicked"), &mut timing);
+                    busy_ns += handle.join().expect("rank part refresh panicked");
                 }
             });
         } else {
@@ -880,11 +859,11 @@ impl RankForest {
                 for &(l, v) in slice {
                     part.update(StreamId(l), v);
                 }
-                record(t.elapsed().as_nanos() as u64, &mut timing);
+                busy_ns += t.elapsed().as_nanos() as u64;
             }
         }
         self.refresh_scratch = slices;
-        timing
+        busy_ns
     }
 
     /// The `(key, id)` pair of 1-based rank `m` — a `parts`-way cursor

@@ -27,7 +27,7 @@ pub struct FleetOpStats {
     /// Coordinator wall time inside batch fleet operations, ns.
     pub wall_ns: u64,
     /// Σ over operations of the maximum per-shard busy time, ns — the
-    /// modeled parallel component.
+    /// parallel component.
     pub parallel_ns: u64,
     /// Σ of all shard busy time inside batch operations, ns.
     pub busy_sum_ns: u64,
@@ -99,10 +99,6 @@ pub struct ServerMetrics {
     /// the partition work, done by every shard inside the parallel region.
     /// Included in the corresponding shard busy / critical-path figures.
     pub shard_scan_ns: Vec<u64>,
-    /// Bytes of columnar window payload shared with the shards by
-    /// reference (Σ over rounds of window bytes × shards) — traffic a
-    /// per-shard copy would have had to move.
-    pub window_bytes_shared: u64,
     /// Coordinator time spent materializing ingested event slices into the
     /// pooled columnar chunk (ns). Zero when the feeder writes the chunk
     /// directly (`ShardedServer::run` via `Workload::next_batch`).
@@ -114,11 +110,6 @@ pub struct ServerMetrics {
     /// Batch fleet operations issued by report handlers during ingestion
     /// (handler probes, deployments, broadcasts).
     pub fleet: FleetOpStats,
-    /// Σ over rank-forest maintenance passes (inside report handlers) of
-    /// the maximum per-partition busy time — index maintenance
-    /// parallelizes across the forest's strided partitions exactly like
-    /// shard work, so this is its modeled parallel component.
-    pub index_parallel_ns: u64,
     /// Σ of all per-partition busy time inside those maintenance passes
     /// (subtracted from `serial_ns`).
     pub index_busy_sum_ns: u64,
@@ -126,8 +117,6 @@ pub struct ServerMetrics {
     /// path of window t+1)` — serial work hidden behind concurrent shard
     /// evaluation.
     pub overlap_saved_ns: u64,
-    /// Windows whose evaluation genuinely overlapped a report drain.
-    pub overlapped_windows: u64,
     /// Maximum evaluation windows in flight at once (2 once the pipe
     /// fills; 1 while every chunk fits a single window).
     pub max_inflight_windows: u64,
@@ -303,9 +292,9 @@ impl ServerMetrics {
     }
 
     /// Re-registers every server metric into `reg` under `server.*` /
-    /// `fleet.*` — the snapshot schema `bench_diff` and the bench README
-    /// document. Per-shard vectors register as sums plus derived gauges so
-    /// the key set is shard-count independent.
+    /// `fleet.*` — the snapshot schema `crates/bench/README.md` documents.
+    /// Per-shard vectors register as sums plus derived gauges so the key
+    /// set is shard-count independent.
     pub fn register_into(&self, reg: &mut Registry) {
         reg.counter("server.batches", self.batches);
         reg.counter("server.rounds", self.rounds);
@@ -324,12 +313,9 @@ impl ServerMetrics {
         reg.counter("server.critical_path_ns", self.critical_path_ns);
         reg.counter("server.scatter_ns", self.scatter_ns);
         reg.counter("server.window_build_ns", self.window_build_ns);
-        reg.counter("server.window_bytes_shared", self.window_bytes_shared);
         reg.counter("server.serial_ns", self.serial_ns);
-        reg.counter("server.index_parallel_ns", self.index_parallel_ns);
         reg.counter("server.index_busy_sum_ns", self.index_busy_sum_ns);
         reg.counter("server.overlap_saved_ns", self.overlap_saved_ns);
-        reg.counter("server.overlapped_windows", self.overlapped_windows);
         reg.counter("server.discarded_window_busy_ns", self.discarded_window_busy_ns);
         reg.counter("server.discarded_reports", self.discarded_reports);
         reg.counter("server.checkpoints", self.checkpoints);

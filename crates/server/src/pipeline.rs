@@ -162,11 +162,7 @@ impl<P: Protocol> ShardedServer<P> {
                         // above did — serial time hidden by the pipeline.
                         let cp_next = self.gather_window();
                         self.metrics.critical_path_ns += cp_next;
-                        let saved = drain_pure.min(cp_next);
-                        self.metrics.overlap_saved_ns += saved;
-                        if saved > 0 {
-                            self.metrics.overlapped_windows += 1;
-                        }
+                        self.metrics.overlap_saved_ns += drain_pure.min(cp_next);
                         cur_end = next_end;
                     }
                 }
@@ -226,7 +222,6 @@ mod tests {
             assert_eq!(m.max_inflight_windows, 2, "the pipe must actually fill ({mode:?})");
             assert_eq!(m.speculative_commits, m.events, "every event commits exactly once");
             assert_eq!(m.shard_events.iter().sum::<u64>(), m.events);
-            assert!(m.window_bytes_shared > 0, "scatter rounds share window bytes");
             server.shutdown();
         }
     }

@@ -553,13 +553,11 @@ impl<P: Protocol> ShardedServer<P> {
         let scatter_start = Instant::now();
         let window = Arc::clone(&self.shared_chunk);
         self.metrics.scatter_ns += scatter_start.elapsed().as_nanos() as u64;
-        let window_bytes = ((end - start) * EventBatch::EVENT_BYTES) as u64;
         for (handle, slot) in self.handles.iter_mut().zip(&mut self.eval_slots) {
             debug_assert!(matches!(slot, EvalSlot::Idle), "one window in flight per shard");
             let reports = self.report_buffers.pop().unwrap_or_default();
             handle.send(ShardCmd::EvalWindow { window: Arc::clone(&window), start, end, reports });
             *slot = EvalSlot::Owed;
-            self.metrics.window_bytes_shared += window_bytes;
         }
         self.metrics.rounds += 1;
         self.metrics.max_inflight_windows = self.metrics.max_inflight_windows.max(1);
@@ -620,11 +618,8 @@ impl<P: Protocol> ShardedServer<P> {
             self.merged.len() as u64,
         );
         let fleet_hidden_before = self.metrics.fleet.hidden_ns;
-        let index_before = (
-            self.core.ctx_stats().index_busy_sum_ns,
-            self.core.ctx_stats().index_parallel_ns,
-            self.core.ctx_stats().index_hidden_ns,
-        );
+        let index_before =
+            (self.core.ctx_stats().index_busy_sum_ns, self.core.ctx_stats().index_hidden_ns);
         let mut cut_at: Option<u64> = None;
         let mut consumed = 0u64;
         let mut merged = std::mem::take(&mut self.merged);
@@ -710,8 +705,7 @@ impl<P: Protocol> ShardedServer<P> {
         let fleet_hidden_delta = self.metrics.fleet.hidden_ns - fleet_hidden_before;
         let stats = *self.core.ctx_stats();
         self.metrics.index_busy_sum_ns += stats.index_busy_sum_ns - index_before.0;
-        self.metrics.index_parallel_ns += stats.index_parallel_ns - index_before.1;
-        let index_hidden_delta = stats.index_hidden_ns - index_before.2;
+        let index_hidden_delta = stats.index_hidden_ns - index_before.1;
         let drain_pure = (serial_start.elapsed().as_nanos() as u64)
             .saturating_sub(fleet_hidden_delta + index_hidden_delta);
         self.metrics.serial_ns += drain_pure;
@@ -1289,6 +1283,14 @@ impl<P: Protocol> ShardedServer<P> {
             r.finish()?;
             if batch.times().first().is_some_and(|&t| t < server.now) {
                 return Err(PersistError::corrupt("journal chunk regresses time"));
+            }
+            // A cold recovery over a smaller population than the crashed
+            // server's has no checkpoint to reject the mismatch; the shards
+            // would index past their fleets.
+            if batch.streams().iter().any(|id| id.index() >= server.n) {
+                return Err(PersistError::corrupt(
+                    "journal chunk names a stream outside the population",
+                ));
             }
             let buf = server.unique_chunk();
             buf.clear();

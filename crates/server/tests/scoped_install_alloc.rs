@@ -1,9 +1,10 @@
-//! A fleet touch allocates nothing in steady state: the positions buffer
-//! is pooled and comes back holding the flips, and the stash keeps the
-//! pooled reply. Steady-state ingest in which every event reports and every
-//! report re-installs a filter at its reporter must therefore run without a
-//! single allocation — whether the reporter never recurs within its chunk
-//! (the bare touch) or recurs and respeculates.
+//! Steady-state ingest allocates nothing. Silent windows recycle the pooled
+//! window, selection and report buffers. A fleet touch allocates nothing
+//! either: the positions buffer is pooled and comes back holding the flips,
+//! and the stash keeps the pooled reply. Steady-state ingest in which every
+//! event reports and every report re-installs a filter at its reporter must
+//! therefore run without a single allocation — whether the reporter never
+//! recurs within its chunk (the bare touch) or recurs and respeculates.
 //!
 //! Its own test binary, because the counting allocator is process-wide
 //! (`asf-server` itself forbids `unsafe`).
@@ -11,7 +12,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use asf_core::protocol::{Protocol, ServerCtx};
+use asf_core::protocol::{Protocol, ServerCtx, ZtNrp};
+use asf_core::query::RangeQuery;
 use asf_core::workload::UpdateEvent;
 use asf_core::AnswerSet;
 use asf_server::{ServerConfig, ServerMetrics, ShardedServer};
@@ -72,11 +74,12 @@ impl Protocol for Reinstall {
 }
 
 /// Ingests two structurally identical passes of `8 · n` round-robin events
-/// over `n` streams in chunks of `batch`, the `step`-th visit of a stream
-/// moving it to `offset(step)` above its initial value; returns the
-/// allocations of the second pass (the first grows every pool to its
-/// size) and the final metrics.
+/// over `n` streams in chunks of `batch` under `protocol`, the `step`-th
+/// visit of a stream moving it to `offset(step)` above its initial value;
+/// returns the allocations of the second pass (the first grows every pool
+/// to its size) and the final metrics.
 fn second_pass_allocations(
+    protocol: impl Protocol,
     n: usize,
     batch: usize,
     offset: impl Fn(usize) -> f64,
@@ -92,7 +95,7 @@ fn second_pass_allocations(
             .collect()
     };
     let config = ServerConfig::with_shards(2).batch_size(batch);
-    let mut server = ShardedServer::new(&initial, Reinstall, config);
+    let mut server = ShardedServer::new(&initial, protocol, config);
     server.initialize();
     server.ingest_batch(&pass(0));
     let events = pass(1);
@@ -103,13 +106,26 @@ fn second_pass_allocations(
 }
 
 #[test]
+fn steady_state_silent_ingest_does_not_allocate() {
+    // Every update repeats its stream's initial value, so no ZT-NRP filter
+    // ever fires: the pure data plane, scatter to gather, must run out of
+    // pooled buffers.
+    let n = 64;
+    let query = RangeQuery::new(1_000.0, 2_000.0).unwrap();
+    let (allocated, m) = second_pass_allocations(ZtNrp::new(query), n, n, |_| 0.0);
+    assert_eq!(m.reports_consumed, 0, "no filter fires");
+    assert!(m.rounds >= 16, "{}", m.summary());
+    assert_eq!(allocated, 0, "{}", m.summary());
+}
+
+#[test]
 fn steady_state_installs_without_later_positions_do_not_allocate() {
     // Chunks of n events, so no stream occurs twice in a chunk; every step
     // of 20 leaves the band installed at the last one, so every event
     // reports.
     let n = 64;
     let (allocated, m) =
-        second_pass_allocations(n, n, |step| if step % 2 == 0 { 20.0 } else { 0.0 });
+        second_pass_allocations(Reinstall, n, n, |step| if step % 2 == 0 { 20.0 } else { 0.0 });
     assert_eq!(m.reports_consumed, 2 * 8 * n as u64, "every event reports");
     assert_eq!(m.scoped_touches, m.reports_consumed, "every report installs");
     assert_eq!((m.cuts, m.respeculated), (0, 0), "no touched stream recurs in its chunk");
@@ -123,7 +139,8 @@ fn steady_state_respeculating_installs_do_not_allocate() {
     // the install move the band across some of those events, so their
     // report bits flip.
     let n = 64;
-    let (allocated, m) = second_pass_allocations(n, 4 * n, |step| 8.0 * (step % 4) as f64);
+    let (allocated, m) =
+        second_pass_allocations(Reinstall, n, 4 * n, |step| 8.0 * (step % 4) as f64);
     assert_eq!(m.cuts, 0, "{}", m.summary());
     assert!(m.respeculated > 0 && m.respec_flips > 0, "{}", m.summary());
     assert_eq!(allocated, 0, "{}", m.summary());

@@ -1,10 +1,10 @@
 //! A minimal recursive-descent JSON parser.
 //!
 //! Just enough JSON for the crate's own consumers — the Chrome-trace
-//! validator and the `bench_diff` schema-drift tool — with order-preserving
-//! objects (schema comparison cares about the key *set*, but keeping
-//! insertion order makes diffs readable). No serialization framework, no
-//! dependencies, no `unsafe`.
+//! validator and the snapshot-schema tests — with order-preserving objects
+//! (a schema check cares about the key *set*, but keeping insertion order
+//! makes failures readable). No serialization framework, no dependencies,
+//! no `unsafe`.
 
 /// A parsed JSON value. Objects preserve key order.
 #[derive(Clone, Debug, PartialEq)]

@@ -19,7 +19,7 @@
 //!   message-kind counters the `streamnet` ledger keeps, broken down by the
 //!   *protocol decision* that originated them ([`Cause`]).
 //! * [`json`] — a minimal recursive-descent JSON parser used by the trace
-//!   validator and the `bench_diff` schema-drift tool.
+//!   validator and the snapshot-schema tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -110,9 +110,8 @@ fn main() {
         m.overlap_saved_ns as f64 / 1_000.0,
     );
     println!(
-        "  scatter:  {:.1} KiB of window payload shared by reference across {} rounds, \
-         coordinator fan-out {:.1}us total; per-shard ownership scans {:.1}us (parallel)\n",
-        m.window_bytes_shared as f64 / 1024.0,
+        "  scatter:  {} rounds, each window shared by reference, coordinator fan-out \
+         {:.1}us total; per-shard ownership scans {:.1}us (parallel)\n",
         m.rounds,
         m.scatter_ns as f64 / 1_000.0,
         m.shard_scan_ns.iter().sum::<u64>() as f64 / 1_000.0,

@@ -268,3 +268,35 @@ fn multidim_message_accounting_is_conserved() {
         engine.ledger().count(MessageKind::ProbeReply)
     );
 }
+
+#[test]
+fn multi_query_fan_out_stays_small_at_thousands_of_queries() {
+    use asf_core::multi_query::{CellMode, RoutingMode};
+    use asf_server::{ServerConfig, ShardedServer};
+    // m = 2000 shared-cell queries whose widths shrink as 1000/m, so a value
+    // sits in about one query: a report flips only the few queries whose
+    // bounds it crosses, and the stabbing router must touch only those. An
+    // O(m) scan would touch all 2000; this scale measures 1.91.
+    let m = 2_000;
+    let mut rng = simkit::SimRng::seed_from_u64(0xBE7C ^ (m as u64).rotate_left(17));
+    let queries: Vec<RangeQuery> = (0..m)
+        .map(|_| {
+            let width = 1000.0 / m as f64 * (0.5 + rng.next_f64());
+            let lo = rng.range_f64(0.0, 1000.0 - width);
+            RangeQuery::new(lo, lo + width).unwrap()
+        })
+        .collect();
+    let cfg = SyntheticConfig { num_streams: 1_000, horizon: 40.0, seed: 50, ..Default::default() };
+    let mut w = SyntheticWorkload::new(cfg);
+    let initial = w.initial_values();
+    let events: Vec<_> = std::iter::from_fn(|| w.next_event()).collect();
+    let protocol =
+        MultiRangeZt::with_config(queries, CellMode::ServerManaged, RoutingMode::Routed).unwrap();
+    let mut server = ShardedServer::new(&initial, protocol, ServerConfig::with_shards(4));
+    server.initialize();
+    server.ingest_batch(&events);
+    let stats = *server.ctx_stats();
+    assert!(stats.routed_reports > 1_000, "too few reports to measure: {stats:?}");
+    let fan_out = stats.queries_touched as f64 / stats.routed_reports as f64;
+    assert!(fan_out < 2.0, "{fan_out:.2} queries touched per report at m = {m}");
+}

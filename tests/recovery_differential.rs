@@ -489,6 +489,35 @@ fn lost_checkpoints_cold_recover_from_the_journal_alone() {
 }
 
 #[test]
+fn cold_recovery_over_a_shrunk_population_is_an_error_not_a_panic() {
+    // With every snapshot gone nothing checks the population against the
+    // crashed server's, so the journal's stream ids must be: a chunk that
+    // names a stream the recovering server does not have is corruption.
+    let (initial, events) = fixture(0xFEED);
+    let query = RangeQuery::new(400.0, 600.0).unwrap();
+    let config = ServerConfig::with_shards(2).batch_size(64);
+    let dir = test_dir("shrunk");
+    let durable = DurabilityConfig::new(&dir).checkpoint_every(100).mode(CheckpointMode::Sync);
+
+    let mut crashed = ShardedServer::new(&initial, ZtNrp::new(query), config);
+    crashed.initialize();
+    crashed.enable_durability(durable.clone()).unwrap();
+    crashed.ingest_batch(&events[..events.len() / 2]);
+    drop(crashed);
+    for snap in ["snap-a.bin", "snap-b.bin"] {
+        let _ = std::fs::remove_file(dir.join(snap));
+    }
+
+    let shrunk = &initial[..NUM_STREAMS / 2];
+    let err = match ShardedServer::recover(shrunk, ZtNrp::new(query), config, durable) {
+        Ok(_) => panic!("recovery over a shrunk population must fail"),
+        Err(e) => e,
+    };
+    assert!(err.to_string().contains("outside the population"), "unexpected error: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn bit_flipped_journal_tail_is_truncated_not_replayed() {
     // Flip the last byte of the journal (inside the final record's CRC or
     // payload): recovery must detect the corruption, drop exactly that

@@ -2,7 +2,7 @@
 //! log-bucketed histogram against `simkit::percentile` (the exact
 //! sort-based reference), exact merge semantics, the server's snapshot
 //! schema, and the Chrome trace-event export smoke (the `--trace-out`
-//! payload of `server_throughput` and the `server_fleet` example).
+//! payload of the `server_fleet` example).
 
 use asf_core::protocol::ZtNrp;
 use asf_core::query::RangeQuery;
