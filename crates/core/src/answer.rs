@@ -160,12 +160,11 @@ impl std::fmt::Debug for AnswerSet {
 /// A sparse answer set: a sorted vector of member ids.
 ///
 /// [`AnswerSet`]'s bitset costs `n/8` bytes *per set*, which is the right
-/// trade for a handful of answers but prohibitive for fleet-scale
-/// multi-query state (100k queries × 100k streams ≈ 125 GB of bitsets).
-/// `IdSet` costs 4 bytes per *member* instead, so total multi-query memory
-/// scales with `Σ |A_j|` — the quantity the shared-cell decomposition keeps
-/// small. Membership updates are O(log |A| + |A|) (binary search + shift),
-/// fine because routing only touches the few affected queries per report.
+/// trade for a handful of answers but prohibitive for many (100k answers
+/// over 100k streams ≈ 125 GB of bitsets). `IdSet` costs 4 bytes per
+/// *member* instead. Membership updates are O(log |A| + |A|) (binary
+/// search + shift). [`crate::multi_query::MultiRangeZt`] checkpoints its
+/// per-query answers in this encoding.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IdSet {
     ids: Vec<u32>,

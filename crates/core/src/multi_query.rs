@@ -15,27 +15,31 @@
 //! membership signature changes — no false silence, no spurious reports
 //! beyond the per-crossing filter reinstallation.
 //!
-//! ## Routing: sublinear fan-out in the query count
+//! ## Answers: the population partitioned by cell
 //!
-//! Handling a report by re-testing all `m` queries ([`RoutingMode::NaiveScan`])
-//! makes every report cost O(m) — the opposite of the "thousands of
-//! continuous queries over one population" shape. [`QueryRouter`] is an
-//! interval-stabbing index over the query endpoints (two sorted endpoint
-//! arrays, built once per query set): for a value transition `old → new` it
-//! finds exactly the queries whose membership changed in
-//! O(log m + crossings). A query `[l, u]` changes membership on the jump
-//! from `old` to `new` (with `a = min`, `b = max`) iff
+//! Every query is a union of whole cells — `[l, u]` covers the cells from
+//! the one opening at cut `l` to the one closing below cut `next_up(u)` —
+//! so the m per-query answers are fully determined by which cell each
+//! stream's last reported value lies in. That partition is all the server
+//! keeps: each stream's cell, one unordered bucket of stream ids per cell,
+//! and each stream's slot in its bucket (2n `u32`s plus n bucket entries,
+//! whatever m is). A report costs one binary search of the cut table, which
+//! also yields the server-managed filter to re-install, and one O(1) bucket
+//! move (`swap_remove`, fix the moved id's slot, `push`). Reads pay
+//! instead: [`MultiRangeZt::answer_of`] gathers the buckets of the query's
+//! cell span, [`Protocol::answer`] those of every covered cell, and a
+//! checkpoint sorts each query's gathered ids into its [`IdSet`] encoding.
 //!
-//! ```text
-//! (l ∈ (a, b])  XOR  (u ∈ [a, b))
-//! ```
+//! ## Routing: the exact fan-out
 //!
-//! — crossing the lower bound toggles membership, crossing the upper bound
-//! toggles it back; a query jumped over entirely (both endpoints inside the
-//! jump) ends where it started. Each report then updates only the affected
-//! per-query answers, held sparsely ([`crate::answer::IdSet`]) so total
-//! answer memory scales with Σ answer sizes, not `m × n` bitset words.
+//! [`QueryRouter`] lists, per cell, the queries containing it. A value
+//! transition `old → new` flips exactly the queries in one of the two
+//! cells' lists but not the other — one merge of two short sorted lists,
+//! O(log m) for the cut search plus the lists' lengths. The protocol needs
+//! only the count (the `queries_touched` fan-out gauge of
+//! [`ServerCtx::note_routing`]); [`QueryRouter::affected`] lists them.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -61,48 +65,128 @@ pub enum CellMode {
     SourceResident,
 }
 
-/// How a report finds the queries whose answers it changes.
+/// How a report counts the queries whose answers it changes.
+///
+/// Answers do not depend on it — a report moves its stream to its new cell
+/// either way — only the `queries_touched` gauge
+/// ([`ServerCtx::note_routing`]) is computed differently, to the same
+/// value.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RoutingMode {
-    /// Interval-stab the [`QueryRouter`] — O(log m + affected) per report.
+    /// Merge the old and new cell's lists in the [`QueryRouter`] —
+    /// O(log m + list lengths) per report.
     #[default]
     Routed,
-    /// Re-test every query — O(m) per report. Kept as the differential
-    /// baseline (answers, ledgers, and views must be byte-identical to
-    /// [`RoutingMode::Routed`]) and for bench comparison.
+    /// Re-test every query against the old and new value — O(m) per
+    /// report. Kept as the differential baseline: its count must equal
+    /// [`RoutingMode::Routed`]'s.
     NaiveScan,
 }
 
-/// Interval-stabbing index over query endpoints: given a value transition
-/// `old → new`, yields exactly the queries whose membership changed.
+/// The elementary cells of a query set and, per cell, the queries
+/// containing it: given a value transition `old → new`, yields exactly the
+/// queries whose membership changed.
 ///
-/// Two sorted arrays (`(lo, query)` and `(hi, query)`) are built once per
-/// query set. A transition binary-searches each array for the endpoints
-/// falling inside the jump (O(log m)) and cancels queries that crossed
-/// both endpoints via an epoch-stamped scratch column — no per-transition
-/// clearing, no allocation.
+/// Cell `c` holds the values with exactly `c` cuts `<=` them, so one binary
+/// search of the cut table finds a value's cell. The per-cell lists are
+/// stored back to back (CSR), `Σⱼ cells(qⱼ)` query indices in all: at most
+/// `m·(2m + 1)` (m nested queries reach `m²`), ≈ 3k for `asf_bench`'s
+/// 1000 narrow ranges. The per-query id sets this replaced held `Σⱼ |Aⱼ|`
+/// ids instead, which reaches `n·m` once a population sits inside m nested
+/// queries.
 pub struct QueryRouter {
-    /// `(l_j, j)` sorted ascending by bound, then query index.
-    lows: Vec<(f64, u32)>,
-    /// `(u_j, j)` sorted ascending by bound, then query index.
-    his: Vec<(f64, u32)>,
-    /// Per-query epoch stamps (`2e` = lower bound crossed this transition,
-    /// `2e + 1` = both bounds crossed, i.e. cancelled).
-    stamp: Vec<u64>,
-    epoch: u64,
+    /// Sorted, deduplicated membership cut points.
+    cuts: Arc<[f64]>,
+    /// The queries containing cell `c` are `members[starts[c]..starts[c + 1]]`.
+    starts: Vec<usize>,
+    /// Query indices, ascending within each cell.
+    members: Vec<u32>,
+    num_queries: usize,
 }
 
 impl QueryRouter {
     /// Builds the index over a query set.
     pub fn new(queries: &[RangeQuery]) -> Self {
-        let mut lows: Vec<(f64, u32)> =
-            queries.iter().enumerate().map(|(j, q)| (q.lo(), j as u32)).collect();
-        let mut his: Vec<(f64, u32)> =
-            queries.iter().enumerate().map(|(j, q)| (q.hi(), j as u32)).collect();
-        let by = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
-        lows.sort_unstable_by(by);
-        his.sort_unstable_by(by);
-        Self { lows, his, stamp: vec![0; queries.len()], epoch: 0 }
+        let mut cuts: Vec<f64> = queries.iter().flat_map(|q| [q.lo(), q.hi().next_up()]).collect();
+        cuts.sort_unstable_by(f64::total_cmp);
+        cuts.dedup();
+        let cell_of = |v: f64| cuts.partition_point(|&c| c <= v);
+        let spans: Vec<(usize, usize)> =
+            queries.iter().map(|q| (cell_of(q.lo()), cell_of(q.hi()))).collect();
+        // Counting sort by cell; filling in query order keeps every list
+        // ascending.
+        let mut starts = vec![0; cuts.len() + 2];
+        for &(s, e) in &spans {
+            starts[s + 1..=e + 1].iter_mut().for_each(|n| *n += 1);
+        }
+        for c in 1..starts.len() {
+            starts[c] += starts[c - 1];
+        }
+        let mut members = vec![0; starts[starts.len() - 1]];
+        let mut fill = starts.clone();
+        for (j, &(s, e)) in spans.iter().enumerate() {
+            for at in &mut fill[s..=e] {
+                members[*at] = j as u32;
+                *at += 1;
+            }
+        }
+        Self { cuts: cuts.into(), starts, members, num_queries: queries.len() }
+    }
+
+    /// The elementary cell of `v`: the number of cuts `<= v`.
+    #[inline]
+    fn cell_of(&self, v: f64) -> u32 {
+        self.cuts.partition_point(|&c| c <= v) as u32
+    }
+
+    /// The queries containing cell `c`, ascending.
+    #[inline]
+    fn containing(&self, c: u32) -> &[u32] {
+        let c = c as usize;
+        &self.members[self.starts[c]..self.starts[c + 1]]
+    }
+
+    /// Cell `c` as a closed-interval filter: `[a, next_down(b)]` between
+    /// its bounding cuts, unbounded past the first and last.
+    fn filter(&self, c: u32) -> Filter {
+        let c = c as usize;
+        let lo = if c == 0 { f64::NEG_INFINITY } else { self.cuts[c - 1] };
+        let hi = self.cuts.get(c).map_or(f64::INFINITY, |b| b.next_down());
+        Filter::interval(lo, hi)
+    }
+
+    /// Calls `f`, in ascending order, with every query containing exactly
+    /// one of cells `a` and `b`: one merge of their sorted lists.
+    fn for_each_flipped(&self, a: u32, b: u32, mut f: impl FnMut(u32)) {
+        if a == b {
+            return;
+        }
+        let (x, y) = (self.containing(a), self.containing(b));
+        let (mut i, mut k) = (0, 0);
+        while i < x.len() && k < y.len() {
+            match x[i].cmp(&y[k]) {
+                Ordering::Less => {
+                    f(x[i]);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    f(y[k]);
+                    k += 1;
+                }
+                Ordering::Equal => {
+                    i += 1;
+                    k += 1;
+                }
+            }
+        }
+        x[i..].iter().chain(&y[k..]).for_each(|&j| f(j));
+    }
+
+    /// How many queries a transition from cell `a` to cell `b` flips.
+    fn flipped(&self, a: u32, b: u32) -> u64 {
+        let mut n = 0;
+        self.for_each_flipped(a, b, |_| n += 1);
+        n
     }
 
     /// Appends to `out` the indices of every query whose membership differs
@@ -115,66 +199,42 @@ impl QueryRouter {
     pub fn affected(&mut self, old: f64, new: f64, out: &mut Vec<u32>) {
         out.clear();
         debug_assert!(!old.is_nan() && !new.is_nan(), "routed values must be ordered");
-        let (a, b) = if old <= new { (old, new) } else { (new, old) };
-        if a == b {
-            return;
-        }
-        self.epoch += 1;
-        let lo_mark = self.epoch << 1;
-        // Lower bounds crossed: l ∈ (a, b].
-        let ls = self.lows.partition_point(|&(l, _)| l <= a);
-        let le = self.lows.partition_point(|&(l, _)| l <= b);
-        for &(_, j) in &self.lows[ls..le] {
-            self.stamp[j as usize] = lo_mark;
-        }
-        // Upper bounds crossed: u ∈ [a, b). A query stamped by both sweeps
-        // was jumped over entirely — membership unchanged.
-        let hs = self.his.partition_point(|&(u, _)| u < a);
-        let he = self.his.partition_point(|&(u, _)| u < b);
-        for &(_, j) in &self.his[hs..he] {
-            let s = &mut self.stamp[j as usize];
-            if *s == lo_mark {
-                *s = lo_mark | 1;
-            } else {
-                out.push(j);
-            }
-        }
-        for &(_, j) in &self.lows[ls..le] {
-            if self.stamp[j as usize] == lo_mark {
-                out.push(j);
-            }
-        }
-        out.sort_unstable();
+        self.for_each_flipped(self.cell_of(old), self.cell_of(new), |j| out.push(j));
     }
 
     /// Number of indexed queries.
     pub fn num_queries(&self) -> usize {
-        self.stamp.len()
+        self.num_queries
+    }
+
+    fn num_cells(&self) -> usize {
+        self.starts.len() - 1
     }
 }
 
 /// Zero-tolerance maintenance of several range queries with one shared
-/// elementary-cell filter per source and routed per-report answer updates.
+/// elementary-cell filter per source; the per-query answers are the
+/// population partitioned by cell (see the module docs).
 pub struct MultiRangeZt {
     queries: Vec<RangeQuery>,
-    /// Sorted, deduplicated membership cut points.
-    cuts: Arc<[f64]>,
     mode: CellMode,
     routing: RoutingMode,
     router: QueryRouter,
-    answers: Vec<IdSet>,
     /// Per-stream value as of its last handled report (`-inf` = never
-    /// heard; no finite query contains it, so routing from `-inf` yields
-    /// exactly the containing queries). The routing invariant: `answers`
-    /// reflect exactly the membership of `last`.
+    /// heard, which lies in the uncovered cell 0). The checkpointed state:
+    /// the partition below is derived from it.
     last: Vec<f64>,
-    /// Reusable affected-query scratch.
-    affected: Vec<u32>,
+    /// `cell[i]` is the cell of `last[i]`.
+    cell: Vec<u32>,
+    /// Per cell, the ids of the streams in it, unordered.
+    buckets: Vec<Vec<u32>>,
+    /// `buckets[cell[i]][slot[i]] == i`.
+    slot: Vec<u32>,
 }
 
 impl MultiRangeZt {
     /// Creates the protocol over a non-empty set of range queries with the
-    /// default server-managed cells and routed answer maintenance.
+    /// default server-managed cells and routed fan-out counting.
     pub fn new(queries: Vec<RangeQuery>) -> Result<Self, ConfigError> {
         Self::with_mode(queries, CellMode::default())
     }
@@ -193,20 +253,17 @@ impl MultiRangeZt {
         if queries.is_empty() {
             return Err(ConfigError::InvalidQuery("need at least one range query".into()));
         }
-        let mut cuts: Vec<f64> = queries.iter().flat_map(|q| [q.lo(), q.hi().next_up()]).collect();
-        cuts.sort_unstable_by(f64::total_cmp);
-        cuts.dedup();
-        let answers = vec![IdSet::new(); queries.len()];
         let router = QueryRouter::new(&queries);
+        let buckets = vec![Vec::new(); router.num_cells()];
         Ok(Self {
             queries,
-            cuts: cuts.into(),
             mode,
             routing,
             router,
-            answers,
             last: Vec::new(),
-            affected: Vec::new(),
+            cell: Vec::new(),
+            buckets,
+            slot: Vec::new(),
         })
     }
 
@@ -215,28 +272,19 @@ impl MultiRangeZt {
         &self.queries
     }
 
-    /// The answer of query `j`, materialized as a dense set.
+    /// The answer of query `j`, materialized as a dense set: the streams in
+    /// the cells from `cell(lo)` to `cell(hi)`.
     ///
     /// # Panics
     ///
     /// Panics if `j` is out of range.
     pub fn answer_of(&self, j: usize) -> AnswerSet {
-        self.answers[j].to_answer()
+        self.span(j).iter().flatten().map(|&i| StreamId(i)).collect()
     }
 
     /// The number of elementary cells the value domain is divided into.
     pub fn num_cells(&self) -> usize {
-        self.cuts.len() + 1
-    }
-
-    /// The elementary cell of `v` as a closed-interval filter.
-    fn cell(&self, v: f64) -> Filter {
-        // a = greatest cut <= v  (or -inf); b = least cut > v (or +inf).
-        let idx = self.cuts.partition_point(|&c| c <= v);
-        let a = if idx == 0 { f64::NEG_INFINITY } else { self.cuts[idx - 1] };
-        let b = if idx == self.cuts.len() { f64::INFINITY } else { self.cuts[idx] };
-        let hi = if b.is_finite() { b.next_down() } else { b };
-        Filter::interval(a, hi)
+        self.router.num_cells()
     }
 
     /// The cell mode in use.
@@ -249,41 +297,60 @@ impl MultiRangeZt {
         self.routing
     }
 
+    /// The buckets of the cells query `j` covers.
+    fn span(&self, j: usize) -> &[Vec<u32>] {
+        let q = &self.queries[j];
+        let (s, e) = (self.router.cell_of(q.lo()), self.router.cell_of(q.hi()));
+        &self.buckets[s as usize..=e as usize]
+    }
+
+    /// Query `j`'s members in ascending id order.
+    fn sorted_answer(&self, j: usize) -> IdSet {
+        let mut ids = self.span(j).concat();
+        ids.sort_unstable();
+        IdSet::from_sorted(ids)
+    }
+
+    /// Grows the per-stream tables to `n` streams; the new ones are never
+    /// heard, so they join the uncovered cell 0.
     fn ensure_last(&mut self, n: usize) {
-        if self.last.len() < n {
-            self.last.resize(n, f64::NEG_INFINITY);
+        for id in self.last.len()..n {
+            self.last.push(f64::NEG_INFINITY);
+            self.cell.push(0);
+            self.slot.push(self.buckets[0].len() as u32);
+            self.buckets[0].push(id as u32);
         }
     }
 
-    /// Applies one value transition to the per-query answers; returns how
-    /// many query answers were touched (for [`ServerCtx::note_routing`]).
-    fn apply_transition(&mut self, id: StreamId, old: f64, value: f64) -> u64 {
-        match self.routing {
-            RoutingMode::Routed => {
-                let mut affected = std::mem::take(&mut self.affected);
-                self.router.affected(old, value, &mut affected);
-                for &j in &affected {
-                    let j = j as usize;
-                    if self.queries[j].contains(value) {
-                        self.answers[j].insert(id);
-                    } else {
-                        self.answers[j].remove(id);
-                    }
-                }
-                let touched = affected.len() as u64;
-                self.affected = affected;
-                touched
-            }
-            RoutingMode::NaiveScan => {
-                for (q, a) in self.queries.iter().zip(self.answers.iter_mut()) {
-                    if q.contains(value) {
-                        a.insert(id);
-                    } else {
-                        a.remove(id);
-                    }
-                }
-                self.queries.len() as u64
-            }
+    /// Moves stream `id` into cell `to` in O(1).
+    fn move_to(&mut self, id: usize, to: u32) {
+        let from = self.cell[id];
+        if from == to {
+            return;
+        }
+        let slot = self.slot[id] as usize;
+        let bucket = &mut self.buckets[from as usize];
+        bucket.swap_remove(slot);
+        if let Some(&moved) = bucket.get(slot) {
+            self.slot[moved as usize] = slot as u32;
+        }
+        let bucket = &mut self.buckets[to as usize];
+        self.slot[id] = bucket.len() as u32;
+        bucket.push(id as u32);
+        self.cell[id] = to;
+    }
+
+    /// Rebuilds the partition from `last`.
+    fn rebuild_partition(&mut self) {
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.cell.clear();
+        self.slot.clear();
+        for (id, &v) in self.last.iter().enumerate() {
+            let c = self.router.cell_of(v);
+            let bucket = &mut self.buckets[c as usize];
+            self.cell.push(c);
+            self.slot.push(bucket.len() as u32);
+            bucket.push(id as u32);
         }
     }
 }
@@ -295,62 +362,69 @@ impl Protocol for MultiRangeZt {
 
     fn initialize(&mut self, ctx: &mut ServerCtx<'_>) {
         ctx.probe_all();
-        let values: Vec<(StreamId, f64)> = ctx.view().iter_known().collect();
         self.last = vec![f64::NEG_INFINITY; ctx.n()];
-        // Initial answers in one sorted pass: sort the population by value
-        // once, then binary-search each query's member range — O((n + m)
-        // log(nm) + Σ answers) instead of m × n membership tests.
-        let mut by_val: Vec<(f64, u32)> = values.iter().map(|&(id, v)| (v, id.0)).collect();
-        by_val.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        for (j, q) in self.queries.iter().enumerate() {
-            let s = by_val.partition_point(|&(v, _)| v < q.lo());
-            let e = by_val.partition_point(|&(v, _)| v <= q.hi());
-            let mut ids: Vec<u32> = by_val[s..e].iter().map(|&(_, id)| id).collect();
-            ids.sort_unstable();
-            self.answers[j] = IdSet::from_sorted(ids);
+        for (id, v) in ctx.view().iter_known() {
+            self.last[id.index()] = v;
         }
+        self.rebuild_partition();
         // One batch deployment of the cell filters (shard-parallel on the
         // sharded backend), in view order.
-        let mut installs: Vec<(StreamId, Filter)> = Vec::with_capacity(values.len());
-        for &(id, v) in &values {
-            self.last[id.index()] = v;
-            let filter = match self.mode {
-                CellMode::ServerManaged => self.cell(v),
-                CellMode::SourceResident => Filter::cells(Arc::clone(&self.cuts)),
-            };
-            installs.push((id, filter));
-        }
+        let installs: Vec<(StreamId, Filter)> = ctx
+            .view()
+            .iter_known()
+            .map(|(id, _)| {
+                let filter = match self.mode {
+                    CellMode::ServerManaged => self.router.filter(self.cell[id.index()]),
+                    CellMode::SourceResident => Filter::cells(Arc::clone(&self.router.cuts)),
+                };
+                (id, filter)
+            })
+            .collect();
         ctx.install_many(&installs);
     }
 
     fn on_update(&mut self, id: StreamId, value: f64, ctx: &mut ServerCtx<'_>) {
         self.ensure_last(ctx.n().max(id.index() + 1));
-        let old = self.last[id.index()];
+        let i = id.index();
         let start = Instant::now();
-        let touched = self.apply_transition(id, old, value);
-        self.last[id.index()] = value;
+        let to = self.router.cell_of(value);
+        let touched = match self.routing {
+            RoutingMode::Routed => self.router.flipped(self.cell[i], to),
+            RoutingMode::NaiveScan => {
+                let old = self.last[i];
+                self.queries.iter().filter(|q| q.contains(old) != q.contains(value)).count() as u64
+            }
+        };
+        self.move_to(i, to);
+        self.last[i] = value;
         ctx.note_routing(touched, start.elapsed().as_nanos() as u64);
         // Server-managed cells must be re-installed after every report
         // (1 extra message); a source-resident cut table already knows
         // every cell.
         if self.mode == CellMode::ServerManaged {
-            ctx.install(id, self.cell(value));
+            ctx.install(id, self.router.filter(to));
         }
     }
 
     /// The union of all query answers (per-query answers via
-    /// [`MultiRangeZt::answer_of`]).
+    /// [`MultiRangeZt::answer_of`]): the streams in every covered cell.
     fn answer(&self) -> AnswerSet {
-        self.answers.iter().flat_map(|a| a.iter()).collect()
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(|&(c, _)| !self.router.containing(c as u32).is_empty())
+            .flat_map(|(_, bucket)| bucket)
+            .map(|&i| StreamId(i))
+            .collect()
     }
 
     fn save_state(&self, w: &mut asf_persist::StateWriter) {
-        w.put_u64(self.answers.len() as u64);
-        for a in &self.answers {
-            a.encode(w);
+        w.put_u64(self.queries.len() as u64);
+        for j in 0..self.queries.len() {
+            self.sorted_answer(j).encode(w);
         }
-        // `last` is protocol state, not view state: it feeds the router, so
-        // recovery must restore it to keep routed transitions exact.
+        // `last` is protocol state, not view state: the partition is
+        // rebuilt from it, and the answers above are checked against it.
         w.put_u64(self.last.len() as u64);
         for &v in &self.last {
             w.put_f64(v);
@@ -362,7 +436,7 @@ impl Protocol for MultiRangeZt {
         if m != self.queries.len() {
             return Err(asf_persist::PersistError::corrupt("answer count != query count"));
         }
-        self.answers = (0..m).map(|_| IdSet::decode(r)).collect::<Result<_, _>>()?;
+        let answers: Vec<IdSet> = (0..m).map(|_| IdSet::decode(r)).collect::<Result<_, _>>()?;
         let n = r.get_u64()? as usize;
         if n > r.remaining() / 8 {
             return Err(asf_persist::PersistError::corrupt("last-value table longer than payload"));
@@ -370,6 +444,14 @@ impl Protocol for MultiRangeZt {
         self.last = (0..n).map(|_| r.get_f64()).collect::<Result<_, _>>()?;
         if self.last.iter().any(|v| v.is_nan()) {
             return Err(asf_persist::PersistError::corrupt("NaN last value"));
+        }
+        self.rebuild_partition();
+        // The answers are redundant with `last`: an image whose answers
+        // disagree with it is corrupt, whatever its checksum says.
+        if answers.iter().enumerate().any(|(j, a)| *a != self.sorted_answer(j)) {
+            return Err(asf_persist::PersistError::corrupt(
+                "per-query answer disagrees with the last-value table",
+            ));
         }
         Ok(())
     }
@@ -380,6 +462,7 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use crate::workload::UpdateEvent;
+    use simkit::SimRng;
 
     fn ev(t: f64, s: u32, v: f64) -> UpdateEvent {
         UpdateEvent { time: t, stream: StreamId(s), value: v }
@@ -411,7 +494,7 @@ mod tests {
         assert_eq!(p.num_cells(), 7);
         // A value and its cell agree on every query's membership.
         for v in [0.0, 100.0, 150.0, 200.0, 250.0, 300.0, 300.1, 499.0, 650.0, 850.0, 950.0] {
-            let cell = p.cell(v);
+            let cell = p.router.filter(p.router.cell_of(v));
             assert!(cell.contains(v), "cell of {v} must contain it");
             // Sample the cell edges: membership must match v's.
             for q in p.queries() {
@@ -449,6 +532,38 @@ mod tests {
             router.affected(old, new, &mut out);
             assert_eq!(out, scan_affected(&qs, old, new), "transition {old} -> {new}");
         }
+    }
+
+    /// The per-cell lists cost Σⱼ cells(qⱼ) entries: a few per query on
+    /// `asf_bench`'s shape, m² — within the m·(2m + 1) bound — on nested
+    /// queries.
+    #[test]
+    fn per_cell_lists_stay_within_their_bound() {
+        let m = 1000;
+        // `asf_bench`'s `multi_range` queries at its default seed.
+        let mut rng = SimRng::seed_from_u64(48_764 ^ (m as u64).rotate_left(17));
+        let bench: Vec<RangeQuery> = (0..m)
+            .map(|_| {
+                let width = 1000.0 / m as f64 * (0.5 + rng.next_f64());
+                let lo = rng.range_f64(0.0, 1000.0 - width);
+                RangeQuery::new(lo, lo + width).unwrap()
+            })
+            .collect();
+        let router = QueryRouter::new(&bench);
+        assert_eq!(router.num_cells(), 2001);
+        assert_eq!(router.members.len(), 3_054);
+
+        let nested: Vec<RangeQuery> =
+            (0..m).map(|j| RangeQuery::new(499.0 - j as f64, 501.0 + j as f64).unwrap()).collect();
+        let router = QueryRouter::new(&nested);
+        assert_eq!(router.num_cells(), 2 * m + 1);
+        assert_eq!(router.members.len(), m * m);
+        assert!(router.members.len() <= m * (2 * m + 1));
+        // Every list is ascending, and the innermost cell lies in every query.
+        for c in 0..router.num_cells() as u32 {
+            assert!(router.containing(c).windows(2).all(|w| w[0] < w[1]), "cell {c}");
+        }
+        assert_eq!(router.containing(router.cell_of(500.0)).len(), m);
     }
 
     #[test]
@@ -536,9 +651,49 @@ mod tests {
                 engine.apply_event(*e);
             }
             let answers: Vec<AnswerSet> = (0..3).map(|j| engine.protocol().answer_of(j)).collect();
-            (answers, engine.ledger().total())
+            let stats = engine.ctx_stats();
+            (answers, engine.ledger().total(), stats.routed_reports, stats.queries_touched)
         };
-        assert_eq!(run(RoutingMode::Routed), run(RoutingMode::NaiveScan));
+        let routed = run(RoutingMode::Routed);
+        assert_eq!(routed, run(RoutingMode::NaiveScan));
+        // 4 → 250 enters Q0 and Q1, 1 → 350 leaves Q0, 5 → 120 enters Q0,
+        // 0 → 880 leaves Q0 for Q2, 2 → 210 leaves Q1 for Q0 ∩ Q1 (enters
+        // Q0), 4 → 40 leaves Q0 and Q1: 2 + 1 + 1 + 2 + 1 + 2.
+        assert_eq!((routed.2, routed.3), (6, 9), "the exact fan-out, not m per report");
+    }
+
+    #[test]
+    fn load_state_rejects_answers_that_disagree_with_last_values() {
+        let initial = vec![150.0, 250.0, 400.0, 850.0, 600.0, 50.0];
+        let mut engine = Engine::new(&initial, MultiRangeZt::new(queries()).unwrap());
+        engine.initialize();
+        engine.apply_event(ev(1.0, 4, 250.0));
+        let mut w = asf_persist::StateWriter::new();
+        engine.protocol().save_state(&mut w);
+        let bytes = w.into_bytes();
+        let load = |bytes: &[u8]| {
+            let mut p = MultiRangeZt::new(queries()).unwrap();
+            let mut r = asf_persist::StateReader::new(bytes);
+            p.load_state(&mut r).and_then(|()| r.finish()).map(|()| p)
+        };
+        let back = load(&bytes).expect("a faithful image loads");
+        for j in 0..3 {
+            assert_eq!(back.answer_of(j), engine.protocol().answer_of(j));
+        }
+        assert_eq!(back.answer(), engine.answer());
+
+        // Q0's answer is {0, 1, 4}: raising its largest id to 5 keeps the
+        // set strictly ascending, so it decodes, but stream 5 sits at 50.
+        // Layout: m, then Q0's length and ids.
+        let at = 8 + 8 + 2 * 4;
+        assert_eq!(u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()), 4);
+        let mut flipped = bytes.clone();
+        flipped[at..at + 4].copy_from_slice(&5u32.to_le_bytes());
+        // Framed as a checkpoint record, the image passes its CRC.
+        let mut image = Vec::new();
+        asf_persist::record::encode_record(7, &flipped, &mut image);
+        let payload = asf_persist::record::read_single_record(&image, 7).expect("CRC-valid");
+        assert!(matches!(load(payload), Err(asf_persist::PersistError::Corrupt(_))));
     }
 
     #[test]

@@ -137,10 +137,10 @@ fn multi_query_shares_updates_across_overlapping_queries() {
 #[test]
 fn multi_query_routing_is_byte_identical_to_naive_scan() {
     use asf_core::multi_query::{CellMode, RoutingMode};
-    // The routing index only decides *which* per-query answer sets a report
-    // is applied to; at 128 queries over a long trace, routed and naive-scan
-    // execution must agree on every observable: per-query answers, the union
-    // answer, the message ledger, and the server view.
+    // The routing index only counts the queries a report flips; at 128
+    // queries over a long trace, routed and naive-scan execution must agree
+    // on every observable: per-query answers, the union answer, the message
+    // ledger, the server view, and that count.
     let mut rng = simkit::SimRng::seed_from_u64(0x9047);
     let queries: Vec<RangeQuery> = (0..128)
         .map(|_| {
@@ -161,6 +161,10 @@ fn multi_query_routing_is_byte_identical_to_naive_scan() {
         let naive = run(RoutingMode::NaiveScan);
         assert_eq!(routed.answer(), naive.answer(), "{mode:?}: union answers diverge");
         assert_eq!(routed.ledger(), naive.ledger(), "{mode:?}: ledgers diverge");
+        let touched = |e: &Engine<MultiRangeZt>| {
+            (e.ctx_stats().routed_reports, e.ctx_stats().queries_touched)
+        };
+        assert_eq!(touched(&routed), touched(&naive), "{mode:?}: fan-out counts diverge");
         for j in 0..queries.len() {
             assert_eq!(
                 routed.protocol().answer_of(j),
@@ -275,8 +279,8 @@ fn multi_query_fan_out_stays_small_at_thousands_of_queries() {
     use asf_server::{ServerConfig, ShardedServer};
     // m = 2000 shared-cell queries whose widths shrink as 1000/m, so a value
     // sits in about one query: a report flips only the few queries whose
-    // bounds it crosses, and the stabbing router must touch only those. An
-    // O(m) scan would touch all 2000; this scale measures 1.91.
+    // bounds it crosses, and routing must count only those, not all 2000
+    // queries; this scale measures 1.91.
     let m = 2_000;
     let mut rng = simkit::SimRng::seed_from_u64(0xBE7C ^ (m as u64).rotate_left(17));
     let queries: Vec<RangeQuery> = (0..m)

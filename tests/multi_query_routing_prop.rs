@@ -2,21 +2,29 @@
 //!
 //! The [`QueryRouter`] claims that for a value transition `old -> new`
 //! the set of affected queries — those whose membership of the reporting
-//! stream changes — can be found in O(log m + k) from two sorted endpoint
-//! arrays, exploiting that membership of `[l, u]` flips iff exactly one of
-//! `l ∈ (a, b]`, `u ∈ [a, b)` holds (`a = min(old, new)`,
-//! `b = max(old, new)`): a query fully jumped over changes nothing. Every
-//! test here pits that structure against the obvious O(m) contains-diff
-//! scan over adversarial query sets — shared endpoints, nested and
-//! identical intervals, point queries, and `next_up`-adjacent bounds.
+//! stream changes — is the symmetric difference of the containing-query
+//! lists of the two values' elementary cells, since every query is a union
+//! of whole cells. Every test here pits that structure against the obvious
+//! O(m) contains-diff scan over adversarial query sets — shared endpoints,
+//! nested and identical intervals, point queries, `next_up`-adjacent bounds
+//! and the edges of the value domain (signed zeros, `f64::MAX` bounds,
+//! infinite transitions). `MultiRangeZt`'s answers, which are the
+//! population partitioned by those cells, are checked against ground truth
+//! at the same edges.
 //!
 //! The shared rank-view machinery rides along: `Ranks::rank_of` /
 //! `count_before` (the per-query view primitives over one shared
 //! population index) are checked against the sorted ground truth.
 
-use asf_core::multi_query::QueryRouter;
+use asf_core::engine::Engine;
+use asf_core::multi_query::{MultiRangeZt, QueryRouter};
+use asf_core::oracle;
+use asf_core::protocol::Protocol;
 use asf_core::query::{RangeQuery, RankSpace};
 use asf_core::rank::{cmp_key, RankForest, Ranks};
+use asf_core::workload::UpdateEvent;
+use asf_core::AnswerSet;
+use asf_persist::{StateReader, StateWriter};
 use simkit::SimRng;
 use streamnet::{ServerView, StreamId};
 
@@ -162,6 +170,125 @@ fn router_output_is_sorted_and_duplicate_free() {
         router.affected(a, b, &mut out);
         assert!(out.windows(2).all(|w| w[0] < w[1]), "unsorted/duplicated output for {a} -> {b}");
     }
+}
+
+/// Queries whose cuts sit on the edges of the value domain: a lower bound
+/// at `zero` (`+0.0` or `-0.0`; a value of the other sign must count as
+/// reaching that cut), a `-0.0` upper bound (cut `next_up(-0.0)`, the
+/// smallest subnormal), `hi = f64::MAX` (cut `next_up(MAX) = +∞`),
+/// `lo = -f64::MAX`, and duplicate, point and one-ulp-adjacent bounds.
+fn edge_queries(zero: f64) -> Vec<RangeQuery> {
+    vec![
+        RangeQuery::new(zero, 10.0).unwrap(),
+        RangeQuery::new(-10.0, -0.0).unwrap(),
+        RangeQuery::new(1e300, f64::MAX).unwrap(),
+        RangeQuery::new(-f64::MAX, -1e300).unwrap(),
+        RangeQuery::new(2.0, 3.0).unwrap(),
+        RangeQuery::new(2.0, 3.0).unwrap(),
+        RangeQuery::new(3.0, 3.0).unwrap(),
+        RangeQuery::new(3.0f64.next_up(), 4.0).unwrap(),
+    ]
+}
+
+/// Every finite cut of `queries` and one ulp either side, both signed
+/// zeros and both finite extremes, ascending.
+fn edge_values(queries: &[RangeQuery]) -> Vec<f64> {
+    let mut values = vec![-0.0, 0.0, f64::MAX, -f64::MAX, 500.0, -500.0];
+    for q in queries {
+        for cut in [q.lo(), q.hi().next_up()] {
+            values.extend([cut.next_down(), cut, cut.next_up()]);
+        }
+    }
+    values.retain(|v| v.is_finite());
+    values.sort_by(f64::total_cmp);
+    values.dedup_by(|a, b| a.to_bits() == b.to_bits());
+    values
+}
+
+#[test]
+fn router_handles_value_domain_edges() {
+    for zero in [0.0, -0.0] {
+        let queries = edge_queries(zero);
+        let mut points = edge_values(&queries);
+        points.extend([f64::NEG_INFINITY, f64::INFINITY]);
+        let transitions: Vec<(f64, f64)> =
+            points.iter().flat_map(|&a| points.iter().map(move |&b| (a, b))).collect();
+        assert_router_matches(&queries, &transitions, &format!("edges, zero bound {zero:?}"));
+    }
+}
+
+#[test]
+fn partition_answers_hold_at_value_domain_edges() {
+    assert_partition_exact_at_edges(0.0);
+    assert_partition_exact_at_edges(-0.0);
+}
+
+/// `MultiRangeZt`'s answers at the value-domain edges, against ground truth
+/// after every event. The engine resumes from a checkpoint whose protocol
+/// part is a never-initialized protocol's — no answers, an empty last-value
+/// table — so every stream starts never heard, in the uncovered cell 0, and
+/// its first report grows the table past its length.
+fn assert_partition_exact_at_edges(zero: f64) {
+    let queries = edge_queries(zero);
+    let n = 16;
+    // 500 lies in no query, so "never heard" agrees with the truth.
+    let initial = vec![500.0; n];
+    let image = |save: &dyn Fn(&mut StateWriter)| {
+        let mut w = StateWriter::new();
+        save(&mut w);
+        w.into_bytes()
+    };
+    let mut seeded = Engine::new(&initial, MultiRangeZt::new(queries.clone()).unwrap());
+    seeded.initialize();
+    let full = image(&|w| seeded.save_state(w));
+    let initialized = image(&|w| seeded.protocol().save_state(w));
+    let blank = image(&|w| MultiRangeZt::new(queries.clone()).unwrap().save_state(w));
+    let at = full.windows(initialized.len()).position(|w| w == initialized).unwrap();
+    let crafted = [&full[..at], &blank, &full[at + initialized.len()..]].concat();
+    let mut engine = Engine::new(&initial, MultiRangeZt::new(queries.clone()).unwrap());
+    engine.load_state(&mut StateReader::new(&crafted)).unwrap();
+
+    let mut t = 0.0;
+    let mut step = |engine: &mut Engine<MultiRangeZt>, s: usize, v: f64| {
+        t += 1.0;
+        engine.apply_event(UpdateEvent { time: t, stream: StreamId(s as u32), value: v });
+        let p = engine.protocol();
+        let mut union = AnswerSet::new();
+        for (j, &q) in queries.iter().enumerate() {
+            let answer = p.answer_of(j);
+            let truth = oracle::true_range_answer(q, engine.fleet());
+            assert_eq!(answer, truth, "query {j} {q:?} after stream {s} -> {v:e} ({zero:?})");
+            answer.iter().for_each(|id| {
+                union.insert(id);
+            });
+        }
+        assert_eq!(p.answer(), union, "union answer after stream {s} -> {v:e}");
+    };
+    let values = edge_values(&queries);
+    // Stream 0 walks every edge value up, then down: one-ulp steps across
+    // every cut, in both directions.
+    for &v in values.iter().chain(values.iter().rev()) {
+        step(&mut engine, 0, v);
+    }
+    // Streams 1..12 jump between edge values; 12..16 only move inside
+    // their initial cell, so they are never heard.
+    let mut rng = SimRng::seed_from_u64(0xED6E);
+    for _ in 0..600 {
+        step(&mut engine, 1 + rng.index(11), values[rng.index(values.len())]);
+    }
+    let bill = engine.ledger().total();
+    for s in 12..n {
+        step(&mut engine, s, 600.0);
+    }
+    assert_eq!(engine.ledger().total(), bill, "moves inside the cell of 500 are silent");
+    // The grown table and the partition round-trip through a checkpoint:
+    // `load_state` checks every answer against the last-value table.
+    let saved = image(&|w| engine.protocol().save_state(w));
+    let mut back = MultiRangeZt::new(queries.clone()).unwrap();
+    let mut r = StateReader::new(&saved);
+    back.load_state(&mut r).unwrap();
+    r.finish().unwrap();
+    assert_eq!(back.answer(), engine.protocol().answer());
 }
 
 /// `Ranks::rank_of` / `count_before` over both backends (the shared

@@ -308,7 +308,7 @@ fn multi_query_routing_modes_are_shard_invariant_and_interchangeable() {
     // The routed index is a pure execution optimization: for every cell
     // mode, both routing modes must pass the full shard/mode/coordinator
     // invariance sweep AND be byte-identical to each other — answers,
-    // per-query answers, ledgers, views.
+    // per-query answers, ledgers, views, and the fan-out count.
     let queries = pathological_queries();
     for mode in [CellMode::ServerManaged, CellMode::SourceResident] {
         let engines: Vec<Engine<MultiRangeZt>> = [RoutingMode::Routed, RoutingMode::NaiveScan]
@@ -326,6 +326,10 @@ fn multi_query_routing_modes_are_shard_invariant_and_interchangeable() {
         let tag = format!("{mode:?} routed vs naive");
         assert_eq!(routed.answer(), naive.answer(), "{tag}: union answers diverged");
         assert_eq!(routed.ledger(), naive.ledger(), "{tag}: ledgers diverged");
+        let touched = |e: &Engine<MultiRangeZt>| {
+            (e.ctx_stats().routed_reports, e.ctx_stats().queries_touched)
+        };
+        assert_eq!(touched(routed), touched(naive), "{tag}: fan-out counts diverged");
         for j in 0..queries.len() {
             assert_eq!(
                 routed.protocol().answer_of(j),
