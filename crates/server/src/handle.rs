@@ -1,108 +1,130 @@
-//! Uniform access to a shard, inline or on its own worker thread.
+//! Uniform access to a shard, run by the coordinator or by a worker thread.
 //!
 //! The coordinator talks to every shard through [`ShardHandle`] with a
-//! send/recv pair, so scatter–gather code is written once:
+//! send/recv pair, so scatter–gather code is written once. A shard runs in
+//! one of two places:
 //!
-//! * **Inline** — the command executes immediately on the caller's thread
-//!   and the reply is buffered. Deterministic, zero-overhead; the default
-//!   for tests and for modeling per-shard work on constrained hardware.
-//! * **Threaded** — the shard lives in a worker thread behind **bounded**
-//!   MPSC channels ([`std::sync::mpsc::sync_channel`]); commands and
-//!   replies block when the channel is full, providing backpressure.
+//! * **On the coordinator** ([`ShardHandle::Local`]) — every shard in
+//!   [`ExecMode::Inline`], and shard 0 in [`ExecMode::Threaded`]. `send`
+//!   only records the command; `recv` runs it (**execute-at-recv**). The
+//!   coordinator sends a round to every shard before it receives from any,
+//!   so a scatter reaches every worker before the coordinator starts on
+//!   its own shard. At most one command is in flight per shard and the
+//!   channel is FIFO, so a reply received early (a fleet touch stashing a
+//!   window's reply) runs its command at the same point in the shard's
+//!   command sequence as a reply received late.
+//! * **On a worker thread** ([`ShardHandle::Worker`]) — shards 1 … k − 1
+//!   in threaded mode. Coordinator and worker hand off through a
+//!   [`Mailbox`]: one slot each way, which the one-command-in-flight rule
+//!   never overfills. The waiting side spins for [`SPIN`] (a few window
+//!   evaluations) before it parks on a condvar, and a sender notifies only
+//!   a parked peer, so a hand-off between two busy threads costs a flag
+//!   flip instead of a futex wake and a futex wait. Spinning only pays
+//!   while every shard's thread has a core of its own: with k shards on
+//!   fewer than k cores a spinning thread would burn the core the thread
+//!   it waits for needs, so both sides then park at once.
 //!
-//! Both modes produce identical results by construction — scheduling can
-//! only change *when* a shard runs, never the sequence-ordered outcome the
-//! coordinator assembles.
+//! Both placements produce identical results by construction — scheduling
+//! can only change *when* a shard runs, never the sequence-ordered outcome
+//! the coordinator assembles.
 
-use std::collections::VecDeque;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use crate::shard::{Shard, ShardCmd, ShardReply};
 
-/// Bound of each MPSC command/reply channel in threaded mode. The
-/// coordinator gathers (or absorbs, or — for a fleet touch — stashes)
-/// every scatter's reply before it sends the same shard another command,
-/// so at most one command and one reply are ever in flight per shard; 2 — the only value any caller ever configured — keeps
-/// one slot of slack above that, so neither side blocks on a send, while
-/// still bounding what a stalled peer can queue.
-const CHANNEL_CAPACITY: usize = 2;
+/// How long the waiting side of a mailbox hand-off spins before it parks:
+/// a few window evaluations, so a round's hand-offs between busy threads
+/// never reach the futex, while an idle worker parks soon after its last
+/// reply.
+pub const SPIN: Duration = Duration::from_micros(50);
 
 /// How shard work is executed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Shards run inline on the coordinator thread.
+    /// Every shard runs on the coordinator thread.
     #[default]
     Inline,
-    /// One worker thread per shard, bounded-channel message passing.
+    /// The coordinator runs shard 0; each other shard runs on a worker
+    /// thread of its own behind a one-slot [`Mailbox`].
     Threaded,
 }
 
 /// A coordinator-side handle to one shard.
 #[derive(Debug)]
 pub enum ShardHandle {
-    /// Shard executed on the caller's thread; replies are buffered.
-    Inline {
+    /// Shard run by the coordinator: a command runs when its reply is
+    /// received.
+    Local {
         /// The shard itself.
         shard: Box<Shard>,
-        /// Replies not yet collected by `recv`.
-        replies: VecDeque<ShardReply>,
+        /// The command sent and not yet received (at most one).
+        pending: Option<ShardCmd>,
     },
-    /// Shard on a worker thread behind bounded channels.
-    Threaded {
-        /// Command channel into the worker.
-        tx: SyncSender<ShardCmd>,
-        /// Reply channel out of the worker.
-        rx: Receiver<ShardReply>,
-        /// The worker thread, joined on drop.
+    /// Shard on a worker thread behind a one-slot mailbox each way.
+    Worker {
+        /// The hand-off shared with the worker.
+        mailbox: Arc<Mailbox>,
+        /// The worker thread, joined on shutdown or drop; it returns the
+        /// shard's cumulative busy time.
         join: Option<JoinHandle<u64>>,
     },
 }
 
 impl ShardHandle {
-    /// Wraps a shard according to `mode`.
-    pub fn spawn(shard: Shard, mode: ExecMode) -> Self {
-        match mode {
-            ExecMode::Inline => {
-                ShardHandle::Inline { shard: Box::new(shard), replies: VecDeque::new() }
-            }
-            ExecMode::Threaded => {
-                let (tx, cmd_rx) = sync_channel::<ShardCmd>(CHANNEL_CAPACITY);
-                let (reply_tx, rx) = sync_channel::<ShardReply>(CHANNEL_CAPACITY);
-                let join = std::thread::spawn(move || {
-                    let mut shard = shard;
-                    while let Ok(cmd) = cmd_rx.recv() {
-                        if matches!(cmd, ShardCmd::Shutdown) {
-                            break;
-                        }
-                        if reply_tx.send(shard.exec(cmd)).is_err() {
-                            break;
-                        }
-                    }
-                    shard.busy_ns()
-                });
-                ShardHandle::Threaded { tx, rx, join: Some(join) }
-            }
+    /// Places shard `index` according to `mode`: on the coordinator in
+    /// inline mode and for shard 0, on a worker thread otherwise.
+    pub fn spawn(shard: Shard, index: usize, mode: ExecMode) -> Self {
+        if mode == ExecMode::Inline || index == 0 {
+            return ShardHandle::Local { shard: Box::new(shard), pending: None };
         }
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let spin = if shard.shards() <= cores { SPIN } else { Duration::ZERO };
+        let mailbox = Arc::new(Mailbox { cmd: Slot::new(), reply: Slot::new(), spin });
+        let worker = Arc::clone(&mailbox);
+        let join = std::thread::spawn(move || {
+            // Closes the reply slot however the loop ends — a panicking
+            // shard included — so a coordinator waiting on it sees the
+            // hang-up instead of waiting forever.
+            let _hangup = CloseOnDrop(&worker.reply);
+            let mut shard = shard;
+            while let Some(cmd) = worker.cmd.take(worker.spin) {
+                worker.reply.put(shard.exec(cmd));
+            }
+            shard.busy_ns()
+        });
+        ShardHandle::Worker { mailbox, join: Some(join) }
     }
 
-    /// Sends one command (inline: executes it immediately).
+    /// Sends one command. A coordinator-run shard only records it; it runs
+    /// at the matching [`ShardHandle::recv`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coordinator-run shard's previous command was never
+    /// received: at most one command is in flight per shard.
     pub fn send(&mut self, cmd: ShardCmd) {
         match self {
-            ShardHandle::Inline { shard, replies } => replies.push_back(shard.exec(cmd)),
-            ShardHandle::Threaded { tx, .. } => {
-                tx.send(cmd).expect("shard worker hung up");
+            ShardHandle::Local { pending, .. } => {
+                assert!(pending.replace(cmd).is_none(), "one command in flight per shard");
             }
+            ShardHandle::Worker { mailbox, .. } => mailbox.cmd.put(cmd),
         }
     }
 
-    /// Receives the next reply (blocking in threaded mode).
+    /// Receives the reply to the command in flight, running it first on a
+    /// coordinator-run shard and waiting for it on a worker.
     pub fn recv(&mut self) -> ShardReply {
         match self {
-            ShardHandle::Inline { replies, .. } => {
-                replies.pop_front().expect("recv without a pending inline command")
+            ShardHandle::Local { shard, pending } => {
+                shard.exec(pending.take().expect("recv without a pending command"))
             }
-            ShardHandle::Threaded { rx, .. } => rx.recv().expect("shard worker hung up"),
+            ShardHandle::Worker { mailbox, .. } => {
+                mailbox.reply.take(mailbox.spin).expect("shard worker hung up")
+            }
         }
     }
 
@@ -112,23 +134,36 @@ impl ShardHandle {
         self.recv()
     }
 
-    /// The shard's cumulative busy time (ns). In threaded mode this is only
-    /// known after shutdown; `None` while the worker is still running.
+    /// The cumulative busy time (ns) of a coordinator-run shard, in either
+    /// mode; `None` for a worker, whose figure [`ShardHandle::shutdown`]
+    /// returns.
     pub fn busy_ns(&self) -> Option<u64> {
         match self {
-            ShardHandle::Inline { shard, .. } => Some(shard.busy_ns()),
-            ShardHandle::Threaded { .. } => None,
+            ShardHandle::Local { shard, .. } => Some(shard.busy_ns()),
+            ShardHandle::Worker { .. } => None,
         }
     }
 
-    /// Stops the worker (threaded mode) and returns its cumulative busy
-    /// time in nanoseconds.
+    /// Stops the worker, if any, and returns the shard's cumulative busy
+    /// time in nanoseconds. A worker first finishes a command it was sent;
+    /// a coordinator-run shard must have none pending, as that command
+    /// would be neither run nor answered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the worker thread panicked.
     pub fn shutdown(&mut self) -> u64 {
         match self {
-            ShardHandle::Inline { shard, .. } => shard.busy_ns(),
-            ShardHandle::Threaded { tx, join, .. } => {
-                let _ = tx.send(ShardCmd::Shutdown);
-                join.take().map(|j| j.join().unwrap_or(0)).unwrap_or(0)
+            ShardHandle::Local { shard, pending } => {
+                debug_assert!(
+                    pending.is_none(),
+                    "shutdown drops a command sent but never received"
+                );
+                shard.busy_ns()
+            }
+            ShardHandle::Worker { mailbox, join } => {
+                mailbox.cmd.close();
+                join.take().map_or(0, |j| j.join().expect("shard worker panicked"))
             }
         }
     }
@@ -136,12 +171,128 @@ impl ShardHandle {
 
 impl Drop for ShardHandle {
     fn drop(&mut self) {
-        if let ShardHandle::Threaded { tx, join, .. } = self {
-            let _ = tx.send(ShardCmd::Shutdown);
-            if let Some(j) = join.take() {
-                let _ = j.join();
+        match self {
+            ShardHandle::Local { pending, .. } => {
+                // Unwinding may leave a round half gathered; only a drop
+                // on the normal path is a lost command.
+                if !std::thread::panicking() {
+                    debug_assert!(
+                        pending.is_none(),
+                        "drop loses a command sent but never received"
+                    );
+                }
+            }
+            ShardHandle::Worker { mailbox, join } => {
+                mailbox.cmd.close();
+                if let Some(j) = join.take() {
+                    let _ = j.join();
+                }
             }
         }
+    }
+}
+
+/// The hand-off between the coordinator and one worker: one slot for the
+/// command in flight, one for its reply.
+#[derive(Debug)]
+pub struct Mailbox {
+    cmd: Slot<ShardCmd>,
+    reply: Slot<ShardReply>,
+    /// How long a waiting side spins before it parks ([`SPIN`], or zero
+    /// when the shards outnumber the cores).
+    spin: Duration,
+}
+
+/// A one-message slot with a single putting and a single taking side.
+#[derive(Debug)]
+struct Slot<T> {
+    /// Set while the slot holds a message or is closed: what a spinning
+    /// taker polls without the lock. It is only a hint — the message is
+    /// published by the mutex, which the taker then locks — hence
+    /// `Relaxed`.
+    ready: AtomicBool,
+    state: Mutex<SlotState<T>>,
+    /// Wakes a parked taker.
+    wake: Condvar,
+}
+
+#[derive(Debug)]
+struct SlotState<T> {
+    msg: Option<T>,
+    /// The putting side is gone: a taker that finds the slot empty stops.
+    closed: bool,
+    /// The taker is waiting on the condvar and must be notified.
+    parked: bool,
+}
+
+impl<T> Slot<T> {
+    fn new() -> Self {
+        Self {
+            ready: AtomicBool::new(false),
+            state: Mutex::new(SlotState { msg: None, closed: false, parked: false }),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Locks the state. Every update under the lock is a plain field
+    /// store, so a guard poisoned by a panic elsewhere is still valid.
+    fn lock(&self) -> MutexGuard<'_, SlotState<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Puts a message into the empty slot, notifying the taker only if it
+    /// parked.
+    fn put(&self, msg: T) {
+        let mut state = self.lock();
+        assert!(state.msg.is_none(), "one message in flight per mailbox slot");
+        state.msg = Some(msg);
+        self.ready.store(true, Ordering::Relaxed);
+        if state.parked {
+            self.wake.notify_one();
+        }
+    }
+
+    /// Marks the putting side gone: the taker drains the slot, then stops.
+    fn close(&self) {
+        let mut state = self.lock();
+        state.closed = true;
+        self.ready.store(true, Ordering::Relaxed);
+        if state.parked {
+            self.wake.notify_one();
+        }
+    }
+
+    /// Takes the next message, spinning for up to `spin` before it parks;
+    /// `None` once the slot is closed and empty.
+    fn take(&self, spin: Duration) -> Option<T> {
+        if !spin.is_zero() {
+            let start = Instant::now();
+            while !self.ready.load(Ordering::Relaxed) && start.elapsed() < spin {
+                std::hint::spin_loop();
+            }
+        }
+        let mut state = self.lock();
+        loop {
+            if let Some(msg) = state.msg.take() {
+                self.ready.store(state.closed, Ordering::Relaxed);
+                return Some(msg);
+            }
+            if state.closed {
+                return None;
+            }
+            state.parked = true;
+            state = self.wake.wait(state).unwrap_or_else(PoisonError::into_inner);
+            state.parked = false;
+        }
+    }
+}
+
+/// Closes a slot when dropped.
+struct CloseOnDrop<'a, T>(&'a Slot<T>);
+
+impl<T> Drop for CloseOnDrop<'_, T> {
+    fn drop(&mut self) {
+        self.0.close();
     }
 }
 
@@ -149,13 +300,46 @@ impl Drop for ShardHandle {
 mod tests {
     use super::*;
     use crate::shard::Partition;
+    use std::sync::mpsc;
+
+    fn worker(values: &[f64]) -> ShardHandle {
+        let h = ShardHandle::spawn(Shard::new(values), 1, ExecMode::Threaded);
+        assert!(matches!(h, ShardHandle::Worker { .. }));
+        h
+    }
+
+    fn probed(reply: ShardReply) -> f64 {
+        match reply {
+            ShardReply::Probed { value, .. } => value,
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+
+    fn probe(local: u32) -> ShardCmd {
+        ShardCmd::Probe { local, positions: Vec::new() }
+    }
+
+    /// Runs `f` on a helper thread and fails the test if it has not
+    /// returned within a generous bound — a hang becomes a failure.
+    fn within_bound(what: &str, f: impl FnOnce() + Send + 'static) {
+        let (done, finished) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            f();
+            let _ = done.send(());
+        });
+        let hung =
+            finished.recv_timeout(Duration::from_secs(30)) == Err(mpsc::RecvTimeoutError::Timeout);
+        assert!(!hung, "{what} hung");
+        helper.join().expect(what);
+    }
 
     #[test]
     fn inline_and_threaded_agree() {
         let p = Partition::new(1);
         let values = p.split_values(&[100.0, 500.0, 900.0]);
         for mode in [ExecMode::Inline, ExecMode::Threaded] {
-            let mut h = ShardHandle::spawn(Shard::new(&values[0]), mode);
+            let mut h = ShardHandle::spawn(Shard::new(&values[0]), 1, mode);
+            assert_eq!(matches!(h, ShardHandle::Worker { .. }), mode == ExecMode::Threaded);
             match h.request(ShardCmd::ProbeAll) {
                 ShardReply::ProbedAll { values, .. } => {
                     assert_eq!(values, vec![100.0, 500.0, 900.0])
@@ -166,7 +350,132 @@ mod tests {
                 ShardReply::Delivered(r) => assert_eq!(r, Some(550.0)),
                 other => panic!("unexpected reply {other:?}"),
             }
-            assert!(h.shutdown() > 0 || matches!(mode, ExecMode::Threaded));
+            assert_eq!(probed(h.request(probe(1))), 550.0);
+            assert_eq!(h.busy_ns().is_some(), mode == ExecMode::Inline);
+            assert!(h.shutdown() > 0);
         }
+    }
+
+    #[test]
+    fn shard_zero_runs_on_the_coordinator_in_either_mode() {
+        for mode in [ExecMode::Inline, ExecMode::Threaded] {
+            let h = ShardHandle::spawn(Shard::new(&[1.0]), 0, mode);
+            assert!(matches!(h, ShardHandle::Local { .. }), "{mode:?}");
+            assert_eq!(h.busy_ns(), Some(0), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn coordinator_run_shard_executes_at_recv_in_fifo_order() {
+        let mut h = ShardHandle::spawn(Shard::new(&[10.0, 20.0]), 0, ExecMode::Threaded);
+        for round in 0..8u32 {
+            let local = round % 2;
+            let value = 100.0 + f64::from(round);
+            h.send(ShardCmd::Deliver { local, value });
+            let before = h.busy_ns();
+            assert!(matches!(h, ShardHandle::Local { pending: Some(_), .. }));
+            // Sending ran nothing; receiving runs the command.
+            match h.recv() {
+                ShardReply::Delivered(r) => assert_eq!(r, Some(value)),
+                other => panic!("unexpected reply {other:?}"),
+            }
+            assert!(h.busy_ns() > before);
+            h.send(probe(local));
+            assert_eq!(probed(h.recv()), value, "the probe sees the delivery sent before it");
+        }
+        h.shutdown();
+    }
+
+    #[test]
+    #[should_panic(expected = "one command in flight per shard")]
+    fn coordinator_run_shard_rejects_a_second_command_in_flight() {
+        let mut h = ShardHandle::spawn(Shard::new(&[1.0]), 0, ExecMode::Inline);
+        h.send(probe(0));
+        h.send(probe(0));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "drop loses a command sent but never received")]
+    fn coordinator_run_shard_never_drops_a_command_silently() {
+        let mut h = ShardHandle::spawn(Shard::new(&[1.0]), 0, ExecMode::Threaded);
+        h.send(probe(0));
+        drop(h);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "shutdown drops a command sent but never received")]
+    fn coordinator_run_shard_never_shuts_down_over_a_command() {
+        let mut h = ShardHandle::spawn(Shard::new(&[1.0]), 0, ExecMode::Inline);
+        h.send(probe(0));
+        h.shutdown();
+    }
+
+    #[test]
+    fn mailbox_round_trips_park_and_wake_in_order() {
+        // Both sides sleep past the spin budget every few messages, so the
+        // other side spins out and parks; every reply must still arrive,
+        // once and in order, whichever side parked. A lost wake-up is a
+        // hang, which the bound turns into a failure.
+        const ROUND_TRIPS: u64 = 10_000;
+        let pause = || std::thread::sleep(SPIN * 3);
+        for spin in [SPIN, Duration::ZERO] {
+            within_bound("round trips", move || {
+                let (cmd, reply) = (Arc::new(Slot::new()), Arc::new(Slot::new()));
+                let echo = {
+                    let (cmd, reply) = (Arc::clone(&cmd), Arc::clone(&reply));
+                    std::thread::spawn(move || {
+                        let _hangup = CloseOnDrop(&*reply);
+                        while let Some(i) = cmd.take(spin) {
+                            if i % 7 == 3 {
+                                pause();
+                            }
+                            reply.put(i * 2 + 1);
+                        }
+                    })
+                };
+                for i in 0..ROUND_TRIPS {
+                    if i % 5 == 0 {
+                        pause();
+                    }
+                    cmd.put(i);
+                    assert_eq!(reply.take(spin), Some(i * 2 + 1), "spin {spin:?}");
+                }
+                cmd.close();
+                echo.join().expect("echo thread");
+                assert_eq!(reply.take(spin), None, "closed and drained");
+            });
+        }
+    }
+
+    #[test]
+    fn a_worker_joins_whether_idle_busy_or_never_used() {
+        for shut_down in [false, true] {
+            for state in ["idle", "sent a command", "never sent anything"] {
+                within_bound(state, move || {
+                    let mut h = worker(&[1.0, 2.0]);
+                    match state {
+                        "idle" => assert_eq!(probed(h.request(probe(1))), 2.0),
+                        "sent a command" => h.send(probe(0)),
+                        _ => {}
+                    }
+                    if shut_down {
+                        let busy = h.shutdown();
+                        assert_eq!(busy > 0, state != "never sent anything");
+                    }
+                    drop(h);
+                });
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shard worker hung up")]
+    fn a_dead_worker_is_a_hang_up_not_a_hang() {
+        let mut h = worker(&[1.0]);
+        // An out-of-range source panics inside the worker.
+        h.send(probe(7));
+        h.recv();
     }
 }

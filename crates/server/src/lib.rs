@@ -3,10 +3,11 @@
 //! Turns the paper-exact simulation of `asf-core` into a stream-server
 //! architecture: the population is partitioned across worker **shards**
 //! (each owning its sources' values, filters, and report decisions),
-//! updates are ingested in **batches** through bounded MPSC channels, and a
-//! coordinator runs the unmodified protocol state machines of the paper —
-//! ZT/FT/RTP/VT, single- or multi-query — over a routing fleet that fans
-//! control-plane operations out to the shards.
+//! updates are ingested in **batches** handed to the shards through
+//! one-slot mailboxes (see [`handle`]), and a coordinator runs the
+//! unmodified protocol state machines of the paper — ZT/FT/RTP/VT, single-
+//! or multi-query — over a routing fleet that fans control-plane
+//! operations out to the shards.
 //!
 //! ## Design
 //!

@@ -76,11 +76,17 @@ impl EvalSlot {
     }
 
     /// Gathers an owed reply early so the shard's FIFO channel is free for
-    /// a request/reply of its own.
-    fn stash(&mut self, handle: &mut ShardHandle) {
-        if matches!(self, EvalSlot::Owed) {
-            *self = EvalSlot::Stashed(recv_eval(handle));
+    /// a request/reply of its own. Returns the evaluation time this spent
+    /// on the coordinator's thread, where a coordinator-run shard evaluates
+    /// the window at this receive.
+    fn stash(&mut self, handle: &mut ShardHandle) -> u64 {
+        if !matches!(self, EvalSlot::Owed) {
+            return 0;
         }
+        let reply = recv_eval(handle);
+        let ran_here = if matches!(handle, ShardHandle::Local { .. }) { reply.busy_ns } else { 0 };
+        *self = EvalSlot::Stashed(reply);
+        ran_here
     }
 }
 
@@ -143,6 +149,11 @@ pub(crate) struct InflightWindow<'a> {
     pub respeculated: &'a mut u64,
     /// Respeculated applications whose report bit flipped (metrics).
     pub respec_flips: &'a mut u64,
+    /// Evaluation time coordinator-run shards spent on an owed window
+    /// received early — by a stash or an absorb — on the coordinator's
+    /// thread. The window's gather (or the absorb) meters it as shard
+    /// time, so the drain subtracts it from its serial time.
+    pub coordinator_eval_ns: &'a mut u64,
 }
 
 /// A routing fleet over the shard handles (borrowed for one protocol call).
@@ -456,7 +467,12 @@ impl<'a> ShardRouter<'a> {
     /// back) and its buffers recycled.
     fn absorb_evals(&mut self, inflight: &mut InflightWindow<'_>) {
         for (s, slot) in inflight.shards.iter_mut().enumerate() {
+            let ran_here =
+                matches!((&*slot, &self.handles[s]), (EvalSlot::Owed, ShardHandle::Local { .. }));
             if let Some(mut reply) = slot.take(&mut self.handles[s]) {
+                if ran_here {
+                    *inflight.coordinator_eval_ns += reply.busy_ns;
+                }
                 inflight.shard_busy_ns[s] += reply.busy_ns;
                 inflight.shard_scan_ns[s] += reply.scan_ns;
                 *inflight.discarded_busy_ns += reply.busy_ns;
@@ -541,7 +557,7 @@ impl<'a> GuardedRouter<'a> {
         let c = (self.keep_below - 1) as usize;
         w.occurrences.positions_between(w.chunk.streams(), id, c, w.tip, positions);
         let s = self.inner.partition.shard_of(id);
-        w.shards[s].stash(&mut self.inner.handles[s]);
+        *w.coordinator_eval_ns += w.shards[s].stash(&mut self.inner.handles[s]);
         s
     }
 
@@ -879,7 +895,7 @@ mod tests {
             let mut handles: Vec<ShardHandle> = (0..2)
                 .map(|s| {
                     let shard = Shard::with_partition(&[500.0, 500.0], partition, s);
-                    ShardHandle::spawn(shard, ExecMode::Threaded)
+                    ShardHandle::spawn(shard, s, ExecMode::Threaded)
                 })
                 .collect();
             for handle in handles.iter_mut() {
@@ -973,6 +989,7 @@ mod tests {
                 scoped_touches: &mut self.scoped_touches,
                 respeculated: &mut self.respeculated,
                 respec_flips: &mut self.respec_flips,
+                coordinator_eval_ns: &mut 0,
             };
             let mut router = GuardedRouter::with_inflight(inner, c + 1, inflight);
             let (mut ledger, mut view) = (Ledger::new(), ServerView::new(4));

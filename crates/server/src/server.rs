@@ -247,7 +247,7 @@ impl<P: Protocol> ShardedServer<P> {
             .iter()
             .enumerate()
             .map(|(s, values)| {
-                ShardHandle::spawn(Shard::with_partition(values, partition, s), config.mode)
+                ShardHandle::spawn(Shard::with_partition(values, partition, s), s, config.mode)
             })
             .collect();
         let window_ceiling = config.max_window();
@@ -546,8 +546,9 @@ impl<P: Protocol> ShardedServer<P> {
     /// evaluation window: every shard gets one `Arc` clone of the shared
     /// window (and a pooled report buffer), selects its own events, and
     /// owes exactly one `Evaluated` reply. Only the coordinator-side share
-    /// is metered as `scatter_ns`; channel sends (which execute the
-    /// evaluation inline in [`ExecMode::Inline`]) are not.
+    /// is metered as `scatter_ns`; the sends are not. A coordinator-run
+    /// shard evaluates when its reply is received, so every worker has its
+    /// window before the coordinator starts on its own shard.
     pub(crate) fn scatter_window(&mut self, start: usize, end: usize) {
         self.core.telemetry_mut().trace.begin(TraceDepth::Coarse, "scatter_window", start as u64);
         let scatter_start = Instant::now();
@@ -625,6 +626,7 @@ impl<P: Protocol> ShardedServer<P> {
         let mut merged = std::mem::take(&mut self.merged);
         let chunk = Arc::clone(&self.shared_chunk);
         let mut chaos = self.chaos.take();
+        let mut coordinator_eval_ns = 0u64;
         let mut next = 0;
         while let Some(&(ev, shard)) = merged.get(next) {
             next += 1;
@@ -663,6 +665,7 @@ impl<P: Protocol> ShardedServer<P> {
                 scoped_touches: &mut self.metrics.scoped_touches,
                 respeculated: &mut self.metrics.respeculated,
                 respec_flips: &mut self.metrics.respec_flips,
+                coordinator_eval_ns: &mut coordinator_eval_ns,
             };
             let mut router = GuardedRouter::with_inflight(inner, ev.seq + 1, inflight);
             match chaos.as_mut() {
@@ -701,13 +704,15 @@ impl<P: Protocol> ShardedServer<P> {
         // Subtract the *hidden* portions — per-op/per-pass `min(busy sum,
         // wall)` — not the raw busy sums: with threaded shards (or scoped-
         // thread forest refreshes) the work overlapped the coordinator, so
-        // an unbounded subtraction would erase unrelated serial time.
+        // an unbounded subtraction would erase unrelated serial time. A
+        // coordinator-run shard's early-received window evaluation ran on
+        // this thread and is metered as shard time, so it goes too.
         let fleet_hidden_delta = self.metrics.fleet.hidden_ns - fleet_hidden_before;
         let stats = *self.core.ctx_stats();
         self.metrics.index_busy_sum_ns += stats.index_busy_sum_ns - index_before.0;
         let index_hidden_delta = stats.index_hidden_ns - index_before.1;
         let drain_pure = (serial_start.elapsed().as_nanos() as u64)
-            .saturating_sub(fleet_hidden_delta + index_hidden_delta);
+            .saturating_sub(fleet_hidden_delta + index_hidden_delta + coordinator_eval_ns);
         self.metrics.serial_ns += drain_pure;
         (cut_at, drain_pure)
     }
@@ -1318,7 +1323,7 @@ impl<P: Protocol> ShardedServer<P> {
         self.durability.as_mut()
     }
 
-    /// Stops all workers and returns final metrics (threaded shards report
+    /// Stops all workers and returns final metrics (worker shards report
     /// their cumulative busy time on shutdown).
     pub fn shutdown(mut self) -> ServerMetrics {
         if let Some(d) = self.durability.take() {

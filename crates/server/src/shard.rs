@@ -245,8 +245,6 @@ pub enum ShardCmd {
     /// Report how many trace events the shard's ring suppressed because it
     /// was full.
     TraceDropped,
-    /// Stop the worker loop (threaded mode only).
-    Shutdown,
 }
 
 /// A shard's reply to one command.
@@ -414,14 +412,18 @@ impl Shard {
         self.fleet.is_empty()
     }
 
+    /// Number of shards in this shard's partition map.
+    pub(crate) fn shards(&self) -> usize {
+        self.partition.shards()
+    }
+
     /// Cumulative busy time in nanoseconds (metrics only).
     pub fn busy_ns(&self) -> u64 {
         self.busy_ns
     }
 
-    /// Executes one command. Used directly in inline mode and by the worker
-    /// thread loop in threaded mode; [`ShardCmd::Shutdown`] must be handled
-    /// by the caller.
+    /// Executes one command: on the coordinator for a coordinator-run
+    /// shard, in the worker loop otherwise.
     pub fn exec(&mut self, cmd: ShardCmd) -> ShardReply {
         let start = Instant::now();
         let mut reply = match cmd {
@@ -506,7 +508,6 @@ impl Shard {
             }
             ShardCmd::TakeTrace => ShardReply::Trace(self.trace.take()),
             ShardCmd::TraceDropped => ShardReply::TraceDropped(self.trace.dropped()),
-            ShardCmd::Shutdown => unreachable!("Shutdown is handled by the worker loop"),
         };
         let elapsed = start.elapsed().as_nanos() as u64;
         self.busy_ns += elapsed;

@@ -6,6 +6,11 @@
 //! therefore run without a single allocation — whether the reporter never
 //! recurs within its chunk (the bare touch) or recurs and respeculates.
 //!
+//! Each pass runs inline and threaded. The counter is per-thread, so in
+//! threaded mode it counts the coordinator — which also runs shard 0 — and
+//! shows that a steady-state mailbox hand-off allocates nothing on its
+//! side either.
+//!
 //! Its own test binary, because the counting allocator is process-wide
 //! (`asf-server` itself forbids `unsafe`).
 
@@ -16,7 +21,7 @@ use asf_core::protocol::{Protocol, ServerCtx, ZtNrp};
 use asf_core::query::RangeQuery;
 use asf_core::workload::UpdateEvent;
 use asf_core::AnswerSet;
-use asf_server::{ServerConfig, ServerMetrics, ShardedServer};
+use asf_server::{ExecMode, ServerConfig, ServerMetrics, ShardedServer};
 use streamnet::{Filter, StreamId};
 
 thread_local! {
@@ -73,8 +78,12 @@ impl Protocol for Reinstall {
     }
 }
 
+/// The modes every pass runs in, each at 2 shards.
+const MODES: [ExecMode; 2] = [ExecMode::Inline, ExecMode::Threaded];
+
 /// Ingests two structurally identical passes of `8 · n` round-robin events
-/// over `n` streams in chunks of `batch` under `protocol`, the `step`-th
+/// over `n` streams in chunks of `batch` under `protocol` on 2 shards in
+/// `mode`, the `step`-th
 /// visit of a stream moving it to `offset(step)` above its initial value;
 /// returns the allocations of the second pass (the first grows every pool
 /// to its size) and the final metrics.
@@ -82,6 +91,7 @@ fn second_pass_allocations(
     protocol: impl Protocol,
     n: usize,
     batch: usize,
+    mode: ExecMode,
     offset: impl Fn(usize) -> f64,
 ) -> (u64, ServerMetrics) {
     let initial: Vec<f64> = (0..n).map(|i| 100.0 * i as f64).collect();
@@ -94,7 +104,7 @@ fn second_pass_allocations(
             })
             .collect()
     };
-    let config = ServerConfig::with_shards(2).batch_size(batch);
+    let config = ServerConfig::with_shards(2).batch_size(batch).mode(mode);
     let mut server = ShardedServer::new(&initial, protocol, config);
     server.initialize();
     server.ingest_batch(&pass(0));
@@ -112,10 +122,12 @@ fn steady_state_silent_ingest_does_not_allocate() {
     // pooled buffers.
     let n = 64;
     let query = RangeQuery::new(1_000.0, 2_000.0).unwrap();
-    let (allocated, m) = second_pass_allocations(ZtNrp::new(query), n, n, |_| 0.0);
-    assert_eq!(m.reports_consumed, 0, "no filter fires");
-    assert!(m.rounds >= 16, "{}", m.summary());
-    assert_eq!(allocated, 0, "{}", m.summary());
+    for mode in MODES {
+        let (allocated, m) = second_pass_allocations(ZtNrp::new(query), n, n, mode, |_| 0.0);
+        assert_eq!(m.reports_consumed, 0, "no filter fires");
+        assert!(m.rounds >= 16, "{}", m.summary());
+        assert_eq!(allocated, 0, "{mode:?}: {}", m.summary());
+    }
 }
 
 #[test]
@@ -124,12 +136,26 @@ fn steady_state_installs_without_later_positions_do_not_allocate() {
     // of 20 leaves the band installed at the last one, so every event
     // reports.
     let n = 64;
-    let (allocated, m) =
-        second_pass_allocations(Reinstall, n, n, |step| if step % 2 == 0 { 20.0 } else { 0.0 });
-    assert_eq!(m.reports_consumed, 2 * 8 * n as u64, "every event reports");
-    assert_eq!(m.scoped_touches, m.reports_consumed, "every report installs");
-    assert_eq!((m.cuts, m.respeculated), (0, 0), "no touched stream recurs in its chunk");
-    assert_eq!(allocated, 0, "{}", m.summary());
+    for mode in MODES {
+        let (allocated, m) =
+            second_pass_allocations(
+                Reinstall,
+                n,
+                n,
+                mode,
+                |step| {
+                    if step % 2 == 0 {
+                        20.0
+                    } else {
+                        0.0
+                    }
+                },
+            );
+        assert_eq!(m.reports_consumed, 2 * 8 * n as u64, "every event reports");
+        assert_eq!(m.scoped_touches, m.reports_consumed, "every report installs");
+        assert_eq!((m.cuts, m.respeculated), (0, 0), "no touched stream recurs in its chunk");
+        assert_eq!(allocated, 0, "{mode:?}: {}", m.summary());
+    }
 }
 
 #[test]
@@ -139,9 +165,11 @@ fn steady_state_respeculating_installs_do_not_allocate() {
     // the install move the band across some of those events, so their
     // report bits flip.
     let n = 64;
-    let (allocated, m) =
-        second_pass_allocations(Reinstall, n, 4 * n, |step| 8.0 * (step % 4) as f64);
-    assert_eq!(m.cuts, 0, "{}", m.summary());
-    assert!(m.respeculated > 0 && m.respec_flips > 0, "{}", m.summary());
-    assert_eq!(allocated, 0, "{}", m.summary());
+    for mode in MODES {
+        let (allocated, m) =
+            second_pass_allocations(Reinstall, n, 4 * n, mode, |step| 8.0 * (step % 4) as f64);
+        assert_eq!(m.cuts, 0, "{}", m.summary());
+        assert!(m.respeculated > 0 && m.respec_flips > 0, "{}", m.summary());
+        assert_eq!(allocated, 0, "{mode:?}: {}", m.summary());
+    }
 }

@@ -4,7 +4,8 @@
 //! an entity-based range query ("which sensors read 400–600 right now?"),
 //! over one population of 2 000 sensor streams. The queries share one
 //! elementary-cell filter per source (`MultiRangeZt` plan sharing) and run
-//! on `asf-server` with 4 threaded shards; the same run is repeated on the
+//! on `asf-server` with 4 threaded shards (the coordinator runs shard 0,
+//! 3 worker threads run the rest); the same run is repeated on the
 //! single-threaded engine to show the answers — and the message bill — are
 //! byte-identical.
 //!
@@ -63,7 +64,8 @@ fn main() {
         queries().len()
     );
 
-    // Sharded, threaded server. The coordinator is pipelined
+    // Sharded, threaded server: 3 worker threads plus the coordinator,
+    // which runs shard 0 itself. The coordinator is pipelined
     // (double-buffered) — shards evaluate window t+1 while it drains
     // window t's reports — and each window is a shared columnar batch the
     // shards self-partition, so the coordinator never copies events per
