@@ -360,8 +360,8 @@ mod tests {
                 }
                 other => panic!("unexpected reply {other:?}"),
             }
-            match h.request(ShardCmd::Deliver { local: 1, value: 550.0 }) {
-                ShardReply::Delivered(r) => assert_eq!(r, Some(550.0)),
+            match h.request(ShardCmd::Deliver { local: 1, value: 550.0, positions: Vec::new() }) {
+                ShardReply::Delivered { report, .. } => assert_eq!(report, Some(550.0)),
                 other => panic!("unexpected reply {other:?}"),
             }
             assert_eq!(probed(h.request(probe(1))), 550.0);
@@ -385,12 +385,12 @@ mod tests {
         for round in 0..8u32 {
             let local = round % 2;
             let value = 100.0 + f64::from(round);
-            h.send(ShardCmd::Deliver { local, value });
+            h.send(ShardCmd::Deliver { local, value, positions: Vec::new() });
             let before = h.busy_ns();
             assert!(matches!(h, ShardHandle::Local { pending: Some(_), .. }));
             // Sending ran nothing; receiving runs the command.
             match h.recv() {
-                ShardReply::Delivered(r) => assert_eq!(r, Some(value)),
+                ShardReply::Delivered { report, .. } => assert_eq!(report, Some(value)),
                 other => panic!("unexpected reply {other:?}"),
             }
             assert!(h.busy_ns() > before);

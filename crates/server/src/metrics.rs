@@ -66,17 +66,16 @@ pub struct ServerMetrics {
     /// Events whose speculative application was committed (every event
     /// commits exactly once, so this reaches `events` at quiescence).
     pub speculative_commits: u64,
-    /// Speculative applications rolled back (work wasted on invalidations).
+    /// Always 0 (every fleet touch respeculates); `asf_bench` reads it.
     pub rolled_back: u64,
     /// Reports consumed by the protocol core.
     pub reports_consumed: u64,
-    /// Full speculation cuts: a report's handler issued a fleet-wide
-    /// operation (`broadcast`, `probe_all*`, `deliver`), so every shard
-    /// rolled back to the report.
+    /// Always 0 (every fleet touch respeculates); `asf_bench` reads it.
     pub cuts: u64,
-    /// Fleet touches served without a cut: `probe` / `install` operations,
-    /// single or batch, forwarded to the owning shards with the touched
-    /// streams' speculated positions, which the shards respeculate.
+    /// Fleet touches issued by report handlers during ingestion, every one
+    /// respeculated: a `probe` / `install` / `deliver`, single or batch,
+    /// at the touched streams' speculated positions, a `broadcast` /
+    /// `probe_all*` at every position past the report.
     pub scoped_touches: u64,
     /// Speculated applications rewound and re-applied around a fleet touch
     /// (zero for touches of streams with no speculated successor).
@@ -84,7 +83,8 @@ pub struct ServerMetrics {
     /// Respeculated applications whose report bit flipped, each inserted
     /// into or removed from the tentative report stream.
     pub respec_flips: u64,
-    /// Per-shard committed-event counts (occupancy).
+    /// Per-shard committed-event counts (occupancy), counted as each
+    /// window is gathered.
     pub shard_events: Vec<u64>,
     /// Per-shard cumulative speculative-evaluation busy time (ns).
     pub shard_busy_ns: Vec<u64>,
@@ -123,12 +123,8 @@ pub struct ServerMetrics {
     /// Quiescent commit points that closed at least one consumed report —
     /// the denominator of the report-coalescing gauge.
     pub report_groups: u64,
-    /// Speculative next-window evaluation discarded by cross-window cuts:
-    /// shard busy time burned in the shadow of the drain that cut it.
+    /// Always 0 (every fleet touch respeculates); `asf_bench` reads it.
     pub discarded_window_busy_ns: u64,
-    /// Tentative reports discarded with those windows (re-evaluated after
-    /// the cut).
-    pub discarded_reports: u64,
     /// Checkpoints written (or scheduled on the background writer) since
     /// durability was enabled. Zero without durability.
     pub checkpoints: u64,
@@ -267,20 +263,18 @@ impl ServerMetrics {
             }
         }
         format!(
-            "batches={} rounds={} cuts={} scoped_touches={} respeculated={} respec_flips={} \
-             events={} reports={} rolled_back={} \
+            "batches={} rounds={} scoped_touches={} respeculated={} respec_flips={} \
+             events={} reports={} \
              parallel_fraction={:.3} occupancy_skew={} window_depth={} \
              coalesced_reports_per_group={} overlap_saved={:.1}us \
              batch_apply p50={}us p99={}us",
             self.batches,
             self.rounds,
-            self.cuts,
             self.scoped_touches,
             self.respeculated,
             self.respec_flips,
             self.events,
             self.reports_consumed,
-            self.rolled_back,
             self.parallel_fraction(),
             opt(self.occupancy_skew(), 3),
             self.max_inflight_windows,
@@ -317,7 +311,6 @@ impl ServerMetrics {
         reg.counter("server.index_busy_sum_ns", self.index_busy_sum_ns);
         reg.counter("server.overlap_saved_ns", self.overlap_saved_ns);
         reg.counter("server.discarded_window_busy_ns", self.discarded_window_busy_ns);
-        reg.counter("server.discarded_reports", self.discarded_reports);
         reg.counter("server.checkpoints", self.checkpoints);
         reg.counter("server.checkpoint_ns", self.checkpoint_ns);
         reg.counter("server.journal_bytes", self.journal_bytes);

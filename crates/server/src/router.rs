@@ -19,11 +19,11 @@
 //!
 //! During ingest the protocol sees the fleet through the
 //! [`GuardedRouter`], which keeps the in-flight speculation standing
-//! through every `probe` / `install` (single or batch): the touched
-//! streams' speculated positions travel with the operation and the owning
-//! shard **respeculates** them, reporting back only the positions whose
-//! report bit flipped. Only a fleet-wide operation (`broadcast`,
-//! `probe_all*`, `deliver`) takes the **full cut**.
+//! through every fleet operation: the shards **respeculate** the
+//! speculated applications the operation can reach — the touched streams'
+//! positions for a `probe`, `install` or `deliver` (single or batch), the
+//! whole suffix past the report for a `broadcast` or `probe_all*` — and
+//! report back only the positions whose report bit flipped.
 
 use std::time::Instant;
 
@@ -41,6 +41,8 @@ use crate::shard::{Partition, ShardCmd, ShardReply, SpecEvent, FLIP_REPORTS};
 pub(crate) struct EvalReply {
     /// Tentative reports, in ascending `seq` order (a pooled buffer).
     pub reports: Vec<SpecEvent>,
+    /// Events the shard applied (silent + tentative reports).
+    pub evaluated: u32,
     /// Shard wall time of the round (ownership scan included).
     pub busy_ns: u64,
     /// The ownership-scan portion of `busy_ns`.
@@ -49,8 +51,8 @@ pub(crate) struct EvalReply {
 
 /// What one shard owes the coordinator for the evaluation window in
 /// flight. Every shard participates in every window, so a scatter sets
-/// every slot to `Owed` and a gather (or a cut's absorb) returns every
-/// slot to `Idle`.
+/// every slot to `Owed` and the window's gather returns every slot to
+/// `Idle`.
 #[derive(Debug, Default)]
 pub(crate) enum EvalSlot {
     /// No window in flight on this shard.
@@ -60,7 +62,7 @@ pub(crate) enum EvalSlot {
     Owed,
     /// A fleet touch needed the shard's channel and gathered the reply
     /// early; respeculation flips are patched into it here, and the
-    /// window's gather (or absorb) consumes it from here.
+    /// window's gather consumes it from here.
     Stashed(EvalReply),
 }
 
@@ -92,8 +94,8 @@ impl EvalSlot {
 
 fn recv_eval(handle: &mut ShardHandle) -> EvalReply {
     match handle.recv() {
-        ShardReply::Evaluated { reports, busy_ns, scan_ns, .. } => {
-            EvalReply { reports, busy_ns, scan_ns }
+        ShardReply::Evaluated { reports, evaluated, busy_ns, scan_ns } => {
+            EvalReply { reports, evaluated, busy_ns, scan_ns }
         }
         other => unreachable!("EvalWindow got {other:?}"),
     }
@@ -103,14 +105,13 @@ fn recv_eval(handle: &mut ShardHandle) -> EvalReply {
 /// being handled: the rest of window *t* plus, while the pipe is full, the
 /// scattered-ahead window *t+1* the shards may still be evaluating. The
 /// [`GuardedRouter`] consults it on every fleet touch — to find the touched
-/// streams' speculated positions and patch the flips of their
-/// respeculation into the tentative report streams, or, for a fleet-wide
-/// operation, to absorb the outstanding `Evaluated` replies (discarding
-/// their tentative reports and recycling their buffers) before it commits
-/// the speculation cut, because per-shard channels are FIFO.
+/// streams' speculated positions, to stash the outstanding `Evaluated`
+/// replies that stand between it and the shards it sends to (per-shard
+/// channels are FIFO), and to patch the flips of the respeculation into
+/// the tentative report streams.
 pub(crate) struct InflightWindow<'a> {
     /// Per-shard reply state of the window in flight (all `Idle` when
-    /// none is); drained by the absorb.
+    /// none is).
     pub shards: &'a mut [EvalSlot],
     /// Window *t*'s gathered tentative reports with their shard, in `seq`
     /// order — the drain's index loop reads it, and flips at positions
@@ -131,28 +132,16 @@ pub(crate) struct InflightWindow<'a> {
     /// Pooled positions buffer of a single-stream touch: it travels to the
     /// shard and comes back holding the flips.
     pub positions: &'a mut Vec<u64>,
-    /// Pooled per-shard `(kept, undone)` buffer a cut fills.
-    pub commits: &'a mut Vec<(u32, u32)>,
-    /// Buffer pool the absorbed report vectors are recycled into.
-    pub pool: &'a mut Vec<Vec<SpecEvent>>,
-    /// Coordinator-side per-shard cumulative busy accounting.
-    pub shard_busy_ns: &'a mut [u64],
-    /// Coordinator-side per-shard ownership-scan accounting.
-    pub shard_scan_ns: &'a mut [u64],
-    /// Shard busy time burned on the discarded window (metrics).
-    pub discarded_busy_ns: &'a mut u64,
-    /// Tentative reports discarded with the window (metrics).
-    pub discarded_reports: &'a mut u64,
-    /// Fleet touches served without a cut (metrics).
+    /// Fleet touches served (metrics).
     pub scoped_touches: &'a mut u64,
     /// Speculated applications rewound and re-applied (metrics).
     pub respeculated: &'a mut u64,
     /// Respeculated applications whose report bit flipped (metrics).
     pub respec_flips: &'a mut u64,
     /// Evaluation time coordinator-run shards spent on an owed window
-    /// received early — by a stash or an absorb — on the coordinator's
-    /// thread. The window's gather (or the absorb) meters it as shard
-    /// time, so the drain subtracts it from its serial time.
+    /// received early by a stash, on the coordinator's thread. The
+    /// window's gather meters it as shard time, so the drain subtracts it
+    /// from its serial time.
     pub coordinator_eval_ns: &'a mut u64,
 }
 
@@ -168,6 +157,10 @@ pub struct ShardRouter<'a> {
     /// server's `fleet-ops` track); `None` when untraced.
     trace: Option<&'a mut TraceRing>,
 }
+
+/// Per-shard flip lists of a respeculating batch operation (only the
+/// shards with flips).
+type ShardFlips = Vec<(usize, Vec<u64>)>;
 
 impl<'a> ShardRouter<'a> {
     /// Borrows the shard handles as a fleet of `n` streams.
@@ -229,23 +222,28 @@ impl<'a> ShardRouter<'a> {
     /// final view are order-free. When `changed` is given, the change test
     /// rides the reassembly loop that refreshes the view anyway (shards
     /// own strided slices, so the small changed list is sorted once at the
-    /// end to meet the ascending-id contract).
+    /// end to meet the ascending-id contract). Returns the respeculation
+    /// flips by shard.
     fn probe_all_impl(
         &mut self,
         ledger: &mut Ledger,
         view: &mut ServerView,
         mut changed: Option<&mut Vec<StreamId>>,
-    ) {
+    ) -> ShardFlips {
         let started = Instant::now();
         self.trace_begin("fleet_probe_all", self.n as u64);
         let mut busy = vec![0u64; self.partition.shards()];
+        let mut all_flips = Vec::new();
         for handle in self.handles.iter_mut() {
             handle.send(ShardCmd::ProbeAll);
         }
         for (shard, handle) in self.handles.iter_mut().enumerate() {
             match handle.recv() {
-                ShardReply::ProbedAll { values, busy_ns } => {
+                ShardReply::ProbedAll { values, flips, busy_ns } => {
                     busy[shard] = busy_ns;
+                    if !flips.is_empty() {
+                        all_flips.push((shard, flips));
+                    }
                     ledger.record(MessageKind::ProbeRequest, values.len() as u64);
                     ledger.record(MessageKind::ProbeReply, values.len() as u64);
                     for (local, v) in values.into_iter().enumerate() {
@@ -266,22 +264,43 @@ impl<'a> ShardRouter<'a> {
         }
         self.record_batch_op(started, &busy);
         self.trace_end();
+        all_flips
     }
 
-    /// Commits/rolls back every shard's speculative log around `keep_below`
-    /// (scatter, then gather) into the caller-pooled `out` as per-shard
-    /// `(kept, undone)`, so cuts and the per-chunk quiescence commit stay
-    /// allocation-free in steady state.
-    pub(crate) fn commit_all_into(&mut self, keep_below: u64, out: &mut Vec<(u32, u32)>) {
-        out.clear();
+    /// Commits every shard's speculative applications below `keep_below`
+    /// (scatter, then gather); later ones stay journaled.
+    pub(crate) fn commit_all(&mut self, keep_below: u64) {
         for handle in self.handles.iter_mut() {
             handle.send(ShardCmd::Commit { keep_below });
         }
         for handle in self.handles.iter_mut() {
             match handle.recv() {
-                ShardReply::Committed { kept, undone } => out.push((kept, undone)),
+                ShardReply::Ack => {}
                 other => unreachable!("Commit got {other:?}"),
             }
+        }
+    }
+
+    /// [`FleetOps::deliver`], respeculating the source's applications at
+    /// `positions`; returns the report and the flips (in the same buffer).
+    fn deliver_at(
+        &mut self,
+        id: StreamId,
+        value: f64,
+        positions: Vec<u64>,
+        ledger: &mut Ledger,
+        view: &mut ServerView,
+    ) -> (Option<f64>, Vec<u64>) {
+        let (handle, local) = self.route(id);
+        match handle.request(ShardCmd::Deliver { local, value, positions }) {
+            ShardReply::Delivered { report, flips } => {
+                if let Some(v) = report {
+                    ledger.record(MessageKind::Update, 1);
+                    view.set(id, v);
+                }
+                (report, flips)
+            }
+            other => unreachable!("Deliver got {other:?}"),
         }
     }
 
@@ -341,7 +360,7 @@ impl<'a> ShardRouter<'a> {
         ledger: &mut Ledger,
         view: &mut ServerView,
         out: &mut Vec<f64>,
-    ) -> Vec<(usize, Vec<u64>)> {
+    ) -> ShardFlips {
         out.clear();
         let mut all_flips = Vec::new();
         if ids.is_empty() {
@@ -404,7 +423,7 @@ impl<'a> ShardRouter<'a> {
         ledger: &mut Ledger,
         view: &mut ServerView,
         syncs: &mut Vec<(StreamId, f64)>,
-    ) -> Vec<(usize, Vec<u64>)> {
+    ) -> ShardFlips {
         syncs.clear();
         let mut all_flips = Vec::new();
         if installs.is_empty() {
@@ -461,92 +480,94 @@ impl<'a> ShardRouter<'a> {
         all_flips
     }
 
-    /// Takes and discards the `Evaluated` replies of an in-flight window —
-    /// still on the channels or stashed by a fleet touch: its tentative
-    /// reports are dropped (the cut below will roll their applications
-    /// back) and its buffers recycled.
-    fn absorb_evals(&mut self, inflight: &mut InflightWindow<'_>) {
-        for (s, slot) in inflight.shards.iter_mut().enumerate() {
-            let ran_here =
-                matches!((&*slot, &self.handles[s]), (EvalSlot::Owed, ShardHandle::Local { .. }));
-            if let Some(mut reply) = slot.take(&mut self.handles[s]) {
-                if ran_here {
-                    *inflight.coordinator_eval_ns += reply.busy_ns;
+    /// [`FleetOps::broadcast`]; returns the sync reports and the
+    /// respeculation flips by shard.
+    fn broadcast_impl(
+        &mut self,
+        filter: Filter,
+        ledger: &mut Ledger,
+        view: &mut ServerView,
+    ) -> (Vec<(StreamId, f64)>, ShardFlips) {
+        // One logical broadcast operation costing n messages, however many
+        // shards it fans out to.
+        let started = Instant::now();
+        self.trace_begin("fleet_broadcast", self.n as u64);
+        let mut busy = vec![0u64; self.partition.shards()];
+        let mut all_flips = Vec::new();
+        ledger.record(MessageKind::FilterBroadcast, self.n as u64);
+        for handle in self.handles.iter_mut() {
+            handle.send(ShardCmd::Broadcast { filter: filter.clone() });
+        }
+        let mut syncs: Vec<(StreamId, f64)> = Vec::new();
+        for (shard, handle) in self.handles.iter_mut().enumerate() {
+            match handle.recv() {
+                ShardReply::Broadcasted { syncs: local_syncs, flips, busy_ns } => {
+                    busy[shard] = busy_ns;
+                    if !flips.is_empty() {
+                        all_flips.push((shard, flips));
+                    }
+                    for (local, v) in local_syncs {
+                        syncs.push((self.partition.global_of(shard, local), v));
+                    }
                 }
-                inflight.shard_busy_ns[s] += reply.busy_ns;
-                inflight.shard_scan_ns[s] += reply.scan_ns;
-                *inflight.discarded_busy_ns += reply.busy_ns;
-                *inflight.discarded_reports += reply.reports.len() as u64;
-                reply.reports.clear();
-                if reply.reports.capacity() > 0 {
-                    inflight.pool.push(reply.reports);
-                }
+                other => unreachable!("Broadcast got {other:?}"),
             }
         }
+        // Serial-identical order: ascending global id.
+        syncs.sort_by_key(|&(id, _)| id);
+        for &(id, v) in &syncs {
+            ledger.record(MessageKind::Update, 1);
+            view.set(id, v);
+        }
+        self.record_batch_op(started, &busy);
+        self.trace_end();
+        (syncs, all_flips)
     }
 }
 
 /// A [`ShardRouter`] that keeps the in-flight speculation exact through
 /// the protocol's fleet touches.
 ///
-/// The coordinator consumes speculative reports in sequence order; while a
-/// handler only mutates protocol state, the shards' optimistic evaluation
-/// of later events remains exactly serial (sources are independent). A
-/// fleet touch issued while handling the report at position `c` can change
-/// source state that speculated events in `(c, tip)` depend on — but only
-/// events of the sources it touches. One rule covers every `probe`,
-/// `install`, `probe_many` and `install_many`:
+/// A fleet touch issued while handling the report at position `c` can
+/// change source state that speculated events in `(c, tip)` depend on —
+/// but only events of the sources it touches (sources are independent).
+/// One rule covers every operation:
 ///
-/// 1. ask the chunk's stream-occurrence index for each touched stream's
-///    positions in `(c, tip)` (a batch folds duplicate ids);
-/// 2. gather each owning shard's outstanding `Evaluated` reply into its
+/// 1. find the speculated applications the operation can reach — for a
+///    `probe`, `install` or `deliver` (single or batch), each touched
+///    stream's positions in `(c, tip)` from the chunk's stream-occurrence
+///    index (a batch folds duplicate ids); for a `broadcast` or
+///    `probe_all*`, every position in `(c, tip)`;
+/// 2. gather each receiving shard's outstanding `Evaluated` reply into its
 ///    slot, because the channel is FIFO;
-/// 3. send the operation with those positions: the shard rewinds them,
-///    runs the operation against the exact serial state, and re-applies
-///    them against the new filter;
+/// 3. send the operation: the shard rewinds those applications newest
+///    first, runs the operation against the exact serial state, and
+///    re-applies them oldest first. A per-stream operation carries its
+///    positions. An operation on every source carries none: every shard
+///    first commits its applications up to `c` (`keep_below = c + 1`), so
+///    its log *is* the suffix;
 /// 4. insert or remove exactly the positions whose report bit flipped —
 ///    in window *t*'s `merged` stream or in the stashed window-*t+1*
 ///    reply.
 ///
 /// A stream with no positions is the bare operation, allocation-free.
-/// Only a fleet-wide operation (`broadcast`, `probe_all*`, `deliver`)
-/// takes the **full cut**: it commits every shard's log at
-/// `keep_below = c + 1`, rolling the fleet back to the precise serial state
-/// the operation must observe. Once the cut has fired, the rest of the
-/// handler's operations run against that state directly.
+/// Nothing is rolled back, discarded or re-evaluated, so the window loop
+/// never learns of a touch.
 pub struct GuardedRouter<'a> {
     inner: ShardRouter<'a>,
     keep_below: u64,
-    cut: bool,
     /// The speculation standing beyond the report being handled.
     inflight: InflightWindow<'a>,
 }
 
 impl<'a> GuardedRouter<'a> {
-    /// Wraps `inner` for the handler of the report at `keep_below - 1`; a
-    /// fleet-wide operation will cut speculation at `keep_below`, first
-    /// absorbing the in-flight speculative window (if any) — the
-    /// cross-window rollback of the pipelined coordinator.
+    /// Wraps `inner` for the handler of the report at `keep_below - 1`.
     pub(crate) fn with_inflight(
         inner: ShardRouter<'a>,
         keep_below: u64,
         inflight: InflightWindow<'a>,
     ) -> Self {
-        Self { inner, keep_below, cut: false, inflight }
-    }
-
-    /// Whether a full cut fired; its per-shard `(kept, undone)` counts are
-    /// then in [`InflightWindow::commits`].
-    pub(crate) fn cut_fired(&self) -> bool {
-        self.cut
-    }
-
-    fn ensure_cut(&mut self) {
-        if !self.cut {
-            self.inner.absorb_evals(&mut self.inflight);
-            self.inner.commit_all_into(self.keep_below, self.inflight.commits);
-            self.cut = true;
-        }
+        Self { inner, keep_below, inflight }
     }
 
     /// Steps 1–2 of the touch rule for one stream: appends `id`'s
@@ -594,11 +615,30 @@ impl<'a> GuardedRouter<'a> {
         positions
     }
 
-    /// Counts one fleet touch served without a cut, respeculating
-    /// `respeculated` applications.
+    /// Steps 1–3 for an operation on every source, up to sending it:
+    /// stashes every shard's outstanding reply and commits every shard's
+    /// applications up to the report being handled, which leaves each log
+    /// holding exactly its share of `(c, tip)`.
+    fn touch_all(&mut self) {
+        let w = &mut self.inflight;
+        for (slot, handle) in w.shards.iter_mut().zip(self.inner.handles.iter_mut()) {
+            *w.coordinator_eval_ns += slot.stash(handle);
+        }
+        self.inner.commit_all(self.keep_below);
+        self.count_touch(self.inflight.tip - self.keep_below as usize);
+    }
+
+    /// Counts one fleet touch, respeculating `respeculated` applications.
     fn count_touch(&mut self, respeculated: usize) {
         *self.inflight.scoped_touches += 1;
         *self.inflight.respeculated += respeculated as u64;
+    }
+
+    /// Step 4 over every shard's flips.
+    fn patch_all(&mut self, flips: ShardFlips) {
+        for (s, flips) in flips {
+            self.patch(s, &flips);
+        }
     }
 
     /// Step 4 of the touch rule: applies shard `s`'s flips to the tentative
@@ -647,14 +687,13 @@ impl FleetOps for GuardedRouter<'_> {
         ledger: &mut Ledger,
         view: &mut ServerView,
     ) -> Option<f64> {
-        self.ensure_cut();
-        self.inner.deliver(id, value, ledger, view)
+        let (s, positions) = self.touch_one(id);
+        let (report, flips) = self.inner.deliver_at(id, value, positions, ledger, view);
+        self.patch_one(s, flips);
+        report
     }
 
     fn probe(&mut self, id: StreamId, ledger: &mut Ledger, view: &mut ServerView) -> f64 {
-        if self.cut {
-            return self.inner.probe(id, ledger, view);
-        }
         let (s, positions) = self.touch_one(id);
         let (value, flips) = self.inner.probe_at(id, positions, ledger, view);
         self.patch_one(s, flips);
@@ -662,8 +701,9 @@ impl FleetOps for GuardedRouter<'_> {
     }
 
     fn probe_all(&mut self, ledger: &mut Ledger, view: &mut ServerView) {
-        self.ensure_cut();
-        self.inner.probe_all(ledger, view)
+        self.touch_all();
+        let flips = self.inner.probe_all_impl(ledger, view, None);
+        self.patch_all(flips);
     }
 
     fn probe_all_tracked(
@@ -672,8 +712,10 @@ impl FleetOps for GuardedRouter<'_> {
         view: &mut ServerView,
         changed: &mut Vec<StreamId>,
     ) {
-        self.ensure_cut();
-        self.inner.probe_all_tracked(ledger, view, changed)
+        self.touch_all();
+        changed.clear();
+        let flips = self.inner.probe_all_impl(ledger, view, Some(changed));
+        self.patch_all(flips);
     }
 
     fn probe_many(
@@ -684,13 +726,12 @@ impl FleetOps for GuardedRouter<'_> {
         out: &mut Vec<f64>,
     ) {
         // An empty batch sends no messages — it is not a fleet touch.
-        if ids.is_empty() || self.cut {
+        if ids.is_empty() {
             return self.inner.probe_many(ids, ledger, view, out);
         }
         let positions = self.touch_streams(ids.iter().copied());
-        for (s, flips) in self.inner.probe_many_at(ids, positions, ledger, view, out) {
-            self.patch(s, &flips);
-        }
+        let flips = self.inner.probe_many_at(ids, positions, ledger, view, out);
+        self.patch_all(flips);
     }
 
     fn install_many(
@@ -700,13 +741,12 @@ impl FleetOps for GuardedRouter<'_> {
         view: &mut ServerView,
         syncs: &mut Vec<(StreamId, f64)>,
     ) {
-        if installs.is_empty() || self.cut {
+        if installs.is_empty() {
             return self.inner.install_many(installs, ledger, view, syncs);
         }
         let positions = self.touch_streams(installs.iter().map(|(id, _)| *id));
-        for (s, flips) in self.inner.install_many_at(installs, positions, ledger, view, syncs) {
-            self.patch(s, &flips);
-        }
+        let flips = self.inner.install_many_at(installs, positions, ledger, view, syncs);
+        self.patch_all(flips);
     }
 
     fn install(
@@ -716,9 +756,6 @@ impl FleetOps for GuardedRouter<'_> {
         ledger: &mut Ledger,
         view: &mut ServerView,
     ) -> Option<f64> {
-        if self.cut {
-            return self.inner.install(id, filter, ledger, view);
-        }
         let (s, positions) = self.touch_one(id);
         let (sync, flips) = self.inner.install_at(id, filter, positions, ledger, view);
         self.patch_one(s, flips);
@@ -731,11 +768,15 @@ impl FleetOps for GuardedRouter<'_> {
         ledger: &mut Ledger,
         view: &mut ServerView,
     ) -> Vec<(StreamId, f64)> {
-        self.ensure_cut();
-        self.inner.broadcast(filter, ledger, view)
+        self.touch_all();
+        let (syncs, flips) = self.inner.broadcast_impl(filter, ledger, view);
+        self.patch_all(flips);
+        syncs
     }
 }
 
+/// Outside a drain no speculation is journaled, so every operation is the
+/// bare one and nothing flips.
 impl FleetOps for ShardRouter<'_> {
     fn len(&self) -> usize {
         self.n
@@ -748,19 +789,7 @@ impl FleetOps for ShardRouter<'_> {
         ledger: &mut Ledger,
         view: &mut ServerView,
     ) -> Option<f64> {
-        let (handle, local) = self.route(id);
-        match handle.request(ShardCmd::Deliver { local, value }) {
-            ShardReply::Delivered(report) => {
-                if let Some(v) = report {
-                    ledger.record(MessageKind::Update, 1);
-                    view.set(id, v);
-                    Some(v)
-                } else {
-                    None
-                }
-            }
-            other => unreachable!("Deliver got {other:?}"),
-        }
+        self.deliver_at(id, value, Vec::new(), ledger, view).0
     }
 
     fn probe(&mut self, id: StreamId, ledger: &mut Ledger, view: &mut ServerView) -> f64 {
@@ -817,36 +846,7 @@ impl FleetOps for ShardRouter<'_> {
         ledger: &mut Ledger,
         view: &mut ServerView,
     ) -> Vec<(StreamId, f64)> {
-        // One logical broadcast operation costing n messages, however many
-        // shards it fans out to.
-        let started = Instant::now();
-        self.trace_begin("fleet_broadcast", self.n as u64);
-        let mut busy = vec![0u64; self.partition.shards()];
-        ledger.record(MessageKind::FilterBroadcast, self.n as u64);
-        for handle in self.handles.iter_mut() {
-            handle.send(ShardCmd::Broadcast { filter: filter.clone() });
-        }
-        let mut syncs: Vec<(StreamId, f64)> = Vec::new();
-        for (shard, handle) in self.handles.iter_mut().enumerate() {
-            match handle.recv() {
-                ShardReply::Broadcasted { syncs: local_syncs, busy_ns } => {
-                    busy[shard] = busy_ns;
-                    for (local, v) in local_syncs {
-                        syncs.push((self.partition.global_of(shard, local), v));
-                    }
-                }
-                other => unreachable!("Broadcast got {other:?}"),
-            }
-        }
-        // Serial-identical order: ascending global id.
-        syncs.sort_by_key(|&(id, _)| id);
-        for &(id, v) in &syncs {
-            ledger.record(MessageKind::Update, 1);
-            view.set(id, v);
-        }
-        self.record_batch_op(started, &busy);
-        self.trace_end();
-        syncs
+        self.broadcast_impl(filter, ledger, view).0
     }
 }
 
@@ -875,12 +875,6 @@ mod tests {
         window: Arc<EventBatch>,
         occurrences: OccurrenceIndex,
         positions: Vec<u64>,
-        commits: Vec<(u32, u32)>,
-        pool: Vec<Vec<SpecEvent>>,
-        busy: Vec<u64>,
-        scan: Vec<u64>,
-        discarded_busy_ns: u64,
-        discarded_reports: u64,
         scoped_touches: u64,
         respeculated: u64,
         respec_flips: u64,
@@ -913,12 +907,6 @@ mod tests {
                 window: Arc::new(window),
                 occurrences: OccurrenceIndex::new(4),
                 positions: Vec::new(),
-                commits: Vec::new(),
-                pool: Vec::new(),
-                busy: vec![0; 2],
-                scan: vec![0; 2],
-                discarded_busy_ns: 0,
-                discarded_reports: 0,
                 scoped_touches: 0,
                 respeculated: 0,
                 respec_flips: 0,
@@ -965,12 +953,12 @@ mod tests {
         }
 
         /// Runs `op` from the handler of the report at position `c`;
-        /// returns its result and whether the full cut fired.
+        /// returns its result.
         fn run_in_handler<R>(
             &mut self,
             c: u64,
             op: impl FnOnce(&mut GuardedRouter<'_>, &mut Ledger, &mut ServerView) -> R,
-        ) -> (R, bool) {
+        ) -> R {
             let inner = ShardRouter::new(&mut self.handles, Partition::new(2), 4);
             let inflight = InflightWindow {
                 shards: &mut self.slots,
@@ -980,12 +968,6 @@ mod tests {
                 chunk: &self.window,
                 occurrences: &mut self.occurrences,
                 positions: &mut self.positions,
-                commits: &mut self.commits,
-                pool: &mut self.pool,
-                shard_busy_ns: &mut self.busy,
-                shard_scan_ns: &mut self.scan,
-                discarded_busy_ns: &mut self.discarded_busy_ns,
-                discarded_reports: &mut self.discarded_reports,
                 scoped_touches: &mut self.scoped_touches,
                 respeculated: &mut self.respeculated,
                 respec_flips: &mut self.respec_flips,
@@ -993,20 +975,18 @@ mod tests {
             };
             let mut router = GuardedRouter::with_inflight(inner, c + 1, inflight);
             let (mut ledger, mut view) = (Ledger::new(), ServerView::new(4));
-            let out = op(&mut router, &mut ledger, &mut view);
-            (out, router.cut_fired())
+            op(&mut router, &mut ledger, &mut view)
         }
 
         /// Installs `[0, 1000]` at `id` from the handler of the report at
-        /// position `c`; returns whether the full cut fired.
-        fn install_from_handler(&mut self, c: u64, id: StreamId) -> bool {
-            let (sync, cut) = self.run_in_handler(c, |router, ledger, view| {
+        /// position `c`.
+        fn install_from_handler(&mut self, c: u64, id: StreamId) {
+            let sync = self.run_in_handler(c, |router, ledger, view| {
                 let sync = router.install(id, Filter::interval(0.0, 1000.0), ledger, view);
                 assert_eq!(ledger.count(MessageKind::FilterInstall), 1);
                 sync
             });
             assert_eq!(sync, None, "the source is in its serial state: nothing to sync");
-            cut
         }
 
         /// Every source's ground truth, in global order.
@@ -1042,41 +1022,59 @@ mod tests {
         // while both shards still owe window t+1 — shard 0's reply must
         // come off its FIFO channel first and wait in the slot.
         let mut c = Coordinator::with_next_window_in_flight();
-        assert!(!c.install_from_handler(0, StreamId(0)), "no successor, no cut");
+        c.install_from_handler(0, StreamId(0));
         assert!(matches!(c.slots[0], EvalSlot::Stashed(_)), "shard 0's reply was gathered early");
         assert!(matches!(c.slots[1], EvalSlot::Owed), "shard 1 was not involved");
-        assert_eq!((c.scoped_touches, c.respeculated, c.discarded_reports), (1, 0, 0));
-        assert!(c.commits.is_empty(), "no shard committed or rolled back");
+        assert_eq!((c.scoped_touches, c.respeculated, c.respec_flips), (1, 0, 0));
         assert_eq!(c.window_t(), vec![(0, 0, 700.0), (1, 1, 650.0)]);
         assert_eq!(c.gather(), expected, "the stash is invisible to the gather");
         assert!(c.slots.iter().all(|slot| matches!(slot, EvalSlot::Idle)));
     }
 
     #[test]
-    fn colliding_install_respeculates_and_a_broadcast_absorbs_stashed_replies() {
+    fn colliding_install_respeculates_and_a_broadcast_respeculates_both_windows() {
         // Stream 1 recurs at 4 < tip: the install at it from the handler of
-        // its report at 1 respeculates position 4 instead of cutting. Under
-        // [0, 1000] the return to 500 is silent, so the stashed window-t+1
-        // reply loses that report.
+        // its report at 1 respeculates position 4. Under [0, 1000] the
+        // return to 500 is silent, so the stashed window-t+1 reply loses
+        // that report.
         let mut c = Coordinator::with_next_window_in_flight();
-        assert!(!c.install_from_handler(0, StreamId(0)));
-        assert!(!c.install_from_handler(1, StreamId(1)), "a collision respeculates");
-        assert!(c.commits.is_empty(), "nothing rolled back");
+        c.install_from_handler(0, StreamId(0));
+        c.install_from_handler(1, StreamId(1));
         assert_eq!((c.scoped_touches, c.respeculated, c.respec_flips), (2, 1, 1));
         assert!(c.slots.iter().all(|slot| matches!(slot, EvalSlot::Stashed(_))));
-        // Only a fleet-wide operation still cuts: it rolls everything past
-        // 1 back — including both stashed replies, one of them patched.
-        let (syncs, cut) = c.run_in_handler(1, |router, ledger, view| {
+        // A broadcast from the same handler reaches every source, so it
+        // respeculates every position past 1 — 2..6, across both shards
+        // and into window t+1 — instead of discarding the window. Under
+        // [0, 1000] stream 2's reports at 2 and 5 go silent.
+        let syncs = c.run_in_handler(1, |router, ledger, view| {
             router.broadcast(Filter::interval(0.0, 1000.0), ledger, view)
         });
-        assert!(cut && syncs.is_empty());
-        assert!(c.slots.iter().all(|slot| matches!(slot, EvalSlot::Idle)), "window absorbed");
-        assert_eq!(c.discarded_reports, 2, "window t+1's remaining reports are dropped");
-        assert_eq!(c.scoped_touches, 2, "a cut is not a scoped touch");
-        // Positions 0..=1 stand, 2..6 roll back — the re-journaled 4 too:
-        // shard 0 owns {0, 2, 5}, shard 1 owns {1, 3, 4}.
-        assert_eq!(c.commits, vec![(1, 2), (1, 2)]);
-        assert_eq!(c.truth(), vec![700.0, 650.0, 500.0, 500.0]);
+        assert!(syncs.is_empty());
+        assert_eq!((c.scoped_touches, c.respeculated, c.respec_flips), (3, 5, 3));
+        assert!(
+            c.slots.iter().all(|slot| matches!(slot, EvalSlot::Stashed(_))),
+            "window t+1's replies still stand"
+        );
+        assert_eq!(c.window_t(), vec![(0, 0, 700.0), (1, 1, 650.0)], "t ends at 1");
+        assert_eq!(c.gather(), Vec::new(), "window t+1 lost 2, 4 and 5");
+        assert_eq!(c.truth(), vec![700.0, 500.0, 420.0, 450.0]);
+    }
+
+    #[test]
+    fn delivery_respeculates_the_delivered_streams_positions() {
+        // From the handler of the report at 0, 1000 is delivered to
+        // stream 1 (a report: the server last heard 500). Its tentative
+        // report of 650 at 1 then stays outside and goes silent, while its
+        // return to 500 at 4 still reports.
+        let mut c = Coordinator::with_next_window_in_flight();
+        let report = c.run_in_handler(0, |router, ledger, view| {
+            router.deliver(StreamId(1), 1000.0, ledger, view)
+        });
+        assert_eq!(report, Some(1000.0));
+        assert_eq!((c.scoped_touches, c.respeculated, c.respec_flips), (1, 2, 1));
+        assert_eq!(c.window_t(), vec![(0, 0, 700.0)]);
+        assert_eq!(c.gather(), vec![(2, 2, 700.0), (4, 1, 500.0), (5, 2, 420.0)]);
+        assert_eq!(c.truth(), vec![700.0, 500.0, 420.0, 450.0]);
     }
 
     #[test]
@@ -1107,8 +1105,7 @@ mod tests {
         type Op = fn(&mut GuardedRouter<'_>, &mut Ledger, &mut ServerView);
         for (name, op, touches) in [("single", single as Op, 2), ("batch", batch as Op, 1)] {
             let mut c = Coordinator::with_next_window_in_flight();
-            let ((), cut) = c.run_in_handler(0, op);
-            assert!(!cut, "{name}");
+            c.run_in_handler(0, op);
             assert_eq!((c.scoped_touches, c.respeculated, c.respec_flips), (touches, 3, 3));
             assert_eq!(c.window_t(), vec![(0, 0, 700.0)], "{name}: 1 left window t");
             assert_eq!(

@@ -19,26 +19,19 @@
 //! maintenance — ZT/FT range protocols, RTP cases 1–2, multi-query cell
 //! tracking) invalidates nothing, and a whole window commits in a single
 //! scatter/gather round. A handler action that *does* touch the fleet goes
-//! through the [`crate::router::GuardedRouter`], which invalidates only
-//! what the touch can reach:
-//!
-//! * a `probe` / `install`, single or batch — the paper's usual answer to
-//!   a report is re-installing a filter at the stream that reported, and
-//!   RTP's overflow shrink probes `X` and installs at `ε + 1` candidates —
-//!   is **respeculated**: the owning shards rewind the touched streams'
-//!   speculated events past the report, run the operation against their
-//!   exact serial state and re-apply them, and only the reports whose bit
-//!   flipped are spliced into the report stream; the window stands;
-//! * a fleet-wide operation — `broadcast`, `probe_all*`, a delivery — is a
-//!   *full cut*: every shard rolls its speculation back to just past the
-//!   report being handled, the action executes against that exact serial
-//!   state, the remaining speculative reports are discarded, and
-//!   evaluation resumes after the cut.
-//!
-//! The window size adapts to the observed cut density (deterministically —
-//! it depends only on the event/report sequence, never on timing), so
-//! broadcast-heavy protocols pay bounded re-evaluation while everything
-//! else streams at full window width.
+//! through the [`crate::router::GuardedRouter`], which keeps exact only
+//! what the touch can reach, by one rule: the shards **respeculate** the
+//! speculated events past the report that the operation can reach —
+//! rewind them, run the operation against the exact serial state, re-apply
+//! them — and only the reports whose bit flipped are spliced into the
+//! report stream. A `probe`, `install` or `deliver`, single or batch (the
+//! paper's usual answer to a report is re-installing a filter at the
+//! stream that reported, and RTP's overflow shrink probes `X` and installs
+//! at `ε + 1` candidates), reaches the touched streams' events; a
+//! `broadcast` or `probe_all*` (RTP's paper-mode shrink, a reinitialising
+//! FT-RP) reaches every event past the report. Either way the windows
+//! stand: nothing is rolled back, discarded or re-evaluated, so every
+//! window is the fixed half batch.
 //!
 //! The window loop itself is the **pipelined** double-buffered coordinator
 //! of [`crate::pipeline`], which drains window *t*'s reports while the
@@ -67,9 +60,6 @@ use crate::metrics::ServerMetrics;
 use crate::occurrence::OccurrenceIndex;
 use crate::router::{EvalSlot, GuardedRouter, InflightWindow, ShardRouter};
 use crate::shard::{Partition, Shard, ShardCmd, ShardReply, SpecEvent};
-
-/// Smallest adaptive evaluation window (events per round).
-pub(crate) const MIN_WINDOW: usize = 32;
 
 /// Observability configuration of a [`ShardedServer`]. Everything here is
 /// observational: any combination of settings leaves answers, ledgers, and
@@ -143,11 +133,10 @@ impl ServerConfig {
         self
     }
 
-    /// Largest evaluation window the adaptive controller may reach: half
-    /// the batch, so a chunk always splits into at least two windows and
-    /// the pipe can actually fill (drain of one window overlapping
-    /// evaluation of the next).
-    pub(crate) fn max_window(&self) -> usize {
+    /// The evaluation window: half the batch, so a chunk always splits
+    /// into at least two windows and the pipe can actually fill (drain of
+    /// one window overlapping evaluation of the next).
+    pub(crate) fn window(&self) -> usize {
         (self.batch_size / 2).max(1)
     }
 }
@@ -164,12 +153,10 @@ pub struct ShardedServer<P: Protocol> {
     pub(crate) n: usize,
     now: SimTime,
     events_processed: u64,
-    /// Current adaptive evaluation window (events per round).
-    pub(crate) window: usize,
     pub(crate) metrics: ServerMetrics,
     /// Pool of report buffers: every `EvalWindow` carries one out and the
-    /// gathered (or absorbed) `Evaluated` reply hands it back, so
-    /// steady-state rounds scatter and gather without allocating.
+    /// gathered `Evaluated` reply hands it back, so steady-state rounds
+    /// scatter and gather without allocating.
     report_buffers: Vec<Vec<SpecEvent>>,
     /// Per-shard state of the evaluation window in flight: whether the
     /// shard still owes its `Evaluated` reply, or a fleet touch already
@@ -179,8 +166,8 @@ pub struct ShardedServer<P: Protocol> {
     pub(crate) merged: Vec<(SpecEvent, usize)>,
     /// The current ingestion chunk as a shared columnar window. Refilled
     /// per chunk (recycled once every shard has dropped its clone, i.e.
-    /// at every chunk boundary); every evaluation window of the chunk —
-    /// including rollback re-scatters — is an `Arc` clone of it.
+    /// at every chunk boundary); every evaluation window of the chunk is
+    /// an `Arc` clone of it.
     pub(crate) shared_chunk: Arc<EventBatch>,
     /// The chunk's stream-occurrence index, consulted (and lazily built)
     /// by fleet touches and reset at every chunk boundary.
@@ -188,9 +175,6 @@ pub struct ShardedServer<P: Protocol> {
     /// Pooled positions buffer of single-stream fleet touches (it makes
     /// the round trip to the shard and back with the flips).
     touch_positions: Vec<u64>,
-    /// Pooled per-shard `(kept, undone)` buffer for speculation cuts and
-    /// the quiescence commit.
-    commit_scratch: Vec<(u32, u32)>,
     /// The fleet-op trace ring (the `fleet-ops` timeline track); threaded
     /// into the [`ShardRouter`] of every report drain.
     fleet_trace: TraceRing,
@@ -250,7 +234,6 @@ impl<P: Protocol> ShardedServer<P> {
                 ShardHandle::spawn(Shard::with_partition(values, partition, s), s, config.mode)
             })
             .collect();
-        let window_ceiling = config.max_window();
         // All trace rings share one epoch so coordinator, fleet-op, and
         // shard tracks land on a single exportable timeline.
         let tcfg = config.telemetry;
@@ -280,10 +263,6 @@ impl<P: Protocol> ShardedServer<P> {
             n: initial_values.len(),
             now: 0.0,
             events_processed: 0,
-            window: config
-                .batch_size
-                .min(256)
-                .clamp(MIN_WINDOW.min(window_ceiling), window_ceiling),
             metrics: ServerMetrics::new(config.num_shards),
             report_buffers: Vec::new(),
             eval_slots: (0..config.num_shards).map(|_| EvalSlot::Idle).collect(),
@@ -291,7 +270,6 @@ impl<P: Protocol> ShardedServer<P> {
             shared_chunk: Arc::new(EventBatch::new()),
             occurrences: OccurrenceIndex::new(initial_values.len()),
             touch_positions: Vec::new(),
-            commit_scratch: Vec::new(),
             fleet_trace: TraceRing::new(tcfg.trace, tcfg.trace_capacity, epoch),
             durability: None,
             chaos: None,
@@ -331,7 +309,10 @@ impl<P: Protocol> ShardedServer<P> {
     ///
     /// # Panics
     ///
-    /// Panics if the server is not initialized, or if event times regress.
+    /// Panics if the server is not initialized, if event times regress, if
+    /// a value is not finite, or if a stream id is outside the population.
+    /// A rejected chunk is never journaled, so the durability directory
+    /// still recovers to the chunks before it.
     pub fn ingest_batch(&mut self, events: &[UpdateEvent]) {
         assert!(self.core.is_initialized(), "server must be initialized before events");
         for chunk in events.chunks(self.config.batch_size) {
@@ -349,7 +330,7 @@ impl<P: Protocol> ShardedServer<P> {
     ///
     /// # Panics
     ///
-    /// Panics if the server is not initialized, or if event times regress.
+    /// As for [`ShardedServer::ingest_batch`].
     pub fn ingest_event_batch(&mut self, events: &EventBatch) {
         assert!(self.core.is_initialized(), "server must be initialized before events");
         let mut start = 0;
@@ -367,7 +348,7 @@ impl<P: Protocol> ShardedServer<P> {
 
     /// Exclusive access to the pooled chunk buffer for refilling. At chunk
     /// boundaries every shard has dropped its window clone (all `Evaluated`
-    /// replies were gathered or absorbed), so the `Arc` is unique and the
+    /// replies were gathered), so the `Arc` is unique and the
     /// buffer — columns and all — is recycled; the fallback allocation only
     /// triggers if a caller kept a clone alive.
     fn unique_chunk(&mut self) -> &mut EventBatch {
@@ -384,16 +365,25 @@ impl<P: Protocol> ShardedServer<P> {
     /// would have.
     fn apply_shared_chunk(&mut self) {
         let batch_start = Instant::now();
+        // Validate before the write-ahead append: a chunk journaled and
+        // then rejected would fail every later recovery of the directory.
+        // Branch-free folds keep the check cheap on the ingest path.
+        let chunk = Arc::clone(&self.shared_chunk);
+        let times = chunk.times();
+        let max_id = chunk.streams().iter().fold(0, |max, id| max.max(id.0));
+        let valid = times.first().is_none_or(|&t| t >= self.now)
+            & times.windows(2).fold(true, |ok, w| ok & (w[0] <= w[1]))
+            & chunk.values().iter().fold(true, |ok, v| ok & v.is_finite())
+            & ((max_id as usize) < self.n);
+        assert!(
+            valid,
+            "events must be time-ordered from {}, finite, and of the {} streams",
+            self.now, self.n
+        );
         if self.durability.is_some() && !self.journal_shared_chunk() {
             return;
         }
-        // Validate time ordering once — rounds below may re-scatter rolled
-        // back events whose times are already at or before `now`.
-        let chunk = Arc::clone(&self.shared_chunk);
-        for &time in chunk.times() {
-            assert!(time >= self.now, "events must be time-ordered ({time} < {})", self.now);
-            self.now = time;
-        }
+        self.now = times.last().copied().unwrap_or(self.now);
         self.apply_chunk_pipelined();
         self.events_processed += chunk.len() as u64;
         self.metrics.events += chunk.len() as u64;
@@ -569,9 +559,10 @@ impl<P: Protocol> ShardedServer<P> {
     /// channels, or out of the slots a fleet touch stashed them in — into
     /// the pooled `merged` buffer, sorted by sequence number. (Each
     /// per-shard list is already sorted; an unstable sort of the
-    /// concatenation is fine since seqs are unique.) Returns the round's
-    /// maximum per-shard busy time — the window's evaluation critical
-    /// path.
+    /// concatenation is fine since seqs are unique.) Every application it
+    /// reports commits at a later quiescent point, since nothing rolls
+    /// back. Returns the round's maximum per-shard busy time — the
+    /// window's evaluation critical path.
     pub(crate) fn gather_window(&mut self) -> u64 {
         self.core.telemetry_mut().trace.begin(
             TraceDepth::Coarse,
@@ -583,6 +574,8 @@ impl<P: Protocol> ShardedServer<P> {
         let mut round_max_busy = 0u64;
         for (s, (handle, slot)) in self.handles.iter_mut().zip(&mut self.eval_slots).enumerate() {
             let mut reply = slot.take(handle).expect("every shard owes the window's reply");
+            self.metrics.shard_events[s] += u64::from(reply.evaluated);
+            self.metrics.speculative_commits += u64::from(reply.evaluated);
             self.metrics.shard_busy_ns[s] += reply.busy_ns;
             self.metrics.shard_scan_ns[s] += reply.scan_ns;
             round_max_busy = round_max_busy.max(reply.busy_ns);
@@ -600,18 +593,15 @@ impl<P: Protocol> ShardedServer<P> {
     }
 
     /// Consumes the gathered reports of window *t* (positions below
-    /// `window_end`) serially through the protocol until one of them forces
-    /// a full cut. `tip` is the speculation tip — one past the last chunk
-    /// position scattered, including the scattered-ahead window *t+1* if
-    /// one is in flight. A `probe` / `install` respeculates the touched
-    /// streams' positions in `(c, tip)` and patches the flips into `merged`
-    /// (the loop re-reads it by index) or into a stashed window-*t+1*
-    /// reply; a fleet-wide operation absorbs the in-flight replies before
-    /// the cut so the rollback covers the work it invalidates.
-    /// Returns the cut sequence, if any, and the drain's pure-serial time
-    /// (fleet-op shard busy excluded — that is attributed to
-    /// `metrics.fleet`).
-    pub(crate) fn drain_reports(&mut self, window_end: usize, tip: usize) -> (Option<u64>, u64) {
+    /// `window_end`) serially through the protocol. `tip` is the
+    /// speculation tip — one past the last chunk position scattered,
+    /// including the scattered-ahead window *t+1* if one is in flight. A
+    /// fleet touch respeculates the positions in `(c, tip)` it can reach
+    /// and patches the flips into `merged` (the loop re-reads it by index)
+    /// or into a stashed window-*t+1* reply. Returns the drain's
+    /// pure-serial time (fleet-op shard busy excluded — that is attributed
+    /// to `metrics.fleet`).
+    pub(crate) fn drain_reports(&mut self, window_end: usize, tip: usize) -> u64 {
         let serial_start = Instant::now();
         self.core.telemetry_mut().trace.begin(
             TraceDepth::Coarse,
@@ -621,7 +611,6 @@ impl<P: Protocol> ShardedServer<P> {
         let fleet_hidden_before = self.metrics.fleet.hidden_ns;
         let index_before =
             (self.core.ctx_stats().index_busy_sum_ns, self.core.ctx_stats().index_hidden_ns);
-        let mut cut_at: Option<u64> = None;
         let mut consumed = 0u64;
         let mut merged = std::mem::take(&mut self.merged);
         let chunk = Arc::clone(&self.shared_chunk);
@@ -656,12 +645,6 @@ impl<P: Protocol> ShardedServer<P> {
                 chunk: &chunk,
                 occurrences: &mut self.occurrences,
                 positions: &mut self.touch_positions,
-                commits: &mut self.commit_scratch,
-                pool: &mut self.report_buffers,
-                shard_busy_ns: &mut self.metrics.shard_busy_ns,
-                shard_scan_ns: &mut self.metrics.shard_scan_ns,
-                discarded_busy_ns: &mut self.metrics.discarded_window_busy_ns,
-                discarded_reports: &mut self.metrics.discarded_reports,
                 scoped_touches: &mut self.metrics.scoped_touches,
                 respeculated: &mut self.metrics.respeculated,
                 respec_flips: &mut self.metrics.respec_flips,
@@ -675,25 +658,8 @@ impl<P: Protocol> ShardedServer<P> {
                 }
                 None => self.core.ingest_report(id, ev.value, &mut router),
             }
-            let cut = router.cut_fired();
             consumed += 1;
             self.metrics.reports_consumed += 1;
-            if cut {
-                let mut undone_total = 0u64;
-                for (s, &(kept, undone)) in self.commit_scratch.iter().enumerate() {
-                    self.metrics.shard_events[s] += kept as u64;
-                    self.metrics.speculative_commits += kept as u64;
-                    self.metrics.rolled_back += undone as u64;
-                    undone_total += undone as u64;
-                }
-                // The speculation cut and its fleet-wide rollback extent,
-                // on the coordinator timeline.
-                let trace = &mut self.core.telemetry_mut().trace;
-                trace.instant(TraceDepth::Coarse, "speculation_cut", ev.seq);
-                trace.instant(TraceDepth::Coarse, "rollback", undone_total);
-                cut_at = Some(ev.seq);
-                break;
-            }
         }
         self.chaos = chaos;
         self.merged = merged;
@@ -714,32 +680,7 @@ impl<P: Protocol> ShardedServer<P> {
         let drain_pure = (serial_start.elapsed().as_nanos() as u64)
             .saturating_sub(fleet_hidden_delta + index_hidden_delta + coordinator_eval_ns);
         self.metrics.serial_ns += drain_pure;
-        (cut_at, drain_pure)
-    }
-
-    /// Commits every shard's surviving speculation (chunk-end quiescence).
-    pub(crate) fn commit_surviving(&mut self) {
-        let mut commits = std::mem::take(&mut self.commit_scratch);
-        let mut router = ShardRouter::new(&mut self.handles, self.partition, self.n);
-        router.commit_all_into(u64::MAX, &mut commits);
-        for (s, &(kept, undone)) in commits.iter().enumerate() {
-            self.metrics.shard_events[s] += kept as u64;
-            self.metrics.speculative_commits += kept as u64;
-            debug_assert_eq!(undone, 0);
-        }
-        self.commit_scratch = commits;
-    }
-
-    /// Adapts the window after a cut at sequence `c` in a window starting
-    /// at `start`: aim for ~double the observed cut span.
-    pub(crate) fn adapt_window_to_cut(&mut self, start: usize, c: u64) {
-        let span = (c as usize + 1 - start).max(1);
-        // Careful with tiny configs: the floor must never exceed the
-        // window ceiling (clamp would panic).
-        let ceiling = self.config.max_window();
-        let floor = MIN_WINDOW.min(ceiling);
-        self.window = (span * 2).clamp(floor, ceiling);
-        self.metrics.cuts += 1;
+        drain_pure
     }
 
     /// Initializes (if needed) and consumes the whole workload in batches

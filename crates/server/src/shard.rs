@@ -35,19 +35,20 @@
 //! through the protocol. As long as handling a report touches **no**
 //! source, the speculation is exactly what serial execution would have
 //! done — sources are independent — and the whole slice commits in one
-//! round. A `probe` / `install` (single or batch) issued while handling
-//! the report at position `c` carries the touched sources' speculated
-//! positions in `(c, tip)`: inside the one command the shard rewinds those
-//! applications, runs the operation against the sources' exact serial
-//! state, replays them against the new filter, and replies with the
-//! positions whose report bit flipped ([`FLIP_REPORTS`]), written over
-//! the ones it was sent, so the buffer makes the round trip without
-//! allocating. Only a fleet-wide
-//! operation makes the coordinator issue [`ShardCmd::Commit`] with
-//! `keep_below` just past the report being handled: later applications
-//! roll back (newest first) and re-evaluate after the protocol's actions.
-//! Either way the sharded runtime stays byte-identical to the serial
-//! engine.
+//! round. A touch of some sources — `probe`, `install`, `deliver`, single
+//! or batch — issued while handling the report at position `c` carries the
+//! touched sources' speculated positions in `(c, tip)`: inside the one
+//! command the shard rewinds those applications, runs the operation
+//! against the sources' exact serial state, replays them against the new
+//! filter, and replies with the positions whose report bit flipped
+//! ([`FLIP_REPORTS`]), written over the ones it was sent, so the buffer
+//! makes the round trip without allocating. A touch of every source
+//! ([`ShardCmd::ProbeAll`], [`ShardCmd::Broadcast`]) does the same to the
+//! whole journaled suffix: the coordinator first commits everything up to
+//! `c` ([`ShardCmd::Commit`] with `keep_below = c + 1`), so the shard
+//! knows its suffix without being sent a position. Nothing is ever rolled
+//! back and re-evaluated, and the sharded runtime stays byte-identical to
+//! the serial engine.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -159,18 +160,23 @@ pub enum ShardCmd {
         /// recycles it, so steady-state rounds report without allocating.
         reports: Vec<SpecEvent>,
     },
-    /// Commit speculative applications with `seq < keep_below`, roll back
-    /// the rest (use `u64::MAX` to commit everything).
+    /// Commit speculative applications with `seq < keep_below`: nothing
+    /// rewinds them again. Later applications stay journaled, for a touch
+    /// of every source to respeculate (use `u64::MAX` to commit
+    /// everything).
     Commit {
-        /// First sequence number to roll back.
+        /// First sequence number to leave journaled.
         keep_below: u64,
     },
-    /// Fully deliver one update (value applied; reports for real).
+    /// Fully deliver one update (value applied; reports for real),
+    /// respeculating the source's applications at `positions`.
     Deliver {
         /// Shard-local source index.
         local: u32,
         /// The new value.
         value: f64,
+        /// As for [`ShardCmd::Probe`].
+        positions: Vec<u64>,
     },
     /// Probe one source, respeculating its applications at `positions`.
     Probe {
@@ -180,7 +186,8 @@ pub enum ShardCmd {
         /// (ascending; empty outside a drain or when it has none).
         positions: Vec<u64>,
     },
-    /// Probe every source of the partition.
+    /// Probe every source of the partition, respeculating every journaled
+    /// application.
     ProbeAll,
     /// Probe a batch of sources (this shard's slice of a fleet-wide
     /// `probe_many`), in slice order, respeculating the applications at
@@ -212,7 +219,8 @@ pub enum ShardCmd {
         positions: Vec<u64>,
     },
     /// Install a filter at every source of the partition (shard half of a
-    /// global broadcast; the coordinator meters the operation).
+    /// global broadcast; the coordinator meters the operation),
+    /// respeculating every journaled application.
     Broadcast {
         /// The filter to install everywhere.
         filter: Filter,
@@ -263,16 +271,13 @@ pub enum ShardReply {
         /// owned events.
         scan_ns: u64,
     },
-    /// Outcome of [`ShardCmd::Commit`].
-    Committed {
-        /// Speculative applications made permanent.
-        kept: u32,
-        /// Speculative applications rolled back.
-        undone: u32,
+    /// Outcome of [`ShardCmd::Deliver`].
+    Delivered {
+        /// The report value, if the filter was violated.
+        report: Option<f64>,
+        /// The command's `positions` buffer, now holding the flips.
+        flips: Vec<u64>,
     },
-    /// Outcome of [`ShardCmd::Deliver`]: the report value, if the filter
-    /// was violated.
-    Delivered(Option<f64>),
     /// Outcome of [`ShardCmd::Probe`].
     Probed {
         /// The probed value.
@@ -284,6 +289,8 @@ pub enum ShardReply {
     ProbedAll {
         /// Values in local order.
         values: Vec<f64>,
+        /// The respeculated applications whose report bit flipped.
+        flips: Vec<u64>,
         /// Wall time the shard spent on its slice — the coordinator
         /// attributes it to the parallel fleet-op component of the model.
         busy_ns: u64,
@@ -317,6 +324,8 @@ pub enum ShardReply {
     Broadcasted {
         /// Sync reports `(local, value)` in ascending local order.
         syncs: Vec<(u32, f64)>,
+        /// The respeculated applications whose report bit flipped.
+        flips: Vec<u64>,
         /// Wall time the shard spent on its partition.
         busy_ns: u64,
     },
@@ -324,8 +333,8 @@ pub enum ShardReply {
     Truth(Vec<f64>),
     /// Outcome of [`ShardCmd::SaveState`]: the serialized local fleet.
     State(Vec<u8>),
-    /// Acknowledges a control command with no payload
-    /// ([`ShardCmd::SetTrace`], [`ShardCmd::RestoreState`]).
+    /// Acknowledges a command with no payload ([`ShardCmd::Commit`],
+    /// [`ShardCmd::SetTrace`], [`ShardCmd::RestoreState`]).
     Ack,
     /// Outcome of [`ShardCmd::TakeTrace`]: the recorded events, in order.
     Trace(Vec<TraceEvent>),
@@ -430,60 +439,66 @@ impl Shard {
             ShardCmd::EvalWindow { window, start, end, reports } => {
                 self.eval_window(&window, start, end, reports)
             }
-            ShardCmd::Commit { keep_below } => self.commit(keep_below),
-            ShardCmd::Deliver { local, value } => ShardReply::Delivered(self.fleet.deliver_update(
-                StreamId(local),
-                value,
-                &mut self.scratch,
-                &mut self.local_view,
-            )),
-            ShardCmd::Probe { local, mut positions } => {
-                let value = self.respeculate(&mut positions, |fleet, ledger, view| {
+            ShardCmd::Commit { keep_below } => {
+                self.spec.commit_prefix(keep_below);
+                ShardReply::Ack
+            }
+            ShardCmd::Deliver { local, value, positions } => {
+                let report = self.respeculate(Some(&positions), |fleet, ledger, view| {
+                    fleet.deliver_update(StreamId(local), value, ledger, view)
+                });
+                ShardReply::Delivered { report, flips: self.flips_into(positions) }
+            }
+            ShardCmd::Probe { local, positions } => {
+                let value = self.respeculate(Some(&positions), |fleet, ledger, view| {
                     fleet.probe(StreamId(local), ledger, view)
                 });
-                ShardReply::Probed { value, flips: positions }
+                ShardReply::Probed { value, flips: self.flips_into(positions) }
             }
             ShardCmd::ProbeAll => {
-                let mut values = Vec::with_capacity(self.fleet.len());
-                for local in 0..self.fleet.len() as u32 {
-                    values.push(self.fleet.probe(
-                        StreamId(local),
-                        &mut self.scratch,
-                        &mut self.local_view,
-                    ));
-                }
-                ShardReply::ProbedAll { values, busy_ns: 0 }
+                let values = self.respeculate(None, |fleet, ledger, view| {
+                    (0..fleet.len() as u32)
+                        .map(|local| fleet.probe(StreamId(local), ledger, view))
+                        .collect()
+                });
+                ShardReply::ProbedAll { values, flips: self.flips_into(Vec::new()), busy_ns: 0 }
             }
-            ShardCmd::ProbeMany { locals, mut positions } => {
-                let values = self.respeculate(&mut positions, |fleet, ledger, view| {
+            ShardCmd::ProbeMany { locals, positions } => {
+                let values = self.respeculate(Some(&positions), |fleet, ledger, view| {
                     locals.iter().map(|&local| fleet.probe(StreamId(local), ledger, view)).collect()
                 });
-                ShardReply::ProbedMany { values, flips: positions, busy_ns: 0 }
+                ShardReply::ProbedMany { values, flips: self.flips_into(positions), busy_ns: 0 }
             }
-            ShardCmd::Install { local, filter, mut positions } => {
-                let sync = self.respeculate(&mut positions, |fleet, ledger, view| {
+            ShardCmd::Install { local, filter, positions } => {
+                let sync = self.respeculate(Some(&positions), |fleet, ledger, view| {
                     fleet.install(StreamId(local), filter, ledger, view)
                 });
-                ShardReply::Installed { sync, flips: positions }
+                ShardReply::Installed { sync, flips: self.flips_into(positions) }
             }
-            ShardCmd::InstallMany { items, mut positions } => {
-                let syncs = self.respeculate(&mut positions, |fleet, ledger, view| {
+            ShardCmd::InstallMany { items, positions } => {
+                let syncs = self.respeculate(Some(&positions), |fleet, ledger, view| {
                     items
                         .into_iter()
                         .map(|(local, filter)| fleet.install(StreamId(local), filter, ledger, view))
                         .collect()
                 });
-                ShardReply::InstalledMany { syncs, flips: positions, busy_ns: 0 }
+                ShardReply::InstalledMany { syncs, flips: self.flips_into(positions), busy_ns: 0 }
             }
             ShardCmd::Broadcast { filter } => {
                 // The sync buffer is shard-held scratch (reinit storms
                 // broadcast every round); only the (local, value) reply
                 // that crosses the channel is allocated.
                 let mut syncs = std::mem::take(&mut self.broadcast_scratch);
-                self.fleet.install_all_unmetered_into(filter, &mut self.local_view, &mut syncs);
+                self.respeculate(None, |fleet, _, view| {
+                    fleet.install_all_unmetered_into(filter, view, &mut syncs)
+                });
                 let reply = syncs.iter().map(|&(id, v)| (id.0, v)).collect();
                 self.broadcast_scratch = syncs;
-                ShardReply::Broadcasted { syncs: reply, busy_ns: 0 }
+                ShardReply::Broadcasted {
+                    syncs: reply,
+                    flips: self.flips_into(Vec::new()),
+                    busy_ns: 0,
+                }
             }
             ShardCmd::TruthSnapshot => ShardReply::Truth(self.fleet.values().collect()),
             ShardCmd::SaveState => {
@@ -583,41 +598,41 @@ impl Shard {
         }
     }
 
-    /// Runs `touch` (a probe or install) against the exact serial state of
-    /// the sources it reaches: their speculated applications at
-    /// `positions` are rewound first and replayed after
-    /// ([`SpecLog::respeculate`]), and `positions` is overwritten with the
-    /// flips ([`FLIP_REPORTS`]) — a subset, so it never grows. Empty
-    /// `positions` — a source with no speculated successor — is the bare
+    /// Runs `touch` against the exact serial state of the sources it
+    /// reaches: their speculated applications at `positions` — every
+    /// journaled one for a touch of every source (`None`) — are rewound
+    /// first and replayed after ([`SpecLog::respeculate`],
+    /// [`SpecLog::respeculate_all`]), and the flips ([`FLIP_REPORTS`]) are
+    /// left in the scratch for [`Self::flips_into`]. No position — at
+    /// quiescence, or a source with no speculated successor — is the bare
     /// touch. Neither allocates once the flip scratch is warm.
     fn respeculate<R>(
         &mut self,
-        positions: &mut Vec<u64>,
+        positions: Option<&[u64]>,
         touch: impl FnOnce(&mut SourceFleet, &mut Ledger, &mut ServerView) -> R,
     ) -> R {
-        if !positions.is_empty() {
-            self.trace.instant(TraceDepth::Fine, "respeculate", positions.len() as u64);
+        let rewound = positions.map_or(self.spec.len(), <[u64]>::len);
+        if rewound > 0 {
+            self.trace.instant(TraceDepth::Fine, "respeculate", rewound as u64);
         }
         let (scratch, view, flips) = (&mut self.scratch, &mut self.local_view, &mut self.flips);
         flips.clear();
-        let out = self.spec.respeculate(
-            &mut self.fleet,
-            positions,
-            |fleet| touch(fleet, scratch, view),
-            |seq, _, _, reports| flips.push(seq | if reports { FLIP_REPORTS } else { 0 }),
-        );
-        positions.clear();
-        positions.extend_from_slice(flips);
-        out
+        let touch = |fleet: &mut SourceFleet| touch(fleet, scratch, view);
+        let flipped = |seq: u64, _: StreamId, _: f64, reports: bool| {
+            flips.push(seq | if reports { FLIP_REPORTS } else { 0 })
+        };
+        match positions {
+            Some(seqs) => self.spec.respeculate(&mut self.fleet, seqs, touch, flipped),
+            None => self.spec.respeculate_all(&mut self.fleet, touch, flipped),
+        }
     }
 
-    fn commit(&mut self, keep_below: u64) -> ShardReply {
-        let (kept, undone) = self.spec.commit_below(&mut self.fleet, keep_below);
-        if undone > 0 {
-            // The shard-side rollback extent of a speculation cut.
-            self.trace.instant(TraceDepth::Coarse, "rollback", undone as u64);
-        }
-        ShardReply::Committed { kept, undone }
+    /// The last respeculation's flips, written over `buffer` (the
+    /// command's positions, a superset, so it never grows).
+    fn flips_into(&self, mut buffer: Vec<u64>) -> Vec<u64> {
+        buffer.clear();
+        buffer.extend_from_slice(&self.flips);
+        buffer
     }
 }
 
@@ -717,18 +732,11 @@ mod tests {
             commit_round(std::slice::from_mut(&mut shard), u64::MAX);
         }
 
-        // A cut mid-window, then the re-scatter of the suffix from `start`.
+        // A window evaluated in two rounds selects what one round does.
         let window = window_of(&events(&[4, 0, 7, 13, 2, 10, 1], 48));
-        let all = selected(&mut shard, &window, 0, window.len());
-        assert_eq!(all, reference(&window, 0, window.len()));
-        let start = 21;
-        let (kept, undone) = commit_round(std::slice::from_mut(&mut shard), start as u64);
-        assert_eq!(kept as usize, reference(&window, 0, start).len());
-        assert_eq!(undone as usize, reference(&window, start, window.len()).len());
-        assert_eq!(
-            selected(&mut shard, &window, start, window.len()),
-            reference(&window, start, window.len())
-        );
+        let mut rounds = selected(&mut shard, &window, 0, 21);
+        rounds.extend(selected(&mut shard, &window, 21, window.len()));
+        assert_eq!(rounds, reference(&window, 0, window.len()));
     }
 
     /// A shared columnar window of `(global stream, value)` events; the
@@ -780,15 +788,12 @@ mod tests {
         let narrow = install(&mut shard, 0, Filter::interval(400.0, 600.0), vec![3, 4]);
         assert_eq!(narrow, (Some(650.0), vec![(3, true)]));
 
-        // The same history, serially, on a fresh shard.
+        // The same history, serially, on a fresh shard, with a probe of
+        // every source after 2.
         let mut serial = Shard::new(&[500.0]);
         serial.exec(ShardCmd::ProbeAll);
         install(&mut serial, 0, Filter::interval(400.0, 600.0), Vec::new());
-        let deliver =
-            |shard: &mut Shard, value| match shard.exec(ShardCmd::Deliver { local: 0, value }) {
-                ShardReply::Delivered(r) => r,
-                other => panic!("expected Delivered, got {other:?}"),
-            };
+        let deliver = |shard: &mut Shard, value| deliver(shard, 0, value);
         assert_eq!(deliver(&mut serial, 550.0), None);
         install(&mut serial, 0, Filter::interval(0.0, 1000.0), Vec::new());
         assert_eq!(deliver(&mut serial, 700.0), None);
@@ -797,28 +802,35 @@ mod tests {
             install(&mut serial, 0, Filter::interval(400.0, 600.0), Vec::new()).0,
             Some(650.0)
         );
+        serial.exec(ShardCmd::ProbeAll);
         assert_eq!(deliver(&mut serial, 500.0), Some(500.0));
         assert_eq!(deliver(&mut serial, 520.0), None);
 
-        // Rolling the re-journaled suffix back from 3 must land on the
-        // serial state after 2 — value, last-reported, filter, traffic.
-        commit_round(std::slice::from_mut(&mut shard), 3);
-        let mut at_two = Shard::new(&[500.0]);
-        at_two.exec(ShardCmd::ProbeAll);
-        install(&mut at_two, 0, Filter::interval(400.0, 600.0), Vec::new());
-        deliver(&mut at_two, 550.0);
-        install(&mut at_two, 0, Filter::interval(0.0, 1000.0), Vec::new());
-        deliver(&mut at_two, 700.0);
-        deliver(&mut at_two, 650.0);
-        install(&mut at_two, 0, Filter::interval(400.0, 600.0), Vec::new());
+        // The probe of every source at 2 rewinds the re-journaled 3 and 4:
+        // it must observe the serial state after 2, and the replay must
+        // land where serial execution does — value, last-reported,
+        // filter, traffic.
+        shard.exec(ShardCmd::Commit { keep_below: 3 });
+        let ShardReply::ProbedAll { values, flips, .. } = shard.exec(ShardCmd::ProbeAll) else {
+            panic!("expected ProbedAll")
+        };
+        assert_eq!((values, flips), (vec![650.0], Vec::new()));
         let observe = |shard: &Shard| {
             let s = shard.fleet.source(StreamId(0));
             (s.value(), s.last_reported(), s.filter().clone(), s.traffic())
         };
-        assert_eq!(observe(&shard), observe(&at_two));
-        assert_eq!(deliver(&mut shard, 500.0), Some(500.0));
-        assert_eq!(deliver(&mut shard, 520.0), None);
         assert_eq!(observe(&shard), observe(&serial));
+    }
+
+    /// Delivers `value` to `local` with nothing to respeculate.
+    fn deliver(shard: &mut Shard, local: u32, value: f64) -> Option<f64> {
+        match shard.exec(ShardCmd::Deliver { local, value, positions: Vec::new() }) {
+            ShardReply::Delivered { report, flips } => {
+                assert!(flips.is_empty());
+                report
+            }
+            other => panic!("expected Delivered, got {other:?}"),
+        }
     }
 
     fn eval(shard: &mut Shard, window: &Arc<EventBatch>, start: usize, end: usize) -> ShardReply {
@@ -831,7 +843,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_reports_violations_and_commit_rolls_back_suffix() {
+    fn eval_reports_violations_and_a_probe_of_all_rewinds_the_uncommitted_suffix() {
         // Shard 0 of 2 owns globals 0 / 2 (locals 0 / 1) at 500 / 100, with
         // active filters (probe marks reported).
         let mut shard = Shard::with_partition(&[500.0, 100.0], Partition::new(2), 0);
@@ -861,24 +873,23 @@ mod tests {
             other => panic!("unexpected reply {other:?}"),
         }
 
-        // Invalidation just past seq 5: seq 7's application must unwind to
-        // the post-report state, seq 0/2/5 stand.
-        match shard.exec(ShardCmd::Commit { keep_below: 6 }) {
-            ShardReply::Committed { kept, undone } => {
-                assert_eq!((kept, undone), (3, 1));
+        // A probe of every source from the handler of seq 5: seq 0/2/5
+        // commit, and seq 7's application unwinds to the post-report state
+        // for the probe, then stands again, still silent.
+        shard.exec(ShardCmd::Commit { keep_below: 6 });
+        match shard.exec(ShardCmd::ProbeAll) {
+            ShardReply::ProbedAll { values, flips, .. } => {
+                assert_eq!((values, flips), (vec![700.0, 150.0], Vec::new()));
             }
             other => panic!("unexpected reply {other:?}"),
         }
         match shard.exec(ShardCmd::TruthSnapshot) {
-            ShardReply::Truth(values) => assert_eq!(values, vec![700.0, 150.0]),
+            ShardReply::Truth(values) => assert_eq!(values, vec![800.0, 150.0]),
             other => panic!("unexpected reply {other:?}"),
         }
         // The tentative report refreshed last-reported: moving back inside
         // the band now violates again.
-        match shard.exec(ShardCmd::Deliver { local: 0, value: 550.0 }) {
-            ShardReply::Delivered(r) => assert_eq!(r, Some(550.0)),
-            other => panic!("unexpected reply {other:?}"),
-        }
+        assert_eq!(deliver(&mut shard, 0, 550.0), Some(550.0));
     }
 
     /// One evaluation round over `shards`: the merged reports as
@@ -905,18 +916,35 @@ mod tests {
         merged
     }
 
-    /// Commits every shard at `keep_below`; the fleet-wide `(kept, undone)`.
-    fn commit_round(shards: &mut [Shard], keep_below: u64) -> (u32, u32) {
-        let mut total = (0, 0);
+    /// Commits every shard at `keep_below`.
+    fn commit_round(shards: &mut [Shard], keep_below: u64) {
         for shard in shards {
-            match shard.exec(ShardCmd::Commit { keep_below }) {
-                ShardReply::Committed { kept, undone } => {
-                    total = (total.0 + kept, total.1 + undone);
+            assert!(matches!(shard.exec(ShardCmd::Commit { keep_below }), ShardReply::Ack));
+        }
+    }
+
+    /// Broadcasts `filter` to every shard, which must sync nothing: the
+    /// flips as `(seq, global stream, now reports)`, in `seq` order.
+    fn broadcast_round(
+        shards: &mut [Shard],
+        window: &EventBatch,
+        filter: &Filter,
+    ) -> Vec<(u64, StreamId, bool)> {
+        let mut flipped = Vec::new();
+        for shard in shards {
+            match shard.exec(ShardCmd::Broadcast { filter: filter.clone() }) {
+                ShardReply::Broadcasted { syncs, flips, .. } => {
+                    assert!(syncs.is_empty(), "every source is consistent with {filter:?}");
+                    flipped.extend(flips.iter().map(|&f| {
+                        let seq = f & !FLIP_REPORTS;
+                        (seq, window.streams()[seq as usize], f & FLIP_REPORTS != 0)
+                    }));
                 }
-                other => panic!("expected Committed, got {other:?}"),
+                other => panic!("expected Broadcasted, got {other:?}"),
             }
         }
-        total
+        flipped.sort_by_key(|&(seq, ..)| seq);
+        flipped
     }
 
     #[test]
@@ -924,9 +952,9 @@ mod tests {
         // One shared columnar window, evaluated by two self-partitioning
         // shards and by a single shard owning the whole population (the
         // reference: no ownership split at all). Both must produce
-        // identical reports, identical rollback behaviour on a mid-window
-        // cut, and identical source state after the re-scatter of the
-        // surviving suffix.
+        // identical reports, identical flips when a broadcast mid-window
+        // rolls the suffix back and re-applies it, and identical source
+        // state after it.
         let initial = [500.0, 100.0, 450.0, 150.0]; // shard0: {0,2}→{500,450}, shard1: {1,3}
         let make = |k: usize| -> (Partition, Vec<Shard>) {
             let partition = Partition::new(k);
@@ -953,16 +981,20 @@ mod tests {
         assert!(!reference.is_empty(), "the window must produce reports to compare");
         assert_eq!(eval_round(&mut split, two, &window, 0, 6), reference, "reports diverged");
 
-        // A fleet touch at seq 2 cuts speculation: keep seqs 0..=2, roll
-        // back the rest, then re-scatter the suffix — reusing the *same*
-        // shared window, no re-copy.
-        let cut = commit_round(&mut whole, 3);
-        assert_eq!(cut, (3, 3));
-        assert_eq!(commit_round(&mut split, 3), cut, "commit diverged");
-
-        let reference = eval_round(&mut whole, one, &window, 3, 6);
-        assert_eq!(eval_round(&mut split, two, &window, 3, 6), reference, "re-scatter diverged");
-        assert_eq!(commit_round(&mut whole, u64::MAX), commit_round(&mut split, u64::MAX));
+        // A broadcast from the handler of seq 2: seqs 0..=2 commit, the
+        // rest roll back for the broadcast and are re-applied under the
+        // new filter. Under [0, 1000] nothing crosses the band, so the
+        // reports at 3, 4 and 5 go silent.
+        commit_round(&mut whole, 3);
+        commit_round(&mut split, 3);
+        let wide = Filter::interval(0.0, 1000.0);
+        let reference = broadcast_round(&mut whole, &window, &wide);
+        let silenced =
+            vec![(3, StreamId(3), false), (4, StreamId(0), false), (5, StreamId(2), false)];
+        assert_eq!(reference, silenced);
+        assert_eq!(broadcast_round(&mut split, &window, &wide), reference, "flips diverged");
+        commit_round(&mut whole, u64::MAX);
+        commit_round(&mut split, u64::MAX);
 
         let truth = |shards: &mut [Shard], partition: Partition| -> Vec<f64> {
             let mut values = vec![0.0; initial.len()];
@@ -986,18 +1018,19 @@ mod tests {
         install(&mut shard, 0, Filter::interval(400.0, 600.0), Vec::new());
 
         // seq 0 silent, seq 1 tentative report, seq 2 silent-after-report.
-        eval(&mut shard, &window_of(&[(0, 510.0), (0, 700.0), (0, 900.0)]), 0, 3);
-        // Roll everything back: value, last-reported, and traffic must be
-        // exactly as before the batch.
-        shard.exec(ShardCmd::Commit { keep_below: 0 });
-        match shard.exec(ShardCmd::TruthSnapshot) {
-            ShardReply::Truth(values) => assert_eq!(values, vec![500.0]),
-            other => panic!("unexpected reply {other:?}"),
-        }
-        // 700 would violate again (last_reported back to 500).
-        match shard.exec(ShardCmd::Deliver { local: 0, value: 450.0 }) {
-            ShardReply::Delivered(r) => assert_eq!(r, None, "inside -> inside stays silent"),
-            other => panic!("unexpected reply {other:?}"),
-        }
+        let window = window_of(&[(0, 510.0), (0, 700.0), (0, 900.0)]);
+        eval(&mut shard, &window, 0, 3);
+        // A broadcast before all three rolls them back: it must see the
+        // value and last-reported of before the batch (500 and 500, both
+        // outside [600, 1000], so no sync — a last-reported left at the
+        // tentative 700 would sync). The replay keeps every report bit:
+        // 510 stays silent, 700 still enters and reports, 900 stays inside.
+        let narrow = Filter::interval(600.0, 1000.0);
+        assert_eq!(broadcast_round(std::slice::from_mut(&mut shard), &window, &narrow), vec![]);
+        commit_round(std::slice::from_mut(&mut shard), u64::MAX);
+        let s = shard.fleet.source(StreamId(0));
+        assert_eq!((s.value(), s.last_reported(), s.traffic()), (900.0, Some(700.0), 5));
+        // Leaving [600, 1000] from the reported 700 reports.
+        assert_eq!(deliver(&mut shard, 0, 450.0), Some(450.0));
     }
 }

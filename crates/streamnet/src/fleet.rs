@@ -569,7 +569,9 @@ impl SourceFleet {
 /// A fleet touch of a source with later journaled applications does not
 /// need the whole suffix rolled back: [`SpecLog::respeculate`] rewinds just
 /// that source's applications, runs the touch against its exact serial
-/// state, and re-applies them in place against the new filter.
+/// state, and re-applies them in place against the new filter. A touch of
+/// every source does the same to the whole journaled suffix
+/// ([`SpecLog::commit_prefix`], then [`SpecLog::respeculate_all`]).
 ///
 /// Rollback un-charges traffic (`-1` per undone report) rather than
 /// restoring an absolute count. That is exact because nothing touches a
@@ -654,22 +656,21 @@ impl SpecLog {
     /// Commits applications with `seq < keep_below`, rolls back the rest
     /// (newest first), and clears the log. Returns `(kept, undone)`.
     pub fn commit_below(&mut self, fleet: &mut SourceFleet, keep_below: u64) -> (u32, u32) {
-        let mut undone = 0u32;
-        while let Some(e) = self.entries.last().copied() {
-            if e.seq < keep_below {
-                break;
-            }
-            let i = e.id.index();
-            let hot = &mut fleet.hot[i];
-            hot.value = e.prev_value;
-            hot.last_reported = e.prev_last_reported;
-            fleet.cold[i].traffic -= u64::from(e.reported);
-            self.entries.pop();
-            undone += 1;
+        let kept = self.entries.partition_point(|e| e.seq < keep_below);
+        for k in (kept..self.entries.len()).rev() {
+            self.rewind(fleet, k);
         }
-        let kept = self.entries.len() as u32;
+        let undone = self.entries.len() - kept;
         self.entries.clear();
-        (kept, undone)
+        (kept as u32, undone as u32)
+    }
+
+    /// Commits the applications with `seq < keep_below`: they leave the
+    /// log, so nothing can rewind them again. Later applications stay
+    /// journaled for [`SpecLog::respeculate_all`].
+    pub fn commit_prefix(&mut self, keep_below: u64) {
+        let at = self.entries.partition_point(|e| e.seq < keep_below);
+        self.entries.drain(..at);
     }
 
     /// Runs `touch` — a probe or install of some sources — as if it had
@@ -695,33 +696,71 @@ impl SpecLog {
         let mut end = self.entries.len();
         for &seq in seqs.iter().rev() {
             end = self.find(seq, 0, end);
-            let e = &mut self.entries[end];
-            let i = e.id.index();
-            let hot = &mut fleet.hot[i];
-            e.prev_value = std::mem::replace(&mut hot.value, e.prev_value);
-            hot.last_reported = e.prev_last_reported;
-            fleet.cold[i].traffic -= u64::from(e.reported);
+            self.rewind(fleet, end);
         }
         let out = touch(fleet);
         let mut start = 0;
         for &seq in seqs {
             let k = self.find(seq, start, self.entries.len());
             start = k + 1;
-            let e = &mut self.entries[k];
-            let (i, value) = (e.id.index(), e.prev_value);
-            let prev = fleet.hot[i];
-            let reported = fleet.apply(i, value);
-            if reported {
-                fleet.mark_reported(i, 1);
-            }
-            if reported != e.reported {
-                flipped(seq, e.id, value, reported);
-            }
-            e.reported = reported;
-            e.prev_value = prev.value;
-            e.prev_last_reported = prev.last_reported;
+            self.replay(fleet, k, &mut flipped);
         }
         out
+    }
+
+    /// The suffix form of [`SpecLog::respeculate`], for a `touch` that may
+    /// reach every source: it runs before **every** journaled application.
+    /// After [`SpecLog::commit_prefix`]`(c + 1)` it sees the state that
+    /// [`SpecLog::commit_below`]`(c + 1)` would roll back to, and the
+    /// suffix is re-applied in place instead of discarded.
+    pub fn respeculate_all<R>(
+        &mut self,
+        fleet: &mut SourceFleet,
+        touch: impl FnOnce(&mut SourceFleet) -> R,
+        mut flipped: impl FnMut(u64, StreamId, f64, bool),
+    ) -> R {
+        for k in (0..self.entries.len()).rev() {
+            self.rewind(fleet, k);
+        }
+        let out = touch(fleet);
+        for k in 0..self.entries.len() {
+            self.replay(fleet, k, &mut flipped);
+        }
+        out
+    }
+
+    /// Undoes entry `k`'s application; the value it applied waits in its
+    /// `prev_value` for [`SpecLog::replay`].
+    fn rewind(&mut self, fleet: &mut SourceFleet, k: usize) {
+        let e = &mut self.entries[k];
+        let i = e.id.index();
+        let hot = &mut fleet.hot[i];
+        e.prev_value = std::mem::replace(&mut hot.value, e.prev_value);
+        hot.last_reported = e.prev_last_reported;
+        fleet.cold[i].traffic -= u64::from(e.reported);
+    }
+
+    /// Re-applies rewound entry `k` against the source's current state and
+    /// re-journals it in place, reporting a changed report bit.
+    fn replay(
+        &mut self,
+        fleet: &mut SourceFleet,
+        k: usize,
+        flipped: &mut impl FnMut(u64, StreamId, f64, bool),
+    ) {
+        let e = &mut self.entries[k];
+        let (i, value) = (e.id.index(), e.prev_value);
+        let prev = fleet.hot[i];
+        let reported = fleet.apply(i, value);
+        if reported {
+            fleet.mark_reported(i, 1);
+        }
+        if reported != e.reported {
+            flipped(e.seq, e.id, value, reported);
+        }
+        e.reported = reported;
+        e.prev_value = prev.value;
+        e.prev_last_reported = prev.last_reported;
     }
 
     /// Index of the entry journaled under `seq` within `entries[lo..hi]`.
@@ -1092,11 +1131,12 @@ mod tests {
     }
 
     /// One step of a serial history: a workload event, or a touch that ran
-    /// right after the event at `anchor` (and after earlier touches there).
+    /// right after the event at `anchor` (and after earlier touches there)
+    /// at one source, or at every source when `id` is `None`.
     #[derive(Clone, Debug)]
     enum Step {
         Event { seq: u64, id: StreamId, value: f64 },
-        Touch { anchor: u64, id: StreamId, install: Option<Filter> },
+        Touch { anchor: u64, id: Option<StreamId>, install: Option<Filter> },
     }
 
     impl Step {
@@ -1109,13 +1149,27 @@ mod tests {
         }
     }
 
-    /// Runs `touch` on `fleet` with throwaway metering: a probe's value or
-    /// an install's sync report.
-    fn run_touch(fleet: &mut SourceFleet, id: StreamId, install: &Option<Filter>) -> Option<f64> {
+    /// A touch's result: the probed values, or the sync reports.
+    type TouchOut = Vec<(StreamId, f64)>;
+
+    /// Runs a touch on `fleet` with throwaway metering: the probed values,
+    /// or the install's (or broadcast's) sync reports.
+    fn run_touch(
+        fleet: &mut SourceFleet,
+        id: Option<StreamId>,
+        install: &Option<Filter>,
+    ) -> TouchOut {
         let (mut ledger, mut view) = (Ledger::new(), ServerView::new(fleet.len()));
-        match install {
-            None => Some(fleet.probe(id, &mut ledger, &mut view)),
-            Some(f) => fleet.install(id, f.clone(), &mut ledger, &mut view),
+        match (id, install) {
+            (Some(id), None) => vec![(id, fleet.probe(id, &mut ledger, &mut view))],
+            (Some(id), Some(f)) => Vec::from_iter(
+                fleet.install(id, f.clone(), &mut ledger, &mut view).map(|v| (id, v)),
+            ),
+            (None, None) => {
+                fleet.probe_all(&mut ledger, &mut view);
+                fleet.iter().map(|s| (s.id(), s.value())).collect()
+            }
+            (None, Some(f)) => fleet.broadcast(f.clone(), &mut ledger, &mut view),
         }
     }
 
@@ -1123,14 +1177,11 @@ mod tests {
     /// report bit of every event by seq, and the result of the touch that
     /// runs last (the sort is stable, so with the greatest anchor it is
     /// the one pushed last).
-    fn serial(
-        base: &SourceFleet,
-        history: &[Step],
-    ) -> (SourceFleet, Vec<(u64, bool)>, Option<f64>) {
+    fn serial(base: &SourceFleet, history: &[Step]) -> (SourceFleet, Vec<(u64, bool)>, TouchOut) {
         let mut fleet = base.clone();
         let mut steps = history.to_vec();
         steps.sort_by_key(Step::key);
-        let (mut bits, mut last) = (Vec::new(), None);
+        let (mut bits, mut last) = (Vec::new(), Vec::new());
         let (mut ledger, mut view) = (Ledger::new(), ServerView::new(fleet.len()));
         for step in &steps {
             match step {
@@ -1151,9 +1202,11 @@ mod tests {
     fn spec_log_respeculation_equals_serial_execution() {
         // Random interleavings of speculative applications, touches (a probe
         // or an install) respeculating the touched source's later
-        // applications, and commits, against the same history executed
-        // serially on a clone — every source's value, last-reported,
-        // filter and traffic, the flip list, and the touch's result.
+        // applications, touches of every source (a probe of all, a
+        // broadcast) respeculating the whole suffix, and commits, against
+        // the same history executed serially on a clone — every source's
+        // value, last-reported, filter and traffic, the flip list, and the
+        // touch's result.
         let mut rng = simkit::SimRng::seed_from_u64(0x2E5BEC);
         let filter = |rng: &mut simkit::SimRng, v: f64| match rng.index(4) {
             0 => Filter::ReportAll,
@@ -1162,14 +1215,16 @@ mod tests {
             _ => Filter::interval(v - 60.0, v + 60.0),
         };
         let (mut flipped_to, mut touches_with_positions) = ([0u32; 2], 0u32);
+        // Fleet-wide touches with a suffix to respeculate, and their flips.
+        let mut fleet_wide = [0u32; 2];
         for case in 0..300 {
             let n = 1 + rng.index(4);
             let initial: Vec<f64> = (0..n).map(|i| 100.0 * i as f64).collect();
             let mut fleet = SourceFleet::from_values(&initial);
             for (i, &v) in initial.iter().enumerate() {
                 if rng.index(4) > 0 {
-                    run_touch(&mut fleet, StreamId(i as u32), &None);
-                    run_touch(&mut fleet, StreamId(i as u32), &Some(filter(&mut rng, v)));
+                    run_touch(&mut fleet, Some(StreamId(i as u32)), &None);
+                    run_touch(&mut fleet, Some(StreamId(i as u32)), &Some(filter(&mut rng, v)));
                 }
             }
             // `base` is the state at the last commit, `history` everything
@@ -1177,6 +1232,8 @@ mod tests {
             let (mut base, mut history) = (fleet.clone(), Vec::new());
             let mut log = SpecLog::new();
             let (mut next_seq, mut floor) = (1u64, 0u64);
+            // Applications a fleet-wide touch committed since the last commit.
+            let mut prefix_committed = 0usize;
             for op in 0..40 {
                 let tag = format!("case {case} op {op}");
                 match rng.index(5) {
@@ -1194,55 +1251,68 @@ mod tests {
                         // touch's, before the speculation tip.
                         let anchor = floor + rng.index((next_seq - floor) as usize) as u64;
                         floor = anchor;
-                        let id = StreamId(rng.index(n) as u32);
-                        let seqs: Vec<u64> = history
-                            .iter()
-                            .filter_map(|s| match *s {
-                                Step::Event { seq, id: sid, .. } if sid == id && seq > anchor => {
-                                    Some(seq)
-                                }
+                        let id = (rng.index(4) > 0).then(|| StreamId(rng.index(n) as u32));
+                        let near = fleet.true_value(id.unwrap_or(StreamId(0)))
+                            + rng.range_f64(-80.0, 80.0);
+                        let install = (rng.index(2) == 0).then(|| filter(&mut rng, near));
+                        let event_at = |history: &[Step], seq| {
+                            history.iter().find_map(|s| match *s {
+                                Step::Event { seq: q, id, value } if q == seq => Some((id, value)),
                                 _ => None,
                             })
-                            .collect();
-                        let near = fleet.true_value(id) + rng.range_f64(-80.0, 80.0);
-                        let install = (rng.index(2) == 0).then(|| filter(&mut rng, near));
+                        };
                         let (_, before, _) = serial(&base, &history);
                         history.push(Step::Touch { anchor, id, install: install.clone() });
                         let (want, after, want_out) = serial(&base, &history);
                         let mut flips = Vec::new();
-                        let out = log.respeculate(
-                            &mut fleet,
-                            &seqs,
-                            |fleet| run_touch(fleet, id, &install),
-                            |seq, fid, value, reports| {
-                                flips.push((seq, fid, value.to_bits(), reports))
-                            },
-                        );
+                        let flipped = |seq, fid, value: f64, reports| {
+                            flips.push((seq, fid, value.to_bits(), reports))
+                        };
+                        let touch = |fleet: &mut SourceFleet| run_touch(fleet, id, &install);
+                        let out = match id {
+                            Some(id) => {
+                                let seqs: Vec<u64> = (anchor + 1..next_seq)
+                                    .filter(|&q| event_at(&history, q).is_some_and(|e| e.0 == id))
+                                    .collect();
+                                touches_with_positions += u32::from(!seqs.is_empty());
+                                log.respeculate(&mut fleet, &seqs, touch, flipped)
+                            }
+                            None => {
+                                // The suffix form, also against the rollback
+                                // it replaces: roll the suffix back on a
+                                // clone, run the touch, re-apply the suffix.
+                                let (mut rolled, mut reference) = (log.clone(), fleet.clone());
+                                rolled.commit_below(&mut reference, anchor + 1);
+                                run_touch(&mut reference, None, &install);
+                                let mut replay = SpecLog::new();
+                                for e in log.entries.iter().filter(|e| e.seq > anchor) {
+                                    let value = event_at(&history, e.seq).unwrap().1;
+                                    replay.apply(&mut reference, e.seq, e.id, value);
+                                }
+                                assert_eq!(observe(&want), observe(&reference), "{tag}: rollback");
+                                let journaled = log.len();
+                                log.commit_prefix(anchor + 1);
+                                prefix_committed += journaled - log.len();
+                                fleet_wide[0] += u32::from(!log.is_empty());
+                                log.respeculate_all(&mut fleet, touch, flipped)
+                            }
+                        };
                         let want_flips: Vec<(u64, StreamId, u64, bool)> = before
                             .iter()
                             .zip(&after)
                             .filter(|(b, a)| b.1 != a.1)
                             .map(|(_, &(seq, reports))| {
-                                let Some(Step::Event { value, .. }) = history
-                                    .iter()
-                                    .find(|s| matches!(s, Step::Event { seq: q, .. } if *q == seq))
-                                else {
-                                    unreachable!()
-                                };
-                                (seq, id, value.to_bits(), reports)
+                                let (fid, value) = event_at(&history, seq).unwrap();
+                                (seq, fid, value.to_bits(), reports)
                             })
                             .collect();
                         assert_eq!(flips, want_flips, "{tag}: flips");
-                        assert_eq!(
-                            out.map(f64::to_bits),
-                            want_out.map(f64::to_bits),
-                            "{tag}: result"
-                        );
+                        assert_eq!(out, want_out, "{tag}: result");
                         assert_eq!(observe(&fleet), observe(&want), "{tag}: fleet after the touch");
-                        touches_with_positions += u32::from(!seqs.is_empty());
                         for f in &flips {
                             flipped_to[usize::from(f.3)] += 1;
                         }
+                        fleet_wide[1] += if id.is_none() { flips.len() as u32 } else { 0 };
                     }
                     _ => {
                         // A cut just past the last touch's report, or the
@@ -1259,13 +1329,13 @@ mod tests {
                         let kept =
                             history.iter().filter(|s| matches!(s, Step::Event { .. })).count();
                         let (k, _) = log.commit_below(&mut fleet, keep_below);
-                        assert_eq!(k as usize, kept, "{tag}: kept");
+                        assert_eq!(k as usize + prefix_committed, kept, "{tag}: kept");
                         assert_eq!(
                             observe(&fleet),
                             observe(&want),
                             "{tag}: fleet after the commit"
                         );
-                        (base, history) = (want, Vec::new());
+                        (base, history, prefix_committed) = (want, Vec::new(), 0);
                         next_seq = next_seq.min(keep_below);
                         floor = next_seq - 1;
                     }
@@ -1274,6 +1344,7 @@ mod tests {
         }
         assert!(touches_with_positions > 1000, "the model must respeculate");
         assert!(flipped_to.iter().all(|&f| f > 100), "flips both ways: {flipped_to:?}");
+        assert!(fleet_wide.iter().all(|&f| f > 100), "fleet-wide respeculation: {fleet_wide:?}");
     }
 
     #[test]

@@ -378,6 +378,64 @@ fn threaded_background_checkpoints_recover_byte_identical() {
 }
 
 #[test]
+fn a_rejected_chunk_is_never_journaled() {
+    // A chunk the server rejects — time regressing at its first event or
+    // inside it, a non-finite value, a stream outside the population —
+    // panics before the write-ahead append, so the directory still
+    // recovers to the chunks before it instead of failing every recovery.
+    let (initial, events) = fixture(0xFEED);
+    let query = RangeQuery::new(400.0, 600.0).unwrap();
+    let make = || ZtNrp::new(query);
+    let config = ServerConfig::with_shards(2).batch_size(64);
+    let prefix = 3 * 64;
+    let chunk = &events[prefix..prefix + 64];
+    let outside = StreamId(NUM_STREAMS as u32);
+    let bad_chunks: [(&str, Vec<UpdateEvent>); 4] = [
+        ("regression at the first event", {
+            let mut c = chunk.to_vec();
+            c[0].time = events[prefix - 1].time - 1.0;
+            c
+        }),
+        ("regression inside the chunk", {
+            let mut c = chunk.to_vec();
+            c[1].time = c[0].time - 1.0;
+            c
+        }),
+        ("non-finite value", {
+            let mut c = chunk.to_vec();
+            c[5].value = f64::NAN;
+            c
+        }),
+        ("stream outside the population", {
+            let mut c = chunk.to_vec();
+            c[9].stream = outside;
+            c
+        }),
+    ];
+    let mut want = reference(&initial, &events[..prefix], &make, config);
+    for (case, bad) in bad_chunks {
+        let dir = test_dir("rejected");
+        let durable = DurabilityConfig::new(&dir).checkpoint_every(100).mode(CheckpointMode::Sync);
+        let mut crashed = ShardedServer::new(&initial, make(), config);
+        crashed.initialize();
+        crashed.enable_durability(durable.clone()).unwrap();
+        crashed.ingest_batch(&events[..prefix]);
+        let rejected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            crashed.ingest_batch(&bad);
+        }));
+        assert!(rejected.is_err(), "{case}: the chunk must be rejected");
+        // The panic is the crash: no destructor runs.
+        std::mem::forget(crashed);
+
+        let mut recovered = ShardedServer::recover(&initial, make(), config, durable)
+            .unwrap_or_else(|e| panic!("{case}: recovery failed: {e}"));
+        assert_eq!(recovered.events_processed(), prefix as u64, "{case}");
+        assert_state_identical(case, &mut recovered, &mut want, false);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
 fn torn_journal_tail_recovers_to_durable_prefix() {
     // A crash mid-journal-append poisons the handle: the torn chunk (and
     // everything after it) is dropped un-applied. Recovery truncates the

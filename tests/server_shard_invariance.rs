@@ -208,6 +208,19 @@ fn ft_rp_is_shard_invariant_and_oracle_agrees() {
 }
 
 #[test]
+fn ft_rp_zero_tolerance_reinit_storm_is_shard_invariant() {
+    // Zero tolerance makes every boundary crossing a reinitialisation: a
+    // `probe_all` plus a fleet-wide `install_many`, mid-drain, each
+    // respeculating the suffix past its report.
+    let query = RankQuery::knn(500.0, 16).unwrap();
+    let tol = FractionTolerance::symmetric(0.0).unwrap();
+    let (engine, _) = assert_shard_invariant("FT-RP zero tolerance", || {
+        FtRp::new(query, tol, FtRpConfig::default(), 7).unwrap()
+    });
+    assert!(engine.protocol().reinits() >= 10, "a storm: {}", engine.protocol().reinits());
+}
+
+#[test]
 fn vt_max_is_shard_invariant() {
     assert_shard_invariant("VT-MAX", || VtMax::new(50.0).unwrap());
 }
