@@ -9,20 +9,19 @@
 //!   only records the command; `recv` runs it (**execute-at-recv**). The
 //!   coordinator sends a round to every shard before it receives from any,
 //!   so a scatter reaches every worker before the coordinator starts on
-//!   its own shard. At most one command is in flight per shard and the
-//!   channel is FIFO, so a reply received early (a fleet touch stashing a
-//!   window's reply) runs its command at the same point in the shard's
-//!   command sequence as a reply received late.
+//!   its own shard. At most one command is in flight per shard, so a
+//!   command runs at the same point in the shard's command sequence
+//!   whenever its reply is received.
 //! * **On a worker thread** ([`ShardHandle::Worker`]) — shards 1 … k − 1
 //!   in threaded mode. Coordinator and worker hand off through a
 //!   [`Mailbox`]: one slot each way, which the one-command-in-flight rule
-//!   never overfills. The waiting side spins for [`SPIN`] (a few window
-//!   evaluations) before it parks on a condvar, and a sender notifies only
-//!   a parked peer, so a hand-off between two busy threads costs a flag
-//!   flip instead of a futex wake and a futex wait. Spinning only pays
-//!   while every shard's thread has a core of its own: with k shards on
-//!   fewer than k cores a spinning thread burns the core the thread it
-//!   waits for needs, so both sides then park at once. On a 2-core
+//!   never overfills. The waiting side spins for [`SPIN`] before it parks
+//!   on a condvar, and a sender notifies only a parked peer, so a hand-off
+//!   between two busy threads costs a flag flip instead of a futex wake
+//!   and a futex wait. Spinning only pays while every shard's thread has a
+//!   core of its own: with k shards on fewer than k cores a spinning
+//!   thread burns the core the thread it waits for needs, so both sides
+//!   then park at once. On a 2-core
 //!   machine, against spinning always, that cuts the debug suites with 3
 //!   and 8 threaded shards from 28.1 to 12.6 CPU-seconds
 //!   (`scoped_touch_differential`, wall 17.9 → 7.5 s), 1.22 → 0.70
@@ -51,9 +50,9 @@ use std::time::{Duration, Instant};
 use crate::shard::{Shard, ShardCmd, ShardReply};
 
 /// How long the waiting side of a mailbox hand-off spins before it parks:
-/// a few window evaluations, so a round's hand-offs between busy threads
-/// never reach the futex, while an idle worker parks soon after its last
-/// reply.
+/// short, so the hand-offs of a chunk's round — its scatter and gather, a
+/// fleet operation's request and reply — between busy threads rarely reach
+/// the futex, while an idle worker parks soon after its last reply.
 pub const SPIN: Duration = Duration::from_micros(50);
 
 /// How shard work is executed.

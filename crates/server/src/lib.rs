@@ -16,15 +16,15 @@
 //!   only the owning shard, in parallel, and never reach the protocol.
 //!   Only filter violations — rare by construction — serialize through the
 //!   coordinator.
-//! * **Broadcast-scatter ingest.** Evaluation windows are shared columnar
-//!   [`asf_core::workload::EventBatch`]es behind an `Arc`: the coordinator
-//!   pays O(shards) clones per window and each shard selects its own
+//! * **Broadcast-scatter ingest.** Each chunk is a shared columnar
+//!   [`asf_core::workload::EventBatch`] behind an `Arc`: the coordinator
+//!   pays O(shards) clones per chunk and each shard selects its own
 //!   events (`stream % shards`) inside the parallel region, so the last
 //!   O(events) coordinator stage is the protocol's report stream, not an
 //!   event copy loop (see [`shard`]).
-//! * **Pipelined windows.** While the coordinator drains window *t*'s
-//!   reports the shards already evaluate window *t+1* (see [`pipeline`]);
-//!   this double-buffered coordinator is the only ingest path.
+//! * **One round per chunk.** The shards evaluate the whole chunk, the
+//!   coordinator gathers their reports and drains them in sequence order,
+//!   then every shard commits (see [`server`]).
 //! * **Touch-respeculated commits.** Shards evaluate each batch
 //!   speculatively; a report handler's `probe` / `install` / `deliver`
 //!   carries the touched streams' speculated positions, and the owning
@@ -73,7 +73,6 @@ pub mod durability;
 pub mod handle;
 pub mod metrics;
 mod occurrence;
-pub mod pipeline;
 pub mod router;
 pub mod server;
 pub mod shard;
@@ -187,7 +186,8 @@ mod tests {
         assert_eq!(m.events, events.len() as u64);
         assert_eq!(m.speculative_commits, m.events, "every event commits exactly once");
         assert_eq!(m.shard_events.iter().sum::<u64>(), m.events);
-        assert!(m.batches >= 1 && m.rounds >= m.batches);
+        assert_eq!(m.batches, events.len().div_ceil(32) as u64);
+        assert_eq!(m.rounds, m.batches, "one round per chunk");
         assert!(m.batch_latency_ns(50.0).is_some());
         // The filtered fast path must dominate on this workload.
         assert!(m.parallel_fraction() > 0.5, "parallel fraction {}", m.parallel_fraction());
@@ -197,10 +197,10 @@ mod tests {
 
     #[test]
     fn tiny_batch_size_survives_fleet_wide_respeculation() {
-        // Tiny windows (8 events) under fleet touches. The paper's RTP
+        // Tiny chunks (16 events) under fleet touches. The paper's RTP
         // answers every redeployment with a broadcast, which respeculates
-        // every position past its report, the window in flight included;
-        // the scoped RTP's installs respeculate their streams' positions.
+        // every position past its report to the chunk's end; the scoped
+        // RTP's installs respeculate their streams' positions.
         use asf_core::protocol::Rtp;
         use asf_core::query::RankQuery;
 
@@ -227,8 +227,8 @@ mod tests {
             server.ingest_batch(&events);
             let m = server.metrics();
             assert!(m.respeculated > 0, "paper={paper}: touches should respeculate");
-            let windows = events.chunks(16).map(|chunk| chunk.len().div_ceil(8) as u64).sum();
-            assert_eq!(m.rounds, windows, "paper={paper}: every window stands");
+            assert_eq!(m.batches, events.len().div_ceil(16) as u64, "paper={paper}");
+            assert_eq!(m.rounds, m.batches, "paper={paper}: one round per chunk");
             assert_eq!(server.answer(), engine.answer(), "paper={paper}");
             assert_eq!(server.ledger(), engine.ledger(), "paper={paper}");
         }

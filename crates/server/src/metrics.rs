@@ -59,7 +59,8 @@ impl FleetOpStats {
 pub struct ServerMetrics {
     /// Batches ingested.
     pub batches: u64,
-    /// Speculative scatter/gather rounds across all batches.
+    /// Speculative scatter/gather rounds: one per batch, so this equals
+    /// `batches`.
     pub rounds: u64,
     /// Workload events ingested.
     pub events: u64,
@@ -84,7 +85,7 @@ pub struct ServerMetrics {
     /// into or removed from the tentative report stream.
     pub respec_flips: u64,
     /// Per-shard committed-event counts (occupancy), counted as each
-    /// window is gathered.
+    /// chunk is gathered.
     pub shard_events: Vec<u64>,
     /// Per-shard cumulative speculative-evaluation busy time (ns).
     pub shard_busy_ns: Vec<u64>,
@@ -113,13 +114,9 @@ pub struct ServerMetrics {
     /// Σ of all per-partition busy time inside those maintenance passes
     /// (subtracted from `serial_ns`).
     pub index_busy_sum_ns: u64,
-    /// Σ over windows of `min(drain time of window t, evaluation critical
-    /// path of window t+1)` — serial work hidden behind concurrent shard
-    /// evaluation.
+    /// Always 0 (a chunk's reports drain after its one evaluation round,
+    /// so nothing overlaps); `asf_bench` reads it.
     pub overlap_saved_ns: u64,
-    /// Maximum evaluation windows in flight at once (2 once the pipe
-    /// fills; 1 while every chunk fits a single window).
-    pub max_inflight_windows: u64,
     /// Quiescent commit points that closed at least one consumed report —
     /// the denominator of the report-coalescing gauge.
     pub report_groups: u64,
@@ -265,8 +262,7 @@ impl ServerMetrics {
         format!(
             "batches={} rounds={} scoped_touches={} respeculated={} respec_flips={} \
              events={} reports={} \
-             parallel_fraction={:.3} occupancy_skew={} window_depth={} \
-             coalesced_reports_per_group={} overlap_saved={:.1}us \
+             parallel_fraction={:.3} occupancy_skew={} coalesced_reports_per_group={} \
              batch_apply p50={}us p99={}us",
             self.batches,
             self.rounds,
@@ -277,9 +273,7 @@ impl ServerMetrics {
             self.reports_consumed,
             self.parallel_fraction(),
             opt(self.occupancy_skew(), 3),
-            self.max_inflight_windows,
             opt(self.coalesced_reports_per_group(), 2),
-            self.overlap_saved_ns as f64 / 1_000.0,
             opt(self.batch_latency_ns(50.0).map(|ns| ns / 1_000.0), 1),
             opt(self.batch_latency_ns(99.0).map(|ns| ns / 1_000.0), 1),
         )
@@ -301,7 +295,6 @@ impl ServerMetrics {
         reg.counter("server.respeculated", self.respeculated);
         reg.counter("server.respec_flips", self.respec_flips);
         reg.counter("server.report_groups", self.report_groups);
-        reg.counter("server.max_inflight_windows", self.max_inflight_windows);
         reg.counter("server.shard_busy_ns", self.shard_busy_ns.iter().sum());
         reg.counter("server.shard_scan_ns", self.shard_scan_ns.iter().sum());
         reg.counter("server.critical_path_ns", self.critical_path_ns);

@@ -18,7 +18,7 @@
 //! deployments, and reinit storms.
 //!
 //! During ingest the protocol sees the fleet through the
-//! [`GuardedRouter`], which keeps the in-flight speculation standing
+//! [`GuardedRouter`], which keeps the chunk's speculation standing
 //! through every fleet operation: the shards **respeculate** the
 //! speculated applications the operation can reach — the touched streams'
 //! positions for a `probe`, `install` or `deliver` (single or batch), the
@@ -36,96 +36,19 @@ use crate::metrics::FleetOpStats;
 use crate::occurrence::OccurrenceIndex;
 use crate::shard::{Partition, ShardCmd, ShardReply, SpecEvent, FLIP_REPORTS};
 
-/// The payload of one shard's `Evaluated` reply.
-#[derive(Debug)]
-pub(crate) struct EvalReply {
-    /// Tentative reports, in ascending `seq` order (a pooled buffer).
-    pub reports: Vec<SpecEvent>,
-    /// Events the shard applied (silent + tentative reports).
-    pub evaluated: u32,
-    /// Shard wall time of the round (ownership scan included).
-    pub busy_ns: u64,
-    /// The ownership-scan portion of `busy_ns`.
-    pub scan_ns: u64,
-}
-
-/// What one shard owes the coordinator for the evaluation window in
-/// flight. Every shard participates in every window, so a scatter sets
-/// every slot to `Owed` and the window's gather returns every slot to
-/// `Idle`.
-#[derive(Debug, Default)]
-pub(crate) enum EvalSlot {
-    /// No window in flight on this shard.
-    #[default]
-    Idle,
-    /// The shard owes one `Evaluated` reply, still on its channel.
-    Owed,
-    /// A fleet touch needed the shard's channel and gathered the reply
-    /// early; respeculation flips are patched into it here, and the
-    /// window's gather consumes it from here.
-    Stashed(EvalReply),
-}
-
-impl EvalSlot {
-    /// Takes the shard's reply — stashed or still on the channel — leaving
-    /// the slot `Idle`; `None` if the shard owed nothing.
-    pub(crate) fn take(&mut self, handle: &mut ShardHandle) -> Option<EvalReply> {
-        match std::mem::take(self) {
-            EvalSlot::Idle => None,
-            EvalSlot::Owed => Some(recv_eval(handle)),
-            EvalSlot::Stashed(reply) => Some(reply),
-        }
-    }
-
-    /// Gathers an owed reply early so the shard's FIFO channel is free for
-    /// a request/reply of its own. Returns the evaluation time this spent
-    /// on the coordinator's thread, where a coordinator-run shard evaluates
-    /// the window at this receive.
-    fn stash(&mut self, handle: &mut ShardHandle) -> u64 {
-        if !matches!(self, EvalSlot::Owed) {
-            return 0;
-        }
-        let reply = recv_eval(handle);
-        let ran_here = if matches!(handle, ShardHandle::Local { .. }) { reply.busy_ns } else { 0 };
-        *self = EvalSlot::Stashed(reply);
-        ran_here
-    }
-}
-
-fn recv_eval(handle: &mut ShardHandle) -> EvalReply {
-    match handle.recv() {
-        ShardReply::Evaluated { reports, evaluated, busy_ns, scan_ns } => {
-            EvalReply { reports, evaluated, busy_ns, scan_ns }
-        }
-        other => unreachable!("EvalWindow got {other:?}"),
-    }
-}
-
 /// The coordinator-side view of the speculation standing beyond the report
-/// being handled: the rest of window *t* plus, while the pipe is full, the
-/// scattered-ahead window *t+1* the shards may still be evaluating. The
-/// [`GuardedRouter`] consults it on every fleet touch — to find the touched
-/// streams' speculated positions, to stash the outstanding `Evaluated`
-/// replies that stand between it and the shards it sends to (per-shard
-/// channels are FIFO), and to patch the flips of the respeculation into
-/// the tentative report streams.
+/// being handled: the rest of the gathered chunk. The [`GuardedRouter`]
+/// consults it on every fleet touch — to find the touched streams'
+/// speculated positions and to patch the flips of the respeculation into
+/// the tentative report stream.
 pub(crate) struct InflightWindow<'a> {
-    /// Per-shard reply state of the window in flight (all `Idle` when
-    /// none is).
-    pub shards: &'a mut [EvalSlot],
-    /// Window *t*'s gathered tentative reports with their shard, in `seq`
-    /// order — the drain's index loop reads it, and flips at positions
-    /// below `window_end` are patched into it.
+    /// The chunk's gathered tentative reports with their shard, in `seq`
+    /// order — the drain's index loop reads it, and flips are patched into
+    /// it.
     pub merged: &'a mut Vec<(SpecEvent, usize)>,
-    /// One past window *t*'s last position: flips at or beyond it belong
-    /// to window *t+1*'s stashed replies.
-    pub window_end: usize,
-    /// The speculation tip: one past the last chunk position any shard
-    /// was asked to evaluate.
-    pub tip: usize,
     /// The chunk being ingested (position = `seq`): its stream column
-    /// feeds the occurrence index, and a flip's event is the chunk's event
-    /// at the flip's position.
+    /// feeds the occurrence index, a flip's event is the chunk's event at
+    /// the flip's position, and its end is the speculation tip.
     pub chunk: &'a EventBatch,
     /// The chunk's stream-occurrence index (built on first use).
     pub occurrences: &'a mut OccurrenceIndex,
@@ -138,11 +61,6 @@ pub(crate) struct InflightWindow<'a> {
     pub respeculated: &'a mut u64,
     /// Respeculated applications whose report bit flipped (metrics).
     pub respec_flips: &'a mut u64,
-    /// Evaluation time coordinator-run shards spent on an owed window
-    /// received early by a stash, on the coordinator's thread. The
-    /// window's gather meters it as shard time, so the drain subtracts it
-    /// from its serial time.
-    pub coordinator_eval_ns: &'a mut u64,
 }
 
 /// A routing fleet over the shard handles (borrowed for one protocol call).
@@ -525,34 +443,31 @@ impl<'a> ShardRouter<'a> {
     }
 }
 
-/// A [`ShardRouter`] that keeps the in-flight speculation exact through
+/// A [`ShardRouter`] that keeps the chunk's speculation exact through
 /// the protocol's fleet touches.
 ///
 /// A fleet touch issued while handling the report at position `c` can
-/// change source state that speculated events in `(c, tip)` depend on —
-/// but only events of the sources it touches (sources are independent).
-/// One rule covers every operation:
+/// change source state that speculated events in `(c, end)` depend on,
+/// `end` being the chunk's end — but only events of the sources it touches
+/// (sources are independent). One rule covers every operation:
 ///
 /// 1. find the speculated applications the operation can reach — for a
 ///    `probe`, `install` or `deliver` (single or batch), each touched
-///    stream's positions in `(c, tip)` from the chunk's stream-occurrence
+///    stream's positions in `(c, end)` from the chunk's stream-occurrence
 ///    index (a batch folds duplicate ids); for a `broadcast` or
-///    `probe_all*`, every position in `(c, tip)`;
-/// 2. gather each receiving shard's outstanding `Evaluated` reply into its
-///    slot, because the channel is FIFO;
-/// 3. send the operation: the shard rewinds those applications newest
+///    `probe_all*`, every position in `(c, end)`;
+/// 2. send the operation: the shard rewinds those applications newest
 ///    first, runs the operation against the exact serial state, and
 ///    re-applies them oldest first. A per-stream operation carries its
 ///    positions. An operation on every source carries none: every shard
 ///    first commits its applications up to `c` (`keep_below = c + 1`), so
 ///    its log *is* the suffix;
-/// 4. insert or remove exactly the positions whose report bit flipped —
-///    in window *t*'s `merged` stream or in the stashed window-*t+1*
-///    reply.
+/// 3. insert or remove exactly the positions whose report bit flipped in
+///    the gathered `merged` stream.
 ///
 /// A stream with no positions is the bare operation, allocation-free.
-/// Nothing is rolled back, discarded or re-evaluated, so the window loop
-/// never learns of a touch.
+/// Nothing is rolled back, discarded or re-evaluated, so the drain never
+/// learns of a touch.
 pub struct GuardedRouter<'a> {
     inner: ShardRouter<'a>,
     keep_below: u64,
@@ -570,32 +485,28 @@ impl<'a> GuardedRouter<'a> {
         Self { inner, keep_below, inflight }
     }
 
-    /// Steps 1–2 of the touch rule for one stream: appends `id`'s
-    /// speculated positions to `positions` and stashes its owning shard's
-    /// outstanding reply. Returns the shard.
-    fn touch_stream(&mut self, id: StreamId, positions: &mut Vec<u64>) -> usize {
+    /// Step 1 of the touch rule for one stream: appends `id`'s speculated
+    /// positions to `positions`.
+    fn touch_stream(&mut self, id: StreamId, positions: &mut Vec<u64>) {
         let w = &mut self.inflight;
-        let c = (self.keep_below - 1) as usize;
-        w.occurrences.positions_between(w.chunk.streams(), id, c, w.tip, positions);
-        let s = self.inner.partition.shard_of(id);
-        *w.coordinator_eval_ns += w.shards[s].stash(&mut self.inner.handles[s]);
-        s
+        let (c, end) = ((self.keep_below - 1) as usize, w.chunk.len());
+        w.occurrences.positions_between(w.chunk.streams(), id, c, end, positions);
     }
 
-    /// Steps 1–2 for a single-stream operation, in the pooled positions
-    /// buffer: the owning shard and `id`'s positions.
-    fn touch_one(&mut self, id: StreamId) -> (usize, Vec<u64>) {
+    /// Step 1 for a single-stream operation, in the pooled positions
+    /// buffer.
+    fn touch_one(&mut self, id: StreamId) -> Vec<u64> {
         let mut positions = std::mem::take(self.inflight.positions);
         positions.clear();
-        let s = self.touch_stream(id, &mut positions);
+        self.touch_stream(id, &mut positions);
         self.count_touch(positions.len());
-        (s, positions)
+        positions
     }
 
-    /// Step 4 for a single-stream operation; returns the buffer to the
-    /// pool.
-    fn patch_one(&mut self, s: usize, flips: Vec<u64>) {
-        self.patch(s, &flips);
+    /// Step 3 for a single-stream operation on `id`; returns the buffer to
+    /// the pool.
+    fn patch_one(&mut self, id: StreamId, flips: Vec<u64>) {
+        self.patch(self.inner.partition.shard_of(id), &flips);
         *self.inflight.positions = flips;
     }
 
@@ -615,17 +526,12 @@ impl<'a> GuardedRouter<'a> {
         positions
     }
 
-    /// Steps 1–3 for an operation on every source, up to sending it:
-    /// stashes every shard's outstanding reply and commits every shard's
-    /// applications up to the report being handled, which leaves each log
-    /// holding exactly its share of `(c, tip)`.
+    /// Steps 1–2 for an operation on every source, up to sending it:
+    /// commits every shard's applications up to the report being handled,
+    /// which leaves each log holding exactly its share of `(c, end)`.
     fn touch_all(&mut self) {
-        let w = &mut self.inflight;
-        for (slot, handle) in w.shards.iter_mut().zip(self.inner.handles.iter_mut()) {
-            *w.coordinator_eval_ns += slot.stash(handle);
-        }
         self.inner.commit_all(self.keep_below);
-        self.count_touch(self.inflight.tip - self.keep_below as usize);
+        self.count_touch(self.inflight.chunk.len() - self.keep_below as usize);
     }
 
     /// Counts one fleet touch, respeculating `respeculated` applications.
@@ -634,44 +540,30 @@ impl<'a> GuardedRouter<'a> {
         *self.inflight.respeculated += respeculated as u64;
     }
 
-    /// Step 4 over every shard's flips.
+    /// Step 3 over every shard's flips.
     fn patch_all(&mut self, flips: ShardFlips) {
         for (s, flips) in flips {
             self.patch(s, &flips);
         }
     }
 
-    /// Step 4 of the touch rule: applies shard `s`'s flips to the tentative
-    /// report stream that holds their positions.
+    /// Step 3 of the touch rule: inserts each of shard `s`'s flipped
+    /// positions that now reports into `merged`, and removes each that no
+    /// longer does (the entry there is its tentative report).
     fn patch(&mut self, s: usize, flips: &[u64]) {
         let w = &mut self.inflight;
         *w.respec_flips += flips.len() as u64;
         for &flip in flips {
-            let (seq, reports) = (flip & !FLIP_REPORTS, flip & FLIP_REPORTS != 0);
-            let p = seq as usize;
-            let local = self.inner.partition.local_of(w.chunk.streams()[p]);
-            let event = SpecEvent { seq, local, value: w.chunk.values()[p] };
-            if p < w.window_end {
-                let at = w.merged.partition_point(|(ev, _)| ev.seq < seq);
-                splice(w.merged, at, (event, s), reports);
+            let seq = flip & !FLIP_REPORTS;
+            let at = w.merged.partition_point(|(ev, _)| ev.seq < seq);
+            if flip & FLIP_REPORTS != 0 {
+                let p = seq as usize;
+                let local = self.inner.partition.local_of(w.chunk.streams()[p]);
+                w.merged.insert(at, (SpecEvent { seq, local, value: w.chunk.values()[p] }, s));
             } else {
-                let EvalSlot::Stashed(reply) = &mut w.shards[s] else {
-                    unreachable!("a respeculating shard's window-t+1 reply is stashed")
-                };
-                let at = reply.reports.partition_point(|ev| ev.seq < seq);
-                splice(&mut reply.reports, at, event, reports);
+                w.merged.remove(at);
             }
         }
-    }
-}
-
-/// Inserts `item` at `at` if it now `reports`, else removes the entry
-/// there (which is its tentative report).
-fn splice<T>(reports: &mut Vec<T>, at: usize, item: T, now_reports: bool) {
-    if now_reports {
-        reports.insert(at, item);
-    } else {
-        reports.remove(at);
     }
 }
 
@@ -687,16 +579,16 @@ impl FleetOps for GuardedRouter<'_> {
         ledger: &mut Ledger,
         view: &mut ServerView,
     ) -> Option<f64> {
-        let (s, positions) = self.touch_one(id);
+        let positions = self.touch_one(id);
         let (report, flips) = self.inner.deliver_at(id, value, positions, ledger, view);
-        self.patch_one(s, flips);
+        self.patch_one(id, flips);
         report
     }
 
     fn probe(&mut self, id: StreamId, ledger: &mut Ledger, view: &mut ServerView) -> f64 {
-        let (s, positions) = self.touch_one(id);
+        let positions = self.touch_one(id);
         let (value, flips) = self.inner.probe_at(id, positions, ledger, view);
-        self.patch_one(s, flips);
+        self.patch_one(id, flips);
         value
     }
 
@@ -756,9 +648,9 @@ impl FleetOps for GuardedRouter<'_> {
         ledger: &mut Ledger,
         view: &mut ServerView,
     ) -> Option<f64> {
-        let (s, positions) = self.touch_one(id);
+        let positions = self.touch_one(id);
         let (sync, flips) = self.inner.install_at(id, filter, positions, ledger, view);
-        self.patch_one(s, flips);
+        self.patch_one(id, flips);
         sync
     }
 
@@ -860,19 +752,18 @@ mod tests {
     use crate::handle::ExecMode;
     use crate::shard::Shard;
 
-    /// Window *t* is positions `0..2`, window *t+1* positions `2..6`.
-    /// Stream 0 (shard 0) reports at 0 and never recurs; stream 1
-    /// (shard 1) reports at 1 and again at 4 (back inside); stream 3
-    /// (shard 1) moves silently at 3.
+    /// One chunk, positions `0..6`. Stream 0 (shard 0) reports at 0 and
+    /// never recurs; stream 1 (shard 1) reports at 1 and again at 4 (back
+    /// inside); stream 2 (shard 0) reports at 2 and 5; stream 3 (shard 1)
+    /// moves silently at 3.
     const EVENTS: [(u32, f64); 6] =
         [(0, 700.0), (1, 650.0), (2, 700.0), (3, 450.0), (1, 500.0), (2, 420.0)];
 
     /// Everything an [`InflightWindow`] borrows from the server.
     struct Coordinator {
         handles: Vec<ShardHandle>,
-        slots: Vec<EvalSlot>,
         merged: Vec<(SpecEvent, usize)>,
-        window: Arc<EventBatch>,
+        chunk: Arc<EventBatch>,
         occurrences: OccurrenceIndex,
         positions: Vec<u64>,
         scoped_touches: u64,
@@ -882,9 +773,9 @@ mod tests {
 
     impl Coordinator {
         /// Two threaded shards over four streams at 500 under `[400, 600]`
-        /// filters, window *t* gathered into `merged` and window *t+1* in
-        /// flight.
-        fn with_next_window_in_flight() -> Self {
+        /// filters, with the chunk evaluated and its reports gathered into
+        /// `merged`.
+        fn gathered() -> Self {
             let partition = Partition::new(2);
             let mut handles: Vec<ShardHandle> = (0..2)
                 .map(|s| {
@@ -896,60 +787,48 @@ mod tests {
                 handle.request(ShardCmd::ProbeAll);
                 handle.request(ShardCmd::Broadcast { filter: Filter::interval(400.0, 600.0) });
             }
-            let mut window = EventBatch::new();
+            let mut chunk = EventBatch::new();
             for (t, &(g, v)) in EVENTS.iter().enumerate() {
-                window.push_parts(t as f64, StreamId(g), v);
+                chunk.push_parts(t as f64, StreamId(g), v);
             }
-            let mut c = Self {
+            let chunk = Arc::new(chunk);
+            for handle in handles.iter_mut() {
+                let window = Arc::clone(&chunk);
+                let (end, reports) = (EVENTS.len(), Vec::new());
+                handle.send(ShardCmd::EvalWindow { window, start: 0, end, reports });
+            }
+            let mut merged = Vec::new();
+            for (s, handle) in handles.iter_mut().enumerate() {
+                let ShardReply::Evaluated { reports, .. } = handle.recv() else {
+                    panic!("expected Evaluated")
+                };
+                merged.extend(reports.into_iter().map(|ev| (ev, s)));
+            }
+            merged.sort_by_key(|(ev, _)| ev.seq);
+            let c = Self {
                 handles,
-                slots: vec![EvalSlot::Idle, EvalSlot::Idle],
-                merged: Vec::new(),
-                window: Arc::new(window),
+                merged,
+                chunk,
                 occurrences: OccurrenceIndex::new(4),
                 positions: Vec::new(),
                 scoped_touches: 0,
                 respeculated: 0,
                 respec_flips: 0,
             };
-            c.scatter(0, 2);
-            c.merged = c.take_window();
-            assert_eq!(c.window_t(), vec![(0, 0, 700.0), (1, 1, 650.0)]);
-            c.scatter(2, 6);
+            assert_eq!(
+                c.reports(),
+                vec![(0, 0, 700.0), (1, 1, 650.0), (2, 2, 700.0), (4, 1, 500.0), (5, 2, 420.0)]
+            );
             c
         }
 
-        fn scatter(&mut self, start: usize, end: usize) {
-            for (handle, slot) in self.handles.iter_mut().zip(&mut self.slots) {
-                handle.send(ShardCmd::EvalWindow {
-                    window: Arc::clone(&self.window),
-                    start,
-                    end,
-                    reports: Vec::new(),
-                });
-                *slot = EvalSlot::Owed;
-            }
-        }
-
-        /// The in-flight window's reports with their shard, in `seq` order.
-        fn take_window(&mut self) -> Vec<(SpecEvent, usize)> {
-            let mut merged = Vec::new();
-            for (s, (handle, slot)) in self.handles.iter_mut().zip(&mut self.slots).enumerate() {
-                let reply = slot.take(handle).expect("window in flight");
-                merged.extend(reply.reports.iter().map(|&ev| (ev, s)));
-            }
-            merged.sort_by_key(|(ev, _)| ev.seq);
-            merged
-        }
-
-        /// Window *t*'s reports as `(seq, global stream, value)`.
-        fn window_t(&self) -> Vec<(u64, u32, f64)> {
-            triples(&self.merged)
-        }
-
-        /// Gathers window *t+1*'s reports as `(seq, global stream, value)`.
-        fn gather(&mut self) -> Vec<(u64, u32, f64)> {
-            let window = self.take_window();
-            triples(&window)
+        /// The gathered reports as `(seq, global stream, value)`.
+        fn reports(&self) -> Vec<(u64, u32, f64)> {
+            let partition = Partition::new(2);
+            self.merged
+                .iter()
+                .map(|&(ev, s)| (ev.seq, partition.global_of(s, ev.local).0, ev.value))
+                .collect()
         }
 
         /// Runs `op` from the handler of the report at position `c`;
@@ -961,17 +840,13 @@ mod tests {
         ) -> R {
             let inner = ShardRouter::new(&mut self.handles, Partition::new(2), 4);
             let inflight = InflightWindow {
-                shards: &mut self.slots,
                 merged: &mut self.merged,
-                window_end: 2,
-                tip: EVENTS.len(),
-                chunk: &self.window,
+                chunk: &self.chunk,
                 occurrences: &mut self.occurrences,
                 positions: &mut self.positions,
                 scoped_touches: &mut self.scoped_touches,
                 respeculated: &mut self.respeculated,
                 respec_flips: &mut self.respec_flips,
-                coordinator_eval_ns: &mut 0,
             };
             let mut router = GuardedRouter::with_inflight(inner, c + 1, inflight);
             let (mut ledger, mut view) = (Ledger::new(), ServerView::new(4));
@@ -1004,59 +879,29 @@ mod tests {
         }
     }
 
-    fn triples(merged: &[(SpecEvent, usize)]) -> Vec<(u64, u32, f64)> {
-        let partition = Partition::new(2);
-        merged
-            .iter()
-            .map(|&(ev, s)| (ev.seq, partition.global_of(s, ev.local).0, ev.value))
-            .collect()
-    }
-
-    #[test]
-    fn scoped_install_stashes_the_owning_shards_reply_and_the_gather_is_unchanged() {
-        let mut plain = Coordinator::with_next_window_in_flight();
-        let expected = plain.gather();
-        assert_eq!(expected, vec![(2, 2, 700.0), (4, 1, 500.0), (5, 2, 420.0)]);
-
-        // Stream 0 does not occur in (0, 6): the install goes to shard 0
-        // while both shards still owe window t+1 — shard 0's reply must
-        // come off its FIFO channel first and wait in the slot.
-        let mut c = Coordinator::with_next_window_in_flight();
-        c.install_from_handler(0, StreamId(0));
-        assert!(matches!(c.slots[0], EvalSlot::Stashed(_)), "shard 0's reply was gathered early");
-        assert!(matches!(c.slots[1], EvalSlot::Owed), "shard 1 was not involved");
-        assert_eq!((c.scoped_touches, c.respeculated, c.respec_flips), (1, 0, 0));
-        assert_eq!(c.window_t(), vec![(0, 0, 700.0), (1, 1, 650.0)]);
-        assert_eq!(c.gather(), expected, "the stash is invisible to the gather");
-        assert!(c.slots.iter().all(|slot| matches!(slot, EvalSlot::Idle)));
-    }
-
     #[test]
     fn colliding_install_respeculates_and_a_broadcast_respeculates_both_windows() {
-        // Stream 1 recurs at 4 < tip: the install at it from the handler of
-        // its report at 1 respeculates position 4. Under [0, 1000] the
-        // return to 500 is silent, so the stashed window-t+1 reply loses
-        // that report.
-        let mut c = Coordinator::with_next_window_in_flight();
+        // Stream 0 does not recur after 0: the install at it is the bare
+        // operation and the reports stand.
+        let mut c = Coordinator::gathered();
         c.install_from_handler(0, StreamId(0));
+        assert_eq!((c.scoped_touches, c.respeculated, c.respec_flips), (1, 0, 0));
+        // Stream 1 recurs at 4: the install at it from the handler of its
+        // report at 1 respeculates position 4. Under [0, 1000] the return
+        // to 500 is silent, so the chunk loses that report.
         c.install_from_handler(1, StreamId(1));
         assert_eq!((c.scoped_touches, c.respeculated, c.respec_flips), (2, 1, 1));
-        assert!(c.slots.iter().all(|slot| matches!(slot, EvalSlot::Stashed(_))));
+        assert_eq!(c.reports(), vec![(0, 0, 700.0), (1, 1, 650.0), (2, 2, 700.0), (5, 2, 420.0)]);
         // A broadcast from the same handler reaches every source, so it
-        // respeculates every position past 1 — 2..6, across both shards
-        // and into window t+1 — instead of discarding the window. Under
-        // [0, 1000] stream 2's reports at 2 and 5 go silent.
+        // respeculates every position past 1 — 2..6, across both shards —
+        // instead of discarding the chunk's evaluation. Under [0, 1000]
+        // stream 2's reports at 2 and 5 go silent.
         let syncs = c.run_in_handler(1, |router, ledger, view| {
             router.broadcast(Filter::interval(0.0, 1000.0), ledger, view)
         });
         assert!(syncs.is_empty());
         assert_eq!((c.scoped_touches, c.respeculated, c.respec_flips), (3, 5, 3));
-        assert!(
-            c.slots.iter().all(|slot| matches!(slot, EvalSlot::Stashed(_))),
-            "window t+1's replies still stand"
-        );
-        assert_eq!(c.window_t(), vec![(0, 0, 700.0), (1, 1, 650.0)], "t ends at 1");
-        assert_eq!(c.gather(), Vec::new(), "window t+1 lost 2, 4 and 5");
+        assert_eq!(c.reports(), vec![(0, 0, 700.0), (1, 1, 650.0)], "2, 4 and 5 went silent");
         assert_eq!(c.truth(), vec![700.0, 500.0, 420.0, 450.0]);
     }
 
@@ -1066,24 +911,23 @@ mod tests {
         // stream 1 (a report: the server last heard 500). Its tentative
         // report of 650 at 1 then stays outside and goes silent, while its
         // return to 500 at 4 still reports.
-        let mut c = Coordinator::with_next_window_in_flight();
+        let mut c = Coordinator::gathered();
         let report = c.run_in_handler(0, |router, ledger, view| {
             router.deliver(StreamId(1), 1000.0, ledger, view)
         });
         assert_eq!(report, Some(1000.0));
         assert_eq!((c.scoped_touches, c.respeculated, c.respec_flips), (1, 2, 1));
-        assert_eq!(c.window_t(), vec![(0, 0, 700.0)]);
-        assert_eq!(c.gather(), vec![(2, 2, 700.0), (4, 1, 500.0), (5, 2, 420.0)]);
+        assert_eq!(c.reports(), vec![(0, 0, 700.0), (2, 2, 700.0), (4, 1, 500.0), (5, 2, 420.0)]);
         assert_eq!(c.truth(), vec![700.0, 500.0, 420.0, 450.0]);
     }
 
     #[test]
-    fn respeculation_patches_flips_into_window_t_and_the_stashed_window() {
+    fn respeculation_patches_flips_both_ways_into_the_gathered_reports() {
         // From the handler of the report at 0: [0, 1000] at stream 1
-        // silences its reports at 1 (window t) and 4 (window t+1), and
-        // [0, 460] at stream 3 turns its silent move to 450 at 3 into a
-        // report. Once as two single installs, once as one batch that
-        // names stream 1 twice (its positions are respeculated once).
+        // silences its reports at 1 and 4, and [0, 460] at stream 3 turns
+        // its silent move to 450 at 3 into a report. Once as two single
+        // installs, once as one batch that names stream 1 twice (its
+        // positions are respeculated once).
         fn single(router: &mut GuardedRouter<'_>, ledger: &mut Ledger, view: &mut ServerView) {
             let syncs = [
                 router.install(StreamId(1), Filter::interval(0.0, 1000.0), ledger, view),
@@ -1104,14 +948,13 @@ mod tests {
         }
         type Op = fn(&mut GuardedRouter<'_>, &mut Ledger, &mut ServerView);
         for (name, op, touches) in [("single", single as Op, 2), ("batch", batch as Op, 1)] {
-            let mut c = Coordinator::with_next_window_in_flight();
+            let mut c = Coordinator::gathered();
             c.run_in_handler(0, op);
             assert_eq!((c.scoped_touches, c.respeculated, c.respec_flips), (touches, 3, 3));
-            assert_eq!(c.window_t(), vec![(0, 0, 700.0)], "{name}: 1 left window t");
             assert_eq!(
-                c.gather(),
-                vec![(2, 2, 700.0), (3, 3, 450.0), (5, 2, 420.0)],
-                "{name}: 3 joined window t+1, 4 left it"
+                c.reports(),
+                vec![(0, 0, 700.0), (2, 2, 700.0), (3, 3, 450.0), (5, 2, 420.0)],
+                "{name}: 1 and 4 left the reports, 3 joined them"
             );
             assert_eq!(c.truth(), vec![700.0, 500.0, 420.0, 450.0], "{name}");
         }

@@ -3,40 +3,63 @@
 //!
 //! ## The commit protocol
 //!
-//! A window of time-ordered events — a range of the chunk's shared
-//! columnar [`EventBatch`], sequence-stamped by position — reaches the
-//! shards by **broadcast**: one `Arc` clone per shard, and each shard
-//! selects the events it owns. Each shard evaluates its
+//! Every chunk of time-ordered events — the shared columnar
+//! [`EventBatch`], sequence-stamped by position — is **one round**. It
+//! reaches the shards by **broadcast**: one `Arc` clone per shard, and each
+//! shard selects the events it owns. Each shard evaluates its
 //! slice **optimistically** — silent updates apply, filter violations
 //! tentatively become delivered reports — and returns its violations. The
 //! coordinator merges the per-shard report streams in sequence order and
 //! feeds them to the protocol core one by one, exactly as the serial
-//! engine would.
+//! engine would, then commits the chunk:
+//!
+//! ```text
+//!   scatter chunk ──► gather ──► drain reports in seq order ──► commit all
+//!                                   │
+//!                                   └─ fleet touch at seq c: respeculate the
+//!                                      positions in (c, chunk end) it reaches,
+//!                                      splice the flipped report bits
+//! ```
 //!
 //! Sources are independent, so this speculation is *provably* serial-exact
 //! for as long as report handling touches no source state: a handler that
 //! only mutates protocol bookkeeping (the common case for quiet
 //! maintenance — ZT/FT range protocols, RTP cases 1–2, multi-query cell
-//! tracking) invalidates nothing, and a whole window commits in a single
-//! scatter/gather round. A handler action that *does* touch the fleet goes
-//! through the [`crate::router::GuardedRouter`], which keeps exact only
-//! what the touch can reach, by one rule: the shards **respeculate** the
-//! speculated events past the report that the operation can reach —
-//! rewind them, run the operation against the exact serial state, re-apply
-//! them — and only the reports whose bit flipped are spliced into the
-//! report stream. A `probe`, `install` or `deliver`, single or batch (the
-//! paper's usual answer to a report is re-installing a filter at the
-//! stream that reported, and RTP's overflow shrink probes `X` and installs
-//! at `ε + 1` candidates), reaches the touched streams' events; a
-//! `broadcast` or `probe_all*` (RTP's paper-mode shrink, a reinitialising
-//! FT-RP) reaches every event past the report. Either way the windows
-//! stand: nothing is rolled back, discarded or re-evaluated, so every
-//! window is the fixed half batch.
+//! tracking) invalidates nothing. A handler action that *does* touch the
+//! fleet goes through the [`crate::router::GuardedRouter`], which keeps
+//! exact only what the touch can reach, by one rule: the shards
+//! **respeculate** the speculated events past the report that the
+//! operation can reach — rewind them, run the operation against the exact
+//! serial state, re-apply them — and only the reports whose bit flipped are
+//! spliced into the report stream. A `probe`, `install` or `deliver`,
+//! single or batch (the paper's usual answer to a report is re-installing
+//! a filter at the stream that reported, and RTP's overflow shrink probes
+//! `X` and installs at `ε + 1` candidates), reaches the touched streams'
+//! events; a `broadcast` or `probe_all*` (RTP's paper-mode shrink, a
+//! reinitialising FT-RP) reaches every event past the report. Either way
+//! the round stands: nothing is rolled back, discarded or re-evaluated.
+//! Every reply was gathered before the drain began, so a touch's request
+//! and reply are the only command in flight on a shard.
 //!
-//! The window loop itself is the **pipelined** double-buffered coordinator
-//! of [`crate::pipeline`], which drains window *t*'s reports while the
-//! shards already evaluate window *t+1*; this module holds its scatter /
-//! gather / drain steps.
+//! ## Determinism
+//!
+//! Reports are consumed in sequence order, chunks commit in order, and a
+//! touch runs each source it reaches against its exact serial state and
+//! re-applies that source's later events as serial execution would — so
+//! the coordinator is **byte-identical** to the single-threaded engine
+//! (answers, ledgers, view bits, report counts), for any shard count and
+//! execution mode. `tests/server_shard_invariance.rs`,
+//! `tests/batch_differential.rs` and `tests/scoped_touch_differential.rs`
+//! pin this per protocol.
+//!
+//! No handler runs between a chunk's evaluation and its drain, so a whole
+//! burst of independent reports — reports whose handlers only mutate
+//! protocol bookkeeping — is consumed against one speculation generation
+//! and committed at one quiescent point
+//! ([`crate::ServerMetrics::coalesced_reports_per_group`]); the batch
+//! fleet operations a handler *does* issue execute as one scatter/gather
+//! each (see [`crate::router::ShardRouter`]), so a reinit storm costs one
+//! probe storm plus one deployment storm, not `2n` round-trips.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -58,7 +81,7 @@ use crate::durability::{Durability, DurabilityConfig};
 use crate::handle::{ExecMode, ShardHandle};
 use crate::metrics::ServerMetrics;
 use crate::occurrence::OccurrenceIndex;
-use crate::router::{EvalSlot, GuardedRouter, InflightWindow, ShardRouter};
+use crate::router::{GuardedRouter, InflightWindow, ShardRouter};
 use crate::shard::{Partition, Shard, ShardCmd, ShardReply, SpecEvent};
 
 /// Observability configuration of a [`ShardedServer`]. Everything here is
@@ -89,7 +112,8 @@ impl Default for TelemetryConfig {
 pub struct ServerConfig {
     /// Number of worker shards (`1..=n`).
     pub num_shards: usize,
-    /// Maximum events per ingestion batch.
+    /// Maximum events per ingestion batch — and per evaluation round: the
+    /// shards evaluate each chunk in one scatter/gather.
     pub batch_size: usize,
     /// Inline (deterministic single-thread) or threaded execution.
     pub mode: ExecMode,
@@ -132,13 +156,6 @@ impl ServerConfig {
         self.telemetry = telemetry;
         self
     }
-
-    /// The evaluation window: half the batch, so a chunk always splits
-    /// into at least two windows and the pipe can actually fill (drain of
-    /// one window overlapping evaluation of the next).
-    pub(crate) fn window(&self) -> usize {
-        (self.batch_size / 2).max(1)
-    }
 }
 
 /// A sharded, batched, concurrent runtime for one filter protocol over one
@@ -146,32 +163,28 @@ impl ServerConfig {
 /// to [`asf_core::engine::Engine`] on the same event sequence, for any
 /// shard count and either execution mode.
 pub struct ShardedServer<P: Protocol> {
-    pub(crate) partition: Partition,
-    pub(crate) handles: Vec<ShardHandle>,
-    pub(crate) core: ProtocolCore<P>,
-    pub(crate) config: ServerConfig,
-    pub(crate) n: usize,
+    partition: Partition,
+    handles: Vec<ShardHandle>,
+    core: ProtocolCore<P>,
+    config: ServerConfig,
+    n: usize,
     now: SimTime,
     events_processed: u64,
-    pub(crate) metrics: ServerMetrics,
+    metrics: ServerMetrics,
     /// Pool of report buffers: every `EvalWindow` carries one out and the
     /// gathered `Evaluated` reply hands it back, so steady-state rounds
     /// scatter and gather without allocating.
     report_buffers: Vec<Vec<SpecEvent>>,
-    /// Per-shard state of the evaluation window in flight: whether the
-    /// shard still owes its `Evaluated` reply, or a fleet touch already
-    /// gathered it early.
-    eval_slots: Vec<EvalSlot>,
     /// Reused per-round merge buffer for the gathered report streams.
-    pub(crate) merged: Vec<(SpecEvent, usize)>,
+    merged: Vec<(SpecEvent, usize)>,
     /// The current ingestion chunk as a shared columnar window. Refilled
     /// per chunk (recycled once every shard has dropped its clone, i.e.
-    /// at every chunk boundary); every evaluation window of the chunk is
-    /// an `Arc` clone of it.
-    pub(crate) shared_chunk: Arc<EventBatch>,
+    /// at every chunk boundary); each shard evaluates an `Arc` clone of
+    /// it.
+    shared_chunk: Arc<EventBatch>,
     /// The chunk's stream-occurrence index, consulted (and lazily built)
     /// by fleet touches and reset at every chunk boundary.
-    pub(crate) occurrences: OccurrenceIndex,
+    occurrences: OccurrenceIndex,
     /// Pooled positions buffer of single-stream fleet touches (it makes
     /// the round trip to the shard and back with the flips).
     touch_positions: Vec<u64>,
@@ -204,7 +217,7 @@ impl<P: Protocol> ShardedServer<P> {
     ///
     /// let initial = vec![450.0, 700.0, 500.0, 100.0];
     /// let protocol = ZtNrp::new(RangeQuery::new(400.0, 600.0).unwrap());
-    /// // 2 shards, pipelined double-buffered coordinator (the default).
+    /// // 2 shards, one scatter/gather round per chunk.
     /// let mut server = ShardedServer::new(&initial, protocol, ServerConfig::with_shards(2));
     /// server.initialize();
     /// server.ingest_batch(&[UpdateEvent { time: 1.0, stream: StreamId(1), value: 550.0 }]);
@@ -265,7 +278,6 @@ impl<P: Protocol> ShardedServer<P> {
             events_processed: 0,
             metrics: ServerMetrics::new(config.num_shards),
             report_buffers: Vec::new(),
-            eval_slots: (0..config.num_shards).map(|_| EvalSlot::Idle).collect(),
             merged: Vec::new(),
             shared_chunk: Arc::new(EventBatch::new()),
             occurrences: OccurrenceIndex::new(initial_values.len()),
@@ -358,8 +370,8 @@ impl<P: Protocol> ShardedServer<P> {
         Arc::get_mut(&mut self.shared_chunk).expect("fresh Arc is unique")
     }
 
-    /// Applies the filled `shared_chunk` through the pipelined
-    /// coordinator. With durability enabled, the chunk is journaled and
+    /// Applies the filled `shared_chunk` as one round (see the module
+    /// docs). With durability enabled, the chunk is journaled and
     /// synced **before** it applies (write-ahead); a poisoned durability
     /// handle drops the chunk un-applied, exactly as a crashed process
     /// would have.
@@ -384,7 +396,13 @@ impl<P: Protocol> ShardedServer<P> {
             return;
         }
         self.now = times.last().copied().unwrap_or(self.now);
-        self.apply_chunk_pipelined();
+        // One round: the shards evaluate the whole chunk, its reports drain
+        // in `seq` order, and every speculative application commits.
+        self.scatter_window();
+        self.metrics.critical_path_ns += self.gather_window();
+        self.drain_reports();
+        ShardRouter::new(&mut self.handles, self.partition, self.n).commit_all(u64::MAX);
+        self.occurrences.reset(chunk.streams());
         self.events_processed += chunk.len() as u64;
         self.metrics.events += chunk.len() as u64;
         self.metrics.record_batch(batch_start.elapsed().as_nanos() as u64);
@@ -532,38 +550,35 @@ impl<P: Protocol> ShardedServer<P> {
         self.core.telemetry_mut().trace.end(TraceDepth::Coarse);
     }
 
-    /// Scatters `shared_chunk[start..end]` to the shards as one speculative
-    /// evaluation window: every shard gets one `Arc` clone of the shared
-    /// window (and a pooled report buffer), selects its own events, and
-    /// owes exactly one `Evaluated` reply. Only the coordinator-side share
-    /// is metered as `scatter_ns`; the sends are not. A coordinator-run
-    /// shard evaluates when its reply is received, so every worker has its
-    /// window before the coordinator starts on its own shard.
-    pub(crate) fn scatter_window(&mut self, start: usize, end: usize) {
-        self.core.telemetry_mut().trace.begin(TraceDepth::Coarse, "scatter_window", start as u64);
+    /// Scatters `shared_chunk` to the shards as one speculative evaluation
+    /// round: every shard gets one `Arc` clone of the chunk (and a pooled
+    /// report buffer), selects its own events, and owes exactly one
+    /// `Evaluated` reply. Only the coordinator-side share is metered as
+    /// `scatter_ns`; the sends are not. A coordinator-run shard evaluates
+    /// when its reply is received, so every worker has the chunk before
+    /// the coordinator starts on its own shard.
+    fn scatter_window(&mut self) {
+        self.core.telemetry_mut().trace.begin(TraceDepth::Coarse, "scatter_window", 0);
         let scatter_start = Instant::now();
-        let window = Arc::clone(&self.shared_chunk);
+        let chunk = Arc::clone(&self.shared_chunk);
+        let end = chunk.len();
         self.metrics.scatter_ns += scatter_start.elapsed().as_nanos() as u64;
-        for (handle, slot) in self.handles.iter_mut().zip(&mut self.eval_slots) {
-            debug_assert!(matches!(slot, EvalSlot::Idle), "one window in flight per shard");
-            let reports = self.report_buffers.pop().unwrap_or_default();
-            handle.send(ShardCmd::EvalWindow { window: Arc::clone(&window), start, end, reports });
-            *slot = EvalSlot::Owed;
+        for handle in self.handles.iter_mut() {
+            let (window, reports) =
+                (Arc::clone(&chunk), self.report_buffers.pop().unwrap_or_default());
+            handle.send(ShardCmd::EvalWindow { window, start: 0, end, reports });
         }
         self.metrics.rounds += 1;
-        self.metrics.max_inflight_windows = self.metrics.max_inflight_windows.max(1);
         self.core.telemetry_mut().trace.end(TraceDepth::Coarse);
     }
 
-    /// Gathers the in-flight window's `Evaluated` replies — off the
-    /// channels, or out of the slots a fleet touch stashed them in — into
-    /// the pooled `merged` buffer, sorted by sequence number. (Each
-    /// per-shard list is already sorted; an unstable sort of the
-    /// concatenation is fine since seqs are unique.) Every application it
-    /// reports commits at a later quiescent point, since nothing rolls
-    /// back. Returns the round's maximum per-shard busy time — the
-    /// window's evaluation critical path.
-    pub(crate) fn gather_window(&mut self) -> u64 {
+    /// Gathers every shard's `Evaluated` reply into the pooled `merged`
+    /// buffer, sorted by sequence number. (Each per-shard list is already
+    /// sorted; an unstable sort of the concatenation is fine since seqs
+    /// are unique.) Every application it reports commits at the chunk's
+    /// quiescent point, since nothing rolls back. Returns the round's
+    /// maximum per-shard busy time — the chunk's evaluation critical path.
+    fn gather_window(&mut self) -> u64 {
         self.core.telemetry_mut().trace.begin(
             TraceDepth::Coarse,
             "gather_window",
@@ -572,18 +587,23 @@ impl<P: Protocol> ShardedServer<P> {
         let mut merged = std::mem::take(&mut self.merged);
         merged.clear();
         let mut round_max_busy = 0u64;
-        for (s, (handle, slot)) in self.handles.iter_mut().zip(&mut self.eval_slots).enumerate() {
-            let mut reply = slot.take(handle).expect("every shard owes the window's reply");
-            self.metrics.shard_events[s] += u64::from(reply.evaluated);
-            self.metrics.speculative_commits += u64::from(reply.evaluated);
-            self.metrics.shard_busy_ns[s] += reply.busy_ns;
-            self.metrics.shard_scan_ns[s] += reply.scan_ns;
-            round_max_busy = round_max_busy.max(reply.busy_ns);
-            merged.extend(reply.reports.drain(..).map(|ev| (ev, s)));
+        for (s, handle) in self.handles.iter_mut().enumerate() {
+            let (mut reports, evaluated, busy_ns, scan_ns) = match handle.recv() {
+                ShardReply::Evaluated { reports, evaluated, busy_ns, scan_ns } => {
+                    (reports, evaluated, busy_ns, scan_ns)
+                }
+                other => unreachable!("EvalWindow got {other:?}"),
+            };
+            self.metrics.shard_events[s] += u64::from(evaluated);
+            self.metrics.speculative_commits += u64::from(evaluated);
+            self.metrics.shard_busy_ns[s] += busy_ns;
+            self.metrics.shard_scan_ns[s] += scan_ns;
+            round_max_busy = round_max_busy.max(busy_ns);
+            merged.extend(reports.drain(..).map(|ev| (ev, s)));
             // The drained report buffer goes back into the pool, so
             // steady-state rounds gather without allocating.
-            if reply.reports.capacity() > 0 {
-                self.report_buffers.push(reply.reports);
+            if reports.capacity() > 0 {
+                self.report_buffers.push(reports);
             }
         }
         merged.sort_unstable_by_key(|(ev, _)| ev.seq);
@@ -592,16 +612,12 @@ impl<P: Protocol> ShardedServer<P> {
         round_max_busy
     }
 
-    /// Consumes the gathered reports of window *t* (positions below
-    /// `window_end`) serially through the protocol. `tip` is the
-    /// speculation tip — one past the last chunk position scattered,
-    /// including the scattered-ahead window *t+1* if one is in flight. A
-    /// fleet touch respeculates the positions in `(c, tip)` it can reach
-    /// and patches the flips into `merged` (the loop re-reads it by index)
-    /// or into a stashed window-*t+1* reply. Returns the drain's
-    /// pure-serial time (fleet-op shard busy excluded — that is attributed
-    /// to `metrics.fleet`).
-    pub(crate) fn drain_reports(&mut self, window_end: usize, tip: usize) -> u64 {
+    /// Consumes the gathered reports serially through the protocol. A fleet
+    /// touch respeculates the positions between the report and the chunk
+    /// end that it can reach, and patches the flips into `merged` (the loop
+    /// re-reads it by index). Meters the drain's pure-serial time (fleet-op
+    /// shard busy excluded — that is attributed to `metrics.fleet`).
+    fn drain_reports(&mut self) {
         let serial_start = Instant::now();
         self.core.telemetry_mut().trace.begin(
             TraceDepth::Coarse,
@@ -615,7 +631,6 @@ impl<P: Protocol> ShardedServer<P> {
         let mut merged = std::mem::take(&mut self.merged);
         let chunk = Arc::clone(&self.shared_chunk);
         let mut chaos = self.chaos.take();
-        let mut coordinator_eval_ns = 0u64;
         let mut next = 0;
         while let Some(&(ev, shard)) = merged.get(next) {
             next += 1;
@@ -638,17 +653,13 @@ impl<P: Protocol> ShardedServer<P> {
                 Some(&mut self.fleet_trace),
             );
             let inflight = InflightWindow {
-                shards: &mut self.eval_slots,
                 merged: &mut merged,
-                window_end,
-                tip,
                 chunk: &chunk,
                 occurrences: &mut self.occurrences,
                 positions: &mut self.touch_positions,
                 scoped_touches: &mut self.metrics.scoped_touches,
                 respeculated: &mut self.metrics.respeculated,
                 respec_flips: &mut self.metrics.respec_flips,
-                coordinator_eval_ns: &mut coordinator_eval_ns,
             };
             let mut router = GuardedRouter::with_inflight(inner, ev.seq + 1, inflight);
             match chaos.as_mut() {
@@ -670,17 +681,13 @@ impl<P: Protocol> ShardedServer<P> {
         // Subtract the *hidden* portions — per-op/per-pass `min(busy sum,
         // wall)` — not the raw busy sums: with threaded shards (or scoped-
         // thread forest refreshes) the work overlapped the coordinator, so
-        // an unbounded subtraction would erase unrelated serial time. A
-        // coordinator-run shard's early-received window evaluation ran on
-        // this thread and is metered as shard time, so it goes too.
+        // an unbounded subtraction would erase unrelated serial time.
         let fleet_hidden_delta = self.metrics.fleet.hidden_ns - fleet_hidden_before;
         let stats = *self.core.ctx_stats();
         self.metrics.index_busy_sum_ns += stats.index_busy_sum_ns - index_before.0;
         let index_hidden_delta = stats.index_hidden_ns - index_before.1;
-        let drain_pure = (serial_start.elapsed().as_nanos() as u64)
-            .saturating_sub(fleet_hidden_delta + index_hidden_delta + coordinator_eval_ns);
-        self.metrics.serial_ns += drain_pure;
-        drain_pure
+        self.metrics.serial_ns += (serial_start.elapsed().as_nanos() as u64)
+            .saturating_sub(fleet_hidden_delta + index_hidden_delta);
     }
 
     /// Initializes (if needed) and consumes the whole workload in batches
@@ -1278,5 +1285,123 @@ impl<P: Protocol> ShardedServer<P> {
             self.metrics.shard_busy_ns[s] = self.metrics.shard_busy_ns[s].max(busy);
         }
         self.metrics.clone()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{ServerConfig, ShardedServer};
+    use crate::handle::ExecMode;
+    use asf_core::engine::Engine;
+    use asf_core::protocol::{Rtp, ZtNrp};
+    use asf_core::query::{RangeQuery, RankQuery};
+    use asf_core::workload::{UpdateEvent, VecWorkload, Workload};
+    use streamnet::{MessageKind, StreamId};
+    use workloads::{SyntheticConfig, SyntheticWorkload};
+
+    fn fixture(n: usize, horizon: f64, seed: u64) -> (Vec<f64>, Vec<UpdateEvent>) {
+        let mut w = SyntheticWorkload::new(SyntheticConfig {
+            num_streams: n,
+            horizon,
+            seed,
+            ..Default::default()
+        });
+        let initial = w.initial_values();
+        let mut events = Vec::new();
+        while let Some(ev) = w.next_event() {
+            events.push(ev);
+        }
+        (initial, events)
+    }
+
+    #[test]
+    fn one_round_per_chunk_matches_serial_engine() {
+        let (initial, events) = fixture(32, 200.0, 5);
+        let query = RangeQuery::new(400.0, 600.0).unwrap();
+
+        let mut engine = Engine::new(&initial, ZtNrp::new(query));
+        engine.initialize();
+        let mut w = VecWorkload::new(initial.clone(), events.clone());
+        engine.run(&mut w);
+
+        for mode in [ExecMode::Inline, ExecMode::Threaded] {
+            let config = ServerConfig::with_shards(4).batch_size(64).mode(mode);
+            let mut server = ShardedServer::new(&initial, ZtNrp::new(query), config);
+            server.initialize();
+            server.ingest_batch(&events);
+            assert_eq!(server.answer(), engine.answer(), "{mode:?}");
+            assert_eq!(server.ledger(), engine.ledger(), "{mode:?}");
+            let m = server.metrics();
+            assert_eq!(m.batches, events.len().div_ceil(64) as u64, "{mode:?}");
+            assert_eq!(m.rounds, m.batches, "one round per chunk ({mode:?})");
+            assert_eq!(m.speculative_commits, m.events, "every event commits exactly once");
+            assert_eq!(m.shard_events.iter().sum::<u64>(), m.events);
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn fleet_touches_respeculate_to_the_chunk_end() {
+        // RTP's overflow/expansion handlers probe and install (the paper's
+        // deployment broadcasts), so a moving workload reliably touches the
+        // fleet mid-drain. A broadcast must respeculate every position past
+        // its report to the end of its chunk; the scoped deployment's
+        // probes and installs must respeculate their streams' positions.
+        // Both must match the serial engine byte for byte, in small chunks
+        // and in a wide batch.
+        for (n, horizon, seed, k, shards, batch_size) in
+            [(30, 150.0, 11, 4, 3, 32), (40, 180.0, 23, 5, 4, 128)]
+        {
+            let (initial, events) = fixture(n, horizon, seed);
+            let query = RankQuery::knn(500.0, k).unwrap();
+            for paper in [true, false] {
+                let make =
+                    || if paper { Rtp::paper(query, 2) } else { Rtp::new(query, 2) }.unwrap();
+                // The serial engine, event by event, summing over the
+                // broadcasts the positions between each one's report and
+                // the end of its chunk.
+                let mut engine = Engine::new(&initial, make());
+                engine.initialize();
+                let mut broadcast_suffixes = 0;
+                for (p, &ev) in events.iter().enumerate() {
+                    let before = engine.ledger().count(MessageKind::FilterBroadcast);
+                    engine.apply_event(ev);
+                    let broadcasts =
+                        (engine.ledger().count(MessageKind::FilterBroadcast) - before) / n as u64;
+                    let chunk_end = events.len().min((p / batch_size + 1) * batch_size);
+                    broadcast_suffixes += broadcasts * (chunk_end - p - 1) as u64;
+                }
+
+                let config = ServerConfig::with_shards(shards).batch_size(batch_size);
+                let mut server = ShardedServer::new(&initial, make(), config);
+                server.initialize();
+                server.ingest_batch(&events);
+
+                let m = server.metrics().clone();
+                let tag = format!("n={n} paper={paper}");
+                assert!(m.respeculated > 0, "{tag}: touches should respeculate");
+                assert_eq!(broadcast_suffixes > 0, paper, "{tag}: fixture shape");
+                assert!(
+                    m.respeculated >= broadcast_suffixes,
+                    "{tag}: a broadcast respeculates to its chunk's end"
+                );
+                assert_eq!(m.batches, events.len().div_ceil(batch_size) as u64, "{tag}");
+                assert_eq!(m.rounds, m.batches, "{tag}: no chunk is evaluated twice");
+                assert_eq!(server.answer(), engine.answer(), "{tag}");
+                assert_eq!(server.ledger(), engine.ledger(), "{tag}");
+                assert_eq!(server.reports_processed(), engine.reports_processed(), "{tag}");
+                for i in 0..initial.len() {
+                    let id = StreamId(i as u32);
+                    assert_eq!(
+                        server.view().get(id),
+                        engine.view().get(id),
+                        "{tag}: view diverged for {id}"
+                    );
+                }
+                let truth = server.truth_values();
+                let serial_truth: Vec<f64> = engine.fleet().iter().map(|s| s.value()).collect();
+                assert_eq!(truth, serial_truth, "{tag}: respeculation lost source state");
+            }
+        }
     }
 }

@@ -572,11 +572,9 @@ impl Shard {
         self.trace.end(TraceDepth::Fine);
         let scan_ns = scan_start.elapsed().as_nanos() as u64;
 
-        // Phase 2 — optimistic evaluation of the selected events. The
-        // coordinator scatters window t+1 while window t's entries are
-        // still journaled, so the log may legitimately be non-empty here;
-        // `SpecLog::apply` enforces that sequence numbers keep increasing
-        // across the window boundary.
+        // Phase 2 — optimistic evaluation of the selected events, each
+        // journaled; `SpecLog::apply` enforces that sequence numbers keep
+        // increasing.
         let eval_start = Instant::now();
         reports.clear();
         for &(i, local) in &selected[..owned] {

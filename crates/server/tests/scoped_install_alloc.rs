@@ -1,7 +1,7 @@
-//! Steady-state ingest allocates nothing. Silent windows recycle the pooled
-//! window, selection and report buffers. A fleet touch allocates nothing
-//! either: the positions buffer is pooled and comes back holding the flips,
-//! and the stash keeps the pooled reply. Steady-state ingest in which every
+//! Steady-state ingest allocates nothing. Silent chunks recycle the pooled
+//! chunk, selection and report buffers. A fleet touch allocates nothing
+//! either: the positions buffer is pooled and comes back holding the
+//! flips. Steady-state ingest in which every
 //! event reports and every report re-installs a filter at its reporter must
 //! therefore run without a single allocation — whether the reporter never
 //! recurs within its chunk (the bare touch) or recurs and respeculates.
@@ -125,7 +125,7 @@ fn steady_state_silent_ingest_does_not_allocate() {
     for mode in MODES {
         let (allocated, m) = second_pass_allocations(ZtNrp::new(query), n, n, mode, |_| 0.0);
         assert_eq!(m.reports_consumed, 0, "no filter fires");
-        assert!(m.rounds >= 16, "{}", m.summary());
+        assert_eq!((m.batches, m.rounds), (16, 16), "one round per chunk: {}", m.summary());
         assert_eq!(allocated, 0, "{mode:?}: {}", m.summary());
     }
 }
@@ -153,7 +153,8 @@ fn steady_state_installs_without_later_positions_do_not_allocate() {
             );
         assert_eq!(m.reports_consumed, 2 * 8 * n as u64, "every event reports");
         assert_eq!(m.scoped_touches, m.reports_consumed, "every report installs");
-        assert_eq!((m.cuts, m.respeculated), (0, 0), "no touched stream recurs in its chunk");
+        assert_eq!(m.respeculated, 0, "no touched stream recurs in its chunk");
+        assert_eq!(m.rounds, m.batches, "one round per chunk");
         assert_eq!(allocated, 0, "{mode:?}: {}", m.summary());
     }
 }
@@ -168,7 +169,7 @@ fn steady_state_respeculating_installs_do_not_allocate() {
     for mode in MODES {
         let (allocated, m) =
             second_pass_allocations(Reinstall, n, 4 * n, mode, |step| 8.0 * (step % 4) as f64);
-        assert_eq!(m.cuts, 0, "{}", m.summary());
+        assert_eq!(m.rounds, m.batches, "one round per chunk: {}", m.summary());
         assert!(m.respeculated > 0 && m.respec_flips > 0, "{}", m.summary());
         assert_eq!(allocated, 0, "{mode:?}: {}", m.summary());
     }

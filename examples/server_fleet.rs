@@ -65,11 +65,10 @@ fn main() {
     );
 
     // Sharded, threaded server: 3 worker threads plus the coordinator,
-    // which runs shard 0 itself. The coordinator is pipelined
-    // (double-buffered) — shards evaluate window t+1 while it drains
-    // window t's reports — and each window is a shared columnar batch the
-    // shards self-partition, so the coordinator never copies events per
-    // shard.
+    // which runs shard 0 itself. Each chunk is one round — the shards
+    // evaluate it, the coordinator drains its reports, every shard
+    // commits — and the chunk is a shared columnar batch the shards
+    // self-partition, so the coordinator never copies events per shard.
     let config = ServerConfig {
         num_shards: 4,
         batch_size: 1024,
@@ -105,15 +104,12 @@ fn main() {
     println!("  metrics:  {}", server.metrics().summary());
     let m = server.metrics();
     println!(
-        "  pipeline: window depth {} (1 = serial, 2 = double-buffered), {:.1} reports \
-         coalesced per quiescent point, {:.1}us of drain hidden behind shard evaluation",
-        m.max_inflight_windows,
+        "  drain:    {:.1} reports coalesced per quiescent point",
         m.coalesced_reports_per_group().unwrap_or(f64::NAN),
-        m.overlap_saved_ns as f64 / 1_000.0,
     );
     println!(
-        "  scatter:  {} rounds, each window shared by reference, coordinator fan-out \
-         {:.1}us total; per-shard ownership scans {:.1}us (parallel)\n",
+        "  scatter:  {} rounds (one per chunk), each chunk shared by reference, coordinator \
+         fan-out {:.1}us total; per-shard ownership scans {:.1}us (parallel)\n",
         m.rounds,
         m.scatter_ns as f64 / 1_000.0,
         m.shard_scan_ns.iter().sum::<u64>() as f64 / 1_000.0,

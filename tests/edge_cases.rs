@@ -286,17 +286,14 @@ fn rtp_survives_mass_exodus_and_reinitializes() {
 
 #[test]
 fn tiny_batch_sizes_match_serial_engine() {
-    // Chunks too small to split into two evaluation windows: the window
-    // is `(batch_size / 2).max(1)`, so batch_size 1 never fills the pipe,
-    // 2 and 3 run one-event windows, and 5 splits into windows of 2, 2
-    // and 1. RTP on a moving workload reports often: the paper's
-    // deployment broadcasts, so a broadcast respeculates the suffix past
-    // its report, the window in flight included, on every one of those
-    // shapes. Server-managed dense ranges over four streams install at
-    // every reporter, whose next event is often the very next one, so
-    // per-stream respeculation lands on every shape that speculates past
-    // the report. On every shape every window stands: none is evaluated
-    // twice.
+    // Chunks of 1, 2, 3 and 5 events, each evaluated in one round.
+    // RTP on a moving workload reports often: the paper's deployment
+    // broadcasts, so a broadcast respeculates the suffix past its report
+    // to the end of its chunk, on every one of those shapes. Server-managed
+    // dense ranges over four streams install at every reporter, whose next
+    // event is often the very next one, so per-stream respeculation lands
+    // on every shape that speculates past the report. On every shape every
+    // round stands: no chunk is evaluated twice.
     use asf_core::protocol::Protocol;
     use asf_core::workload::Workload;
     use asf_server::{ExecMode, ServerConfig, ServerMetrics, ShardedServer};
@@ -322,10 +319,8 @@ fn tiny_batch_sizes_match_serial_engine() {
                 let tag = format!("{name} batch_size={batch_size} {mode:?}");
                 let m = server.metrics();
                 assert!(path(m, batch_size), "{tag}: touch path not taken: {}", m.summary());
-                let window = (batch_size / 2).max(1);
-                let windows: usize =
-                    events.chunks(batch_size).map(|c| c.len().div_ceil(window)).sum();
-                assert_eq!(m.rounds, windows as u64, "{tag}: a window was evaluated twice");
+                assert_eq!(m.batches, events.len().div_ceil(batch_size) as u64, "{tag}");
+                assert_eq!(m.rounds, m.batches, "{tag}: a chunk was evaluated twice");
                 assert_eq!(server.answer(), engine.answer(), "{tag}: answers diverged");
                 assert_eq!(server.ledger(), engine.ledger(), "{tag}: ledgers diverged");
                 assert_eq!(

@@ -9,7 +9,7 @@
 //! runs against the exact serial state, and they are re-applied against
 //! the new filter. Both paths must leave per-query answers, the ledger,
 //! `reports_processed`, the view bits and the sources' ground truth
-//! byte-identical to the single-threaded engine, without a single cut —
+//! byte-identical to the single-threaded engine, in one round per chunk —
 //! swept here over populations that collide on almost every report
 //! (n = 4), sometimes (n = 64) and almost never (n = 5000), and over
 //! fixtures whose installs flip later report bits both ways.
@@ -150,9 +150,9 @@ fn sweep_server_managed(n: usize, horizon: f64, expect: Mostly) {
                 }
                 let m = server.metrics();
                 assert!(m.reports_consumed > 0, "{tag}: the fixture must report");
-                // Every report issues exactly one single-stream install,
-                // and none of them cuts.
-                assert_eq!(m.cuts, 0, "{tag}: a per-stream touch never cuts");
+                // Every chunk is one round, and every report issues exactly
+                // one single-stream install.
+                assert_eq!(m.rounds, m.batches, "{tag}: one round per chunk");
                 assert_eq!(m.scoped_touches, m.reports_consumed, "{tag}: one touch per report");
                 // How far a touch reaches into the speculation is a
                 // property of the population.
@@ -204,14 +204,14 @@ fn collision_free_chunks_never_cut_or_roll_back() {
                 assert_matches_engine(&tag, &initial, &events, server_managed(), config, &engine);
             let m = server.metrics();
             assert_eq!(m.reports_consumed, events.len() as u64, "{tag}: every event reports");
-            assert_eq!((m.cuts, m.rolled_back), (0, 0), "{tag}: nothing to invalidate");
+            assert_eq!(m.respeculated, 0, "{tag}: no touched stream recurs in its chunk");
             assert_eq!(m.scoped_touches, m.reports_consumed, "{tag}: one install per report");
-            assert_eq!(m.max_inflight_windows, 2, "{tag}: touches land with a window in flight");
+            assert_eq!((m.batches, m.rounds), (40, 40), "{tag}: one round per chunk");
         }
     }
 
-    // The same streams in one wide chunk recur every 64 positions: with a
-    // tip further out than that, touches collide and respeculate.
+    // The same streams in one wide chunk recur every 64 positions, so
+    // touches collide and respeculate.
     let config = ServerConfig::with_shards(2).batch_size(4096);
     let server = assert_matches_engine(
         "round-robin wide",
@@ -222,8 +222,8 @@ fn collision_free_chunks_never_cut_or_roll_back() {
         &engine,
     );
     let m = server.metrics();
-    assert_eq!((m.cuts, m.rolled_back), (0, 0), "collisions respeculate, they do not cut");
-    assert!(m.respeculated > 0, "recurring streams inside the tip must respeculate");
+    assert_eq!((m.batches, m.rounds), (1, 1), "the whole run is one chunk");
+    assert!(m.respeculated > 0, "recurring streams inside the chunk must respeculate");
 }
 
 #[test]
@@ -312,9 +312,8 @@ fn installs_that_flip_later_reports_both_ways_respeculate_in_either_window() {
     // the wide filter silences), 1200, 500, 300 (report; narrow filter),
     // 380 (silent under [400, 600], a report under the narrow one), 500,
     // 200, 500. The pair partner sits at the very next position, so even
-    // one-event windows (batch 3) respeculate it in window t+1, while
-    // wider windows respeculate it and the stream's later pairs in window
-    // t as well.
+    // 3-event chunks respeculate it, while wider chunks respeculate it and
+    // the stream's later pairs as well.
     const CYCLE: [f64; 9] = [700.0, 500.0, 1200.0, 500.0, 300.0, 380.0, 500.0, 200.0, 500.0];
     let n = 16usize;
     let initial = vec![500.0; n];
@@ -340,7 +339,7 @@ fn installs_that_flip_later_reports_both_ways_respeculate_in_either_window() {
                     let server =
                         assert_matches_engine(&tag, &initial, &events, retune, config, &engine);
                     let m = server.metrics();
-                    assert_eq!(m.cuts, 0, "{tag}: no fleet-wide operation, no cut");
+                    assert_eq!(m.rounds, m.batches, "{tag}: one round per chunk");
                     assert!(m.respeculated > 0 && m.respec_flips > 0, "{tag}: {}", m.summary());
                 }
             }

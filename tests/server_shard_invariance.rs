@@ -1,9 +1,10 @@
 //! Concurrency correctness of `asf-server`: for **every** protocol, running
 //! the same seeded workload with 1, 2, and 8 shards — inline and threaded,
-//! telemetry off and fully on — through the pipelined coordinator yields
-//! byte-identical `AnswerSet`s, message ledgers, views, and ground-truth
-//! states to the single-threaded `Engine`, and the tolerance oracle
-//! reaches the same verdict on the sharded runtime as on the serial one.
+//! telemetry off and fully on — through the coordinator (one round per
+//! chunk) yields byte-identical `AnswerSet`s, message ledgers, views, and
+//! ground-truth states to the single-threaded `Engine`, and the tolerance
+//! oracle reaches the same verdict on the sharded runtime as on the serial
+//! one.
 
 use asf_core::engine::Engine;
 use asf_core::multi_query::{CellMode, MultiRangeZt};
@@ -227,7 +228,7 @@ fn vt_max_is_shard_invariant() {
 
 #[test]
 fn telemetry_depth_sweep_is_invisible_to_the_protocol() {
-    // RTP on a moving workload exercises cuts, rollbacks, probe storms, and
+    // RTP on a moving workload exercises respeculation, probe storms, and
     // reinit broadcasts; the outcome must be byte-identical across every
     // trace depth × cause-attribution setting, and the trace export must
     // always be well-formed Chrome trace JSON (empty when tracing is off).

@@ -208,6 +208,25 @@ fn trace_spans_dropped_sums_the_coordinator_fleet_op_and_shard_rings() {
     assert_eq!(off.trace_spans_dropped(), 0, "tracing off records and drops nothing");
 }
 
+/// The `server.*`, `fleet.*` and `ctx.*` keys named in the first column of
+/// the snapshot schema table in `crates/bench/README.md`.
+fn documented_keys() -> Vec<&'static str> {
+    const README: &str = include_str!("../crates/bench/README.md");
+    let section = README.split("## The telemetry snapshot schema").nth(1).expect("schema section");
+    let table = section.split("\n## ").next().expect("section body");
+    table
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `"))
+        .flat_map(|row| {
+            let key_cell = row.split(" | ").next().expect("first cell");
+            // Outside backticks at even indices, keys at odd ones; the
+            // prefix stripped the first backtick.
+            key_cell.split('`').step_by(2)
+        })
+        .filter(|key| ["server.", "fleet.", "ctx."].iter().any(|p| key.starts_with(p)))
+        .collect()
+}
+
 #[test]
 fn telemetry_snapshot_has_the_documented_schema() {
     let (server, _, events) = traced_server_after_ingest(TraceDepth::Coarse);
@@ -215,28 +234,21 @@ fn telemetry_snapshot_has_the_documented_schema() {
     let parsed = json::parse(&snapshot).expect("snapshot must be valid JSON");
     let obj = parsed.as_object().expect("snapshot is one flat object");
     let get = |k: &str| obj.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-    for key in [
-        "server.batches",
-        "server.events",
-        "server.speculative_commits",
-        "server.cuts",
-        "server.scoped_touches",
-        "server.respeculated",
-        "server.respec_flips",
-        "server.batch_apply_ns",
-        "server.parallel_fraction",
-        "server.retries",
-        "server.timeouts",
-        "server.dead_sources",
-        "server.epoch_rejects",
-        "server.repair_ns",
-        "fleet.batch_ops",
-        "ctx.probe_ns",
-        "ctx.batch_install_ops",
-        "causes.init.probe_req",
-        "causes.deferred_flush.install",
-        "causes.total",
-    ] {
+    // The README's table and the snapshot name the same keys: everything
+    // documented is emitted, and every emitted `server.*` key is
+    // documented.
+    let documented = documented_keys();
+    assert!(documented.contains(&"server.batches") && documented.contains(&"ctx.probe_ns"));
+    for key in &documented {
+        assert!(get(key).is_some(), "snapshot missing documented {key}:\n{snapshot}");
+    }
+    for (key, _) in obj.iter().filter(|(key, _)| key.starts_with("server.")) {
+        assert!(
+            documented.contains(&key.as_str()),
+            "{key} is emitted but not documented in crates/bench/README.md"
+        );
+    }
+    for key in ["causes.init.probe_req", "causes.deferred_flush.install", "causes.total"] {
         assert!(get(key).is_some(), "snapshot missing {key}:\n{snapshot}");
     }
     let events_field = get("server.events").unwrap().as_f64().expect("numeric");
