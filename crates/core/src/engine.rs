@@ -37,18 +37,6 @@ pub(crate) const FEED_BATCH: usize = 1024;
 /// resolution; hitting this cap indicates a protocol bug and panics.
 const CASCADE_CAP: usize = 1_000_000;
 
-/// How a rank protocol's order over the view is maintained.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RankMode {
-    /// Maintain an incremental [`crate::rank::RankForest`]: O(log n) per
-    /// view update, logarithmic rank queries. The default.
-    #[default]
-    Indexed,
-    /// Re-sort the view on every ranked pass — the seed's behaviour, kept
-    /// as the differential-testing baseline.
-    Sorted,
-}
-
 /// The pure protocol-state half of a running server: the protocol, the
 /// server's view, the message ledger, and the queue of induced sync
 /// reports — everything *except* the sources themselves.
@@ -63,8 +51,7 @@ pub struct ProtocolCore<P: Protocol> {
     ledger: Ledger,
     pending: VecDeque<(StreamId, f64)>,
     /// Incremental rank order over the view, maintained at every view
-    /// refresh — `Some` iff the protocol declares a rank space and the
-    /// core runs in [`RankMode::Indexed`].
+    /// refresh — `Some` iff the protocol declares a rank space.
     rank: Option<RankForest>,
     /// Reused output buffers for batch fleet operations.
     scratch: FleetScratch,
@@ -86,34 +73,20 @@ pub struct ProtocolCore<P: Protocol> {
 }
 
 impl<P: Protocol> ProtocolCore<P> {
-    /// Creates a core for a population of `n` streams (incremental rank
-    /// maintenance on — the default — with a single index partition).
+    /// Creates a core for a population of `n` streams (a rank protocol's
+    /// forest has a single partition).
     pub fn new(n: usize, protocol: P) -> Self {
-        Self::with_rank_mode(n, protocol, RankMode::Indexed)
-    }
-
-    /// Creates a core with an explicit [`RankMode`] — `Sorted` reproduces
-    /// the seed's full-re-sort path for differential testing.
-    pub fn with_rank_mode(n: usize, protocol: P, mode: RankMode) -> Self {
-        Self::with_rank_mode_and_parts(n, protocol, mode, 1)
+        Self::with_rank_parts(n, protocol, 1)
     }
 
     /// Creates a core whose rank index (if the protocol is rank-based) is
     /// a [`RankForest`] of `rank_parts` strided partitions — `asf-server`
     /// passes its shard count, so probe-storm re-keys parallelize with the
     /// data plane. Any part count produces byte-identical rank outputs.
-    pub fn with_rank_mode_and_parts(
-        n: usize,
-        protocol: P,
-        mode: RankMode,
-        rank_parts: usize,
-    ) -> Self {
-        let rank = match mode {
-            RankMode::Indexed => protocol
-                .rank_space()
-                .map(|space| RankForest::new(space, n, rank_parts.clamp(1, n.max(1)))),
-            RankMode::Sorted => None,
-        };
+    pub fn with_rank_parts(n: usize, protocol: P, rank_parts: usize) -> Self {
+        let rank = protocol
+            .rank_space()
+            .map(|space| RankForest::new(space, n, rank_parts.clamp(1, n.max(1))));
         Self {
             view: ServerView::new(n),
             ledger: Ledger::new(),
@@ -294,18 +267,6 @@ impl<P: Protocol> ProtocolCore<P> {
         }
     }
 
-    /// Delivers a whole [`EventBatch`] in order through `fleet`, handling
-    /// every report as it lands — the batch-ingestion entry shared by the
-    /// serial engine and the differential baselines, so every backend
-    /// consumes the identical columnar window the sharded server
-    /// broadcasts. Byte-identical to calling
-    /// [`ProtocolCore::deliver_and_handle`] per event.
-    pub fn deliver_batch_and_handle(&mut self, batch: &EventBatch, fleet: &mut dyn FleetOps) {
-        for i in 0..batch.len() {
-            self.deliver_and_handle(batch.streams()[i], batch.values()[i], fleet);
-        }
-    }
-
     /// Ingests a report whose source-side delivery already happened (e.g.
     /// speculatively, on an `asf-server` shard): records the `Update`
     /// message, refreshes the view, and handles the report — the exact
@@ -352,9 +313,9 @@ impl<P: Protocol> ProtocolCore<P> {
         &self.ctx_stats
     }
 
-    /// The maintained rank index, if this core runs a rank protocol in
-    /// [`RankMode::Indexed`] — exposed for differential tests that compare
-    /// rank order across execution backends.
+    /// The maintained rank index, if this core runs a rank protocol —
+    /// exposed for differential tests that compare rank order across
+    /// execution backends and against a sort of the view.
     pub fn rank_index(&self) -> Option<&RankForest> {
         self.rank.as_ref()
     }
@@ -373,7 +334,7 @@ impl<P: Protocol> ProtocolCore<P> {
 
     /// Serializes the core's durable state at a quiescent point: the view,
     /// the message ledger, the protocol's mutable state, and the report
-    /// counter. Configuration (population, tolerances, rank mode) is *not*
+    /// counter. Configuration (population, tolerances, rank parts) is *not*
     /// written — [`ProtocolCore::load_state`] restores into a core built
     /// with the same constructor arguments. The per-cause message matrix is
     /// included (it is message accounting, deterministic); wall-clock
@@ -407,7 +368,7 @@ impl<P: Protocol> ProtocolCore<P> {
 
     /// Restores state written by [`ProtocolCore::save_state`] into a core
     /// constructed with the same configuration (population, protocol
-    /// config, rank mode/parts). The rank index is not serialized — it is
+    /// config, rank parts). The rank index is not serialized — it is
     /// rebuilt from the restored view, which yields the identical treap
     /// (priorities derive deterministically from stream ids).
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> asf_persist::Result<()> {
@@ -449,18 +410,11 @@ pub struct Engine<P: Protocol> {
 }
 
 impl<P: Protocol> Engine<P> {
-    /// Creates an engine over sources with the given initial values
-    /// (incremental rank maintenance on — the default).
+    /// Creates an engine over sources with the given initial values.
     pub fn new(initial_values: &[f64], protocol: P) -> Self {
-        Self::with_rank_mode(initial_values, protocol, RankMode::Indexed)
-    }
-
-    /// Creates an engine with an explicit [`RankMode`] — `Sorted`
-    /// reproduces the seed's full-re-sort path for differential testing.
-    pub fn with_rank_mode(initial_values: &[f64], protocol: P, mode: RankMode) -> Self {
         Self {
             fleet: SourceFleet::from_values(initial_values),
-            core: ProtocolCore::with_rank_mode(initial_values.len(), protocol, mode),
+            core: ProtocolCore::new(initial_values.len(), protocol),
             now: 0.0,
             events_processed: 0,
         }
@@ -622,7 +576,7 @@ impl<P: Protocol> Engine<P> {
 
     /// Restores state written by [`Engine::save_state`] into an engine
     /// constructed with the same configuration (population size, protocol
-    /// config, rank mode). Corrupt input is rejected without panicking.
+    /// config). Corrupt input is rejected without panicking.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> asf_persist::Result<()> {
         let now = r.get_f64()?;
         if now.is_nan() {

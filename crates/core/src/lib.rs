@@ -72,7 +72,7 @@ pub mod tolerance;
 pub mod workload;
 
 pub use answer::{AnswerSet, IdSet};
-pub use engine::{Engine, ProtocolCore, RankMode};
+pub use engine::{Engine, ProtocolCore};
 pub use error::ConfigError;
 pub use query::{RangeQuery, RankQuery, RankSpace};
 pub use tolerance::{FractionTolerance, RankTolerance};

@@ -7,7 +7,7 @@ use asf_telemetry::{Cause, TraceDepth};
 use streamnet::{Filter, FleetOps, Ledger, ServerView, StreamId};
 
 use crate::query::RankSpace;
-use crate::rank::{RankForest, Ranks};
+use crate::rank::RankForest;
 use crate::telem::CoreTelemetry;
 
 /// Reused output buffers for batch fleet operations, owned by the engine
@@ -105,9 +105,10 @@ impl CtxStats {
 /// For rank protocols (those with a [`crate::protocol::Protocol::rank_space`])
 /// the engine threads its incremental [`RankForest`] through here: every
 /// value that reaches the server via this context (probe replies, install
-/// and broadcast sync-reports) re-keys the index in O(log n), keeping it
+/// and broadcast sync-reports) re-keys the forest in O(log n), keeping it
 /// exactly consistent with the view, and [`ServerCtx::ranks`] serves it
-/// back to the protocol.
+/// back to the protocol. It is the only order a protocol can read; other
+/// protocols carry no forest and must not ask for one.
 pub struct ServerCtx<'a> {
     fleet: &'a mut dyn FleetOps,
     view: &'a mut ServerView,
@@ -183,25 +184,21 @@ impl<'a> ServerCtx<'a> {
         self.ledger
     }
 
-    /// One ranked pass over the server's current knowledge under `space`.
-    ///
-    /// Backed by the engine's incrementally maintained [`RankForest`] when
-    /// one exists (the default for rank protocols), falling back to a
-    /// single sort of the view — both byte-identical.
+    /// The engine's [`RankForest`] over the server's current knowledge:
+    /// the order every rank protocol reads, kept exactly consistent with
+    /// the view.
     ///
     /// # Panics
     ///
-    /// Panics if `space` differs from the protocol's declared
-    /// [`crate::protocol::Protocol::rank_space`] — the maintained index
+    /// Panics if the protocol declared no
+    /// [`crate::protocol::Protocol::rank_space`] (the engine then maintains
+    /// no forest), or if `space` differs from the declared one — the forest
     /// orders by that space only.
-    pub fn ranks(&self, space: RankSpace) -> Ranks<'_> {
-        match self.rank.as_ref() {
-            Some(index) => {
-                assert_eq!(index.space(), space, "rank space mismatch");
-                Ranks::Indexed(index)
-            }
-            None => Ranks::from_view(space, self.view),
-        }
+    pub fn ranks(&self, space: RankSpace) -> &RankForest {
+        let forest =
+            self.rank.as_ref().expect("ranks() needs a protocol that declares a rank_space");
+        assert_eq!(forest.space(), space, "rank space mismatch");
+        forest
     }
 
     /// Records one multi-query routed report: how many query answers it
@@ -398,6 +395,7 @@ impl<'a> ServerCtx<'a> {
 mod tests {
     use super::*;
     use crate::query::RankSpace;
+    use crate::rank::rank_view;
     use streamnet::{MessageKind, SourceFleet};
 
     struct Parts {
@@ -497,11 +495,8 @@ mod tests {
         let mut ctx = p.ctx();
         ctx.probe(StreamId(2));
         assert_eq!(ctx.ranks(space).ordered_ids(), vec![StreamId(2), StreamId(0), StreamId(1)]);
-        // The sorted fallback over the same view agrees.
-        assert_eq!(
-            Ranks::from_view(space, ctx.view()).ordered_ids(),
-            ctx.ranks(space).ordered_ids()
-        );
+        // A sort of the same view agrees.
+        assert_eq!(rank_view(space, ctx.view()), ctx.ranks(space).ordered_ids());
     }
 
     #[test]

@@ -112,10 +112,12 @@ pub trait Protocol: Send + Sync {
     /// rank-query protocol.
     ///
     /// When `Some`, the engine maintains an incremental
-    /// [`crate::rank::RankIndex`] over the server view in this space and
-    /// serves it through [`ServerCtx::ranks`], so per-report rank
-    /// maintenance is O(log n) instead of a full re-sort. Range protocols
-    /// keep the default `None` and pay nothing.
+    /// [`crate::rank::RankForest`] of `rank_parts` partitions (one on the
+    /// serial engine, one per shard on `asf-server`) over the server view
+    /// in this space and serves it through [`ServerCtx::ranks`], so
+    /// per-report rank maintenance is O(log n) instead of a full re-sort.
+    /// Range protocols keep the default `None`, pay nothing, and must not
+    /// call [`ServerCtx::ranks`].
     fn rank_space(&self) -> Option<RankSpace> {
         None
     }

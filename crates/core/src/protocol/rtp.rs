@@ -86,7 +86,7 @@ use crate::answer::AnswerSet;
 use crate::error::ConfigError;
 use crate::protocol::{Protocol, ServerCtx};
 use crate::query::{RankQuery, RankSpace};
-use crate::rank::{cmp_key, Ranks};
+use crate::rank::{cmp_key, RankForest};
 
 /// An f64 rank key with the total order of [`cmp_key`], so probed
 /// expansion-search candidates can live in a `BTreeSet` ordered exactly
@@ -126,7 +126,7 @@ struct OldRanking {
 }
 
 impl OldRanking {
-    fn new(ranks: &Ranks<'_>, len: usize) -> Self {
+    fn new(ranks: &RankForest, len: usize) -> Self {
         Self { pairs: ranks.top_pairs(len.min(ranks.len())), total: ranks.len() }
     }
 
@@ -137,7 +137,7 @@ impl OldRanking {
 
     /// Doubles the snapshot (capped at the population) from `ranks`, the
     /// current ranking.
-    fn extend(&mut self, ranks: &Ranks<'_>) {
+    fn extend(&mut self, ranks: &RankForest) {
         let len = self.pairs.len();
         let want = (2 * len).min(self.total);
         let mut taken: Vec<StreamId> = self.pairs.iter().map(|&(_, id)| id).collect();
@@ -383,7 +383,7 @@ impl Rtp {
         ctx.set_cause(Cause::ExpansionRing);
         let space = self.query.space();
         // The server's "old ranking scores" at entry, read lazily.
-        let mut old = OldRanking::new(&ctx.ranks(space), 2 * (self.epsilon() + 1));
+        let mut old = OldRanking::new(ctx.ranks(space), 2 * (self.epsilon() + 1));
         let n = old.total;
         let mut probed: BTreeSet<StreamId> = BTreeSet::new();
         // U(t): probed non-answer streams ordered by *current* (post-probe)
@@ -395,7 +395,7 @@ impl Rtp {
 
         for j in (self.epsilon() + 1)..=n {
             if j > old.len() {
-                old.extend(&ctx.ranks(space));
+                old.extend(ctx.ranks(space));
             }
             // R' reaches the old j-th ranked stream.
             let d_prime = old.pairs[j - 1].0;
@@ -936,9 +936,8 @@ mod tests {
     fn old_ranking_extended_past_its_snapshot_equals_the_full_snapshot() {
         // Between extensions, re-key some snapshot members — what the
         // ring probes do — and the extended snapshot must still be the
-        // full ranking taken at entry, off the index at 1–4 parts and off
-        // a sort of the view alike. Keys tie often.
-        use crate::rank::RankForest;
+        // full ranking taken at entry by sorting the view, off the index
+        // at 1–4 parts. Keys tie often.
         let mut rng = simkit::SimRng::seed_from_u64(0x01D_4A4C);
         let space = RankSpace::Knn { q: 500.0 };
         let value = |rng: &mut simkit::SimRng| (rng.index(40) * 25) as f64;
@@ -950,22 +949,21 @@ mod tests {
             }
             let mut forest = RankForest::new(space, n, 1 + rng.index(4));
             forest.rebuild_from_view(&view);
-            let full = forest.ordered_pairs();
+            let mut full: Vec<(f64, StreamId)> =
+                view.iter_known().map(|(id, v)| (space.key(v), id)).collect();
+            full.sort_by(|&a, &b| cmp_key(a, b));
             let first = 1 + rng.index(12);
-            let mut indexed = OldRanking::new(&Ranks::Indexed(&forest), first);
-            let mut sorted = OldRanking::new(&Ranks::from_view(space, &view), first);
-            while indexed.len() < n {
-                for _ in 0..rng.index(indexed.len() + 1) {
-                    let (_, id) = indexed.pairs[rng.index(indexed.len())];
+            let mut old = OldRanking::new(&forest, first);
+            while old.len() < n {
+                for _ in 0..rng.index(old.len() + 1) {
+                    let (_, id) = old.pairs[rng.index(old.len())];
                     let v = value(&mut rng);
                     view.set(id, v);
                     forest.update(id, v);
                 }
-                indexed.extend(&Ranks::Indexed(&forest));
-                sorted.extend(&Ranks::from_view(space, &view));
+                old.extend(&forest);
             }
-            assert_eq!(indexed.pairs, full, "case {case}: indexed");
-            assert_eq!(sorted.pairs, full, "case {case}: sorted");
+            assert_eq!(old.pairs, full, "case {case}");
         }
     }
 
@@ -976,30 +974,27 @@ mod tests {
         // the answer leaves: the ring must walk the stale view past ranks
         // 6, 12 and 24 until S26 and S27 (27, 28) are the two candidates,
         // exactly as a search over the full ranking does.
-        use crate::engine::RankMode;
         let initial: Vec<f64> = (1..=40).map(f64::from).collect();
         let query = RankQuery::knn(0.0, 1).unwrap();
-        for mode in [RankMode::Indexed, RankMode::Sorted] {
-            let mut engine = Engine::with_rank_mode(&initial, Rtp::new(query, 1).unwrap(), mode);
-            engine.initialize();
-            assert_eq!(engine.protocol().threshold(), 2.5);
-            for s in 2..26u32 {
-                engine.apply_event(ev(1.0, s, 1000.0 + f64::from(s)));
-            }
-            engine.apply_event(ev(2.0, 1, 500.0)); // Case 1
-            let base = engine.ledger().total();
-            engine.apply_event(ev(3.0, 0, 600.0)); // Case 2, X - A empty
-            let p = engine.protocol();
-            assert_eq!((p.expansions(), p.reinits()), (1, 0), "{mode:?}");
-            assert_eq!(engine.answer().iter().collect::<Vec<_>>(), vec![StreamId(26)], "{mode:?}");
-            assert_eq!(p.x_set().iter().map(|s| s.0).collect::<Vec<_>>(), vec![26, 27]);
-            // Between S27 (28) and S28 (29), wider than the floor: a broadcast.
-            assert_eq!(p.threshold(), 28.5, "{mode:?}");
-            // Cost: report + 26 ring probes (S2..=S27, old ranks 1..=26) +
-            // the broadcast.
-            assert_eq!(engine.ledger().total(), base + 1 + 2 * 26 + 40, "{mode:?}");
-            assert_ledger_exact(&engine);
+        let mut engine = Engine::new(&initial, Rtp::new(query, 1).unwrap());
+        engine.initialize();
+        assert_eq!(engine.protocol().threshold(), 2.5);
+        for s in 2..26u32 {
+            engine.apply_event(ev(1.0, s, 1000.0 + f64::from(s)));
         }
+        engine.apply_event(ev(2.0, 1, 500.0)); // Case 1
+        let base = engine.ledger().total();
+        engine.apply_event(ev(3.0, 0, 600.0)); // Case 2, X - A empty
+        let p = engine.protocol();
+        assert_eq!((p.expansions(), p.reinits()), (1, 0));
+        assert_eq!(engine.answer().iter().collect::<Vec<_>>(), vec![StreamId(26)]);
+        assert_eq!(p.x_set().iter().map(|s| s.0).collect::<Vec<_>>(), vec![26, 27]);
+        // Between S27 (28) and S28 (29), wider than the floor: a broadcast.
+        assert_eq!(p.threshold(), 28.5);
+        // Cost: report + 26 ring probes (S2..=S27, old ranks 1..=26) +
+        // the broadcast.
+        assert_eq!(engine.ledger().total(), base + 1 + 2 * 26 + 40);
+        assert_ledger_exact(&engine);
     }
 
     #[test]

@@ -8,16 +8,19 @@
 //! Two implementations of the same order live here:
 //!
 //! * the **sort path** ([`rank_view`], [`rank_values`],
-//!   [`midpoint_threshold`]) — the seed's behaviour: every call pays a full
-//!   O(n log n) re-sort of the snapshot it is given;
+//!   [`midpoint_threshold`]) — the reference: every call pays a full
+//!   O(n log n) re-sort of the snapshot it is given, so it is what the
+//!   oracle ranks ground truth with and what the index is checked against;
 //! * the **incremental path** ([`RankIndex`]) — an order-statistics treap
 //!   over `(key, id)` pairs maintained by the engine as view updates land,
 //!   so the per-report operations the protocols actually need are
-//!   logarithmic.
+//!   logarithmic. It is the only order rank protocols read
+//!   ([`crate::protocol::ServerCtx::ranks`]).
 //!
 //! Both produce *byte-identical* results (the `(key, id)` tie-break order is
-//! part of the contract); `tests/rank_differential.rs` proves it per
-//! protocol and `tests/rank_index_prop.rs` per operation.
+//! part of the contract); `tests/rank_differential.rs` checks the engine's
+//! index against a sort of its view at every quiescent point, per
+//! protocol, and `tests/rank_index_prop.rs` per operation.
 //!
 //! ## Per-operation cost, seed (sort) vs. indexed
 //!
@@ -1036,137 +1039,6 @@ impl Ord for MergeHead {
     }
 }
 
-/// One ranked pass over the server's current knowledge, handed to rank
-/// protocols by [`crate::protocol::ServerCtx::ranks`].
-///
-/// Backed by the engine-maintained [`RankForest`] when incremental ranking
-/// is on (the default), or by a single sort of the view (the seed path,
-/// kept for differential testing). All accessors return byte-identical
-/// results either way.
-pub enum Ranks<'a> {
-    /// The engine's incrementally maintained sharded index.
-    Indexed(&'a RankForest),
-    /// One full sort of the view snapshot (`(key, id)` ascending).
-    Sorted(Vec<(f64, StreamId)>),
-}
-
-impl Ranks<'_> {
-    /// Ranks a fully-known view by one sort — the seed's code path.
-    pub fn from_view(space: RankSpace, view: &ServerView) -> Ranks<'static> {
-        assert!(view.all_known(), "cannot rank a partially-known view");
-        let mut pairs: Vec<(f64, StreamId)> = (0..view.len())
-            .map(|i| {
-                let id = StreamId(i as u32);
-                (space.key(view.get(id)), id)
-            })
-            .collect();
-        pairs.sort_by(|&a, &b| cmp_key(a, b));
-        Ranks::Sorted(pairs)
-    }
-
-    /// Number of ranked streams.
-    pub fn len(&self) -> usize {
-        match self {
-            Ranks::Indexed(index) => index.len(),
-            Ranks::Sorted(pairs) => pairs.len(),
-        }
-    }
-
-    /// Whether no stream is ranked.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `(key, id)` pair of 1-based rank `m`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= m <= len`.
-    pub fn select(&self, m: usize) -> (f64, StreamId) {
-        match self {
-            Ranks::Indexed(index) => index.select(m),
-            Ranks::Sorted(pairs) => {
-                assert!(m >= 1 && m <= pairs.len(), "select rank {m} out of 1..={}", pairs.len());
-                pairs[m - 1]
-            }
-        }
-    }
-
-    /// The midpoint between the keys of ranks `m` and `m + 1` — the
-    /// paper's `Deploy_bound` position. Equals [`midpoint_threshold`] over
-    /// the same entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `m + 1` streams are ranked or `m == 0`.
-    pub fn midpoint(&self, m: usize) -> f64 {
-        assert!(m >= 1, "midpoint rank must be >= 1");
-        assert!(
-            self.len() > m,
-            "midpoint between ranks {m} and {} needs more than {m} streams, got {}",
-            m + 1,
-            self.len()
-        );
-        (self.select(m).0 + self.select(m + 1).0) / 2.0
-    }
-
-    /// The `m` best-ranked ids in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `m` streams are ranked.
-    pub fn top_ids(&self, m: usize) -> Vec<StreamId> {
-        match self {
-            Ranks::Indexed(index) => index.top_ids(m),
-            Ranks::Sorted(pairs) => {
-                assert!(m <= pairs.len(), "asked for top {m} of {} ranked streams", pairs.len());
-                pairs[..m].iter().map(|&(_, id)| id).collect()
-            }
-        }
-    }
-
-    /// The `m` best-ranked `(key, id)` pairs in order — one pass serving
-    /// both a bound position (`pairs[m-1].0`) and the tracked id set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `m` streams are ranked.
-    pub fn top_pairs(&self, m: usize) -> Vec<(f64, StreamId)> {
-        match self {
-            Ranks::Indexed(index) => index.top_pairs(m),
-            Ranks::Sorted(pairs) => {
-                assert!(m <= pairs.len(), "asked for top {m} of {} ranked streams", pairs.len());
-                pairs[..m].to_vec()
-            }
-        }
-    }
-
-    /// Every ranked id, best-first.
-    pub fn ordered_ids(&self) -> Vec<StreamId> {
-        self.top_ids(self.len())
-    }
-
-    /// The 1-based rank of `id`, if ranked.
-    pub fn rank_of(&self, id: StreamId) -> Option<usize> {
-        match self {
-            Ranks::Indexed(index) => index.rank_of(id),
-            Ranks::Sorted(pairs) => pairs.iter().position(|&(_, pid)| pid == id).map(|pos| pos + 1),
-        }
-    }
-
-    /// How many ranked entries order strictly before the `(key, id)` pair
-    /// under [`cmp_key`]. The pair need not be ranked (nor ranked at that
-    /// key) — see [`RankForest::count_before`].
-    pub fn count_before(&self, at: (f64, StreamId)) -> usize {
-        match self {
-            Ranks::Indexed(index) => index.count_before(at),
-            Ranks::Sorted(pairs) => {
-                pairs.partition_point(|&p| cmp_key(p, at) == std::cmp::Ordering::Less)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1387,24 +1259,33 @@ mod tests {
     }
 
     #[test]
-    fn ranks_facade_paths_agree() {
+    fn forest_agrees_with_sorted_reference() {
         let space = RankSpace::Knn { q: 50.0 };
         let values = [10.0, 90.0, 50.0, 49.0, 51.0, 90.0];
-        let mut view = ServerView::new(values.len());
-        for (i, &v) in values.iter().enumerate() {
-            view.set(StreamId(i as u32), v);
-        }
+        let pairs = vals(&values);
+        let order = rank_values(space, pairs.iter().copied());
+        let keyed: Vec<(f64, StreamId)> =
+            order.iter().map(|&id| (space.key(values[id.0 as usize]), id)).collect();
         for parts in [1usize, 3] {
             let forest = filled_forest(space, &values, parts);
-            let indexed = Ranks::Indexed(&forest);
-            let sorted = Ranks::from_view(space, &view);
-            assert_eq!(indexed.len(), sorted.len());
-            assert_eq!(indexed.ordered_ids(), sorted.ordered_ids());
-            assert_eq!(indexed.top_pairs(values.len()), sorted.top_pairs(values.len()));
+            assert_eq!(forest.len(), values.len());
+            assert_eq!(forest.ordered_ids(), order, "parts {parts}");
+            assert_eq!(forest.top_pairs(values.len()), keyed, "parts {parts}");
             for m in 1..values.len() {
-                assert_eq!(indexed.select(m), sorted.select(m), "select {m} parts {parts}");
-                assert_eq!(indexed.midpoint(m), sorted.midpoint(m), "midpoint {m} parts {parts}");
-                assert_eq!(indexed.top_ids(m), sorted.top_ids(m), "top {m} parts {parts}");
+                assert_eq!(forest.select(m), keyed[m - 1], "select {m} parts {parts}");
+                assert_eq!(
+                    forest.midpoint(m).to_bits(),
+                    midpoint_threshold(space, pairs.iter().copied(), m).to_bits(),
+                    "midpoint {m} parts {parts}"
+                );
+                assert_eq!(forest.top_ids(m), order[..m], "top {m} parts {parts}");
+            }
+            for &(id, _) in &pairs {
+                assert_eq!(
+                    forest.rank_of(id),
+                    rank_of(space, pairs.iter().copied(), id),
+                    "rank_of {id} parts {parts}"
+                );
             }
         }
     }

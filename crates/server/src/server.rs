@@ -64,7 +64,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use asf_core::engine::{ProtocolCore, RankMode};
+use asf_core::engine::ProtocolCore;
 use asf_core::protocol::{CtxStats, Protocol};
 use asf_core::rank::RankForest;
 use asf_core::workload::{EventBatch, UpdateEvent, Workload};
@@ -251,12 +251,8 @@ impl<P: Protocol> ShardedServer<P> {
         // shard tracks land on a single exportable timeline.
         let tcfg = config.telemetry;
         let epoch = Instant::now();
-        let mut core = ProtocolCore::with_rank_mode_and_parts(
-            initial_values.len(),
-            protocol,
-            RankMode::Indexed,
-            config.num_shards,
-        );
+        let mut core =
+            ProtocolCore::with_rank_parts(initial_values.len(), protocol, config.num_shards);
         core.telemetry_mut().set_causes_enabled(tcfg.causes);
         core.telemetry_mut().trace = TraceRing::new(tcfg.trace, tcfg.trace_capacity, epoch);
         if tcfg.trace != TraceDepth::Off {

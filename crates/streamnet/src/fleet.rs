@@ -532,26 +532,6 @@ impl SourceFleet {
             }
         }
     }
-
-    /// Delivers a batch of updates back-to-back, collecting the reports in
-    /// delivery order. Equivalent to calling [`Self::deliver_update`] per
-    /// event; callers must route the returned reports to the protocol
-    /// afterwards (so it is only equivalent to the serial engine when no
-    /// filter redeployments would intervene between the events).
-    pub fn deliver_batch(
-        &mut self,
-        updates: &[(StreamId, f64)],
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> Vec<(StreamId, f64)> {
-        let mut reports = Vec::new();
-        for &(id, value) in updates {
-            if let Some(v) = self.deliver_update(id, value, ledger, view) {
-                reports.push((id, v));
-            }
-        }
-        reports
-    }
 }
 
 /// Undo log for speculative batch execution over a [`SourceFleet`].
@@ -941,38 +921,6 @@ mod tests {
     #[should_panic(expected = "at least one source")]
     fn empty_fleet_rejected() {
         SourceFleet::from_values(&[]);
-    }
-
-    #[test]
-    fn deliver_batch_equals_per_event_delivery() {
-        let updates = [
-            (StreamId(0), 120.0),
-            (StreamId(1), 550.0),
-            (StreamId(1), 700.0),
-            (StreamId(2), 950.0),
-        ];
-
-        let (mut fleet, mut ledger, mut view) = setup();
-        fleet.probe_all(&mut ledger, &mut view);
-        fleet.install(StreamId(1), Filter::interval(400.0, 600.0), &mut ledger, &mut view);
-        ledger.reset();
-        let reports = fleet.deliver_batch(&updates, &mut ledger, &mut view);
-
-        let (mut fleet2, mut ledger2, mut view2) = setup();
-        fleet2.probe_all(&mut ledger2, &mut view2);
-        fleet2.install(StreamId(1), Filter::interval(400.0, 600.0), &mut ledger2, &mut view2);
-        ledger2.reset();
-        let mut reports2 = Vec::new();
-        for &(id, v) in &updates {
-            if let Some(r) = fleet2.deliver_update(id, v, &mut ledger2, &mut view2) {
-                reports2.push((id, r));
-            }
-        }
-
-        assert_eq!(reports, reports2);
-        assert_eq!(ledger, ledger2);
-        // S1: 550 stays inside its filter (silent), 700 crosses (report).
-        assert_eq!(reports, vec![(StreamId(0), 120.0), (StreamId(1), 700.0), (StreamId(2), 950.0)]);
     }
 
     #[test]

@@ -115,8 +115,8 @@ where
     let mut batch = EventBatch::with_capacity(events.len());
     batch.extend_from_events(events);
 
-    // Scalar per-stream baseline, fed in columnar sub-batches through the
-    // core's batch-ingestion entry.
+    // Scalar per-stream baseline, fed the same columnar sub-batches one
+    // event at a time.
     let mut scalar_fleet = ScalarFleet(SourceFleet::from_values(initial));
     let mut scalar = ProtocolCore::new(initial.len(), make());
     scalar.initialize(&mut scalar_fleet);
@@ -133,7 +133,9 @@ where
         let end = batch.len().min(i + 64);
         sub.clear();
         sub.extend_from_batch(&batch, i, end);
-        scalar.deliver_batch_and_handle(&sub, &mut scalar_fleet);
+        for (&id, &value) in sub.streams().iter().zip(sub.values()) {
+            scalar.deliver_and_handle(id, value, &mut scalar_fleet);
+        }
         engine.apply_batch(&sub);
         assert_eq!(engine.answer(), scalar.answer(), "{label}: answers diverge at event {i}");
         i = end;

@@ -12,7 +12,7 @@
 //! population partitioned by those cells, are checked against ground truth
 //! at the same edges.
 //!
-//! The shared rank-view machinery rides along: `Ranks::rank_of` /
+//! The shared rank-view machinery rides along: `RankForest::rank_of` /
 //! `count_before` (the per-query view primitives over one shared
 //! population index) are checked against the sorted ground truth.
 
@@ -21,12 +21,12 @@ use asf_core::multi_query::{MultiRangeZt, QueryRouter};
 use asf_core::oracle;
 use asf_core::protocol::Protocol;
 use asf_core::query::{RangeQuery, RankSpace};
-use asf_core::rank::{cmp_key, RankForest, Ranks};
+use asf_core::rank::{cmp_key, RankForest};
 use asf_core::workload::UpdateEvent;
 use asf_core::AnswerSet;
 use asf_persist::{StateReader, StateWriter};
 use simkit::SimRng;
-use streamnet::{ServerView, StreamId};
+use streamnet::StreamId;
 
 /// The specification: membership diff by direct evaluation, O(m).
 fn naive_affected(queries: &[RangeQuery], old: f64, new: f64) -> Vec<u32> {
@@ -291,8 +291,8 @@ fn assert_partition_exact_at_edges(zero: f64) {
     assert_eq!(back.answer(), engine.protocol().answer());
 }
 
-/// `Ranks::rank_of` / `count_before` over both backends (the shared
-/// index and the sorted-view fallback) against a from-scratch sort.
+/// The shared index's `rank_of` / `count_before` against a from-scratch
+/// sort.
 #[test]
 fn shared_rank_views_agree_with_sorted_ground_truth() {
     let mut rng = SimRng::seed_from_u64(0xBEEF);
@@ -300,17 +300,14 @@ fn shared_rank_views_agree_with_sorted_ground_truth() {
         let n = 64;
         let mut values: Vec<f64> = (0..n).map(|_| rng.range_f64(0.0, 1000.0)).collect();
         let mut forest = RankForest::new(space, n, 4);
-        let mut view = ServerView::new(n);
         for (i, &v) in values.iter().enumerate() {
             forest.update(StreamId(i as u32), v);
-            view.set(StreamId(i as u32), v);
         }
         for step in 0..50 {
             let id = rng.index(n);
             let v = rng.range_f64(0.0, 1000.0);
             values[id] = v;
             forest.update(StreamId(id as u32), v);
-            view.set(StreamId(id as u32), v);
 
             let mut truth: Vec<(f64, StreamId)> = values
                 .iter()
@@ -319,17 +316,13 @@ fn shared_rank_views_agree_with_sorted_ground_truth() {
                 .collect();
             truth.sort_by(|&a, &b| cmp_key(a, b));
 
-            let indexed = Ranks::Indexed(&forest);
-            let sorted = Ranks::from_view(space, &view);
             for (probe, &pv) in values.iter().enumerate() {
                 let pid = StreamId(probe as u32);
                 let want = truth.iter().position(|&(_, i)| i == pid).map(|p| p + 1);
-                assert_eq!(indexed.rank_of(pid), want, "{space:?} step {step} indexed rank");
-                assert_eq!(sorted.rank_of(pid), want, "{space:?} step {step} sorted rank");
+                assert_eq!(forest.rank_of(pid), want, "{space:?} step {step} rank");
                 let at = (space.key(pv), pid);
                 let before = truth.iter().take_while(|&&p| cmp_key(p, at).is_lt()).count();
-                assert_eq!(indexed.count_before(at), before, "{space:?} indexed count_before");
-                assert_eq!(sorted.count_before(at), before, "{space:?} sorted count_before");
+                assert_eq!(forest.count_before(at), before, "{space:?} step {step} count_before");
             }
         }
     }
