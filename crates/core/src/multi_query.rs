@@ -23,9 +23,11 @@
 //! stream's last reported value lies in. That partition is all the server
 //! keeps: each stream's cell, one unordered bucket of stream ids per cell,
 //! and each stream's slot in its bucket (2n `u32`s plus n bucket entries,
-//! whatever m is). A report costs one binary search of the cut table, which
-//! also yields the server-managed filter to re-install, and one O(1) bucket
-//! move (`swap_remove`, fix the moved id's slot, `push`). Reads pay
+//! whatever m is). Cell and slot share one 16-byte row with the stream's
+//! last value, so a report touches one line of per-stream state. A report
+//! costs one binary search of the cut table, which also yields the
+//! server-managed filter to re-install, and one O(1) bucket move
+//! (`swap_remove`, fix the moved id's slot, `push`). Reads pay
 //! instead: [`MultiRangeZt::answer_of`] gathers the buckets of the query's
 //! cell span, [`Protocol::answer`] those of every covered cell, and a
 //! checkpoint sorts each query's gathered ids into its [`IdSet`] encoding.
@@ -41,7 +43,6 @@
 
 use std::cmp::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 use streamnet::{Filter, StreamId};
 
@@ -220,16 +221,28 @@ pub struct MultiRangeZt {
     mode: CellMode,
     routing: RoutingMode,
     router: QueryRouter,
-    /// Per-stream value as of its last handled report (`-inf` = never
-    /// heard, which lies in the uncovered cell 0). The checkpointed state:
-    /// the partition below is derived from it.
-    last: Vec<f64>,
-    /// `cell[i]` is the cell of `last[i]`.
-    cell: Vec<u32>,
+    /// Per stream, its last value and its place in the partition.
+    rows: Vec<Row>,
     /// Per cell, the ids of the streams in it, unordered.
     buckets: Vec<Vec<u32>>,
-    /// `buckets[cell[i]][slot[i]] == i`.
-    slot: Vec<u32>,
+}
+
+/// One stream's state in [`MultiRangeZt`].
+#[derive(Clone, Copy, Debug)]
+struct Row {
+    /// The value as of the stream's last handled report (`-inf` = never
+    /// heard, which lies in the uncovered cell 0). The checkpointed state:
+    /// `cell` and `slot` are derived from it.
+    last: f64,
+    /// The cell of `last`.
+    cell: u32,
+    /// `buckets[cell][slot]` is this stream.
+    slot: u32,
+}
+
+impl Row {
+    /// A stream never heard, before it is placed in a bucket.
+    const UNHEARD: Row = Row { last: f64::NEG_INFINITY, cell: 0, slot: 0 };
 }
 
 impl MultiRangeZt {
@@ -255,16 +268,7 @@ impl MultiRangeZt {
         }
         let router = QueryRouter::new(&queries);
         let buckets = vec![Vec::new(); router.num_cells()];
-        Ok(Self {
-            queries,
-            mode,
-            routing,
-            router,
-            last: Vec::new(),
-            cell: Vec::new(),
-            buckets,
-            slot: Vec::new(),
-        })
+        Ok(Self { queries, mode, routing, router, rows: Vec::new(), buckets })
     }
 
     /// The queries being maintained.
@@ -313,43 +317,39 @@ impl MultiRangeZt {
 
     /// Grows the per-stream tables to `n` streams; the new ones are never
     /// heard, so they join the uncovered cell 0.
-    fn ensure_last(&mut self, n: usize) {
-        for id in self.last.len()..n {
-            self.last.push(f64::NEG_INFINITY);
-            self.cell.push(0);
-            self.slot.push(self.buckets[0].len() as u32);
+    fn ensure_rows(&mut self, n: usize) {
+        for id in self.rows.len()..n {
+            let slot = self.buckets[0].len() as u32;
+            self.rows.push(Row { slot, ..Row::UNHEARD });
             self.buckets[0].push(id as u32);
         }
     }
 
     /// Moves stream `id` into cell `to` in O(1).
     fn move_to(&mut self, id: usize, to: u32) {
-        let from = self.cell[id];
+        let Row { cell: from, slot, .. } = self.rows[id];
         if from == to {
             return;
         }
-        let slot = self.slot[id] as usize;
         let bucket = &mut self.buckets[from as usize];
-        bucket.swap_remove(slot);
-        if let Some(&moved) = bucket.get(slot) {
-            self.slot[moved as usize] = slot as u32;
+        bucket.swap_remove(slot as usize);
+        if let Some(&moved) = bucket.get(slot as usize) {
+            self.rows[moved as usize].slot = slot;
         }
         let bucket = &mut self.buckets[to as usize];
-        self.slot[id] = bucket.len() as u32;
+        self.rows[id].cell = to;
+        self.rows[id].slot = bucket.len() as u32;
         bucket.push(id as u32);
-        self.cell[id] = to;
     }
 
-    /// Rebuilds the partition from `last`.
+    /// Rebuilds the partition (every row's cell and slot, and the buckets)
+    /// from the rows' last values.
     fn rebuild_partition(&mut self) {
         self.buckets.iter_mut().for_each(Vec::clear);
-        self.cell.clear();
-        self.slot.clear();
-        for (id, &v) in self.last.iter().enumerate() {
-            let c = self.router.cell_of(v);
-            let bucket = &mut self.buckets[c as usize];
-            self.cell.push(c);
-            self.slot.push(bucket.len() as u32);
+        for (id, row) in self.rows.iter_mut().enumerate() {
+            row.cell = self.router.cell_of(row.last);
+            let bucket = &mut self.buckets[row.cell as usize];
+            row.slot = bucket.len() as u32;
             bucket.push(id as u32);
         }
     }
@@ -362,9 +362,9 @@ impl Protocol for MultiRangeZt {
 
     fn initialize(&mut self, ctx: &mut ServerCtx<'_>) {
         ctx.probe_all();
-        self.last = vec![f64::NEG_INFINITY; ctx.n()];
+        self.rows = vec![Row::UNHEARD; ctx.n()];
         for (id, v) in ctx.view().iter_known() {
-            self.last[id.index()] = v;
+            self.rows[id.index()].last = v;
         }
         self.rebuild_partition();
         // One batch deployment of the cell filters (shard-parallel on the
@@ -374,7 +374,7 @@ impl Protocol for MultiRangeZt {
             .iter_known()
             .map(|(id, _)| {
                 let filter = match self.mode {
-                    CellMode::ServerManaged => self.router.filter(self.cell[id.index()]),
+                    CellMode::ServerManaged => self.router.filter(self.rows[id.index()].cell),
                     CellMode::SourceResident => Filter::cells(Arc::clone(&self.router.cuts)),
                 };
                 (id, filter)
@@ -384,20 +384,20 @@ impl Protocol for MultiRangeZt {
     }
 
     fn on_update(&mut self, id: StreamId, value: f64, ctx: &mut ServerCtx<'_>) {
-        self.ensure_last(ctx.n().max(id.index() + 1));
+        self.ensure_rows(ctx.n().max(id.index() + 1));
         let i = id.index();
-        let start = Instant::now();
+        let clock = ctx.routing_clock();
         let to = self.router.cell_of(value);
         let touched = match self.routing {
-            RoutingMode::Routed => self.router.flipped(self.cell[i], to),
+            RoutingMode::Routed => self.router.flipped(self.rows[i].cell, to),
             RoutingMode::NaiveScan => {
-                let old = self.last[i];
+                let old = self.rows[i].last;
                 self.queries.iter().filter(|q| q.contains(old) != q.contains(value)).count() as u64
             }
         };
         self.move_to(i, to);
-        self.last[i] = value;
-        ctx.note_routing(touched, start.elapsed().as_nanos() as u64);
+        self.rows[i].last = value;
+        ctx.note_routing(touched, clock);
         // Server-managed cells must be re-installed after every report
         // (1 extra message); a source-resident cut table already knows
         // every cell.
@@ -425,9 +425,9 @@ impl Protocol for MultiRangeZt {
         }
         // `last` is protocol state, not view state: the partition is
         // rebuilt from it, and the answers above are checked against it.
-        w.put_u64(self.last.len() as u64);
-        for &v in &self.last {
-            w.put_f64(v);
+        w.put_u64(self.rows.len() as u64);
+        for row in &self.rows {
+            w.put_f64(row.last);
         }
     }
 
@@ -441,9 +441,15 @@ impl Protocol for MultiRangeZt {
         if n > r.remaining() / 8 {
             return Err(asf_persist::PersistError::corrupt("last-value table longer than payload"));
         }
-        self.last = (0..n).map(|_| r.get_f64()).collect::<Result<_, _>>()?;
-        if self.last.iter().any(|v| v.is_nan()) {
-            return Err(asf_persist::PersistError::corrupt("NaN last value"));
+        // Decoded straight into the rows: no second n-long table.
+        self.rows.clear();
+        self.rows.reserve_exact(n);
+        for _ in 0..n {
+            let last = r.get_f64()?;
+            if last.is_nan() {
+                return Err(asf_persist::PersistError::corrupt("NaN last value"));
+            }
+            self.rows.push(Row { last, ..Row::UNHEARD });
         }
         self.rebuild_partition();
         // The answers are redundant with `last`: an image whose answers
@@ -660,6 +666,33 @@ mod tests {
         // 0 → 880 leaves Q0 for Q2, 2 → 210 leaves Q1 for Q0 ∩ Q1 (enters
         // Q0), 4 → 40 leaves Q0 and Q1: 2 + 1 + 1 + 2 + 1 + 2.
         assert_eq!((routed.2, routed.3), (6, 9), "the exact fan-out, not m per report");
+    }
+
+    #[test]
+    fn routing_counts_stay_exact_under_the_sampled_clock() {
+        let qs = queries();
+        let initial = vec![150.0, 250.0, 400.0, 850.0, 600.0, 50.0];
+        let mut engine = Engine::new(&initial, MultiRangeZt::new(qs.clone()).unwrap());
+        engine.initialize();
+        let mut rng = SimRng::seed_from_u64(0x5A_3F1E);
+        // A source reports exactly when its value leaves the cell of its
+        // last report; count those reports and their fan-out unsampled.
+        let (mut last, mut reports, mut touched, mut t) = (initial.clone(), 0u64, 0u64, 0.0);
+        while reports < 1_000 {
+            t += 1.0;
+            let (s, v) = (rng.index(initial.len()), rng.range_f64(0.0, 1000.0));
+            let router = &engine.protocol().router;
+            if router.cell_of(v) != router.cell_of(last[s]) {
+                reports += 1;
+                touched += scan_affected(&qs, last[s], v).len() as u64;
+                last[s] = v;
+            }
+            engine.apply_event(ev(t, s as u32, v));
+        }
+        let stats = engine.ctx_stats();
+        assert_eq!((stats.routed_reports, stats.queries_touched), (1_000, touched));
+        assert!(stats.routing_ns > 0, "the first report is timed");
+        assert_eq!(stats.routing_ns % crate::protocol::ROUTING_SAMPLE, 0, "a scaled sample");
     }
 
     #[test]

@@ -310,9 +310,9 @@ impl Protocol for MultiRankZt {
 
     fn on_update(&mut self, _id: StreamId, _value: f64, ctx: &mut ServerCtx<'_>) {
         ctx.set_cause(Cause::BoundRecompute);
-        let start = std::time::Instant::now();
+        let clock = ctx.routing_clock();
         let touched = self.recompute(ctx);
-        ctx.note_routing(touched, start.elapsed().as_nanos() as u64);
+        ctx.note_routing(touched, clock);
     }
 
     /// The union of all query answers — the largest prefix, i.e. the whole

@@ -70,10 +70,18 @@ pub struct CtxStats {
     /// multi-query fan-out that routing keeps sublinear in the query count
     /// (`queries_touched / routed_reports` is the mean fan-out).
     pub queries_touched: u64,
-    /// Time inside the routing index (affected-query lookup + answer
-    /// maintenance), ns.
+    /// Estimated time inside the routing index (affected-query lookup +
+    /// answer maintenance), ns: one routed report in every
+    /// [`ROUTING_SAMPLE`] is timed and counts `ROUTING_SAMPLE` times, so
+    /// the figure is always a multiple of it (see
+    /// [`ServerCtx::routing_clock`]).
     pub routing_ns: u64,
 }
+
+/// One routed report in this many has its routing work timed
+/// ([`ServerCtx::routing_clock`]). A clock pair costs as much as the
+/// routing it would meter, so the per-report path reads none.
+pub const ROUTING_SAMPLE: u64 = 64;
 
 impl CtxStats {
     /// Records one forest maintenance pass (delta refresh or bulk
@@ -201,15 +209,27 @@ impl<'a> ServerCtx<'a> {
         forest
     }
 
-    /// Records one multi-query routed report: how many query answers it
-    /// touched and how long the routing work took. Purely observational
-    /// (feeds [`CtxStats`] and the `ctx.routing_*` telemetry counters);
-    /// nothing feeds back into protocol decisions.
+    /// Starts the routing meter for the report about to be routed: a clock
+    /// on one report in every [`ROUTING_SAMPLE`] (the first one included),
+    /// `None` on the rest. Hand the result to [`ServerCtx::note_routing`].
     #[inline]
-    pub fn note_routing(&mut self, queries_touched: u64, ns: u64) {
+    pub fn routing_clock(&self) -> Option<Instant> {
+        (self.stats.routed_reports % ROUTING_SAMPLE == 0).then(Instant::now)
+    }
+
+    /// Records one multi-query routed report: how many query answers it
+    /// touched (exact) and, if `clock` was started by
+    /// [`ServerCtx::routing_clock`], its elapsed time scaled by
+    /// [`ROUTING_SAMPLE`] — the sampled estimate of the routing work.
+    /// Purely observational (feeds [`CtxStats`] and the `ctx.routing_*`
+    /// telemetry counters); nothing feeds back into protocol decisions.
+    #[inline]
+    pub fn note_routing(&mut self, queries_touched: u64, clock: Option<Instant>) {
         self.stats.routed_reports += 1;
         self.stats.queries_touched += queries_touched;
-        self.stats.routing_ns += ns;
+        if let Some(start) = clock {
+            self.stats.routing_ns += start.elapsed().as_nanos() as u64 * ROUTING_SAMPLE;
+        }
     }
 
     /// Probes one source for its current value (2 messages); refreshes the
@@ -449,6 +469,26 @@ mod tests {
         assert_eq!(v, 500.0);
         assert_eq!(ctx.view().get(StreamId(1)), 500.0);
         assert_eq!(ctx.ledger().total(), 2);
+    }
+
+    #[test]
+    fn routing_meter_times_one_report_in_every_sample() {
+        let mut p = setup();
+        for i in 0..3 * ROUTING_SAMPLE {
+            let mut ctx = p.ctx();
+            let clock = ctx.routing_clock();
+            assert_eq!(clock.is_some(), i % ROUTING_SAMPLE == 0, "report {i}");
+            if clock.is_some() {
+                std::thread::sleep(std::time::Duration::from_micros(1));
+            }
+            ctx.note_routing(i % 3, clock);
+            assert!(p.stats.routing_ns > 0, "the first report is timed");
+            assert_eq!(p.stats.routing_ns % ROUTING_SAMPLE, 0);
+        }
+        assert_eq!(p.stats.routed_reports, 3 * ROUTING_SAMPLE);
+        assert_eq!(p.stats.queries_touched, 3 * ROUTING_SAMPLE, "Σ i mod 3 over 192 reports");
+        // Three samples of at least 1 µs each, scaled by the sample rate.
+        assert!(p.stats.routing_ns >= 3 * 1_000 * ROUTING_SAMPLE);
     }
 
     #[test]

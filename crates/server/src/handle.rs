@@ -149,7 +149,9 @@ impl ShardHandle {
 
     /// The cumulative busy time (ns) of a coordinator-run shard, in either
     /// mode; `None` for a worker, whose figure [`ShardHandle::shutdown`]
-    /// returns.
+    /// returns. It grows only with window evaluations and batch fleet
+    /// operations ([`Shard::busy_ns`]); single-stream touches are not
+    /// timed.
     pub fn busy_ns(&self) -> Option<u64> {
         match self {
             ShardHandle::Local { shard, .. } => Some(shard.busy_ns()),
@@ -385,11 +387,20 @@ mod tests {
             let local = round % 2;
             let value = 100.0 + f64::from(round);
             h.send(ShardCmd::Deliver { local, value, positions: Vec::new() });
-            let before = h.busy_ns();
             assert!(matches!(h, ShardHandle::Local { pending: Some(_), .. }));
-            // Sending ran nothing; receiving runs the command.
             match h.recv() {
                 ShardReply::Delivered { report, .. } => assert_eq!(report, Some(value)),
+                other => panic!("unexpected reply {other:?}"),
+            }
+            // A batch operation is timed; its busy time appears only at
+            // `recv`, so sending ran nothing and receiving runs it.
+            h.send(ShardCmd::ProbeAll);
+            let before = h.busy_ns();
+            assert!(matches!(h, ShardHandle::Local { pending: Some(_), .. }));
+            match h.recv() {
+                ShardReply::ProbedAll { values, .. } => {
+                    assert_eq!(values[local as usize], value, "sees the delivery sent before it")
+                }
                 other => panic!("unexpected reply {other:?}"),
             }
             assert!(h.busy_ns() > before);
@@ -468,9 +479,14 @@ mod tests {
             for state in ["idle", "sent a command", "never sent anything"] {
                 within_bound(state, move || {
                     let mut h = worker(&[1.0, 2.0]);
+                    // Batch operations, since only they (and windows) are
+                    // timed: the busy figure shows the worker ran them.
                     match state {
-                        "idle" => assert_eq!(probed(h.request(probe(1))), 2.0),
-                        "sent a command" => h.send(probe(0)),
+                        "idle" => match h.request(ShardCmd::ProbeAll) {
+                            ShardReply::ProbedAll { values, .. } => assert_eq!(values, [1.0, 2.0]),
+                            other => panic!("unexpected reply {other:?}"),
+                        },
+                        "sent a command" => h.send(ShardCmd::ProbeAll),
                         _ => {}
                     }
                     if shut_down {

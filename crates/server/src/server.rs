@@ -171,10 +171,13 @@ pub struct ShardedServer<P: Protocol> {
     now: SimTime,
     events_processed: u64,
     metrics: ServerMetrics,
-    /// Pool of report buffers: every `EvalWindow` carries one out and the
-    /// gathered `Evaluated` reply hands it back, so steady-state rounds
-    /// scatter and gather without allocating.
-    report_buffers: Vec<Vec<SpecEvent>>,
+    /// One report buffer per shard: every `EvalWindow` carries its shard's
+    /// out and the gathered `Evaluated` reply hands it back, holding the
+    /// round's reports until the merge, so steady-state rounds scatter and
+    /// gather without allocating.
+    shard_reports: Vec<Vec<SpecEvent>>,
+    /// Pooled read positions of the gather's merge, one per shard.
+    merge_cursors: Vec<usize>,
     /// Reused per-round merge buffer for the gathered report streams.
     merged: Vec<(SpecEvent, usize)>,
     /// The current ingestion chunk as a shared columnar window. Refilled
@@ -273,7 +276,8 @@ impl<P: Protocol> ShardedServer<P> {
             now: 0.0,
             events_processed: 0,
             metrics: ServerMetrics::new(config.num_shards),
-            report_buffers: Vec::new(),
+            shard_reports: vec![Vec::new(); config.num_shards],
+            merge_cursors: Vec::new(),
             merged: Vec::new(),
             shared_chunk: Arc::new(EventBatch::new()),
             occurrences: OccurrenceIndex::new(initial_values.len()),
@@ -559,32 +563,30 @@ impl<P: Protocol> ShardedServer<P> {
         let chunk = Arc::clone(&self.shared_chunk);
         let end = chunk.len();
         self.metrics.scatter_ns += scatter_start.elapsed().as_nanos() as u64;
-        for handle in self.handles.iter_mut() {
-            let (window, reports) =
-                (Arc::clone(&chunk), self.report_buffers.pop().unwrap_or_default());
+        for (handle, reports) in self.handles.iter_mut().zip(&mut self.shard_reports) {
+            let (window, reports) = (Arc::clone(&chunk), std::mem::take(reports));
             handle.send(ShardCmd::EvalWindow { window, start: 0, end, reports });
         }
         self.metrics.rounds += 1;
         self.core.telemetry_mut().trace.end(TraceDepth::Coarse);
     }
 
-    /// Gathers every shard's `Evaluated` reply into the pooled `merged`
-    /// buffer, sorted by sequence number. (Each per-shard list is already
-    /// sorted; an unstable sort of the concatenation is fine since seqs
-    /// are unique.) Every application it reports commits at the chunk's
-    /// quiescent point, since nothing rolls back. Returns the round's
-    /// maximum per-shard busy time — the chunk's evaluation critical path.
+    /// Gathers every shard's `Evaluated` reply and merges the per-shard
+    /// report lists into the pooled `merged` buffer in sequence order
+    /// ([`merge_by_seq`]: each list is already ascending and seqs are
+    /// unique across shards, so no sort is needed). Every application it
+    /// reports commits at the chunk's quiescent point, since nothing rolls
+    /// back. Returns the round's maximum per-shard busy time — the chunk's
+    /// evaluation critical path.
     fn gather_window(&mut self) -> u64 {
         self.core.telemetry_mut().trace.begin(
             TraceDepth::Coarse,
             "gather_window",
             self.handles.len() as u64,
         );
-        let mut merged = std::mem::take(&mut self.merged);
-        merged.clear();
         let mut round_max_busy = 0u64;
         for (s, handle) in self.handles.iter_mut().enumerate() {
-            let (mut reports, evaluated, busy_ns, scan_ns) = match handle.recv() {
+            let (reports, evaluated, busy_ns, scan_ns) = match handle.recv() {
                 ShardReply::Evaluated { reports, evaluated, busy_ns, scan_ns } => {
                     (reports, evaluated, busy_ns, scan_ns)
                 }
@@ -595,15 +597,9 @@ impl<P: Protocol> ShardedServer<P> {
             self.metrics.shard_busy_ns[s] += busy_ns;
             self.metrics.shard_scan_ns[s] += scan_ns;
             round_max_busy = round_max_busy.max(busy_ns);
-            merged.extend(reports.drain(..).map(|ev| (ev, s)));
-            // The drained report buffer goes back into the pool, so
-            // steady-state rounds gather without allocating.
-            if reports.capacity() > 0 {
-                self.report_buffers.push(reports);
-            }
+            self.shard_reports[s] = reports;
         }
-        merged.sort_unstable_by_key(|(ev, _)| ev.seq);
-        self.merged = merged;
+        merge_by_seq(&self.shard_reports, &mut self.merge_cursors, &mut self.merged);
         self.core.telemetry_mut().trace.end(TraceDepth::Coarse);
         round_max_busy
     }
@@ -1275,19 +1271,63 @@ impl<P: Protocol> ShardedServer<P> {
         }
         for (s, handle) in self.handles.iter_mut().enumerate() {
             let busy = handle.shutdown();
-            // The worker's figure is cumulative (eval + control-plane
-            // commands); the coordinator only accumulated eval time from
-            // replies, so take whichever is larger.
+            // The worker's figure is cumulative (eval + batch fleet ops);
+            // the coordinator only accumulated eval time from replies, so
+            // take whichever is larger.
             self.metrics.shard_busy_ns[s] = self.metrics.shard_busy_ns[s].max(busy);
         }
         self.metrics.clone()
     }
 }
 
+/// Merges per-shard report lists, each ascending in `seq` with seqs unique
+/// across lists, into `out` as `(report, shard)` pairs in ascending `seq`.
+/// Two lists (the benchmark's 2 shards) take a two-pointer merge; any
+/// other count takes the least head of every list at each step, reading
+/// through `cursors` (one position per list). Both buffers are pooled:
+/// neither allocates once warm.
+fn merge_by_seq(
+    lists: &[Vec<SpecEvent>],
+    cursors: &mut Vec<usize>,
+    out: &mut Vec<(SpecEvent, usize)>,
+) {
+    out.clear();
+    if let [a, b] = lists {
+        let (mut i, mut j) = (0, 0);
+        while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+            if x.seq < y.seq {
+                out.push((x, 0));
+                i += 1;
+            } else {
+                out.push((y, 1));
+                j += 1;
+            }
+        }
+        out.extend(a[i..].iter().map(|&ev| (ev, 0)));
+        out.extend(b[j..].iter().map(|&ev| (ev, 1)));
+        return;
+    }
+    cursors.clear();
+    cursors.resize(lists.len(), 0);
+    loop {
+        let mut least: Option<(u64, usize)> = None;
+        for (s, list) in lists.iter().enumerate() {
+            match list.get(cursors[s]) {
+                Some(ev) if least.is_none_or(|(seq, _)| ev.seq < seq) => least = Some((ev.seq, s)),
+                _ => {}
+            }
+        }
+        let Some((_, s)) = least else { return };
+        out.push((lists[s][cursors[s]], s));
+        cursors[s] += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::{ServerConfig, ShardedServer};
+    use super::{merge_by_seq, ServerConfig, ShardedServer};
     use crate::handle::ExecMode;
+    use crate::shard::SpecEvent;
     use asf_core::engine::Engine;
     use asf_core::protocol::{Rtp, ZtNrp};
     use asf_core::query::{RangeQuery, RankQuery};
@@ -1308,6 +1348,34 @@ mod tests {
             events.push(ev);
         }
         (initial, events)
+    }
+
+    #[test]
+    fn gather_merge_equals_a_sort_by_seq() {
+        let mut rng = simkit::SimRng::seed_from_u64(0x3E_46E);
+        let (mut cursors, mut out) = (Vec::new(), Vec::new());
+        for k in [1, 2, 3, 8] {
+            for len in [0, 1, 2, 17, 500] {
+                // Deal seqs 0..len to the k lists at random, each ascending:
+                // empty and single-element lists included.
+                let mut lists = vec![Vec::new(); k];
+                for seq in 0..len as u64 {
+                    let ev = SpecEvent { seq, local: seq as u32 * 3, value: seq as f64 };
+                    lists[rng.index(k)].push(ev);
+                }
+                let mut sorted: Vec<(SpecEvent, usize)> = lists
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(s, list)| list.iter().map(move |&ev| (ev, s)))
+                    .collect();
+                sorted.sort_by_key(|(ev, _)| ev.seq);
+                merge_by_seq(&lists, &mut cursors, &mut out);
+                let key = |v: &[(SpecEvent, usize)]| -> Vec<(u64, u32, usize)> {
+                    v.iter().map(|(ev, s)| (ev.seq, ev.local, *s)).collect()
+                };
+                assert_eq!(key(&out), key(&sorted), "k = {k}, {len} reports");
+            }
+        }
     }
 
     #[test]

@@ -367,7 +367,7 @@ pub struct Shard {
     flips: Vec<u64>,
     /// Undo journal of the in-flight speculative batch.
     spec: SpecLog,
-    /// Cumulative busy time (ns), metrics only.
+    /// Cumulative busy time (ns), metrics only: see [`Shard::busy_ns`].
     busy_ns: u64,
     /// This shard's trace ring (disabled unless the server installs one
     /// via [`ShardCmd::SetTrace`]).
@@ -426,7 +426,13 @@ impl Shard {
         self.partition.shards()
     }
 
-    /// Cumulative busy time in nanoseconds (metrics only).
+    /// Cumulative busy time in nanoseconds (metrics only): the scan and
+    /// evaluation time of every [`ShardCmd::EvalWindow`] plus the elapsed
+    /// time of every batch fleet operation ([`ShardCmd::ProbeAll`],
+    /// [`ShardCmd::ProbeMany`], [`ShardCmd::InstallMany`],
+    /// [`ShardCmd::Broadcast`]). Single-stream touches and control
+    /// commands read no clock: a report's re-install is one of the former,
+    /// and a clock pair costs as much as the touch.
     pub fn busy_ns(&self) -> u64 {
         self.busy_ns
     }
@@ -434,7 +440,14 @@ impl Shard {
     /// Executes one command: on the coordinator for a coordinator-run
     /// shard, in the worker loop otherwise.
     pub fn exec(&mut self, cmd: ShardCmd) -> ShardReply {
-        let start = Instant::now();
+        let clock = matches!(
+            cmd,
+            ShardCmd::ProbeAll
+                | ShardCmd::ProbeMany { .. }
+                | ShardCmd::InstallMany { .. }
+                | ShardCmd::Broadcast { .. }
+        )
+        .then(Instant::now);
         let mut reply = match cmd {
             ShardCmd::EvalWindow { window, start, end, reports } => {
                 self.eval_window(&window, start, end, reports)
@@ -524,16 +537,18 @@ impl Shard {
             ShardCmd::TakeTrace => ShardReply::Trace(self.trace.take()),
             ShardCmd::TraceDropped => ShardReply::TraceDropped(self.trace.dropped()),
         };
-        let elapsed = start.elapsed().as_nanos() as u64;
-        self.busy_ns += elapsed;
         // Batch fleet-op replies carry their shard-side wall time so the
         // coordinator can attribute it to the parallel component of the
         // scaling model (shards work their slices concurrently).
         match &mut reply {
+            ShardReply::Evaluated { busy_ns, .. } => self.busy_ns += *busy_ns,
             ShardReply::ProbedAll { busy_ns, .. }
             | ShardReply::ProbedMany { busy_ns, .. }
             | ShardReply::InstalledMany { busy_ns, .. }
-            | ShardReply::Broadcasted { busy_ns, .. } => *busy_ns = elapsed,
+            | ShardReply::Broadcasted { busy_ns, .. } => {
+                *busy_ns = clock.map_or(0, |start| start.elapsed().as_nanos() as u64);
+                self.busy_ns += *busy_ns;
+            }
             _ => {}
         }
         reply

@@ -6,6 +6,11 @@
 //! therefore run without a single allocation — whether the reporter never
 //! recurs within its chunk (the bare touch) or recurs and respeculates.
 //!
+//! The same holds for the server-managed multi-query protocol, whose every
+//! report also moves its stream between cell buckets and may time its
+//! routing (one report in 64), and whose reports reach the coordinator
+//! through the gather's pooled merge.
+//!
 //! Each pass runs inline and threaded. The counter is per-thread, so in
 //! threaded mode it counts the coordinator — which also runs shard 0 — and
 //! shows that a steady-state mailbox hand-off allocates nothing on its
@@ -17,6 +22,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use asf_core::multi_query::MultiRangeZt;
 use asf_core::protocol::{Protocol, ServerCtx, ZtNrp};
 use asf_core::query::RangeQuery;
 use asf_core::workload::UpdateEvent;
@@ -171,6 +177,38 @@ fn steady_state_respeculating_installs_do_not_allocate() {
             second_pass_allocations(Reinstall, n, 4 * n, mode, |step| 8.0 * (step % 4) as f64);
         assert_eq!(m.rounds, m.batches, "one round per chunk: {}", m.summary());
         assert!(m.respeculated > 0 && m.respec_flips > 0, "{}", m.summary());
+        assert_eq!(allocated, 0, "{mode:?}: {}", m.summary());
+    }
+}
+
+#[test]
+fn steady_state_multi_query_reports_do_not_allocate() {
+    // 128 queries [50j, 50j + 20]: stream i starts at 100i, inside query
+    // 2i, and alternates with 100i + 30, between queries 2i and 2i + 1 —
+    // another cell, so every event reports and re-installs its cell.
+    let n = 64;
+    let queries: Vec<RangeQuery> = (0..2 * n)
+        .map(|j| RangeQuery::new(50.0 * j as f64, 50.0 * j as f64 + 20.0).unwrap())
+        .collect();
+    for mode in MODES {
+        let protocol = MultiRangeZt::new(queries.clone()).unwrap();
+        let (allocated, m) =
+            second_pass_allocations(
+                protocol,
+                n,
+                n,
+                mode,
+                |step| {
+                    if step % 2 == 0 {
+                        30.0
+                    } else {
+                        0.0
+                    }
+                },
+            );
+        assert_eq!(m.reports_consumed, 2 * 8 * n as u64, "every event reports");
+        assert_eq!(m.scoped_touches, m.reports_consumed, "every report installs");
+        assert_eq!(m.rounds, m.batches, "one round per chunk");
         assert_eq!(allocated, 0, "{mode:?}: {}", m.summary());
     }
 }
