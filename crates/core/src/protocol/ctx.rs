@@ -72,9 +72,9 @@ pub struct CtxStats {
     pub queries_touched: u64,
     /// Estimated time inside the routing index (affected-query lookup +
     /// answer maintenance), ns: one routed report in every
-    /// [`ROUTING_SAMPLE`] is timed and counts `ROUTING_SAMPLE` times, so
-    /// the figure is always a multiple of it (see
-    /// [`ServerCtx::routing_clock`]).
+    /// [`ROUTING_SAMPLE`] is timed, capped at [`ROUTING_SAMPLE_MAX_NS`],
+    /// and counts `ROUTING_SAMPLE` times, so the figure is always a
+    /// multiple of it (see [`ServerCtx::routing_clock`]).
     pub routing_ns: u64,
 }
 
@@ -82,6 +82,14 @@ pub struct CtxStats {
 /// ([`ServerCtx::routing_clock`]). A clock pair costs as much as the
 /// routing it would meter, so the per-report path reads none.
 pub const ROUTING_SAMPLE: u64 = 64;
+
+/// The most one timed routing sample counts for, ns. Routing one report
+/// takes ≈ 0.35 µs on `multi_range` (p99 ≈ 1 µs, 2-core dev box); a longer
+/// sample is an interrupt or a preemption, and scaled by
+/// [`ROUTING_SAMPLE`] it would add 64× the stall — more time than passed.
+/// Capped, a stalled sample overstates the estimate by at most
+/// `ROUTING_SAMPLE × ROUTING_SAMPLE_MAX_NS` ≈ 0.26 ms.
+pub const ROUTING_SAMPLE_MAX_NS: u64 = 4_000;
 
 impl CtxStats {
     /// Records one forest maintenance pass (delta refresh or bulk
@@ -219,8 +227,9 @@ impl<'a> ServerCtx<'a> {
 
     /// Records one multi-query routed report: how many query answers it
     /// touched (exact) and, if `clock` was started by
-    /// [`ServerCtx::routing_clock`], its elapsed time scaled by
-    /// [`ROUTING_SAMPLE`] — the sampled estimate of the routing work.
+    /// [`ServerCtx::routing_clock`], its elapsed time, capped at
+    /// [`ROUTING_SAMPLE_MAX_NS`] and scaled by [`ROUTING_SAMPLE`] — the
+    /// sampled estimate of the routing work.
     /// Purely observational (feeds [`CtxStats`] and the `ctx.routing_*`
     /// telemetry counters); nothing feeds back into protocol decisions.
     #[inline]
@@ -228,7 +237,8 @@ impl<'a> ServerCtx<'a> {
         self.stats.routed_reports += 1;
         self.stats.queries_touched += queries_touched;
         if let Some(start) = clock {
-            self.stats.routing_ns += start.elapsed().as_nanos() as u64 * ROUTING_SAMPLE;
+            let sample = (start.elapsed().as_nanos() as u64).min(ROUTING_SAMPLE_MAX_NS);
+            self.stats.routing_ns += sample * ROUTING_SAMPLE;
         }
     }
 
@@ -489,6 +499,17 @@ mod tests {
         assert_eq!(p.stats.queries_touched, 3 * ROUTING_SAMPLE, "Σ i mod 3 over 192 reports");
         // Three samples of at least 1 µs each, scaled by the sample rate.
         assert!(p.stats.routing_ns >= 3 * 1_000 * ROUTING_SAMPLE);
+        assert!(p.stats.routing_ns <= 3 * ROUTING_SAMPLE_MAX_NS * ROUTING_SAMPLE);
+    }
+
+    #[test]
+    fn a_stalled_routing_sample_counts_at_most_the_cap() {
+        let mut p = setup();
+        let mut ctx = p.ctx();
+        let clock = ctx.routing_clock();
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        ctx.note_routing(1, clock);
+        assert_eq!(p.stats.routing_ns, ROUTING_SAMPLE_MAX_NS * ROUTING_SAMPLE);
     }
 
     #[test]

@@ -18,7 +18,7 @@ mod vt_max;
 mod zt_nrp;
 mod zt_rp;
 
-pub use ctx::{CtxStats, FleetScratch, ServerCtx, ROUTING_SAMPLE};
+pub use ctx::{CtxStats, FleetScratch, ServerCtx, ROUTING_SAMPLE, ROUTING_SAMPLE_MAX_NS};
 pub use ft_nrp::{FtNrp, FtNrpConfig};
 pub use ft_rp::{FtRp, FtRpConfig};
 pub use heuristics::SelectionHeuristic;

@@ -1281,32 +1281,16 @@ impl<P: Protocol> ShardedServer<P> {
 }
 
 /// Merges per-shard report lists, each ascending in `seq` with seqs unique
-/// across lists, into `out` as `(report, shard)` pairs in ascending `seq`.
-/// Two lists (the benchmark's 2 shards) take a two-pointer merge; any
-/// other count takes the least head of every list at each step, reading
-/// through `cursors` (one position per list). Both buffers are pooled:
-/// neither allocates once warm.
+/// across lists, into `out` as `(report, shard)` pairs in ascending `seq`:
+/// each step takes the least head of every list, reading through `cursors`
+/// (one position per list). Both buffers are pooled: neither allocates
+/// once warm.
 fn merge_by_seq(
     lists: &[Vec<SpecEvent>],
     cursors: &mut Vec<usize>,
     out: &mut Vec<(SpecEvent, usize)>,
 ) {
     out.clear();
-    if let [a, b] = lists {
-        let (mut i, mut j) = (0, 0);
-        while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
-            if x.seq < y.seq {
-                out.push((x, 0));
-                i += 1;
-            } else {
-                out.push((y, 1));
-                j += 1;
-            }
-        }
-        out.extend(a[i..].iter().map(|&ev| (ev, 0)));
-        out.extend(b[j..].iter().map(|&ev| (ev, 1)));
-        return;
-    }
     cursors.clear();
     cursors.resize(lists.len(), 0);
     loop {

@@ -440,15 +440,7 @@ impl Shard {
     /// Executes one command: on the coordinator for a coordinator-run
     /// shard, in the worker loop otherwise.
     pub fn exec(&mut self, cmd: ShardCmd) -> ShardReply {
-        let clock = matches!(
-            cmd,
-            ShardCmd::ProbeAll
-                | ShardCmd::ProbeMany { .. }
-                | ShardCmd::InstallMany { .. }
-                | ShardCmd::Broadcast { .. }
-        )
-        .then(Instant::now);
-        let mut reply = match cmd {
+        match cmd {
             ShardCmd::EvalWindow { window, start, end, reports } => {
                 self.eval_window(&window, start, end, reports)
             }
@@ -469,18 +461,27 @@ impl Shard {
                 ShardReply::Probed { value, flips: self.flips_into(positions) }
             }
             ShardCmd::ProbeAll => {
-                let values = self.respeculate(None, |fleet, ledger, view| {
-                    (0..fleet.len() as u32)
-                        .map(|local| fleet.probe(StreamId(local), ledger, view))
-                        .collect()
+                let ((values, flips), busy_ns) = self.timed(|shard| {
+                    let values = shard.respeculate(None, |fleet, ledger, view| {
+                        (0..fleet.len() as u32)
+                            .map(|local| fleet.probe(StreamId(local), ledger, view))
+                            .collect()
+                    });
+                    (values, shard.flips_into(Vec::new()))
                 });
-                ShardReply::ProbedAll { values, flips: self.flips_into(Vec::new()), busy_ns: 0 }
+                ShardReply::ProbedAll { values, flips, busy_ns }
             }
             ShardCmd::ProbeMany { locals, positions } => {
-                let values = self.respeculate(Some(&positions), |fleet, ledger, view| {
-                    locals.iter().map(|&local| fleet.probe(StreamId(local), ledger, view)).collect()
+                let ((values, flips), busy_ns) = self.timed(|shard| {
+                    let values = shard.respeculate(Some(&positions), |fleet, ledger, view| {
+                        locals
+                            .iter()
+                            .map(|&local| fleet.probe(StreamId(local), ledger, view))
+                            .collect()
+                    });
+                    (values, shard.flips_into(positions))
                 });
-                ShardReply::ProbedMany { values, flips: self.flips_into(positions), busy_ns: 0 }
+                ShardReply::ProbedMany { values, flips, busy_ns }
             }
             ShardCmd::Install { local, filter, positions } => {
                 let sync = self.respeculate(Some(&positions), |fleet, ledger, view| {
@@ -489,29 +490,33 @@ impl Shard {
                 ShardReply::Installed { sync, flips: self.flips_into(positions) }
             }
             ShardCmd::InstallMany { items, positions } => {
-                let syncs = self.respeculate(Some(&positions), |fleet, ledger, view| {
-                    items
-                        .into_iter()
-                        .map(|(local, filter)| fleet.install(StreamId(local), filter, ledger, view))
-                        .collect()
+                let ((syncs, flips), busy_ns) = self.timed(|shard| {
+                    let syncs = shard.respeculate(Some(&positions), |fleet, ledger, view| {
+                        items
+                            .into_iter()
+                            .map(|(local, filter)| {
+                                fleet.install(StreamId(local), filter, ledger, view)
+                            })
+                            .collect()
+                    });
+                    (syncs, shard.flips_into(positions))
                 });
-                ShardReply::InstalledMany { syncs, flips: self.flips_into(positions), busy_ns: 0 }
+                ShardReply::InstalledMany { syncs, flips, busy_ns }
             }
             ShardCmd::Broadcast { filter } => {
                 // The sync buffer is shard-held scratch (reinit storms
                 // broadcast every round); only the (local, value) reply
                 // that crosses the channel is allocated.
-                let mut syncs = std::mem::take(&mut self.broadcast_scratch);
-                self.respeculate(None, |fleet, _, view| {
-                    fleet.install_all_unmetered_into(filter, view, &mut syncs)
+                let ((syncs, flips), busy_ns) = self.timed(|shard| {
+                    let mut syncs = std::mem::take(&mut shard.broadcast_scratch);
+                    shard.respeculate(None, |fleet, _, view| {
+                        fleet.install_all_unmetered_into(filter, view, &mut syncs)
+                    });
+                    let reply = syncs.iter().map(|&(id, v)| (id.0, v)).collect();
+                    shard.broadcast_scratch = syncs;
+                    (reply, shard.flips_into(Vec::new()))
                 });
-                let reply = syncs.iter().map(|&(id, v)| (id.0, v)).collect();
-                self.broadcast_scratch = syncs;
-                ShardReply::Broadcasted {
-                    syncs: reply,
-                    flips: self.flips_into(Vec::new()),
-                    busy_ns: 0,
-                }
+                ShardReply::Broadcasted { syncs, flips, busy_ns }
             }
             ShardCmd::TruthSnapshot => ShardReply::Truth(self.fleet.values().collect()),
             ShardCmd::SaveState => {
@@ -536,22 +541,19 @@ impl Shard {
             }
             ShardCmd::TakeTrace => ShardReply::Trace(self.trace.take()),
             ShardCmd::TraceDropped => ShardReply::TraceDropped(self.trace.dropped()),
-        };
-        // Batch fleet-op replies carry their shard-side wall time so the
-        // coordinator can attribute it to the parallel component of the
-        // scaling model (shards work their slices concurrently).
-        match &mut reply {
-            ShardReply::Evaluated { busy_ns, .. } => self.busy_ns += *busy_ns,
-            ShardReply::ProbedAll { busy_ns, .. }
-            | ShardReply::ProbedMany { busy_ns, .. }
-            | ShardReply::InstalledMany { busy_ns, .. }
-            | ShardReply::Broadcasted { busy_ns, .. } => {
-                *busy_ns = clock.map_or(0, |start| start.elapsed().as_nanos() as u64);
-                self.busy_ns += *busy_ns;
-            }
-            _ => {}
         }
-        reply
+    }
+
+    /// Runs one batch fleet operation and adds its elapsed time to the busy
+    /// meter. The time is returned for the reply, so the coordinator can
+    /// attribute it to the parallel component of the scaling model (shards
+    /// work their slices concurrently).
+    fn timed<R>(&mut self, op: impl FnOnce(&mut Self) -> R) -> (R, u64) {
+        let start = Instant::now();
+        let out = op(self);
+        let busy_ns = start.elapsed().as_nanos() as u64;
+        self.busy_ns += busy_ns;
+        (out, busy_ns)
     }
 
     fn eval_window(
@@ -603,12 +605,9 @@ impl Shard {
         self.select_scratch = selected;
         self.trace.instant(TraceDepth::Fine, "spec_tip", self.spec.last_seq().unwrap_or(0));
         self.trace.end(TraceDepth::Coarse);
-        ShardReply::Evaluated {
-            reports,
-            evaluated,
-            busy_ns: scan_ns + eval_start.elapsed().as_nanos() as u64,
-            scan_ns,
-        }
+        let busy_ns = scan_ns + eval_start.elapsed().as_nanos() as u64;
+        self.busy_ns += busy_ns;
+        ShardReply::Evaluated { reports, evaluated, busy_ns, scan_ns }
     }
 
     /// Runs `touch` against the exact serial state of the sources it
