@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 use asf_persist::{PersistError, StateReader, StateWriter};
 use asf_telemetry::{Cause, CauseLedger, NUM_KIND_SLOTS};
 use simkit::SimTime;
-use streamnet::{Filter, FleetOps, Ledger, ServerView, SourceFleet, StreamId};
+use streamnet::{Filter, FleetOps, Ledger, Rows, ServerView, SourceFleet, StreamId};
 
 use crate::answer::AnswerSet;
 use crate::protocol::{CtxStats, FleetScratch, Protocol, ServerCtx};
@@ -332,27 +332,30 @@ impl<P: Protocol> ProtocolCore<P> {
         &mut self.telem
     }
 
-    /// Serializes the core's durable state at a quiescent point: the view,
-    /// the message ledger, the protocol's mutable state, and the report
-    /// counter. Configuration (population, tolerances, rank parts) is *not*
-    /// written — [`ProtocolCore::load_state`] restores into a core built
-    /// with the same constructor arguments. The per-cause message matrix is
-    /// included (it is message accounting, deterministic); wall-clock
-    /// observables (ctx stats, trace rings) are excluded because they
-    /// cannot be reproduced byte-identically across runs.
+    /// Serializes the core's durable state at a quiescent point: the view
+    /// entries `rows` selects (all of them, or those changed since the
+    /// view's dirty bits were last cleared — see
+    /// [`ServerView::encode_rows`]), and whole: the message ledger, the
+    /// protocol's mutable state, and the report counter. Configuration
+    /// (population, tolerances, rank parts) is *not* written —
+    /// [`ProtocolCore::load_state`] restores into a core built with the
+    /// same constructor arguments. The per-cause message matrix is included
+    /// (it is message accounting, deterministic); wall-clock observables
+    /// (ctx stats, trace rings) are excluded because they cannot be
+    /// reproduced byte-identically across runs.
     ///
     /// # Panics
     ///
     /// Panics if the core is mid-cascade (pending sync reports or deferred
     /// installs queued) — checkpoints are only meaningful at quiescence.
-    pub fn save_state(&self, w: &mut StateWriter) {
+    pub fn save_state(&self, w: &mut StateWriter, rows: Rows) {
         assert!(
             self.pending.is_empty() && self.deferred.is_empty(),
             "save_state requires a quiescent core (no pending syncs or deferred installs)"
         );
         w.put_bool(self.initialized);
         w.put_u64(self.reports_processed);
-        self.view.encode(w);
+        self.view.encode_rows(w, rows);
         self.ledger.encode(w);
         self.protocol.save_state(w);
         // The per-cause attribution matrix rides along so a recovered
@@ -366,18 +369,23 @@ impl<P: Protocol> ProtocolCore<P> {
         }
     }
 
-    /// Restores state written by [`ProtocolCore::save_state`] into a core
-    /// constructed with the same configuration (population, protocol
-    /// config, rank parts). The rank index is not serialized — it is
-    /// rebuilt from the restored view, which yields the identical treap
-    /// (priorities derive deterministically from stream ids).
-    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> asf_persist::Result<()> {
+    /// Clears the view's dirty bits: a full image of the core
+    /// ([`Rows::All`]) was just written, and the next delta counts from it.
+    pub fn clear_view_dirty(&mut self) {
+        self.view.clear_dirty();
+    }
+
+    /// Restores state written by [`ProtocolCore::save_state`] with the same
+    /// row selection into a core constructed with the same configuration
+    /// (population, protocol config, rank parts) — [`Rows::Dirty`] on top
+    /// of the state its full image restored. The rank index is not
+    /// serialized — it is rebuilt from the restored view, which yields the
+    /// identical treap (priorities derive deterministically from stream
+    /// ids).
+    pub fn load_state(&mut self, r: &mut StateReader<'_>, rows: Rows) -> asf_persist::Result<()> {
         let initialized = r.get_bool()?;
         let reports_processed = r.get_u64()?;
-        let view = ServerView::decode(r)?;
-        if view.len() != self.view.len() {
-            return Err(PersistError::corrupt("snapshot population differs from configuration"));
-        }
+        self.view.decode_rows(r, rows)?;
         let ledger = Ledger::decode(r)?;
         self.protocol.load_state(r)?;
         let mut causes = CauseLedger::new();
@@ -389,7 +397,6 @@ impl<P: Protocol> ProtocolCore<P> {
         self.telem.causes = causes;
         self.initialized = initialized;
         self.reports_processed = reports_processed;
-        self.view = view;
         self.ledger = ledger;
         if let Some(index) = self.rank.as_mut() {
             if !self.view.all_known() {
@@ -571,7 +578,7 @@ impl<P: Protocol> Engine<P> {
         w.put_f64(self.now);
         w.put_u64(self.events_processed);
         self.fleet.encode(w);
-        self.core.save_state(w);
+        self.core.save_state(w, Rows::All);
     }
 
     /// Restores state written by [`Engine::save_state`] into an engine
@@ -583,14 +590,10 @@ impl<P: Protocol> Engine<P> {
             return Err(PersistError::corrupt("snapshot clock is NaN"));
         }
         let events_processed = r.get_u64()?;
-        let fleet = SourceFleet::decode(r)?;
-        if fleet.len() != self.fleet.len() {
-            return Err(PersistError::corrupt("snapshot fleet size differs from configuration"));
-        }
-        self.core.load_state(r)?;
+        self.fleet.decode_rows(r, Rows::All)?;
+        self.core.load_state(r, Rows::All)?;
         self.now = now;
         self.events_processed = events_processed;
-        self.fleet = fleet;
         Ok(())
     }
 }

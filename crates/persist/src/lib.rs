@@ -11,7 +11,8 @@
 //! - [`record`] — the tagged `{tag, len, payload, crc}` record format with
 //!   versioned file headers, plus torn-tail-aware scanning.
 //! - [`store`] — [`SnapshotStore`] (double-buffered, tmp+fsync+rename
-//!   checkpoints) and [`Journal`] (append-only write-ahead log with CRC
+//!   full checkpoints, plus one delta of the rows changed since a full
+//!   image) and [`Journal`] (append-only write-ahead log with CRC
 //!   truncation of torn tails), both with byte-budget [`CrashPoint`] fault
 //!   injection.
 //!
@@ -37,7 +38,7 @@ pub use record::{
 };
 pub use store::{
     pruned_floor, CrashPoint, Journal, JournalEntry, RotateStep, SnapshotImage, SnapshotStore,
-    TAG_JOURNAL_CHUNK, TAG_SNAPSHOT,
+    TAG_DELTA, TAG_JOURNAL_CHUNK, TAG_SNAPSHOT,
 };
 
 /// Errors from the persistence layer.

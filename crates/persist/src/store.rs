@@ -1,20 +1,27 @@
 //! Durable storage: double-buffered snapshots, an append-only journal, and
 //! crash-point fault injection.
 //!
-//! A persistence directory holds the snapshot slots, the active journal,
-//! and any sealed journal segments compaction has not yet pruned:
+//! A persistence directory holds the snapshot slots, the delta checkpoint,
+//! the active journal, and any sealed journal segments compaction has not
+//! yet pruned:
 //!
 //! ```text
 //! dir/
-//!   snap-a.bin     alternating checkpoint slots — the newest valid one
-//!   snap-b.bin     wins at recovery; the other is the overwrite target
+//!   snap-a.bin     alternating full checkpoint slots — the newest valid
+//!   snap-b.bin     one wins at recovery; the other is the overwrite target
+//!   delta.bin      the rows changed since one full image (its base), and
+//!                  the sequence it brings that image to
 //!   journal.log    append-only record of committed input chunks (active)
 //!   journal-<k>.seg   sealed journal segments, replayed in index order
+//!   floor.bin      how far pruning has destroyed journal history
 //! ```
 //!
 //! Snapshots are written tmp-file → `fsync` → atomic rename, alternating
 //! between the two slots, so a crash at *any* byte of a checkpoint write
-//! leaves the previous checkpoint untouched and selectable. The journal is
+//! leaves the previous checkpoint untouched and selectable. A delta is
+//! written the same way over `delta.bin`, and
+//! [`SnapshotStore::delta_for`] hands it out only against the full image it
+//! was taken from, so a torn or stale delta is simply not used. The journal is
 //! append-only; a crash mid-append leaves a torn tail that
 //! [`Journal::open`] detects by CRC and physically truncates, so a record
 //! that was never fully written is never replayed.
@@ -45,15 +52,32 @@ use crate::{PersistError, Result};
 
 /// Record tag for a checkpoint payload inside a snapshot file.
 pub const TAG_SNAPSHOT: u32 = 0x534E_4150; // "SNAP"
+/// Record tag for a delta checkpoint payload (`seq | base_seq | state`).
+pub const TAG_DELTA: u32 = 0x444C_5441; // "DLTA"
 /// Record tag for a committed input chunk inside the journal.
 pub const TAG_JOURNAL_CHUNK: u32 = 0x4A43_484B; // "JCHK"
 
 const SLOT_NAMES: [&str; 2] = ["snap-a.bin", "snap-b.bin"];
+const DELTA_NAME: &str = "delta.bin";
 const JOURNAL_NAME: &str = "journal.log";
 const SEGMENT_PREFIX: &str = "journal-";
 const SEGMENT_SUFFIX: &str = ".seg";
 const FLOOR_NAME: &str = "floor.bin";
+const FLOOR_TMP: &str = "floor.tmp";
 const FLOOR_MAGIC: &[u8; 8] = b"ASFFLOOR";
+
+/// The temp file a checkpoint file `name` is written through.
+fn tmp_name(name: &str) -> String {
+    format!("{name}.tmp")
+}
+
+/// Deletes `path` if it exists.
+fn remove_if_present(path: &Path) -> Result<()> {
+    match fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
+        _ => Ok(()),
+    }
+}
 
 fn segment_name(index: u64) -> String {
     format!("{SEGMENT_PREFIX}{index}{SEGMENT_SUFFIX}")
@@ -132,11 +156,12 @@ impl CrashPoint {
     }
 }
 
-/// Writes one framed record `tag | len | seq | body | crc` — the bytes
+/// Writes one framed record `tag | len | seqs | body | crc` — the bytes
 /// [`crate::record::encode_record`] produces for the payload
-/// `seq | body` — straight from `body` under `crash`'s budget,
-/// checksumming as it goes, so no framed copy of a (multi-megabyte) body
-/// is ever built. Returns the bytes written.
+/// `seqs | body`, each sequence number a little-endian `u64` — straight
+/// from `body` under `crash`'s budget, checksumming as it goes, so no
+/// framed copy of a (multi-megabyte) body is ever built. Returns the
+/// bytes written.
 ///
 /// # Panics
 ///
@@ -145,22 +170,48 @@ fn write_seq_record(
     crash: &mut CrashPoint,
     file: &mut File,
     tag: u32,
-    seq: u64,
+    seqs: &[u64],
     body: &[u8],
 ) -> Result<u64> {
-    let len = u32::try_from(8 + body.len()).expect("record payload too long");
+    let len = u32::try_from(8 * seqs.len() + body.len()).expect("record payload too long");
     assert!(len <= MAX_RECORD_LEN, "record payload too long");
-    let mut head = [0u8; 16];
+    // tag, len and at most two sequence numbers, without an allocation
+    let mut head = [0u8; 24];
     head[..4].copy_from_slice(&tag.to_le_bytes());
     head[4..8].copy_from_slice(&len.to_le_bytes());
-    head[8..].copy_from_slice(&seq.to_le_bytes());
+    for (k, seq) in seqs.iter().enumerate() {
+        head[8 + 8 * k..16 + 8 * k].copy_from_slice(&seq.to_le_bytes());
+    }
+    let head = &head[..8 + 8 * seqs.len()];
     let mut crc = Crc32::new();
-    crc.update(&head);
+    crc.update(head);
     crc.update(body);
-    crash.write(file, &head)?;
+    crash.write(file, head)?;
     crash.write(file, body)?;
     crash.write(file, &crc.finish().to_le_bytes())?;
     Ok((RECORD_OVERHEAD + len as usize) as u64)
+}
+
+/// Durably replaces `dir/name` with a one-record checkpoint file — header,
+/// then the `tag | seqs | body` record — written to `dir/name.tmp`,
+/// fsynced and renamed over it, so a crash at any byte leaves the old file
+/// whole (and at worst a tmp file that the next open deletes).
+fn write_checkpoint_file(
+    crash: &mut CrashPoint,
+    dir: &Path,
+    name: &str,
+    tag: u32,
+    seqs: &[u64],
+    body: &[u8],
+) -> Result<()> {
+    let tmp = dir.join(tmp_name(name));
+    let mut file = File::create(&tmp)?;
+    crash.write(&mut file, &encode_header(FileKind::Snapshot))?;
+    write_seq_record(crash, &mut file, tag, seqs, body)?;
+    file.sync_all()?;
+    drop(file);
+    fs::rename(&tmp, dir.join(name))?;
+    fsync_dir(dir)
 }
 
 fn fsync_dir(dir: &Path) -> Result<()> {
@@ -203,11 +254,14 @@ fn peek_slot_seq(path: &Path) -> Result<Option<u64>> {
     Ok(peek_snapshot_seq(&prefix))
 }
 
-/// Validates a snapshot file image and locates its parts: the checkpoint
-/// sequence and the byte range of the state payload within the image.
-/// `None` if invalid in any way (wrong header, torn, extra records, wrong
-/// tag).
-fn parse_snapshot_bounds(bytes: &[u8]) -> Option<(u64, std::ops::Range<usize>)> {
+/// Validates a one-record checkpoint file image of `tag` and locates its
+/// parts: the `N` sequence numbers the payload starts with and the byte
+/// range of the state after them. `None` if invalid in any way (wrong
+/// header, torn, extra records, wrong tag, too short).
+fn parse_checkpoint<const N: usize>(
+    bytes: &[u8],
+    tag: u32,
+) -> Option<([u64; N], std::ops::Range<usize>)> {
     if decode_header(bytes).ok()? != FileKind::Snapshot {
         return None;
     }
@@ -217,24 +271,27 @@ fn parse_snapshot_bounds(bytes: &[u8]) -> Option<(u64, std::ops::Range<usize>)> 
         return None;
     }
     let rec = scan.records[0];
-    if rec.tag != TAG_SNAPSHOT || rec.payload.len() < 8 {
+    if rec.tag != tag || rec.payload.len() < 8 * N {
         return None;
     }
-    let seq = u64::from_le_bytes(rec.payload[..8].try_into().ok()?);
-    // header | tag u32, len u32 | seq u64, state... | crc u32
-    let start = HEADER_LEN + 8 + 8;
-    Some((seq, start..start + rec.payload.len() - 8))
+    let seqs = std::array::from_fn(|k| {
+        u64::from_le_bytes(rec.payload[8 * k..8 * k + 8].try_into().expect("8 bytes"))
+    });
+    // header | tag u32, len u32 | seqs u64 × N, state... | crc u32
+    let start = HEADER_LEN + 8 + 8 * N;
+    Some((seqs, start..start + rec.payload.len() - 8 * N))
 }
 
 /// Parses a snapshot file image into `(seq, state)`; `None` if invalid in
 /// any way.
 fn parse_snapshot(bytes: &[u8]) -> Option<(u64, Vec<u8>)> {
-    parse_snapshot_bounds(bytes).map(|(seq, range)| (seq, bytes[range].to_vec()))
+    parse_checkpoint::<1>(bytes, TAG_SNAPSHOT).map(|([seq], range)| (seq, bytes[range].to_vec()))
 }
 
-/// A validated checkpoint, held as the raw slot-file image plus the bounds
-/// of the state payload inside it — recovery borrows the (multi-megabyte)
-/// state via [`state`](Self::state) instead of copying it out.
+/// A validated checkpoint — a full image or a delta — held as the raw file
+/// image plus the bounds of the state payload inside it: recovery borrows
+/// the (multi-megabyte) state via [`state`](Self::state) instead of
+/// copying it out.
 #[derive(Debug)]
 pub struct SnapshotImage {
     image: Vec<u8>,
@@ -243,7 +300,8 @@ pub struct SnapshotImage {
 }
 
 impl SnapshotImage {
-    /// The event sequence the checkpoint was taken at.
+    /// The event sequence the checkpoint was taken at (the sequence a
+    /// delta brings its base image to).
     pub fn seq(&self) -> u64 {
         self.seq
     }
@@ -252,15 +310,23 @@ impl SnapshotImage {
     pub fn state(&self) -> &[u8] {
         &self.image[self.state.clone()]
     }
+
+    /// The whole file image and the byte range of the state inside it, for
+    /// a caller that shares the image instead of borrowing it.
+    pub fn into_parts(self) -> (Vec<u8>, std::ops::Range<usize>) {
+        (self.image, self.state)
+    }
 }
 
-/// Double-buffered checkpoint storage.
+/// Double-buffered checkpoint storage, plus one delta.
 ///
 /// [`save`](Self::save) alternates between two slot files, always
 /// overwriting the *older* one via tmp-write + `fsync` + rename, so the
 /// newest durable checkpoint survives a crash at any point of the next
 /// write. [`latest`](Self::latest) returns the valid slot with the highest
-/// sequence number.
+/// sequence number. [`save_delta`](Self::save_delta) writes the rows
+/// changed since one full image beside the slots, and
+/// [`delta_for`](Self::delta_for) returns it only against that image.
 ///
 /// The store is `Send`, so a server can hand it to a background writer
 /// thread and keep ingesting while the checkpoint hits disk.
@@ -287,10 +353,17 @@ impl SnapshotStore {
     /// slots twice.
     ///
     /// The store always writes next into the slot that does NOT hold the
-    /// newest valid snapshot, so the newest survives a torn write.
+    /// newest valid snapshot, so the newest survives a torn write. The
+    /// temp files a torn write left behind (a slot's, the delta's, the
+    /// pruned floor's) are deleted: nothing reads them, and a torn full
+    /// image would otherwise hold its bytes until that slot's next save.
     pub fn open_and_latest(dir: impl Into<PathBuf>) -> Result<(Self, Option<SnapshotImage>)> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
+        for name in [SLOT_NAMES[0], SLOT_NAMES[1], DELTA_NAME] {
+            remove_if_present(&dir.join(tmp_name(name)))?;
+        }
+        remove_if_present(&dir.join(FLOOR_TMP))?;
         let peeked =
             [peek_slot_seq(&dir.join(SLOT_NAMES[0]))?, peek_slot_seq(&dir.join(SLOT_NAMES[1]))?];
         // A corrupt slot may peek an arbitrary sequence; that only costs
@@ -299,7 +372,7 @@ impl SnapshotStore {
             if peeked[1].unwrap_or(0) > peeked[0].unwrap_or(0) { [1, 0] } else { [0, 1] };
         for slot in order {
             if let Some(image) = read_file(&dir.join(SLOT_NAMES[slot]))? {
-                if let Some((seq, state)) = parse_snapshot_bounds(&image) {
+                if let Some(([seq], state)) = parse_checkpoint::<1>(&image, TAG_SNAPSHOT) {
                     let store = Self { dir, next_slot: slot ^ 1, crash: CrashPoint::default() };
                     return Ok((store, Some(SnapshotImage { image, state, seq })));
                 }
@@ -323,27 +396,52 @@ impl SnapshotStore {
         self.crash.disarm();
     }
 
-    /// Durably writes a checkpoint of `state` taken at sequence `seq`.
+    /// Durably writes a full checkpoint of `state` taken at sequence `seq`.
     ///
     /// On success the checkpoint is fully fsynced and atomically renamed
-    /// into place. On any error — including an injected crash — the
-    /// previous checkpoint is still intact and selectable. The file is
-    /// streamed from `state` (header, record frame, state, checksum); no
-    /// copy of the image is built.
+    /// into place, and the delta (if any) is deleted: every delta was taken
+    /// against an older full image. On any error — including an injected
+    /// crash — the previous checkpoint is still intact and selectable. The
+    /// file is streamed from `state` (header, record frame, state,
+    /// checksum); no copy of the image is built.
     pub fn save(&mut self, seq: u64, state: &[u8]) -> Result<()> {
         let slot = SLOT_NAMES[self.next_slot];
-        let tmp = self.dir.join(format!("{slot}.tmp"));
-        let dst = self.dir.join(slot);
-
-        let mut file = File::create(&tmp)?;
-        self.crash.write(&mut file, &encode_header(FileKind::Snapshot))?;
-        write_seq_record(&mut self.crash, &mut file, TAG_SNAPSHOT, seq, state)?;
-        file.sync_all()?;
-        drop(file);
-        fs::rename(&tmp, &dst)?;
-        fsync_dir(&self.dir)?;
+        write_checkpoint_file(&mut self.crash, &self.dir, slot, TAG_SNAPSHOT, &[seq], state)?;
         self.next_slot ^= 1;
-        Ok(())
+        remove_if_present(&self.dir.join(DELTA_NAME))
+    }
+
+    /// Durably writes a delta checkpoint: `state` brings the full image
+    /// taken at `base_seq` to sequence `seq`. It replaces the previous
+    /// delta by tmp-write + `fsync` + rename through the same crash
+    /// injector, so a crash at any byte leaves the previous delta (or
+    /// none) in place; the full slots are never touched.
+    pub fn save_delta(&mut self, base_seq: u64, seq: u64, state: &[u8]) -> Result<()> {
+        write_checkpoint_file(
+            &mut self.crash,
+            &self.dir,
+            DELTA_NAME,
+            TAG_DELTA,
+            &[seq, base_seq],
+            state,
+        )
+    }
+
+    /// The delta to apply on top of the full image taken at `base_seq`:
+    /// `Some` only if `delta.bin` is whole and valid, was taken against
+    /// that image, and reaches past it. A missing, torn, corrupt or stale
+    /// delta (one whose base slot has since been overwritten) is `None` —
+    /// recovery then replays the journal from the full image instead.
+    pub fn delta_for(&self, base_seq: u64) -> Result<Option<SnapshotImage>> {
+        let Some(image) = read_file(&self.dir.join(DELTA_NAME))? else {
+            return Ok(None);
+        };
+        Ok(match parse_checkpoint::<2>(&image, TAG_DELTA) {
+            Some(([seq, base], state)) if base == base_seq && seq > base_seq => {
+                Some(SnapshotImage { image, state, seq })
+            }
+            _ => None,
+        })
     }
 
     /// Loads the newest valid checkpoint, if any, as `(seq, state)`.
@@ -606,7 +704,7 @@ impl Journal {
     /// streamed from `payload` without building a framed copy.
     pub fn append(&mut self, seq: u64, payload: &[u8]) -> Result<()> {
         let written =
-            write_seq_record(&mut self.crash, &mut self.file, TAG_JOURNAL_CHUNK, seq, payload)?;
+            write_seq_record(&mut self.crash, &mut self.file, TAG_JOURNAL_CHUNK, &[seq], payload)?;
         self.bytes += written;
         self.last_seq = Some(self.last_seq.map_or(seq, |s| s.max(seq)));
         Ok(())
@@ -762,7 +860,7 @@ fn write_pruned_floor(dir: &Path, floor: u64) -> Result<()> {
     let floor_le = floor.to_le_bytes();
     bytes.extend_from_slice(&floor_le);
     bytes.extend_from_slice(&crate::crc32(&floor_le).to_le_bytes());
-    let tmp = dir.join("floor.tmp");
+    let tmp = dir.join(FLOOR_TMP);
     let mut f = File::create(&tmp)?;
     f.write_all(&bytes)?;
     f.sync_all()?;
@@ -876,6 +974,128 @@ mod tests {
     }
 
     #[test]
+    fn open_deletes_the_tmp_files_a_torn_write_left() {
+        let dir = test_dir("snap-tmp");
+        let mut store = SnapshotStore::open(&dir).unwrap();
+        store.save(4, b"durable state").unwrap();
+        store.save_delta(4, 6, b"durable delta").unwrap();
+        // Tear a full save and a delta save mid-file, and plant a torn
+        // pruned-floor marker: each leaves a tmp file behind.
+        let mut s = SnapshotStore::open(&dir).unwrap();
+        s.set_crash_after(40);
+        assert!(matches!(s.save(9, &[7; 64]), Err(PersistError::InjectedCrash)));
+        s.set_crash_after(40);
+        assert!(matches!(s.save_delta(4, 9, &[7; 64]), Err(PersistError::InjectedCrash)));
+        fs::write(dir.join(FLOOR_TMP), b"torn").unwrap();
+        let tmp_files = |dir: &Path| -> Vec<String> {
+            let names = fs::read_dir(dir).unwrap().map(|e| e.unwrap().file_name());
+            names.filter_map(|n| n.into_string().ok()).filter(|n| n.ends_with(".tmp")).collect()
+        };
+        assert_eq!(tmp_files(&dir).len(), 3, "{:?}", tmp_files(&dir));
+        let store = SnapshotStore::open(&dir).unwrap();
+        assert!(tmp_files(&dir).is_empty(), "{:?}", tmp_files(&dir));
+        assert_eq!(store.latest().unwrap(), Some((4, b"durable state".to_vec())));
+        let delta = store.delta_for(4).unwrap().unwrap();
+        assert_eq!((delta.seq(), delta.state()), (6, &b"durable delta"[..]));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_delta_is_handed_out_only_against_its_base() {
+        let dir = test_dir("delta-base");
+        let mut store = SnapshotStore::open(&dir).unwrap();
+        assert!(store.delta_for(0).unwrap().is_none(), "no delta yet");
+        store.save(10, b"full ten").unwrap();
+        store.save_delta(10, 15, b"delta to fifteen").unwrap();
+        store.save_delta(10, 20, b"delta to twenty").unwrap();
+        let delta = store.delta_for(10).unwrap().unwrap();
+        assert_eq!((delta.seq(), delta.state()), (20, &b"delta to twenty"[..]), "the newest wins");
+        assert!(store.delta_for(11).unwrap().is_none(), "another base");
+        // A delta that does not reach past its base is never applied.
+        store.save_delta(10, 10, b"empty").unwrap();
+        assert!(store.delta_for(10).unwrap().is_none());
+        // A landed full image retires the delta: every delta was taken
+        // against an older image.
+        store.save_delta(10, 25, b"delta to twenty-five").unwrap();
+        store.save(30, b"full thirty").unwrap();
+        assert!(!dir.join(DELTA_NAME).exists());
+        assert!(store.delta_for(10).unwrap().is_none());
+        // A stale delta whose base slot was overwritten is ignored even if
+        // it survived on disk (a crash between the rename and the delete).
+        store.save_delta(30, 35, b"delta to thirty-five").unwrap();
+        let stale = fs::read(dir.join(DELTA_NAME)).unwrap();
+        store.save(40, b"full forty").unwrap();
+        store.save(50, b"full fifty").unwrap();
+        fs::write(dir.join(DELTA_NAME), &stale).unwrap();
+        let (store, image) = SnapshotStore::open_and_latest(&dir).unwrap();
+        assert_eq!(image.unwrap().seq(), 50);
+        assert!(store.delta_for(50).unwrap().is_none());
+        assert!(store.delta_for(40).unwrap().is_none());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn crash_at_every_byte_of_a_delta_write_keeps_the_previous_delta() {
+        let dir = test_dir("delta-crash");
+        let mut store = SnapshotStore::open(&dir).unwrap();
+        store.save(5, b"base image").unwrap();
+        store.save_delta(5, 8, b"durable delta").unwrap();
+        let body = body_of(41);
+        let mut image = encode_header(FileKind::Snapshot).to_vec();
+        let mut payload = [9u64.to_le_bytes(), 5u64.to_le_bytes()].concat();
+        payload.extend_from_slice(&body);
+        encode_record(TAG_DELTA, &payload, &mut image);
+        for budget in 0..=image.len() as u64 + 2 {
+            let mut s = SnapshotStore::open(&dir).unwrap();
+            s.set_crash_after(budget);
+            let res = s.save_delta(5, 9, &body);
+            let (reopened, full) = SnapshotStore::open_and_latest(&dir).unwrap();
+            assert_eq!(full.unwrap().seq(), 5, "budget={budget}: the full slots are untouched");
+            let delta = reopened.delta_for(5).unwrap().expect("a delta survives");
+            if budget < image.len() as u64 {
+                assert!(matches!(res, Err(PersistError::InjectedCrash)), "budget={budget}");
+                assert_eq!((delta.seq(), delta.state()), (8, &b"durable delta"[..]));
+            } else {
+                res.unwrap();
+                assert_eq!(fs::read(dir.join(DELTA_NAME)).unwrap(), image, "budget={budget}");
+                assert_eq!((delta.seq(), delta.state()), (9, &body[..]));
+                // Back to the durable delta for the next budget.
+                let mut s = SnapshotStore::open(&dir).unwrap();
+                s.save_delta(5, 8, b"durable delta").unwrap();
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_truncation_and_byte_flip_of_a_delta_is_ignored() {
+        // The delta is one CRC-framed record: no truncation or single-byte
+        // corruption of it may be handed out (or panic), whatever field
+        // the damage lands in.
+        let dir = test_dir("delta-fuzz");
+        let mut store = SnapshotStore::open(&dir).unwrap();
+        store.save(3, b"base").unwrap();
+        store.save_delta(3, 7, &body_of(29)).unwrap();
+        let image = fs::read(dir.join(DELTA_NAME)).unwrap();
+        assert!(store.delta_for(3).unwrap().is_some());
+        let mut variants: Vec<Vec<u8>> =
+            (0..image.len()).map(|cut| image[..cut].to_vec()).collect();
+        for i in 0..image.len() {
+            let mut flipped = image.clone();
+            flipped[i] ^= 0x5A;
+            variants.push(flipped);
+        }
+        let mut longer = image.clone();
+        longer.push(0);
+        variants.push(longer);
+        for bytes in &variants {
+            fs::write(dir.join(DELTA_NAME), bytes).unwrap();
+            assert!(store.delta_for(3).unwrap().is_none(), "{} bytes", bytes.len());
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn open_and_latest_reads_past_a_newer_slot_that_fails_validation() {
         // `open_and_latest` reads only the slot whose header claims the
         // newer seq unless it fails validation; every case must agree with
@@ -932,6 +1152,12 @@ mod tests {
             image.extend_from_slice(&framed(TAG_SNAPSHOT, seq, &body));
             let slot = SLOT_NAMES[store.next_slot ^ 1];
             assert_eq!(fs::read(dir.join(slot)).unwrap(), image, "snapshot of {len} bytes");
+            store.save_delta(seq, seq + 1, &body).unwrap();
+            let mut delta = [(seq + 1).to_le_bytes(), seq.to_le_bytes()].concat();
+            delta.extend_from_slice(&body);
+            let mut image = encode_header(FileKind::Snapshot).to_vec();
+            encode_record(TAG_DELTA, &delta, &mut image);
+            assert_eq!(fs::read(dir.join(DELTA_NAME)).unwrap(), image, "delta of {len} bytes");
 
             let before = journal.len_bytes() as usize;
             journal.append(seq, &body).unwrap();

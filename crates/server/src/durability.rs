@@ -13,6 +13,21 @@
 //! reproduces the pre-crash server exactly — answers, ledgers, views, and
 //! rank order.
 //!
+//! ## Full images and deltas
+//!
+//! A checkpoint is a **full image** of the server, or a **delta**: the
+//! rows changed since one full image (its *base*) plus the small
+//! whole-state parts, written over `delta.bin` beside the two full slots.
+//! The coordinator picks which (see [`crate::ShardedServer`]); recovery
+//! loads the newest valid full image, applies the delta taken against it,
+//! if any, and replays the journal from there. The journal-pruning floor
+//! advances to a checkpoint's sequence once it lands, and a delta is only
+//! written once its base has landed: after a background full save fails,
+//! a delta against it could never be applied, so pruning to it would
+//! strand recovery, and writing it would replace the delta (whose
+//! sequence the floor may already stand on) that recovery still needs.
+//! Such deltas are dropped until the next full image lands.
+//!
 //! ## Checkpoint modes
 //!
 //! * [`CheckpointMode::Background`] (default): serialization happens on the
@@ -121,10 +136,52 @@ pub enum CheckpointMode {
     Sync,
 }
 
+/// A checkpoint handed to the writer: a full image taken at `seq`, or a
+/// delta bringing the full image taken at `base` to `seq`.
+#[derive(Clone, Copy, Debug)]
+struct Checkpoint {
+    seq: u64,
+    base: Option<u64>,
+}
+
+/// The writer's record of what has landed on disk — the newest full image
+/// — and the journal-pruning floor it publishes.
+#[derive(Debug)]
+struct Landed {
+    full: Option<u64>,
+    floor: Arc<AtomicU64>,
+}
+
+impl Landed {
+    /// Durably writes `ckpt`'s `state` through `store`, then advances the
+    /// floor to its sequence. A delta is written only over the newest full
+    /// image that landed: one whose base save failed (possible in
+    /// background mode) could never be applied, and writing it would
+    /// replace the delta recovery still needs — the floor may already
+    /// stand on that one's sequence.
+    fn save(
+        &mut self,
+        store: &mut SnapshotStore,
+        ckpt: Checkpoint,
+        state: &[u8],
+    ) -> asf_persist::Result<()> {
+        match ckpt.base {
+            None => {
+                store.save(ckpt.seq, state)?;
+                self.full = Some(ckpt.seq);
+            }
+            Some(base) if self.full != Some(base) => return Ok(()),
+            Some(base) => store.save_delta(base, ckpt.seq, state)?,
+        }
+        self.floor.store(ckpt.seq, Ordering::Release);
+        Ok(())
+    }
+}
+
 enum Writer {
-    Sync(SnapshotStore),
+    Sync(SnapshotStore, Landed),
     Background {
-        tx: SyncSender<(u64, Vec<u8>)>,
+        tx: SyncSender<(Checkpoint, Vec<u8>)>,
         /// Set by the coordinator before each send, cleared by the writer
         /// as it takes the image out of the queue: `true` means the
         /// queue's one slot is occupied and a new image would be
@@ -137,7 +194,7 @@ enum Writer {
 impl std::fmt::Debug for Writer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Writer::Sync(_) => f.write_str("Writer::Sync"),
+            Writer::Sync(..) => f.write_str("Writer::Sync"),
             Writer::Background { .. } => f.write_str("Writer::Background"),
         }
     }
@@ -154,8 +211,9 @@ pub struct Durability {
     rotate_journal_bytes: Option<u64>,
     /// Newest checkpoint sequence that has **fully landed on disk** —
     /// published by the writer only after a successful save (the
-    /// background thread stores it post-`fsync`), so pruning against it
-    /// never outruns durability.
+    /// background thread stores it post-`fsync`), and for a delta only if
+    /// its base landed too, so pruning against it never outruns
+    /// durability.
     durable_floor: Arc<AtomicU64>,
     /// First write failure, if any — once set, every subsequent journal or
     /// checkpoint operation is refused (the on-disk state is frozen at the
@@ -177,13 +235,12 @@ impl Durability {
     ) -> asf_persist::Result<Self> {
         let journal = Journal::open(&cfg.dir)?;
         let mut store = SnapshotStore::open(&cfg.dir)?;
-        store.save(anchor_seq, anchor_state)?;
-        // The anchor save above ran inline, so it is already durable.
-        let durable_floor = Arc::new(AtomicU64::new(anchor_seq));
-        let writer = match cfg.mode {
-            CheckpointMode::Sync => Writer::Sync(store),
-            CheckpointMode::Background => Self::spawn_writer(store, Arc::clone(&durable_floor))?,
-        };
+        let durable_floor = Arc::new(AtomicU64::new(0));
+        let mut landed = Landed { full: None, floor: Arc::clone(&durable_floor) };
+        // The anchor save runs inline, so it is durable before any chunk
+        // is journaled.
+        landed.save(&mut store, Checkpoint { seq: anchor_seq, base: None }, anchor_state)?;
+        let writer = Self::writer(cfg.mode, store, landed)?;
         Ok(Self {
             journal,
             writer,
@@ -212,12 +269,12 @@ impl Durability {
         resume_seq: u64,
     ) -> asf_persist::Result<Self> {
         // The checkpoint recovery loaded (`resume_seq`) is durable by
-        // definition — it was read back off the disk.
+        // definition — it was read back off the disk, delta and base
+        // alike. No full image has landed in this process yet, so no delta
+        // may advance the floor until one does.
         let durable_floor = Arc::new(AtomicU64::new(resume_seq));
-        let writer = match cfg.mode {
-            CheckpointMode::Sync => Writer::Sync(store),
-            CheckpointMode::Background => Self::spawn_writer(store, Arc::clone(&durable_floor))?,
-        };
+        let landed = Landed { full: None, floor: Arc::clone(&durable_floor) };
+        let writer = Self::writer(cfg.mode, store, landed)?;
         Ok(Self {
             journal,
             writer,
@@ -229,34 +286,37 @@ impl Durability {
         })
     }
 
-    fn spawn_writer(
+    /// The configured writer over `store`.
+    fn writer(
+        mode: CheckpointMode,
         mut store: SnapshotStore,
-        floor: Arc<AtomicU64>,
+        mut landed: Landed,
     ) -> asf_persist::Result<Writer> {
-        // A failed background save leaves the previous checkpoint
-        // selectable; the next boundary retries. The floor advances only
-        // after the save fully lands.
-        Self::spawn_writer_with(move |seq, state| {
-            if store.save(seq, &state).is_ok() {
-                floor.store(seq, Ordering::Release);
-            }
-        })
+        match mode {
+            CheckpointMode::Sync => Ok(Writer::Sync(store, landed)),
+            // A failed background save leaves the previous checkpoint
+            // selectable; the next boundary retries. The floor advances
+            // only after the save fully lands.
+            CheckpointMode::Background => Self::spawn_writer_with(move |ckpt, state| {
+                let _ = landed.save(&mut store, ckpt, &state);
+            }),
+        }
     }
 
     /// The background writer loop around an arbitrary `save` (tests hold
-    /// the writer busy through it).
+    /// the writer busy, or fail a save, through it).
     fn spawn_writer_with(
-        mut save: impl FnMut(u64, Vec<u8>) + Send + 'static,
+        mut save: impl FnMut(Checkpoint, Vec<u8>) + Send + 'static,
     ) -> asf_persist::Result<Writer> {
-        let (tx, rx) = mpsc::sync_channel::<(u64, Vec<u8>)>(1);
+        let (tx, rx) = mpsc::sync_channel::<(Checkpoint, Vec<u8>)>(1);
         let queued = Arc::new(AtomicBool::new(false));
         let slot = Arc::clone(&queued);
         let join = std::thread::Builder::new()
             .name("asf-checkpoint".into())
             .spawn(move || {
-                while let Ok((seq, state)) = rx.recv() {
+                while let Ok((ckpt, state)) = rx.recv() {
                     slot.store(false, Ordering::Release);
-                    save(seq, state);
+                    save(ckpt, state);
                 }
             })
             .map_err(PersistError::Io)?;
@@ -283,14 +343,14 @@ impl Durability {
             && seq.saturating_sub(self.last_checkpoint_seq) >= self.checkpoint_every_events
     }
 
-    /// Persists (or schedules) an already-encoded checkpoint `state` taken
-    /// at `seq` — [`Self::save_checkpoint_with`] for a caller that holds
-    /// the image anyway.
+    /// Persists (or schedules) an already-encoded full checkpoint `state`
+    /// taken at `seq` — [`Self::save_checkpoint_with`] for a caller that
+    /// holds the image anyway.
     pub fn save_checkpoint(&mut self, seq: u64, state: Vec<u8>) -> asf_persist::Result<bool> {
         self.save_checkpoint_with(seq, || state)
     }
 
-    /// Persists (or schedules) a checkpoint taken at `seq`, calling
+    /// Persists (or schedules) a full checkpoint taken at `seq`, calling
     /// `encode` for its image only when the writer will take it: always in
     /// [`CheckpointMode::Sync`], and in [`CheckpointMode::Background`] only
     /// when the writer's queue slot is free. Returns `Ok(true)` if the
@@ -302,12 +362,31 @@ impl Durability {
         seq: u64,
         encode: impl FnOnce() -> Vec<u8>,
     ) -> asf_persist::Result<bool> {
+        self.schedule(Checkpoint { seq, base: None }, encode)
+    }
+
+    /// [`Self::save_checkpoint_with`] for a delta checkpoint: `encode`'s
+    /// image brings the full image taken at `base_seq` to `seq`. It counts
+    /// toward the cadence like a full image.
+    pub fn save_delta_with(
+        &mut self,
+        base_seq: u64,
+        seq: u64,
+        encode: impl FnOnce() -> Vec<u8>,
+    ) -> asf_persist::Result<bool> {
+        self.schedule(Checkpoint { seq, base: Some(base_seq) }, encode)
+    }
+
+    fn schedule(
+        &mut self,
+        ckpt: Checkpoint,
+        encode: impl FnOnce() -> Vec<u8>,
+    ) -> asf_persist::Result<bool> {
         self.check_poison()?;
         match &mut self.writer {
-            Writer::Sync(store) => match store.save(seq, &encode()) {
+            Writer::Sync(store, landed) => match landed.save(store, ckpt, &encode()) {
                 Ok(()) => {
-                    self.last_checkpoint_seq = seq;
-                    self.durable_floor.store(seq, Ordering::Release);
+                    self.last_checkpoint_seq = ckpt.seq;
                     Ok(true)
                 }
                 Err(e) => {
@@ -324,9 +403,9 @@ impl Durability {
                     return Ok(false);
                 }
                 queued.store(true, Ordering::Release);
-                match tx.try_send((seq, encode())) {
+                match tx.try_send((ckpt, encode())) {
                     Ok(()) => {
-                        self.last_checkpoint_seq = seq;
+                        self.last_checkpoint_seq = ckpt.seq;
                         Ok(true)
                     }
                     Err(TrySendError::Full(_)) => Ok(false),
@@ -419,7 +498,7 @@ impl Durability {
     /// deterministically.
     pub fn arm_checkpoint_crash(&mut self, bytes: u64) {
         match &mut self.writer {
-            Writer::Sync(store) => store.set_crash_after(bytes),
+            Writer::Sync(store, _) => store.set_crash_after(bytes),
             Writer::Background { .. } => {
                 panic!("checkpoint crash injection requires CheckpointMode::Sync")
             }
@@ -560,8 +639,8 @@ mod tests {
         // until released.
         let (started_tx, started_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel::<()>();
-        d.writer = Durability::spawn_writer_with(move |seq, _| {
-            let _ = started_tx.send(seq);
+        d.writer = Durability::spawn_writer_with(move |ckpt, _| {
+            let _ = started_tx.send(ckpt.seq);
             let _ = release_rx.recv();
         })
         .unwrap();
@@ -590,6 +669,55 @@ mod tests {
         assert_eq!(encodes.get(), 3);
         release_tx.send(()).unwrap();
         release_tx.send(()).unwrap();
+        d.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_delta_over_a_base_that_never_landed_is_not_written() {
+        // Background mode: the delta to 5 lands over the anchor, the full
+        // image at 10 fails to land, and the delta to 20 is taken against
+        // it. Recovery could never apply that delta, so it must neither
+        // move the floor nor replace the delta to 5 (whose sequence the
+        // floor stands on); the next full image re-bases deltas.
+        let dir = test_dir("delta-floor");
+        let cfg = DurabilityConfig::new(&dir).mode(CheckpointMode::Sync);
+        let mut d = Durability::new(&cfg, 0, b"anchor").unwrap();
+        let mut store = SnapshotStore::open(&dir).unwrap();
+        let mut landed = Landed { full: Some(0), floor: Arc::clone(&d.durable_floor) };
+        let (done_tx, done_rx) = mpsc::channel();
+        d.writer = Durability::spawn_writer_with(move |ckpt, state| {
+            if ckpt.seq == 10 {
+                store.set_crash_after(24);
+            } else {
+                store.clear_crash();
+            }
+            let _ = landed.save(&mut store, ckpt, &state);
+            let _ = done_tx.send(());
+        })
+        .unwrap();
+        let checkpoint = |d: &mut Durability, base: Option<u64>, seq: u64| {
+            let image = format!("image {seq}").into_bytes();
+            let queued = match base {
+                None => d.save_checkpoint(seq, image),
+                Some(base) => d.save_delta_with(base, seq, || image),
+            };
+            assert!(queued.unwrap(), "the writer is idle");
+            done_rx.recv().unwrap();
+        };
+        checkpoint(&mut d, Some(0), 5);
+        assert_eq!(d.durable_floor(), 5);
+        checkpoint(&mut d, None, 10);
+        checkpoint(&mut d, Some(10), 20);
+        assert_eq!(d.durable_floor(), 5, "the delta's base never landed");
+        let (store, full) = SnapshotStore::open_and_latest(&dir).unwrap();
+        assert_eq!(full.unwrap().seq(), 0);
+        let delta = store.delta_for(0).unwrap().expect("the delta to 5 survives");
+        assert_eq!((delta.seq(), delta.state()), (5, &b"image 5"[..]));
+        checkpoint(&mut d, None, 30);
+        checkpoint(&mut d, Some(30), 40);
+        assert_eq!(d.durable_floor(), 40);
+        assert_eq!(store.delta_for(30).unwrap().unwrap().seq(), 40);
         d.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

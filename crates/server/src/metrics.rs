@@ -123,8 +123,15 @@ pub struct ServerMetrics {
     /// Always 0 (every fleet touch respeculates); `asf_bench` reads it.
     pub discarded_window_busy_ns: u64,
     /// Checkpoints written (or scheduled on the background writer) since
-    /// durability was enabled. Zero without durability.
+    /// durability was enabled, full images and deltas alike. Zero without
+    /// durability.
     pub checkpoints: u64,
+    /// How many of `checkpoints` were deltas: the rows changed since the
+    /// last full image plus the whole-state parts.
+    pub delta_checkpoints: u64,
+    /// Image bytes handed to the checkpoint writer, full images plus
+    /// deltas (file framing excluded).
+    pub checkpoint_bytes: u64,
     /// Coordinator critical-path time spent producing checkpoints (ns):
     /// state serialization plus the writer handoff — and, under
     /// `CheckpointMode::Sync`, the inline `fsync` as well.
@@ -305,6 +312,8 @@ impl ServerMetrics {
         reg.counter("server.overlap_saved_ns", self.overlap_saved_ns);
         reg.counter("server.discarded_window_busy_ns", self.discarded_window_busy_ns);
         reg.counter("server.checkpoints", self.checkpoints);
+        reg.counter("server.delta_checkpoints", self.delta_checkpoints);
+        reg.counter("server.checkpoint_bytes", self.checkpoint_bytes);
         reg.counter("server.checkpoint_ns", self.checkpoint_ns);
         reg.counter("server.journal_bytes", self.journal_bytes);
         reg.counter("server.recovery_replay_ns", self.recovery_replay_ns);

@@ -69,12 +69,12 @@ use asf_core::protocol::{CtxStats, Protocol};
 use asf_core::rank::RankForest;
 use asf_core::workload::{EventBatch, UpdateEvent, Workload};
 use asf_core::AnswerSet;
-use asf_persist::{Journal, PersistError, SnapshotStore, StateReader, StateWriter};
+use asf_persist::{Journal, PersistError, SnapshotImage, SnapshotStore, StateReader, StateWriter};
 use asf_telemetry::{chrome_trace, Cause, Registry, TraceDepth, TraceEvent, TraceRing};
 use simkit::SimTime;
 use streamnet::{
     ChaosConfig, ChaosFleet, ChaosState, ChaosStats, Ledger, MessageKind, RepairPlan, ReportFate,
-    ServerView, SourceFleet, StreamId,
+    Rows, ServerView, SourceFleet, StreamId,
 };
 
 use crate::durability::{Durability, DurabilityConfig};
@@ -83,6 +83,27 @@ use crate::metrics::ServerMetrics;
 use crate::occurrence::OccurrenceIndex;
 use crate::router::{GuardedRouter, InflightWindow, ShardRouter};
 use crate::shard::{Partition, Shard, ShardCmd, ShardReply, SpecEvent};
+
+/// The full-or-delta rule: a due checkpoint is a delta while the delta's
+/// estimated size stays below `1 / DELTA_DIVISOR` of the last full image,
+/// and a full image (which clears the dirty bits) otherwise. At ½ a
+/// recovery reads at most 1.5 full images' worth of checkpoint.
+const DELTA_DIVISOR: u64 = 2;
+
+/// Bytes of one dirty view entry in a delta: index, known flag, value.
+const DELTA_VIEW_ROW: u64 = 13;
+
+/// The last full image this server encoded, as the full-or-delta rule
+/// weighs it.
+#[derive(Clone, Copy, Debug)]
+struct FullBase {
+    /// The sequence it was taken at: the base of the deltas after it.
+    seq: u64,
+    /// Its size.
+    bytes: u64,
+    /// The bytes of its source rows, all shards together.
+    source_rows: u64,
+}
 
 /// Observability configuration of a [`ShardedServer`]. Everything here is
 /// observational: any combination of settings leaves answers, ledgers, and
@@ -197,6 +218,10 @@ pub struct ShardedServer<P: Protocol> {
     /// Attached durability runtime (write-ahead journal + checkpoint
     /// writer), if [`ShardedServer::enable_durability`] ran.
     durability: Option<Durability>,
+    /// The full image the next delta checkpoint would be taken against;
+    /// `None` until this process encodes one, and again after `resync` and
+    /// `enable_chaos`, so the next checkpoint is full.
+    full_base: Option<FullBase>,
     /// Unreliable-channel simulation (fault injection, epochs, leases), if
     /// [`ShardedServer::enable_chaos`] ran. Composes with durability: the
     /// whole channel machine is serialized into every checkpoint, so a
@@ -284,6 +309,7 @@ impl<P: Protocol> ShardedServer<P> {
             touch_positions: Vec::new(),
             fleet_trace: TraceRing::new(tcfg.trace, tcfg.trace_capacity, epoch),
             durability: None,
+            full_base: None,
             chaos: None,
             chaos_scratch: Vec::new(),
             chaos_plan: RepairPlan::default(),
@@ -450,10 +476,12 @@ impl<P: Protocol> ShardedServer<P> {
         ok
     }
 
-    /// Serializes the full server state and hands it to the checkpoint
-    /// writer — or, when a busy background writer would coalesce it, does
-    /// neither. The serialization (and, in `CheckpointMode::Sync`, the save
-    /// itself) is the metered `checkpoint_ns` critical-path cost.
+    /// Serializes the server state — a delta against the last full image
+    /// when [`Self::delta_base`] allows one, the full state otherwise — and
+    /// hands it to the checkpoint writer, or, when a busy background writer
+    /// would coalesce it, does neither. The serialization (and, in
+    /// `CheckpointMode::Sync`, the save itself) is the metered
+    /// `checkpoint_ns` critical-path cost.
     fn checkpoint_now(&mut self) {
         let start = Instant::now();
         self.core.telemetry_mut().trace.begin(
@@ -462,9 +490,23 @@ impl<P: Protocol> ShardedServer<P> {
             self.events_processed,
         );
         let seq = self.events_processed;
+        let base = self.delta_base();
         let mut d = self.durability.take().expect("caller checked durability");
-        if matches!(d.save_checkpoint_with(seq, || self.snapshot_state()), Ok(true)) {
+        let mut bytes = 0;
+        let rows = if base.is_some() { Rows::Dirty } else { Rows::All };
+        let encode = || {
+            let image = self.snapshot_state(rows);
+            bytes = image.len() as u64;
+            image
+        };
+        let saved = match base {
+            Some(base) => d.save_delta_with(base, seq, encode),
+            None => d.save_checkpoint_with(seq, encode),
+        };
+        if matches!(saved, Ok(true)) {
             self.metrics.checkpoints += 1;
+            self.metrics.delta_checkpoints += u64::from(base.is_some());
+            self.metrics.checkpoint_bytes += bytes;
         }
         self.durability = Some(d);
         self.metrics.checkpoint_ns += start.elapsed().as_nanos() as u64;
@@ -892,23 +934,59 @@ impl<P: Protocol> ShardedServer<P> {
         SourceFleet::from_values(&self.truth_values())
     }
 
-    /// Serializes the complete deterministic server state: simulation
-    /// clock, event sequence, every shard's source fleet, and the protocol
-    /// core (view, ledger, protocol state, rank order, cause matrix). Only
-    /// valid at chunk-boundary quiescence — which is the only place it is
-    /// called from.
-    fn snapshot_state(&mut self) -> Vec<u8> {
+    /// The sequence of the full image a delta checkpoint would be taken
+    /// against, if the full-or-delta rule ([`DELTA_DIVISOR`]) picks a delta
+    /// now; `None` means the checkpoint must be full. The delta's size is
+    /// estimated from the dirty-bit popcounts and the last full image's
+    /// proportions: its whole-state parts as they weighed then, plus each
+    /// dirty source at that image's mean source-row size and each dirty
+    /// view entry at [`DELTA_VIEW_ROW`], every row behind a 4-byte index.
+    fn delta_base(&mut self) -> Option<u64> {
+        let base = self.full_base?;
+        for handle in self.handles.iter_mut() {
+            handle.send(ShardCmd::CountDirty);
+        }
+        let mut dirty_sources = 0;
+        for handle in self.handles.iter_mut() {
+            match handle.recv() {
+                ShardReply::Dirty(n) => dirty_sources += n,
+                other => unreachable!("CountDirty got {other:?}"),
+            }
+        }
+        let n = self.n as u64;
+        let dirty_view = self.core.view().dirty_rows() as u64;
+        // What a delta writes whole: the full image without its source
+        // rows and its view entries (9 bytes each, unindexed).
+        let whole = base.bytes.saturating_sub(base.source_rows + 9 * n);
+        let estimate =
+            whole + dirty_sources * (4 + base.source_rows / n) + dirty_view * DELTA_VIEW_ROW;
+        (estimate * DELTA_DIVISOR < base.bytes).then_some(base.seq)
+    }
+
+    /// Serializes the deterministic server state at chunk-boundary
+    /// quiescence — the only place it is called from: simulation clock,
+    /// event sequence, the source rows `rows` selects from every shard's
+    /// fleet, and the protocol core (the selected view entries; whole: the
+    /// ledger, protocol state and cause matrix), then the channel machine,
+    /// whole. [`Rows::All`] is a full image: it clears the dirty bits and
+    /// becomes the base of the deltas after it; [`Rows::Dirty`] is a delta
+    /// against that base.
+    fn snapshot_state(&mut self, rows: Rows) -> Vec<u8> {
         let mut w = StateWriter::new();
         w.put_f64(self.now);
         w.put_u64(self.events_processed);
         w.put_u64(self.config.num_shards as u64);
+        let mut source_rows = 0;
         for handle in self.handles.iter_mut() {
-            match handle.request(ShardCmd::SaveState) {
-                ShardReply::State(bytes) => w.put_bytes(&bytes),
+            match handle.request(ShardCmd::SaveState { rows }) {
+                ShardReply::State(bytes) => {
+                    source_rows += bytes.len() as u64 - 8;
+                    w.put_bytes(&bytes);
+                }
                 other => unreachable!("SaveState got {other:?}"),
             }
         }
-        self.core.save_state(&mut w);
+        self.core.save_state(&mut w, rows);
         // The channel layer travels with the checkpoint: chaos and
         // durability compose, and a recovered server resumes the exact
         // fault-decision stream. Checkpoints happen after the chunk-end
@@ -924,38 +1002,48 @@ impl<P: Protocol> ShardedServer<P> {
                 w.put_bytes(&blob);
             }
         }
-        w.into_bytes()
+        let image = w.into_bytes();
+        if rows == Rows::All {
+            self.core.clear_view_dirty();
+            let (seq, bytes) = (self.events_processed, image.len() as u64);
+            self.full_base = Some(FullBase { seq, bytes, source_rows });
+        }
+        image
     }
 
-    /// Restores a [`ShardedServer::snapshot_state`] image into a freshly
-    /// built server of the same configuration. Every field is re-validated;
-    /// corruption yields an error, never a panic or a half-restored server.
-    fn restore_state(&mut self, bytes: &[u8]) -> asf_persist::Result<()> {
-        let mut r = StateReader::new(bytes);
+    /// Restores a [`ShardedServer::snapshot_state`] checkpoint written with
+    /// the same `rows`: a full image into a freshly built server of the
+    /// same configuration, then a delta on top of the full image it was
+    /// taken against. Every field is re-validated, and the checkpoint's
+    /// sequence must be the event count it holds; corruption yields an
+    /// error, never a panic (the caller discards the server on error).
+    /// The shards decode their rows straight from the shared image.
+    fn restore_state(&mut self, checkpoint: SnapshotImage, rows: Rows) -> asf_persist::Result<()> {
+        let seq = checkpoint.seq();
+        let (image, range) = checkpoint.into_parts();
+        let image = Arc::new(image);
+        let state = &image[range.clone()];
+        let mut r = StateReader::new(state);
         let now = r.get_f64()?;
         if now.is_nan() {
             return Err(PersistError::corrupt("snapshot time is NaN"));
         }
         let events = r.get_u64()?;
+        if events != seq {
+            return Err(PersistError::corrupt("checkpoint sequence mismatch"));
+        }
         let shards = r.get_u64()? as usize;
         if shards != self.config.num_shards {
             return Err(PersistError::corrupt("snapshot shard count differs from configuration"));
         }
-        let mut fleets = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let blob = r.get_bytes()?;
-            let mut sr = StateReader::new(blob);
-            let fleet = SourceFleet::decode(&mut sr)?;
-            sr.finish()?;
-            // Strided partition: shard `s` owns globals `g` with
-            // `g % shards == s`.
-            let expect = self.n / shards + usize::from(s < self.n % shards);
-            if fleet.len() != expect {
-                return Err(PersistError::corrupt("snapshot shard population differs"));
-            }
-            fleets.push(fleet);
+        // Each shard's rows, located in the image for the shard to decode.
+        let mut blobs = Vec::with_capacity(shards);
+        for _ in 0..shards {
+            let len = r.get_bytes()?.len();
+            let end = range.start + state.len() - r.remaining();
+            blobs.push(end - len..end);
         }
-        self.core.load_state(&mut r)?;
+        self.core.load_state(&mut r, rows)?;
         let chaos = if r.get_bool()? {
             let blob = r.get_bytes()?;
             let mut cr = StateReader::new(blob);
@@ -972,23 +1060,26 @@ impl<P: Protocol> ShardedServer<P> {
         // Rebuild each shard's local view replica by striding the restored
         // global view — cheaper and simpler than persisting the replicas.
         let view = self.core.view();
-        let mut views = Vec::with_capacity(shards);
-        for (s, fleet) in fleets.iter().enumerate() {
-            let mut local_view = ServerView::new(fleet.len());
-            for local in 0..fleet.len() as u32 {
+        for ((s, handle), range) in self.handles.iter_mut().enumerate().zip(blobs) {
+            let len = self.n / shards + usize::from(s < self.n % shards);
+            let mut local_view = ServerView::new(len);
+            for local in 0..len as u32 {
                 let g = self.partition.global_of(s, local);
                 if view.is_known(g) {
                     local_view.set(StreamId(local), view.get(g));
                 }
             }
-            views.push(local_view);
+            let image = Arc::clone(&image);
+            handle.send(ShardCmd::RestoreState { image, range, rows, view: local_view });
         }
-        for ((handle, fleet), view) in self.handles.iter_mut().zip(fleets).zip(views) {
-            match handle.request(ShardCmd::RestoreState { fleet, view }) {
-                ShardReply::Ack => {}
+        let mut restored = Ok(());
+        for handle in self.handles.iter_mut() {
+            match handle.recv() {
+                ShardReply::Restored(result) => restored = restored.and(result),
                 other => unreachable!("RestoreState got {other:?}"),
             }
         }
+        restored?;
         self.now = now;
         self.events_processed = events;
         self.chaos = chaos;
@@ -1025,14 +1116,23 @@ impl<P: Protocol> ShardedServer<P> {
         self.chaos = Some(ChaosState::new(self.n, cfg));
         // A checkpoint written before this call knows nothing about the
         // channel layer; replaying journal chunks from it would run them
-        // without chaos and diverge. Anchor the chaos-enabled state now —
-        // into BOTH snapshot slots, because a pre-chaos checkpoint at the
-        // same sequence (the durability anchor, or a cadence checkpoint
-        // that fired this very chunk) would tie with a single write and
-        // recovery's tie-break could resurrect the chaos-free image.
+        // without chaos and diverge.
+        self.reanchor();
+    }
+
+    /// Anchors durability (if attached) after a state change the journal
+    /// cannot replay — enabling chaos, a resync: full images into BOTH
+    /// snapshot slots, because a checkpoint at the same sequence taken
+    /// before the change (the durability anchor, or a cadence checkpoint
+    /// that fired this very chunk) would tie with a single write and
+    /// recovery's tie-break could resurrect it. A full save also retires
+    /// the delta.
+    fn reanchor(&mut self) {
         if self.durability.is_some() {
-            self.checkpoint_now();
-            self.checkpoint_now();
+            for _ in 0..2 {
+                self.full_base = None;
+                self.checkpoint_now();
+            }
         }
     }
 
@@ -1068,7 +1168,9 @@ impl<P: Protocol> ShardedServer<P> {
     /// damage, and the convergence boundary of the chaos differential
     /// suite. The view, ledger, and cause matrix are kept (probes are
     /// attributed to [`Cause::Repair`]); in-flight chaos frames are
-    /// discarded as superseded.
+    /// discarded as superseded. With durability attached the resynced
+    /// state is checkpointed at once (full images into both slots): the
+    /// journal holds ingested chunks only and could not replay it.
     ///
     /// # Panics
     ///
@@ -1094,6 +1196,9 @@ impl<P: Protocol> ShardedServer<P> {
             None => self.core.resync(&mut inner, fresh),
         }
         self.chaos = chaos;
+        // The journal holds ingested chunks only, so a checkpoint from
+        // before the resync plus the journal would replay without it.
+        self.reanchor();
         self.core.telemetry_mut().trace.end(TraceDepth::Coarse);
     }
 
@@ -1113,9 +1218,10 @@ impl<P: Protocol> ShardedServer<P> {
         assert!(self.durability.is_none(), "durability already enabled");
         assert!(self.core.is_initialized(), "initialize the server before enabling durability");
         let start = Instant::now();
-        let state = self.snapshot_state();
+        let state = self.snapshot_state(Rows::All);
         let d = Durability::new(&cfg, self.events_processed, &state)?;
         self.metrics.checkpoints += 1;
+        self.metrics.checkpoint_bytes += state.len() as u64;
         self.metrics.checkpoint_ns += start.elapsed().as_nanos() as u64;
         self.metrics.journal_bytes = d.journal_bytes();
         self.durability = Some(d);
@@ -1123,8 +1229,9 @@ impl<P: Protocol> ShardedServer<P> {
     }
 
     /// Rebuilds a server from the durability directory: loads the latest
-    /// valid checkpoint (if any survived) and replays the journal suffix
-    /// through the deterministic engine. The recovered server is
+    /// valid full checkpoint (if any survived), applies the delta taken
+    /// against it (if one is whole and newer), and replays the journal
+    /// suffix through the deterministic engine. The recovered server is
     /// byte-identical — answers, ledgers, views, rank order, cause matrix —
     /// to one that processed the same durable prefix without crashing.
     ///
@@ -1138,7 +1245,9 @@ impl<P: Protocol> ShardedServer<P> {
     /// replay cost is metered as `recovery_replay_ns`. Durability is
     /// re-attached before returning, anchor-free: the loaded checkpoint
     /// plus the journal already cover the recovered state, so recovery
-    /// never pays an extra O(state) snapshot write.
+    /// never pays an extra O(state) snapshot write. The next checkpoint is
+    /// a full image: dirty bits mean something only against a full image
+    /// this process wrote.
     ///
     /// A server whose checkpoints embedded chaos state recovers it
     /// automatically (the record is self-describing); see
@@ -1183,13 +1292,20 @@ impl<P: Protocol> ShardedServer<P> {
             "recovery_replay",
             entries.len() as u64,
         );
-        let checkpoint_seq = match &snapshot {
-            Some(img) => {
-                server.restore_state(img.state())?;
-                if server.events_processed != img.seq() {
-                    return Err(PersistError::corrupt("checkpoint sequence mismatch"));
+        // The full image is decoded and dropped before the delta taken
+        // against it is read, so recovery never holds two images at once.
+        let checkpoint_seq = match snapshot {
+            Some(full) => {
+                let base_seq = full.seq();
+                server.restore_state(full, Rows::All)?;
+                match store.delta_for(base_seq)? {
+                    Some(delta) => {
+                        let seq = delta.seq();
+                        server.restore_state(delta, Rows::Dirty)?;
+                        seq
+                    }
+                    None => base_seq,
                 }
-                img.seq()
             }
             None => {
                 server.initialize_with_cause(Cause::Recovery);
@@ -1199,13 +1315,14 @@ impl<P: Protocol> ShardedServer<P> {
                 0
             }
         };
-        drop(snapshot);
         // Compaction guard: pruning destroys journal history below the
         // durable-checkpoint floor. If every checkpoint has since been
         // lost or corrupted, the surviving journal suffix alone does NOT
         // reconstruct the state — replaying it from a cold start (or from
         // a stale checkpoint below the floor) would silently produce a
-        // partial history. Fail loudly; the operator must resync from the
+        // partial history. The guard compares the sequence recovery
+        // reached — the delta's, when one applied, since the floor may
+        // stand there. Fail loudly; the operator must resync from the
         // live fleet instead.
         if let Some(floor) = asf_persist::pruned_floor(&durability.dir)? {
             if checkpoint_seq < floor {

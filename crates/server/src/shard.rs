@@ -50,12 +50,13 @@
 //! back and re-evaluated, and the sharded runtime stays byte-identical to
 //! the serial engine.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
 use asf_core::workload::EventBatch;
 use asf_telemetry::{TraceDepth, TraceEvent, TraceRing};
-use streamnet::{Filter, Ledger, ServerView, SourceFleet, SpecLog, StreamId};
+use streamnet::{Filter, Ledger, Rows, ServerView, SourceFleet, SpecLog, StreamId};
 
 /// Strided assignment of global stream ids to `k` shards: global `g` lives
 /// on shard `g % k` at local index `g / k`.
@@ -227,17 +228,29 @@ pub enum ShardCmd {
     },
     /// Ground-truth values of the partition (local order) — oracle/tests.
     TruthSnapshot,
-    /// Serialize the shard's durable state (its local [`SourceFleet`]:
-    /// values, filters, report baselines) for a checkpoint. Only valid at
+    /// How many of the shard's sources changed since its last full image:
+    /// the popcount the coordinator's full-or-delta rule reads.
+    CountDirty,
+    /// Serialize the rows `rows` selects of the shard's durable state (its
+    /// local [`SourceFleet`]: values, filters, report baselines) for a
+    /// checkpoint ([`SourceFleet::encode_rows`]). [`Rows::All`] is a full
+    /// image, so it also clears the dirty bits. Only valid at
     /// chunk-boundary quiescence — no in-flight speculation.
-    SaveState,
-    /// Replace the shard's state with a checkpoint's: the decoded local
-    /// fleet and the local slice of the restored server view. The
-    /// coordinator does all decoding and validation; the shard just
-    /// installs.
+    SaveState {
+        /// Every source, or the ones changed since the last full image.
+        rows: Rows,
+    },
+    /// Overwrite the shard's fleet with the rows a checkpoint holds for it
+    /// — `image[range]`, written by [`ShardCmd::SaveState`] with the same
+    /// `rows` — and install the local slice of the restored server view.
+    /// The image is shared, so no shard copies it.
     RestoreState {
-        /// The restored local source fleet.
-        fleet: SourceFleet,
+        /// The checkpoint image.
+        image: Arc<Vec<u8>>,
+        /// This shard's rows within it.
+        range: Range<usize>,
+        /// The selection the rows were written with.
+        rows: Rows,
         /// The restored local view replica (partition slice of the global
         /// view).
         view: ServerView,
@@ -331,10 +344,15 @@ pub enum ShardReply {
     },
     /// Outcome of [`ShardCmd::TruthSnapshot`]: values in local order.
     Truth(Vec<f64>),
-    /// Outcome of [`ShardCmd::SaveState`]: the serialized local fleet.
+    /// Outcome of [`ShardCmd::CountDirty`].
+    Dirty(u64),
+    /// Outcome of [`ShardCmd::SaveState`]: the serialized local fleet rows.
     State(Vec<u8>),
+    /// Outcome of [`ShardCmd::RestoreState`]: whether the rows decoded (a
+    /// corrupt image is an error, never a panic).
+    Restored(asf_persist::Result<()>),
     /// Acknowledges a command with no payload ([`ShardCmd::Commit`],
-    /// [`ShardCmd::SetTrace`], [`ShardCmd::RestoreState`]).
+    /// [`ShardCmd::SetTrace`]).
     Ack,
     /// Outcome of [`ShardCmd::TakeTrace`]: the recorded events, in order.
     Trace(Vec<TraceEvent>),
@@ -445,7 +463,7 @@ impl Shard {
                 self.eval_window(&window, start, end, reports)
             }
             ShardCmd::Commit { keep_below } => {
-                self.spec.commit_prefix(keep_below);
+                self.spec.commit_prefix(&mut self.fleet, keep_below);
                 ShardReply::Ack
             }
             ShardCmd::Deliver { local, value, positions } => {
@@ -519,21 +537,25 @@ impl Shard {
                 ShardReply::Broadcasted { syncs, flips, busy_ns }
             }
             ShardCmd::TruthSnapshot => ShardReply::Truth(self.fleet.values().collect()),
-            ShardCmd::SaveState => {
+            ShardCmd::CountDirty => ShardReply::Dirty(self.fleet.dirty_rows() as u64),
+            ShardCmd::SaveState { rows } => {
                 debug_assert!(
                     self.spec.is_empty(),
                     "checkpoints are only taken at chunk-boundary quiescence"
                 );
                 let mut w = asf_persist::StateWriter::new();
-                self.fleet.encode(&mut w);
+                self.fleet.encode_rows(&mut w, rows);
+                if rows == Rows::All {
+                    self.fleet.clear_dirty();
+                }
                 ShardReply::State(w.into_bytes())
             }
-            ShardCmd::RestoreState { fleet, view } => {
-                debug_assert_eq!(fleet.len(), self.fleet.len(), "coordinator validates sizes");
-                self.fleet = fleet;
+            ShardCmd::RestoreState { image, range, rows, view } => {
+                let mut r = asf_persist::StateReader::new(&image[range]);
+                let restored = self.fleet.decode_rows(&mut r, rows).and_then(|()| r.finish());
                 self.local_view = view;
                 self.spec = SpecLog::new();
-                ShardReply::Ack
+                ShardReply::Restored(restored)
             }
             ShardCmd::SetTrace { ring } => {
                 self.trace = ring;

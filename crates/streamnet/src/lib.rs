@@ -15,6 +15,8 @@
 //!   broadcast operations, threading every interaction through the ledger.
 //! * [`message`] — the message taxonomy and cost ledger (DESIGN.md §3.3).
 //! * [`view`] — the server's (possibly stale) view of stream values.
+//! * [`rows`] — checkpoint row selection: the dirty bitmaps the fleet and
+//!   the view keep, so a delta checkpoint writes only the changed rows.
 //! * [`chaos`] — unreliable source↔server channels: seeded fault injection
 //!   (drop / delay / duplicate / reorder / crash-restart), filter epochs,
 //!   sequence numbers, and heartbeat leases.
@@ -29,6 +31,7 @@ pub mod chaos;
 pub mod filter;
 pub mod fleet;
 pub mod message;
+pub mod rows;
 pub mod source;
 pub mod view;
 
@@ -36,6 +39,7 @@ pub use chaos::{ChaosConfig, ChaosFleet, ChaosState, ChaosStats, RepairPlan, Rep
 pub use filter::Filter;
 pub use fleet::{FleetOps, SourceFleet, SpecLog};
 pub use message::{Ledger, MessageKind};
+pub use rows::Rows;
 pub use source::StreamSource;
 pub use view::ServerView;
 

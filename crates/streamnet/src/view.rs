@@ -7,22 +7,41 @@
 
 use asf_persist::{PersistError, StateReader, StateWriter};
 
+use crate::rows::{DirtyRows, Rows};
 use crate::StreamId;
 
 /// Last-known values of all `n` streams, indexed by [`StreamId`].
-#[derive(Clone, Debug, PartialEq)]
+///
+/// [`ServerView::set`] and [`ServerView::mark_unknown`], its only entry
+/// writers, mark the entry in a `DirtyRows` bitmap, so a delta
+/// checkpoint can write just the entries changed since the last full image
+/// ([`ServerView::encode_rows`]). The bitmap is bookkeeping, not view
+/// content: equality ignores it.
+#[derive(Clone, Debug)]
 pub struct ServerView {
     values: Vec<f64>,
     known: Vec<bool>,
     /// Number of `true` entries in `known`, so [`ServerView::all_known`] is
     /// O(1) — batch fleet operations consult it per call, not per stream.
     known_count: usize,
+    dirty: DirtyRows,
+}
+
+impl PartialEq for ServerView {
+    fn eq(&self, other: &Self) -> bool {
+        self.values == other.values && self.known == other.known
+    }
 }
 
 impl ServerView {
     /// Creates a view over `n` streams with no knowledge yet.
     pub fn new(n: usize) -> Self {
-        Self { values: vec![0.0; n], known: vec![false; n], known_count: 0 }
+        Self {
+            values: vec![0.0; n],
+            known: vec![false; n],
+            known_count: 0,
+            dirty: DirtyRows::new(n),
+        }
     }
 
     /// Number of streams.
@@ -37,6 +56,7 @@ impl ServerView {
 
     /// Records a learned value.
     pub fn set(&mut self, id: StreamId, value: f64) {
+        self.dirty.mark(id.index());
         self.values[id.index()] = value;
         if !self.known[id.index()] {
             self.known[id.index()] = true;
@@ -65,6 +85,7 @@ impl ServerView {
     /// [`ServerView::get`] calls panic until the stream is re-probed, which
     /// is deliberate: protocol code must not silently rank a dead source.
     pub fn mark_unknown(&mut self, id: StreamId) {
+        self.dirty.mark(id.index());
         if self.known[id.index()] {
             self.known[id.index()] = false;
             self.known_count -= 1;
@@ -88,33 +109,53 @@ impl ServerView {
         self.known_count == self.values.len()
     }
 
-    /// Serializes the view into a durable checkpoint.
-    pub fn encode(&self, w: &mut StateWriter) {
-        w.put_u64(self.values.len() as u64);
-        for (&v, &k) in self.values.iter().zip(self.known.iter()) {
-            w.put_bool(k);
-            w.put_f64(v);
+    /// Serializes the entries `rows` selects — every one, positionally, or
+    /// each one changed since the dirty bits were last cleared, behind its
+    /// index — as `known:bool, value:f64`.
+    pub fn encode_rows(&self, w: &mut StateWriter, rows: Rows) {
+        w.put_u64(self.dirty.selected_count(rows, self.len()) as u64);
+        for i in self.dirty.selected(rows, self.len()) {
+            if rows == Rows::Dirty {
+                w.put_u32(i as u32);
+            }
+            w.put_bool(self.known[i]);
+            w.put_f64(self.values[i]);
         }
     }
 
-    /// Decodes a view written by [`ServerView::encode`].
-    pub fn decode(r: &mut StateReader<'_>) -> asf_persist::Result<Self> {
-        let n = r.get_u64()? as usize;
-        if n > r.remaining() / 9 {
-            return Err(PersistError::corrupt("view longer than payload"));
-        }
-        let mut view = ServerView::new(n);
-        for i in 0..n {
+    /// Overwrites the entries an [`ServerView::encode_rows`] image of the
+    /// same selection names ([`Rows::All`]: every entry, so the image must
+    /// cover exactly this view's population). Corrupt input is an error,
+    /// never a panic; entries read before it stay overwritten.
+    pub fn decode_rows(&mut self, r: &mut StateReader<'_>, rows: Rows) -> asf_persist::Result<()> {
+        let min_row = if rows == Rows::Dirty { 13 } else { 9 };
+        let count = rows.read_count(r, self.len(), min_row)?;
+        let mut next = 0;
+        for k in 0..count {
+            let i = rows.read_index(r, k, next, self.len())?;
+            next = i + 1;
             let known = r.get_bool()?;
             let value = r.get_f64()?;
-            if known {
-                if !value.is_finite() {
-                    return Err(PersistError::corrupt("non-finite view value"));
-                }
-                view.set(StreamId(i as u32), value);
+            let id = StreamId(i as u32);
+            if !known {
+                self.mark_unknown(id);
+            } else if value.is_finite() {
+                self.set(id, value);
+            } else {
+                return Err(PersistError::corrupt("non-finite view value"));
             }
         }
-        Ok(view)
+        Ok(())
+    }
+
+    /// How many entries changed since the dirty bits were last cleared.
+    pub fn dirty_rows(&self) -> usize {
+        self.dirty.count()
+    }
+
+    /// Clears the dirty bits: a full image of every entry was taken.
+    pub fn clear_dirty(&mut self) {
+        self.dirty.clear();
     }
 
     /// Ids the server has never heard from, in ascending order — the probe
@@ -189,10 +230,11 @@ mod tests {
         v.set(StreamId(1), 42.5);
         v.set(StreamId(3), -7.0);
         let mut w = StateWriter::new();
-        v.encode(&mut w);
+        v.encode_rows(&mut w, Rows::All);
         let bytes = w.into_bytes();
         let mut r = StateReader::new(&bytes);
-        let back = ServerView::decode(&mut r).unwrap();
+        let mut back = ServerView::new(4);
+        back.decode_rows(&mut r, Rows::All).unwrap();
         r.finish().unwrap();
         assert_eq!(back.len(), 4);
         assert_eq!(back.known_count(), 2);
@@ -206,7 +248,33 @@ mod tests {
         let mut w = StateWriter::new();
         w.put_u64(u64::MAX);
         let bytes = w.into_bytes();
-        assert!(ServerView::decode(&mut StateReader::new(&bytes)).is_err());
+        let mut v = ServerView::new(4);
+        assert!(v.decode_rows(&mut StateReader::new(&bytes), Rows::All).is_err());
+        assert!(v.decode_rows(&mut StateReader::new(&bytes), Rows::Dirty).is_err());
+    }
+
+    #[test]
+    fn a_delta_of_the_dirty_entries_rebuilds_the_view_from_its_base() {
+        let mut v = ServerView::new(6);
+        for i in 0..6 {
+            v.set(StreamId(i), i as f64);
+        }
+        v.clear_dirty();
+        let base = v.clone();
+        v.set(StreamId(4), 40.0);
+        v.mark_unknown(StreamId(1));
+        v.set(StreamId(4), 41.0);
+        assert_eq!(v.dirty_rows(), 2);
+        let mut w = StateWriter::new();
+        v.encode_rows(&mut w, Rows::Dirty);
+        assert_eq!(w.len(), 8 + 2 * 13, "count, then index + entry per dirty row");
+        let mut rebuilt = base.clone();
+        let mut r = StateReader::new(w.bytes());
+        rebuilt.decode_rows(&mut r, Rows::Dirty).unwrap();
+        r.finish().unwrap();
+        assert_eq!(rebuilt, v);
+        assert_eq!(rebuilt.known_count(), 5);
+        assert_ne!(base, v, "equality compares content");
     }
 
     #[test]

@@ -44,9 +44,13 @@ const NUM_STREAMS: usize = 64;
 const BATCH: usize = 128;
 
 fn fixture(seed: u64) -> (Vec<f64>, Vec<UpdateEvent>) {
+    fixture_of(NUM_STREAMS, 600.0, seed)
+}
+
+fn fixture_of(num_streams: usize, horizon: f64, seed: u64) -> (Vec<f64>, Vec<UpdateEvent>) {
     let mut w = SyntheticWorkload::new(SyntheticConfig {
-        num_streams: NUM_STREAMS,
-        horizon: 600.0,
+        num_streams,
+        horizon,
         seed,
         ..Default::default()
     });
@@ -97,7 +101,8 @@ struct Observed {
 }
 
 fn capture<P: Protocol>(server: &mut ShardedServer<P>) -> Observed {
-    let view = (0..NUM_STREAMS)
+    let n = server.num_streams();
+    let view = (0..n)
         .map(|i| {
             let id = StreamId(i as u32);
             let known = server.view().is_known(id);
@@ -106,8 +111,8 @@ fn capture<P: Protocol>(server: &mut ShardedServer<P>) -> Observed {
         .collect();
     let truth = server.truth_values().iter().map(|v| v.to_bits()).collect();
     let state = server.chaos().expect("chaos enabled");
-    let epochs = (0..NUM_STREAMS).map(|i| state.epoch_of(StreamId(i as u32))).collect();
-    let leases = (0..NUM_STREAMS).map(|i| state.lease_len_of(StreamId(i as u32))).collect();
+    let epochs = (0..n).map(|i| state.epoch_of(StreamId(i as u32))).collect();
+    let leases = (0..n).map(|i| state.lease_len_of(StreamId(i as u32))).collect();
     Observed {
         answer: server.answer(),
         view,
@@ -276,6 +281,102 @@ fn multi_query_storm_recovery_is_byte_identical() {
     assert_storm_recovery_identical("MULTI-ZT", move || {
         MultiRangeZt::with_mode(queries.clone(), CellMode::ServerManaged).unwrap()
     });
+}
+
+/// The delta cadence under a storm: 1024 streams, 32-event server chunks
+/// fed two at a time, a checkpoint per 64 events and a resync after every
+/// fifth pair. The channel machine travels whole in every delta, so the
+/// rule's half-image bound is reached within a few deltas: checkpoints
+/// cycle full → delta → delta → full (a resync re-anchors with full
+/// images). Each crash lands one server chunk past a checkpoint, so
+/// recovery replays it through the restored channel machine, and the run
+/// must end byte-identical to the never-crashed chaotic run with the same
+/// resyncs. Returns the longest crashed run's checkpoint kinds (`F` full,
+/// `D` delta) and the kind each crash recovered through.
+fn assert_delta_storm_recovery_identical<P: Protocol, F: Fn() -> P>(
+    name: &str,
+    make: F,
+) -> (String, String) {
+    const PAIR: usize = 64;
+    let (initial, events) = fixture_of(1024, 30.0, 0xFA17);
+    let pairs: Vec<&[UpdateEvent]> = events.chunks(PAIR).collect();
+    let cfg = ChaosConfig::new(0xC4A05, FaultMix::loss_only(0.1), u64::MAX).lease_ticks(512);
+    let drive = |server: &mut ShardedServer<P>, pairs_done: std::ops::Range<usize>| {
+        for k in pairs_done {
+            server.ingest_batch(pairs[k]);
+            if (k + 1) % 5 == 0 {
+                server.resync(make());
+            }
+        }
+    };
+    let config = ServerConfig::with_shards(2).batch_size(PAIR / 2);
+    let mut reference = ShardedServer::new(&initial, make(), config);
+    reference.initialize();
+    reference.enable_chaos(cfg.clone());
+    drive(&mut reference, 0..pairs.len());
+    let want = capture(&mut reference);
+    let (mut kinds, mut recovered_through) = (String::new(), String::new());
+    for crash_after in [2, 3, 4, 7, 11] {
+        let tag = format!("{name} crash in pair {crash_after}");
+        let dir = test_dir("delta-storm");
+        let durable =
+            DurabilityConfig::new(&dir).checkpoint_every(PAIR as u64).mode(CheckpointMode::Sync);
+        let mut crashed = ShardedServer::new(&initial, make(), config);
+        crashed.initialize();
+        crashed.enable_durability(durable.clone()).unwrap();
+        crashed.enable_chaos(cfg.clone());
+        kinds = "FFF".into();
+        for k in 0..crash_after {
+            let m = crashed.metrics();
+            let (full, delta) = (m.checkpoints - m.delta_checkpoints, m.delta_checkpoints);
+            drive(&mut crashed, k..k + 1);
+            let m = crashed.metrics();
+            kinds.push_str(&"F".repeat((m.checkpoints - m.delta_checkpoints - full) as usize));
+            kinds.push_str(&"D".repeat((m.delta_checkpoints - delta) as usize));
+        }
+        recovered_through.extend(kinds.chars().last());
+        // Half of the next pair: one server chunk, journaled, no checkpoint.
+        let (first, second) = pairs[crash_after].split_at(PAIR / 2);
+        let checkpoints = crashed.metrics().checkpoints;
+        crashed.ingest_batch(first);
+        assert_eq!(crashed.metrics().checkpoints, checkpoints, "{tag}");
+        assert!(crashed.chaos().unwrap().faults_active(), "{tag}: crash outside the storm");
+        let split = crashed.events_processed();
+        drop(crashed);
+
+        let mut recovered = ShardedServer::recover(&initial, make(), config, durable).unwrap();
+        assert_eq!(recovered.events_processed(), split, "{tag}: recovery lost durable events");
+        assert_eq!(
+            recovered.metrics().events,
+            first.len() as u64,
+            "{tag}: recovery must replay only past the last checkpoint ({kinds})"
+        );
+        recovered.ingest_batch(second);
+        if (crash_after + 1) % 5 == 0 {
+            recovered.resync(make());
+        }
+        drive(&mut recovered, crash_after + 1..pairs.len());
+        assert_eq!(capture(&mut recovered), want, "{tag}: recovered run diverged ({kinds})");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    (kinds, recovered_through)
+}
+
+#[test]
+fn delta_checkpoints_recover_mid_storm_byte_identical() {
+    // ZT-NRP re-installs at each reporter and the repair rounds re-probe
+    // gapped channels; paper RTP broadcasts on every shrink; every resync
+    // probes every source.
+    let range = RangeQuery::new(400.0, 600.0).unwrap();
+    let knn = RankQuery::knn(500.0, 5).unwrap();
+    let (kinds, through) = assert_delta_storm_recovery_identical("ZT-NRP", || ZtNrp::new(range));
+    assert!(kinds.contains("FDDF"), "ZT-NRP: no delta cycle: {kinds}");
+    assert!(through.contains('D'), "ZT-NRP: no crash recovered through a delta: {through}");
+    // Paper RTP's broadcasts touch every source: few of its checkpoints
+    // stay under the bound, but those that do must recover.
+    let (kinds, _) =
+        assert_delta_storm_recovery_identical("RTP/paper", move || Rtp::paper(knn, 3).unwrap());
+    assert!(kinds.contains('D'), "RTP/paper: no delta: {kinds}");
 }
 
 #[test]

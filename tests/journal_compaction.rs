@@ -18,9 +18,13 @@ use workloads::{SyntheticConfig, SyntheticWorkload};
 const NUM_STREAMS: usize = 64;
 
 fn fixture(seed: u64) -> (Vec<f64>, Vec<UpdateEvent>) {
+    fixture_of(NUM_STREAMS, 150.0, seed)
+}
+
+fn fixture_of(num_streams: usize, horizon: f64, seed: u64) -> (Vec<f64>, Vec<UpdateEvent>) {
     let mut w = SyntheticWorkload::new(SyntheticConfig {
-        num_streams: NUM_STREAMS,
-        horizon: 150.0,
+        num_streams,
+        horizon,
         seed,
         ..Default::default()
     });
@@ -64,7 +68,7 @@ fn assert_state_identical<P: Protocol>(
     assert_eq!(got.ledger(), want.ledger(), "{tag}: ledgers diverged");
     assert_eq!(got.reports_processed(), want.reports_processed(), "{tag}: report counts diverged");
     assert_eq!(got.events_processed(), want.events_processed(), "{tag}: event counts diverged");
-    for i in 0..NUM_STREAMS {
+    for i in 0..got.num_streams() {
         let id = StreamId(i as u32);
         assert_eq!(
             got.view().is_known(id),
@@ -256,4 +260,55 @@ fn crash_at_every_rotation_step_recovers_the_durable_prefix() {
         assert_state_identical(&format!("{tag}/resumed"), &mut recovered, &mut full);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn pruning_to_a_delta_recovers_through_the_delta() {
+    // 512 streams, a checkpoint every two 64-event chunks: the cadence
+    // checkpoints are deltas, and the durable floor — hence pruning —
+    // advances to a delta's sequence once it lands over its landed base.
+    // Recovery reaches that sequence through the full image plus the
+    // delta, so the pruned-floor guard must compare it, not the full
+    // image's, and the recovered server must match the uncompacted run.
+    const CHUNK: usize = 64;
+    let (initial, events) = fixture_of(512, 80.0, 0xFEED);
+    let config = ServerConfig::with_shards(2).batch_size(CHUNK);
+    let dir = test_dir("delta-floor");
+    let cfg = DurabilityConfig::new(&dir)
+        .checkpoint_every(2 * CHUNK as u64)
+        .mode(CheckpointMode::Sync)
+        .rotate_journal_every(Some(2048));
+    let mut crashed = ShardedServer::new(&initial, make(), config);
+    crashed.initialize();
+    crashed.enable_durability(cfg.clone()).unwrap();
+    let mut last_full = 0;
+    let mut split = 0;
+    for chunk in events.chunks(CHUNK) {
+        let m = crashed.metrics();
+        let fulls = m.checkpoints - m.delta_checkpoints;
+        crashed.ingest_batch(chunk);
+        split += chunk.len();
+        let m = crashed.metrics();
+        if m.checkpoints - m.delta_checkpoints > fulls {
+            last_full = split as u64;
+        }
+        let floor = asf_persist::pruned_floor(&dir).unwrap().unwrap_or(0);
+        if floor > last_full && split as u64 > floor {
+            break;
+        }
+    }
+    let floor = asf_persist::pruned_floor(&dir).unwrap().unwrap_or(0);
+    assert!(
+        floor > last_full && crashed.durability_mut().unwrap().durable_floor() == floor,
+        "pruning never reached a delta: floor {floor}, last full image at {last_full}"
+    );
+    drop(crashed);
+
+    let mut recovered = ShardedServer::recover(&initial, make(), config, cfg).unwrap();
+    assert_eq!(recovered.events_processed(), split as u64);
+    assert_eq!(recovered.metrics().events, split as u64 - floor, "replayed past the delta");
+    recovered.ingest_batch(&events[split..]);
+    let mut want = reference(&initial, &events, config);
+    assert_state_identical("delta-floor", &mut recovered, &mut want);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,13 +8,18 @@
 //!   exactly that record and leaves the durable prefix intact.
 //! * Full-stack spot checks: `ShardedServer::recover` over truncated
 //!   journals rebuilds exactly the state the surviving records describe.
+//! * The delta checkpoint: recovery over every truncation and every
+//!   single-byte flip of `delta.bin` ignores the delta (its CRC fails) and
+//!   rebuilds the same state from the full image and the journal; a
+//!   CRC-valid delta whose payload is truncated is an error, and one with
+//!   any byte flipped is an error or a recovery — never a panic.
 
 use std::path::{Path, PathBuf};
 
 use asf_core::protocol::ZtNrp;
 use asf_core::query::RangeQuery;
 use asf_core::workload::{EventBatch, UpdateEvent, Workload};
-use asf_persist::{Journal, StateReader, HEADER_LEN, RECORD_OVERHEAD};
+use asf_persist::{encode_record, Journal, StateReader, HEADER_LEN, RECORD_OVERHEAD, TAG_DELTA};
 use asf_server::{CheckpointMode, DurabilityConfig, ServerConfig, ShardedServer};
 use workloads::{SyntheticConfig, SyntheticWorkload};
 
@@ -200,4 +205,78 @@ fn recovery_over_truncated_journals_matches_the_surviving_prefix() {
         let _ = std::fs::remove_dir_all(&scratch);
     }
     let _ = std::fs::remove_dir_all(&build);
+}
+
+#[test]
+fn every_truncation_and_byte_flip_of_a_delta_is_ignored_or_an_error() {
+    // 96 streams, a checkpoint per 8-event chunk: the checkpoints after
+    // the anchor are deltas. The directory ends with the delta at 16 and
+    // one more chunk in the journal.
+    let mut w = SyntheticWorkload::new(SyntheticConfig {
+        num_streams: 96,
+        horizon: 20.0,
+        seed: 0xBEEF,
+        ..Default::default()
+    });
+    let initial = w.initial_values();
+    let events: Vec<UpdateEvent> = std::iter::from_fn(|| w.next_event()).take(20).collect();
+    let query = RangeQuery::new(400.0, 600.0).unwrap();
+    let config = ServerConfig::with_shards(2).batch_size(8);
+    let dir = test_dir("delta-build");
+    let durable = DurabilityConfig::new(&dir).checkpoint_every(8).mode(CheckpointMode::Sync);
+    let mut server = ShardedServer::new(&initial, ZtNrp::new(query), config);
+    server.initialize();
+    server.enable_durability(durable.clone()).unwrap();
+    server.ingest_batch(&events);
+    assert_eq!(server.metrics().delta_checkpoints, 2, "the fixture must end on a delta");
+    let (answer, ledger, truth) = (server.answer(), server.ledger().clone(), server.truth_values());
+    drop(server);
+    let delta = std::fs::read(dir.join("delta.bin")).unwrap();
+
+    let recover = |bytes: &[u8]| {
+        std::fs::write(dir.join("delta.bin"), bytes).unwrap();
+        ShardedServer::recover(&initial, ZtNrp::new(query), config, durable.clone())
+    };
+    // Untouched, the delta is applied: only the last chunk replays.
+    let recovered = recover(&delta).unwrap();
+    assert_eq!((recovered.events_processed(), recovered.metrics().events), (20, 4));
+    // A torn or flipped file fails its CRC: the anchor plus the whole
+    // journal rebuild the same state. (`asf-persist` sweeps every
+    // truncation and byte of the file; through recovery go the framing —
+    // header, tag, length, the two sequence numbers, checksum — and a
+    // stride of cuts.)
+    let framing = || (0..HEADER_LEN + 24).chain(delta.len() - 4..delta.len());
+    let cuts = framing().chain((HEADER_LEN + 24..delta.len()).step_by(37));
+    let mut damaged: Vec<Vec<u8>> = cuts.map(|cut| delta[..cut].to_vec()).collect();
+    for i in framing() {
+        let mut flipped = delta.clone();
+        flipped[i] ^= 0x10;
+        damaged.push(flipped);
+    }
+    for bytes in &damaged {
+        let mut recovered = recover(bytes).unwrap();
+        let tag = format!("{} bytes", bytes.len());
+        assert_eq!((recovered.events_processed(), recovered.metrics().events), (20, 20), "{tag}");
+        assert_eq!(recovered.answer(), answer, "{tag}");
+        assert_eq!(*recovered.ledger(), ledger, "{tag}");
+        assert_eq!(recovered.truth_values(), truth, "{tag}");
+    }
+    // A CRC-valid record around a damaged payload: the delta's own
+    // validation must catch a truncation, and a flip may only yield an
+    // error or a recovered server.
+    let payload = &delta[HEADER_LEN + 8..delta.len() - 4];
+    let reframed = |payload: &[u8]| {
+        let mut file = delta[..HEADER_LEN].to_vec();
+        encode_record(TAG_DELTA, payload, &mut file);
+        file
+    };
+    for cut in 16..payload.len() {
+        assert!(recover(&reframed(&payload[..cut])).is_err(), "payload cut at {cut}");
+    }
+    for i in 16..payload.len() {
+        let mut flipped = payload.to_vec();
+        flipped[i] ^= 0x10;
+        let _ = recover(&reframed(&flipped));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

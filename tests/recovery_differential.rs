@@ -26,9 +26,13 @@ use workloads::{SyntheticConfig, SyntheticWorkload};
 const NUM_STREAMS: usize = 64;
 
 fn fixture(seed: u64) -> (Vec<f64>, Vec<UpdateEvent>) {
+    fixture_of(NUM_STREAMS, 150.0, seed)
+}
+
+fn fixture_of(num_streams: usize, horizon: f64, seed: u64) -> (Vec<f64>, Vec<UpdateEvent>) {
     let mut w = SyntheticWorkload::new(SyntheticConfig {
-        num_streams: NUM_STREAMS,
-        horizon: 150.0,
+        num_streams,
+        horizon,
         seed,
         ..Default::default()
     });
@@ -63,7 +67,7 @@ fn assert_state_identical<P: Protocol>(
     assert_eq!(got.ledger(), want.ledger(), "{tag}: ledgers diverged");
     assert_eq!(got.reports_processed(), want.reports_processed(), "{tag}: report counts diverged");
     assert_eq!(got.events_processed(), want.events_processed(), "{tag}: event counts diverged");
-    for i in 0..NUM_STREAMS {
+    for i in 0..got.num_streams() {
         let id = StreamId(i as u32);
         assert_eq!(
             got.view().is_known(id),
@@ -159,6 +163,104 @@ fn assert_crash_at_recovers_identical<P, F>(
         let mut want = reference(initial, events, &make, config);
         assert_state_identical(&tag, &mut recovered, &mut want, false);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The delta cadence: 512 streams, 64-event chunks, a checkpoint every two
+/// chunks and a resync after every seventh, so checkpoints cycle full →
+/// delta → delta → … → full (a delta carries only the sources touched
+/// since its full image, and the rule writes a full image once that
+/// passes half of one; a resync re-anchors with full images). The run
+/// crashes after each chunk of a sweep — one chunk of journal past a
+/// checkpoint, or none — and must recover byte-identical to a
+/// never-crashed run with the same resyncs, replaying only the journal
+/// past the crashed run's last checkpoint, delta or full. Returns the
+/// longest crashed run's checkpoint kinds, in order (`F` full, `D` delta),
+/// and the kind each crash recovered through.
+fn assert_delta_cadence_recovers_identical<P, F>(name: &str, make: F) -> (String, String)
+where
+    P: Protocol,
+    F: Fn() -> P,
+{
+    const CHUNK: usize = 64;
+    let (initial, events) = fixture_of(512, 80.0, 0xDE17A);
+    let chunks: Vec<&[UpdateEvent]> = events.chunks(CHUNK).collect();
+    let drive = |server: &mut ShardedServer<P>, chunks_done: std::ops::Range<usize>| {
+        for k in chunks_done {
+            server.ingest_batch(chunks[k]);
+            if (k + 1) % 7 == 0 {
+                server.resync(make());
+            }
+        }
+    };
+    let (mut kinds, mut recovered_through) = (String::new(), String::new());
+    for shards in [1usize, 3] {
+        let config = ServerConfig::with_shards(shards).batch_size(CHUNK);
+        let mut want = ShardedServer::new(&initial, make(), config);
+        want.initialize();
+        drive(&mut want, 0..chunks.len());
+        for crash_after in [3, 7, 9, 16, 19, 24] {
+            let tag = format!("{name} shards={shards} crash after chunk {crash_after}");
+            let dir = test_dir("delta");
+            let durable = DurabilityConfig::new(&dir)
+                .checkpoint_every(2 * CHUNK as u64)
+                .mode(CheckpointMode::Sync);
+            let mut crashed = ShardedServer::new(&initial, make(), config);
+            crashed.initialize();
+            crashed.enable_durability(durable.clone()).unwrap();
+            let mut last_checkpoint = 0;
+            kinds = "F".into();
+            for k in 0..crash_after {
+                let m = crashed.metrics();
+                let (full, delta) = (m.checkpoints - m.delta_checkpoints, m.delta_checkpoints);
+                drive(&mut crashed, k..k + 1);
+                let m = crashed.metrics();
+                kinds.push_str(&"F".repeat((m.checkpoints - m.delta_checkpoints - full) as usize));
+                kinds.push_str(&"D".repeat((m.delta_checkpoints - delta) as usize));
+                if m.checkpoints > full + delta {
+                    last_checkpoint = crashed.events_processed();
+                }
+            }
+            let split = crashed.events_processed();
+            recovered_through.extend(kinds.chars().last());
+            drop(crashed);
+
+            let mut recovered = ShardedServer::recover(&initial, make(), config, durable).unwrap();
+            assert_eq!(recovered.events_processed(), split, "{tag}: recovery lost durable events");
+            assert_eq!(
+                recovered.metrics().events,
+                split - last_checkpoint,
+                "{tag}: recovery must replay only past the last checkpoint ({kinds})"
+            );
+            drive(&mut recovered, crash_after..chunks.len());
+            assert_state_identical(&tag, &mut recovered, &mut want, false);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    (kinds, recovered_through)
+}
+
+#[test]
+fn delta_checkpoints_recover_byte_identical() {
+    // ZT-NRP re-installs at each reporter; scoped RTP installs in batches
+    // (`install_many`) and probes rings; paper RTP broadcasts on every
+    // shrink; FT-RP probes every source when it reinitializes. Every
+    // resync probes every source again.
+    let range = RangeQuery::new(400.0, 600.0).unwrap();
+    let knn = RankQuery::knn(500.0, 5).unwrap();
+    let tol = FractionTolerance::symmetric(0.25).unwrap();
+    let query = RankQuery::knn(500.0, 8).unwrap();
+    let kinds = [
+        assert_delta_cadence_recovers_identical("ZT-NRP", || ZtNrp::new(range)),
+        assert_delta_cadence_recovers_identical("RTP", move || Rtp::new(knn, 3).unwrap()),
+        assert_delta_cadence_recovers_identical("RTP/paper", move || Rtp::paper(knn, 3).unwrap()),
+        assert_delta_cadence_recovers_identical("FT-RP", move || {
+            FtRp::new(query, tol, FtRpConfig::default(), 7).unwrap()
+        }),
+    ];
+    for (kinds, through) in kinds {
+        assert!(kinds.contains("FDDF") || kinds.contains("FDDDF"), "no delta cycle: {kinds}");
+        assert!(through.contains('D'), "no crash recovered through a delta: {through}");
     }
 }
 
@@ -476,6 +578,59 @@ fn torn_journal_tail_recovers_to_durable_prefix() {
     let mut full = reference(&initial, &events, &make, config);
     assert_state_identical("torn-journal/resumed", &mut recovered, &mut full, false);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn crash_at_every_byte_of_a_delta_write_recovers_the_durable_prefix() {
+    // A checkpoint per 8-event chunk over 64 streams is a delta (a chunk
+    // touches at most 8 sources). Tear the second delta at every byte of
+    // its file: the handle poisons, the previous delta stays whole, and
+    // recovery rebuilds exactly the durable prefix from the anchor plus
+    // that delta, replaying only the chunk journaled after it.
+    let (initial, events) = fixture(0xFEED);
+    let query = RangeQuery::new(400.0, 600.0).unwrap();
+    let make = || ZtNrp::new(query);
+    let config = ServerConfig::with_shards(2).batch_size(8);
+    let mut want = reference(&initial, &events[..16], &make, config);
+    let run = |dir: &PathBuf, budget: Option<u64>| {
+        let durable = DurabilityConfig::new(dir).checkpoint_every(8).mode(CheckpointMode::Sync);
+        let mut crashed = ShardedServer::new(&initial, make(), config);
+        crashed.initialize();
+        crashed.enable_durability(durable.clone()).unwrap();
+        crashed.ingest_batch(&events[..8]);
+        assert_eq!(crashed.metrics().delta_checkpoints, 1, "the first cadence checkpoint");
+        if let Some(budget) = budget {
+            crashed.durability_mut().unwrap().arm_checkpoint_crash(budget);
+        }
+        let before = crashed.metrics().checkpoint_bytes;
+        crashed.ingest_batch(&events[8..16]);
+        let delta_bytes = crashed.metrics().checkpoint_bytes - before;
+        let torn = crashed.durability_mut().unwrap().is_poisoned();
+        drop(crashed);
+        (durable, delta_bytes, torn)
+    };
+    // Header, record frame, the two sequence numbers, then the image.
+    let probe = test_dir("delta-tear");
+    let (_, delta_bytes, _) = run(&probe, None);
+    let file_len = std::fs::metadata(probe.join("delta.bin")).unwrap().len();
+    assert_eq!(file_len, 16 + 12 + 16 + delta_bytes);
+    let _ = std::fs::remove_dir_all(&probe);
+    for budget in 0..=file_len {
+        let dir = test_dir("delta-tear");
+        let (durable, _, torn) = run(&dir, Some(budget));
+        assert_eq!(torn, budget < file_len, "budget={budget}");
+        let mut recovered = ShardedServer::recover(&initial, make(), config, durable).unwrap();
+        assert_eq!(recovered.events_processed(), 16, "budget={budget}");
+        let replayed = if torn { 8 } else { 0 };
+        assert_eq!(recovered.metrics().events, replayed, "budget={budget}");
+        assert_state_identical(
+            &format!("delta tear at {budget}"),
+            &mut recovered,
+            &mut want,
+            false,
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
