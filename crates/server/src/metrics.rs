@@ -168,8 +168,9 @@ pub struct ServerMetrics {
     /// Chunk-end repair fan-outs charged as a single batched frame. Zero
     /// without chaos (or with per-channel repair charging).
     pub repair_batches: u64,
-    /// Bytes the serialized channel-state record contributed to the most
-    /// recent checkpoint. Zero without chaos or without durability.
+    /// The channel bytes of the most recent checkpoint, full or delta (a
+    /// delta carries only the channels that changed). Zero without chaos
+    /// or without durability.
     pub chaos_state_bytes: u64,
     /// Wall-clock batch-apply durations (ns) as a mergeable log-bucketed
     /// histogram: bounded memory, no sample loss.

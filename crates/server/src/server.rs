@@ -72,6 +72,7 @@ use asf_core::AnswerSet;
 use asf_persist::{Journal, PersistError, SnapshotImage, SnapshotStore, StateReader, StateWriter};
 use asf_telemetry::{chrome_trace, Cause, Registry, TraceDepth, TraceEvent, TraceRing};
 use simkit::SimTime;
+use streamnet::chaos::CHANNEL_ROW_BYTES;
 use streamnet::{
     ChaosConfig, ChaosFleet, ChaosState, ChaosStats, Ledger, MessageKind, RepairPlan, ReportFate,
     Rows, ServerView, SourceFleet, StreamId,
@@ -93,6 +94,9 @@ const DELTA_DIVISOR: u64 = 2;
 /// Bytes of one dirty view entry in a delta: index, known flag, value.
 const DELTA_VIEW_ROW: u64 = 13;
 
+/// Bytes of one selected channel row in a delta: index and row.
+const DELTA_CHANNEL_ROW: u64 = 4 + CHANNEL_ROW_BYTES as u64;
+
 /// The last full image this server encoded, as the full-or-delta rule
 /// weighs it.
 #[derive(Clone, Copy, Debug)]
@@ -103,6 +107,8 @@ struct FullBase {
     bytes: u64,
     /// The bytes of its source rows, all shards together.
     source_rows: u64,
+    /// The bytes of its channel rows (0 without chaos).
+    channel_rows: u64,
 }
 
 /// Observability configuration of a [`ShardedServer`]. Everything here is
@@ -939,8 +945,9 @@ impl<P: Protocol> ShardedServer<P> {
     /// now; `None` means the checkpoint must be full. The delta's size is
     /// estimated from the dirty-bit popcounts and the last full image's
     /// proportions: its whole-state parts as they weighed then, plus each
-    /// dirty source at that image's mean source-row size and each dirty
-    /// view entry at [`DELTA_VIEW_ROW`], every row behind a 4-byte index.
+    /// dirty source at that image's mean source-row size, each dirty view
+    /// entry at [`DELTA_VIEW_ROW`] and each selected channel at
+    /// [`DELTA_CHANNEL_ROW`], every row behind a 4-byte index.
     fn delta_base(&mut self) -> Option<u64> {
         let base = self.full_base?;
         for handle in self.handles.iter_mut() {
@@ -955,11 +962,15 @@ impl<P: Protocol> ShardedServer<P> {
         }
         let n = self.n as u64;
         let dirty_view = self.core.view().dirty_rows() as u64;
+        let dirty_channels = self.chaos.as_ref().map_or(0, |c| c.dirty_rows() as u64);
         // What a delta writes whole: the full image without its source
-        // rows and its view entries (9 bytes each, unindexed).
-        let whole = base.bytes.saturating_sub(base.source_rows + 9 * n);
-        let estimate =
-            whole + dirty_sources * (4 + base.source_rows / n) + dirty_view * DELTA_VIEW_ROW;
+        // rows, its view entries (9 bytes each, unindexed) and its channel
+        // rows.
+        let whole = base.bytes.saturating_sub(base.source_rows + 9 * n + base.channel_rows);
+        let estimate = whole
+            + dirty_sources * (4 + base.source_rows / n)
+            + dirty_view * DELTA_VIEW_ROW
+            + dirty_channels * DELTA_CHANNEL_ROW;
         (estimate * DELTA_DIVISOR < base.bytes).then_some(base.seq)
     }
 
@@ -967,10 +978,10 @@ impl<P: Protocol> ShardedServer<P> {
     /// quiescence — the only place it is called from: simulation clock,
     /// event sequence, the source rows `rows` selects from every shard's
     /// fleet, and the protocol core (the selected view entries; whole: the
-    /// ledger, protocol state and cause matrix), then the channel machine,
-    /// whole. [`Rows::All`] is a full image: it clears the dirty bits and
-    /// becomes the base of the deltas after it; [`Rows::Dirty`] is a delta
-    /// against that base.
+    /// ledger, protocol state and cause matrix), then the channel machine
+    /// (the selected channel rows; the rest whole). [`Rows::All`] is a full
+    /// image: it clears the dirty bits and becomes the base of the deltas
+    /// after it; [`Rows::Dirty`] is a delta against that base.
     fn snapshot_state(&mut self, rows: Rows) -> Vec<u8> {
         let mut w = StateWriter::new();
         w.put_f64(self.now);
@@ -991,22 +1002,27 @@ impl<P: Protocol> ShardedServer<P> {
         // durability compose, and a recovered server resumes the exact
         // fault-decision stream. Checkpoints happen after the chunk-end
         // repair round, so the serialized machine is post-round state.
-        match &self.chaos {
+        let mut channel_rows = 0;
+        match &mut self.chaos {
             None => w.put_bool(false),
             Some(chaos) => {
                 w.put_bool(true);
                 let mut cw = StateWriter::new();
-                chaos.encode(&mut cw);
+                chaos.encode_rows(&mut cw, rows);
                 let blob = cw.into_bytes();
                 self.metrics.chaos_state_bytes = blob.len() as u64;
                 w.put_bytes(&blob);
+                if rows == Rows::All {
+                    chaos.clear_dirty();
+                    channel_rows = (CHANNEL_ROW_BYTES * chaos.len()) as u64;
+                }
             }
         }
         let image = w.into_bytes();
         if rows == Rows::All {
             self.core.clear_view_dirty();
             let (seq, bytes) = (self.events_processed, image.len() as u64);
-            self.full_base = Some(FullBase { seq, bytes, source_rows });
+            self.full_base = Some(FullBase { seq, bytes, source_rows, channel_rows });
         }
         image
     }
@@ -1044,17 +1060,26 @@ impl<P: Protocol> ShardedServer<P> {
             blobs.push(end - len..end);
         }
         self.core.load_state(&mut r, rows)?;
-        let chaos = if r.get_bool()? {
-            let blob = r.get_bytes()?;
-            let mut cr = StateReader::new(blob);
-            let state = ChaosState::decode(&mut cr)?;
-            cr.finish()?;
-            if state.len() != self.n {
-                return Err(PersistError::corrupt("snapshot channel count differs"));
+        // A delta's channel rows land on the base's machine, which must
+        // exist exactly when the delta carries one.
+        let chaos = match (r.get_bool()?, rows, self.chaos.take()) {
+            (false, Rows::All, _) | (false, Rows::Dirty, None) => None,
+            (true, Rows::All, _) => {
+                let mut cr = StateReader::new(r.get_bytes()?);
+                let state = ChaosState::decode(&mut cr)?;
+                cr.finish()?;
+                if state.len() != self.n {
+                    return Err(PersistError::corrupt("snapshot channel count differs"));
+                }
+                Some(state)
             }
-            Some(state)
-        } else {
-            None
+            (true, Rows::Dirty, Some(mut base)) => {
+                let mut cr = StateReader::new(r.get_bytes()?);
+                base.decode_rows(&mut cr, Rows::Dirty)?;
+                cr.finish()?;
+                Some(base)
+            }
+            _ => return Err(PersistError::corrupt("delta and base differ in chaos")),
         };
         r.finish()?;
         // Rebuild each shard's local view replica by striding the restored

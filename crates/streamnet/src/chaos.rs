@@ -78,6 +78,25 @@
 //! crash+recover *inside* a fault window resumes the exact decision stream
 //! (see `asf-server`'s chaos-recovery differential suite). Version-1
 //! records decode through a stated migration.
+//!
+//! A checkpoint may carry only the channels that changed
+//! ([`ChaosState::encode_rows`] of [`Rows::Dirty`]): each selected channel's
+//! 34-byte row behind its index, everything else whole. A channel's row is
+//! its cold record, its recorded flags and its lease class. Every write to
+//! the cold record (a report sent or accepted, a crash, an install, a sync)
+//! and every lease-class change marks the channel dirty. Making a channel an
+//! exception does not: class sweeps and lost steady heartbeats touch
+//! channels that are steady again, row unchanged, a round later (marking
+//! them would select 59% of `asf_bench`'s `chaos_lossy` channels between
+//! two checkpoints instead of 11.5%). Flags need no mark either, because a
+//! channel outside the exception set has the steady flags: a delta selects
+//! every marked channel and every current exception, and a full image
+//! seeds the marks with its exceptions whose flags are not the steady ones,
+//! so a channel that is steady now is written if its flags differ from the
+//! image's. A steady channel's `last_heard` is implicit, so it needs no
+//! row. [`ChaosState::decode_rows`] applies such a delta onto the full
+//! image it was taken against and re-derives and re-checks everything the
+//! rows do not carry.
 
 use asf_persist::{PersistError, StateReader, StateWriter};
 use simkit::fault::{Backoff, FaultDecision, FaultMix, FaultSchedule, ScheduleState};
@@ -86,11 +105,12 @@ use simkit::time::TickClock;
 use crate::filter::Filter;
 use crate::fleet::FleetOps;
 use crate::message::Ledger;
+use crate::rows::{DirtyRows, Rows};
 use crate::view::ServerView;
 use crate::StreamId;
 
 /// Configuration of one unreliable-fleet simulation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
     /// Seed for the fault schedule's RNG stream.
     pub seed: u64,
@@ -127,6 +147,11 @@ pub const MAX_LEASE_FACTOR: u64 = 16;
 /// ([`ChaosState::encode`] / [`ChaosState::decode`]). Version 1 — one RNG
 /// stream, a dense `last_heard` and lease column — still decodes.
 const CHAOS_STATE_VERSION: u8 = 2;
+
+/// Bytes of one channel row in a chaos-state record: the epoch, both
+/// sequence numbers, the outage end, the recorded flags and the lease
+/// class. A delta writes each selected row behind a 4-byte index.
+pub const CHANNEL_ROW_BYTES: usize = 4 * 8 + 2;
 
 impl ChaosConfig {
     /// Creates a config with conventional lease/backoff defaults.
@@ -375,6 +400,10 @@ pub struct ChaosState {
     exceptions: Vec<u64>,
     /// Channels outside the exception set, per lease class.
     steady: [usize; LEASE_CLASSES],
+    /// Channels whose row was written since the last full image, seeded
+    /// with that image's non-steady exceptions (see the module's
+    /// "Durability").
+    dirty: DirtyRows,
     /// Tick of the last heartbeat round: when every steady channel was last
     /// heard.
     round_tick: u64,
@@ -417,6 +446,7 @@ impl ChaosState {
             flags: vec![VERIFIED; n],
             exceptions: all_exceptions(n),
             steady: [0; LEASE_CLASSES],
+            dirty: DirtyRows::new(n),
             round_tick: 0,
             dead: 0,
             faults: Vec::new(),
@@ -560,6 +590,7 @@ impl ChaosState {
     /// The server accepted frame `seq` of channel `i` at tick `now`.
     fn accept_frame(&mut self, i: usize, seq: u64, now: u64) {
         self.touch(i);
+        self.dirty.mark(i);
         let ch = &mut self.channels[i];
         ch.recv_seq = seq;
         self.last_heard[i] = now;
@@ -579,6 +610,7 @@ impl ChaosState {
             return ReportFate::Lost;
         }
         self.touch(i);
+        self.dirty.mark(i);
         let ch = &mut self.channels[i];
         ch.send_seq += 1;
         self.flags[i] |= GAP; // until the server accepts the frame
@@ -657,6 +689,7 @@ impl ChaosState {
                 continue;
             }
             self.touch(i);
+            self.dirty.mark(i);
             self.stats.crashes += 1;
             self.channels[i].down_until = now + outage;
             self.flags[i] = (self.flags[i] | NEEDS_REPAIR | MAYBE_DOWN) & !VERIFIED;
@@ -735,6 +768,7 @@ impl ChaosState {
                 dead,
                 leases,
                 lease_samples,
+                dirty,
                 ..
             } = self;
             // Slices keep the columns' bases and lengths in registers.
@@ -761,6 +795,7 @@ impl ChaosState {
                         if to != k && adaptive {
                             k = to;
                             lease_class[i] = k;
+                            dirty.mark(i);
                             lease_samples.push(leases.0[k as usize]);
                             f |= ADAPTED;
                         }
@@ -935,6 +970,7 @@ impl ChaosState {
     fn on_installed(&mut self, id: StreamId) {
         let i = id.index();
         self.touch(i);
+        self.dirty.mark(i);
         self.channels[i].epoch += 1;
         self.last_heard[i] = self.clock.now();
     }
@@ -944,21 +980,32 @@ impl ChaosState {
     /// channel never has, so it needs no [`ChaosState::touch`].
     fn on_synced(&mut self, id: StreamId) {
         let ch = &mut self.channels[id.index()];
-        ch.recv_seq = ch.send_seq;
+        if ch.recv_seq != ch.send_seq {
+            ch.recv_seq = ch.send_seq;
+            self.dirty.mark(id.index());
+        }
         self.flags[id.index()] &= !GAP;
     }
 
     /// Serializes the complete machine — config, both fault-RNG streams and
     /// their gap cursors, logical clock, every channel, the exception set,
     /// the parked-frame pool, and all counters — into `w` as a version-2
-    /// record. The record is self-describing (the config travels with the
-    /// state), so [`ChaosState::decode`] needs no out-of-band
-    /// [`ChaosConfig`].
+    /// record: [`ChaosState::encode_rows`] of [`Rows::All`]. The record is
+    /// self-describing (the config travels with the state), so
+    /// [`ChaosState::decode`] needs no out-of-band [`ChaosConfig`].
     ///
     /// The transient `repair_window` flag is deliberately not recorded:
     /// checkpoints only ever happen at quiescent points, outside any repair
     /// pass.
     pub fn encode(&self, w: &mut StateWriter) {
+        self.encode_rows(w, Rows::All);
+    }
+
+    /// Serializes the machine with the channel rows `rows` selects: every
+    /// channel, positionally (the full record), or — a delta against the
+    /// last full image — each channel marked dirty or in the exception set
+    /// now, behind its index. Everything else is written whole.
+    pub fn encode_rows(&self, w: &mut StateWriter, rows: Rows) {
         w.put_u8(CHAOS_STATE_VERSION);
         self.encode_config(w);
         let schedule = self.schedule.state();
@@ -969,8 +1016,13 @@ impl ChaosState {
         w.put_u64(schedule.crash_skip);
         w.put_u64(self.clock.now());
         w.put_u64(self.round_tick);
-        w.put_u64(self.channels.len() as u64);
-        for (i, ch) in self.channels.iter().enumerate() {
+        let selected = self.selected(rows);
+        w.put_u64(selected.clone().count() as u64);
+        for i in selected {
+            if rows == Rows::Dirty {
+                w.put_u32(i as u32);
+            }
+            let ch = &self.channels[i];
             w.put_u64(ch.epoch);
             w.put_u64(ch.send_seq);
             w.put_u64(ch.recv_seq);
@@ -1018,6 +1070,30 @@ impl ChaosState {
         }
     }
 
+    /// The channels `rows` selects, ascending: every one, or each one whose
+    /// row may differ from the last full image's.
+    fn selected(&self, rows: Rows) -> impl Iterator<Item = usize> + Clone + '_ {
+        let changed = move |i: usize| self.dirty.is_marked(i) || self.is_exception(i);
+        (0..self.len()).filter(move |&i| rows == Rows::All || changed(i))
+    }
+
+    /// How many channel rows a delta checkpoint would write now.
+    pub fn dirty_rows(&self) -> usize {
+        self.selected(Rows::Dirty).count()
+    }
+
+    /// A full image was taken: the marks restart from its exceptions whose
+    /// recorded flags are not the steady ones, since such a channel may be
+    /// steady at the next delta, with flags that differ from the image's.
+    pub fn clear_dirty(&mut self) {
+        self.dirty.clear();
+        for i in 0..self.len() {
+            if self.is_exception(i) && self.flags[i] & RECORDED != STEADY {
+                self.dirty.mark(i);
+            }
+        }
+    }
+
     fn encode_config(&self, w: &mut StateWriter) {
         w.put_u64(self.cfg.seed);
         w.put_f64(self.cfg.mix.drop_p);
@@ -1036,27 +1112,47 @@ impl ChaosState {
         w.put_bool(self.cfg.batched_repair);
     }
 
-    /// Decodes a record written by [`ChaosState::encode`], rebuilding the
-    /// fault schedule mid-stream from the persisted RNG words and gap
-    /// cursors so the decision sequence continues byte-identically.
+    /// Decodes a full record written by [`ChaosState::encode`]:
+    /// [`ChaosState::decode_rows`] of [`Rows::All`] into a new machine.
+    pub fn decode(r: &mut StateReader<'_>) -> asf_persist::Result<Self> {
+        let mut state = Self::new(0, ChaosConfig::new(0, FaultMix::none(), 0));
+        state.decode_rows(r, Rows::All)?;
+        Ok(state)
+    }
+
+    /// Decodes a record written by [`ChaosState::encode_rows`] with the same
+    /// selection, rebuilding the fault schedule mid-stream from the
+    /// persisted RNG words and gap cursors so the decision sequence
+    /// continues byte-identically. [`Rows::All`] replaces the whole machine:
+    /// config and population come from the record. [`Rows::Dirty`] applies a
+    /// delta onto the machine decoded from the full image it was taken
+    /// against, whose config it must carry. The decoded rows are marked
+    /// dirty.
     ///
-    /// A version-1 record (one RNG stream, every channel's `last_heard`,
-    /// the lease in ticks, a separate dead bitmap) migrates: every channel
-    /// becomes an exception, and the round stream is derived from the v1
-    /// RNG words as a fresh schedule derives it from the seed. Any other
-    /// version is an error.
+    /// A full version-1 record (one RNG stream, every channel's
+    /// `last_heard`, the lease in ticks, a separate dead bitmap) migrates:
+    /// every channel becomes an exception, and the round stream is derived
+    /// from the v1 RNG words as a fresh schedule derives it from the seed.
+    /// Any other version is an error.
     ///
     /// Every field that a constructor would assert on (fault probabilities,
     /// backoff shape, lease bounds), every length prefix and every
     /// cross-field condition the machine relies on is validated here and
     /// surfaces as [`PersistError::Corrupt`] — bytes off a disk must never
-    /// panic or abort. `GAP` and `MAYBE_DOWN` are derived, not recorded.
-    pub fn decode(r: &mut StateReader<'_>) -> asf_persist::Result<Self> {
+    /// panic or abort. That includes a parked frame ahead of its channel
+    /// (a sequence past `send_seq` or an epoch past the channel's) and an
+    /// exception heard after the clock. `GAP` and `MAYBE_DOWN` are derived,
+    /// not recorded. On error the machine is partly overwritten: discard
+    /// it.
+    pub fn decode_rows(&mut self, r: &mut StateReader<'_>, rows: Rows) -> asf_persist::Result<()> {
         let version = r.get_u8()?;
-        if version != 1 && version != CHAOS_STATE_VERSION {
+        if version != CHAOS_STATE_VERSION && (version != 1 || rows == Rows::Dirty) {
             return Err(PersistError::corrupt("unknown chaos-state version"));
         }
         let cfg = Self::decode_config(r)?;
+        if rows == Rows::Dirty && cfg != self.cfg {
+            return Err(PersistError::corrupt("chaos delta config differs from its base"));
+        }
         let (mix, horizon) = (cfg.mix, cfg.fault_horizon_ticks);
         let mut words = || -> asf_persist::Result<[u64; 4]> {
             Ok([r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?])
@@ -1070,19 +1166,20 @@ impl ChaosState {
             FaultSchedule::resume(state, mix, horizon)
         };
         let now = r.get_u64()?;
-        let mut clock = TickClock::new();
-        clock.advance_to(now);
-        let mut state = Self::new(0, cfg);
-        state.schedule = schedule;
-        state.clock = clock;
-        if version == 1 {
-            state.decode_v1_channels(r)?;
-        } else {
-            state.decode_v2_channels(r)?;
+        if rows == Rows::All {
+            *self = Self::new(0, cfg);
         }
-        let n = state.len();
+        self.schedule = schedule;
+        self.clock = TickClock::new();
+        self.clock.advance_to(now);
+        if version == 1 {
+            self.decode_v1_channels(r)?;
+        } else {
+            self.decode_v2_channels(r, rows)?;
+        }
         let parked_len = bounded_len(r, 3 * 8 + 4 + 8)?;
-        state.parked.reserve_exact(parked_len);
+        self.parked.clear();
+        self.parked.reserve_exact(parked_len);
         for _ in 0..parked_len {
             let frame = ParkedReport {
                 due: r.get_u64()?,
@@ -1091,25 +1188,30 @@ impl ChaosState {
                 id: StreamId(r.get_u32()?),
                 value: r.get_f64()?,
             };
-            if frame.id.index() >= n {
+            let Some(ch) = self.channels.get(frame.id.index()) else {
                 return Err(PersistError::corrupt("chaos parked frame from unknown source"));
+            };
+            // A frame is stamped with its channel's epoch and next sequence
+            // number, and both only grow.
+            if frame.seq > ch.send_seq || frame.epoch > ch.epoch {
+                return Err(PersistError::corrupt("chaos parked frame ahead of its channel"));
             }
-            state.parked.push(frame);
+            self.parked.push(frame);
         }
         if version == 1 {
-            for i in 0..n {
+            for i in 0..self.len() {
                 if r.get_bool()? {
                     // The lease machine never vouches for a dead source.
-                    if state.flags[i] & VERIFIED != 0 {
+                    if self.flags[i] & VERIFIED != 0 {
                         return Err(PersistError::corrupt(
                             "chaos dead bitmap contradicts channels",
                         ));
                     }
-                    state.flags[i] |= DEAD;
+                    self.flags[i] |= DEAD;
                 }
             }
         }
-        state.stats = ChaosStats {
+        self.stats = ChaosStats {
             retries: r.get_u64()?,
             timeouts: r.get_u64()?,
             epoch_rejects: r.get_u64()?,
@@ -1128,18 +1230,12 @@ impl ChaosState {
             repair_frames: r.get_u64()?,
         };
         let samples_len = bounded_len(r, 8)?;
-        state.lease_samples.reserve_exact(samples_len);
+        self.lease_samples.clear();
+        self.lease_samples.reserve_exact(samples_len);
         for _ in 0..samples_len {
-            state.lease_samples.push(r.get_u64()?);
+            self.lease_samples.push(r.get_u64()?);
         }
-        state.dead = state.flags.iter().filter(|&&f| f & DEAD != 0).count();
-        state.steady = [0; LEASE_CLASSES];
-        for i in 0..n {
-            if !state.is_exception(i) {
-                state.steady[state.lease_class[i] as usize] += 1;
-            }
-        }
-        Ok(state)
+        self.settle_decoded()
     }
 
     fn decode_config(r: &mut StateReader<'_>) -> asf_persist::Result<ChaosConfig> {
@@ -1186,31 +1282,58 @@ impl ChaosState {
         })
     }
 
-    /// Appends one decoded channel, deriving `GAP` and `MAYBE_DOWN`.
-    fn push_channel(&mut self, ch: Channel, flags: u8, class: u8) -> asf_persist::Result<()> {
+    /// Gives a machine that decodes a full record `n` blank channels.
+    fn resize_channels(&mut self, n: usize) {
+        self.channels = vec![Channel::default(); n];
+        self.flags = vec![0; n];
+        self.lease_class = vec![0; n];
+        self.dirty = DirtyRows::new(n);
+    }
+
+    /// Overwrites channel `i` with a decoded row and marks it dirty.
+    fn set_channel(
+        &mut self,
+        i: usize,
+        ch: Channel,
+        flags: u8,
+        class: u8,
+    ) -> asf_persist::Result<()> {
         if ch.recv_seq > ch.send_seq {
             return Err(PersistError::corrupt("chaos channel received past sent"));
         }
-        let mut f = flags;
-        set_flag(&mut f, GAP, ch.recv_seq < ch.send_seq);
-        set_flag(&mut f, MAYBE_DOWN, self.clock.now() < ch.down_until);
-        self.channels.push(ch);
-        self.flags.push(f);
-        self.lease_class.push(class);
+        self.channels[i] = ch;
+        self.flags[i] = flags;
+        self.lease_class[i] = class;
+        self.dirty.mark(i);
         Ok(())
     }
 
-    /// Version 2: 34 bytes a channel, then the exception set with its
+    /// Version 2: the round tick, the selected channel rows (34 bytes
+    /// each, behind an index in a delta), then the exception set with its
     /// explicit `last_heard`s.
-    fn decode_v2_channels(&mut self, r: &mut StateReader<'_>) -> asf_persist::Result<()> {
+    fn decode_v2_channels(
+        &mut self,
+        r: &mut StateReader<'_>,
+        rows: Rows,
+    ) -> asf_persist::Result<()> {
         let round_tick = r.get_u64()?;
         if round_tick > self.clock.now() {
             return Err(PersistError::corrupt("chaos round tick past the clock"));
         }
         self.round_tick = round_tick;
-        let n = bounded_len(r, 4 * 8 + 2)?;
-        self.reserve_channels(n);
-        for _ in 0..n {
+        let count = match rows {
+            Rows::All => {
+                let n = bounded_len(r, CHANNEL_ROW_BYTES)?;
+                self.resize_channels(n);
+                n
+            }
+            Rows::Dirty => rows.read_count(r, self.len(), 4 + CHANNEL_ROW_BYTES)?,
+        };
+        let n = self.len();
+        let mut next = 0;
+        for k in 0..count {
+            let i = rows.read_index(r, k, next, n)?;
+            next = i + 1;
             let ch = Channel {
                 epoch: r.get_u64()?,
                 send_seq: r.get_u64()?,
@@ -1224,25 +1347,19 @@ impl ChaosState {
             if class as usize >= LEASE_CLASSES {
                 return Err(PersistError::corrupt("chaos lease length out of bounds"));
             }
-            self.push_channel(ch, flags, class)?;
+            self.set_channel(i, ch, flags, class)?;
         }
-        self.last_heard = vec![round_tick; n];
-        self.exceptions = vec![0; n.div_ceil(64)];
+        self.last_heard.clear();
+        self.last_heard.resize(n, round_tick);
+        self.exceptions.clear();
+        self.exceptions.resize(n.div_ceil(64), 0);
         let count = bounded_len(r, 4 + 8)?;
         let mut next = 0;
-        for _ in 0..count {
-            let i = r.get_u32()? as usize;
-            if i < next || i >= n {
-                return Err(PersistError::corrupt("chaos exception set out of order"));
-            }
+        for k in 0..count {
+            let i = Rows::Dirty.read_index(r, k, next, n)?;
             next = i + 1;
             self.exceptions[i / 64] |= 1 << (i % 64);
             self.last_heard[i] = r.get_u64()?;
-        }
-        // `GAP` and `MAYBE_DOWN` are derived by now, so this also checks
-        // the cold record.
-        if (0..n).any(|i| !self.is_exception(i) && self.flags[i] != STEADY) {
-            return Err(PersistError::corrupt("chaos channel outside the exception set"));
         }
         Ok(())
     }
@@ -1251,12 +1368,12 @@ impl ChaosState {
     fn decode_v1_channels(&mut self, r: &mut StateReader<'_>) -> asf_persist::Result<()> {
         // Per channel: six words, three flag bytes, one dead-bitmap byte.
         let n = bounded_len(r, 6 * 8 + 3 + 1)?;
-        self.reserve_channels(n);
-        self.last_heard.reserve_exact(n);
+        self.resize_channels(n);
+        self.last_heard = vec![0; n];
         self.round_tick = self.clock.now();
-        for _ in 0..n {
+        for i in 0..n {
             let (epoch, send_seq, recv_seq) = (r.get_u64()?, r.get_u64()?, r.get_u64()?);
-            self.last_heard.push(r.get_u64()?);
+            self.last_heard[i] = r.get_u64()?;
             let down_until = r.get_u64()?;
             let lease = r.get_u64()?;
             let class = (0..LEASE_CLASSES as u8).find(|&k| self.leases.0[k as usize] == lease);
@@ -1267,16 +1384,40 @@ impl ChaosState {
             set_flag(&mut flags, NEEDS_REPAIR, r.get_bool()?);
             set_flag(&mut flags, HEARD, r.get_bool()?);
             set_flag(&mut flags, VERIFIED, r.get_bool()?);
-            self.push_channel(Channel { epoch, send_seq, recv_seq, down_until }, flags, class)?;
+            let ch = Channel { epoch, send_seq, recv_seq, down_until };
+            self.set_channel(i, ch, flags, class)?;
         }
         self.exceptions = all_exceptions(n);
         Ok(())
     }
 
-    fn reserve_channels(&mut self, n: usize) {
-        self.channels.reserve_exact(n);
-        self.flags.reserve_exact(n);
-        self.lease_class.reserve_exact(n);
+    /// Re-derives, over every channel, what a record does not carry —
+    /// `GAP`, `MAYBE_DOWN`, the dead and steady counts — and checks the
+    /// invariants rows alone cannot show: no exception was heard after the
+    /// clock, and every channel outside the exception set is steady. A
+    /// delta's rows land on its base's, so the check runs over the result.
+    fn settle_decoded(&mut self) -> asf_persist::Result<()> {
+        let now = self.now();
+        self.dead = 0;
+        self.steady = [0; LEASE_CLASSES];
+        for i in 0..self.len() {
+            let ch = self.channels[i];
+            let mut f = self.flags[i];
+            set_flag(&mut f, GAP, ch.recv_seq < ch.send_seq);
+            set_flag(&mut f, MAYBE_DOWN, now < ch.down_until);
+            self.flags[i] = f;
+            self.dead += usize::from(f & DEAD != 0);
+            if self.is_exception(i) {
+                if self.last_heard[i] > now {
+                    return Err(PersistError::corrupt("chaos channel heard after the clock"));
+                }
+            } else if f == STEADY {
+                self.steady[self.lease_class[i] as usize] += 1;
+            } else {
+                return Err(PersistError::corrupt("chaos channel outside the exception set"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1932,6 +2073,141 @@ mod tests {
         state.heartbeat_round();
         assert_eq!(state.stats().heartbeats_sent, 1);
         assert_eq!(state.flags[0] & MAYBE_DOWN, 0);
+    }
+
+    fn encoded_rows(state: &ChaosState, rows: Rows) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        state.encode_rows(&mut w, rows);
+        w.into_bytes()
+    }
+
+    /// A full checkpoint of the machine: the record, then the marks reset.
+    fn full_image(state: &mut ChaosState) -> Vec<u8> {
+        let bytes = encoded_rows(state, Rows::All);
+        state.clear_dirty();
+        bytes
+    }
+
+    #[test]
+    fn dirty_rows_rebuild_the_machine_from_its_last_full_image() {
+        const N: usize = 1024;
+        let mix = FaultMix {
+            drop_p: 0.05,
+            delay_p: 0.05,
+            dup_p: 0.05,
+            crash_p: 0.002,
+            max_delay_ticks: 20,
+            max_outage_ticks: 300,
+        };
+        for adaptive in [true, false] {
+            let cfg =
+                ChaosConfig::new(0xDE17A, mix, u64::MAX).lease_ticks(100).adaptive_lease(adaptive);
+            let mut state = ChaosState::new(N, cfg);
+            let mut fleet = SourceFleet::from_values(&[0.0; N]);
+            let (mut ledger, mut view) = (Ledger::new(), ServerView::new(N));
+            let mut rng = simkit::rng::SimRng::seed_from_u64(0xD1);
+            let (mut due, mut syncs, mut out) = (Vec::new(), Vec::new(), Vec::new());
+            let mut base = full_image(&mut state);
+            let (mut fulls, mut deltas, mut smaller) = (0, 0, 0);
+            let mut samples = 0;
+            for _ in 0..2_000 {
+                // Writers outside the round, each on its own random channel,
+                // so no other write marks the channel it changes.
+                for _ in 0..rng.index(6) {
+                    let id = StreamId(rng.index(N) as u32);
+                    let value = rng.index(1000) as f64;
+                    let filter = Filter::interval(value - 10.0, value + 10.0);
+                    let mut chaos = ChaosFleet::new(&mut state, &mut fleet);
+                    match rng.index(16) {
+                        0..=5 => drop(chaos.state.admit_report(id, value)),
+                        6..=8 => drop(chaos.install(id, filter, &mut ledger, &mut view)),
+                        9 | 10 => drop(chaos.probe(id, &mut ledger, &mut view)),
+                        11 => {
+                            let ids = [id, StreamId(rng.index(N) as u32)];
+                            chaos.probe_many(&ids, &mut ledger, &mut view, &mut out);
+                        }
+                        12 => {
+                            let installs = [(id, filter)];
+                            chaos.install_many(&installs, &mut ledger, &mut view, &mut syncs);
+                        }
+                        13 if rng.index(40) == 0 => {
+                            drop(chaos.broadcast(Filter::wildcard(), &mut ledger, &mut view));
+                        }
+                        _ => {}
+                    }
+                }
+                // The round in the server's order. A 10-tick gap leaves a
+                // 100-tick lease as it is; one round in 30 draws a gap
+                // from 1 to 150 ticks, which adapts classes and expires
+                // leases, and so do crash outages.
+                let gap = if rng.index(30) == 0 { 1 + rng.index(150) } else { 10 };
+                state.advance(gap as u64);
+                state.draw_crashes();
+                state.take_due_reports(&mut due);
+                let plan = state.heartbeat_round();
+                let mut chaos = ChaosFleet::new(&mut state, &mut fleet);
+                for &id in plan.reprobe.iter().filter(|_| rng.index(3) != 0) {
+                    chaos.probe(id, &mut ledger, &mut view);
+                }
+                if rng.index(3) == 0 {
+                    let id = StreamId(rng.index(N) as u32);
+                    chaos.install(id, Filter::wildcard(), &mut ledger, &mut view);
+                }
+                state.finish_round();
+                samples += state.drain_lease_samples().len();
+                if rng.index(60) == 0 {
+                    state.resync_boundary();
+                }
+                match rng.index(24) {
+                    0 => {
+                        base = full_image(&mut state);
+                        fulls += 1;
+                    }
+                    1..=6 => {
+                        let delta = encoded_rows(&state, Rows::Dirty);
+                        let mut rebuilt = ChaosState::decode(&mut StateReader::new(&base)).unwrap();
+                        let mut r = StateReader::new(&delta);
+                        rebuilt.decode_rows(&mut r, Rows::Dirty).expect("delta applies");
+                        r.finish().unwrap();
+                        let live = encoded_rows(&state, Rows::All);
+                        assert!(encoded_rows(&rebuilt, Rows::All) == live, "delta {deltas}");
+                        deltas += 1;
+                        smaller += usize::from(delta.len() < live.len() / 2);
+                    }
+                    _ => {}
+                }
+            }
+            let stats = state.stats();
+            assert!(
+                fulls > 50 && deltas > 400 && smaller > deltas / 4,
+                "{fulls} {deltas} {smaller}"
+            );
+            assert!(stats.crashes > 50 && stats.lease_expirations > 50 && stats.dup_frames > 50);
+            assert!(stats.reports_delayed > 50 && stats.epoch_rejects > 50);
+            if adaptive {
+                assert!(samples > 100, "no class adaptation");
+            }
+        }
+    }
+
+    #[test]
+    fn decode_rejects_frames_ahead_of_their_channel_and_exceptions_heard_later() {
+        let mix = FaultMix { delay_p: 1.0, max_delay_ticks: 50, ..FaultMix::none() };
+        let mut state = ChaosState::new(2, ChaosConfig::new(5, mix, u64::MAX));
+        assert_eq!(state.admit_report(StreamId(1), 4.0), ReportFate::Parked);
+        assert!(ChaosState::decode(&mut StateReader::new(&encoded_rows(&state, Rows::All))).is_ok());
+        let corrupt = |edit: &dyn Fn(&mut ChaosState)| {
+            let mut bad = state.clone();
+            edit(&mut bad);
+            let bytes = encoded_rows(&bad, Rows::All);
+            matches!(
+                ChaosState::decode(&mut StateReader::new(&bytes)),
+                Err(PersistError::Corrupt(_))
+            )
+        };
+        assert!(corrupt(&|s| s.parked[0].seq += 1), "a frame the source never sent");
+        assert!(corrupt(&|s| s.parked[0].epoch += 1), "a frame from a future filter");
+        assert!(corrupt(&|s| s.last_heard[1] = s.now() + 1), "heard after the clock");
     }
 
     /// The per-source formula `finish_round` evaluated before the flags

@@ -1,12 +1,14 @@
 //! Row selection for checkpoints: which rows a snapshot writes, and the
 //! dirty bitmap that says which rows changed since the last full image.
 //!
-//! [`crate::SourceFleet`] and [`crate::ServerView`] each keep a
-//! `DirtyRows` bitmap that every row write marks, so a row that changed
-//! is always marked (a marked row that did not change is harmless: it is
-//! written again). A full checkpoint writes every row
-//! ([`Rows::All`]) and clears the bits; a delta checkpoint writes only the
-//! marked rows, each behind its index ([`Rows::Dirty`]), and keeps them.
+//! [`crate::SourceFleet`], [`crate::ServerView`] and
+//! [`crate::ChaosState`] each keep a `DirtyRows` bitmap that every row
+//! write marks, so a row that changed is always marked (a marked row that
+//! did not change is harmless: it is written again). A full checkpoint
+//! writes every row ([`Rows::All`]) and clears the bits; a delta checkpoint
+//! writes only the marked rows, each behind its index ([`Rows::Dirty`]),
+//! and keeps them. (The channel machine's rule is a little wider; see
+//! `streamnet::chaos`, "Durability".)
 
 use asf_persist::{PersistError, StateReader};
 

@@ -283,24 +283,39 @@ fn multi_query_storm_recovery_is_byte_identical() {
     });
 }
 
+/// What one delta storm showed besides byte identity.
+struct DeltaStorm {
+    /// The longest crashed run's checkpoint kinds per pair (`F` full, `D`
+    /// delta; a pair's fulls are listed before its delta).
+    kinds: String,
+    /// The kind of the checkpoint each crash recovered through.
+    through: String,
+    /// Whether a delta that a crash recovered through was taken with
+    /// report frames parked in the network.
+    parked_at_delta: bool,
+    /// The never-crashed run's fault counters.
+    stats: ChaosStats,
+}
+
 /// The delta cadence under a storm: 1024 streams, 32-event server chunks
 /// fed two at a time, a checkpoint per 64 events and a resync after every
-/// fifth pair. The channel machine travels whole in every delta, so the
-/// rule's half-image bound is reached within a few deltas: checkpoints
-/// cycle full → delta → delta → full (a resync re-anchors with full
-/// images). Each crash lands one server chunk past a checkpoint, so
-/// recovery replays it through the restored channel machine, and the run
-/// must end byte-identical to the never-crashed chaotic run with the same
-/// resyncs. Returns the longest crashed run's checkpoint kinds (`F` full,
-/// `D` delta) and the kind each crash recovered through.
+/// fifth pair. A delta carries only the channels whose row changed, so
+/// deltas follow one another until a resync re-anchors with full images;
+/// the resync's probes make every channel an exception, so the checkpoint
+/// after it is full by the half-image bound. Each crash lands one server
+/// chunk past a checkpoint, so recovery replays it through the restored
+/// channel machine, and the run must end byte-identical to the
+/// never-crashed chaotic run with the same resyncs. Every delta's channel
+/// bytes must be below the full image's before it.
 fn assert_delta_storm_recovery_identical<P: Protocol, F: Fn() -> P>(
     name: &str,
+    mix: FaultMix,
     make: F,
-) -> (String, String) {
+) -> DeltaStorm {
     const PAIR: usize = 64;
     let (initial, events) = fixture_of(1024, 30.0, 0xFA17);
     let pairs: Vec<&[UpdateEvent]> = events.chunks(PAIR).collect();
-    let cfg = ChaosConfig::new(0xC4A05, FaultMix::loss_only(0.1), u64::MAX).lease_ticks(512);
+    let cfg = ChaosConfig::new(0xC4A05, mix, u64::MAX).lease_ticks(512);
     let drive = |server: &mut ShardedServer<P>, pairs_done: std::ops::Range<usize>| {
         for k in pairs_done {
             server.ingest_batch(pairs[k]);
@@ -315,7 +330,12 @@ fn assert_delta_storm_recovery_identical<P: Protocol, F: Fn() -> P>(
     reference.enable_chaos(cfg.clone());
     drive(&mut reference, 0..pairs.len());
     let want = capture(&mut reference);
-    let (mut kinds, mut recovered_through) = (String::new(), String::new());
+    let mut storm = DeltaStorm {
+        kinds: String::new(),
+        through: String::new(),
+        parked_at_delta: false,
+        stats: want.stats,
+    };
     for crash_after in [2, 3, 4, 7, 11] {
         let tag = format!("{name} crash in pair {crash_after}");
         let dir = test_dir("delta-storm");
@@ -325,16 +345,32 @@ fn assert_delta_storm_recovery_identical<P: Protocol, F: Fn() -> P>(
         crashed.initialize();
         crashed.enable_durability(durable.clone()).unwrap();
         crashed.enable_chaos(cfg.clone());
-        kinds = "FFF".into();
+        let mut kinds = String::from("FFF");
+        let mut full_chaos_bytes = crashed.metrics().chaos_state_bytes;
         for k in 0..crash_after {
             let m = crashed.metrics();
             let (full, delta) = (m.checkpoints - m.delta_checkpoints, m.delta_checkpoints);
             drive(&mut crashed, k..k + 1);
             let m = crashed.metrics();
-            kinds.push_str(&"F".repeat((m.checkpoints - m.delta_checkpoints - full) as usize));
-            kinds.push_str(&"D".repeat((m.delta_checkpoints - delta) as usize));
+            let (fulls, deltas) =
+                (m.checkpoints - m.delta_checkpoints - full, m.delta_checkpoints - delta);
+            kinds.push_str(&"F".repeat(fulls as usize));
+            kinds.push_str(&"D".repeat(deltas as usize));
+            // A pair's fulls come after its delta (a resync), so the last
+            // checkpoint of the pair is a full one if there is any.
+            if fulls > 0 {
+                full_chaos_bytes = m.chaos_state_bytes;
+            } else if deltas > 0 {
+                let tag = format!("{tag}, pair {k}");
+                assert!(
+                    m.chaos_state_bytes < full_chaos_bytes,
+                    "{tag}: delta channels not smaller"
+                );
+            }
         }
-        recovered_through.extend(kinds.chars().last());
+        let through = kinds.chars().last().unwrap();
+        storm.through.push(through);
+        storm.parked_at_delta |= through == 'D' && crashed.chaos().unwrap().parked_len() > 0;
         // Half of the next pair: one server chunk, journaled, no checkpoint.
         let (first, second) = pairs[crash_after].split_at(PAIR / 2);
         let checkpoints = crashed.metrics().checkpoints;
@@ -358,8 +394,9 @@ fn assert_delta_storm_recovery_identical<P: Protocol, F: Fn() -> P>(
         drive(&mut recovered, crash_after + 1..pairs.len());
         assert_eq!(capture(&mut recovered), want, "{tag}: recovered run diverged ({kinds})");
         let _ = std::fs::remove_dir_all(&dir);
+        storm.kinds = kinds;
     }
-    (kinds, recovered_through)
+    storm
 }
 
 #[test]
@@ -369,14 +406,41 @@ fn delta_checkpoints_recover_mid_storm_byte_identical() {
     // probes every source.
     let range = RangeQuery::new(400.0, 600.0).unwrap();
     let knn = RankQuery::knn(500.0, 5).unwrap();
-    let (kinds, through) = assert_delta_storm_recovery_identical("ZT-NRP", || ZtNrp::new(range));
-    assert!(kinds.contains("FDDF"), "ZT-NRP: no delta cycle: {kinds}");
+    let loss = FaultMix::loss_only(0.1);
+    let storm = assert_delta_storm_recovery_identical("ZT-NRP", loss, || ZtNrp::new(range));
+    let (kinds, through) = (storm.kinds, storm.through);
+    // Three deltas in a row on one base: with the channel machine written
+    // whole, the bound forced a full image after two.
+    assert!(kinds.contains("FDDD"), "ZT-NRP: no delta chain: {kinds}");
     assert!(through.contains('D'), "ZT-NRP: no crash recovered through a delta: {through}");
     // Paper RTP's broadcasts touch every source: few of its checkpoints
     // stay under the bound, but those that do must recover.
-    let (kinds, _) =
-        assert_delta_storm_recovery_identical("RTP/paper", move || Rtp::paper(knn, 3).unwrap());
-    assert!(kinds.contains('D'), "RTP/paper: no delta: {kinds}");
+    let storm = assert_delta_storm_recovery_identical("RTP/paper", loss, move || {
+        Rtp::paper(knn, 3).unwrap()
+    });
+    assert!(storm.kinds.contains('D'), "RTP/paper: no delta: {}", storm.kinds);
+}
+
+#[test]
+fn delta_checkpoints_recover_through_delays_duplicates_and_crashes() {
+    // Without filters every update reports, so delayed frames (which
+    // outlive a chunk) and crashed sources (down for several) straddle the
+    // delta checkpoints a crash recovers through.
+    let mix = FaultMix {
+        drop_p: 0.05,
+        delay_p: 0.1,
+        dup_p: 0.05,
+        crash_p: 0.01,
+        max_delay_ticks: 100,
+        max_outage_ticks: 300,
+    };
+    let range = RangeQuery::new(400.0, 600.0).unwrap();
+    let storm =
+        assert_delta_storm_recovery_identical("no-filter mixed", mix, || NoFilter::range(range));
+    assert!(storm.through.contains('D'), "no crash recovered through a delta: {}", storm.through);
+    assert!(storm.parked_at_delta, "no parked frame straddled a delta: {}", storm.kinds);
+    let stats = storm.stats;
+    assert!(stats.crashes > 0 && stats.dup_frames > 0, "{stats:?}");
 }
 
 #[test]

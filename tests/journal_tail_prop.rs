@@ -21,6 +21,8 @@ use asf_core::query::RangeQuery;
 use asf_core::workload::{EventBatch, UpdateEvent, Workload};
 use asf_persist::{encode_record, Journal, StateReader, HEADER_LEN, RECORD_OVERHEAD, TAG_DELTA};
 use asf_server::{CheckpointMode, DurabilityConfig, ServerConfig, ShardedServer};
+use simkit::FaultMix;
+use streamnet::ChaosConfig;
 use workloads::{SyntheticConfig, SyntheticWorkload};
 
 const NUM_STREAMS: usize = 32;
@@ -209,9 +211,36 @@ fn recovery_over_truncated_journals_matches_the_surviving_prefix() {
 
 #[test]
 fn every_truncation_and_byte_flip_of_a_delta_is_ignored_or_an_error() {
-    // 96 streams, a checkpoint per 8-event chunk: the checkpoints after
-    // the anchor are deltas. The directory ends with the delta at 16 and
-    // one more chunk in the journal.
+    assert_delta_damage_is_ignored_or_an_error(None, 2, 0);
+}
+
+#[test]
+fn every_truncation_and_byte_flip_of_a_chaos_delta_is_ignored_or_an_error() {
+    // The channel layer attached after the anchor, under every fault kind:
+    // its re-anchoring full image has every channel pending, so the
+    // checkpoint at 8 is full and the one at 16 a delta carrying channel
+    // rows.
+    let mix = FaultMix {
+        drop_p: 0.05,
+        delay_p: 0.05,
+        dup_p: 0.05,
+        crash_p: 0.01,
+        max_delay_ticks: 16,
+        max_outage_ticks: 64,
+    };
+    let cfg = ChaosConfig::new(0xC4A05, mix, u64::MAX).lease_ticks(32);
+    assert_delta_damage_is_ignored_or_an_error(Some(cfg), 1, 8);
+}
+
+/// 96 streams, a checkpoint per 8-event chunk: the checkpoints after the
+/// anchor are deltas while they stay under half the full image (`deltas`
+/// of them; the last full image is at `last_full`). The directory ends
+/// with the delta at 16 and one more chunk in the journal.
+fn assert_delta_damage_is_ignored_or_an_error(
+    chaos: Option<ChaosConfig>,
+    deltas: u64,
+    last_full: u64,
+) {
     let mut w = SyntheticWorkload::new(SyntheticConfig {
         num_streams: 96,
         horizon: 20.0,
@@ -227,9 +256,13 @@ fn every_truncation_and_byte_flip_of_a_delta_is_ignored_or_an_error() {
     let mut server = ShardedServer::new(&initial, ZtNrp::new(query), config);
     server.initialize();
     server.enable_durability(durable.clone()).unwrap();
+    if let Some(cfg) = chaos {
+        server.enable_chaos(cfg);
+    }
     server.ingest_batch(&events);
-    assert_eq!(server.metrics().delta_checkpoints, 2, "the fixture must end on a delta");
+    assert_eq!(server.metrics().delta_checkpoints, deltas, "the fixture must end on a delta");
     let (answer, ledger, truth) = (server.answer(), server.ledger().clone(), server.truth_values());
+    let stats = server.chaos_stats().copied();
     drop(server);
     let delta = std::fs::read(dir.join("delta.bin")).unwrap();
 
@@ -240,8 +273,8 @@ fn every_truncation_and_byte_flip_of_a_delta_is_ignored_or_an_error() {
     // Untouched, the delta is applied: only the last chunk replays.
     let recovered = recover(&delta).unwrap();
     assert_eq!((recovered.events_processed(), recovered.metrics().events), (20, 4));
-    // A torn or flipped file fails its CRC: the anchor plus the whole
-    // journal rebuild the same state. (`asf-persist` sweeps every
+    // A torn or flipped file fails its CRC: the last full image plus the
+    // journal after it rebuild the same state. (`asf-persist` sweeps every
     // truncation and byte of the file; through recovery go the framing —
     // header, tag, length, the two sequence numbers, checksum — and a
     // stride of cuts.)
@@ -256,10 +289,12 @@ fn every_truncation_and_byte_flip_of_a_delta_is_ignored_or_an_error() {
     for bytes in &damaged {
         let mut recovered = recover(bytes).unwrap();
         let tag = format!("{} bytes", bytes.len());
-        assert_eq!((recovered.events_processed(), recovered.metrics().events), (20, 20), "{tag}");
+        let replayed = (recovered.events_processed(), recovered.metrics().events);
+        assert_eq!(replayed, (20, 20 - last_full), "{tag}");
         assert_eq!(recovered.answer(), answer, "{tag}");
         assert_eq!(*recovered.ledger(), ledger, "{tag}");
         assert_eq!(recovered.truth_values(), truth, "{tag}");
+        assert_eq!(recovered.chaos_stats().copied(), stats, "{tag}");
     }
     // A CRC-valid record around a damaged payload: the delta's own
     // validation must catch a truncation, and a flip may only yield an
