@@ -127,27 +127,16 @@ fn bench_protocol_maintenance(mul: u64) {
 }
 
 fn bench_multidim(mul: u64) {
-    use asf_core::multidim::engine2d::{Engine2d, Workload2d};
-    use asf_core::multidim::{Point2, Region, Rtp2d};
+    use asf_core::multidim::{Point2, Projection};
     use workloads::{Walk2dConfig, Walk2dWorkload};
 
-    let disk = Region::disk(Point2::new(500.0, 500.0), 120.0);
-    bench("multidim/region_checks_1k", 100 * mul, || {
-        let mut hits = 0u32;
-        for i in 0..1000 {
-            let p = Point2::new((i * 7 % 1000) as f64, (i * 13 % 1000) as f64);
-            if disk.contains(black_box(p)) {
-                hits += 1;
-            }
-        }
-        hits
-    });
-
-    bench("multidim_run/rtp2d_500_objects", 3 * mul, || {
+    // 2-D k-NN: RTP over each object's projected distance to q.
+    bench("multidim_run/rtp_projected_500_objects", 3 * mul, || {
         let cfg = Walk2dConfig { num_objects: 500, horizon: 100.0, seed: 3, ..Default::default() };
-        let mut w = Walk2dWorkload::new(cfg);
-        let q = Point2::new(500.0, 500.0);
-        let mut engine = Engine2d::new(&w.initial_positions(), Rtp2d::new(q, 10, 5).unwrap());
+        let q = Projection::distance_to(Point2::new(500.0, 500.0)).unwrap();
+        let mut w = Walk2dWorkload::new(cfg, q);
+        let rtp = Rtp::new(RankQuery::k_min(10).unwrap(), 5).unwrap();
+        let mut engine = Engine::new(&w.initial_values(), rtp);
         engine.run(&mut w);
         engine.ledger().total()
     });

@@ -32,6 +32,13 @@
 //! the [`oracle`] checks the tolerance definitions against ground truth at
 //! every quiescent point.
 //!
+//! 2-D point streams need no protocol of their own: a
+//! [`multidim::Projection`] maps each position to one scalar at the source
+//! (the distance to a k-NN query point, or the signed distance to a
+//! window), and the protocols above run on it unchanged;
+//! [`multidim::oracle2d`] checks the 2-D answers against the true
+//! positions.
+//!
 //! ## Quick example
 //!
 //! ```

@@ -3,33 +3,48 @@
 //! examples presented in this paper are one-dimensional, our techniques can
 //! be generalized to higher dimension cases.").
 //!
-//! This module is that generalization for 2-D point streams — the
-//! location-monitoring scenario of the paper's introduction. The geometry
-//! changes (regions are disks and rectangles instead of intervals, the
-//! rank key is Euclidean distance) but the protocol logic carries over:
+//! The protocols only ever reason about membership of a region and about
+//! rank, so a 2-D point stream — the location-monitoring scenario of the
+//! paper's introduction — needs no 2-D protocol: each source reports one
+//! scalar, its position under a [`Projection`], and the query runs on the
+//! unmodified [`crate::engine::Engine`] (or `asf-server`'s `ShardedServer`)
+//! with a 1-D protocol:
 //!
-//! * [`region::Region`] — 2-D filter constraints with the same crossing
-//!   semantics as 1-D intervals (including the wildcard/suppress specials);
-//! * [`fleet::PointFleet`] — 2-D sources with the same probe / install /
-//!   broadcast message accounting (reusing [`streamnet::Ledger`]);
-//! * [`rtp2d::Rtp2d`] — RTP for continuous 2-D k-NN with rank tolerance:
-//!   the bound `R` becomes a disk positioned halfway (in radius) between
-//!   the `(k+r)`-th and `(k+r+1)`-st nearest neighbours;
-//! * [`ft_rect::FtRect2d`] — FT-NRP for 2-D rectangle (window) queries
-//!   with fraction tolerance;
-//! * [`oracle2d`] — ground-truth tolerance checking in 2-D.
+//! * **k-NN around `q`** — [`Projection::distance_to`] `q` and
+//!   `Rtp::new(RankQuery::k_min(k), r)`: the bound `R = (−∞, d]` is the
+//!   disk of radius `d` around `q`;
+//! * **window `[lo, hi]`** — [`Projection::window`] (signed distance to
+//!   the rectangle) and `FtNrp` over [`Region::range_query`]. Membership
+//!   and the boundary-nearest score are the rectangle's own, so FT-NRP's
+//!   wildcard and suppress filters carry over exactly.
+//!
+//! A projection serves one query per population. [`oracle2d`] checks the
+//! tolerance definitions against the true positions, independently of
+//! the projection.
 
-pub mod engine2d;
-pub mod fleet;
-pub mod ft_rect;
 pub mod oracle2d;
 pub mod point;
+pub mod projection;
 pub mod region;
-pub mod rtp2d;
 
-pub use engine2d::Engine2d;
-pub use fleet::PointFleet;
-pub use ft_rect::FtRect2d;
 pub use point::Point2;
+pub use projection::Projection;
 pub use region::Region;
-pub use rtp2d::Rtp2d;
+
+// Tests of the 2-D queries on the 1-D engine, each under the path of the
+// 2-D engine, fleet or protocol it replaced.
+#[cfg(test)]
+#[path = "tests/engine.rs"]
+mod engine2d;
+#[cfg(test)]
+#[path = "tests/sources.rs"]
+mod fleet;
+#[cfg(test)]
+#[path = "tests/window.rs"]
+mod ft_rect;
+#[cfg(test)]
+#[path = "tests/knn.rs"]
+mod rtp2d;
+#[cfg(test)]
+#[path = "tests/support.rs"]
+mod support;

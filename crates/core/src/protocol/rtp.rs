@@ -20,7 +20,9 @@
 //!
 //! In the paper every source carries `R` itself as its filter, so every
 //! redeployment is a broadcast of `n` messages — [`Rtp::paper`], the
-//! deployment the figure binaries reproduce. [`Rtp::new`] sends a bound
+//! deployment the figure binaries reproduce (it skips the non-shrink
+//! rebuild of rule 1, so it does not keep Definition 1 in every run).
+//! [`Rtp::new`] sends a bound
 //! only where the one a source already holds has stopped being
 //! *conservative*. The server keeps a **held-bound ledger** — `floor_d`,
 //! the bound of the last fleet-wide broadcast, plus a sparse map of the
@@ -199,6 +201,18 @@ impl Rtp {
     /// The paper's RTP: every source carries `R` itself, so every
     /// redeployment is a broadcast. The reference bill the figure binaries
     /// reproduce and the scoped deployment is compared against.
+    ///
+    /// It does **not** keep Definition 1 in every run. When a Case-3
+    /// overflow's probe of `X` finds members already outside `R` (their
+    /// reports still queued), the candidates' midpoint can come out wider
+    /// than `R`. [`Rtp::new`] then rebuilds `A`, `X` and `R` from the
+    /// ranked view; this deployment broadcasts the wider ball over the
+    /// candidates anyway, so a source inside the new ball but outside the
+    /// candidates goes untracked. On random walks that is rare: 9 of 3,600
+    /// projected 2-D k-NN runs, and 4 of 1,000 synthetic 1-D runs of
+    /// `knn(500, 3)` with r = 2 (n = 60, horizon 200, seeds 0–999). It
+    /// stays because the figures and `tests/rtp_paper_pinned.rs` pin this
+    /// behaviour.
     pub fn paper(query: RankQuery, r: usize) -> Result<Self, ConfigError> {
         Ok(Self { paper: true, ..Self::new(query, r)? })
     }

@@ -11,8 +11,9 @@
 //!   values. See DESIGN.md §5 for the substitution argument.
 //!
 //! Plus [`walk2d::Walk2dWorkload`] — a 2-D reflected random walk for the
-//! multi-dimensional extension — and [`trace`], a tiny text format to
-//! persist/replay generated traces deterministically.
+//! multi-dimensional extension, each position reported as one value under
+//! an `asf_core::multidim::Projection` — and [`trace`], a tiny text format
+//! to persist/replay generated traces deterministically.
 //!
 //! All generators implement [`asf_core::workload::Workload`] and are fully
 //! deterministic given their seed.

@@ -3,9 +3,13 @@
 //! steps per axis, reflected at the edges — the 2-D analogue of the §6.2
 //! synthetic model, standing in for the location-monitoring workloads the
 //! paper's introduction motivates.
+//!
+//! Each source reports its position under a [`Projection`], so the
+//! workload is an ordinary 1-D [`Workload`]; the true positions stay
+//! readable for the 2-D oracle.
 
-use asf_core::multidim::engine2d::{MoveEvent, Workload2d};
-use asf_core::multidim::Point2;
+use asf_core::multidim::{Point2, Projection};
+use asf_core::workload::{UpdateEvent, Workload};
 use simkit::dist::Sample;
 use simkit::{reflect_into, EventQueue, Exponential, Normal, SimRng, Uniform};
 use streamnet::StreamId;
@@ -52,11 +56,13 @@ impl Walk2dConfig {
     }
 }
 
-/// The 2-D reflected random-walk workload.
+/// The 2-D reflected random-walk workload, projected to one value per
+/// source.
 pub struct Walk2dWorkload {
     config: Walk2dConfig,
+    projection: Projection,
     positions: Vec<Point2>,
-    initial: Vec<Point2>,
+    initial: Vec<f64>,
     rngs: Vec<SimRng>,
     queue: EventQueue<StreamId>,
     interarrival: Exponential,
@@ -64,8 +70,9 @@ pub struct Walk2dWorkload {
 }
 
 impl Walk2dWorkload {
-    /// Builds the workload; deterministic given `config.seed`.
-    pub fn new(config: Walk2dConfig) -> Self {
+    /// Builds the workload; deterministic given `config.seed`. Every
+    /// value it yields is `projection` of the moved object's position.
+    pub fn new(config: Walk2dConfig, projection: Projection) -> Self {
         config.validate();
         let mut master = SimRng::seed_from_u64(config.seed);
         let ux = Uniform::new(0.0, config.width);
@@ -84,9 +91,10 @@ impl Walk2dWorkload {
             }
             rngs.push(rng);
         }
-        let initial = positions.clone();
+        let initial = positions.iter().map(|&p| projection.project(p)).collect();
         Self {
             config,
+            projection,
             positions,
             initial,
             rngs,
@@ -100,18 +108,24 @@ impl Walk2dWorkload {
     pub fn config(&self) -> &Walk2dConfig {
         &self.config
     }
+
+    /// The true positions after the last event produced, indexed by
+    /// stream id — the 2-D oracle's ground truth.
+    pub fn positions(&self) -> &[Point2] {
+        &self.positions
+    }
 }
 
-impl Workload2d for Walk2dWorkload {
+impl Workload for Walk2dWorkload {
     fn num_streams(&self) -> usize {
         self.config.num_objects
     }
 
-    fn initial_positions(&self) -> Vec<Point2> {
+    fn initial_values(&self) -> Vec<f64> {
         self.initial.clone()
     }
 
-    fn next_event(&mut self) -> Option<MoveEvent> {
+    fn next_event(&mut self) -> Option<UpdateEvent> {
         let (time, stream) = self.queue.pop()?;
         let i = stream.index();
         let rng = &mut self.rngs[i];
@@ -127,7 +141,7 @@ impl Workload2d for Walk2dWorkload {
         if next <= self.config.horizon {
             self.queue.schedule(next, stream);
         }
-        Some(MoveEvent { time, stream, to })
+        Some(UpdateEvent { time, stream, value: self.projection.project(to) })
     }
 }
 
@@ -139,14 +153,20 @@ mod tests {
         Walk2dConfig { num_objects: 30, horizon: 300.0, seed: 17, ..Default::default() }
     }
 
+    fn walk(config: Walk2dConfig) -> Walk2dWorkload {
+        Walk2dWorkload::new(config, Projection::distance_to(Point2::new(500.0, 500.0)).unwrap())
+    }
+
     #[test]
     fn events_ordered_and_in_box() {
-        let mut w = Walk2dWorkload::new(small());
+        let mut w = walk(small());
         let mut last = 0.0;
         let mut count = 0;
         while let Some(ev) = w.next_event() {
             assert!(ev.time >= last);
-            assert!((0.0..=1000.0).contains(&ev.to.x) && (0.0..=1000.0).contains(&ev.to.y));
+            let to = w.positions()[ev.stream.index()];
+            assert!((0.0..=1000.0).contains(&to.x) && (0.0..=1000.0).contains(&to.y));
+            assert_eq!(ev.value, to.distance(Point2::new(500.0, 500.0)));
             last = ev.time;
             count += 1;
         }
@@ -155,24 +175,26 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let mut a = Walk2dWorkload::new(small());
-        let mut b = Walk2dWorkload::new(small());
-        assert_eq!(a.initial_positions(), b.initial_positions());
+        let mut a = walk(small());
+        let mut b = walk(small());
+        assert_eq!(a.initial_values(), b.initial_values());
         for _ in 0..100 {
             assert_eq!(a.next_event(), b.next_event());
+            assert_eq!(a.positions(), b.positions());
         }
     }
 
     #[test]
     fn movement_scale_follows_sigma() {
         let avg_step = |sigma: f64| {
-            let mut w = Walk2dWorkload::new(Walk2dConfig { sigma, ..small() });
-            let mut prev = w.initial_positions();
+            let mut w = walk(Walk2dConfig { sigma, ..small() });
+            let mut prev = w.positions().to_vec();
             let mut total = 0.0;
             let mut n = 0;
             while let Some(ev) = w.next_event() {
-                total += prev[ev.stream.index()].distance(ev.to);
-                prev[ev.stream.index()] = ev.to;
+                let to = w.positions()[ev.stream.index()];
+                total += prev[ev.stream.index()].distance(to);
+                prev[ev.stream.index()] = to;
                 n += 1;
             }
             total / n as f64

@@ -1,51 +1,76 @@
-//! Integration tests for the §7 extensions: the 2-D protocols and the
-//! multi-query shared-filter group, driven by real workload generators and
-//! checked against ground truth at every quiescent point.
+//! Integration tests for the §7 extensions: 2-D queries projected onto the
+//! 1-D engine and the multi-query shared-filter group, driven by real
+//! workload generators and checked against ground truth at every
+//! quiescent point.
 
 use asf_core::engine::Engine;
 use asf_core::multi_query::MultiRangeZt;
-use asf_core::multidim::engine2d::{Engine2d, Protocol2d, Workload2d};
-use asf_core::multidim::{oracle2d, FtRect2d, Point2, Region, Rtp2d};
-use asf_core::protocol::SelectionHeuristic;
-use asf_core::query::RangeQuery;
+use asf_core::multidim::{oracle2d, Point2, Projection, Region};
+use asf_core::protocol::{FtNrp, FtNrpConfig, Protocol, Rtp, SelectionHeuristic};
+use asf_core::query::{RangeQuery, RankQuery};
 use asf_core::tolerance::{FractionTolerance, RankTolerance};
 use asf_core::workload::Workload;
 use asf_core::AnswerSet;
 use streamnet::MessageKind;
 use workloads::{SyntheticConfig, SyntheticWorkload, Walk2dConfig, Walk2dWorkload};
 
-fn walk(seed: u64, n: usize, horizon: f64) -> Walk2dWorkload {
-    Walk2dWorkload::new(Walk2dConfig { num_objects: n, horizon, seed, ..Default::default() })
+fn walk(seed: u64, n: usize, horizon: f64, projection: Projection) -> Walk2dWorkload {
+    let config = Walk2dConfig { num_objects: n, horizon, seed, ..Default::default() };
+    Walk2dWorkload::new(config, projection)
+}
+
+/// Runs `protocol` on the serial engine over the projected walk, handing
+/// `check` the engine and the true positions at every quiescent point.
+fn run_2d<P: Protocol>(
+    w: &mut Walk2dWorkload,
+    protocol: P,
+    mut check: impl FnMut(&Engine<P>, &[Point2]),
+) -> Engine<P> {
+    let mut engine = Engine::new(&w.initial_values(), protocol);
+    engine.initialize();
+    check(&engine, w.positions());
+    while let Some(ev) = w.next_event() {
+        engine.apply_event(ev);
+        check(&engine, w.positions());
+    }
+    engine
+}
+
+/// k-NN around `q`: RTP over the projected distance `|p − q|`.
+fn knn_2d(q: Point2, k: usize, r: usize) -> (Projection, Rtp) {
+    let rtp = Rtp::new(RankQuery::k_min(k).unwrap(), r).unwrap();
+    (Projection::distance_to(q).unwrap(), rtp)
 }
 
 #[test]
 fn rtp2d_rank_tolerance_holds_on_random_walks() {
-    for (k, r, seed) in [(4usize, 2usize, 1u64), (6, 0, 2), (3, 5, 3)] {
-        let mut w = walk(seed, 50, 200.0);
+    // The last case is a regression input: an RTP whose expansion search
+    // rebuilds X from A and the probed candidates, instead of the set the
+    // server believes inside R, breaks Definition 1 on it (S36 at true
+    // rank 6 > ε = 5, t ≈ 64.3).
+    for (k, r, seed, n) in
+        [(4usize, 2usize, 1u64, 50usize), (6, 0, 2, 50), (3, 5, 3, 50), (3, 2, 0, 60)]
+    {
         let q = Point2::new(500.0, 500.0);
+        let (projection, rtp) = knn_2d(q, k, r);
+        let mut w = walk(seed, n, 200.0, projection);
         let tol = RankTolerance::new(k, r).unwrap();
-        let mut engine = Engine2d::new(&w.initial_positions(), Rtp2d::new(q, k, r).unwrap());
-        engine.run_with_hook(&mut w, |fleet, protocol, t| {
-            let v = oracle2d::rank_violation_2d(q, tol, &protocol.answer(), fleet);
-            assert!(v.is_none(), "k={k} r={r} seed={seed} t={t}: {}", v.unwrap());
+        run_2d(&mut w, rtp, |engine, positions| {
+            let v = oracle2d::rank_violation_2d(q, tol, &engine.answer(), positions);
+            assert!(v.is_none(), "k={k} r={r} seed={seed} t={}: {}", engine.now(), v.unwrap());
         });
     }
 }
 
 #[test]
 fn rtp2d_saves_messages_over_report_everything() {
-    let mut w = walk(7, 200, 400.0);
-    let q = Point2::new(500.0, 500.0);
-    let mut engine = Engine2d::new(&w.initial_positions(), Rtp2d::new(q, 5, 5).unwrap());
-    let mut events = 0u64;
-    engine.initialize();
-    while let Some(ev) = w.next_event() {
-        engine.apply_event(ev);
-        events += 1;
-    }
+    let (projection, rtp) = knn_2d(Point2::new(500.0, 500.0), 5, 5);
+    let mut w = walk(7, 200, 400.0, projection);
+    let engine = run_2d(&mut w, rtp, |_, _| {});
+    let events = engine.events_processed();
     assert!(
         engine.ledger().total() < events,
-        "RTP-2D ({}) should beat one message per movement ({events})",
+        "RTP in 2-D ({}) should beat one message per movement ({events})",
         engine.ledger().total()
     );
 }
@@ -53,16 +78,15 @@ fn rtp2d_saves_messages_over_report_everything() {
 #[test]
 fn ft_rect2d_fraction_tolerance_holds_on_random_walks() {
     for (eps, seed) in [(0.2, 11u64), (0.5, 12), (0.0, 13)] {
-        let mut w = walk(seed, 60, 200.0);
-        let (lo, hi) = (Point2::new(300.0, 300.0), Point2::new(700.0, 600.0));
+        let region = Region::rect(Point2::new(300.0, 300.0), Point2::new(700.0, 600.0)).unwrap();
+        let mut w = walk(seed, 60, 200.0, Projection::window(region));
         let tol = FractionTolerance::symmetric(eps).unwrap();
-        let region = Region::rect(lo, hi);
-        let protocol =
-            FtRect2d::new(lo, hi, tol, SelectionHeuristic::BoundaryNearest, seed).unwrap();
-        let mut engine = Engine2d::new(&w.initial_positions(), protocol);
-        engine.run_with_hook(&mut w, |fleet, protocol, t| {
-            let v = oracle2d::fraction_region_violation(&region, tol, &protocol.answer(), fleet);
-            assert!(v.is_none(), "eps={eps} seed={seed} t={t}: {}", v.unwrap());
+        let config =
+            FtNrpConfig { heuristic: SelectionHeuristic::BoundaryNearest, ..Default::default() };
+        let protocol = FtNrp::new(region.range_query(), tol, config, seed).unwrap();
+        run_2d(&mut w, protocol, |engine, positions| {
+            let v = oracle2d::fraction_region_violation(&region, tol, &engine.answer(), positions);
+            assert!(v.is_none(), "eps={eps} seed={seed} t={}: {}", engine.now(), v.unwrap());
         });
     }
 }
@@ -261,9 +285,9 @@ fn multi_rank_answers_match_independent_rank_engines() {
 
 #[test]
 fn multidim_message_accounting_is_conserved() {
-    let mut w = walk(31, 60, 200.0);
-    let q = Point2::new(500.0, 500.0);
-    let mut engine = Engine2d::new(&w.initial_positions(), Rtp2d::new(q, 5, 3).unwrap());
+    let (projection, rtp) = knn_2d(Point2::new(500.0, 500.0), 5, 3);
+    let mut w = walk(31, 60, 200.0, projection);
+    let mut engine = Engine::new(&w.initial_values(), rtp);
     engine.run(&mut w);
     let per_source: u64 = engine.fleet().iter().map(|s| s.traffic()).sum();
     assert_eq!(per_source, engine.ledger().total());

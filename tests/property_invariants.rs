@@ -184,32 +184,30 @@ fn vt_max_value_guarantee_holds() {
     });
 }
 
-/// The 2-D RTP keeps Definition 1 on random planar walks.
+/// RTP over the projected distance `|p − q|` keeps Definition 1 on random
+/// planar walks.
 #[test]
 fn rtp2d_never_violates_rank_tolerance() {
-    use asf_core::multidim::engine2d::{Engine2d, Protocol2d, Workload2d};
-    use asf_core::multidim::{oracle2d, Point2, Rtp2d};
+    use asf_core::multidim::{oracle2d, Point2, Projection};
     use workloads::{Walk2dConfig, Walk2dWorkload};
 
     cases(24, |rng| {
         let seed = rng.next_u64() % 10_000;
         let k = 2 + rng.index(4);
         let r = rng.index(4);
-        let mut w = Walk2dWorkload::new(Walk2dConfig {
-            num_objects: 30,
-            horizon: 80.0,
-            seed,
-            ..Default::default()
-        });
         let q = Point2::new(500.0, 500.0);
+        let config = Walk2dConfig { num_objects: 30, horizon: 80.0, seed, ..Default::default() };
+        let mut w = Walk2dWorkload::new(config, Projection::distance_to(q).unwrap());
         let tol = RankTolerance::new(k, r).unwrap();
-        let mut engine = Engine2d::new(&w.initial_positions(), Rtp2d::new(q, k, r).unwrap());
-        let mut violation: Option<String> = None;
-        engine.run_with_hook(&mut w, |fleet, protocol, _| {
-            if violation.is_none() {
-                violation = oracle2d::rank_violation_2d(q, tol, &protocol.answer(), fleet);
-            }
-        });
+        let rtp = Rtp::new(RankQuery::k_min(k).unwrap(), r).unwrap();
+        let mut engine = Engine::new(&w.initial_values(), rtp);
+        engine.initialize();
+        let mut violation = oracle2d::rank_violation_2d(q, tol, &engine.answer(), w.positions());
+        while violation.is_none() {
+            let Some(ev) = w.next_event() else { break };
+            engine.apply_event(ev);
+            violation = oracle2d::rank_violation_2d(q, tol, &engine.answer(), w.positions());
+        }
         assert!(violation.is_none(), "seed={seed} k={k} r={r}: {}", violation.unwrap());
     });
 }
