@@ -94,10 +94,7 @@ impl AnswerSet {
 
     /// Decodes a set written by [`AnswerSet::encode`].
     pub fn decode(r: &mut asf_persist::StateReader<'_>) -> asf_persist::Result<Self> {
-        let n = r.get_u64()? as usize;
-        if n > r.remaining() / 4 {
-            return Err(asf_persist::PersistError::corrupt("answer set longer than payload"));
-        }
+        let n = r.get_len(4)?;
         let mut set = AnswerSet::new();
         for _ in 0..n {
             set.insert(StreamId(r.get_u32()?));
@@ -240,10 +237,7 @@ impl IdSet {
 
     /// Decodes a set written by [`IdSet::encode`] (or [`AnswerSet::encode`]).
     pub fn decode(r: &mut asf_persist::StateReader<'_>) -> asf_persist::Result<Self> {
-        let n = r.get_u64()? as usize;
-        if n > r.remaining() / 4 {
-            return Err(asf_persist::PersistError::corrupt("id set longer than payload"));
-        }
+        let n = r.get_len(4)?;
         let mut ids = Vec::with_capacity(n);
         for _ in 0..n {
             ids.push(r.get_u32()?);

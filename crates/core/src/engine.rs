@@ -152,20 +152,17 @@ impl<P: Protocol> ProtocolCore<P> {
         self.drain_pending(fleet);
     }
 
-    /// Routes one report `(id, value)` that reached the server into the
-    /// protocol and drains all induced resolution work. The caller must
-    /// already have recorded the report's `Update` message and refreshed
-    /// the view (delivery does both); the rank index is re-keyed here, so
-    /// that view precondition is all a caller owes. After this returns the
-    /// system is quiescent.
-    pub fn handle_report(&mut self, id: StreamId, value: f64, fleet: &mut dyn FleetOps) {
+    /// Ingests one report `(id, value)` that reached the server — delivered
+    /// through `fleet` ([`ProtocolCore::deliver_and_handle`]) or applied
+    /// speculatively on an `asf-server` shard — and drains all induced
+    /// resolution work. The context records the report's `Update` message
+    /// and refreshes the view and the rank index before the protocol
+    /// handles it. After this returns the system is quiescent.
+    pub fn ingest_report(&mut self, id: StreamId, value: f64, fleet: &mut dyn FleetOps) {
         assert!(self.initialized, "core must be initialized before reports");
         self.reports_processed += 1;
-        self.telem.add_report_update();
-        if let Some(index) = self.rank.as_mut() {
-            index.update(id, value);
-        }
         self.run_handler(fleet, Cause::SourceReport, |protocol, ctx| {
+            ctx.report(id, value);
             protocol.on_update(id, value, ctx)
         });
         self.drain_pending(fleet);
@@ -249,32 +246,20 @@ impl<P: Protocol> ProtocolCore<P> {
         self.drain_pending_with_cause(fleet, Cause::Repair);
     }
 
-    /// Delivers one update through `fleet` (recording the `Update` message
-    /// and refreshing the view on a report) and, if the source reported,
-    /// handles the report. Returns whether the update reported.
+    /// Delivers one update through `fleet` and, if the source reported,
+    /// ingests the report ([`ProtocolCore::ingest_report`]). Returns
+    /// whether the update reported.
     pub fn deliver_and_handle(
         &mut self,
         id: StreamId,
         value: f64,
         fleet: &mut dyn FleetOps,
     ) -> bool {
-        let report = fleet.deliver(id, value, &mut self.ledger, &mut self.view);
+        let report = fleet.deliver(id, value);
         if let Some(v) = report {
-            self.handle_report(id, v, fleet);
-            true
-        } else {
-            false
+            self.ingest_report(id, v, fleet);
         }
-    }
-
-    /// Ingests a report whose source-side delivery already happened (e.g.
-    /// speculatively, on an `asf-server` shard): records the `Update`
-    /// message, refreshes the view, and handles the report — the exact
-    /// sequence a [`FleetOps::deliver`] report produces.
-    pub fn ingest_report(&mut self, id: StreamId, value: f64, fleet: &mut dyn FleetOps) {
-        self.ledger.record(streamnet::MessageKind::Update, 1);
-        self.view.set(id, value);
-        self.handle_report(id, value, fleet);
+        report.is_some()
     }
 
     /// Whether [`ProtocolCore::initialize`] has run.

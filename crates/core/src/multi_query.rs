@@ -437,10 +437,7 @@ impl Protocol for MultiRangeZt {
             return Err(asf_persist::PersistError::corrupt("answer count != query count"));
         }
         let answers: Vec<IdSet> = (0..m).map(|_| IdSet::decode(r)).collect::<Result<_, _>>()?;
-        let n = r.get_u64()? as usize;
-        if n > r.remaining() / 8 {
-            return Err(asf_persist::PersistError::corrupt("last-value table longer than payload"));
-        }
+        let n = r.get_len(8)?;
         // Decoded straight into the rows: no second n-long table.
         self.rows.clear();
         self.rows.reserve_exact(n);

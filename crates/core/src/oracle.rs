@@ -381,9 +381,7 @@ mod tests {
 
         // S4 jumps to the top; apply the event to both fleet and index.
         let ev = UpdateEvent { time: 1.0, stream: StreamId(4), value: 99.0 };
-        let mut ledger = streamnet::Ledger::new();
-        let mut view = streamnet::ServerView::new(5);
-        f.deliver_update(ev.stream, ev.value, &mut ledger, &mut view);
+        streamnet::FleetOps::deliver(&mut f, ev.stream, ev.value);
         truth.apply(&ev);
         assert_eq!(truth.ranking(), true_ranking(q.space(), &f));
         assert_eq!(truth.rank_of(StreamId(4)), Some(1));

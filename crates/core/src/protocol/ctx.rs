@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use asf_telemetry::{Cause, TraceDepth};
-use streamnet::{Filter, FleetOps, Ledger, ServerView, StreamId};
+use streamnet::{Filter, FleetOps, Ledger, MessageKind, ServerView, StreamId};
 
 use crate::query::RankSpace;
 use crate::rank::RankForest;
@@ -18,9 +18,11 @@ use crate::telem::CoreTelemetry;
 pub struct FleetScratch {
     /// Probe replies of the last `probe_many` (aligned with its ids).
     values: Vec<f64>,
-    /// Sync reports of the last `install_many`, in installation order.
+    /// Sync reports of the last `install_many` (installation order) or
+    /// `broadcast` (id order).
     syncs: Vec<(StreamId, f64)>,
-    /// Ids whose view entry changed in the last tracked `probe_all`.
+    /// Ids whose view entry changed in the last `probe_all` that
+    /// delta-refreshed the rank forest.
     changed: Vec<StreamId>,
 }
 
@@ -106,6 +108,13 @@ impl CtxStats {
 /// consult its (possibly stale) view, and pay messages to probe sources or
 /// (re)deploy filters.
 ///
+/// This is the one place messages are metered. The [`FleetOps`] backend
+/// only moves source state; the context records each operation's messages
+/// in the ledger by the paper's cost model — a probe costs 2, an install 1,
+/// a broadcast `n`, a report or sync 1 — attributed to the current
+/// [`Cause`], and writes every value that reached the server into the
+/// view.
+///
 /// Constraint resolution is synchronous — the paper's Correctness
 /// Requirement 2 assumes values do not change while it runs — so
 /// [`ServerCtx::probe`] returns the ground-truth value immediately (and
@@ -164,24 +173,43 @@ impl<'a> ServerCtx<'a> {
         self.telem.cause = cause;
     }
 
-    /// Snapshot of the ledger's kind counters before a fleet operation
-    /// (`None` with attribution off, so the disabled path is one branch).
+    /// Records `n` messages of `kind`, attributed to the current cause.
     #[inline]
-    fn cause_snap(&self) -> Option<[u64; 5]> {
-        if self.telem.causes_enabled {
-            Some(self.ledger.kind_counts())
-        } else {
-            None
+    fn record(&mut self, kind: MessageKind, n: u64) {
+        self.telem.record(self.ledger, kind, n);
+    }
+
+    /// A value reached the server: the view and the rank forest, if any,
+    /// learn it.
+    #[inline]
+    fn learn(&mut self, id: StreamId, value: f64) {
+        self.view.set(id, value);
+        if let Some(forest) = self.rank.as_mut() {
+            forest.update(id, value);
         }
     }
 
-    /// Attributes the messages recorded since `before` to the current
-    /// cause.
-    #[inline]
-    fn cause_commit(&mut self, before: Option<[u64; 5]>) {
-        if let Some(before) = before {
-            let after = self.ledger.kind_counts();
-            self.telem.causes.attribute(self.telem.cause, &before, &after);
+    /// A report reached the server (one `Update` message): an unsolicited
+    /// one the engine is about to hand to the protocol, or a sync
+    /// ([`ServerCtx::sync`]).
+    pub(crate) fn report(&mut self, id: StreamId, value: f64) {
+        self.record(MessageKind::Update, 1);
+        self.learn(id, value);
+    }
+
+    /// A sync report an install induced: reported, and queued for the
+    /// engine to feed to the protocol once the handler returns.
+    fn sync(&mut self, id: StreamId, value: f64) {
+        self.report(id, value);
+        self.pending.push_back((id, value));
+    }
+
+    /// Syncs every report the last batch install or broadcast left in the
+    /// scratch, in the scratch's order.
+    fn sync_all(&mut self) {
+        for k in 0..self.scratch.syncs.len() {
+            let (id, value) = self.scratch.syncs[k];
+            self.sync(id, value);
         }
     }
 
@@ -245,12 +273,10 @@ impl<'a> ServerCtx<'a> {
     /// Probes one source for its current value (2 messages); refreshes the
     /// view and returns the value.
     pub fn probe(&mut self, id: StreamId) -> f64 {
-        let before = self.cause_snap();
-        let v = self.fleet.probe(id, self.ledger, self.view);
-        self.cause_commit(before);
-        if let Some(index) = self.rank.as_mut() {
-            index.update(id, v);
-        }
+        let v = self.fleet.probe(id);
+        self.record(MessageKind::ProbeRequest, 1);
+        self.record(MessageKind::ProbeReply, 1);
+        self.learn(id, v);
         v
     }
 
@@ -267,46 +293,46 @@ impl<'a> ServerCtx<'a> {
     /// the re-keys run partition-parallel. All paths produce identical
     /// rank outputs.
     pub fn probe_all(&mut self) {
-        let before = self.cause_snap();
         let t = Instant::now();
-        match self.rank.as_mut() {
-            None => {
-                self.fleet.probe_all(self.ledger, self.view);
-                self.stats.probe_ns += t.elapsed().as_nanos() as u64;
+        // Not the pooled buffer: an n-long one held for the server's
+        // lifetime pins the allocator's heap (+13% peak RSS on `asf_bench`'s
+        // n = 500k `durable_recover`), and `probe_all` is rare.
+        let mut values = Vec::new();
+        self.fleet.probe_all(&mut values);
+        let n = values.len() as u64;
+        self.record(MessageKind::ProbeRequest, n);
+        self.record(MessageKind::ProbeReply, n);
+        // A populated forest re-keys only the entries this pass changes —
+        // previously unknown, or bit-different — found while writing them.
+        let delta = self.rank.as_ref().is_some_and(RankForest::is_fully_populated);
+        let changed = &mut self.scratch.changed;
+        changed.clear();
+        for (i, &v) in values.iter().enumerate() {
+            let id = StreamId(i as u32);
+            if delta && (!self.view.is_known(id) || self.view.get(id).to_bits() != v.to_bits()) {
+                changed.push(id);
             }
-            Some(forest) if forest.is_fully_populated() => {
-                // Delta refresh: the backend reports which view entries
-                // actually changed (free — it touches every entry during
-                // reassembly anyway), and only those re-key, each on the
-                // forest partition that owns the stream.
-                self.fleet.probe_all_tracked(self.ledger, self.view, &mut self.scratch.changed);
-                self.stats.probe_ns += t.elapsed().as_nanos() as u64;
-                let t = Instant::now();
-                self.telem.trace.begin(
-                    TraceDepth::Fine,
-                    "forest_delta_refresh",
-                    self.scratch.changed.len() as u64,
-                );
+            self.view.set(id, v);
+        }
+        self.stats.probe_ns += t.elapsed().as_nanos() as u64;
+        if let Some(forest) = self.rank.as_mut() {
+            let t = Instant::now();
+            let busy_ns = if delta {
+                let rekeys = self.scratch.changed.len() as u64;
+                self.telem.trace.begin(TraceDepth::Fine, "forest_delta_refresh", rekeys);
                 self.stats.index_delta_refreshes += 1;
-                self.stats.index_delta_rekeys += self.scratch.changed.len() as u64;
-                let busy_ns = forest.refresh_from_changed(self.view, &self.scratch.changed);
-                self.telem.trace.end(TraceDepth::Fine);
-                self.stats.record_index_pass(busy_ns, t.elapsed().as_nanos() as u64);
-            }
-            Some(forest) => {
-                self.fleet.probe_all(self.ledger, self.view);
-                self.stats.probe_ns += t.elapsed().as_nanos() as u64;
-                let t = Instant::now();
+                self.stats.index_delta_rekeys += rekeys;
+                forest.refresh_from_changed(self.view, &self.scratch.changed)
+            } else {
                 self.telem.trace.begin(TraceDepth::Fine, "forest_bulk_build", 0);
                 self.stats.index_bulk_builds += 1;
-                let busy_ns = forest.rebuild_from_view(self.view);
-                self.telem.trace.end(TraceDepth::Fine);
-                self.stats.record_index_pass(busy_ns, t.elapsed().as_nanos() as u64);
-            }
+                forest.rebuild_from_view(self.view)
+            };
+            self.telem.trace.end(TraceDepth::Fine);
+            self.stats.record_index_pass(busy_ns, t.elapsed().as_nanos() as u64);
         }
-        self.cause_commit(before);
         self.stats.batch_probe_ops += 1;
-        self.stats.batch_probe_streams += self.fleet.len() as u64;
+        self.stats.batch_probe_streams += n;
     }
 
     /// Probes a set of sources in one batch fleet operation (2 messages
@@ -317,31 +343,26 @@ impl<'a> ServerCtx<'a> {
         if ids.is_empty() {
             return; // no messages, no fleet touch, no stats noise
         }
-        let before = self.cause_snap();
         let t = Instant::now();
-        self.fleet.probe_many(ids, self.ledger, self.view, &mut self.scratch.values);
-        self.cause_commit(before);
+        self.fleet.probe_many(ids, &mut self.scratch.values);
+        self.record(MessageKind::ProbeRequest, ids.len() as u64);
+        self.record(MessageKind::ProbeReply, ids.len() as u64);
+        for (k, &id) in ids.iter().enumerate() {
+            let v = self.scratch.values[k];
+            self.learn(id, v);
+        }
         self.stats.probe_ns += t.elapsed().as_nanos() as u64;
         self.stats.batch_probe_ops += 1;
         self.stats.batch_probe_streams += ids.len() as u64;
-        if let Some(index) = self.rank.as_mut() {
-            for (&id, &v) in ids.iter().zip(self.scratch.values.iter()) {
-                index.update(id, v);
-            }
-        }
     }
 
     /// Installs a filter at one source (1 message). Any induced sync-report
     /// is queued for the engine.
     pub fn install(&mut self, id: StreamId, filter: Filter) {
-        let before = self.cause_snap();
-        let report = self.fleet.install(id, filter, self.ledger, self.view);
-        self.cause_commit(before);
-        if let Some(v) = report {
-            if let Some(index) = self.rank.as_mut() {
-                index.update(id, v);
-            }
-            self.pending.push_back((id, v));
+        let sync = self.fleet.install(id, filter);
+        self.record(MessageKind::FilterInstall, 1);
+        if let Some(v) = sync {
+            self.sync(id, v);
         }
     }
 
@@ -350,17 +371,11 @@ impl<'a> ServerCtx<'a> {
     /// Induced sync-reports are queued for the engine in installation
     /// order — exactly the queue the scalar loop would build.
     pub fn install_many(&mut self, installs: &[(StreamId, Filter)]) {
-        let before = self.cause_snap();
-        self.fleet.install_many(installs, self.ledger, self.view, &mut self.scratch.syncs);
-        self.cause_commit(before);
+        self.fleet.install_many(installs, &mut self.scratch.syncs);
+        self.record(MessageKind::FilterInstall, installs.len() as u64);
         self.stats.batch_install_ops += 1;
         self.stats.batch_install_streams += installs.len() as u64;
-        for &(id, v) in self.scratch.syncs.iter() {
-            if let Some(index) = self.rank.as_mut() {
-                index.update(id, v);
-            }
-            self.pending.push_back((id, v));
-        }
+        self.sync_all();
     }
 
     /// Queues a filter install on the **deferred-op queue** instead of
@@ -406,18 +421,13 @@ impl<'a> ServerCtx<'a> {
         buf.clear();
     }
 
-    /// Broadcasts a filter to all sources (`n` messages). Induced
-    /// sync-reports are queued for the engine.
+    /// Broadcasts a filter to all sources (`n` messages, one operation).
+    /// Induced sync-reports are queued for the engine in ascending id
+    /// order.
     pub fn broadcast(&mut self, filter: Filter) {
-        let before = self.cause_snap();
-        let syncs = self.fleet.broadcast(filter, self.ledger, self.view);
-        self.cause_commit(before);
-        for (id, v) in syncs {
-            if let Some(index) = self.rank.as_mut() {
-                index.update(id, v);
-            }
-            self.pending.push_back((id, v));
-        }
+        self.fleet.broadcast(filter, &mut self.scratch.syncs);
+        self.record(MessageKind::FilterBroadcast, self.fleet.len() as u64);
+        self.sync_all();
     }
 }
 
@@ -426,7 +436,7 @@ mod tests {
     use super::*;
     use crate::query::RankSpace;
     use crate::rank::rank_view;
-    use streamnet::{MessageKind, SourceFleet};
+    use streamnet::SourceFleet;
 
     struct Parts {
         fleet: SourceFleet,
@@ -521,7 +531,7 @@ mod tests {
             ctx.install(StreamId(0), Filter::interval(0.0, 1000.0));
         }
         // Silent drift: 100 -> 700 stays inside [0, 1000].
-        p.fleet.deliver_update(StreamId(0), 700.0, &mut p.ledger, &mut p.view);
+        p.fleet.deliver(StreamId(0), 700.0);
         {
             let mut ctx = p.ctx();
             // New filter separates believed 100 from true 700.
@@ -552,7 +562,7 @@ mod tests {
             assert_eq!(ctx.ranks(space).ordered_ids(), vec![StreamId(0), StreamId(1), StreamId(2)]);
         }
         // S2 moves (ground truth 900 -> 50); the probe reply re-keys it.
-        p.fleet.deliver_update(StreamId(2), 50.0, &mut p.ledger, &mut p.view);
+        p.fleet.deliver(StreamId(2), 50.0);
         let mut ctx = p.ctx();
         ctx.probe(StreamId(2));
         assert_eq!(ctx.ranks(space).ordered_ids(), vec![StreamId(2), StreamId(0), StreamId(1)]);
@@ -571,8 +581,8 @@ mod tests {
         }
         // Two streams drift silently (no filters: deliveries report, but
         // bypass the ctx — re-key via a batch probe).
-        p.fleet.deliver_update(StreamId(2), 50.0, &mut p.ledger, &mut p.view);
-        p.fleet.deliver_update(StreamId(0), 800.0, &mut p.ledger, &mut p.view);
+        p.fleet.deliver(StreamId(2), 50.0);
+        p.fleet.deliver(StreamId(0), 800.0);
         let ledger_before = p.ledger.total();
         let mut ctx = p.ctx();
         ctx.probe_many(&[StreamId(2), StreamId(0)]);
@@ -594,8 +604,8 @@ mod tests {
         }
         // Both drift silently; a deferred tight redeploy must sync them in
         // queue order (2 before 0) at the flush, not at the enqueue.
-        p.fleet.deliver_update(StreamId(0), 450.0, &mut p.ledger, &mut p.view);
-        p.fleet.deliver_update(StreamId(2), 460.0, &mut p.ledger, &mut p.view);
+        p.fleet.deliver(StreamId(0), 450.0);
+        p.fleet.deliver(StreamId(2), 460.0);
         {
             let mut ctx = p.ctx();
             ctx.install_later(StreamId(2), Filter::interval(400.0, 500.0));
@@ -637,8 +647,8 @@ mod tests {
         assert!(p.pending.is_empty(), "consistent installs never sync");
         // Both drift silently; a tight redeploy syncs them in install order
         // (2 before 0), not id order.
-        p.fleet.deliver_update(StreamId(0), 450.0, &mut p.ledger, &mut p.view);
-        p.fleet.deliver_update(StreamId(2), 460.0, &mut p.ledger, &mut p.view);
+        p.fleet.deliver(StreamId(0), 450.0);
+        p.fleet.deliver(StreamId(2), 460.0);
         let mut ctx = p.ctx();
         ctx.install_many(&[
             (StreamId(2), Filter::interval(400.0, 500.0)),

@@ -28,7 +28,7 @@ pub use vt_max::VtMax;
 pub use zt_nrp::ZtNrp;
 pub use zt_rp::ZtRp;
 
-use asf_persist::{PersistError, StateReader, StateWriter};
+use asf_persist::{StateReader, StateWriter};
 use streamnet::StreamId;
 
 use crate::answer::AnswerSet;
@@ -44,10 +44,7 @@ pub(crate) fn put_ids(w: &mut StateWriter, ids: &[StreamId]) {
 
 /// Decodes a `StreamId` list written by [`put_ids`].
 pub(crate) fn get_ids(r: &mut StateReader<'_>) -> asf_persist::Result<Vec<StreamId>> {
-    let n = r.get_u64()? as usize;
-    if n > r.remaining() / 4 {
-        return Err(PersistError::corrupt("id list longer than payload"));
-    }
+    let n = r.get_len(4)?;
     (0..n).map(|_| r.get_u32().map(StreamId)).collect()
 }
 

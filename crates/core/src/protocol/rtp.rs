@@ -577,10 +577,7 @@ impl Protocol for Rtp {
         if d.is_nan() != floor_d.is_nan() || infinite || floor_d < d {
             return Err(PersistError::corrupt("RTP bounds are not finite with floor >= d"));
         }
-        let len = r.get_u64()? as usize;
-        if len > r.remaining() / 12 {
-            return Err(PersistError::corrupt("held-bound list longer than payload"));
-        }
+        let len = r.get_len(12)?;
         let mut held = BTreeMap::new();
         for _ in 0..len {
             let (id, h) = (StreamId(r.get_u32()?), r.get_f64()?);

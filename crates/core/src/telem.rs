@@ -1,26 +1,23 @@
 //! The engine core's telemetry state: per-cause message attribution and
 //! the coordinator-side trace ring.
 //!
-//! Everything here is **observational**. The cause ledger is derived by
-//! diffing the authoritative [`streamnet::Ledger`]'s kind counters around
-//! each [`crate::protocol::ServerCtx`] fleet operation — it never writes
-//! the ledger, so ledger equality (the differential suites' oracle) is
-//! unaffected by telemetry being on, off, or at any trace depth. The trace
-//! ring records wall-clock spans that no protocol decision ever reads.
+//! Everything here is **observational**. Each message is attributed to a
+//! cause where [`crate::protocol::ServerCtx`] records it in the
+//! authoritative [`streamnet::Ledger`]; the ledger's counts never depend
+//! on the attribution, so ledger equality (the differential suites'
+//! oracle) is unaffected by telemetry being on, off, or at any trace
+//! depth. The trace ring records wall-clock spans that no protocol
+//! decision ever reads.
 
 use asf_telemetry::{Cause, CauseLedger, TraceRing};
-use streamnet::MessageKind;
-
-/// Slot of [`MessageKind::Update`] in [`streamnet::Ledger::kind_counts`]
-/// (`MessageKind::ALL` order).
-const UPDATE_SLOT: usize = 0;
+use streamnet::{Ledger, MessageKind};
 
 /// Telemetry state owned by a [`crate::engine::ProtocolCore`] and threaded
 /// through every [`crate::protocol::ServerCtx`].
 #[derive(Debug)]
 pub struct CoreTelemetry {
-    /// Whether per-cause attribution runs (a pair of 5-counter snapshots
-    /// per fleet operation when on; a single branch when off).
+    /// Whether per-cause attribution runs (one counter add per recorded
+    /// message kind when on; a single branch when off).
     pub(crate) causes_enabled: bool,
     /// The per-cause message matrix.
     pub(crate) causes: CauseLedger,
@@ -74,13 +71,13 @@ impl CoreTelemetry {
         self.causes.breakdown(&labels)
     }
 
-    /// Attributes one handled report's `Update` message to
-    /// [`Cause::SourceReport`] (sync-reports induced *inside* a handler are
-    /// already covered by the fleet-op diffs of the op that induced them).
+    /// Records `n` messages of `kind` in `ledger` and attributes them to
+    /// the current cause — the one place a message is metered.
     #[inline]
-    pub(crate) fn add_report_update(&mut self) {
+    pub(crate) fn record(&mut self, ledger: &mut Ledger, kind: MessageKind, n: u64) {
+        ledger.record(kind, n);
         if self.causes_enabled {
-            self.causes.add(Cause::SourceReport, UPDATE_SLOT, 1);
+            self.causes.add(self.cause, kind.slot(), n);
         }
     }
 }

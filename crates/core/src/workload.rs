@@ -157,10 +157,7 @@ impl EventBatch {
     /// workload invariants (time-ordered, finite values) so a corrupt
     /// journal entry is rejected instead of replayed.
     pub fn decode(r: &mut asf_persist::StateReader<'_>) -> asf_persist::Result<Self> {
-        let n = r.get_u64()? as usize;
-        if n > r.remaining() / Self::EVENT_BYTES + 1 {
-            return Err(asf_persist::PersistError::corrupt("event batch length implausible"));
-        }
+        let n = r.get_len(Self::EVENT_BYTES)?;
         let mut batch = Self::with_capacity(n);
         let mut last = f64::NEG_INFINITY;
         for _ in 0..n {

@@ -191,6 +191,21 @@ impl<'a> StateReader<'a> {
         }
     }
 
+    /// Reads a `u64` count of items that follow, each at least `item_bytes`
+    /// long, and checks it against the bytes left: a count that cannot fit
+    /// is corruption, never an allocation request.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `item_bytes` is zero.
+    pub fn get_len(&mut self, item_bytes: usize) -> Result<usize> {
+        let len = self.get_u64()?;
+        if len > (self.remaining() / item_bytes) as u64 {
+            return Err(PersistError::corrupt("length prefix exceeds payload"));
+        }
+        Ok(len as usize)
+    }
+
     /// Reads a length-prefixed byte string, borrowed from the buffer.
     pub fn get_bytes(&mut self) -> Result<&'a [u8]> {
         let len = self.get_u32()? as usize;
@@ -260,6 +275,45 @@ mod tests {
             let ok = r.get_u64().is_ok() && r.get_bytes().is_ok() && r.finish().is_ok();
             assert!(!ok, "truncated buffer decoded cleanly at {cut}");
         }
+    }
+
+    #[test]
+    fn length_prefixes_fit_the_payload_at_every_truncation() {
+        // Three 12-byte items behind their count: every prefix of the
+        // record either decodes the count the bytes present can hold, or
+        // fails — and the count is accepted exactly when all items fit.
+        let mut w = StateWriter::new();
+        w.put_u64(3);
+        for i in 0..3u32 {
+            w.put_u32(i);
+            w.put_u64(u64::from(i) << 40);
+        }
+        let bytes = w.into_bytes();
+        for cut in 0..=bytes.len() {
+            let mut r = StateReader::new(&bytes[..cut]);
+            match r.get_len(12) {
+                Ok(n) => {
+                    assert_eq!((n, cut), (3, bytes.len()), "accepted a count that cannot fit");
+                    for i in 0..3u32 {
+                        assert_eq!(r.get_u32().unwrap(), i);
+                        assert_eq!(r.get_u64().unwrap(), u64::from(i) << 40);
+                    }
+                    r.finish().unwrap();
+                }
+                Err(e) => assert!(matches!(e, PersistError::Corrupt(_)), "cut {cut}: {e:?}"),
+            }
+        }
+        // The bound is exact: one byte short of the last item is an error,
+        // a count of zero needs no bytes, and a huge count is no allocation.
+        let mut exact = 2u64.to_le_bytes().to_vec();
+        exact.extend_from_slice(&[0; 7]);
+        assert!(StateReader::new(&exact).get_len(4).is_err());
+        exact.push(0);
+        assert_eq!(StateReader::new(&exact).get_len(4).unwrap(), 2);
+        let zero = 0u64.to_le_bytes();
+        assert_eq!(StateReader::new(&zero).get_len(8).unwrap(), 0);
+        let huge = u64::MAX.to_le_bytes();
+        assert!(StateReader::new(&huge).get_len(1).is_err());
     }
 
     #[test]

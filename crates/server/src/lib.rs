@@ -29,13 +29,16 @@
 //!   speculatively; a report handler's `probe` / `install` / `deliver`
 //!   carries the touched streams' speculated positions, and the owning
 //!   shard respeculates just those (see [`router`]) while every other
-//!   stream's speculation stands. A `broadcast` or `probe_all*` commits
+//!   stream's speculation stands. A `broadcast` or `probe_all` commits
 //!   every shard up to the report being handled and respeculates the whole
 //!   suffix past it (see [`server`]). Nothing is rolled back and
 //!   re-evaluated. The result is
 //!   **byte-identical** to the single-threaded [`asf_core::engine::Engine`]
 //!   — same answers, same message ledger, same view — for any shard count,
 //!   verified per-protocol by `tests/server_shard_invariance.rs`.
+//! * **One metering site.** Shards and routers only move source state;
+//!   the coordinator's protocol core records every message in the one
+//!   ledger and keeps the one server view (see [`router`]).
 //! * **Deterministic under a fixed seed.** Thread scheduling can change
 //!   only *when* shards run, never the sequence-ordered outcome, so the
 //!   tolerance oracle validates the concurrent runtime end-to-end exactly

@@ -76,7 +76,7 @@ pub struct ServerMetrics {
     /// Fleet touches issued by report handlers during ingestion, every one
     /// respeculated: a `probe` / `install` / `deliver`, single or batch,
     /// at the touched streams' speculated positions, a `broadcast` /
-    /// `probe_all*` at every position past the report.
+    /// `probe_all` at every position past the report.
     pub scoped_touches: u64,
     /// Speculated applications rewound and re-applied around a fleet touch
     /// (zero for touches of streams with no speculated successor).

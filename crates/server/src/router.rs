@@ -1,35 +1,37 @@
-//! The coordinator's [`FleetOps`] backend: routes every control-plane fleet
-//! operation of the protocol (probe / install / broadcast / deliver) to the
-//! shard owning the source, while recording messages in the coordinator's
-//! authoritative ledger and refreshing the coordinator's view.
+//! The coordinator's [`FleetOps`] backend: routes every fleet operation of
+//! the protocol (probe / install / broadcast / deliver) to the shard
+//! owning the source and reassembles the replies.
 //!
-//! The ledger contract of [`FleetOps`] is kept byte-identical to the serial
-//! [`streamnet::SourceFleet`]: probes cost 2, installs 1 (+1 per sync),
-//! broadcasts `n` as **one** operation (+1 per sync), delivered reports 1.
-//! Broadcast sync reports are gathered from all shards and merged in
-//! ascending global id order — the same order the serial fleet produces —
-//! so the protocol's resolution cascade sees an identical report sequence.
+//! The router only moves source state, like every [`FleetOps`] backend:
+//! the coordinator's `ServerCtx` meters each operation and refreshes the
+//! view from what it returns, so the ledger contract lives in one place
+//! for the serial engine and the sharded server alike. What the router
+//! owes is the result order of [`FleetOps`]: `probe_all` values in id
+//! order, batch results in request order, and broadcast syncs gathered
+//! from all shards and merged in ascending global id order — the order
+//! the serial fleet produces — so the protocol's resolution cascade sees
+//! an identical report sequence.
 //!
 //! Batch operations (`probe_all`, `probe_many`, `install_many`,
 //! `broadcast`) are the scaling path: one scatter hands every shard its
 //! slice, the shards work concurrently, and one gather reassembles the
-//! results in the caller's request order — the coordinator stops being a
-//! per-stream round-trip bottleneck for initialization, fleet-wide filter
-//! deployments, and reinit storms.
+//! results — the coordinator stops being a per-stream round-trip
+//! bottleneck for initialization, fleet-wide filter deployments, and
+//! reinit storms.
 //!
 //! During ingest the protocol sees the fleet through the
 //! [`GuardedRouter`], which keeps the chunk's speculation standing
 //! through every fleet operation: the shards **respeculate** the
 //! speculated applications the operation can reach — the touched streams'
 //! positions for a `probe`, `install` or `deliver` (single or batch), the
-//! whole suffix past the report for a `broadcast` or `probe_all*` — and
+//! whole suffix past the report for a `broadcast` or `probe_all` — and
 //! report back only the positions whose report bit flipped.
 
 use std::time::Instant;
 
 use asf_core::workload::EventBatch;
 use asf_telemetry::{TraceDepth, TraceRing};
-use streamnet::{Filter, FleetOps, Ledger, MessageKind, ServerView, StreamId};
+use streamnet::{Filter, FleetOps, StreamId};
 
 use crate::handle::ShardHandle;
 use crate::metrics::FleetOpStats;
@@ -135,19 +137,10 @@ impl<'a> ShardRouter<'a> {
         }
     }
 
-    /// The shared scatter/gather of `probe_all` / `probe_all_tracked`:
-    /// probes run in parallel in threaded mode; ledger counts and the
-    /// final view are order-free. When `changed` is given, the change test
-    /// rides the reassembly loop that refreshes the view anyway (shards
-    /// own strided slices, so the small changed list is sorted once at the
-    /// end to meet the ascending-id contract). Returns the respeculation
-    /// flips by shard.
-    fn probe_all_impl(
-        &mut self,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-        mut changed: Option<&mut Vec<StreamId>>,
-    ) -> ShardFlips {
+    /// [`FleetOps::probe_all`]: the shards probe concurrently in threaded
+    /// mode, and the values are written into `out` at their global ids.
+    /// Returns the respeculation flips by shard.
+    fn probe_all_at(&mut self, out: &mut Vec<f64>) -> ShardFlips {
         let started = Instant::now();
         self.trace_begin("fleet_probe_all", self.n as u64);
         let mut busy = vec![0u64; self.partition.shards()];
@@ -155,6 +148,8 @@ impl<'a> ShardRouter<'a> {
         for handle in self.handles.iter_mut() {
             handle.send(ShardCmd::ProbeAll);
         }
+        out.clear();
+        out.resize(self.n, 0.0);
         for (shard, handle) in self.handles.iter_mut().enumerate() {
             match handle.recv() {
                 ShardReply::ProbedAll { values, flips, busy_ns } => {
@@ -162,23 +157,12 @@ impl<'a> ShardRouter<'a> {
                     if !flips.is_empty() {
                         all_flips.push((shard, flips));
                     }
-                    ledger.record(MessageKind::ProbeRequest, values.len() as u64);
-                    ledger.record(MessageKind::ProbeReply, values.len() as u64);
                     for (local, v) in values.into_iter().enumerate() {
-                        let id = self.partition.global_of(shard, local as u32);
-                        if let Some(changed) = changed.as_deref_mut() {
-                            if !view.is_known(id) || view.get(id).to_bits() != v.to_bits() {
-                                changed.push(id);
-                            }
-                        }
-                        view.set(id, v);
+                        out[self.partition.global_of(shard, local as u32).index()] = v;
                     }
                 }
                 other => unreachable!("ProbeAll got {other:?}"),
             }
-        }
-        if let Some(changed) = changed {
-            changed.sort_unstable();
         }
         self.record_batch_op(started, &busy);
         self.trace_end();
@@ -206,39 +190,20 @@ impl<'a> ShardRouter<'a> {
         id: StreamId,
         value: f64,
         positions: Vec<u64>,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
     ) -> (Option<f64>, Vec<u64>) {
         let (handle, local) = self.route(id);
         match handle.request(ShardCmd::Deliver { local, value, positions }) {
-            ShardReply::Delivered { report, flips } => {
-                if let Some(v) = report {
-                    ledger.record(MessageKind::Update, 1);
-                    view.set(id, v);
-                }
-                (report, flips)
-            }
+            ShardReply::Delivered { report, flips } => (report, flips),
             other => unreachable!("Deliver got {other:?}"),
         }
     }
 
     /// [`FleetOps::probe`], respeculating the source's applications at
     /// `positions`; returns the value and the flips (in the same buffer).
-    fn probe_at(
-        &mut self,
-        id: StreamId,
-        positions: Vec<u64>,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> (f64, Vec<u64>) {
+    fn probe_at(&mut self, id: StreamId, positions: Vec<u64>) -> (f64, Vec<u64>) {
         let (handle, local) = self.route(id);
         match handle.request(ShardCmd::Probe { local, positions }) {
-            ShardReply::Probed { value, flips } => {
-                ledger.record(MessageKind::ProbeRequest, 1);
-                ledger.record(MessageKind::ProbeReply, 1);
-                view.set(id, value);
-                (value, flips)
-            }
+            ShardReply::Probed { value, flips } => (value, flips),
             other => unreachable!("Probe got {other:?}"),
         }
     }
@@ -251,19 +216,10 @@ impl<'a> ShardRouter<'a> {
         id: StreamId,
         filter: Filter,
         positions: Vec<u64>,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
     ) -> (Option<f64>, Vec<u64>) {
         let (handle, local) = self.route(id);
         match handle.request(ShardCmd::Install { local, filter, positions }) {
-            ShardReply::Installed { sync, flips } => {
-                ledger.record(MessageKind::FilterInstall, 1);
-                if let Some(v) = sync {
-                    ledger.record(MessageKind::Update, 1);
-                    view.set(id, v);
-                }
-                (sync, flips)
-            }
+            ShardReply::Installed { sync, flips } => (sync, flips),
             other => unreachable!("Install got {other:?}"),
         }
     }
@@ -275,8 +231,6 @@ impl<'a> ShardRouter<'a> {
         &mut self,
         ids: &[StreamId],
         mut positions: Vec<Vec<u64>>,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
         out: &mut Vec<f64>,
     ) -> ShardFlips {
         out.clear();
@@ -316,16 +270,12 @@ impl<'a> ShardRouter<'a> {
                 other => unreachable!("ProbeMany got {other:?}"),
             }
         }
-        ledger.record(MessageKind::ProbeRequest, ids.len() as u64);
-        ledger.record(MessageKind::ProbeReply, ids.len() as u64);
         out.reserve(ids.len());
         let mut cursor = vec![0usize; k];
         for &id in ids {
             let s = self.partition.shard_of(id);
-            let v = values[s][cursor[s]];
+            out.push(values[s][cursor[s]]);
             cursor[s] += 1;
-            view.set(id, v);
-            out.push(v);
         }
         self.record_batch_op(started, &busy);
         self.trace_end();
@@ -338,8 +288,6 @@ impl<'a> ShardRouter<'a> {
         &mut self,
         installs: &[(StreamId, Filter)],
         mut positions: Vec<Vec<u64>>,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
         syncs: &mut Vec<(StreamId, f64)>,
     ) -> ShardFlips {
         syncs.clear();
@@ -381,42 +329,29 @@ impl<'a> ShardRouter<'a> {
                 other => unreachable!("InstallMany got {other:?}"),
             }
         }
-        ledger.record(MessageKind::FilterInstall, installs.len() as u64);
         let mut cursor = vec![0usize; k];
         for (id, _) in installs {
             let s = self.partition.shard_of(*id);
-            let sync = replies[s][cursor[s]];
-            cursor[s] += 1;
-            if let Some(v) = sync {
-                ledger.record(MessageKind::Update, 1);
-                view.set(*id, v);
+            if let Some(v) = replies[s][cursor[s]] {
                 syncs.push((*id, v));
             }
+            cursor[s] += 1;
         }
         self.record_batch_op(started, &busy);
         self.trace_end();
         all_flips
     }
 
-    /// [`FleetOps::broadcast`]; returns the sync reports and the
-    /// respeculation flips by shard.
-    fn broadcast_impl(
-        &mut self,
-        filter: Filter,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> (Vec<(StreamId, f64)>, ShardFlips) {
-        // One logical broadcast operation costing n messages, however many
-        // shards it fans out to.
+    /// [`FleetOps::broadcast`]; returns the respeculation flips by shard.
+    fn broadcast_at(&mut self, filter: Filter, syncs: &mut Vec<(StreamId, f64)>) -> ShardFlips {
         let started = Instant::now();
         self.trace_begin("fleet_broadcast", self.n as u64);
         let mut busy = vec![0u64; self.partition.shards()];
         let mut all_flips = Vec::new();
-        ledger.record(MessageKind::FilterBroadcast, self.n as u64);
         for handle in self.handles.iter_mut() {
             handle.send(ShardCmd::Broadcast { filter: filter.clone() });
         }
-        let mut syncs: Vec<(StreamId, f64)> = Vec::new();
+        syncs.clear();
         for (shard, handle) in self.handles.iter_mut().enumerate() {
             match handle.recv() {
                 ShardReply::Broadcasted { syncs: local_syncs, flips, busy_ns } => {
@@ -432,14 +367,10 @@ impl<'a> ShardRouter<'a> {
             }
         }
         // Serial-identical order: ascending global id.
-        syncs.sort_by_key(|&(id, _)| id);
-        for &(id, v) in &syncs {
-            ledger.record(MessageKind::Update, 1);
-            view.set(id, v);
-        }
+        syncs.sort_unstable_by_key(|&(id, _)| id);
         self.record_batch_op(started, &busy);
         self.trace_end();
-        (syncs, all_flips)
+        all_flips
     }
 }
 
@@ -455,7 +386,7 @@ impl<'a> ShardRouter<'a> {
 ///    `probe`, `install` or `deliver` (single or batch), each touched
 ///    stream's positions in `(c, end)` from the chunk's stream-occurrence
 ///    index (a batch folds duplicate ids); for a `broadcast` or
-///    `probe_all*`, every position in `(c, end)`;
+///    `probe_all`, every position in `(c, end)`;
 /// 2. send the operation: the shard rewinds those applications newest
 ///    first, runs the operation against the exact serial state, and
 ///    re-applies them oldest first. A per-stream operation carries its
@@ -572,98 +503,55 @@ impl FleetOps for GuardedRouter<'_> {
         self.inner.n
     }
 
-    fn deliver(
-        &mut self,
-        id: StreamId,
-        value: f64,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> Option<f64> {
+    fn deliver(&mut self, id: StreamId, value: f64) -> Option<f64> {
         let positions = self.touch_one(id);
-        let (report, flips) = self.inner.deliver_at(id, value, positions, ledger, view);
+        let (report, flips) = self.inner.deliver_at(id, value, positions);
         self.patch_one(id, flips);
         report
     }
 
-    fn probe(&mut self, id: StreamId, ledger: &mut Ledger, view: &mut ServerView) -> f64 {
+    fn probe(&mut self, id: StreamId) -> f64 {
         let positions = self.touch_one(id);
-        let (value, flips) = self.inner.probe_at(id, positions, ledger, view);
+        let (value, flips) = self.inner.probe_at(id, positions);
         self.patch_one(id, flips);
         value
     }
 
-    fn probe_all(&mut self, ledger: &mut Ledger, view: &mut ServerView) {
+    fn probe_all(&mut self, out: &mut Vec<f64>) {
         self.touch_all();
-        let flips = self.inner.probe_all_impl(ledger, view, None);
+        let flips = self.inner.probe_all_at(out);
         self.patch_all(flips);
     }
 
-    fn probe_all_tracked(
-        &mut self,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-        changed: &mut Vec<StreamId>,
-    ) {
-        self.touch_all();
-        changed.clear();
-        let flips = self.inner.probe_all_impl(ledger, view, Some(changed));
-        self.patch_all(flips);
-    }
-
-    fn probe_many(
-        &mut self,
-        ids: &[StreamId],
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-        out: &mut Vec<f64>,
-    ) {
+    fn probe_many(&mut self, ids: &[StreamId], out: &mut Vec<f64>) {
         // An empty batch sends no messages — it is not a fleet touch.
-        if ids.is_empty() {
-            return self.inner.probe_many(ids, ledger, view, out);
-        }
-        let positions = self.touch_streams(ids.iter().copied());
-        let flips = self.inner.probe_many_at(ids, positions, ledger, view, out);
+        let positions =
+            if ids.is_empty() { Vec::new() } else { self.touch_streams(ids.iter().copied()) };
+        let flips = self.inner.probe_many_at(ids, positions, out);
         self.patch_all(flips);
     }
 
-    fn install_many(
-        &mut self,
-        installs: &[(StreamId, Filter)],
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-        syncs: &mut Vec<(StreamId, f64)>,
-    ) {
-        if installs.is_empty() {
-            return self.inner.install_many(installs, ledger, view, syncs);
-        }
-        let positions = self.touch_streams(installs.iter().map(|(id, _)| *id));
-        let flips = self.inner.install_many_at(installs, positions, ledger, view, syncs);
-        self.patch_all(flips);
-    }
-
-    fn install(
-        &mut self,
-        id: StreamId,
-        filter: Filter,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> Option<f64> {
+    fn install(&mut self, id: StreamId, filter: Filter) -> Option<f64> {
         let positions = self.touch_one(id);
-        let (sync, flips) = self.inner.install_at(id, filter, positions, ledger, view);
+        let (sync, flips) = self.inner.install_at(id, filter, positions);
         self.patch_one(id, flips);
         sync
     }
 
-    fn broadcast(
-        &mut self,
-        filter: Filter,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> Vec<(StreamId, f64)> {
-        self.touch_all();
-        let (syncs, flips) = self.inner.broadcast_impl(filter, ledger, view);
+    fn install_many(&mut self, installs: &[(StreamId, Filter)], syncs: &mut Vec<(StreamId, f64)>) {
+        let positions = if installs.is_empty() {
+            Vec::new()
+        } else {
+            self.touch_streams(installs.iter().map(|(id, _)| *id))
+        };
+        let flips = self.inner.install_many_at(installs, positions, syncs);
         self.patch_all(flips);
-        syncs
+    }
+
+    fn broadcast(&mut self, filter: Filter, syncs: &mut Vec<(StreamId, f64)>) {
+        self.touch_all();
+        let flips = self.inner.broadcast_at(filter, syncs);
+        self.patch_all(flips);
     }
 }
 
@@ -674,71 +562,32 @@ impl FleetOps for ShardRouter<'_> {
         self.n
     }
 
-    fn deliver(
-        &mut self,
-        id: StreamId,
-        value: f64,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> Option<f64> {
-        self.deliver_at(id, value, Vec::new(), ledger, view).0
+    fn deliver(&mut self, id: StreamId, value: f64) -> Option<f64> {
+        self.deliver_at(id, value, Vec::new()).0
     }
 
-    fn probe(&mut self, id: StreamId, ledger: &mut Ledger, view: &mut ServerView) -> f64 {
-        self.probe_at(id, Vec::new(), ledger, view).0
+    fn probe(&mut self, id: StreamId) -> f64 {
+        self.probe_at(id, Vec::new()).0
     }
 
-    fn probe_all(&mut self, ledger: &mut Ledger, view: &mut ServerView) {
-        self.probe_all_impl(ledger, view, None);
+    fn probe_all(&mut self, out: &mut Vec<f64>) {
+        self.probe_all_at(out);
     }
 
-    fn probe_all_tracked(
-        &mut self,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-        changed: &mut Vec<StreamId>,
-    ) {
-        changed.clear();
-        self.probe_all_impl(ledger, view, Some(changed));
+    fn probe_many(&mut self, ids: &[StreamId], out: &mut Vec<f64>) {
+        self.probe_many_at(ids, Vec::new(), out);
     }
 
-    fn probe_many(
-        &mut self,
-        ids: &[StreamId],
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-        out: &mut Vec<f64>,
-    ) {
-        self.probe_many_at(ids, Vec::new(), ledger, view, out);
+    fn install(&mut self, id: StreamId, filter: Filter) -> Option<f64> {
+        self.install_at(id, filter, Vec::new()).0
     }
 
-    fn install_many(
-        &mut self,
-        installs: &[(StreamId, Filter)],
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-        syncs: &mut Vec<(StreamId, f64)>,
-    ) {
-        self.install_many_at(installs, Vec::new(), ledger, view, syncs);
+    fn install_many(&mut self, installs: &[(StreamId, Filter)], syncs: &mut Vec<(StreamId, f64)>) {
+        self.install_many_at(installs, Vec::new(), syncs);
     }
 
-    fn install(
-        &mut self,
-        id: StreamId,
-        filter: Filter,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> Option<f64> {
-        self.install_at(id, filter, Vec::new(), ledger, view).0
-    }
-
-    fn broadcast(
-        &mut self,
-        filter: Filter,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> Vec<(StreamId, f64)> {
-        self.broadcast_impl(filter, ledger, view).0
+    fn broadcast(&mut self, filter: Filter, syncs: &mut Vec<(StreamId, f64)>) {
+        self.broadcast_at(filter, syncs);
     }
 }
 
@@ -833,11 +682,7 @@ mod tests {
 
         /// Runs `op` from the handler of the report at position `c`;
         /// returns its result.
-        fn run_in_handler<R>(
-            &mut self,
-            c: u64,
-            op: impl FnOnce(&mut GuardedRouter<'_>, &mut Ledger, &mut ServerView) -> R,
-        ) -> R {
+        fn run_in_handler<R>(&mut self, c: u64, op: impl FnOnce(&mut GuardedRouter<'_>) -> R) -> R {
             let inner = ShardRouter::new(&mut self.handles, Partition::new(2), 4);
             let inflight = InflightWindow {
                 merged: &mut self.merged,
@@ -849,18 +694,14 @@ mod tests {
                 respec_flips: &mut self.respec_flips,
             };
             let mut router = GuardedRouter::with_inflight(inner, c + 1, inflight);
-            let (mut ledger, mut view) = (Ledger::new(), ServerView::new(4));
-            op(&mut router, &mut ledger, &mut view)
+            op(&mut router)
         }
 
         /// Installs `[0, 1000]` at `id` from the handler of the report at
         /// position `c`.
         fn install_from_handler(&mut self, c: u64, id: StreamId) {
-            let sync = self.run_in_handler(c, |router, ledger, view| {
-                let sync = router.install(id, Filter::interval(0.0, 1000.0), ledger, view);
-                assert_eq!(ledger.count(MessageKind::FilterInstall), 1);
-                sync
-            });
+            let sync =
+                self.run_in_handler(c, |router| router.install(id, Filter::interval(0.0, 1000.0)));
             assert_eq!(sync, None, "the source is in its serial state: nothing to sync");
         }
 
@@ -896,9 +737,8 @@ mod tests {
         // respeculates every position past 1 — 2..6, across both shards —
         // instead of discarding the chunk's evaluation. Under [0, 1000]
         // stream 2's reports at 2 and 5 go silent.
-        let syncs = c.run_in_handler(1, |router, ledger, view| {
-            router.broadcast(Filter::interval(0.0, 1000.0), ledger, view)
-        });
+        let mut syncs = vec![(StreamId(9), 0.0)];
+        c.run_in_handler(1, |router| router.broadcast(Filter::interval(0.0, 1000.0), &mut syncs));
         assert!(syncs.is_empty());
         assert_eq!((c.scoped_touches, c.respeculated, c.respec_flips), (3, 5, 3));
         assert_eq!(c.reports(), vec![(0, 0, 700.0), (1, 1, 650.0)], "2, 4 and 5 went silent");
@@ -912,9 +752,7 @@ mod tests {
         // report of 650 at 1 then stays outside and goes silent, while its
         // return to 500 at 4 still reports.
         let mut c = Coordinator::gathered();
-        let report = c.run_in_handler(0, |router, ledger, view| {
-            router.deliver(StreamId(1), 1000.0, ledger, view)
-        });
+        let report = c.run_in_handler(0, |router| router.deliver(StreamId(1), 1000.0));
         assert_eq!(report, Some(1000.0));
         assert_eq!((c.scoped_touches, c.respeculated, c.respec_flips), (1, 2, 1));
         assert_eq!(c.reports(), vec![(0, 0, 700.0), (2, 2, 700.0), (4, 1, 500.0), (5, 2, 420.0)]);
@@ -928,14 +766,14 @@ mod tests {
         // its silent move to 450 at 3 into a report. Once as two single
         // installs, once as one batch that names stream 1 twice (its
         // positions are respeculated once).
-        fn single(router: &mut GuardedRouter<'_>, ledger: &mut Ledger, view: &mut ServerView) {
+        fn single(router: &mut GuardedRouter<'_>) {
             let syncs = [
-                router.install(StreamId(1), Filter::interval(0.0, 1000.0), ledger, view),
-                router.install(StreamId(3), Filter::interval(0.0, 460.0), ledger, view),
+                router.install(StreamId(1), Filter::interval(0.0, 1000.0)),
+                router.install(StreamId(3), Filter::interval(0.0, 460.0)),
             ];
             assert_eq!(syncs, [None, None]);
         }
-        fn batch(router: &mut GuardedRouter<'_>, ledger: &mut Ledger, view: &mut ServerView) {
+        fn batch(router: &mut GuardedRouter<'_>) {
             let wide = Filter::interval(0.0, 1000.0);
             let plan = [
                 (StreamId(1), wide.clone()),
@@ -943,10 +781,10 @@ mod tests {
                 (StreamId(1), wide),
             ];
             let mut syncs = Vec::new();
-            router.install_many(&plan, ledger, view, &mut syncs);
+            router.install_many(&plan, &mut syncs);
             assert!(syncs.is_empty());
         }
-        type Op = fn(&mut GuardedRouter<'_>, &mut Ledger, &mut ServerView);
+        type Op = fn(&mut GuardedRouter<'_>);
         for (name, op, touches) in [("single", single as Op, 2), ("batch", batch as Op, 1)] {
             let mut c = Coordinator::gathered();
             c.run_in_handler(0, op);

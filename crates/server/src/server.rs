@@ -35,7 +35,7 @@
 //! single or batch (the paper's usual answer to a report is re-installing
 //! a filter at the stream that reported, and RTP's overflow shrink probes
 //! `X` and installs at `ε + 1` candidates), reaches the touched streams'
-//! events; a `broadcast` or `probe_all*` (RTP's paper-mode shrink, a
+//! events; a `broadcast` or `probe_all` (RTP's paper-mode shrink, a
 //! reinitialising FT-RP) reaches every event past the report. Either way
 //! the round stands: nothing is rolled back, discarded or re-evaluated.
 //! Every reply was gathered before the drain began, so a touch's request
@@ -51,6 +51,18 @@
 //! execution mode. `tests/server_shard_invariance.rs`,
 //! `tests/batch_differential.rs` and `tests/scoped_touch_differential.rs`
 //! pin this per protocol.
+//!
+//! ## Where state lives
+//!
+//! The coordinator's [`ProtocolCore`] holds the protocol, the message
+//! ledger, the server view and the rank forest — once, for the whole
+//! population. Its `ServerCtx` is the only writer of the three: every
+//! fleet operation a handler issues goes out through the
+//! [`crate::router::ShardRouter`], which only moves source state, and the
+//! context meters what comes back and writes it into the view. A shard
+//! holds its partition's sources, its speculation journal and scratch
+//! buffers; it keeps no view replica and no ledger, so a checkpoint
+//! restores a shard by decoding its source rows and nothing more.
 //!
 //! No handler runs between a chunk's evaluation and its drain, so a whole
 //! burst of independent reports — reports whose handlers only mutate
@@ -116,8 +128,8 @@ struct FullBase {
 /// views byte-identical (the invariance suites sweep this).
 #[derive(Clone, Copy, Debug)]
 pub struct TelemetryConfig {
-    /// Per-cause message attribution (two 5-counter ledger snapshots per
-    /// fleet operation when on; a single branch when off). On by default.
+    /// Per-cause message attribution (one counter add per recorded message
+    /// kind when on; a single branch when off). On by default.
     pub causes: bool,
     /// Structured trace recording depth. `Off` (the default) records
     /// nothing and allocates nothing.
@@ -566,8 +578,8 @@ impl<P: Protocol> ShardedServer<P> {
         }
         if !plan.reprobe.is_empty() {
             // The repair window lets the channel layer charge the whole
-            // gap-list probe as one batched fan-out frame (when
-            // `batched_repair` is on) instead of one frame per channel.
+            // gap-list probe as one batched fan-out frame instead of one
+            // frame per channel.
             chaos.set_repair_window(true);
             let mut inner = ShardRouter::with_telemetry(
                 &mut self.handles,
@@ -934,6 +946,24 @@ impl<P: Protocol> ShardedServer<P> {
         values
     }
 
+    /// The messages every source exchanged with the server, summed over the
+    /// sources' traffic counters — for tests: every message the ledger
+    /// counts touches exactly one source, so on a loss-free channel this
+    /// equals the ledger's total.
+    pub fn source_traffic(&mut self) -> u64 {
+        for handle in self.handles.iter_mut() {
+            handle.send(ShardCmd::CountTraffic);
+        }
+        let mut traffic = 0;
+        for handle in self.handles.iter_mut() {
+            match handle.recv() {
+                ShardReply::Traffic(n) => traffic += n,
+                other => unreachable!("CountTraffic got {other:?}"),
+            }
+        }
+        traffic
+    }
+
     /// Ground truth as a throwaway [`SourceFleet`] (values only) so the
     /// oracle helpers of `asf-core` can run against the sharded server.
     pub fn truth_fleet(&mut self) -> SourceFleet {
@@ -1082,20 +1112,9 @@ impl<P: Protocol> ShardedServer<P> {
             _ => return Err(PersistError::corrupt("delta and base differ in chaos")),
         };
         r.finish()?;
-        // Rebuild each shard's local view replica by striding the restored
-        // global view — cheaper and simpler than persisting the replicas.
-        let view = self.core.view();
-        for ((s, handle), range) in self.handles.iter_mut().enumerate().zip(blobs) {
-            let len = self.n / shards + usize::from(s < self.n % shards);
-            let mut local_view = ServerView::new(len);
-            for local in 0..len as u32 {
-                let g = self.partition.global_of(s, local);
-                if view.is_known(g) {
-                    local_view.set(StreamId(local), view.get(g));
-                }
-            }
+        for (handle, range) in self.handles.iter_mut().zip(blobs) {
             let image = Arc::clone(&image);
-            handle.send(ShardCmd::RestoreState { image, range, rows, view: local_view });
+            handle.send(ShardCmd::RestoreState { image, range, rows });
         }
         let mut restored = Ok(());
         for handle in self.handles.iter_mut() {

@@ -56,7 +56,7 @@ use std::time::Instant;
 
 use asf_core::workload::EventBatch;
 use asf_telemetry::{TraceDepth, TraceEvent, TraceRing};
-use streamnet::{Filter, Ledger, Rows, ServerView, SourceFleet, SpecLog, StreamId};
+use streamnet::{Filter, FleetOps, Rows, SourceFleet, SpecLog, StreamId};
 
 /// Strided assignment of global stream ids to `k` shards: global `g` lives
 /// on shard `g % k` at local index `g / k`.
@@ -228,6 +228,9 @@ pub enum ShardCmd {
     },
     /// Ground-truth values of the partition (local order) — oracle/tests.
     TruthSnapshot,
+    /// The messages the partition's sources exchanged with the server: the
+    /// sum of their traffic counters — tests.
+    CountTraffic,
     /// How many of the shard's sources changed since its last full image:
     /// the popcount the coordinator's full-or-delta rule reads.
     CountDirty,
@@ -242,8 +245,7 @@ pub enum ShardCmd {
     },
     /// Overwrite the shard's fleet with the rows a checkpoint holds for it
     /// — `image[range]`, written by [`ShardCmd::SaveState`] with the same
-    /// `rows` — and install the local slice of the restored server view.
-    /// The image is shared, so no shard copies it.
+    /// `rows`. The image is shared, so no shard copies it.
     RestoreState {
         /// The checkpoint image.
         image: Arc<Vec<u8>>,
@@ -251,9 +253,6 @@ pub enum ShardCmd {
         range: Range<usize>,
         /// The selection the rows were written with.
         rows: Rows,
-        /// The restored local view replica (partition slice of the global
-        /// view).
-        view: ServerView,
     },
     /// Install the shard's trace ring (shares the server's trace epoch so
     /// all tracks land on one timeline).
@@ -344,6 +343,8 @@ pub enum ShardReply {
     },
     /// Outcome of [`ShardCmd::TruthSnapshot`]: values in local order.
     Truth(Vec<f64>),
+    /// Outcome of [`ShardCmd::CountTraffic`].
+    Traffic(u64),
     /// Outcome of [`ShardCmd::CountDirty`].
     Dirty(u64),
     /// Outcome of [`ShardCmd::SaveState`]: the serialized local fleet rows.
@@ -368,12 +369,6 @@ pub struct Shard {
     /// the shard *self-partition* a shared event window.
     partition: Partition,
     shard_id: u32,
-    /// Shard-side scratch: per-shard message counts are informational; the
-    /// coordinator's ledger is the authoritative, serial-identical one.
-    scratch: Ledger,
-    /// Local replica of the server view for this partition (what the
-    /// sources have reported), kept by the fleet API.
-    local_view: ServerView,
     /// Reused sync-report buffer for broadcasts (cleared per use).
     broadcast_scratch: Vec<(StreamId, f64)>,
     /// Reused selection buffer of the ownership scan: `(offset into the
@@ -413,13 +408,10 @@ impl Shard {
     /// range.
     pub fn with_partition(local_initial: &[f64], partition: Partition, shard_id: usize) -> Self {
         assert!(shard_id < partition.shards(), "shard {shard_id} out of range");
-        let n = local_initial.len();
         Self {
             fleet: SourceFleet::from_values(local_initial),
             partition,
             shard_id: shard_id as u32,
-            scratch: Ledger::new(),
-            local_view: ServerView::new(n),
             broadcast_scratch: Vec::new(),
             select_scratch: Vec::new(),
             flips: Vec::new(),
@@ -467,55 +459,42 @@ impl Shard {
                 ShardReply::Ack
             }
             ShardCmd::Deliver { local, value, positions } => {
-                let report = self.respeculate(Some(&positions), |fleet, ledger, view| {
-                    fleet.deliver_update(StreamId(local), value, ledger, view)
-                });
+                let report = self
+                    .respeculate(Some(&positions), |fleet| fleet.deliver(StreamId(local), value));
                 ShardReply::Delivered { report, flips: self.flips_into(positions) }
             }
             ShardCmd::Probe { local, positions } => {
-                let value = self.respeculate(Some(&positions), |fleet, ledger, view| {
-                    fleet.probe(StreamId(local), ledger, view)
-                });
+                let value =
+                    self.respeculate(Some(&positions), |fleet| fleet.probe(StreamId(local)));
                 ShardReply::Probed { value, flips: self.flips_into(positions) }
             }
             ShardCmd::ProbeAll => {
                 let ((values, flips), busy_ns) = self.timed(|shard| {
-                    let values = shard.respeculate(None, |fleet, ledger, view| {
-                        (0..fleet.len() as u32)
-                            .map(|local| fleet.probe(StreamId(local), ledger, view))
-                            .collect()
-                    });
+                    let mut values = Vec::new();
+                    shard.respeculate(None, |fleet| fleet.probe_all(&mut values));
                     (values, shard.flips_into(Vec::new()))
                 });
                 ShardReply::ProbedAll { values, flips, busy_ns }
             }
             ShardCmd::ProbeMany { locals, positions } => {
                 let ((values, flips), busy_ns) = self.timed(|shard| {
-                    let values = shard.respeculate(Some(&positions), |fleet, ledger, view| {
-                        locals
-                            .iter()
-                            .map(|&local| fleet.probe(StreamId(local), ledger, view))
-                            .collect()
+                    let values = shard.respeculate(Some(&positions), |fleet| {
+                        locals.iter().map(|&local| fleet.probe(StreamId(local))).collect()
                     });
                     (values, shard.flips_into(positions))
                 });
                 ShardReply::ProbedMany { values, flips, busy_ns }
             }
             ShardCmd::Install { local, filter, positions } => {
-                let sync = self.respeculate(Some(&positions), |fleet, ledger, view| {
-                    fleet.install(StreamId(local), filter, ledger, view)
-                });
+                let sync = self
+                    .respeculate(Some(&positions), |fleet| fleet.install(StreamId(local), filter));
                 ShardReply::Installed { sync, flips: self.flips_into(positions) }
             }
             ShardCmd::InstallMany { items, positions } => {
                 let ((syncs, flips), busy_ns) = self.timed(|shard| {
-                    let syncs = shard.respeculate(Some(&positions), |fleet, ledger, view| {
-                        items
-                            .into_iter()
-                            .map(|(local, filter)| {
-                                fleet.install(StreamId(local), filter, ledger, view)
-                            })
-                            .collect()
+                    let syncs = shard.respeculate(Some(&positions), |fleet| {
+                        let install = |(local, filter)| fleet.install(StreamId(local), filter);
+                        items.into_iter().map(install).collect()
                     });
                     (syncs, shard.flips_into(positions))
                 });
@@ -527,9 +506,7 @@ impl Shard {
                 // that crosses the channel is allocated.
                 let ((syncs, flips), busy_ns) = self.timed(|shard| {
                     let mut syncs = std::mem::take(&mut shard.broadcast_scratch);
-                    shard.respeculate(None, |fleet, _, view| {
-                        fleet.install_all_unmetered_into(filter, view, &mut syncs)
-                    });
+                    shard.respeculate(None, |fleet| fleet.broadcast(filter, &mut syncs));
                     let reply = syncs.iter().map(|&(id, v)| (id.0, v)).collect();
                     shard.broadcast_scratch = syncs;
                     (reply, shard.flips_into(Vec::new()))
@@ -537,6 +514,9 @@ impl Shard {
                 ShardReply::Broadcasted { syncs, flips, busy_ns }
             }
             ShardCmd::TruthSnapshot => ShardReply::Truth(self.fleet.values().collect()),
+            ShardCmd::CountTraffic => {
+                ShardReply::Traffic(self.fleet.iter().map(|s| s.traffic()).sum())
+            }
             ShardCmd::CountDirty => ShardReply::Dirty(self.fleet.dirty_rows() as u64),
             ShardCmd::SaveState { rows } => {
                 debug_assert!(
@@ -550,10 +530,9 @@ impl Shard {
                 }
                 ShardReply::State(w.into_bytes())
             }
-            ShardCmd::RestoreState { image, range, rows, view } => {
+            ShardCmd::RestoreState { image, range, rows } => {
                 let mut r = asf_persist::StateReader::new(&image[range]);
                 let restored = self.fleet.decode_rows(&mut r, rows).and_then(|()| r.finish());
-                self.local_view = view;
                 self.spec = SpecLog::new();
                 ShardReply::Restored(restored)
             }
@@ -643,15 +622,14 @@ impl Shard {
     fn respeculate<R>(
         &mut self,
         positions: Option<&[u64]>,
-        touch: impl FnOnce(&mut SourceFleet, &mut Ledger, &mut ServerView) -> R,
+        touch: impl FnOnce(&mut SourceFleet) -> R,
     ) -> R {
         let rewound = positions.map_or(self.spec.len(), <[u64]>::len);
         if rewound > 0 {
             self.trace.instant(TraceDepth::Fine, "respeculate", rewound as u64);
         }
-        let (scratch, view, flips) = (&mut self.scratch, &mut self.local_view, &mut self.flips);
+        let flips = &mut self.flips;
         flips.clear();
-        let touch = |fleet: &mut SourceFleet| touch(fleet, scratch, view);
         let flipped = |seq: u64, _: StreamId, _: f64, reports: bool| {
             flips.push(seq | if reports { FLIP_REPORTS } else { 0 })
         };

@@ -104,9 +104,7 @@ use simkit::time::TickClock;
 
 use crate::filter::Filter;
 use crate::fleet::FleetOps;
-use crate::message::Ledger;
 use crate::rows::{DirtyRows, Rows};
-use crate::view::ServerView;
 use crate::StreamId;
 
 /// Configuration of one unreliable-fleet simulation.
@@ -127,20 +125,11 @@ pub struct ChaosConfig {
     /// Retry cap: after this many timeouts the frame is force-delivered
     /// (keeps handler-time bounded under adversarial schedules).
     pub max_retries: u32,
-    /// Adapt each channel's lease to its observed heartbeat jitter
-    /// (bounded multiplicative grow/shrink; `lease_ticks` stays the
-    /// floor, `lease_ticks × `[`MAX_LEASE_FACTOR`]` ` the ceiling). On by
-    /// default; off pins every lease at `lease_ticks` — the differential
-    /// baseline.
-    pub adaptive_lease: bool,
-    /// Charge each chunk-end repair `probe_many` as **one** fan-out frame
-    /// (like a broadcast) instead of one frame per gapped channel. On by
-    /// default; off keeps the per-channel charging baseline.
-    pub batched_repair: bool,
 }
 
-/// Ceiling of the adaptive lease, as a multiple of the configured
-/// [`ChaosConfig::lease_ticks`] floor.
+/// Ceiling of a channel's lease, as a multiple of the configured
+/// [`ChaosConfig::lease_ticks`] floor. Each lease adapts to its channel's
+/// observed heartbeat jitter, by doubling and halving between the two.
 pub const MAX_LEASE_FACTOR: u64 = 16;
 
 /// Version tag of the serialized chaos-state record
@@ -164,26 +153,12 @@ impl ChaosConfig {
             timeout_ticks: 8,
             backoff: Backoff::new(4, 256),
             max_retries: 16,
-            adaptive_lease: true,
-            batched_repair: true,
         }
     }
 
-    /// Overrides the lease length (the floor when leases are adaptive).
+    /// Overrides the lease length (the floor of every channel's lease).
     pub fn lease_ticks(mut self, ticks: u64) -> Self {
         self.lease_ticks = ticks;
-        self
-    }
-
-    /// Enables or disables jitter-adaptive per-channel leases.
-    pub fn adaptive_lease(mut self, on: bool) -> Self {
-        self.adaptive_lease = on;
-        self
-    }
-
-    /// Enables or disables batched repair-frame charging.
-    pub fn batched_repair(mut self, on: bool) -> Self {
-        self.batched_repair = on;
         self
     }
 }
@@ -192,7 +167,7 @@ impl ChaosConfig {
 ///
 /// `overhead_frames` is the headline number: extra frames on the wire
 /// (retransmissions, duplicate ghosts, heartbeats) that a reliable network
-/// would not have carried. The authoritative [`Ledger`] never includes
+/// would not have carried. The authoritative [`crate::Ledger`] never includes
 /// them — it meters the logical protocol, the chaos layer meters the noise.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosStats {
@@ -228,9 +203,8 @@ pub struct ChaosStats {
     pub spurious_expirations: u64,
     /// Chunk-end repair fan-outs charged as a single batched frame.
     pub repair_batches: u64,
-    /// Request frames charged for chunk-end repair re-probes (one per
-    /// gapped channel per round under per-channel charging; one per round
-    /// under batched charging).
+    /// Request frames charged for chunk-end repair re-probes: one per
+    /// repair fan-out, however many channels it re-probes.
     pub repair_frames: u64,
 }
 
@@ -354,17 +328,6 @@ fn set_flag(flags: &mut u8, bit: u8, on: bool) {
     *flags = if on { *flags | bit } else { *flags & !bit };
 }
 
-/// Reads a length prefix, bounded by the bytes actually present (`item_bytes`
-/// is one item's encoded size) so that a corrupt count is an error, not an
-/// allocation request.
-fn bounded_len(r: &mut StateReader<'_>, item_bytes: usize) -> asf_persist::Result<usize> {
-    let len = r.get_u64()? as usize;
-    if len > r.remaining() / item_bytes {
-        return Err(PersistError::corrupt("chaos length prefix exceeds payload"));
-    }
-    Ok(len)
-}
-
 /// A report frame sitting in the simulated network.
 #[derive(Debug, Clone, Copy)]
 struct ParkedReport {
@@ -388,7 +351,7 @@ pub struct ChaosState {
     /// `round_tick` — and is rewritten when the channel becomes an
     /// exception again.
     last_heard: Vec<u64>,
-    /// Hot column: the lease class (always 0 when adaptive leases are off).
+    /// Hot column: the lease class.
     lease_class: Vec<u8>,
     leases: Leases,
     /// Hot column: `NEEDS_REPAIR | HEARD | VERIFIED | DEAD | GAP |
@@ -525,9 +488,8 @@ impl ChaosState {
     }
 
     /// Marks the start (`true`) / end (`false`) of a chunk-end repair
-    /// pass: while set, and with [`ChaosConfig::batched_repair`] on, a
-    /// `probe_many` through [`ChaosFleet`] is charged as one fan-out frame
-    /// rather than one frame per channel.
+    /// pass: while set, a `probe_many` through [`ChaosFleet`] is charged as
+    /// one fan-out frame rather than one frame per channel.
     pub fn set_repair_window(&mut self, on: bool) {
         self.repair_window = on;
     }
@@ -720,17 +682,14 @@ impl ChaosState {
         plan.newly_dead.clear();
         let now = self.clock.now();
         let n = self.len();
-        let adaptive = self.cfg.adaptive_lease;
         // Every steady channel was last heard at `round_tick`.
         let gap = now.saturating_sub(self.round_tick);
         // (1) Sweep each steady class whose lease this gap adapts.
-        if adaptive {
-            for k in 0..LEASE_CLASSES as u8 {
-                if self.steady[k as usize] > 0 && self.leases.adapted(k, gap) != k {
-                    for i in 0..n {
-                        if self.lease_class[i] == k {
-                            self.touch(i);
-                        }
+        for k in 0..LEASE_CLASSES as u8 {
+            if self.steady[k as usize] > 0 && self.leases.adapted(k, gap) != k {
+                for i in 0..n {
+                    if self.lease_class[i] == k {
+                        self.touch(i);
                     }
                 }
             }
@@ -792,7 +751,7 @@ impl ChaosState {
                     let mut k = lease_class[i];
                     if delivered {
                         let to = leases.adapted(k, now.saturating_sub(before));
-                        if to != k && adaptive {
+                        if to != k {
                             k = to;
                             lease_class[i] = k;
                             dirty.mark(i);
@@ -1108,8 +1067,10 @@ impl ChaosState {
         w.put_u64(self.cfg.backoff.base());
         w.put_u64(self.cfg.backoff.cap());
         w.put_u32(self.cfg.max_retries);
-        w.put_bool(self.cfg.adaptive_lease);
-        w.put_bool(self.cfg.batched_repair);
+        // The adaptive-lease and batched-repair flag bytes: both mechanisms
+        // are always on, and the bytes stay so that images keep their layout.
+        w.put_bool(true);
+        w.put_bool(true);
     }
 
     /// Decodes a full record written by [`ChaosState::encode`]:
@@ -1177,7 +1138,7 @@ impl ChaosState {
         } else {
             self.decode_v2_channels(r, rows)?;
         }
-        let parked_len = bounded_len(r, 3 * 8 + 4 + 8)?;
+        let parked_len = r.get_len(3 * 8 + 4 + 8)?;
         self.parked.clear();
         self.parked.reserve_exact(parked_len);
         for _ in 0..parked_len {
@@ -1229,7 +1190,7 @@ impl ChaosState {
             repair_batches: r.get_u64()?,
             repair_frames: r.get_u64()?,
         };
-        let samples_len = bounded_len(r, 8)?;
+        let samples_len = r.get_len(8)?;
         self.lease_samples.clear();
         self.lease_samples.reserve_exact(samples_len);
         for _ in 0..samples_len {
@@ -1269,6 +1230,12 @@ impl ChaosState {
         if backoff_base == 0 || backoff_cap < backoff_base {
             return Err(PersistError::corrupt("chaos backoff malformed"));
         }
+        let max_retries = r.get_u32()?;
+        // The adaptive-lease and batched-repair flag bytes: both mechanisms
+        // are always on, so a 0 is corruption.
+        if !(r.get_bool()? && r.get_bool()?) {
+            return Err(PersistError::corrupt("chaos record turns off a retired mechanism"));
+        }
         Ok(ChaosConfig {
             seed,
             mix,
@@ -1276,9 +1243,7 @@ impl ChaosState {
             lease_ticks,
             timeout_ticks,
             backoff: Backoff::new(backoff_base, backoff_cap),
-            max_retries: r.get_u32()?,
-            adaptive_lease: r.get_bool()?,
-            batched_repair: r.get_bool()?,
+            max_retries,
         })
     }
 
@@ -1323,7 +1288,7 @@ impl ChaosState {
         self.round_tick = round_tick;
         let count = match rows {
             Rows::All => {
-                let n = bounded_len(r, CHANNEL_ROW_BYTES)?;
+                let n = r.get_len(CHANNEL_ROW_BYTES)?;
                 self.resize_channels(n);
                 n
             }
@@ -1353,7 +1318,7 @@ impl ChaosState {
         self.last_heard.resize(n, round_tick);
         self.exceptions.clear();
         self.exceptions.resize(n.div_ceil(64), 0);
-        let count = bounded_len(r, 4 + 8)?;
+        let count = r.get_len(4 + 8)?;
         let mut next = 0;
         for k in 0..count {
             let i = Rows::Dirty.read_index(r, k, next, n)?;
@@ -1367,7 +1332,7 @@ impl ChaosState {
     /// Version 1: 52 bytes a channel, every one an exception.
     fn decode_v1_channels(&mut self, r: &mut StateReader<'_>) -> asf_persist::Result<()> {
         // Per channel: six words, three flag bytes, one dead-bitmap byte.
-        let n = bounded_len(r, 6 * 8 + 3 + 1)?;
+        let n = r.get_len(6 * 8 + 3 + 1)?;
         self.resize_channels(n);
         self.last_heard = vec![0; n];
         self.round_tick = self.clock.now();
@@ -1451,59 +1416,32 @@ impl FleetOps for ChaosFleet<'_> {
         self.inner.len()
     }
 
-    fn deliver(
-        &mut self,
-        id: StreamId,
-        value: f64,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> Option<f64> {
+    fn deliver(&mut self, id: StreamId, value: f64) -> Option<f64> {
         // Report faulting lives in `ChaosState::admit_report`, owned by the
         // component that routes reports; the decorator stays transparent so
         // it composes with any delivery path.
-        self.inner.deliver(id, value, ledger, view)
+        self.inner.deliver(id, value)
     }
 
-    fn probe(&mut self, id: StreamId, ledger: &mut Ledger, view: &mut ServerView) -> f64 {
+    fn probe(&mut self, id: StreamId) -> f64 {
         self.state.charge_request(id, false);
-        let v = self.inner.probe(id, ledger, view);
+        let v = self.inner.probe(id);
         self.state.on_probed(id);
         v
     }
 
-    fn probe_all(&mut self, ledger: &mut Ledger, view: &mut ServerView) {
+    fn probe_all(&mut self, out: &mut Vec<f64>) {
         for i in 0..self.inner.len() {
             self.state.charge_request(StreamId(i as u32), false);
         }
-        self.inner.probe_all(ledger, view);
+        self.inner.probe_all(out);
         for i in 0..self.inner.len() {
             self.state.on_probed(StreamId(i as u32));
         }
     }
 
-    fn probe_all_tracked(
-        &mut self,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-        changed: &mut Vec<StreamId>,
-    ) {
-        for i in 0..self.inner.len() {
-            self.state.charge_request(StreamId(i as u32), false);
-        }
-        self.inner.probe_all_tracked(ledger, view, changed);
-        for i in 0..self.inner.len() {
-            self.state.on_probed(StreamId(i as u32));
-        }
-    }
-
-    fn probe_many(
-        &mut self,
-        ids: &[StreamId],
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-        out: &mut Vec<f64>,
-    ) {
-        if self.state.repair_window && self.state.cfg.batched_repair && !ids.is_empty() {
+    fn probe_many(&mut self, ids: &[StreamId], out: &mut Vec<f64>) {
+        if self.state.repair_window && !ids.is_empty() {
             // Inside a chunk-end repair pass the whole gap list ships as
             // one fan-out frame (like a broadcast) instead of one request
             // per gapped channel.
@@ -1514,25 +1452,16 @@ impl FleetOps for ChaosFleet<'_> {
             for &id in ids {
                 self.state.charge_request(id, false);
             }
-            if self.state.repair_window {
-                self.state.stats.repair_frames += ids.len() as u64;
-            }
         }
-        self.inner.probe_many(ids, ledger, view, out);
+        self.inner.probe_many(ids, out);
         for &id in ids {
             self.state.on_probed(id);
         }
     }
 
-    fn install(
-        &mut self,
-        id: StreamId,
-        filter: Filter,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> Option<f64> {
+    fn install(&mut self, id: StreamId, filter: Filter) -> Option<f64> {
         self.state.charge_request(id, true);
-        let sync = self.inner.install(id, filter, ledger, view);
+        let sync = self.inner.install(id, filter);
         self.state.on_installed(id);
         if sync.is_some() {
             self.state.on_synced(id);
@@ -1540,17 +1469,11 @@ impl FleetOps for ChaosFleet<'_> {
         sync
     }
 
-    fn install_many(
-        &mut self,
-        installs: &[(StreamId, Filter)],
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-        syncs: &mut Vec<(StreamId, f64)>,
-    ) {
+    fn install_many(&mut self, installs: &[(StreamId, Filter)], syncs: &mut Vec<(StreamId, f64)>) {
         for (id, _) in installs {
             self.state.charge_request(*id, true);
         }
-        self.inner.install_many(installs, ledger, view, syncs);
+        self.inner.install_many(installs, syncs);
         for (id, _) in installs {
             self.state.on_installed(*id);
         }
@@ -1559,25 +1482,19 @@ impl FleetOps for ChaosFleet<'_> {
         }
     }
 
-    fn broadcast(
-        &mut self,
-        filter: Filter,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> Vec<(StreamId, f64)> {
+    fn broadcast(&mut self, filter: Filter, syncs: &mut Vec<(StreamId, f64)>) {
         // A broadcast is one fan-out frame at the channel layer: charge it
         // once rather than per source.
         if !self.state.is_empty() {
             self.state.charge_request(StreamId(0), true);
         }
-        let syncs = self.inner.broadcast(filter, ledger, view);
+        self.inner.broadcast(filter, syncs);
         for i in 0..self.inner.len() {
             self.state.on_installed(StreamId(i as u32));
         }
-        for (id, _) in &syncs {
+        for (id, _) in syncs.iter() {
             self.state.on_synced(*id);
         }
-        syncs
     }
 }
 
@@ -1589,11 +1506,13 @@ mod tests {
     use super::*;
     use crate::fleet::SourceFleet;
 
-    fn fleet3() -> (SourceFleet, Ledger, ServerView) {
-        let fleet = SourceFleet::from_values(&[1.0, 2.0, 3.0]);
-        let ledger = Ledger::new();
-        let view = ServerView::new(3);
-        (fleet, ledger, view)
+    fn fleet3() -> SourceFleet {
+        SourceFleet::from_values(&[1.0, 2.0, 3.0])
+    }
+
+    /// Messages the sources exchanged: a reliable channel adds none.
+    fn traffic(fleet: &SourceFleet) -> u64 {
+        fleet.iter().map(|s| s.traffic()).sum()
     }
 
     fn reliable_state(n: usize) -> ChaosState {
@@ -1602,24 +1521,26 @@ mod tests {
 
     #[test]
     fn transparent_when_reliable() {
-        let (mut fleet, mut ledger, mut view) = fleet3();
+        let mut fleet = fleet3();
         let mut state = reliable_state(3);
         let mut chaos = ChaosFleet::new(&mut state, &mut fleet);
-        chaos.probe_all(&mut ledger, &mut view);
-        let v = chaos.probe(StreamId(1), &mut ledger, &mut view);
+        let mut values = Vec::new();
+        chaos.probe_all(&mut values);
+        assert_eq!(values, vec![1.0, 2.0, 3.0]);
+        let v = chaos.probe(StreamId(1));
         assert_eq!(v, 2.0);
-        assert_eq!(ledger.total(), 8); // 2n + 2 probe messages, nothing else
+        assert_eq!(traffic(&fleet), 8); // 2n + 2 probe messages, nothing else
         assert_eq!(state.stats(), &ChaosStats::default());
     }
 
     #[test]
     fn install_bumps_epoch_monotonically() {
-        let (mut fleet, mut ledger, mut view) = fleet3();
+        let mut fleet = fleet3();
         let mut state = reliable_state(3);
         let mut chaos = ChaosFleet::new(&mut state, &mut fleet);
-        chaos.probe_all(&mut ledger, &mut view);
+        chaos.probe_all(&mut Vec::new());
         for k in 1..=5u64 {
-            chaos.install(StreamId(0), Filter::wildcard(), &mut ledger, &mut view);
+            chaos.install(StreamId(0), Filter::wildcard());
             assert_eq!(chaos.state.epoch_of(StreamId(0)), k);
         }
         assert_eq!(state.epoch_of(StreamId(1)), 0);
@@ -1627,14 +1548,14 @@ mod tests {
 
     #[test]
     fn dropped_requests_retry_and_still_execute_once() {
-        let (mut fleet, mut ledger, mut view) = fleet3();
+        let mut fleet = fleet3();
         // 60% drop, faults active for a long horizon.
         let cfg = ChaosConfig::new(7, FaultMix::loss_only(0.6), u64::MAX);
         let mut state = ChaosState::new(3, cfg);
         let mut chaos = ChaosFleet::new(&mut state, &mut fleet);
-        chaos.probe_all(&mut ledger, &mut view);
-        // Ledger sees exactly the logical probes despite retries.
-        assert_eq!(ledger.total(), 6);
+        chaos.probe_all(&mut Vec::new());
+        // The sources see exactly the logical probes despite retries.
+        assert_eq!(traffic(&fleet), 6);
         assert!(state.stats().retries > 0);
         assert_eq!(state.stats().retries, state.stats().timeouts);
         assert!(state.now() > 0, "timeouts must consume simulated time");
@@ -1642,7 +1563,7 @@ mod tests {
 
     #[test]
     fn report_admission_stamps_and_rejects_stale_epochs() {
-        let (mut fleet, mut ledger, mut view) = fleet3();
+        let mut fleet = fleet3();
         // Delay every report so it parks.
         let mix = FaultMix { delay_p: 1.0, max_delay_ticks: 4, ..FaultMix::none() };
         let mut state = ChaosState::new(3, ChaosConfig::new(3, mix, u64::MAX));
@@ -1651,7 +1572,7 @@ mod tests {
         // An install under a new epoch stales the parked frame.
         {
             let mut chaos = ChaosFleet::new(&mut state, &mut fleet);
-            chaos.install(StreamId(0), Filter::wildcard(), &mut ledger, &mut view);
+            chaos.install(StreamId(0), Filter::wildcard());
         }
         state.advance(10);
         let mut out = Vec::new();
@@ -1774,13 +1695,13 @@ mod tests {
 
     #[test]
     fn probing_down_source_blocks_until_restart() {
-        let (mut fleet, mut ledger, mut view) = fleet3();
+        let mut fleet = fleet3();
         let mix = FaultMix { crash_p: 1.0, max_outage_ticks: 40, ..FaultMix::none() };
         let mut state = ChaosState::new(3, ChaosConfig::new(9, mix, 100));
         state.draw_crashes();
         let before = state.now();
         let mut chaos = ChaosFleet::new(&mut state, &mut fleet);
-        chaos.probe(StreamId(0), &mut ledger, &mut view);
+        chaos.probe(StreamId(0));
         assert!(state.now() > before, "probe must wait out the outage");
         assert!(state.stats().timeouts >= 1);
     }
@@ -1883,6 +1804,29 @@ mod tests {
     }
 
     #[test]
+    fn decode_rejects_a_record_that_turns_off_a_retired_mechanism() {
+        // The two config bytes after `max_retries` once switched adaptive
+        // leases and batched repair charging; every record writes both as
+        // 1, and a 0 in either is corruption, never a panic.
+        let state = reliable_state(2);
+        let bytes = encoded_rows(&state, Rows::All);
+        let flags = 1 + 8 + 4 * 8 + 2 * 8 + 8 + 8 + 8 + 2 * 8 + 4;
+        assert_eq!(bytes[flags..flags + 2], [1, 1]);
+        assert!(ChaosState::decode(&mut StateReader::new(&bytes)).is_ok());
+        for at in [flags, flags + 1] {
+            let mut bad = bytes.clone();
+            bad[at] = 0;
+            assert!(
+                matches!(
+                    ChaosState::decode(&mut StateReader::new(&bad)),
+                    Err(PersistError::Corrupt(_))
+                ),
+                "flag byte {at} off"
+            );
+        }
+    }
+
+    #[test]
     fn adaptive_lease_grows_and_shrinks_within_bounds() {
         let cfg = ChaosConfig::new(12, FaultMix::none(), 0).lease_ticks(4);
         let mut state = ChaosState::new(1, cfg);
@@ -1911,18 +1855,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_lease_baseline_never_adapts() {
-        let cfg = ChaosConfig::new(12, FaultMix::none(), 0).lease_ticks(4).adaptive_lease(false);
-        let mut state = ChaosState::new(1, cfg);
-        for _ in 0..10 {
-            state.advance(1_000);
-            state.heartbeat_round();
-        }
-        assert_eq!(state.lease_len_of(StreamId(0)), 4);
-        assert_eq!(state.drain_lease_samples().len(), 0);
-    }
-
-    #[test]
     fn lost_heartbeat_expiry_counts_as_spurious() {
         // The source is up the whole time — only its heartbeats drop — so
         // the expiration is a false positive.
@@ -1938,31 +1870,19 @@ mod tests {
     #[test]
     fn batched_repair_charges_one_frame_per_pass() {
         let ids: Vec<StreamId> = (0..3u32).map(StreamId).collect();
-        for (batched, want_frames, want_batches) in [(true, 1, 1), (false, 3, 0)] {
-            let (mut fleet, mut ledger, mut view) = fleet3();
-            let cfg = ChaosConfig::new(1, FaultMix::none(), 0).batched_repair(batched);
-            let mut state = ChaosState::new(3, cfg);
-            let mut out = Vec::new();
-            state.set_repair_window(true);
-            {
-                let mut chaos = ChaosFleet::new(&mut state, &mut fleet);
-                chaos.probe_many(&ids, &mut ledger, &mut view, &mut out);
-            }
-            state.set_repair_window(false);
-            assert_eq!(state.stats().repair_frames, want_frames, "batched={batched}");
-            assert_eq!(state.stats().repair_batches, want_batches, "batched={batched}");
-            // Outside the repair window a probe_many is an ordinary
-            // per-channel fan-out and never touches the repair counters.
-            {
-                let mut chaos = ChaosFleet::new(&mut state, &mut fleet);
-                chaos.probe_many(&ids, &mut ledger, &mut view, &mut out);
-            }
-            assert_eq!(state.stats().repair_frames, want_frames);
-            assert_eq!(state.stats().repair_batches, want_batches);
-            // Per-channel bookkeeping is identical in both modes.
-            for &id in &ids {
-                assert_eq!(state.recv_seq_of(id), state.send_seq_of(id));
-            }
+        let mut fleet = fleet3();
+        let mut state = reliable_state(3);
+        let mut out = Vec::new();
+        state.set_repair_window(true);
+        ChaosFleet::new(&mut state, &mut fleet).probe_many(&ids, &mut out);
+        state.set_repair_window(false);
+        assert_eq!((state.stats().repair_frames, state.stats().repair_batches), (1, 1));
+        // Outside the repair window a probe_many is an ordinary
+        // per-channel fan-out and never touches the repair counters.
+        ChaosFleet::new(&mut state, &mut fleet).probe_many(&ids, &mut out);
+        assert_eq!((state.stats().repair_frames, state.stats().repair_batches), (1, 1));
+        for &id in &ids {
+            assert_eq!(state.recv_seq_of(id), state.send_seq_of(id));
         }
     }
 
@@ -2031,8 +1951,7 @@ mod tests {
         let mix =
             FaultMix { drop_p: 0.3, crash_p: 0.05, max_outage_ticks: 200, ..FaultMix::none() };
         let mut state = ChaosState::new(100, ChaosConfig::new(21, mix, 20_000).lease_ticks(40));
-        let (mut fleet, mut ledger, mut view) =
-            (SourceFleet::from_values(&[0.0; 100]), Ledger::new(), ServerView::new(100));
+        let mut fleet = SourceFleet::from_values(&[0.0; 100]);
         let scan = |s: &ChaosState| s.flags.iter().filter(|&&f| f & DEAD != 0).count();
         for r in 0..400u64 {
             state.advance(30);
@@ -2042,7 +1961,7 @@ mod tests {
             // Repair some rejoiners and probe some dead sources back.
             let mut chaos = ChaosFleet::new(&mut state, &mut fleet);
             for &id in plan.reprobe.iter().chain(&plan.newly_dead).filter(|id| id.0 % 2 == 0) {
-                chaos.probe(id, &mut ledger, &mut view);
+                chaos.probe(id);
             }
             state.finish_round();
             assert_eq!(state.dead_count(), scan(&state), "round {r}");
@@ -2099,95 +2018,80 @@ mod tests {
             max_delay_ticks: 20,
             max_outage_ticks: 300,
         };
-        for adaptive in [true, false] {
-            let cfg =
-                ChaosConfig::new(0xDE17A, mix, u64::MAX).lease_ticks(100).adaptive_lease(adaptive);
-            let mut state = ChaosState::new(N, cfg);
-            let mut fleet = SourceFleet::from_values(&[0.0; N]);
-            let (mut ledger, mut view) = (Ledger::new(), ServerView::new(N));
-            let mut rng = simkit::rng::SimRng::seed_from_u64(0xD1);
-            let (mut due, mut syncs, mut out) = (Vec::new(), Vec::new(), Vec::new());
-            let mut base = full_image(&mut state);
-            let (mut fulls, mut deltas, mut smaller) = (0, 0, 0);
-            let mut samples = 0;
-            for _ in 0..2_000 {
-                // Writers outside the round, each on its own random channel,
-                // so no other write marks the channel it changes.
-                for _ in 0..rng.index(6) {
-                    let id = StreamId(rng.index(N) as u32);
-                    let value = rng.index(1000) as f64;
-                    let filter = Filter::interval(value - 10.0, value + 10.0);
-                    let mut chaos = ChaosFleet::new(&mut state, &mut fleet);
-                    match rng.index(16) {
-                        0..=5 => drop(chaos.state.admit_report(id, value)),
-                        6..=8 => drop(chaos.install(id, filter, &mut ledger, &mut view)),
-                        9 | 10 => drop(chaos.probe(id, &mut ledger, &mut view)),
-                        11 => {
-                            let ids = [id, StreamId(rng.index(N) as u32)];
-                            chaos.probe_many(&ids, &mut ledger, &mut view, &mut out);
-                        }
-                        12 => {
-                            let installs = [(id, filter)];
-                            chaos.install_many(&installs, &mut ledger, &mut view, &mut syncs);
-                        }
-                        13 if rng.index(40) == 0 => {
-                            drop(chaos.broadcast(Filter::wildcard(), &mut ledger, &mut view));
-                        }
-                        _ => {}
-                    }
-                }
-                // The round in the server's order. A 10-tick gap leaves a
-                // 100-tick lease as it is; one round in 30 draws a gap
-                // from 1 to 150 ticks, which adapts classes and expires
-                // leases, and so do crash outages.
-                let gap = if rng.index(30) == 0 { 1 + rng.index(150) } else { 10 };
-                state.advance(gap as u64);
-                state.draw_crashes();
-                state.take_due_reports(&mut due);
-                let plan = state.heartbeat_round();
+        let cfg = ChaosConfig::new(0xDE17A, mix, u64::MAX).lease_ticks(100);
+        let mut state = ChaosState::new(N, cfg);
+        let mut fleet = SourceFleet::from_values(&[0.0; N]);
+        let mut rng = simkit::rng::SimRng::seed_from_u64(0xD1);
+        let (mut due, mut syncs, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        let mut base = full_image(&mut state);
+        let (mut fulls, mut deltas, mut smaller) = (0, 0, 0);
+        let mut samples = 0;
+        for _ in 0..2_000 {
+            // Writers outside the round, each on its own random channel,
+            // so no other write marks the channel it changes.
+            for _ in 0..rng.index(6) {
+                let id = StreamId(rng.index(N) as u32);
+                let value = rng.index(1000) as f64;
+                let filter = Filter::interval(value - 10.0, value + 10.0);
                 let mut chaos = ChaosFleet::new(&mut state, &mut fleet);
-                for &id in plan.reprobe.iter().filter(|_| rng.index(3) != 0) {
-                    chaos.probe(id, &mut ledger, &mut view);
-                }
-                if rng.index(3) == 0 {
-                    let id = StreamId(rng.index(N) as u32);
-                    chaos.install(id, Filter::wildcard(), &mut ledger, &mut view);
-                }
-                state.finish_round();
-                samples += state.drain_lease_samples().len();
-                if rng.index(60) == 0 {
-                    state.resync_boundary();
-                }
-                match rng.index(24) {
-                    0 => {
-                        base = full_image(&mut state);
-                        fulls += 1;
+                match rng.index(16) {
+                    0..=5 => drop(chaos.state.admit_report(id, value)),
+                    6..=8 => drop(chaos.install(id, filter)),
+                    9 | 10 => drop(chaos.probe(id)),
+                    11 => {
+                        let ids = [id, StreamId(rng.index(N) as u32)];
+                        chaos.probe_many(&ids, &mut out);
                     }
-                    1..=6 => {
-                        let delta = encoded_rows(&state, Rows::Dirty);
-                        let mut rebuilt = ChaosState::decode(&mut StateReader::new(&base)).unwrap();
-                        let mut r = StateReader::new(&delta);
-                        rebuilt.decode_rows(&mut r, Rows::Dirty).expect("delta applies");
-                        r.finish().unwrap();
-                        let live = encoded_rows(&state, Rows::All);
-                        assert!(encoded_rows(&rebuilt, Rows::All) == live, "delta {deltas}");
-                        deltas += 1;
-                        smaller += usize::from(delta.len() < live.len() / 2);
-                    }
+                    12 => chaos.install_many(&[(id, filter)], &mut syncs),
+                    13 if rng.index(40) == 0 => chaos.broadcast(Filter::wildcard(), &mut syncs),
                     _ => {}
                 }
             }
-            let stats = state.stats();
-            assert!(
-                fulls > 50 && deltas > 400 && smaller > deltas / 4,
-                "{fulls} {deltas} {smaller}"
-            );
-            assert!(stats.crashes > 50 && stats.lease_expirations > 50 && stats.dup_frames > 50);
-            assert!(stats.reports_delayed > 50 && stats.epoch_rejects > 50);
-            if adaptive {
-                assert!(samples > 100, "no class adaptation");
+            // The round in the server's order. A 10-tick gap leaves a
+            // 100-tick lease as it is; one round in 30 draws a gap
+            // from 1 to 150 ticks, which adapts classes and expires
+            // leases, and so do crash outages.
+            let gap = if rng.index(30) == 0 { 1 + rng.index(150) } else { 10 };
+            state.advance(gap as u64);
+            state.draw_crashes();
+            state.take_due_reports(&mut due);
+            let plan = state.heartbeat_round();
+            let mut chaos = ChaosFleet::new(&mut state, &mut fleet);
+            for &id in plan.reprobe.iter().filter(|_| rng.index(3) != 0) {
+                chaos.probe(id);
+            }
+            if rng.index(3) == 0 {
+                chaos.install(StreamId(rng.index(N) as u32), Filter::wildcard());
+            }
+            state.finish_round();
+            samples += state.drain_lease_samples().len();
+            if rng.index(60) == 0 {
+                state.resync_boundary();
+            }
+            match rng.index(24) {
+                0 => {
+                    base = full_image(&mut state);
+                    fulls += 1;
+                }
+                1..=6 => {
+                    let delta = encoded_rows(&state, Rows::Dirty);
+                    let mut rebuilt = ChaosState::decode(&mut StateReader::new(&base)).unwrap();
+                    let mut r = StateReader::new(&delta);
+                    rebuilt.decode_rows(&mut r, Rows::Dirty).expect("delta applies");
+                    r.finish().unwrap();
+                    let live = encoded_rows(&state, Rows::All);
+                    assert!(encoded_rows(&rebuilt, Rows::All) == live, "delta {deltas}");
+                    deltas += 1;
+                    smaller += usize::from(delta.len() < live.len() / 2);
+                }
+                _ => {}
             }
         }
+        let stats = state.stats();
+        assert!(fulls > 50 && deltas > 400 && smaller > deltas / 4, "{fulls} {deltas} {smaller}");
+        assert!(stats.crashes > 50 && stats.lease_expirations > 50 && stats.dup_frames > 50);
+        assert!(stats.reports_delayed > 50 && stats.epoch_rejects > 50);
+        assert!(samples > 100, "no class adaptation");
     }
 
     #[test]
@@ -2235,7 +2139,6 @@ mod tests {
         let cfg = ChaosConfig::new(0xFACE, mix, u64::MAX).lease_ticks(40);
         let mut state = ChaosState::new(N, cfg);
         let mut fleet = SourceFleet::from_values(&[0.0; N]);
-        let (mut ledger, mut view) = (Ledger::new(), ServerView::new(N));
         let mut rng = simkit::rng::SimRng::seed_from_u64(7);
         let mut due = Vec::new();
         let check = |state: &ChaosState, verified: bool| {
@@ -2256,8 +2159,8 @@ mod tests {
                 state.admit_report(id, 1.0);
                 let mut chaos = ChaosFleet::new(&mut state, &mut fleet);
                 match rng.index(6) {
-                    0 => drop(chaos.install(id, Filter::wildcard(), &mut ledger, &mut view)),
-                    1 => drop(chaos.probe(id, &mut ledger, &mut view)),
+                    0 => drop(chaos.install(id, Filter::wildcard())),
+                    1 => drop(chaos.probe(id)),
                     _ => {}
                 }
             }
@@ -2268,7 +2171,7 @@ mod tests {
             let plan = state.heartbeat_round();
             // Repair only some of the plan, so unrepaired channels persist.
             for &id in plan.reprobe.iter().filter(|id| id.0 % 3 != 0) {
-                ChaosFleet::new(&mut state, &mut fleet).probe(id, &mut ledger, &mut view);
+                ChaosFleet::new(&mut state, &mut fleet).probe(id);
             }
             state.finish_round();
             check(&state, true);

@@ -3,9 +3,8 @@
 //! the production round drew.
 //!
 //! Random interleavings of reports, probes, installs, batch operations,
-//! broadcasts and crashes, with short chunks and retry clock jumps,
-//! adaptive leases on and off, and heartbeat fault rates from 1% to
-//! certain: after every round, every channel's `last_heard`, lease and
+//! broadcasts and crashes, with short chunks and retry clock jumps, and
+//! heartbeat fault rates from 1% to certain: after every round, every channel's `last_heard`, lease and
 //! flags, the repair plan, the lease samples and the round counters must
 //! equal the model's.
 
@@ -88,20 +87,18 @@ impl Model {
                 lost += u64::from(fate == FaultDecision::Drop);
                 dups += u64::from(fate == FaultDecision::Duplicate);
                 if fate != FaultDecision::Drop {
-                    if cfg.adaptive_lease {
-                        let lease = &mut self.lease_len[i];
-                        let gap = now.saturating_sub(self.last_heard[i]);
-                        let adapted = if gap.saturating_mul(2) > *lease {
-                            lease.saturating_mul(2).min(lease_cap)
-                        } else if gap.saturating_mul(8) < *lease {
-                            (*lease / 2).max(lease_floor)
-                        } else {
-                            *lease
-                        };
-                        if adapted != *lease {
-                            *lease = adapted;
-                            self.lease_samples.push(adapted);
-                        }
+                    let lease = &mut self.lease_len[i];
+                    let gap = now.saturating_sub(self.last_heard[i]);
+                    let adapted = if gap.saturating_mul(2) > *lease {
+                        lease.saturating_mul(2).min(lease_cap)
+                    } else if gap.saturating_mul(8) < *lease {
+                        (*lease / 2).max(lease_floor)
+                    } else {
+                        *lease
+                    };
+                    if adapted != *lease {
+                        *lease = adapted;
+                        self.lease_samples.push(adapted);
                     }
                     self.last_heard[i] = now;
                     f |= HEARD;
@@ -170,9 +167,9 @@ impl Model {
 
 /// Drives a production state and the model through the same random
 /// interleaving and checks them against each other after every round.
-fn run(seed: u64, fault_p: f64, adaptive: bool, horizon: u64) {
+fn run(seed: u64, fault_p: f64, horizon: u64) {
     const N: usize = 150;
-    let tag = format!("seed={seed} p={fault_p} adaptive={adaptive} horizon={horizon}");
+    let tag = format!("seed={seed} p={fault_p} horizon={horizon}");
     let mix = FaultMix {
         drop_p: fault_p * 0.75,
         dup_p: fault_p * 0.25,
@@ -181,11 +178,10 @@ fn run(seed: u64, fault_p: f64, adaptive: bool, horizon: u64) {
         max_delay_ticks: 40,
         max_outage_ticks: 300,
     };
-    let cfg = ChaosConfig::new(seed, mix, horizon).lease_ticks(40).adaptive_lease(adaptive);
+    let cfg = ChaosConfig::new(seed, mix, horizon).lease_ticks(40);
     let mut state = ChaosState::new(N, cfg);
     let mut model = Model::new(&state);
     let mut fleet = SourceFleet::from_values(&[0.0; N]);
-    let (mut ledger, mut view) = (Ledger::new(), ServerView::new(N));
     let mut rng = SimRng::seed_from_u64(seed ^ 0x5EF);
     let mut due = Vec::new();
     let mut out = Vec::new();
@@ -206,24 +202,24 @@ fn run(seed: u64, fault_p: f64, adaptive: bool, horizon: u64) {
                     }
                 }
                 10..=12 => {
-                    chaos.probe(id, &mut ledger, &mut view);
+                    chaos.probe(id);
                     model.probed(i, chaos.state.now());
                 }
                 13..=15 => {
-                    chaos.install(id, Filter::wildcard(), &mut ledger, &mut view);
+                    chaos.install(id, Filter::wildcard());
                     model.heard(i, chaos.state.now());
                 }
                 16 => {
-                    chaos.probe_many(&ids, &mut ledger, &mut view, &mut out);
+                    chaos.probe_many(&ids, &mut out);
                     ids.iter().for_each(|id| model.probed(id.index(), chaos.state.now()));
                 }
                 17 => {
                     let installs: Vec<_> = ids.iter().map(|&id| (id, Filter::wildcard())).collect();
-                    chaos.install_many(&installs, &mut ledger, &mut view, &mut syncs);
+                    chaos.install_many(&installs, &mut syncs);
                     ids.iter().for_each(|id| model.heard(id.index(), chaos.state.now()));
                 }
                 18 if round % 25 == 0 => {
-                    chaos.broadcast(Filter::wildcard(), &mut ledger, &mut view);
+                    chaos.broadcast(Filter::wildcard(), &mut syncs);
                     (0..N).for_each(|i| model.heard(i, chaos.state.now()));
                 }
                 _ => {}
@@ -258,12 +254,7 @@ fn run(seed: u64, fault_p: f64, adaptive: bool, horizon: u64) {
         let repair: Vec<StreamId> =
             plan.reprobe.iter().copied().filter(|id| id.0 % 4 != 1).collect();
         state.set_repair_window(true);
-        ChaosFleet::new(&mut state, &mut fleet).probe_many(
-            &repair,
-            &mut ledger,
-            &mut view,
-            &mut out,
-        );
+        ChaosFleet::new(&mut state, &mut fleet).probe_many(&repair, &mut out);
         state.set_repair_window(false);
         repair.iter().for_each(|id| model.probed(id.index(), state.now()));
         state.finish_round();
@@ -277,20 +268,16 @@ fn run(seed: u64, fault_p: f64, adaptive: bool, horizon: u64) {
     if fault_p >= 0.2 {
         assert!(expirations > 0, "{tag}: nothing expired");
     }
-    if adaptive {
-        assert!(samples > 0, "{tag}: no lease adapted");
-    }
+    assert!(samples > 0, "{tag}: no lease adapted");
 }
 
 #[test]
 fn the_exception_round_equals_the_full_sweep() {
     for fault_p in [0.01, 0.05, 0.2, 1.0] {
-        for adaptive in [true, false] {
-            for seed in 0..3 {
-                run(seed, fault_p, adaptive, u64::MAX);
-            }
-            // Faults cease mid-run: post-horizon rounds draw nothing.
-            run(7, fault_p, adaptive, 1_500);
+        for seed in 0..3 {
+            run(seed, fault_p, u64::MAX);
         }
+        // Faults cease mid-run: post-horizon rounds draw nothing.
+        run(7, fault_p, 1_500);
     }
 }

@@ -1,49 +1,52 @@
-//! The collection of all stream sources, with ledger-threaded operations.
+//! The collection of all stream sources, and the operations the server
+//! may perform on them.
 //!
-//! Every server↔source interaction goes through this type so that message
-//! accounting can never be forgotten: delivering a workload update, probing,
-//! installing filters, and broadcasting all take the [`Ledger`] and the
-//! server's [`ServerView`] and keep both consistent.
+//! [`FleetOps`] moves source state and nothing else: delivering a workload
+//! update, probing, installing filters and broadcasting change what the
+//! sources hold and return what reaches the server. Metering those
+//! messages and refreshing the server's view is the caller's job, done in
+//! one place for every backend (`asf-core`'s `ServerCtx`).
 //!
 //! ## Batched fleet operations
 //!
 //! Fleet-wide phases — Initialization's probe-everything, a tolerance
-//! protocol deploying a filter per stream, a `Reinit` repair — used to run
-//! as one [`FleetOps`] call per stream, which serializes them through the
-//! coordinator of a sharded backend. The batch contracts
-//! ([`FleetOps::probe_many`], [`FleetOps::install_many`],
-//! [`FleetOps::probe_all`]) move the loop *into* the backend: the
+//! protocol deploying a filter per stream, a `Reinit` repair — would run as
+//! one call per stream, which serializes them through the coordinator of a
+//! sharded backend. The batch operations ([`FleetOps::probe_all`],
+//! [`FleetOps::probe_many`], [`FleetOps::install_many`],
+//! [`FleetOps::broadcast`]) move the loop *into* the backend: the
 //! in-process [`SourceFleet`] walks its sources in one pass, and the
 //! sharded fleet of `asf-server` scatters each batch so every shard works
-//! its slice concurrently. Results and sync reports come back in the
-//! caller's request order with the exact per-message ledger accounting of
-//! the scalar path, so batched and per-stream execution are byte-identical
+//! its slice concurrently. Results come back in a fixed order, so batched
+//! and per-stream execution are byte-identical
 //! (`tests/batch_differential.rs` proves it per protocol and backend).
 //! Batch outputs are written into caller-provided buffers so hot callers
 //! can reuse one allocation across rounds.
 
 use crate::filter::{interval_violated, Filter};
-use crate::message::{Ledger, MessageKind};
 use crate::rows::{DirtyRows, Rows};
 use crate::source::{must_report, must_sync, StreamSource};
-use crate::view::ServerView;
 use crate::StreamId;
 
 /// The server-side operations a fleet of sources must support.
 ///
 /// The protocols of `asf-core` talk to the sources exclusively through this
-/// surface (via their `ServerCtx`), so the *same* protocol code drives both
-/// the in-process [`SourceFleet`] of the single-threaded engine and the
-/// sharded fleet of `asf-server`, where each call is routed to the worker
-/// shard owning the source. Implementations must keep the contract exact —
-/// byte-identical answers across backends depend on it:
+/// surface (via their `ServerCtx`), so the *same* protocol code drives the
+/// in-process [`SourceFleet`] of the single-threaded engine, the sharded
+/// fleet of `asf-server` (each call routed to the shard owning the source)
+/// and the fault-injecting `ChaosFleet` around either. Every method only
+/// moves source state — values, last-reported values, filters, per-source
+/// traffic — and returns what reached the server. No method records a
+/// message or writes a view: the caller meters each operation by the
+/// paper's cost model (probe = 2, install = 1, broadcast = `n`, report or
+/// sync = 1) from what it returns. Byte-identical answers across backends
+/// depend on the result orders below:
 ///
-/// * every method records its messages in the passed [`Ledger`] with the
-///   same counts as [`SourceFleet`] (probe = 2, install = 1 + 1 per sync,
-///   broadcast = `n` + 1 per sync, delivered report = 1);
-/// * the [`ServerView`] is refreshed with every value that reaches the
-///   server (reports, probe replies, sync reports);
-/// * [`FleetOps::broadcast`] returns sync reports in ascending id order.
+/// * batch outputs are cleared first, then filled in the order each
+///   method states;
+/// * [`FleetOps::probe_all`] returns values in id order;
+/// * [`FleetOps::install_many`] returns sync reports in installation
+///   order, [`FleetOps::broadcast`] in ascending id order.
 pub trait FleetOps {
     /// Number of sources `n`.
     fn len(&self) -> usize;
@@ -54,125 +57,46 @@ pub trait FleetOps {
     }
 
     /// Delivers a workload update to a source; `Some(value)` iff the
-    /// source's filter was violated and it reported (one `Update` message).
-    fn deliver(
-        &mut self,
-        id: StreamId,
-        value: f64,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> Option<f64>;
+    /// source's filter was violated and it reported (one message of its
+    /// traffic).
+    fn deliver(&mut self, id: StreamId, value: f64) -> Option<f64>;
 
-    /// Probes one source (2 messages); refreshes the view, returns the
-    /// value.
-    fn probe(&mut self, id: StreamId, ledger: &mut Ledger, view: &mut ServerView) -> f64;
+    /// Probes one source (two messages of its traffic); returns its value.
+    fn probe(&mut self, id: StreamId) -> f64;
 
-    /// Probes every source (`2n` messages).
-    fn probe_all(&mut self, ledger: &mut Ledger, view: &mut ServerView);
+    /// Probes every source, writing the values into `out` in id order.
+    fn probe_all(&mut self, out: &mut Vec<f64>);
 
-    /// [`FleetOps::probe_all`] that additionally records which view
-    /// entries actually **changed** — previously unknown, or bit-different
-    /// from the stored value — into `changed` (cleared first), in
-    /// ascending id order.
+    /// Probes a set of sources in one batch, writing the values into `out`
+    /// aligned with `ids`.
     ///
-    /// Byte-identical to `probe_all` in messages, view, and per-source
-    /// state; the change list is free for backends (they touch every view
-    /// entry during reassembly anyway) and lets an incremental rank index
-    /// re-key only the streams that drifted since the last refresh instead
-    /// of re-scanning all `n`. The default decomposes into scalar probes —
-    /// the serial baseline.
-    fn probe_all_tracked(
-        &mut self,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-        changed: &mut Vec<StreamId>,
-    ) {
-        changed.clear();
-        for i in 0..self.len() {
-            let id = StreamId(i as u32);
-            let known = view.is_known(id);
-            let old = if known { view.get(id) } else { 0.0 };
-            let v = self.probe(id, ledger, view);
-            if !known || old.to_bits() != v.to_bits() {
-                changed.push(id);
-            }
-        }
-    }
-
-    /// Probes a set of sources in one batch (2 messages each), writing the
-    /// values into `out` aligned with `ids` (cleared first).
-    ///
-    /// Byte-identical to probing the ids one by one in order — the default
-    /// does exactly that and doubles as the serial baseline; backends
-    /// override it to execute the whole batch in one pass (shard-parallel
-    /// in `asf-server`). Sources are independent, so per-source state,
-    /// ledger counts, and the final view cannot depend on probe order.
+    /// Byte-identical to probing the ids one by one in order: sources are
+    /// independent, so per-source state cannot depend on probe order.
     ///
     /// ```
-    /// use streamnet::{FleetOps, Ledger, ServerView, SourceFleet, StreamId};
+    /// use streamnet::{FleetOps, SourceFleet, StreamId};
     ///
     /// let mut fleet = SourceFleet::from_values(&[100.0, 500.0, 900.0]);
-    /// let (mut ledger, mut view) = (Ledger::new(), ServerView::new(3));
     /// let mut values = Vec::new();
-    /// fleet.probe_many(&[StreamId(2), StreamId(0)], &mut ledger, &mut view, &mut values);
+    /// fleet.probe_many(&[StreamId(2), StreamId(0)], &mut values);
     /// assert_eq!(values, vec![900.0, 100.0]);
-    /// assert_eq!(ledger.total(), 4, "2 messages per probe");
-    /// assert_eq!(view.get(StreamId(2)), 900.0);
+    /// assert_eq!(fleet.source(StreamId(2)).traffic(), 2, "a request and a reply");
     /// ```
-    fn probe_many(
-        &mut self,
-        ids: &[StreamId],
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        for &id in ids {
-            out.push(self.probe(id, ledger, view));
-        }
-    }
+    fn probe_many(&mut self, ids: &[StreamId], out: &mut Vec<f64>);
 
-    /// Installs a filter per `(id, filter)` pair in one batch (1 message
-    /// each), collecting sync reports into `syncs` (cleared first) in
-    /// **installation order** — the order the serial path would queue them.
-    ///
-    /// Byte-identical to installing one by one: installs touch only their
-    /// own source, so batching cannot change any source's sync decision.
-    /// The default is the serial loop; backends override it to run each
-    /// shard's slice concurrently.
-    fn install_many(
-        &mut self,
-        installs: &[(StreamId, Filter)],
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-        syncs: &mut Vec<(StreamId, f64)>,
-    ) {
-        syncs.clear();
-        for (id, filter) in installs {
-            if let Some(v) = self.install(*id, filter.clone(), ledger, view) {
-                syncs.push((*id, v));
-            }
-        }
-    }
+    /// Installs a filter at one source (one message of its traffic);
+    /// `Some(value)` iff the source sync-reported (one more).
+    fn install(&mut self, id: StreamId, filter: Filter) -> Option<f64>;
 
-    /// Installs a filter at one source (1 message); `Some(value)` iff the
-    /// source sync-reported (one more `Update` message).
-    fn install(
-        &mut self,
-        id: StreamId,
-        filter: Filter,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> Option<f64>;
+    /// Installs a filter per `(id, filter)` pair in one batch, writing the
+    /// sync reports into `syncs` in **installation order** — the order the
+    /// serial path would queue them. Installs touch only their own source,
+    /// so batching cannot change any source's sync decision.
+    fn install_many(&mut self, installs: &[(StreamId, Filter)], syncs: &mut Vec<(StreamId, f64)>);
 
-    /// Broadcasts a filter to every source (`n` messages); returns sync
-    /// reports in ascending id order (one `Update` message each).
-    fn broadcast(
-        &mut self,
-        filter: Filter,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> Vec<(StreamId, f64)>;
+    /// Installs `filter` at every source, writing the sync reports into
+    /// `syncs` in ascending id order.
+    fn broadcast(&mut self, filter: Filter, syncs: &mut Vec<(StreamId, f64)>);
 }
 
 /// The per-source state a workload update reads and writes, packed into
@@ -378,7 +302,7 @@ impl SourceFleet {
     /// report ([`must_report`]), without marking it reported. The hot path
     /// of every update: an `Interval` filter on a reported source is
     /// decided from the 32-byte hot record alone. It leaves the dirty bit
-    /// to its callers: [`SourceFleet::deliver_update`] marks at once, a
+    /// to its callers: [`FleetOps::deliver`] marks at once, a
     /// [`SpecLog`] application when it commits.
     #[inline]
     fn apply(&mut self, i: usize, value: f64) -> bool {
@@ -421,166 +345,6 @@ impl SourceFleet {
     fn probe_at(&mut self, i: usize) -> f64 {
         self.mark_reported(i, 2);
         self.hot[i].value
-    }
-
-    /// Delivers a workload update to a source. If the source's filter is
-    /// violated it reports: one `Update` message is recorded, the server
-    /// view refreshed, and `Some(value)` returned for the protocol to
-    /// handle. Otherwise the update is silent and `None` is returned.
-    pub fn deliver_update(
-        &mut self,
-        id: StreamId,
-        value: f64,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> Option<f64> {
-        self.dirty.mark(id.index());
-        if self.apply(id.index(), value) {
-            self.mark_reported(id.index(), 1);
-            ledger.record(MessageKind::Update, 1);
-            view.set(id, value);
-            Some(value)
-        } else {
-            None
-        }
-    }
-
-    /// Server probes one source for its current value (one request + one
-    /// reply = 2 messages). Refreshes the server view and the source's
-    /// last-reported value, and returns the value.
-    pub fn probe(&mut self, id: StreamId, ledger: &mut Ledger, view: &mut ServerView) -> f64 {
-        ledger.record(MessageKind::ProbeRequest, 1);
-        ledger.record(MessageKind::ProbeReply, 1);
-        let v = self.probe_at(id.index());
-        view.set(id, v);
-        v
-    }
-
-    /// Probes every source (the Initialization phases' "request all streams
-    /// to send their values"): `2n` messages.
-    pub fn probe_all(&mut self, ledger: &mut Ledger, view: &mut ServerView) {
-        for i in 0..self.len() {
-            self.probe(StreamId(i as u32), ledger, view);
-        }
-    }
-
-    /// Installs a filter at one source (1 message). If the new filter is
-    /// inconsistent with the server's knowledge (see
-    /// [`StreamSource::install`]) the source immediately syncs: one `Update`
-    /// message, view refreshed, and `Some(value)` returned so the engine can
-    /// route it to the protocol.
-    pub fn install(
-        &mut self,
-        id: StreamId,
-        filter: Filter,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> Option<f64> {
-        ledger.record(MessageKind::FilterInstall, 1);
-        let sync = self.install_at(id.index(), filter);
-        if let Some(v) = sync {
-            ledger.record(MessageKind::Update, 1);
-            view.set(id, v);
-        }
-        sync
-    }
-
-    /// Broadcasts a filter to every source (`n` messages). Returns the sync
-    /// reports `(id, value)` from sources whose state was inconsistent with
-    /// the new filter (each also recorded as one `Update`).
-    pub fn broadcast(
-        &mut self,
-        filter: Filter,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> Vec<(StreamId, f64)> {
-        ledger.record(MessageKind::FilterBroadcast, self.len() as u64);
-        let syncs = self.install_all_unmetered(filter, view);
-        for _ in &syncs {
-            ledger.record(MessageKind::Update, 1);
-        }
-        syncs
-    }
-
-    /// Installs `filter` at every source *without* recording the broadcast
-    /// cost — the caller meters the operation. Sync reports are returned in
-    /// ascending id order and are **not** recorded either; per-source
-    /// traffic and the view are kept consistent.
-    ///
-    /// This is the shard-side half of a distributed broadcast: `asf-server`
-    /// fans one logical broadcast out to `k` shards, each applying its
-    /// partition with this method, while the coordinator records the single
-    /// `n`-message broadcast operation and the sync updates.
-    pub fn install_all_unmetered(
-        &mut self,
-        filter: Filter,
-        view: &mut ServerView,
-    ) -> Vec<(StreamId, f64)> {
-        let mut syncs = Vec::new();
-        self.install_all_unmetered_into(filter, view, &mut syncs);
-        syncs
-    }
-
-    /// [`Self::install_all_unmetered`] writing the sync reports into a
-    /// caller-provided buffer (cleared first), so per-broadcast allocation
-    /// can be amortized by callers that broadcast every round.
-    pub fn install_all_unmetered_into(
-        &mut self,
-        filter: Filter,
-        view: &mut ServerView,
-        syncs: &mut Vec<(StreamId, f64)>,
-    ) {
-        syncs.clear();
-        for i in 0..self.len() {
-            if let Some(v) = self.install_at(i, filter.clone()) {
-                let id = StreamId(i as u32);
-                view.set(id, v);
-                syncs.push((id, v));
-            }
-        }
-    }
-
-    /// Probes a set of sources in one pass (2 messages each), writing the
-    /// values into `out` aligned with `ids` (cleared first). Native batch
-    /// implementation of [`FleetOps::probe_many`].
-    pub fn probe_many(
-        &mut self,
-        ids: &[StreamId],
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        out.reserve(ids.len());
-        ledger.record(MessageKind::ProbeRequest, ids.len() as u64);
-        ledger.record(MessageKind::ProbeReply, ids.len() as u64);
-        for &id in ids {
-            let v = self.probe_at(id.index());
-            view.set(id, v);
-            out.push(v);
-        }
-    }
-
-    /// Installs a filter per `(id, filter)` pair in one pass (1 message
-    /// each), collecting sync reports in installation order into `syncs`
-    /// (cleared first). Native batch implementation of
-    /// [`FleetOps::install_many`].
-    pub fn install_many(
-        &mut self,
-        installs: &[(StreamId, Filter)],
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-        syncs: &mut Vec<(StreamId, f64)>,
-    ) {
-        syncs.clear();
-        ledger.record(MessageKind::FilterInstall, installs.len() as u64);
-        for (id, filter) in installs {
-            if let Some(v) = self.install_at(id.index(), filter.clone()) {
-                ledger.record(MessageKind::Update, 1);
-                view.set(*id, v);
-                syncs.push((*id, v));
-            }
-        }
     }
 }
 
@@ -813,67 +577,58 @@ impl SpecLog {
 
 impl FleetOps for SourceFleet {
     fn len(&self) -> usize {
-        self.len()
+        self.hot.len()
     }
 
-    fn deliver(
-        &mut self,
-        id: StreamId,
-        value: f64,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> Option<f64> {
-        self.deliver_update(id, value, ledger, view)
+    fn deliver(&mut self, id: StreamId, value: f64) -> Option<f64> {
+        let i = id.index();
+        self.dirty.mark(i);
+        self.apply(i, value).then(|| {
+            self.mark_reported(i, 1);
+            value
+        })
     }
 
-    fn probe(&mut self, id: StreamId, ledger: &mut Ledger, view: &mut ServerView) -> f64 {
-        SourceFleet::probe(self, id, ledger, view)
+    fn probe(&mut self, id: StreamId) -> f64 {
+        self.probe_at(id.index())
     }
 
-    fn probe_all(&mut self, ledger: &mut Ledger, view: &mut ServerView) {
-        SourceFleet::probe_all(self, ledger, view)
-    }
-    // probe_all_tracked deliberately NOT overridden: the scalar-probe
-    // default IS the native path here (there is no batched shortcut for
-    // the change test), so one copy of the change criterion exists.
-
-    fn probe_many(
-        &mut self,
-        ids: &[StreamId],
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-        out: &mut Vec<f64>,
-    ) {
-        SourceFleet::probe_many(self, ids, ledger, view, out)
+    fn probe_all(&mut self, out: &mut Vec<f64>) {
+        out.clear();
+        out.reserve(self.len());
+        for i in 0..self.len() {
+            out.push(self.probe_at(i));
+        }
     }
 
-    fn install_many(
-        &mut self,
-        installs: &[(StreamId, Filter)],
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-        syncs: &mut Vec<(StreamId, f64)>,
-    ) {
-        SourceFleet::install_many(self, installs, ledger, view, syncs)
+    fn probe_many(&mut self, ids: &[StreamId], out: &mut Vec<f64>) {
+        out.clear();
+        out.reserve(ids.len());
+        for &id in ids {
+            out.push(self.probe_at(id.index()));
+        }
     }
 
-    fn install(
-        &mut self,
-        id: StreamId,
-        filter: Filter,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> Option<f64> {
-        SourceFleet::install(self, id, filter, ledger, view)
+    fn install(&mut self, id: StreamId, filter: Filter) -> Option<f64> {
+        self.install_at(id.index(), filter)
     }
 
-    fn broadcast(
-        &mut self,
-        filter: Filter,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> Vec<(StreamId, f64)> {
-        SourceFleet::broadcast(self, filter, ledger, view)
+    fn install_many(&mut self, installs: &[(StreamId, Filter)], syncs: &mut Vec<(StreamId, f64)>) {
+        syncs.clear();
+        for (id, filter) in installs {
+            if let Some(v) = self.install_at(id.index(), filter.clone()) {
+                syncs.push((*id, v));
+            }
+        }
+    }
+
+    fn broadcast(&mut self, filter: Filter, syncs: &mut Vec<(StreamId, f64)>) {
+        syncs.clear();
+        for i in 0..self.len() {
+            if let Some(v) = self.install_at(i, filter.clone()) {
+                syncs.push((StreamId(i as u32), v));
+            }
+        }
     }
 }
 
@@ -881,97 +636,95 @@ impl FleetOps for SourceFleet {
 mod tests {
     use super::*;
 
-    fn setup() -> (SourceFleet, Ledger, ServerView) {
-        let fleet = SourceFleet::from_values(&[100.0, 500.0, 900.0]);
-        let view = ServerView::new(3);
-        (fleet, Ledger::new(), view)
+    fn setup() -> SourceFleet {
+        SourceFleet::from_values(&[100.0, 500.0, 900.0])
+    }
+
+    /// Every source's traffic, in id order.
+    fn traffic(fleet: &SourceFleet) -> Vec<u64> {
+        fleet.iter().map(|s| s.traffic()).collect()
     }
 
     #[test]
     fn probe_all_costs_2n_and_fills_view() {
-        let (mut fleet, mut ledger, mut view) = setup();
-        fleet.probe_all(&mut ledger, &mut view);
-        assert_eq!(ledger.total(), 6);
-        assert!(view.all_known());
-        assert_eq!(view.get(StreamId(1)), 500.0);
+        let mut fleet = setup();
+        let mut values = vec![f64::NAN; 8]; // stale scratch: must be cleared
+        fleet.probe_all(&mut values);
+        assert_eq!(values, vec![100.0, 500.0, 900.0], "every value, in id order");
+        assert_eq!(traffic(&fleet), vec![2, 2, 2], "a request and a reply each");
+        assert!(fleet.iter().all(|s| s.last_reported() == Some(s.value())));
     }
 
     #[test]
     fn unfiltered_update_reports() {
-        let (mut fleet, mut ledger, mut view) = setup();
-        let r = fleet.deliver_update(StreamId(0), 120.0, &mut ledger, &mut view);
-        assert_eq!(r, Some(120.0));
-        assert_eq!(ledger.count(MessageKind::Update), 1);
-        assert_eq!(view.get(StreamId(0)), 120.0);
+        let mut fleet = setup();
+        assert_eq!(fleet.deliver(StreamId(0), 120.0), Some(120.0));
+        assert_eq!(traffic(&fleet), vec![1, 0, 0]);
+        assert_eq!(fleet.source(StreamId(0)).last_reported(), Some(120.0));
     }
 
     #[test]
     fn filtered_update_inside_is_silent_and_stale() {
-        let (mut fleet, mut ledger, mut view) = setup();
-        fleet.probe_all(&mut ledger, &mut view);
-        fleet.install(StreamId(1), Filter::interval(400.0, 600.0), &mut ledger, &mut view);
-        let before = ledger.total();
-        let r = fleet.deliver_update(StreamId(1), 550.0, &mut ledger, &mut view);
-        assert_eq!(r, None);
-        assert_eq!(ledger.total(), before);
-        // Server view is stale by design.
-        assert_eq!(view.get(StreamId(1)), 500.0);
+        let mut fleet = setup();
+        fleet.probe_all(&mut Vec::new());
+        fleet.install(StreamId(1), Filter::interval(400.0, 600.0));
+        let before = traffic(&fleet);
+        assert_eq!(fleet.deliver(StreamId(1), 550.0), None);
+        assert_eq!(traffic(&fleet), before);
+        // What the server last heard is stale by design.
+        assert_eq!(fleet.source(StreamId(1)).last_reported(), Some(500.0));
         // Ground truth moved.
         assert_eq!(fleet.true_value(StreamId(1)), 550.0);
     }
 
     #[test]
     fn crossing_update_reports_and_refreshes() {
-        let (mut fleet, mut ledger, mut view) = setup();
-        fleet.probe_all(&mut ledger, &mut view);
-        fleet.install(StreamId(1), Filter::interval(400.0, 600.0), &mut ledger, &mut view);
-        let r = fleet.deliver_update(StreamId(1), 700.0, &mut ledger, &mut view);
-        assert_eq!(r, Some(700.0));
-        assert_eq!(view.get(StreamId(1)), 700.0);
+        let mut fleet = setup();
+        fleet.probe_all(&mut Vec::new());
+        fleet.install(StreamId(1), Filter::interval(400.0, 600.0));
+        assert_eq!(fleet.deliver(StreamId(1), 700.0), Some(700.0));
+        assert_eq!(fleet.source(StreamId(1)).last_reported(), Some(700.0));
     }
 
     #[test]
     fn install_sync_when_inconsistent() {
-        let (mut fleet, mut ledger, mut view) = setup();
-        fleet.probe_all(&mut ledger, &mut view);
+        let mut fleet = setup();
+        fleet.probe_all(&mut Vec::new());
         // Silent drift within a broad filter.
-        fleet.install(StreamId(1), Filter::interval(0.0, 1000.0), &mut ledger, &mut view);
-        assert_eq!(fleet.deliver_update(StreamId(1), 800.0, &mut ledger, &mut view), None);
-        let before_updates = ledger.count(MessageKind::Update);
+        fleet.install(StreamId(1), Filter::interval(0.0, 1000.0));
+        assert_eq!(fleet.deliver(StreamId(1), 800.0), None);
+        let before = fleet.source(StreamId(1)).traffic();
         // New filter separates believed (500) from true (800): sync expected.
-        let sync =
-            fleet.install(StreamId(1), Filter::interval(750.0, 900.0), &mut ledger, &mut view);
-        assert_eq!(sync, Some(800.0));
-        assert_eq!(ledger.count(MessageKind::Update), before_updates + 1);
-        assert_eq!(view.get(StreamId(1)), 800.0);
+        assert_eq!(fleet.install(StreamId(1), Filter::interval(750.0, 900.0)), Some(800.0));
+        assert_eq!(fleet.source(StreamId(1)).traffic(), before + 2, "the install and the sync");
+        assert_eq!(fleet.source(StreamId(1)).last_reported(), Some(800.0));
     }
 
     #[test]
     fn broadcast_costs_n_and_syncs_inconsistent_sources() {
-        let (mut fleet, mut ledger, mut view) = setup();
-        fleet.probe_all(&mut ledger, &mut view);
-        ledger.reset();
+        let mut fleet = setup();
+        fleet.probe_all(&mut Vec::new());
         // All believed values: 100, 500, 900 — all consistent with ground
         // truth, so a broadcast of [0, 1000] yields no syncs.
-        let syncs = fleet.broadcast(Filter::interval(0.0, 1000.0), &mut ledger, &mut view);
+        let mut syncs = vec![(StreamId(9), 0.0)]; // stale scratch: must be cleared
+        fleet.broadcast(Filter::interval(0.0, 1000.0), &mut syncs);
         assert!(syncs.is_empty());
-        assert_eq!(ledger.count(MessageKind::FilterBroadcast), 3);
-        assert_eq!(ledger.broadcast_ops(), 1);
+        assert_eq!(traffic(&fleet), vec![3, 3, 3], "one install message per source");
 
         // Drift silently, then broadcast a filter that separates believed
-        // from true for stream 0 only.
-        fleet.deliver_update(StreamId(0), 450.0, &mut ledger, &mut view); // 100 -> 450 inside [0,1000]: silent
-        let syncs = fleet.broadcast(Filter::interval(400.0, 600.0), &mut ledger, &mut view);
-        assert_eq!(syncs, vec![(StreamId(0), 450.0)]);
+        // from true for streams 0 and 2, which sync in ascending id order.
+        assert_eq!(fleet.deliver(StreamId(2), 460.0), None); // inside [0, 1000]: silent
+        assert_eq!(fleet.deliver(StreamId(0), 450.0), None);
+        fleet.broadcast(Filter::interval(400.0, 600.0), &mut syncs);
+        assert_eq!(syncs, vec![(StreamId(0), 450.0), (StreamId(2), 460.0)]);
     }
 
     #[test]
     fn traffic_accounting_per_source() {
-        let (mut fleet, mut ledger, mut view) = setup();
-        fleet.probe(StreamId(0), &mut ledger, &mut view); // 2
-        fleet.install(StreamId(0), Filter::wildcard(), &mut ledger, &mut view); // 1
-        assert_eq!(fleet.source(StreamId(0)).traffic(), 3);
-        assert_eq!(fleet.source(StreamId(1)).traffic(), 0);
+        let mut fleet = setup();
+        fleet.probe(StreamId(0)); // 2
+        fleet.install(StreamId(0), Filter::wildcard()); // 1
+        assert_eq!(traffic(&fleet), vec![3, 0, 0]);
     }
 
     #[test]
@@ -984,20 +737,18 @@ mod tests {
     fn probe_many_equals_scalar_probes() {
         let ids = [StreamId(2), StreamId(0), StreamId(2)];
 
-        let (mut fleet, mut ledger, mut view) = setup();
+        let mut fleet = setup();
         let mut out = vec![f64::NAN; 8]; // stale scratch: must be cleared
-        fleet.probe_many(&ids, &mut ledger, &mut view, &mut out);
+        fleet.probe_many(&ids, &mut out);
 
-        let (mut fleet2, mut ledger2, mut view2) = setup();
-        let scalar: Vec<f64> =
-            ids.iter().map(|&id| fleet2.probe(id, &mut ledger2, &mut view2)).collect();
+        let mut fleet2 = setup();
+        let scalar: Vec<f64> = ids.iter().map(|&id| fleet2.probe(id)).collect();
 
         assert_eq!(out, scalar);
         assert_eq!(out, vec![900.0, 100.0, 900.0]);
-        assert_eq!(ledger, ledger2);
-        assert_eq!(fleet.source(StreamId(2)).traffic(), fleet2.source(StreamId(2)).traffic());
-        assert!(view.is_known(StreamId(0)) && view.is_known(StreamId(2)));
-        assert!(!view.is_known(StreamId(1)));
+        assert_eq!(traffic(&fleet), traffic(&fleet2));
+        assert_eq!(traffic(&fleet), vec![2, 0, 4]);
+        assert_eq!(fleet.source(StreamId(1)).last_reported(), None, "never probed");
     }
 
     #[test]
@@ -1005,46 +756,36 @@ mod tests {
         // Install order (2, 0) must be the sync order, not id order.
         let plan = |f: Filter| vec![(StreamId(2), f.clone()), (StreamId(0), f)];
 
-        let (mut fleet, mut ledger, mut view) = setup();
-        fleet.probe_all(&mut ledger, &mut view);
+        let mut fleet = setup();
+        fleet.probe_all(&mut Vec::new());
         // Silent drift for both within broad filters.
-        fleet.install(StreamId(0), Filter::interval(0.0, 1000.0), &mut ledger, &mut view);
-        fleet.install(StreamId(2), Filter::interval(0.0, 1000.0), &mut ledger, &mut view);
-        fleet.deliver_update(StreamId(0), 450.0, &mut ledger, &mut view);
-        fleet.deliver_update(StreamId(2), 460.0, &mut ledger, &mut view);
+        fleet.install(StreamId(0), Filter::interval(0.0, 1000.0));
+        fleet.install(StreamId(2), Filter::interval(0.0, 1000.0));
+        fleet.deliver(StreamId(0), 450.0);
+        fleet.deliver(StreamId(2), 460.0);
         let mut fleet2 = fleet.clone();
-        let mut view2 = view.clone();
-        ledger.reset();
-        let mut ledger2 = Ledger::new();
 
         // New tight filter separates believed (100 / 900) from true values.
         let mut syncs = vec![(StreamId(9), 0.0)]; // stale scratch
-        fleet.install_many(
-            &plan(Filter::interval(400.0, 500.0)),
-            &mut ledger,
-            &mut view,
-            &mut syncs,
-        );
+        fleet.install_many(&plan(Filter::interval(400.0, 500.0)), &mut syncs);
 
         let mut syncs2 = Vec::new();
         for (id, f) in plan(Filter::interval(400.0, 500.0)) {
-            if let Some(v) = fleet2.install(id, f, &mut ledger2, &mut view2) {
+            if let Some(v) = fleet2.install(id, f) {
                 syncs2.push((id, v));
             }
         }
 
         assert_eq!(syncs, syncs2);
         assert_eq!(syncs, vec![(StreamId(2), 460.0), (StreamId(0), 450.0)]);
-        assert_eq!(ledger, ledger2);
-        assert_eq!(view.get(StreamId(0)), 450.0);
-        assert_eq!(view.get(StreamId(2)), 460.0);
+        assert_eq!(observe(&fleet), observe(&fleet2));
     }
 
     #[test]
     fn spec_log_rolls_back_exactly() {
-        let (mut fleet, mut ledger, mut view) = setup();
-        fleet.probe_all(&mut ledger, &mut view);
-        fleet.install(StreamId(1), Filter::interval(400.0, 600.0), &mut ledger, &mut view);
+        let mut fleet = setup();
+        fleet.probe_all(&mut Vec::new());
+        fleet.install(StreamId(1), Filter::interval(400.0, 600.0));
         let traffic_before = fleet.source(StreamId(1)).traffic();
 
         let mut log = SpecLog::new();
@@ -1092,14 +833,13 @@ mod tests {
             let n = 1 + rng.index(6);
             let initial: Vec<f64> = (0..n).map(|i| 100.0 * i as f64).collect();
             let mut fleet = SourceFleet::from_values(&initial);
-            let (mut ledger, mut view) = (Ledger::new(), ServerView::new(n));
             // Some sources stay never-reported; the rest carry any filter.
             for (i, &v) in initial.iter().enumerate() {
                 if rng.index(4) > 0 {
                     let id = StreamId(i as u32);
-                    fleet.probe(id, &mut ledger, &mut view);
+                    fleet.probe(id);
                     let f = filter(&mut rng, v);
-                    fleet.install(id, f, &mut ledger, &mut view);
+                    fleet.install(id, f);
                 }
             }
             let mut log = SpecLog::new();
@@ -1129,7 +869,7 @@ mod tests {
                 if rng.index(2) == 0 {
                     let id = StreamId(rng.index(n) as u32);
                     let f = filter(&mut rng, fleet.true_value(id));
-                    fleet.install(id, f, &mut ledger, &mut view);
+                    fleet.install(id, f);
                 }
             }
         }
@@ -1157,25 +897,25 @@ mod tests {
     /// A touch's result: the probed values, or the sync reports.
     type TouchOut = Vec<(StreamId, f64)>;
 
-    /// Runs a touch on `fleet` with throwaway metering: the probed values,
-    /// or the install's (or broadcast's) sync reports.
+    /// Runs a touch on `fleet`: the probed values, or the install's (or
+    /// broadcast's) sync reports.
     fn run_touch(
         fleet: &mut SourceFleet,
         id: Option<StreamId>,
         install: &Option<Filter>,
     ) -> TouchOut {
-        let (mut ledger, mut view) = (Ledger::new(), ServerView::new(fleet.len()));
+        let mut out = Vec::new();
         match (id, install) {
-            (Some(id), None) => vec![(id, fleet.probe(id, &mut ledger, &mut view))],
-            (Some(id), Some(f)) => Vec::from_iter(
-                fleet.install(id, f.clone(), &mut ledger, &mut view).map(|v| (id, v)),
-            ),
+            (Some(id), None) => out.push((id, fleet.probe(id))),
+            (Some(id), Some(f)) => out.extend(fleet.install(id, f.clone()).map(|v| (id, v))),
             (None, None) => {
-                fleet.probe_all(&mut ledger, &mut view);
-                fleet.iter().map(|s| (s.id(), s.value())).collect()
+                let mut values = Vec::new();
+                fleet.probe_all(&mut values);
+                out.extend(values.into_iter().enumerate().map(|(i, v)| (StreamId(i as u32), v)));
             }
-            (None, Some(f)) => fleet.broadcast(f.clone(), &mut ledger, &mut view),
+            (None, Some(f)) => fleet.broadcast(f.clone(), &mut out),
         }
+        out
     }
 
     /// The history executed serially on a clone of `base`: the fleet, the
@@ -1187,14 +927,10 @@ mod tests {
         let mut steps = history.to_vec();
         steps.sort_by_key(Step::key);
         let (mut bits, mut last) = (Vec::new(), Vec::new());
-        let (mut ledger, mut view) = (Ledger::new(), ServerView::new(fleet.len()));
         for step in &steps {
             match step {
                 Step::Event { seq, id, value } => {
-                    bits.push((
-                        *seq,
-                        fleet.deliver_update(*id, *value, &mut ledger, &mut view).is_some(),
-                    ));
+                    bits.push((*seq, fleet.deliver(*id, *value).is_some()));
                 }
                 Step::Touch { id, install, .. } => last = run_touch(&mut fleet, *id, install),
             }
@@ -1401,13 +1137,11 @@ mod tests {
             let n = 1 + rng.index(40);
             let initial: Vec<f64> = (0..n).map(|i| 10.0 * i as f64).collect();
             let mut fleet = SourceFleet::from_values(&initial);
-            let (mut ledger, mut view) = (Ledger::new(), ServerView::new(n));
-            fleet.probe_all(&mut ledger, &mut view);
+            fleet.probe_all(&mut Vec::new());
             // Filters under which most updates are silent: a silent
             // application changes the row without marking it reported.
             for (i, &v) in initial.iter().enumerate() {
-                let filter = Filter::interval(v - 40.0, v + 40.0);
-                fleet.install(StreamId(i as u32), filter, &mut ledger, &mut view);
+                fleet.install(StreamId(i as u32), Filter::interval(v - 40.0, v + 40.0));
             }
             fleet.clear_dirty();
             let base = fleet.clone();
@@ -1432,27 +1166,16 @@ mod tests {
                         }
                     }
                     3 => {
-                        fleet.install(
-                            id,
-                            Filter::interval(v - 20.0, v + 20.0),
-                            &mut ledger,
-                            &mut view,
-                        );
+                        fleet.install(id, Filter::interval(v - 20.0, v + 20.0));
                     }
                     4 => {
-                        fleet.probe(id, &mut ledger, &mut view);
+                        fleet.probe(id);
                     }
                     _ if rng.index(4) == 0 => {
-                        fleet.broadcast(
-                            Filter::interval(v - 90.0, v + 90.0),
-                            &mut ledger,
-                            &mut view,
-                        );
+                        fleet.broadcast(Filter::interval(v - 90.0, v + 90.0), &mut Vec::new());
                     }
                     _ => {
-                        let touch = |f: &mut SourceFleet| {
-                            f.probe(id, &mut Ledger::new(), &mut ServerView::new(n))
-                        };
+                        let touch = |f: &mut SourceFleet| f.probe(id);
                         log.respeculate_all(&mut fleet, touch, |_, _, _, _| {});
                     }
                 }

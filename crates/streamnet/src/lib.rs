@@ -11,8 +11,9 @@
 //!   (suppress — likewise silent; the "false negative filter").
 //! * [`source`] — a stream source holding its current value, its
 //!   last-reported value, and its installed filter.
-//! * [`fleet`] — the collection of all sources with probe / install /
-//!   broadcast operations, threading every interaction through the ledger.
+//! * [`fleet`] — the collection of all sources and the [`FleetOps`]
+//!   surface (deliver / probe / install / broadcast) every backend
+//!   implements; it moves source state, and the caller meters it.
 //! * [`message`] — the message taxonomy and cost ledger (DESIGN.md §3.3).
 //! * [`view`] — the server's (possibly stale) view of stream values.
 //! * [`rows`] — checkpoint row selection: the dirty bitmaps the fleet and

@@ -33,7 +33,9 @@ impl MessageKind {
         MessageKind::FilterBroadcast,
     ];
 
-    fn slot(self) -> usize {
+    /// Position of this kind in [`MessageKind::ALL`] and in
+    /// [`Ledger::kind_counts`].
+    pub fn slot(self) -> usize {
         match self {
             MessageKind::Update => 0,
             MessageKind::ProbeRequest => 1,

@@ -4,8 +4,8 @@
 //! and therefore every counter, repair plan, lease sample and encoded byte
 //! — is a pure function of `(config, call sequence)`. These fixtures drive
 //! the machine through a fixed interleaving of reports, fleet operations
-//! and chunk-end rounds under four fault mixes × adaptive lease on/off and
-//! compare a digest of everything observable against constants.
+//! and chunk-end rounds under four fault mixes and compare a digest of
+//! everything observable against constants.
 //!
 //! **The constants and `fixtures/chaos_state_v2.bin` were generated by the
 //! skip-sampled schedule (record version 2) on top of commit
@@ -25,8 +25,7 @@ use asf_persist::{StateReader, StateWriter};
 use simkit::fault::FaultMix;
 use simkit::rng::SimRng;
 use streamnet::{
-    ChaosConfig, ChaosFleet, ChaosState, Filter, FleetOps, Ledger, ReportFate, ServerView,
-    SourceFleet, StreamId,
+    ChaosConfig, ChaosFleet, ChaosState, Filter, FleetOps, ReportFate, SourceFleet, StreamId,
 };
 
 const N: usize = 300;
@@ -85,40 +84,33 @@ fn decoded(bytes: &[u8]) -> asf_persist::Result<ChaosState> {
 struct Rig {
     state: ChaosState,
     fleet: SourceFleet,
-    ledger: Ledger,
-    view: ServerView,
     values: Vec<f64>,
     ops: SimRng,
     rounds: u64,
 }
 
 impl Rig {
-    fn new(n: usize, mix: FaultMix, adaptive: bool) -> Self {
+    fn new(n: usize, mix: FaultMix) -> Self {
         let values: Vec<f64> = (0..n).map(|i| 500.0 + i as f64).collect();
         let mut fleet = SourceFleet::from_values(&values);
-        let (mut ledger, mut view) = (Ledger::new(), ServerView::new(n));
         // The world is probed and filtered over a reliable channel before
         // chaos attaches, as `ShardedServer::enable_chaos` requires.
-        fleet.probe_all(&mut ledger, &mut view);
+        fleet.probe_all(&mut Vec::new());
         for (i, &v) in values.iter().enumerate() {
-            fleet.install(StreamId(i as u32), band(v), &mut ledger, &mut view);
+            fleet.install(StreamId(i as u32), band(v));
         }
-        let cfg = ChaosConfig::new(0xA5F0 + n as u64, mix, HORIZON)
-            .lease_ticks(100)
-            .adaptive_lease(adaptive);
+        let cfg = ChaosConfig::new(0xA5F0 + n as u64, mix, HORIZON).lease_ticks(100);
         Self {
             state: ChaosState::new(n, cfg),
             fleet,
-            ledger,
-            view,
             values,
             ops: SimRng::seed_from_u64(0x5EED),
             rounds: 0,
         }
     }
 
-    fn chaos(&mut self) -> (ChaosFleet<'_>, &mut Ledger, &mut ServerView) {
-        (ChaosFleet::new(&mut self.state, &mut self.fleet), &mut self.ledger, &mut self.view)
+    fn chaos(&mut self) -> ChaosFleet<'_> {
+        ChaosFleet::new(&mut self.state, &mut self.fleet)
     }
 
     fn random_id(&mut self) -> StreamId {
@@ -136,7 +128,7 @@ impl Rig {
             let id = self.random_id();
             let v = self.values[id.index()] + self.ops.index(81) as f64 - 40.0;
             self.values[id.index()] = v;
-            if self.fleet.deliver_update(id, v, &mut self.ledger, &mut self.view).is_none() {
+            if self.fleet.deliver(id, v).is_none() {
                 continue;
             }
             let fate = self.state.admit_report(id, v);
@@ -146,14 +138,10 @@ impl Rig {
             }
             match self.ops.index(8) {
                 0 => {
-                    let (mut chaos, ledger, view) = self.chaos();
-                    let sync = chaos.install(id, band(v), ledger, view);
+                    let sync = self.chaos().install(id, band(v));
                     d.word(sync.map_or(u64::MAX, f64::to_bits));
                 }
-                1 => {
-                    let (mut chaos, ledger, view) = self.chaos();
-                    d.word(chaos.probe(id, ledger, view).to_bits());
-                }
+                1 => d.word(self.chaos().probe(id).to_bits()),
                 _ => {}
             }
         }
@@ -166,8 +154,7 @@ impl Rig {
         d.syncs(&due);
         for &(id, v) in &due {
             if self.ops.index(4) == 0 {
-                let (mut chaos, ledger, view) = self.chaos();
-                chaos.install(id, band(v), ledger, view);
+                self.chaos().install(id, band(v));
             }
         }
         let plan = self.state.heartbeat_round();
@@ -176,8 +163,7 @@ impl Rig {
         if !plan.reprobe.is_empty() {
             let mut out = Vec::new();
             self.state.set_repair_window(true);
-            let (mut chaos, ledger, view) = self.chaos();
-            chaos.probe_many(&plan.reprobe, ledger, view, &mut out);
+            self.chaos().probe_many(&plan.reprobe, &mut out);
             self.state.set_repair_window(false);
             d.word(out.len() as u64);
         }
@@ -194,21 +180,19 @@ impl Rig {
                 })
                 .collect();
             let mut syncs = Vec::new();
-            let (mut chaos, ledger, view) = self.chaos();
-            chaos.install_many(&installs, ledger, view, &mut syncs);
+            self.chaos().install_many(&installs, &mut syncs);
             d.syncs(&syncs);
         }
         if r % 8 == 7 {
             let lo = 300.0 + self.ops.index(400) as f64;
-            let (mut chaos, ledger, view) = self.chaos();
-            let syncs = chaos.broadcast(Filter::interval(lo, lo + 200.0), ledger, view);
+            let mut syncs = Vec::new();
+            self.chaos().broadcast(Filter::interval(lo, lo + 200.0), &mut syncs);
             d.syncs(&syncs);
         }
         if r % 5 == 0 {
             // A blind probe: may hit a down source and wait out its outage.
             let id = self.random_id();
-            let (mut chaos, ledger, view) = self.chaos();
-            d.word(chaos.probe(id, ledger, view).to_bits());
+            d.word(self.chaos().probe(id).to_bits());
         }
 
         d.word(self.state.now());
@@ -259,8 +243,8 @@ fn storm_mix() -> FaultMix {
 }
 
 /// 80 storm rounds, the horizon, 16 calm rounds; digest of everything.
-fn pinned_run(mix: FaultMix, adaptive: bool) -> u64 {
-    let mut rig = Rig::new(N, mix, adaptive);
+fn pinned_run(mix: FaultMix) -> u64 {
+    let mut rig = Rig::new(N, mix);
     let mut d = Digest::new();
     rig.rounds(80, &mut d);
     rig.calm();
@@ -269,29 +253,20 @@ fn pinned_run(mix: FaultMix, adaptive: bool) -> u64 {
     d.0
 }
 
-/// Generated by record version 2 (see the module docs): `(mix, adaptive,
-/// digest)`.
-const PINNED: [(&str, bool, u64); 8] = [
-    ("loss_only", true, 0xd135d165bc55c2a6),
-    ("loss_only", false, 0x5d28fd89c695b3a7),
-    ("delay_reorder", true, 0x3b1e540608a1c337),
-    ("delay_reorder", false, 0xf48c335d66f2b7f3),
-    ("crash_restart", true, 0x81983056fcdaf10d),
-    ("crash_restart", false, 0x3d2e701535a081e5),
-    ("none", true, 0x953a97acadd5633f),
-    ("none", false, 0x91a093d018588191),
+/// Generated by record version 2 (see the module docs): `(mix, digest)`.
+const PINNED: [(&str, u64); 4] = [
+    ("loss_only", 0xd135d165bc55c2a6),
+    ("delay_reorder", 0x3b1e540608a1c337),
+    ("crash_restart", 0x81983056fcdaf10d),
+    ("none", 0x953a97acadd5633f),
 ];
 
 #[test]
 fn schedule_matches_parent_commit_digests() {
-    let mut got = Vec::new();
-    for (name, mix) in mixes() {
-        for adaptive in [true, false] {
-            got.push((name, adaptive, pinned_run(mix, adaptive)));
-        }
-    }
-    let render = |rows: &[(&str, bool, u64)]| {
-        rows.iter().map(|(m, a, d)| format!("    ({m:?}, {a}, {d:#018x}),\n")).collect::<String>()
+    let got: Vec<(&str, u64)> =
+        mixes().iter().map(|&(name, mix)| (name, pinned_run(mix))).collect();
+    let render = |rows: &[(&str, u64)]| {
+        rows.iter().map(|(m, d)| format!("    ({m:?}, {d:#018x}),\n")).collect::<String>()
     };
     assert_eq!(got, PINNED, "fault schedule drifted; this run produced\n{}", render(&got));
 }
@@ -301,7 +276,7 @@ fn schedule_matches_parent_commit_digests() {
 #[test]
 fn pinned_runs_exercise_every_fault_path() {
     let mut d = Digest::new();
-    let mut rig = Rig::new(N, storm_mix(), true);
+    let mut rig = Rig::new(N, storm_mix());
     rig.rounds(64, &mut d);
     let s = *rig.state.stats();
     for (what, count) in [
@@ -336,7 +311,7 @@ const RECORD_RESUME_DIGEST: u64 = 0x603696142b7e7e80;
 /// The rig that wrote `RECORD`: 28 storm rounds at n = 24, which leave
 /// frames parked and a source dead.
 fn record_rig() -> Rig {
-    let mut rig = Rig::new(24, storm_mix(), true);
+    let mut rig = Rig::new(24, storm_mix());
     rig.rounds(28, &mut Digest::new());
     rig
 }
@@ -362,7 +337,7 @@ fn parent_commit_record_decodes_and_resumes_identically() {
     let v2 = encoded(&state);
     assert_eq!(v2[0], 2, "a migrated state encodes as version 2");
     assert_eq!(encoded(&decoded(&v2).expect("migrated record decodes")), v2);
-    let mut rig = Rig::new(24, storm_mix(), true);
+    let mut rig = Rig::new(24, storm_mix());
     rig.state = state;
     let got = resume_digest(&mut rig);
     assert_eq!(got, RECORD_V1_RESUME_DIGEST, "migrated stream drifted: got {got:#018x}");
@@ -400,7 +375,7 @@ fn regenerate_record() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/chaos_state_v2.bin");
     std::fs::write(path, encoded(&rig.state)).expect("write fixture record");
     println!("RECORD_RESUME_DIGEST = {:#018x}", resume_digest(&mut rig));
-    let mut rig = Rig::new(24, storm_mix(), true);
+    let mut rig = Rig::new(24, storm_mix());
     rig.state = decoded(RECORD_V1).expect("version-1 record decodes");
     println!("RECORD_V1_RESUME_DIGEST = {:#018x}", resume_digest(&mut rig));
 }
@@ -409,9 +384,9 @@ fn regenerate_record() {
 #[test]
 fn codec_round_trip_resumes_exact_stream_under_every_mix() {
     for (name, mix) in mixes().into_iter().chain([("storm", storm_mix())]) {
-        let mut live = Rig::new(64, mix, true);
+        let mut live = Rig::new(64, mix);
         live.rounds(24, &mut Digest::new());
-        let mut restored = Rig::new(64, mix, true);
+        let mut restored = Rig::new(64, mix);
         restored.rounds(24, &mut Digest::new());
         restored.state = decoded(&encoded(&live.state)).expect("decode");
         let (mut a, mut b) = (Digest::new(), Digest::new());
@@ -478,8 +453,7 @@ fn decode_survives_every_byte_flip_and_truncation() {
 fn broadcast_and_install_many_bookkeeping_is_linear() {
     let n = 50_000;
     let mut fleet = SourceFleet::from_values(&vec![500.0; n]);
-    let (mut ledger, mut view) = (Ledger::new(), ServerView::new(n));
-    fleet.probe_all(&mut ledger, &mut view);
+    fleet.probe_all(&mut Vec::new());
     // Every report before tick 10 is lost, so every channel starts with a
     // sequence gap that only a sync (or a probe) closes.
     let mut state = ChaosState::new(n, ChaosConfig::new(1, FaultMix::loss_only(1.0), 10));
@@ -489,11 +463,10 @@ fn broadcast_and_install_many_bookkeeping_is_linear() {
     state.advance(10);
     // One source in five drifts silently (wildcard filter) across the
     // boundary of the window about to be installed, so it must sync.
-    let mut drift = |fleet: &mut SourceFleet, residue: usize| {
-        fleet.broadcast(Filter::wildcard(), &mut ledger, &mut view);
+    let drift = |fleet: &mut SourceFleet, residue: usize| {
+        fleet.broadcast(Filter::wildcard(), &mut Vec::new());
         for i in (residue..n).step_by(5) {
-            let silent = fleet.deliver_update(StreamId(i as u32), 900.0, &mut ledger, &mut view);
-            assert!(silent.is_none());
+            assert!(fleet.deliver(StreamId(i as u32), 900.0).is_none());
         }
     };
     let window = Filter::interval(400.0, 600.0);
@@ -502,12 +475,11 @@ fn broadcast_and_install_many_bookkeeping_is_linear() {
             .filter(|&i| state.recv_seq_of(StreamId(i)) < state.send_seq_of(StreamId(i)))
             .collect()
     };
-    let (mut ledger, mut view) = (Ledger::new(), ServerView::new(n));
 
     drift(&mut fleet, 0);
+    let mut syncs = Vec::new();
     let start = std::time::Instant::now();
-    let syncs =
-        ChaosFleet::new(&mut state, &mut fleet).broadcast(window.clone(), &mut ledger, &mut view);
+    ChaosFleet::new(&mut state, &mut fleet).broadcast(window.clone(), &mut syncs);
     let broadcast_took = start.elapsed();
     assert_eq!(syncs.len(), n / 5);
     let want: Vec<u32> = (0..n as u32).filter(|i| i % 5 != 0).collect();
@@ -516,14 +488,8 @@ fn broadcast_and_install_many_bookkeeping_is_linear() {
     drift(&mut fleet, 1);
     let installs: Vec<(StreamId, Filter)> =
         (0..n).rev().map(|i| (StreamId(i as u32), window.clone())).collect();
-    let mut syncs = Vec::new();
     let start = std::time::Instant::now();
-    ChaosFleet::new(&mut state, &mut fleet).install_many(
-        &installs,
-        &mut ledger,
-        &mut view,
-        &mut syncs,
-    );
+    ChaosFleet::new(&mut state, &mut fleet).install_many(&installs, &mut syncs);
     let install_took = start.elapsed();
     assert_eq!(syncs.len(), n / 5);
     let want: Vec<u32> = (0..n as u32).filter(|i| i % 5 > 1).collect();

@@ -45,22 +45,20 @@ static ALLOCATOR: Counting = Counting;
 
 #[test]
 fn healthy_rounds_do_not_allocate() {
-    for adaptive in [true, false] {
-        // Active faults that never fire: every heartbeat is drawn and delivered.
-        let cfg = ChaosConfig::new(9, FaultMix::none(), u64::MAX).adaptive_lease(adaptive);
-        let mut state = ChaosState::new(10_000, cfg);
-        let before = ALLOCATIONS.with(Cell::get);
-        for _ in 0..8 {
-            state.advance(512);
-            state.draw_crashes();
-            let plan = state.heartbeat_round();
-            assert!(plan.is_empty());
-            state.finish_round();
-        }
-        let allocated = ALLOCATIONS.with(Cell::get) - before;
-        assert_eq!(allocated, 0, "adaptive={adaptive}");
-        assert_eq!(state.verified_live_ids().len(), 10_000);
+    // Active faults that never fire: every heartbeat is drawn and delivered.
+    let cfg = ChaosConfig::new(9, FaultMix::none(), u64::MAX);
+    let mut state = ChaosState::new(10_000, cfg);
+    let before = ALLOCATIONS.with(Cell::get);
+    for _ in 0..8 {
+        state.advance(512);
+        state.draw_crashes();
+        let plan = state.heartbeat_round();
+        assert!(plan.is_empty());
+        state.finish_round();
     }
+    let allocated = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(allocated, 0);
+    assert_eq!(state.verified_live_ids().len(), 10_000);
 }
 
 /// Under 5% heartbeat loss a round has work — faulted channels, lease
@@ -69,27 +67,23 @@ fn healthy_rounds_do_not_allocate() {
 /// caller-owned plan all keep their capacity from round to round.
 #[test]
 fn lossy_steady_state_rounds_do_not_allocate() {
-    for adaptive in [true, false] {
-        // Leases of two rounds, so runs of lost heartbeats expire and rejoin.
-        let cfg = ChaosConfig::new(9, FaultMix::loss_only(0.05), u64::MAX)
-            .lease_ticks(2 * 512)
-            .adaptive_lease(adaptive);
-        let mut state = ChaosState::new(10_000, cfg);
-        let mut plan = RepairPlan::default();
-        let round = |state: &mut ChaosState, plan: &mut RepairPlan| {
-            state.advance(512);
-            state.draw_crashes();
-            state.heartbeat_round_into(plan);
-            state.finish_round();
-            state.drain_lease_samples().count()
-        };
-        let warm: usize = (0..64).map(|_| round(&mut state, &mut plan)).sum();
-        let before = ALLOCATIONS.with(Cell::get);
-        let samples: usize = (0..8).map(|_| round(&mut state, &mut plan)).sum();
-        let allocated = ALLOCATIONS.with(Cell::get) - before;
-        assert_eq!(allocated, 0, "adaptive={adaptive}");
-        let stats = state.stats();
-        assert!(stats.heartbeats_lost > 0 && stats.lease_expirations > 0, "adaptive={adaptive}");
-        assert_eq!(warm + samples > 0, adaptive, "lease samples only under adaptive leases");
-    }
+    // Leases of two rounds, so runs of lost heartbeats expire and rejoin.
+    let cfg = ChaosConfig::new(9, FaultMix::loss_only(0.05), u64::MAX).lease_ticks(2 * 512);
+    let mut state = ChaosState::new(10_000, cfg);
+    let mut plan = RepairPlan::default();
+    let round = |state: &mut ChaosState, plan: &mut RepairPlan| {
+        state.advance(512);
+        state.draw_crashes();
+        state.heartbeat_round_into(plan);
+        state.finish_round();
+        state.drain_lease_samples().count()
+    };
+    let warm: usize = (0..64).map(|_| round(&mut state, &mut plan)).sum();
+    let before = ALLOCATIONS.with(Cell::get);
+    let samples: usize = (0..8).map(|_| round(&mut state, &mut plan)).sum();
+    let allocated = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(allocated, 0);
+    let stats = state.stats();
+    assert!(stats.heartbeats_lost > 0 && stats.lease_expirations > 0);
+    assert!(warm + samples > 0, "leases adapt");
 }

@@ -20,7 +20,9 @@ use std::sync::Arc;
 
 use asf_persist::StateWriter;
 use simkit::rng::SimRng;
-use streamnet::{Filter, Ledger, ServerView, SourceFleet, SpecLog, StreamId};
+use streamnet::{
+    Filter, FleetOps, Ledger, MessageKind, ServerView, SourceFleet, SpecLog, StreamId,
+};
 
 const N: usize = 96;
 /// Ids `N - VIRGIN..N` are never reported: nothing but installs and
@@ -130,28 +132,58 @@ impl Rig {
         d.word(u64::from(kept) << 32 | u64::from(undone));
     }
 
+    /// Meters what reached the server, as the server's context does: the
+    /// ledger words and view entries of the digest come from here.
+    fn heard(&mut self, id: StreamId, v: f64) {
+        self.ledger.record(MessageKind::Update, 1);
+        self.view.set(id, v);
+    }
+
+    fn probed(&mut self, ids: &[StreamId], values: &[f64]) {
+        self.ledger.record(MessageKind::ProbeRequest, ids.len() as u64);
+        self.ledger.record(MessageKind::ProbeReply, ids.len() as u64);
+        for (&id, &v) in ids.iter().zip(values) {
+            self.view.set(id, v);
+        }
+    }
+
+    fn synced(&mut self, syncs: &[(StreamId, f64)], d: &mut Digest) {
+        for &(id, v) in syncs {
+            self.heard(id, v);
+            d.word(u64::from(id.0) ^ v.to_bits());
+        }
+    }
+
     fn round(&mut self, r: u64, d: &mut Digest) {
         for _ in 0..24 {
             let id = self.live_id();
             let v = self.next_value(id);
-            d.opt(self.fleet.deliver_update(id, v, &mut self.ledger, &mut self.view));
+            let report = self.fleet.deliver(id, v);
+            report.inspect(|&v| self.heard(id, v));
+            d.opt(report);
         }
         match self.ops.index(8) {
             0 => {
                 let id = self.live_id();
-                d.word(self.fleet.probe(id, &mut self.ledger, &mut self.view).to_bits());
+                let v = self.fleet.probe(id);
+                self.probed(&[id], &[v]);
+                d.word(v.to_bits());
             }
             1 => {
                 let ids: Vec<StreamId> = (0..6).map(|_| self.live_id()).collect();
                 let mut out = Vec::new();
-                self.fleet.probe_many(&ids, &mut self.ledger, &mut self.view, &mut out);
+                self.fleet.probe_many(&ids, &mut out);
+                self.probed(&ids, &out);
                 out.iter().for_each(|v| d.word(v.to_bits()));
             }
             2 | 3 => {
                 let id = self.any_id();
                 let v = self.fleet.true_value(id);
                 let f = self.filter(v);
-                d.opt(self.fleet.install(id, f, &mut self.ledger, &mut self.view));
+                self.ledger.record(MessageKind::FilterInstall, 1);
+                let sync = self.fleet.install(id, f);
+                sync.inspect(|&v| self.heard(id, v));
+                d.opt(sync);
             }
             4 => {
                 let items: Vec<(StreamId, Filter)> = (0..10)
@@ -162,16 +194,19 @@ impl Rig {
                     })
                     .collect();
                 let mut syncs = Vec::new();
-                self.fleet.install_many(&items, &mut self.ledger, &mut self.view, &mut syncs);
-                syncs.iter().for_each(|(id, v)| d.word(u64::from(id.0) ^ v.to_bits()));
+                self.ledger.record(MessageKind::FilterInstall, items.len() as u64);
+                self.fleet.install_many(&items, &mut syncs);
+                self.synced(&syncs, d);
             }
             _ => self.speculate(d),
         }
         if r % 16 == 11 {
             let centre = self.ops.range_f64(200.0, 800.0);
             let f = self.filter(centre);
-            let syncs = self.fleet.broadcast(f, &mut self.ledger, &mut self.view);
-            syncs.iter().for_each(|(id, v)| d.word(u64::from(id.0) ^ v.to_bits()));
+            let mut syncs = Vec::new();
+            self.ledger.record(MessageKind::FilterBroadcast, N as u64);
+            self.fleet.broadcast(f, &mut syncs);
+            self.synced(&syncs, d);
         }
         self.ledger.kind_counts().iter().for_each(|&c| d.word(c));
         for i in 0..N as u32 {

@@ -4,9 +4,9 @@
 //! paper's headline metric. This module answers "**which protocol decision
 //! sent them**": every message recorded while a handler runs is attributed
 //! to the [`Cause`] the handler declared (overflow shrink, expansion ring,
-//! reinit storm, deferred flush, ...), by diffing the ledger's kind
-//! counters around each fleet operation. The attribution is derived — it
-//! never touches the authoritative ledger, so ledger equality checks in the
+//! reinit storm, deferred flush, ...) at the point where it is recorded in
+//! the ledger. The attribution is a second tally beside the authoritative
+//! ledger and never changes its counts, so ledger equality checks in the
 //! differential suites are unaffected.
 
 /// The protocol decision that originated a batch of messages.
@@ -121,21 +121,6 @@ impl CauseLedger {
         self.rows[cause.slot()][kind] += n;
     }
 
-    /// Attributes the delta between two ledger kind-count snapshots
-    /// (`after - before`, element-wise) to `cause`.
-    #[inline]
-    pub fn attribute(
-        &mut self,
-        cause: Cause,
-        before: &[u64; NUM_KIND_SLOTS],
-        after: &[u64; NUM_KIND_SLOTS],
-    ) {
-        let row = &mut self.rows[cause.slot()];
-        for k in 0..NUM_KIND_SLOTS {
-            row[k] += after[k] - before[k];
-        }
-    }
-
     /// The per-kind counts attributed to `cause`.
     pub fn row(&self, cause: Cause) -> &[u64; NUM_KIND_SLOTS] {
         &self.rows[cause.slot()]
@@ -187,17 +172,6 @@ impl CauseLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn attribution_diffs_snapshots() {
-        let mut c = CauseLedger::new();
-        let before = [1, 0, 0, 0, 0];
-        let after = [1, 3, 3, 0, 64];
-        c.attribute(Cause::ReinitStorm, &before, &after);
-        assert_eq!(c.row(Cause::ReinitStorm), &[0, 3, 3, 0, 64]);
-        assert_eq!(c.total(Cause::ReinitStorm), 70);
-        assert_eq!(c.grand_total(), 70);
-    }
 
     #[test]
     fn merge_and_breakdown() {

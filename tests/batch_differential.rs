@@ -1,9 +1,9 @@
 //! Differential proof that the **batched** fleet operations are
 //! byte-identical to per-stream execution, across every backend:
 //!
-//! * the *scalar baseline* — a [`FleetOps`] wrapper that implements only
-//!   the scalar operations, so every batch contract decomposes into the
-//!   trait's default per-stream loops (the seed's behaviour);
+//! * the *scalar baseline* — a [`FleetOps`] wrapper whose every batch
+//!   operation is its own per-stream loop of scalar operations (the seed's
+//!   behaviour);
 //! * the in-process [`SourceFleet`] with its native single-pass batch
 //!   implementations (what [`Engine`] runs);
 //! * the sharded `asf-server` runtime, whose batch operations
@@ -21,13 +21,12 @@ use asf_core::query::{RangeQuery, RankQuery};
 use asf_core::tolerance::FractionTolerance;
 use asf_core::workload::{EventBatch, UpdateEvent, Workload};
 use asf_server::{ExecMode, ServerConfig, ShardedServer, TelemetryConfig, TraceDepth};
-use streamnet::{Filter, FleetOps, Ledger, ServerView, SourceFleet, StreamId};
+use streamnet::{Filter, FleetOps, ServerView, SourceFleet, StreamId};
 use workloads::{SyntheticConfig, SyntheticWorkload};
 
-/// A fleet that forwards only the scalar [`FleetOps`] operations, so the
-/// trait's default implementations turn every batch call into the exact
-/// per-stream loop the seed executed. `probe_all` — a required method — is
-/// likewise the scalar loop.
+/// A fleet whose batch operations are loops of its scalar ones, in the
+/// order each batch contract states — the per-stream execution every
+/// backend's native batch path must reproduce.
 struct ScalarFleet(SourceFleet);
 
 impl FleetOps for ScalarFleet {
@@ -35,46 +34,50 @@ impl FleetOps for ScalarFleet {
         self.0.len()
     }
 
-    fn deliver(
-        &mut self,
-        id: StreamId,
-        value: f64,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> Option<f64> {
-        self.0.deliver_update(id, value, ledger, view)
+    fn deliver(&mut self, id: StreamId, value: f64) -> Option<f64> {
+        self.0.deliver(id, value)
     }
 
-    fn probe(&mut self, id: StreamId, ledger: &mut Ledger, view: &mut ServerView) -> f64 {
-        self.0.probe(id, ledger, view)
+    fn probe(&mut self, id: StreamId) -> f64 {
+        self.0.probe(id)
     }
 
-    fn probe_all(&mut self, ledger: &mut Ledger, view: &mut ServerView) {
+    fn probe_all(&mut self, out: &mut Vec<f64>) {
+        out.clear();
         for i in 0..self.0.len() {
-            self.0.probe(StreamId(i as u32), ledger, view);
+            out.push(self.probe(StreamId(i as u32)));
         }
     }
 
-    fn install(
-        &mut self,
-        id: StreamId,
-        filter: Filter,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> Option<f64> {
-        self.0.install(id, filter, ledger, view)
+    fn probe_many(&mut self, ids: &[StreamId], out: &mut Vec<f64>) {
+        out.clear();
+        for &id in ids {
+            out.push(self.probe(id));
+        }
     }
 
-    fn broadcast(
-        &mut self,
-        filter: Filter,
-        ledger: &mut Ledger,
-        view: &mut ServerView,
-    ) -> Vec<(StreamId, f64)> {
-        self.0.broadcast(filter, ledger, view)
+    fn install(&mut self, id: StreamId, filter: Filter) -> Option<f64> {
+        self.0.install(id, filter)
     }
-    // probe_many / install_many deliberately NOT overridden: the defaults
-    // run the serial per-stream loops — the baseline under test.
+
+    fn install_many(&mut self, installs: &[(StreamId, Filter)], syncs: &mut Vec<(StreamId, f64)>) {
+        syncs.clear();
+        for (id, filter) in installs {
+            if let Some(v) = self.install(*id, filter.clone()) {
+                syncs.push((*id, v));
+            }
+        }
+    }
+
+    fn broadcast(&mut self, filter: Filter, syncs: &mut Vec<(StreamId, f64)>) {
+        syncs.clear();
+        for i in 0..self.0.len() {
+            let id = StreamId(i as u32);
+            if let Some(v) = self.install(id, filter.clone()) {
+                syncs.push((id, v));
+            }
+        }
+    }
 }
 
 fn events_for(n: usize, horizon: f64, sigma: f64, seed: u64) -> (Vec<f64>, Vec<UpdateEvent>) {

@@ -438,51 +438,3 @@ fn routed_multi_query_fleet_converges_under_chaos() {
         None,
     );
 }
-
-#[test]
-fn adaptive_leases_and_batched_repair_cut_chaos_overhead() {
-    // One seeded 20%-loss ZT-NRP run with the defaults, and the same run
-    // with each mechanism switched off in turn: fixed leases, then
-    // per-channel repair charging. Leases span four heartbeat rounds (one
-    // round per chunk, one tick per event): short enough that the loss
-    // expires the leases of live sources, so the repair path has work.
-    let (n, batch) = (10_000, 512);
-    let mut w = SyntheticWorkload::new(SyntheticConfig {
-        num_streams: n,
-        horizon: 60.0,
-        seed: 0xBE7C,
-        ..Default::default()
-    });
-    let initial = w.initial_values();
-    let events: Vec<UpdateEvent> = std::iter::from_fn(|| w.next_event()).collect();
-    let run = |tweak: fn(ChaosConfig) -> ChaosConfig| {
-        let cfg = ChaosConfig::new(0xC44A, FaultMix::loss_only(0.20), u64::MAX)
-            .lease_ticks(4 * batch as u64);
-        let query = RangeQuery::new(400.0, 600.0).unwrap();
-        let config = ServerConfig::with_shards(4).batch_size(batch);
-        let mut server = ShardedServer::new(&initial, ZtNrp::new(query), config);
-        server.initialize();
-        server.enable_chaos(tweak(cfg));
-        server.ingest_batch(&events);
-        *server.chaos_stats().expect("chaos enabled")
-    };
-    let tuned = run(|cfg| cfg);
-    let fixed = run(|cfg| cfg.adaptive_lease(false));
-    let per_channel = run(|cfg| cfg.batched_repair(false));
-    // Each mechanism alone, against the measured factors at this scale:
-    // spurious expirations 493 -> 100, repair frames 301 -> 56.
-    let spurious = fixed.spurious_expirations as f64 / tuned.spurious_expirations.max(1) as f64;
-    assert!(
-        spurious >= 4.9,
-        "adaptive leases: {} -> {} spurious expirations ({spurious:.2}x)",
-        fixed.spurious_expirations,
-        tuned.spurious_expirations
-    );
-    let repair = per_channel.repair_frames as f64 / tuned.repair_frames.max(1) as f64;
-    assert!(
-        repair >= 5.3,
-        "batched repair: {} -> {} repair frames ({repair:.2}x)",
-        per_channel.repair_frames,
-        tuned.repair_frames
-    );
-}

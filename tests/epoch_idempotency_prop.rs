@@ -5,8 +5,8 @@
 //!
 //! * a filter install is applied **exactly once** — the source's epoch
 //!   equals the logical install count no matter how many ghost request
-//!   frames the channel injected, and the authoritative ledger meters
-//!   exactly one `FilterInstall` per logical install;
+//!   frames the channel injected, and the source is charged exactly one
+//!   install message per logical install;
 //! * epochs never regress;
 //! * `recv_seq` never regresses and never overtakes `send_seq`;
 //! * each `(source, seq)` report frame is accepted at most once — every
@@ -21,8 +21,8 @@
 use simkit::fault::FaultMix;
 use simkit::rng::SimRng;
 use streamnet::{
-    ChaosConfig, ChaosFleet, ChaosState, Filter, FleetOps, Ledger, MessageKind, ReportFate,
-    ServerView, SourceFleet, StreamId,
+    ChaosConfig, ChaosFleet, ChaosState, Filter, FleetOps, MessageKind, ReportFate, SourceFleet,
+    StreamId,
 };
 
 const N: usize = 8;
@@ -76,8 +76,10 @@ fn epochs_and_sequences_are_idempotent_under_dup_and_reorder() {
         let mut rng = SimRng::seed_from_u64(0x1D3A_0000 + seed);
         let values: Vec<f64> = (0..N).map(|_| rng.range_f64(0.0, 1000.0)).collect();
         let mut fleet = SourceFleet::from_values(&values);
-        let mut ledger = Ledger::new();
-        let mut view = ServerView::new(N);
+        // The cost model's bill of the logical operations: what the sources
+        // must have been charged if nothing executed twice.
+        let mut bill = 0u64;
+        let mut syncs = Vec::new();
 
         // Duplicate- and delay-heavy: most frames are ghosted or reordered,
         // a smaller share dropped outright. Faults never cease.
@@ -95,27 +97,27 @@ fn epochs_and_sequences_are_idempotent_under_dup_and_reorder() {
         for _ in 0..OPS {
             match rng.index(6) {
                 // Targeted install: exactly one epoch bump, exactly one
-                // ledger FilterInstall, however many ghost frames flew.
+                // install message at the source, however many ghost frames
+                // flew.
                 0 => {
                     let id = StreamId(rng.index(N) as u32);
-                    let installs_before = ledger.count(MessageKind::FilterInstall);
-                    {
-                        let mut chaos = ChaosFleet::new(&mut state, &mut fleet);
-                        chaos.install(id, Filter::wildcard(), &mut ledger, &mut view);
-                    }
+                    let traffic_before = fleet.source(id).traffic();
+                    let sync =
+                        ChaosFleet::new(&mut state, &mut fleet).install(id, Filter::wildcard());
+                    let sent = 1 + u64::from(sync.is_some());
                     assert_eq!(
-                        ledger.count(MessageKind::FilterInstall),
-                        installs_before + 1,
-                        "{tag}: retries/duplicates leaked into the ledger"
+                        fleet.source(id).traffic(),
+                        traffic_before + sent,
+                        "{tag}: retries/duplicates reached the source"
                     );
+                    bill += sent;
                     model[id.index()].installs += 1;
                 }
                 // Broadcast install: every source's epoch bumps once.
                 1 => {
-                    {
-                        let mut chaos = ChaosFleet::new(&mut state, &mut fleet);
-                        chaos.broadcast(Filter::wildcard(), &mut ledger, &mut view);
-                    }
+                    ChaosFleet::new(&mut state, &mut fleet)
+                        .broadcast(Filter::wildcard(), &mut syncs);
+                    bill += N as u64 + syncs.len() as u64;
                     for m in model.iter_mut() {
                         m.installs += 1;
                     }
@@ -162,10 +164,8 @@ fn epochs_and_sequences_are_idempotent_under_dup_and_reorder() {
                 // Probe: the reply supersedes all in-flight frames.
                 4 => {
                     let id = StreamId(rng.index(N) as u32);
-                    {
-                        let mut chaos = ChaosFleet::new(&mut state, &mut fleet);
-                        chaos.probe(id, &mut ledger, &mut view);
-                    }
+                    ChaosFleet::new(&mut state, &mut fleet).probe(id);
+                    bill += 2;
                     assert_eq!(
                         state.recv_seq_of(id),
                         state.send_seq_of(id),
@@ -180,27 +180,20 @@ fn epochs_and_sequences_are_idempotent_under_dup_and_reorder() {
                     {
                         let mut chaos = ChaosFleet::new(&mut state, &mut fleet);
                         for &id in &plan.reprobe {
-                            chaos.probe(id, &mut ledger, &mut view);
+                            chaos.probe(id);
                         }
                     }
+                    bill += 2 * plan.reprobe.len() as u64;
                     state.finish_round();
                 }
             }
             check_invariants(&tag, &state, &mut model);
         }
 
-        // End-to-end ledger accounting: the authoritative ledger metered
-        // exactly the logical installs, never a retransmission.
-        let logical_targeted: u64 = ledger.count(MessageKind::FilterInstall);
-        let expected_targeted: u64 = model
-            .iter()
-            .map(|m| m.installs)
-            .sum::<u64>()
-            .saturating_sub(ledger.count(MessageKind::FilterBroadcast));
-        assert_eq!(
-            logical_targeted, expected_targeted,
-            "{tag}: ledger installs diverged from the logical install count"
-        );
+        // End-to-end accounting: the sources were charged exactly the
+        // logical operations, never a retransmission.
+        let charged: u64 = fleet.iter().map(|s| s.traffic()).sum();
+        assert_eq!(charged, bill, "{tag}: source traffic diverged from the logical operations");
         // And duplicates genuinely flew: the mix must have exercised the
         // idempotency paths it claims to test.
         let stats = state.stats();
@@ -215,9 +208,7 @@ fn a_gap_exactly_equal_to_the_lease_does_not_expire() {
     // lease length is still live; one tick more and it is dead. Total
     // heartbeat loss makes the gap equal the clock.
     let lease = 50u64;
-    let cfg = ChaosConfig::new(7, FaultMix::loss_only(1.0), u64::MAX)
-        .lease_ticks(lease)
-        .adaptive_lease(false);
+    let cfg = ChaosConfig::new(7, FaultMix::loss_only(1.0), u64::MAX).lease_ticks(lease);
     let mut state = ChaosState::new(N, cfg);
 
     state.advance(lease);
@@ -246,15 +237,11 @@ fn expiry_at_a_round_boundary_then_rejoin_applies_nothing_twice() {
     // a fresh report afterwards is applied exactly once.
     let lease = 50u64;
     let horizon = lease + 2; // heartbeats die until just past the expiry round
-    let cfg = ChaosConfig::new(7, FaultMix::loss_only(1.0), horizon)
-        .lease_ticks(lease)
-        .adaptive_lease(false);
+    let cfg = ChaosConfig::new(7, FaultMix::loss_only(1.0), horizon).lease_ticks(lease);
     let mut state = ChaosState::new(N, cfg);
     let mut rng = SimRng::seed_from_u64(0xB0B);
     let values: Vec<f64> = (0..N).map(|_| rng.range_f64(0.0, 1000.0)).collect();
     let mut fleet = SourceFleet::from_values(&values);
-    let mut ledger = Ledger::new();
-    let mut view = ServerView::new(N);
 
     // (No install before the storm: with total loss, an install's retry
     // storm would burn the clock past the horizon. Epochs start at 0 and
@@ -280,7 +267,7 @@ fn expiry_at_a_round_boundary_then_rejoin_applies_nothing_twice() {
     {
         let mut chaos = ChaosFleet::new(&mut state, &mut fleet);
         for &id in &plan.reprobe {
-            chaos.probe(id, &mut ledger, &mut view);
+            chaos.probe(id);
         }
     }
     state.finish_round();
@@ -306,10 +293,7 @@ fn expiry_at_a_round_boundary_then_rejoin_applies_nothing_twice() {
 
     // And a post-rejoin install bumps every epoch exactly once — the
     // rejoin left no latent state that could double-apply it.
-    {
-        let mut chaos = ChaosFleet::new(&mut state, &mut fleet);
-        chaos.broadcast(Filter::wildcard(), &mut ledger, &mut view);
-    }
+    ChaosFleet::new(&mut state, &mut fleet).broadcast(Filter::wildcard(), &mut Vec::new());
     for (i, &epoch) in epochs.iter().enumerate() {
         let id = StreamId(i as u32);
         assert_eq!(state.epoch_of(id), epoch + 1, "{id}: install applied other than once");
@@ -424,8 +408,7 @@ fn rtp_stale_bound_reports_survive_drop_delay_and_duplication() {
         /// says so, emits a report frame whose fate the channel draws.
         fn update(&mut self, s: u32, value: f64) -> Option<ReportFate> {
             let id = StreamId(s);
-            let (mut shard_ledger, mut shard_view) = (Ledger::new(), ServerView::new(7));
-            self.fleet.deliver_update(id, value, &mut shard_ledger, &mut shard_view)?;
+            self.fleet.deliver(id, value)?;
             let fate = self.state.admit_report(id, value);
             if fate == ReportFate::Deliver {
                 let mut chaos = ChaosFleet::new(&mut self.state, &mut self.fleet);
