@@ -84,12 +84,12 @@ impl AnswerSet {
     }
 
     /// Serializes the set as a canonical ascending member list — identical
-    /// history-independent bytes whatever insert/remove sequence built it.
+    /// history-independent bytes whatever insert/remove sequence built it —
+    /// declared as a one-column indexed table, so the store keeps the ids
+    /// as gaps.
     pub fn encode(&self, w: &mut asf_persist::StateWriter) {
         w.put_u64(self.len as u64);
-        for id in self.iter() {
-            w.put_u32(id.0);
-        }
+        w.put_table(asf_persist::Table::Indexed, self.iter(), |w, id| w.put_u32(id.0));
     }
 
     /// Decodes a set written by [`AnswerSet::encode`].
@@ -227,12 +227,10 @@ impl IdSet {
     }
 
     /// Serializes the set — byte-identical to [`AnswerSet::encode`] of the
-    /// same members.
+    /// same members, and declared the same way.
     pub fn encode(&self, w: &mut asf_persist::StateWriter) {
         w.put_u64(self.ids.len() as u64);
-        for &id in &self.ids {
-            w.put_u32(id);
-        }
+        w.put_table(asf_persist::Table::Indexed, &self.ids, |w, &id| w.put_u32(id));
     }
 
     /// Decodes a set written by [`IdSet::encode`] (or [`AnswerSet::encode`]).

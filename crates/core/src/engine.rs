@@ -364,12 +364,17 @@ impl<P: Protocol> ProtocolCore<P> {
     /// row selection into a core constructed with the same configuration
     /// (population, protocol config, rank parts) — [`Rows::Dirty`] on top
     /// of the state its full image restored. The rank index is not
-    /// serialized — it is rebuilt from the restored view, which yields the
-    /// identical treap (priorities derive deterministically from stream
-    /// ids).
+    /// serialized. A full image rebuilds it from the restored view, which
+    /// yields the identical treap (priorities derive deterministically
+    /// from stream ids); a delta re-keys only the view entries it names
+    /// ([`RankForest::refresh_from_changed`]), with the same result.
     pub fn load_state(&mut self, r: &mut StateReader<'_>, rows: Rows) -> asf_persist::Result<()> {
         let initialized = r.get_bool()?;
         let reports_processed = r.get_u64()?;
+        // Cleared first, the view's dirty marks name exactly the entries
+        // this image writes. No delta is taken against them: a restored
+        // core's next checkpoint is a full image.
+        self.view.clear_dirty();
         self.view.decode_rows(r, rows)?;
         let ledger = Ledger::decode(r)?;
         self.protocol.load_state(r)?;
@@ -383,11 +388,19 @@ impl<P: Protocol> ProtocolCore<P> {
         self.initialized = initialized;
         self.reports_processed = reports_processed;
         self.ledger = ledger;
-        if let Some(index) = self.rank.as_mut() {
+        if let Some(forest) = self.rank.as_mut() {
             if !self.view.all_known() {
                 return Err(PersistError::corrupt("rank snapshot with partially-known view"));
             }
-            index.rebuild_from_view(&self.view);
+            if rows == Rows::Dirty && forest.is_fully_populated() {
+                let changed: Vec<StreamId> = self.view.dirty_ids().collect();
+                self.ctx_stats.index_delta_refreshes += 1;
+                self.ctx_stats.index_delta_rekeys += changed.len() as u64;
+                forest.refresh_from_changed(&self.view, &changed);
+            } else {
+                self.ctx_stats.index_bulk_builds += 1;
+                forest.rebuild_from_view(&self.view);
+            }
         }
         Ok(())
     }

@@ -10,13 +10,95 @@
 //! alignment, no versioning at this layer — files carry a versioned header
 //! and records carry tags; payloads are only ever decoded by the version
 //! that wrote them.
+//!
+//! Beside the bytes, a writer records where its row tables lie
+//! ([`StateWriter::put_table`]). The declarations change no byte of the
+//! image; the snapshot store reads them to store each table as byte
+//! planes ([`column`](mod@crate::column)).
 
+use crate::column::BLOCK_ROWS;
 use crate::{PersistError, Result};
 
-/// An append-only state encoder over a growable byte buffer.
+/// How the rows of a declared table ([`StateWriter::put_table`]) begin.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Table {
+    /// Rows in position order: every byte column is a plane.
+    Positional,
+    /// Each row starts with its `u32` index, ascending down the table:
+    /// that column is stored as gaps.
+    Indexed,
+}
+
+/// Up to [`BLOCK_ROWS`] consecutive rows of one width inside an image:
+/// the unit the store codes as byte planes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct RowBlock {
+    /// Offset of the first row.
+    pub start: usize,
+    /// Rows in the block (1 ..= [`BLOCK_ROWS`]).
+    pub rows: usize,
+    /// Bytes per row (at least 1; at least 4 when indexed).
+    pub width: usize,
+    /// Whether the rows start with an ascending `u32` index.
+    pub indexed: bool,
+}
+
+impl RowBlock {
+    /// One past the block's last byte.
+    pub fn end(&self) -> usize {
+        self.start + self.rows * self.width
+    }
+}
+
+/// A logical state image and the row blocks declared in it — what a
+/// checkpoint stores. Built from a [`StateWriter`], or from bare bytes
+/// (no tables: the whole image is stored verbatim).
+#[derive(Clone, Copy, Debug)]
+pub struct Image<'a> {
+    pub(crate) bytes: &'a [u8],
+    pub(crate) blocks: &'a [RowBlock],
+}
+
+impl<'a> From<&'a StateWriter> for Image<'a> {
+    fn from(w: &'a StateWriter) -> Self {
+        Image { bytes: &w.buf, blocks: &w.blocks }
+    }
+}
+
+impl<'a> From<&'a [u8]> for Image<'a> {
+    fn from(bytes: &'a [u8]) -> Self {
+        Image { bytes, blocks: &[] }
+    }
+}
+
+impl<'a, const N: usize> From<&'a [u8; N]> for Image<'a> {
+    fn from(bytes: &'a [u8; N]) -> Self {
+        Image { bytes, blocks: &[] }
+    }
+}
+
+impl<'a> From<&'a Vec<u8>> for Image<'a> {
+    fn from(bytes: &'a Vec<u8>) -> Self {
+        Image { bytes, blocks: &[] }
+    }
+}
+
+/// An append-only state encoder over a growable byte buffer, with the row
+/// tables declared in it.
 #[derive(Clone, Debug, Default)]
 pub struct StateWriter {
     buf: Vec<u8>,
+    pub(crate) blocks: Vec<RowBlock>,
+    /// Whether a table is being written: a table inside one of its rows
+    /// is not declared, so declared blocks never overlap.
+    in_table: bool,
+}
+
+impl From<Vec<u8>> for StateWriter {
+    /// A writer holding `bytes`, with no tables declared.
+    fn from(buf: Vec<u8>) -> Self {
+        Self { buf, ..Self::default() }
+    }
 }
 
 impl StateWriter {
@@ -29,7 +111,7 @@ impl StateWriter {
     /// can recycle one allocation across rounds.
     pub fn with_buffer(mut buf: Vec<u8>) -> Self {
         buf.clear();
-        Self { buf }
+        Self::from(buf)
     }
 
     /// Bytes encoded so far.
@@ -104,6 +186,63 @@ impl StateWriter {
     /// Appends a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         self.put_bytes(s.as_bytes());
+    }
+
+    /// Appends `inner`'s bytes as a length-prefixed byte string
+    /// ([`Self::put_bytes`]), carrying the tables declared in it over to
+    /// this writer.
+    pub fn put_nested(&mut self, inner: &StateWriter) {
+        self.put_bytes(&inner.buf);
+        if !self.in_table {
+            let base = self.buf.len() - inner.buf.len();
+            let moved = inner.blocks.iter().map(|b| RowBlock { start: base + b.start, ..*b });
+            self.blocks.extend(moved);
+        }
+    }
+
+    /// Appends one row table: `put_row` writes the row of each item, in
+    /// order — under [`Table::Indexed`] starting with its `u32` index. The
+    /// bytes are exactly what the calls write; the writer also declares
+    /// the table, in blocks of up to [`BLOCK_ROWS`] rows, so the store can
+    /// code it. A block whose rows differ in width is not declared (stored
+    /// verbatim), nor is a table written inside another table's row.
+    pub fn put_table<T>(
+        &mut self,
+        table: Table,
+        items: impl IntoIterator<Item = T>,
+        mut put_row: impl FnMut(&mut Self, T),
+    ) {
+        if self.in_table {
+            items.into_iter().for_each(|item| put_row(self, item));
+            return;
+        }
+        self.in_table = true;
+        let indexed = table == Table::Indexed;
+        let min_width = if indexed { 4 } else { 1 };
+        // The open block, and whether its rows all had its width so far.
+        let mut block = RowBlock { start: self.buf.len(), rows: 0, width: 0, indexed };
+        let mut uniform = true;
+        for item in items {
+            let start = self.buf.len();
+            put_row(self, item);
+            let width = self.buf.len() - start;
+            if block.rows == 0 {
+                block.width = width;
+            }
+            uniform &= width == block.width;
+            block.rows += 1;
+            if block.rows == BLOCK_ROWS {
+                if uniform && block.width >= min_width {
+                    self.blocks.push(block);
+                }
+                block = RowBlock { start: self.buf.len(), rows: 0, width: 0, indexed };
+                uniform = true;
+            }
+        }
+        if block.rows > 0 && uniform && block.width >= min_width {
+            self.blocks.push(block);
+        }
+        self.in_table = false;
     }
 }
 
@@ -204,6 +343,34 @@ impl<'a> StateReader<'a> {
             return Err(PersistError::corrupt("length prefix exceeds payload"));
         }
         Ok(len as usize)
+    }
+
+    /// Reads a LEB128 length (at most ten bytes) and checks it against
+    /// `max`, the most the structure it measures can hold: a length past
+    /// its bound is corruption, never an allocation request.
+    pub fn get_var_len(&mut self, max: usize) -> Result<usize> {
+        let mut len = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.get_u8()?;
+            let bits = u64::from(byte & 0x7F);
+            if bits << shift >> shift != bits {
+                return Err(PersistError::corrupt("length varint overflows"));
+            }
+            len |= bits << shift;
+            if byte & 0x80 == 0 {
+                return if len <= max as u64 {
+                    Ok(len as usize)
+                } else {
+                    Err(PersistError::corrupt("length exceeds its bound"))
+                };
+            }
+        }
+        Err(PersistError::corrupt("length varint too long"))
+    }
+
+    /// Reads `n` raw bytes, borrowed from the buffer.
+    pub fn get_slice(&mut self, n: usize) -> Result<&'a [u8]> {
+        self.take(n)
     }
 
     /// Reads a length-prefixed byte string, borrowed from the buffer.

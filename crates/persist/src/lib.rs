@@ -8,6 +8,11 @@
 //! - [`codec`] — [`StateWriter`]/[`StateReader`], the fixed-width
 //!   little-endian encoding every persisted domain type goes through
 //!   (`f64` as raw bits, so recovered state is bit-exact).
+//!   A writer also declares its row tables ([`StateWriter::put_table`]).
+//! - [`column`](mod@column) — column coding of checkpoint bodies: each declared table
+//!   stored as byte planes (one byte for a constant plane, runs for the
+//!   rest, gaps for an ascending index column) below the logical image,
+//!   which the reader rebuilds exactly before any decoder runs.
 //! - [`record`] — the tagged `{tag, len, payload, crc}` record format with
 //!   versioned file headers, plus torn-tail-aware scanning.
 //! - [`store`] — [`SnapshotStore`] (double-buffered, tmp+fsync+rename
@@ -26,15 +31,17 @@
 #![warn(missing_docs)]
 
 pub mod codec;
+pub mod column;
 pub mod crc;
 pub mod record;
 pub mod store;
 
-pub use codec::{StateReader, StateWriter};
+pub use codec::{Image, StateReader, StateWriter, Table};
+pub use column::{Coding, BLOCK_ROWS};
 pub use crc::{crc32, Crc32};
 pub use record::{
-    decode_header, encode_header, encode_record, scan_records, FileKind, Record, Scan,
-    FORMAT_VERSION, HEADER_LEN, MAX_RECORD_LEN, RECORD_OVERHEAD,
+    decode_header, encode_header, encode_record, scan_records, FileKind, Record, Scan, HEADER_LEN,
+    MAX_RECORD_LEN, RECORD_OVERHEAD,
 };
 pub use store::{
     pruned_floor, CrashPoint, Journal, JournalEntry, RotateStep, SnapshotImage, SnapshotStore,

@@ -6,7 +6,9 @@
 //!
 //! ```text
 //! file   := header record*
-//! header := magic[8] version:u32 kind:u32            (16 bytes)
+//! header := magic[8] version:u32 kind:u32            (16 bytes; version
+//!                                                    per kind, see
+//!                                                    [`FileKind::version`])
 //! record := tag:u32 len:u32 payload[len] crc:u32     (12 + len bytes)
 //! ```
 //!
@@ -23,9 +25,6 @@ use crate::{PersistError, Result};
 
 /// File magic: identifies an asf persistence file.
 pub const FILE_MAGIC: [u8; 8] = *b"ASFDUR01";
-
-/// Current format version, written into every file header.
-pub const FORMAT_VERSION: u32 = 1;
 
 /// Bytes of the file header (`magic + version + kind`).
 pub const HEADER_LEN: usize = 16;
@@ -55,6 +54,17 @@ impl FileKind {
         }
     }
 
+    /// The format version this build writes into, and reads from, a file
+    /// of this kind. Snapshots are at 2: their bodies are column-coded
+    /// ([`column`](mod@crate::column)), and a version-1 snapshot or delta is not read
+    /// (it fails its header, like a torn file). Journals are at 1.
+    pub fn version(self) -> u32 {
+        match self {
+            FileKind::Snapshot => 2,
+            FileKind::Journal => 1,
+        }
+    }
+
     fn from_code(code: u32) -> Result<Self> {
         match code {
             1 => Ok(FileKind::Snapshot),
@@ -68,7 +78,7 @@ impl FileKind {
 pub fn encode_header(kind: FileKind) -> [u8; HEADER_LEN] {
     let mut h = [0u8; HEADER_LEN];
     h[..8].copy_from_slice(&FILE_MAGIC);
-    h[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    h[8..12].copy_from_slice(&kind.version().to_le_bytes());
     h[12..16].copy_from_slice(&kind.code().to_le_bytes());
     h
 }
@@ -76,7 +86,7 @@ pub fn encode_header(kind: FileKind) -> [u8; HEADER_LEN] {
 /// Validates a file header, returning its kind.
 ///
 /// Fails on short files, wrong magic, or a version this build does not
-/// read — never panics on arbitrary bytes.
+/// read for the kind — never panics on arbitrary bytes.
 pub fn decode_header(bytes: &[u8]) -> Result<FileKind> {
     if bytes.len() < HEADER_LEN {
         return Err(PersistError::corrupt("file shorter than header"));
@@ -85,10 +95,12 @@ pub fn decode_header(bytes: &[u8]) -> Result<FileKind> {
         return Err(PersistError::corrupt("bad file magic"));
     }
     let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-    if version != FORMAT_VERSION {
+    let kind =
+        FileKind::from_code(u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]))?;
+    if version != kind.version() {
         return Err(PersistError::corrupt("unsupported format version"));
     }
-    FileKind::from_code(u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]))
+    Ok(kind)
 }
 
 /// Appends one framed record (`tag | len | payload | crc`) to `out`.

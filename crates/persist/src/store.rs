@@ -16,6 +16,11 @@
 //!   floor.bin      how far pruning has destroyed journal history
 //! ```
 //!
+//! A checkpoint's state goes to disk column-coded ([`column`](mod@crate::column)): the
+//! row tables its writer declared as byte planes, the rest verbatim.
+//! Reads hand out the logical image the writer produced, decoded before
+//! any caller sees it.
+//!
 //! Snapshots are written tmp-file → `fsync` → atomic rename, alternating
 //! between the two slots, so a crash at *any* byte of a checkpoint write
 //! leaves the previous checkpoint untouched and selectable. A delta is
@@ -43,6 +48,8 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use crate::codec::Image;
+use crate::column::{self, Coded, Coding};
 use crate::crc::Crc32;
 use crate::record::{
     decode_header, encode_header, scan_records, FileKind, HEADER_LEN, MAX_RECORD_LEN,
@@ -50,9 +57,11 @@ use crate::record::{
 };
 use crate::{PersistError, Result};
 
-/// Record tag for a checkpoint payload inside a snapshot file.
+/// Record tag for a checkpoint payload (`seq | coded state`) inside a
+/// snapshot file.
 pub const TAG_SNAPSHOT: u32 = 0x534E_4150; // "SNAP"
-/// Record tag for a delta checkpoint payload (`seq | base_seq | state`).
+/// Record tag for a delta checkpoint payload
+/// (`seq | base_seq | coded state`).
 pub const TAG_DELTA: u32 = 0x444C_5441; // "DLTA"
 /// Record tag for a committed input chunk inside the journal.
 pub const TAG_JOURNAL_CHUNK: u32 = 0x4A43_484B; // "JCHK"
@@ -158,22 +167,24 @@ impl CrashPoint {
 
 /// Writes one framed record `tag | len | seqs | body | crc` — the bytes
 /// [`crate::record::encode_record`] produces for the payload
-/// `seqs | body`, each sequence number a little-endian `u64` — straight
-/// from `body` under `crash`'s budget, checksumming as it goes, so no
-/// framed copy of a (multi-megabyte) body is ever built. Returns the
-/// bytes written.
+/// `seqs | body`, each sequence number a little-endian `u64` — under
+/// `crash`'s budget, checksumming as it goes. `body` streams the
+/// `body_len` body bytes into the sink it is given, so no framed copy of a
+/// (multi-megabyte) body is ever built. Returns the bytes written.
 ///
 /// # Panics
 ///
-/// Panics if the payload exceeds [`crate::record::MAX_RECORD_LEN`].
+/// Panics if the payload exceeds [`crate::record::MAX_RECORD_LEN`], or if
+/// `body` streams other than `body_len` bytes.
 fn write_seq_record(
     crash: &mut CrashPoint,
     file: &mut File,
     tag: u32,
     seqs: &[u64],
-    body: &[u8],
+    body_len: usize,
+    body: impl FnOnce(&mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()>,
 ) -> Result<u64> {
-    let len = u32::try_from(8 * seqs.len() + body.len()).expect("record payload too long");
+    let len = u32::try_from(8 * seqs.len() + body_len).expect("record payload too long");
     assert!(len <= MAX_RECORD_LEN, "record payload too long");
     // tag, len and at most two sequence numbers, without an allocation
     let mut head = [0u8; 24];
@@ -185,29 +196,37 @@ fn write_seq_record(
     let head = &head[..8 + 8 * seqs.len()];
     let mut crc = Crc32::new();
     crc.update(head);
-    crc.update(body);
     crash.write(file, head)?;
-    crash.write(file, body)?;
+    let mut streamed = 0;
+    body(&mut |bytes| {
+        crc.update(bytes);
+        streamed += bytes.len();
+        crash.write(file, bytes)
+    })?;
+    assert_eq!(streamed, body_len, "record body differs from its planned length");
     crash.write(file, &crc.finish().to_le_bytes())?;
     Ok((RECORD_OVERHEAD + len as usize) as u64)
 }
 
 /// Durably replaces `dir/name` with a one-record checkpoint file — header,
-/// then the `tag | seqs | body` record — written to `dir/name.tmp`,
-/// fsynced and renamed over it, so a crash at any byte leaves the old file
-/// whole (and at worst a tmp file that the next open deletes).
+/// then the `tag | seqs | coded state` record — written to
+/// `dir/name.tmp`, fsynced and renamed over it, so a crash at any byte
+/// leaves the old file whole (and at worst a tmp file that the next open
+/// deletes). The coded state ([`column`](mod@crate::column)) is sized first, then
+/// streamed block by block.
 fn write_checkpoint_file(
     crash: &mut CrashPoint,
     dir: &Path,
     name: &str,
     tag: u32,
     seqs: &[u64],
-    body: &[u8],
+    state: Image<'_>,
 ) -> Result<()> {
+    let coded = Coded::plan(state);
     let tmp = dir.join(tmp_name(name));
     let mut file = File::create(&tmp)?;
     crash.write(&mut file, &encode_header(FileKind::Snapshot))?;
-    write_seq_record(crash, &mut file, tag, seqs, body)?;
+    write_seq_record(crash, &mut file, tag, seqs, coded.len(), |sink| coded.write(sink))?;
     file.sync_all()?;
     drop(file);
     fs::rename(&tmp, dir.join(name))?;
@@ -282,39 +301,52 @@ fn parse_checkpoint<const N: usize>(
     Some((seqs, start..start + rec.payload.len() - 8 * N))
 }
 
-/// Parses a snapshot file image into `(seq, state)`; `None` if invalid in
-/// any way.
-fn parse_snapshot(bytes: &[u8]) -> Option<(u64, Vec<u8>)> {
-    parse_checkpoint::<1>(bytes, TAG_SNAPSHOT).map(|([seq], range)| (seq, bytes[range].to_vec()))
+/// Validates a snapshot slot's file image and rebuilds its logical state:
+/// `None` for a file [`parse_checkpoint`] rejects (a slot that is
+/// skipped), an error for a CRC-valid record whose coded body does not
+/// decode.
+fn read_snapshot(bytes: &[u8]) -> Result<Option<SnapshotImage>> {
+    match parse_checkpoint::<1>(bytes, TAG_SNAPSHOT) {
+        Some(([seq], range)) => SnapshotImage::decode(seq, &bytes[range]).map(Some),
+        None => Ok(None),
+    }
 }
 
-/// A validated checkpoint — a full image or a delta — held as the raw file
-/// image plus the bounds of the state payload inside it: recovery borrows
-/// the (multi-megabyte) state via [`state`](Self::state) instead of
-/// copying it out.
+/// A validated checkpoint — a full image or a delta — decoded to its
+/// logical state.
 #[derive(Debug)]
 pub struct SnapshotImage {
-    image: Vec<u8>,
-    state: std::ops::Range<usize>,
+    state: Vec<u8>,
     seq: u64,
+    coding: Coding,
 }
 
 impl SnapshotImage {
+    fn decode(seq: u64, body: &[u8]) -> Result<Self> {
+        let (state, coding) = column::decode(body)?;
+        Ok(Self { state, seq, coding })
+    }
+
+    /// How the checkpoint's body was coded on disk.
+    pub fn coding(&self) -> &Coding {
+        &self.coding
+    }
+
     /// The event sequence the checkpoint was taken at (the sequence a
     /// delta brings its base image to).
     pub fn seq(&self) -> u64 {
         self.seq
     }
 
-    /// The state payload, borrowed from the image.
+    /// The logical state.
     pub fn state(&self) -> &[u8] {
-        &self.image[self.state.clone()]
+        &self.state
     }
 
-    /// The whole file image and the byte range of the state inside it, for
-    /// a caller that shares the image instead of borrowing it.
-    pub fn into_parts(self) -> (Vec<u8>, std::ops::Range<usize>) {
-        (self.image, self.state)
+    /// The logical state, for a caller that shares it instead of
+    /// borrowing it.
+    pub fn into_state(self) -> Vec<u8> {
+        self.state
     }
 }
 
@@ -371,10 +403,10 @@ impl SnapshotStore {
         let order: [usize; 2] =
             if peeked[1].unwrap_or(0) > peeked[0].unwrap_or(0) { [1, 0] } else { [0, 1] };
         for slot in order {
-            if let Some(image) = read_file(&dir.join(SLOT_NAMES[slot]))? {
-                if let Some(([seq], state)) = parse_checkpoint::<1>(&image, TAG_SNAPSHOT) {
+            if let Some(file) = read_file(&dir.join(SLOT_NAMES[slot]))? {
+                if let Some(image) = read_snapshot(&file)? {
                     let store = Self { dir, next_slot: slot ^ 1, crash: CrashPoint::default() };
-                    return Ok((store, Some(SnapshotImage { image, state, seq })));
+                    return Ok((store, Some(image)));
                 }
             }
         }
@@ -402,10 +434,11 @@ impl SnapshotStore {
     /// into place, and the delta (if any) is deleted: every delta was taken
     /// against an older full image. On any error — including an injected
     /// crash — the previous checkpoint is still intact and selectable. The
-    /// file is streamed from `state` (header, record frame, state,
+    /// file is streamed from `state` (header, record frame, coded state,
     /// checksum); no copy of the image is built.
-    pub fn save(&mut self, seq: u64, state: &[u8]) -> Result<()> {
+    pub fn save<'a>(&mut self, seq: u64, state: impl Into<Image<'a>>) -> Result<()> {
         let slot = SLOT_NAMES[self.next_slot];
+        let state = state.into();
         write_checkpoint_file(&mut self.crash, &self.dir, slot, TAG_SNAPSHOT, &[seq], state)?;
         self.next_slot ^= 1;
         remove_if_present(&self.dir.join(DELTA_NAME))
@@ -416,32 +449,32 @@ impl SnapshotStore {
     /// delta by tmp-write + `fsync` + rename through the same crash
     /// injector, so a crash at any byte leaves the previous delta (or
     /// none) in place; the full slots are never touched.
-    pub fn save_delta(&mut self, base_seq: u64, seq: u64, state: &[u8]) -> Result<()> {
-        write_checkpoint_file(
-            &mut self.crash,
-            &self.dir,
-            DELTA_NAME,
-            TAG_DELTA,
-            &[seq, base_seq],
-            state,
-        )
+    pub fn save_delta<'a>(
+        &mut self,
+        base_seq: u64,
+        seq: u64,
+        state: impl Into<Image<'a>>,
+    ) -> Result<()> {
+        let (crash, dir) = (&mut self.crash, &self.dir);
+        write_checkpoint_file(crash, dir, DELTA_NAME, TAG_DELTA, &[seq, base_seq], state.into())
     }
 
     /// The delta to apply on top of the full image taken at `base_seq`:
     /// `Some` only if `delta.bin` is whole and valid, was taken against
     /// that image, and reaches past it. A missing, torn, corrupt or stale
     /// delta (one whose base slot has since been overwritten) is `None` —
-    /// recovery then replays the journal from the full image instead.
+    /// recovery then replays the journal from the full image instead. A
+    /// CRC-valid delta whose coded body does not decode is an error.
     pub fn delta_for(&self, base_seq: u64) -> Result<Option<SnapshotImage>> {
-        let Some(image) = read_file(&self.dir.join(DELTA_NAME))? else {
+        let Some(file) = read_file(&self.dir.join(DELTA_NAME))? else {
             return Ok(None);
         };
-        Ok(match parse_checkpoint::<2>(&image, TAG_DELTA) {
-            Some(([seq, base], state)) if base == base_seq && seq > base_seq => {
-                Some(SnapshotImage { image, state, seq })
+        match parse_checkpoint::<2>(&file, TAG_DELTA) {
+            Some(([seq, base], range)) if base == base_seq && seq > base_seq => {
+                Ok(Some(SnapshotImage::decode(seq, &file[range])?))
             }
-            _ => None,
-        })
+            _ => Ok(None),
+        }
     }
 
     /// Loads the newest valid checkpoint, if any, as `(seq, state)`.
@@ -452,9 +485,9 @@ impl SnapshotStore {
         let mut best: Option<(u64, Vec<u8>)> = None;
         for name in SLOT_NAMES {
             if let Some(bytes) = read_file(&self.dir.join(name))? {
-                if let Some((seq, state)) = parse_snapshot(&bytes) {
-                    if best.as_ref().is_none_or(|(s, _)| seq > *s) {
-                        best = Some((seq, state));
+                if let Some(image) = read_snapshot(&bytes)? {
+                    if best.as_ref().is_none_or(|(s, _)| image.seq > *s) {
+                        best = Some((image.seq, image.into_state()));
                     }
                 }
             }
@@ -703,8 +736,10 @@ impl Journal {
     /// Appends one committed chunk keyed by its starting event sequence,
     /// streamed from `payload` without building a framed copy.
     pub fn append(&mut self, seq: u64, payload: &[u8]) -> Result<()> {
+        let (crash, file) = (&mut self.crash, &mut self.file);
+        let body = |sink: &mut dyn FnMut(&[u8]) -> Result<()>| sink(payload);
         let written =
-            write_seq_record(&mut self.crash, &mut self.file, TAG_JOURNAL_CHUNK, &[seq], payload)?;
+            write_seq_record(crash, file, TAG_JOURNAL_CHUNK, &[seq], payload.len(), body)?;
         self.bytes += written;
         self.last_seq = Some(self.last_seq.map_or(seq, |s| s.max(seq)));
         Ok(())
@@ -1043,7 +1078,7 @@ mod tests {
         let body = body_of(41);
         let mut image = encode_header(FileKind::Snapshot).to_vec();
         let mut payload = [9u64.to_le_bytes(), 5u64.to_le_bytes()].concat();
-        payload.extend_from_slice(&body);
+        payload.extend_from_slice(&coded(&body));
         encode_record(TAG_DELTA, &payload, &mut image);
         for budget in 0..=image.len() as u64 + 2 {
             let mut s = SnapshotStore::open(&dir).unwrap();
@@ -1126,6 +1161,61 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    #[test]
+    fn every_truncation_and_byte_flip_of_a_coded_slot_is_skipped_or_an_error() {
+        // A slot whose body codes two tables: every damaged copy of it
+        // either loses its slot to the older one or is an error, and never
+        // yields an image that was not written.
+        let dir = test_dir("coded-fuzz");
+        let image = |salt: u64| {
+            let mut w = crate::StateWriter::new();
+            w.put_u64(salt);
+            w.put_table(crate::Table::Positional, 0..300u64, |w, k| {
+                w.put_u64(k / 16);
+                w.put_u8(7);
+            });
+            w.put_table(crate::Table::Indexed, (0..200u32).map(|k| 3 * k), |w, i| w.put_u32(i));
+            w
+        };
+        let (older, newer) = (image(1), image(2));
+        let mut store = SnapshotStore::open(&dir).unwrap();
+        store.save(1, &older).unwrap();
+        store.save(2, &newer).unwrap();
+        let path = dir.join(SLOT_NAMES[1]);
+        let file = fs::read(&path).unwrap();
+        assert!(file.len() < newer.len() / 2, "the tables code: {} bytes", file.len());
+        let mut variants: Vec<Vec<u8>> = (0..file.len()).map(|cut| file[..cut].to_vec()).collect();
+        for i in 0..file.len() {
+            let mut flipped = file.clone();
+            flipped[i] ^= 0x21;
+            variants.push(flipped);
+        }
+        for bytes in &variants {
+            fs::write(&path, bytes).unwrap();
+            match SnapshotStore::open_and_latest(&dir) {
+                Ok((_, Some(img))) => {
+                    assert_eq!(
+                        (img.seq(), img.state()),
+                        (1, older.bytes()),
+                        "{} bytes",
+                        bytes.len()
+                    )
+                }
+                Err(PersistError::Corrupt(_)) => {}
+                other => panic!("{} bytes: {other:?}", bytes.len()),
+            }
+        }
+        fs::write(&path, &file).unwrap();
+        let (_, img) = SnapshotStore::open_and_latest(&dir).unwrap();
+        assert_eq!(img.unwrap().state(), newer.bytes());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The coded body of a bare-bytes image: stored verbatim.
+    fn coded(body: &[u8]) -> Vec<u8> {
+        column::encode(Image::from(body))
+    }
+
     /// What the streamed writers must put on disk: the `seq | body`
     /// payload framed by `encode_record`.
     fn framed(tag: u32, seq: u64, body: &[u8]) -> Vec<u8> {
@@ -1149,12 +1239,12 @@ mod tests {
             let (seq, body) = (1000 + i as u64, body_of(len));
             store.save(seq, &body).unwrap();
             let mut image = encode_header(FileKind::Snapshot).to_vec();
-            image.extend_from_slice(&framed(TAG_SNAPSHOT, seq, &body));
+            image.extend_from_slice(&framed(TAG_SNAPSHOT, seq, &coded(&body)));
             let slot = SLOT_NAMES[store.next_slot ^ 1];
             assert_eq!(fs::read(dir.join(slot)).unwrap(), image, "snapshot of {len} bytes");
             store.save_delta(seq, seq + 1, &body).unwrap();
             let mut delta = [(seq + 1).to_le_bytes(), seq.to_le_bytes()].concat();
-            delta.extend_from_slice(&body);
+            delta.extend_from_slice(&coded(&body));
             let mut image = encode_header(FileKind::Snapshot).to_vec();
             encode_record(TAG_DELTA, &delta, &mut image);
             assert_eq!(fs::read(dir.join(DELTA_NAME)).unwrap(), image, "delta of {len} bytes");
@@ -1173,7 +1263,7 @@ mod tests {
         let dir = test_dir("tear-budget");
         let body = body_of(37);
         let mut image = encode_header(FileKind::Snapshot).to_vec();
-        image.extend_from_slice(&framed(TAG_SNAPSHOT, 9, &body));
+        image.extend_from_slice(&framed(TAG_SNAPSHOT, 9, &coded(&body)));
         for budget in 0..=image.len() as u64 + 2 {
             let mut store = SnapshotStore::open(&dir).unwrap();
             let slot = SLOT_NAMES[store.next_slot];

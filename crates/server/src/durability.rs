@@ -70,7 +70,7 @@ use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use asf_persist::{Journal, PersistError, RotateStep, SnapshotStore};
+use asf_persist::{Image, Journal, PersistError, RotateStep, SnapshotStore, StateWriter};
 
 /// Configuration of a server's durability layer.
 #[derive(Clone, Debug)]
@@ -159,11 +159,11 @@ impl Landed {
     /// background mode) could never be applied, and writing it would
     /// replace the delta recovery still needs — the floor may already
     /// stand on that one's sequence.
-    fn save(
+    fn save<'a>(
         &mut self,
         store: &mut SnapshotStore,
         ckpt: Checkpoint,
-        state: &[u8],
+        state: impl Into<Image<'a>>,
     ) -> asf_persist::Result<()> {
         match ckpt.base {
             None => {
@@ -181,7 +181,7 @@ impl Landed {
 enum Writer {
     Sync(SnapshotStore, Landed),
     Background {
-        tx: SyncSender<(Checkpoint, Vec<u8>)>,
+        tx: SyncSender<(Checkpoint, StateWriter)>,
         /// Set by the coordinator before each send, cleared by the writer
         /// as it takes the image out of the queue: `true` means the
         /// queue's one slot is occupied and a new image would be
@@ -228,10 +228,10 @@ impl Durability {
     /// from a checkpoint — then stands up the configured writer.
     ///
     /// Opening the journal truncates any torn tail a previous crash left.
-    pub fn new(
+    pub fn new<'a>(
         cfg: &DurabilityConfig,
         anchor_seq: u64,
-        anchor_state: &[u8],
+        anchor_state: impl Into<Image<'a>>,
     ) -> asf_persist::Result<Self> {
         let journal = Journal::open(&cfg.dir)?;
         let mut store = SnapshotStore::open(&cfg.dir)?;
@@ -239,7 +239,8 @@ impl Durability {
         let mut landed = Landed { full: None, floor: Arc::clone(&durable_floor) };
         // The anchor save runs inline, so it is durable before any chunk
         // is journaled.
-        landed.save(&mut store, Checkpoint { seq: anchor_seq, base: None }, anchor_state)?;
+        let anchor = Checkpoint { seq: anchor_seq, base: None };
+        landed.save(&mut store, anchor, anchor_state)?;
         let writer = Self::writer(cfg.mode, store, landed)?;
         Ok(Self {
             journal,
@@ -306,9 +307,9 @@ impl Durability {
     /// The background writer loop around an arbitrary `save` (tests hold
     /// the writer busy, or fail a save, through it).
     fn spawn_writer_with(
-        mut save: impl FnMut(Checkpoint, Vec<u8>) + Send + 'static,
+        mut save: impl FnMut(Checkpoint, StateWriter) + Send + 'static,
     ) -> asf_persist::Result<Writer> {
-        let (tx, rx) = mpsc::sync_channel::<(Checkpoint, Vec<u8>)>(1);
+        let (tx, rx) = mpsc::sync_channel::<(Checkpoint, StateWriter)>(1);
         let queued = Arc::new(AtomicBool::new(false));
         let slot = Arc::clone(&queued);
         let join = std::thread::Builder::new()
@@ -345,9 +346,9 @@ impl Durability {
 
     /// Persists (or schedules) an already-encoded full checkpoint `state`
     /// taken at `seq` — [`Self::save_checkpoint_with`] for a caller that
-    /// holds the image anyway.
+    /// holds the image anyway (bare bytes: no row table is declared).
     pub fn save_checkpoint(&mut self, seq: u64, state: Vec<u8>) -> asf_persist::Result<bool> {
-        self.save_checkpoint_with(seq, || state)
+        self.save_checkpoint_with(seq, || StateWriter::from(state))
     }
 
     /// Persists (or schedules) a full checkpoint taken at `seq`, calling
@@ -360,7 +361,7 @@ impl Durability {
     pub fn save_checkpoint_with(
         &mut self,
         seq: u64,
-        encode: impl FnOnce() -> Vec<u8>,
+        encode: impl FnOnce() -> StateWriter,
     ) -> asf_persist::Result<bool> {
         self.schedule(Checkpoint { seq, base: None }, encode)
     }
@@ -372,7 +373,7 @@ impl Durability {
         &mut self,
         base_seq: u64,
         seq: u64,
-        encode: impl FnOnce() -> Vec<u8>,
+        encode: impl FnOnce() -> StateWriter,
     ) -> asf_persist::Result<bool> {
         self.schedule(Checkpoint { seq, base: Some(base_seq) }, encode)
     }
@@ -380,7 +381,7 @@ impl Durability {
     fn schedule(
         &mut self,
         ckpt: Checkpoint,
-        encode: impl FnOnce() -> Vec<u8>,
+        encode: impl FnOnce() -> StateWriter,
     ) -> asf_persist::Result<bool> {
         self.check_poison()?;
         match &mut self.writer {
@@ -647,7 +648,7 @@ mod tests {
         let encodes = std::cell::Cell::new(0);
         let encode = || {
             encodes.set(encodes.get() + 1);
-            b"image".to_vec()
+            StateWriter::from(b"image".to_vec())
         };
 
         // The writer takes checkpoint 10 and stays busy with it; 20 fills
@@ -700,7 +701,7 @@ mod tests {
             let image = format!("image {seq}").into_bytes();
             let queued = match base {
                 None => d.save_checkpoint(seq, image),
-                Some(base) => d.save_delta_with(base, seq, || image),
+                Some(base) => d.save_delta_with(base, seq, || image.into()),
             };
             assert!(queued.unwrap(), "the writer is idle");
             done_rx.recv().unwrap();

@@ -1012,7 +1012,7 @@ impl<P: Protocol> ShardedServer<P> {
     /// (the selected channel rows; the rest whole). [`Rows::All`] is a full
     /// image: it clears the dirty bits and becomes the base of the deltas
     /// after it; [`Rows::Dirty`] is a delta against that base.
-    fn snapshot_state(&mut self, rows: Rows) -> Vec<u8> {
+    fn snapshot_state(&mut self, rows: Rows) -> StateWriter {
         let mut w = StateWriter::new();
         w.put_f64(self.now);
         w.put_u64(self.events_processed);
@@ -1020,9 +1020,9 @@ impl<P: Protocol> ShardedServer<P> {
         let mut source_rows = 0;
         for handle in self.handles.iter_mut() {
             match handle.request(ShardCmd::SaveState { rows }) {
-                ShardReply::State(bytes) => {
-                    source_rows += bytes.len() as u64 - 8;
-                    w.put_bytes(&bytes);
+                ShardReply::State(state) => {
+                    source_rows += state.len() as u64 - 8;
+                    w.put_nested(&state);
                 }
                 other => unreachable!("SaveState got {other:?}"),
             }
@@ -1039,22 +1039,20 @@ impl<P: Protocol> ShardedServer<P> {
                 w.put_bool(true);
                 let mut cw = StateWriter::new();
                 chaos.encode_rows(&mut cw, rows);
-                let blob = cw.into_bytes();
-                self.metrics.chaos_state_bytes = blob.len() as u64;
-                w.put_bytes(&blob);
+                self.metrics.chaos_state_bytes = cw.len() as u64;
+                w.put_nested(&cw);
                 if rows == Rows::All {
                     chaos.clear_dirty();
                     channel_rows = (CHANNEL_ROW_BYTES * chaos.len()) as u64;
                 }
             }
         }
-        let image = w.into_bytes();
         if rows == Rows::All {
             self.core.clear_view_dirty();
-            let (seq, bytes) = (self.events_processed, image.len() as u64);
+            let (seq, bytes) = (self.events_processed, w.len() as u64);
             self.full_base = Some(FullBase { seq, bytes, source_rows, channel_rows });
         }
-        image
+        w
     }
 
     /// Restores a [`ShardedServer::snapshot_state`] checkpoint written with
@@ -1066,10 +1064,8 @@ impl<P: Protocol> ShardedServer<P> {
     /// The shards decode their rows straight from the shared image.
     fn restore_state(&mut self, checkpoint: SnapshotImage, rows: Rows) -> asf_persist::Result<()> {
         let seq = checkpoint.seq();
-        let (image, range) = checkpoint.into_parts();
-        let image = Arc::new(image);
-        let state = &image[range.clone()];
-        let mut r = StateReader::new(state);
+        let image = Arc::new(checkpoint.into_state());
+        let mut r = StateReader::new(&image);
         let now = r.get_f64()?;
         if now.is_nan() {
             return Err(PersistError::corrupt("snapshot time is NaN"));
@@ -1086,7 +1082,7 @@ impl<P: Protocol> ShardedServer<P> {
         let mut blobs = Vec::with_capacity(shards);
         for _ in 0..shards {
             let len = r.get_bytes()?.len();
-            let end = range.start + state.len() - r.remaining();
+            let end = image.len() - r.remaining();
             blobs.push(end - len..end);
         }
         self.core.load_state(&mut r, rows)?;

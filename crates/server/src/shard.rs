@@ -347,8 +347,9 @@ pub enum ShardReply {
     Traffic(u64),
     /// Outcome of [`ShardCmd::CountDirty`].
     Dirty(u64),
-    /// Outcome of [`ShardCmd::SaveState`]: the serialized local fleet rows.
-    State(Vec<u8>),
+    /// Outcome of [`ShardCmd::SaveState`]: the serialized local fleet rows,
+    /// their row table declared.
+    State(asf_persist::StateWriter),
     /// Outcome of [`ShardCmd::RestoreState`]: whether the rows decoded (a
     /// corrupt image is an error, never a panic).
     Restored(asf_persist::Result<()>),
@@ -528,7 +529,7 @@ impl Shard {
                 if rows == Rows::All {
                     self.fleet.clear_dirty();
                 }
-                ShardReply::State(w.into_bytes())
+                ShardReply::State(w)
             }
             ShardCmd::RestoreState { image, range, rows } => {
                 let mut r = asf_persist::StateReader::new(&image[range]);

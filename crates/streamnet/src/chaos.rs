@@ -98,7 +98,7 @@
 //! image it was taken against and re-derives and re-checks everything the
 //! rows do not carry.
 
-use asf_persist::{PersistError, StateReader, StateWriter};
+use asf_persist::{PersistError, StateReader, StateWriter, Table};
 use simkit::fault::{Backoff, FaultDecision, FaultMix, FaultSchedule, ScheduleState};
 use simkit::time::TickClock;
 
@@ -977,7 +977,7 @@ impl ChaosState {
         w.put_u64(self.round_tick);
         let selected = self.selected(rows);
         w.put_u64(selected.clone().count() as u64);
-        for i in selected {
+        w.put_table(rows.table(), selected, |w, i| {
             if rows == Rows::Dirty {
                 w.put_u32(i as u32);
             }
@@ -988,13 +988,13 @@ impl ChaosState {
             w.put_u64(ch.down_until);
             w.put_u8(self.flags[i] & RECORDED);
             w.put_u8(self.lease_class[i]);
-        }
+        });
         let exceptions = (0..self.len()).filter(|&i| self.is_exception(i));
         w.put_u64(exceptions.clone().count() as u64);
-        for i in exceptions {
+        w.put_table(Table::Indexed, exceptions, |w, i| {
             w.put_u32(i as u32);
             w.put_u64(self.last_heard[i]);
-        }
+        });
         // Parked frames (in pool order — order is state: `take_due_reports`
         // sorts due frames, but `retain` preserves pool order for the rest).
         w.put_u64(self.parked.len() as u64);

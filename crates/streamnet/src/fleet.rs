@@ -250,15 +250,15 @@ impl SourceFleet {
 
     /// Serializes the sources `rows` selects — every one, positionally, or
     /// each one changed since the dirty bits were last cleared, behind its
-    /// index — with [`StreamSource::encode`].
+    /// index — with [`StreamSource::encode`], declared as one row table.
     pub fn encode_rows(&self, w: &mut asf_persist::StateWriter, rows: Rows) {
         w.put_u64(self.dirty.selected_count(rows, self.len()) as u64);
-        for i in self.dirty.selected(rows, self.len()) {
+        w.put_table(rows.table(), self.dirty.selected(rows, self.len()), |w, i| {
             if rows == Rows::Dirty {
                 w.put_u32(i as u32);
             }
             self.source(StreamId(i as u32)).encode(w);
-        }
+        });
     }
 
     /// Overwrites the rows an [`SourceFleet::encode_rows`] image of the

@@ -10,7 +10,7 @@
 //! and keeps them. (The channel machine's rule is a little wider; see
 //! `streamnet::chaos`, "Durability".)
 
-use asf_persist::{PersistError, StateReader};
+use asf_persist::{PersistError, StateReader, Table};
 
 /// Which rows a row encoder writes (and its reader expects).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,6 +24,15 @@ pub enum Rows {
 }
 
 impl Rows {
+    /// How the row table of this selection is declared to the store: a
+    /// full image's rows are positional, a delta's start with their index.
+    pub fn table(self) -> Table {
+        match self {
+            Rows::All => Table::Positional,
+            Rows::Dirty => Table::Indexed,
+        }
+    }
+
     /// Reads the row count a row encoder wrote and checks it against a
     /// table of `len` rows: [`Rows::All`] must name every row, and
     /// [`Rows::Dirty`] at most every row. A row is never shorter than

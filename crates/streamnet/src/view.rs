@@ -111,16 +111,16 @@ impl ServerView {
 
     /// Serializes the entries `rows` selects — every one, positionally, or
     /// each one changed since the dirty bits were last cleared, behind its
-    /// index — as `known:bool, value:f64`.
+    /// index — as `known:bool, value:f64`, declared as one row table.
     pub fn encode_rows(&self, w: &mut StateWriter, rows: Rows) {
         w.put_u64(self.dirty.selected_count(rows, self.len()) as u64);
-        for i in self.dirty.selected(rows, self.len()) {
+        w.put_table(rows.table(), self.dirty.selected(rows, self.len()), |w, i| {
             if rows == Rows::Dirty {
                 w.put_u32(i as u32);
             }
             w.put_bool(self.known[i]);
             w.put_f64(self.values[i]);
-        }
+        });
     }
 
     /// Overwrites the entries an [`ServerView::encode_rows`] image of the
@@ -151,6 +151,12 @@ impl ServerView {
     /// How many entries changed since the dirty bits were last cleared.
     pub fn dirty_rows(&self) -> usize {
         self.dirty.count()
+    }
+
+    /// The entries changed since the dirty bits were last cleared,
+    /// ascending.
+    pub fn dirty_ids(&self) -> impl Iterator<Item = StreamId> + '_ {
+        self.dirty.selected(Rows::Dirty, self.len()).map(|i| StreamId(i as u32))
     }
 
     /// Clears the dirty bits: a full image of every entry was taken.

@@ -8,11 +8,12 @@
 //!   exactly that record and leaves the durable prefix intact.
 //! * Full-stack spot checks: `ShardedServer::recover` over truncated
 //!   journals rebuilds exactly the state the surviving records describe.
-//! * The delta checkpoint: recovery over every truncation and every
-//!   single-byte flip of `delta.bin` ignores the delta (its CRC fails) and
-//!   rebuilds the same state from the full image and the journal; a
-//!   CRC-valid delta whose payload is truncated is an error, and one with
-//!   any byte flipped is an error or a recovery — never a panic.
+//! * The checkpoints, whose bodies are column-coded: recovery over every
+//!   truncation and every single-byte flip of `delta.bin` ignores the
+//!   delta (its CRC fails) and rebuilds the same state from the full image
+//!   and the journal; the same damage to the full image's slot skips it;
+//!   a CRC-valid delta whose coded payload is truncated is an error, and
+//!   one with any byte flipped is an error or a recovery — never a panic.
 
 use std::path::{Path, PathBuf};
 
@@ -256,6 +257,7 @@ fn assert_delta_damage_is_ignored_or_an_error(
     let mut server = ShardedServer::new(&initial, ZtNrp::new(query), config);
     server.initialize();
     server.enable_durability(durable.clone()).unwrap();
+    let chaotic = chaos.is_some();
     if let Some(cfg) = chaos {
         server.enable_chaos(cfg);
     }
@@ -296,6 +298,35 @@ fn assert_delta_damage_is_ignored_or_an_error(
         assert_eq!(recovered.truth_values(), truth, "{tag}");
         assert_eq!(recovered.chaos_stats().copied(), stats, "{tag}");
     }
+    // The same damage to the newest full image: its slot is skipped, and
+    // with it the delta taken against it. Without chaos that leaves no
+    // checkpoint, and a cold start replays the whole journal to the same
+    // state. With chaos the older image predates the channel layer, so
+    // recovery may only fail or succeed, never panic.
+    let slot = dir.join(if last_full == 0 { "snap-a.bin" } else { "snap-b.bin" });
+    let full = std::fs::read(&slot).unwrap();
+    let framing = || (0..HEADER_LEN + 16).chain(full.len() - 4..full.len());
+    let cuts = framing().chain((HEADER_LEN + 16..full.len()).step_by(37));
+    let mut damaged: Vec<Vec<u8>> = cuts.map(|cut| full[..cut].to_vec()).collect();
+    for i in framing().chain((HEADER_LEN + 16..full.len()).step_by(41)) {
+        let mut flipped = full.clone();
+        flipped[i] ^= 0x10;
+        damaged.push(flipped);
+    }
+    for bytes in &damaged {
+        std::fs::write(&slot, bytes).unwrap();
+        let recovered = recover(&delta);
+        if chaotic {
+            continue;
+        }
+        let mut recovered = recovered.unwrap();
+        let tag = format!("full image of {} bytes", bytes.len());
+        assert_eq!((recovered.events_processed(), recovered.metrics().events), (20, 20), "{tag}");
+        assert_eq!(recovered.answer(), answer, "{tag}");
+        assert_eq!(*recovered.ledger(), ledger, "{tag}");
+        assert_eq!(recovered.truth_values(), truth, "{tag}");
+    }
+    std::fs::write(&slot, &full).unwrap();
     // A CRC-valid record around a damaged payload: the delta's own
     // validation must catch a truncation, and a flip may only yield an
     // error or a recovered server.

@@ -18,6 +18,7 @@ use asf_core::protocol::{
 use asf_core::query::{RangeQuery, RankQuery};
 use asf_core::tolerance::FractionTolerance;
 use asf_core::workload::{UpdateEvent, VecWorkload, Workload};
+use asf_persist::SnapshotStore;
 use asf_server::{CheckpointMode, DurabilityConfig, ExecMode, ServerConfig, ShardedServer};
 use asf_telemetry::Cause;
 use streamnet::StreamId;
@@ -609,11 +610,14 @@ fn crash_at_every_byte_of_a_delta_write_recovers_the_durable_prefix() {
         drop(crashed);
         (durable, delta_bytes, torn)
     };
-    // Header, record frame, the two sequence numbers, then the image.
+    // Header, record frame, the two sequence numbers, then the coded
+    // image, which decodes to exactly the image the server serialized.
     let probe = test_dir("delta-tear");
     let (_, delta_bytes, _) = run(&probe, None);
     let file_len = std::fs::metadata(probe.join("delta.bin")).unwrap().len();
-    assert_eq!(file_len, 16 + 12 + 16 + delta_bytes);
+    let (store, full) = SnapshotStore::open_and_latest(&probe).unwrap();
+    let delta = store.delta_for(full.unwrap().seq()).unwrap().unwrap();
+    assert_eq!(delta.state().len() as u64, delta_bytes);
     let _ = std::fs::remove_dir_all(&probe);
     for budget in 0..=file_len {
         let dir = test_dir("delta-tear");
@@ -631,6 +635,49 @@ fn crash_at_every_byte_of_a_delta_write_recovers_the_durable_prefix() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn a_delta_rekeys_the_rank_forest_without_a_second_bulk_build() {
+    // Recovery through a full image and a delta: the full image builds
+    // the rank forest in bulk, once, and the delta re-keys only the view
+    // entries it carries. Rank order and answer match a server that never
+    // crashed.
+    let (initial, events) = fixture(0xFEED);
+    let query = RankQuery::knn(500.0, 5).unwrap();
+    let make = || Rtp::new(query, 3).unwrap();
+    let config = ServerConfig::with_shards(2).batch_size(8);
+    let dir = test_dir("delta-rank");
+    let durable = DurabilityConfig::new(&dir).checkpoint_every(8).mode(CheckpointMode::Sync);
+    let mut crashed = ShardedServer::new(&initial, make(), config);
+    crashed.initialize();
+    crashed.enable_durability(durable.clone()).unwrap();
+    // Chunk by chunk, until a later chunk ends on a delta checkpoint: the
+    // crash then leaves no journal suffix to replay.
+    let mut end = 0;
+    for chunk in events.chunks(8) {
+        let deltas = crashed.metrics().delta_checkpoints;
+        crashed.ingest_batch(chunk);
+        end += chunk.len();
+        if end >= 32 && crashed.metrics().delta_checkpoints > deltas {
+            break;
+        }
+    }
+    assert!(end < events.len(), "the fixture must end a chunk on a delta");
+    drop(crashed);
+
+    let recovered = ShardedServer::recover(&initial, make(), config, durable).unwrap();
+    assert_eq!((recovered.events_processed(), recovered.metrics().events), (end as u64, 0));
+    let want = reference(&initial, &events[..end], &make, config);
+    assert_eq!(
+        recovered.rank_index().map(|f| f.ordered_pairs()),
+        want.rank_index().map(|f| f.ordered_pairs())
+    );
+    assert_eq!(recovered.answer(), want.answer());
+    let stats = recovered.ctx_stats();
+    assert_eq!((stats.index_bulk_builds, stats.index_delta_refreshes), (1, 1));
+    assert!(stats.index_delta_rekeys < initial.len() as u64, "the delta names every entry");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
