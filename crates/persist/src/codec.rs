@@ -95,7 +95,7 @@ pub struct StateWriter {
 }
 
 impl From<Vec<u8>> for StateWriter {
-    /// A writer holding `bytes`, with no tables declared.
+    /// A writer holding `buf`, with no tables declared.
     fn from(buf: Vec<u8>) -> Self {
         Self { buf, ..Self::default() }
     }

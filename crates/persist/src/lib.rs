@@ -7,12 +7,13 @@
 //!   on-disk record.
 //! - [`codec`] — [`StateWriter`]/[`StateReader`], the fixed-width
 //!   little-endian encoding every persisted domain type goes through
-//!   (`f64` as raw bits, so recovered state is bit-exact).
-//!   A writer also declares its row tables ([`StateWriter::put_table`]).
-//! - [`column`](mod@column) — column coding of checkpoint bodies: each declared table
-//!   stored as byte planes (one byte for a constant plane, runs for the
-//!   rest, gaps for an ascending index column) below the logical image,
-//!   which the reader rebuilds exactly before any decoder runs.
+//!   (`f64` as raw bits, so recovered state is bit-exact). A writer also
+//!   declares its row tables ([`StateWriter::put_table`]).
+//! - [`column`](mod@column) — column coding of checkpoint bodies: each
+//!   declared table stored as byte planes (one byte for a constant plane,
+//!   runs for the rest, gaps for an ascending index column) below the
+//!   logical image, which the reader rebuilds exactly before any decoder
+//!   runs.
 //! - [`record`] — the tagged `{tag, len, payload, crc}` record format with
 //!   versioned file headers, plus torn-tail-aware scanning.
 //! - [`store`] — [`SnapshotStore`] (double-buffered, tmp+fsync+rename
