@@ -1,5 +1,6 @@
 //! Answer sets of entity-based queries.
 
+use asf_persist::{Persist, PersistError, StateReader, StateWriter, Table};
 use streamnet::StreamId;
 
 use crate::tolerance::FractionMetrics;
@@ -81,28 +82,6 @@ impl AnswerSet {
             word_idx: 0,
             bits: self.words.first().copied().unwrap_or(0),
         }
-    }
-
-    /// Serializes the set as a canonical ascending member list — identical
-    /// history-independent bytes whatever insert/remove sequence built it —
-    /// declared as a one-column indexed table, so the store keeps the ids
-    /// as gaps.
-    pub fn encode(&self, w: &mut asf_persist::StateWriter) {
-        w.put_u64(self.len as u64);
-        w.put_table(asf_persist::Table::Indexed, self.iter(), |w, id| w.put_u32(id.0));
-    }
-
-    /// Decodes a set written by [`AnswerSet::encode`].
-    pub fn decode(r: &mut asf_persist::StateReader<'_>) -> asf_persist::Result<Self> {
-        let n = r.get_len(4)?;
-        let mut set = AnswerSet::new();
-        for _ in 0..n {
-            set.insert(StreamId(r.get_u32()?));
-        }
-        if set.len() != n {
-            return Err(asf_persist::PersistError::corrupt("duplicate answer set member"));
-        }
-        Ok(set)
     }
 
     /// Computes the Definition-2 error counts of this answer against a
@@ -225,25 +204,46 @@ impl IdSet {
     pub fn to_answer(&self) -> AnswerSet {
         self.iter().collect()
     }
+}
 
-    /// Serializes the set — byte-identical to [`AnswerSet::encode`] of the
-    /// same members, and declared the same way.
-    pub fn encode(&self, w: &mut asf_persist::StateWriter) {
-        w.put_u64(self.ids.len() as u64);
-        w.put_table(asf_persist::Table::Indexed, &self.ids, |w, &id| w.put_u32(id));
+/// The one answer-set layout, shared by [`AnswerSet`] and [`IdSet`]: the
+/// member count, then the members ascending — history-independent bytes,
+/// whatever insert/remove sequence built the set — declared as a
+/// one-column indexed table, so the store keeps the ids as gaps.
+fn put_members(w: &mut StateWriter, len: usize, ids: impl Iterator<Item = u32>) {
+    w.put_u64(len as u64);
+    w.put_table(Table::Indexed, ids, |w, id| w.put_u32(id));
+}
+
+/// Reads the members [`put_members`] wrote: ids of the reader's population,
+/// strictly ascending, as the writer leaves them.
+fn get_members(r: &mut StateReader<'_>) -> asf_persist::Result<Vec<u32>> {
+    let ids: Vec<u32> = Vec::<StreamId>::get(r)?.into_iter().map(|id| id.0).collect();
+    if !ids.windows(2).all(|w| w[0] < w[1]) {
+        return Err(PersistError::corrupt("answer members not strictly ascending"));
     }
+    Ok(ids)
+}
 
-    /// Decodes a set written by [`IdSet::encode`] (or [`AnswerSet::encode`]).
-    pub fn decode(r: &mut asf_persist::StateReader<'_>) -> asf_persist::Result<Self> {
-        let n = r.get_len(4)?;
-        let mut ids = Vec::with_capacity(n);
-        for _ in 0..n {
-            ids.push(r.get_u32()?);
-        }
-        if !ids.windows(2).all(|w| w[0] < w[1]) {
-            return Err(asf_persist::PersistError::corrupt("id set not strictly ascending"));
-        }
-        Ok(Self { ids })
+impl Persist for AnswerSet {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut StateWriter) {
+        put_members(w, self.len, self.iter().map(|id| id.0));
+    }
+    fn get(r: &mut StateReader<'_>) -> asf_persist::Result<Self> {
+        Ok(get_members(r)?.into_iter().map(StreamId).collect())
+    }
+}
+
+/// Byte-identical to the [`AnswerSet`] of the same members, and declared
+/// the same way.
+impl Persist for IdSet {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut StateWriter) {
+        put_members(w, self.ids.len(), self.ids.iter().copied());
+    }
+    fn get(r: &mut StateReader<'_>) -> asf_persist::Result<Self> {
+        Ok(Self { ids: get_members(r)? })
     }
 }
 
@@ -339,14 +339,14 @@ mod tests {
         a.remove(StreamId(500)); // leaves trailing zero words behind
         let b = ids(&[1, 9]);
         let enc = |s: &AnswerSet| {
-            let mut w = asf_persist::StateWriter::new();
-            s.encode(&mut w);
+            let mut w = StateWriter::new();
+            s.put(&mut w);
             w.into_bytes()
         };
         assert_eq!(enc(&a), enc(&b), "encoding must not leak storage history");
         let bytes = enc(&a);
-        let mut r = asf_persist::StateReader::new(&bytes);
-        let back = AnswerSet::decode(&mut r).unwrap();
+        let mut r = StateReader::new(&bytes);
+        let back = AnswerSet::get(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back, a);
     }
@@ -384,30 +384,44 @@ mod tests {
             "iteration order matches"
         );
         let enc_sparse = {
-            let mut w = asf_persist::StateWriter::new();
-            sparse.encode(&mut w);
+            let mut w = StateWriter::new();
+            sparse.put(&mut w);
             w.into_bytes()
         };
         let enc_dense = {
-            let mut w = asf_persist::StateWriter::new();
-            dense.encode(&mut w);
+            let mut w = StateWriter::new();
+            dense.put(&mut w);
             w.into_bytes()
         };
         assert_eq!(enc_sparse, enc_dense, "wire format is shared");
-        let mut r = asf_persist::StateReader::new(&enc_dense);
-        let back = IdSet::decode(&mut r).unwrap();
+        let mut r = StateReader::new(&enc_dense);
+        let back = IdSet::get(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back, sparse);
     }
 
     #[test]
     fn id_set_decode_rejects_unsorted() {
-        let mut w = asf_persist::StateWriter::new();
-        w.put_u64(2);
-        w.put_u32(5);
-        w.put_u32(3);
-        let bytes = w.into_bytes();
-        assert!(IdSet::decode(&mut asf_persist::StateReader::new(&bytes)).is_err());
+        // Out of order, repeated, and outside the population: both readers
+        // refuse what their writer never writes.
+        let members = |ids: &[u32]| {
+            let mut w = StateWriter::new();
+            w.put_u64(ids.len() as u64);
+            ids.iter().for_each(|&id| w.put_u32(id));
+            w.into_bytes()
+        };
+        for bad in [&[5, 3][..], &[3, 3], &[0xFFFF_FFFF]] {
+            let bytes = members(bad);
+            let read = || {
+                let mut r = StateReader::new(&bytes);
+                r.set_population(100);
+                r
+            };
+            assert!(IdSet::get(&mut read()).is_err(), "{bad:?}");
+            assert!(AnswerSet::get(&mut read()).is_err(), "{bad:?}");
+        }
+        let bytes = members(&[3, 5]);
+        assert_eq!(AnswerSet::get(&mut StateReader::new(&bytes)).unwrap(), ids(&[3, 5]));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use std::collections::VecDeque;
 
-use asf_persist::{PersistError, StateReader, StateWriter};
+use asf_persist::{Persist, PersistError, StateReader, StateWriter};
 use asf_telemetry::{Cause, CauseLedger, NUM_KIND_SLOTS};
 use simkit::SimTime;
 use streamnet::{Filter, FleetOps, Ledger, Rows, ServerView, SourceFleet, StreamId};
@@ -338,21 +338,20 @@ impl<P: Protocol> ProtocolCore<P> {
             self.pending.is_empty() && self.deferred.is_empty(),
             "save_state requires a quiescent core (no pending syncs or deferred installs)"
         );
-        w.put_bool(self.initialized);
-        w.put_u64(self.reports_processed);
+        self.put_header(w);
         self.view.encode_rows(w, rows);
-        self.ledger.encode(w);
+        self.ledger.put(w);
         self.protocol.save_state(w);
         // The per-cause attribution matrix rides along so a recovered
         // server's cause breakdown matches one that never crashed. Fixed
         // width: NUM_CAUSES × NUM_KIND_SLOTS counters in `Cause::ALL`
         // order.
         for cause in Cause::ALL {
-            for &n in self.telem.causes.row(cause) {
-                w.put_u64(n);
-            }
+            self.telem.causes.row(cause).put(w);
         }
     }
+
+    asf_persist::persist!(fn put_header, get_header { initialized, reports_processed });
 
     /// Clears the view's dirty bits: a full image of the core
     /// ([`Rows::All`]) was just written, and the next delta counts from it.
@@ -368,26 +367,26 @@ impl<P: Protocol> ProtocolCore<P> {
     /// yields the identical treap (priorities derive deterministically
     /// from stream ids); a delta re-keys only the view entries it names
     /// ([`RankForest::refresh_from_changed`]), with the same result.
+    ///
+    /// Every stream id in the image must lie in the population. Corrupt
+    /// input is an error, never a panic; the core is then partly
+    /// overwritten: discard it.
     pub fn load_state(&mut self, r: &mut StateReader<'_>, rows: Rows) -> asf_persist::Result<()> {
-        let initialized = r.get_bool()?;
-        let reports_processed = r.get_u64()?;
+        r.set_population(self.view.len());
+        self.get_header(r)?;
         // Cleared first, the view's dirty marks name exactly the entries
         // this image writes. No delta is taken against them: a restored
         // core's next checkpoint is a full image.
         self.view.clear_dirty();
         self.view.decode_rows(r, rows)?;
-        let ledger = Ledger::decode(r)?;
+        self.ledger = Ledger::get(r)?;
         self.protocol.load_state(r)?;
         let mut causes = CauseLedger::new();
         for cause in Cause::ALL {
-            for kind in 0..NUM_KIND_SLOTS {
-                causes.add(cause, kind, r.get_u64()?);
-            }
+            let row = <[u64; NUM_KIND_SLOTS]>::get(r)?;
+            row.iter().enumerate().for_each(|(kind, &n)| causes.add(cause, kind, n));
         }
         self.telem.causes = causes;
-        self.initialized = initialized;
-        self.reports_processed = reports_processed;
-        self.ledger = ledger;
         if let Some(forest) = self.rank.as_mut() {
             if !self.view.all_known() {
                 return Err(PersistError::corrupt("rank snapshot with partially-known view"));
@@ -573,26 +572,24 @@ impl<P: Protocol> Engine<P> {
     /// point. Restore with [`Engine::load_state`] into an engine built with
     /// the same constructor arguments.
     pub fn save_state(&self, w: &mut StateWriter) {
-        w.put_f64(self.now);
-        w.put_u64(self.events_processed);
+        self.put_header(w);
         self.fleet.encode(w);
         self.core.save_state(w, Rows::All);
     }
 
+    asf_persist::persist!(fn put_header, get_header { now, events_processed });
+
     /// Restores state written by [`Engine::save_state`] into an engine
     /// constructed with the same configuration (population size, protocol
-    /// config). Corrupt input is rejected without panicking.
+    /// config). Corrupt input is rejected without panicking; the engine is
+    /// then partly overwritten: discard it.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> asf_persist::Result<()> {
-        let now = r.get_f64()?;
-        if now.is_nan() {
+        self.get_header(r)?;
+        if self.now.is_nan() {
             return Err(PersistError::corrupt("snapshot clock is NaN"));
         }
-        let events_processed = r.get_u64()?;
         self.fleet.decode_rows(r, Rows::All)?;
-        self.core.load_state(r, Rows::All)?;
-        self.now = now;
-        self.events_processed = events_processed;
-        Ok(())
+        self.core.load_state(r, Rows::All)
     }
 }
 

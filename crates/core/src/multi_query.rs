@@ -44,6 +44,7 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
+use asf_persist::Persist;
 use streamnet::{Filter, StreamId};
 
 use crate::answer::{AnswerSet, IdSet};
@@ -240,9 +241,19 @@ struct Row {
     slot: u32,
 }
 
+// A row's image is its `last`; `cell` and `slot` are derived from it.
+asf_persist::persist!(impl Persist for Row { last: f64, ..Row::UNHEARD } check Row::check);
+
 impl Row {
     /// A stream never heard, before it is placed in a bucket.
     const UNHEARD: Row = Row { last: f64::NEG_INFINITY, cell: 0, slot: 0 };
+
+    fn check(&self) -> asf_persist::Result<()> {
+        if self.last.is_nan() {
+            return Err(asf_persist::PersistError::corrupt("NaN last value"));
+        }
+        Ok(())
+    }
 }
 
 impl MultiRangeZt {
@@ -418,36 +429,22 @@ impl Protocol for MultiRangeZt {
             .collect()
     }
 
+    /// The image is the per-query answers, in the layout of a
+    /// `Vec<IdSet>` but computed one at a time, then the rows. `last` is
+    /// protocol state, not view state: the partition is rebuilt from it,
+    /// and the answers are checked against it.
     fn save_state(&self, w: &mut asf_persist::StateWriter) {
         w.put_u64(self.queries.len() as u64);
-        for j in 0..self.queries.len() {
-            self.sorted_answer(j).encode(w);
-        }
-        // `last` is protocol state, not view state: the partition is
-        // rebuilt from it, and the answers above are checked against it.
-        w.put_u64(self.rows.len() as u64);
-        for row in &self.rows {
-            w.put_f64(row.last);
-        }
+        (0..self.queries.len()).for_each(|j| self.sorted_answer(j).put(w));
+        self.rows.put(w);
     }
 
     fn load_state(&mut self, r: &mut asf_persist::StateReader<'_>) -> asf_persist::Result<()> {
-        let m = r.get_u64()? as usize;
-        if m != self.queries.len() {
+        let answers = Vec::<IdSet>::get(r)?;
+        if answers.len() != self.queries.len() {
             return Err(asf_persist::PersistError::corrupt("answer count != query count"));
         }
-        let answers: Vec<IdSet> = (0..m).map(|_| IdSet::decode(r)).collect::<Result<_, _>>()?;
-        let n = r.get_len(8)?;
-        // Decoded straight into the rows: no second n-long table.
-        self.rows.clear();
-        self.rows.reserve_exact(n);
-        for _ in 0..n {
-            let last = r.get_f64()?;
-            if last.is_nan() {
-                return Err(asf_persist::PersistError::corrupt("NaN last value"));
-            }
-            self.rows.push(Row { last, ..Row::UNHEARD });
-        }
+        self.rows = Persist::get(r)?;
         self.rebuild_partition();
         // The answers are redundant with `last`: an image whose answers
         // disagree with it is corrupt, whatever its checksum says.

@@ -296,6 +296,17 @@ impl MultiRankZt {
         }
         touched
     }
+
+    /// A decoded state has one cut per distinct k and `max_k` top ids.
+    fn check_lengths(&self) -> asf_persist::Result<()> {
+        if self.cuts.len() != self.distinct_ks.len() {
+            return Err(asf_persist::PersistError::corrupt("cut count != distinct k count"));
+        }
+        if self.top_ids.len() != self.max_k {
+            return Err(asf_persist::PersistError::corrupt("top list length != max k"));
+        }
+        Ok(())
+    }
 }
 
 impl Protocol for MultiRankZt {
@@ -321,29 +332,11 @@ impl Protocol for MultiRankZt {
         self.top_ids.iter().copied().collect()
     }
 
-    fn save_state(&self, w: &mut asf_persist::StateWriter) {
-        w.put_u64(self.recomputes);
-        w.put_u64(self.cuts.len() as u64);
-        for &c in &self.cuts {
-            w.put_f64(c);
-        }
-        crate::protocol::put_ids(w, &self.top_ids);
-    }
-
-    fn load_state(&mut self, r: &mut asf_persist::StateReader<'_>) -> asf_persist::Result<()> {
-        self.recomputes = r.get_u64()?;
-        let c = r.get_u64()? as usize;
-        if c != self.distinct_ks.len() {
-            return Err(asf_persist::PersistError::corrupt("cut count != distinct k count"));
-        }
-        self.cuts = (0..c).map(|_| r.get_f64()).collect::<Result<_, _>>()?;
-        let top_ids = crate::protocol::get_ids(r)?;
-        if top_ids.len() != self.max_k {
-            return Err(asf_persist::PersistError::corrupt("top list length != max k"));
-        }
-        self.top_ids = top_ids;
-        Ok(())
-    }
+    asf_persist::persist!(fn save_state, load_state {
+        recomputes,
+        cuts,
+        top_ids,
+    } check MultiRankZt::check_lengths);
 
     fn rank_space(&self) -> Option<RankSpace> {
         Some(self.space)

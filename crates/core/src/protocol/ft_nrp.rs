@@ -238,36 +238,18 @@ impl Protocol for FtNrp {
         self.answer.clone()
     }
 
-    fn save_state(&self, w: &mut asf_persist::StateWriter) {
-        // The RNG stream drives heuristic selection; recovery must resume
-        // it exactly, so the raw generator state is saved, not the seed.
-        for word in self.rng.state() {
-            w.put_u64(word);
-        }
-        self.answer.encode(w);
-        w.put_u64(self.count);
-        crate::protocol::put_ids(w, &self.fp_filters);
-        crate::protocol::put_ids(w, &self.fn_filters);
-        w.put_bool(self.reinit_enabled);
-        w.put_u64(self.reinits);
-        w.put_u64(self.fix_errors);
-    }
-
-    fn load_state(&mut self, r: &mut asf_persist::StateReader<'_>) -> asf_persist::Result<()> {
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.get_u64()?;
-        }
-        self.rng = SimRng::from_state(s);
-        self.answer = AnswerSet::decode(r)?;
-        self.count = r.get_u64()?;
-        self.fp_filters = crate::protocol::get_ids(r)?;
-        self.fn_filters = crate::protocol::get_ids(r)?;
-        self.reinit_enabled = r.get_bool()?;
-        self.reinits = r.get_u64()?;
-        self.fix_errors = r.get_u64()?;
-        Ok(())
-    }
+    // The RNG stream drives heuristic selection; recovery must resume it
+    // exactly, so the raw generator state is saved, not the seed.
+    asf_persist::persist!(fn save_state, load_state {
+        rng,
+        answer,
+        count,
+        fp_filters,
+        fn_filters,
+        reinit_enabled,
+        reinits,
+        fix_errors,
+    });
 }
 
 #[cfg(test)]

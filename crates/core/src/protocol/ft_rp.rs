@@ -250,34 +250,16 @@ impl Protocol for FtRp {
         self.answer.clone()
     }
 
-    fn save_state(&self, w: &mut asf_persist::StateWriter) {
-        for word in self.rng.state() {
-            w.put_u64(word);
-        }
-        w.put_f64(self.d);
-        self.answer.encode(w);
-        w.put_u64(self.count);
-        crate::protocol::put_ids(w, &self.fp_filters);
-        crate::protocol::put_ids(w, &self.fn_filters);
-        w.put_u64(self.reinits);
-        w.put_u64(self.fix_errors);
-    }
-
-    fn load_state(&mut self, r: &mut asf_persist::StateReader<'_>) -> asf_persist::Result<()> {
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.get_u64()?;
-        }
-        self.rng = SimRng::from_state(s);
-        self.d = r.get_f64()?;
-        self.answer = AnswerSet::decode(r)?;
-        self.count = r.get_u64()?;
-        self.fp_filters = crate::protocol::get_ids(r)?;
-        self.fn_filters = crate::protocol::get_ids(r)?;
-        self.reinits = r.get_u64()?;
-        self.fix_errors = r.get_u64()?;
-        Ok(())
-    }
+    asf_persist::persist!(fn save_state, load_state {
+        rng,
+        d,
+        answer,
+        count,
+        fp_filters,
+        fn_filters,
+        reinits,
+        fix_errors,
+    });
 
     fn rank_space(&self) -> Option<RankSpace> {
         Some(self.query.space())

@@ -34,20 +34,6 @@ use streamnet::StreamId;
 use crate::answer::AnswerSet;
 use crate::query::RankSpace;
 
-/// Encodes a `StreamId` list (length-prefixed) for protocol state.
-pub(crate) fn put_ids(w: &mut StateWriter, ids: &[StreamId]) {
-    w.put_u64(ids.len() as u64);
-    for id in ids {
-        w.put_u32(id.0);
-    }
-}
-
-/// Decodes a `StreamId` list written by [`put_ids`].
-pub(crate) fn get_ids(r: &mut StateReader<'_>) -> asf_persist::Result<Vec<StreamId>> {
-    let n = r.get_len(4)?;
-    (0..n).map(|_| r.get_u32().map(StreamId)).collect()
-}
-
 /// A server-side filter-bound protocol.
 ///
 /// `Send + Sync` is part of the contract: protocol state must be plain data
@@ -93,13 +79,16 @@ pub trait Protocol: Send + Sync {
     /// configuration and then loads the mutable state on top. The default
     /// writes nothing and is correct only for stateless protocols; every
     /// stateful protocol must override it (the recovery differential test
-    /// fails loudly if one forgets).
+    /// fails loudly if one forgets). The protocols here declare the pair
+    /// as one field list with [`asf_persist::persist!`].
     fn save_state(&self, w: &mut StateWriter) {
         let _ = w;
     }
 
     /// Restores the mutable state written by [`Protocol::save_state`] into
-    /// a freshly configured protocol.
+    /// a freshly configured protocol. The reader bounds stream ids by the
+    /// population ([`StateReader::set_population`]), and whatever it
+    /// accepts must re-encode to the bytes it consumed.
     fn load_state(&mut self, r: &mut StateReader<'_>) -> asf_persist::Result<()> {
         let _ = r;
         Ok(())

@@ -76,22 +76,7 @@ impl Protocol for NoFilter {
         self.answer.clone().unwrap_or_default()
     }
 
-    fn save_state(&self, w: &mut asf_persist::StateWriter) {
-        match &self.answer {
-            None => w.put_bool(false),
-            Some(a) => {
-                w.put_bool(true);
-                a.encode(w);
-            }
-        }
-        w.put_u64(self.n as u64);
-    }
-
-    fn load_state(&mut self, r: &mut asf_persist::StateReader<'_>) -> asf_persist::Result<()> {
-        self.answer = if r.get_bool()? { Some(AnswerSet::decode(r)?) } else { None };
-        self.n = r.get_u64()? as usize;
-        Ok(())
-    }
+    asf_persist::persist!(fn save_state, load_state { answer, n });
 
     fn rank_space(&self) -> Option<RankSpace> {
         match self.kind {

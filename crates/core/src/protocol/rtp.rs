@@ -510,6 +510,28 @@ impl Rtp {
         let x_new = candidates.iter().take(eps).map(|&(_, s)| s).collect();
         self.deploy(d_new, x_new, Some(id), ctx);
     }
+
+    /// Rejects a decoded held-bound ledger that breaks invariants (a)/(b)
+    /// of the module docs: a recovered server would trust it to stay
+    /// silent.
+    fn check_ledger(&self) -> asf_persist::Result<()> {
+        let (d, floor_d) = (self.d, self.floor_d);
+        // Both are NaN exactly until initialization.
+        let infinite = d.is_infinite() || floor_d.is_infinite();
+        if d.is_nan() != floor_d.is_nan() || infinite || floor_d < d {
+            return Err(PersistError::corrupt("RTP bounds are not finite with floor >= d"));
+        }
+        for (id, &h) in &self.held {
+            let conservative = if self.x.contains(id) { h == d } else { h >= d };
+            if !h.is_finite() || !conservative {
+                return Err(PersistError::corrupt("held bound breaks the RTP ledger invariant"));
+            }
+        }
+        if floor_d != d && self.x.iter().any(|id| !self.held.contains_key(id)) {
+            return Err(PersistError::corrupt("an X member holds a bound other than d"));
+        }
+        Ok(())
+    }
 }
 
 impl Protocol for Rtp {
@@ -546,56 +568,16 @@ impl Protocol for Rtp {
         self.answer.clone()
     }
 
-    fn save_state(&self, w: &mut asf_persist::StateWriter) {
-        w.put_f64(self.d);
-        self.answer.encode(w);
-        let x: Vec<StreamId> = self.x.iter().copied().collect();
-        crate::protocol::put_ids(w, &x);
-        w.put_u64(self.reinits);
-        w.put_u64(self.expansions);
-        w.put_u64(self.full_broadcasts);
-        w.put_f64(self.floor_d);
-        w.put_u64(self.held.len() as u64);
-        for (&id, &h) in &self.held {
-            w.put_u32(id.0);
-            w.put_f64(h);
-        }
-    }
-
-    /// Rejects a held-bound ledger that breaks invariants (a)/(b) of the
-    /// module docs: a recovered server would trust it to stay silent.
-    fn load_state(&mut self, r: &mut asf_persist::StateReader<'_>) -> asf_persist::Result<()> {
-        let d = r.get_f64()?;
-        let answer = AnswerSet::decode(r)?;
-        let x: BTreeSet<StreamId> = crate::protocol::get_ids(r)?.into_iter().collect();
-        let reinits = r.get_u64()?;
-        let expansions = r.get_u64()?;
-        let full_broadcasts = r.get_u64()?;
-        let floor_d = r.get_f64()?;
-        // Both are NaN exactly until initialization.
-        let infinite = d.is_infinite() || floor_d.is_infinite();
-        if d.is_nan() != floor_d.is_nan() || infinite || floor_d < d {
-            return Err(PersistError::corrupt("RTP bounds are not finite with floor >= d"));
-        }
-        let len = r.get_len(12)?;
-        let mut held = BTreeMap::new();
-        for _ in 0..len {
-            let (id, h) = (StreamId(r.get_u32()?), r.get_f64()?);
-            if held.last_key_value().is_some_and(|(&prev, _)| prev >= id) {
-                return Err(PersistError::corrupt("held-bound list is not in ascending id order"));
-            }
-            let conservative = if x.contains(&id) { h == d } else { h >= d };
-            if !h.is_finite() || !conservative {
-                return Err(PersistError::corrupt("held bound breaks the RTP ledger invariant"));
-            }
-            held.insert(id, h);
-        }
-        if floor_d != d && x.iter().any(|id| !held.contains_key(id)) {
-            return Err(PersistError::corrupt("an X member holds a bound other than d"));
-        }
-        *self = Self { d, answer, x, floor_d, held, reinits, expansions, full_broadcasts, ..*self };
-        Ok(())
-    }
+    asf_persist::persist!(fn save_state, load_state {
+        d,
+        answer,
+        x,
+        reinits,
+        expansions,
+        full_broadcasts,
+        floor_d,
+        held,
+    } check Rtp::check_ledger);
 
     fn rank_space(&self) -> Option<RankSpace> {
         Some(self.query.space())

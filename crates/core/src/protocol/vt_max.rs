@@ -99,22 +99,7 @@ impl Protocol for VtMax {
         self.answer_stream.into_iter().collect()
     }
 
-    fn save_state(&self, w: &mut asf_persist::StateWriter) {
-        match self.answer_stream {
-            None => w.put_bool(false),
-            Some(id) => {
-                w.put_bool(true);
-                w.put_u32(id.0);
-            }
-        }
-        w.put_u64(self.reinstalls);
-    }
-
-    fn load_state(&mut self, r: &mut asf_persist::StateReader<'_>) -> asf_persist::Result<()> {
-        self.answer_stream = if r.get_bool()? { Some(StreamId(r.get_u32()?)) } else { None };
-        self.reinstalls = r.get_u64()?;
-        Ok(())
-    }
+    asf_persist::persist!(fn save_state, load_state { answer_stream, reinstalls });
 }
 
 #[cfg(test)]

@@ -58,14 +58,7 @@ impl Protocol for ZtNrp {
         self.answer.clone()
     }
 
-    fn save_state(&self, w: &mut asf_persist::StateWriter) {
-        self.answer.encode(w);
-    }
-
-    fn load_state(&mut self, r: &mut asf_persist::StateReader<'_>) -> asf_persist::Result<()> {
-        self.answer = AnswerSet::decode(r)?;
-        Ok(())
-    }
+    asf_persist::persist!(fn save_state, load_state { answer });
 }
 
 #[cfg(test)]

@@ -79,18 +79,7 @@ impl Protocol for ZtRp {
         self.answer.clone()
     }
 
-    fn save_state(&self, w: &mut asf_persist::StateWriter) {
-        w.put_f64(self.d);
-        self.answer.encode(w);
-        w.put_u64(self.recomputes);
-    }
-
-    fn load_state(&mut self, r: &mut asf_persist::StateReader<'_>) -> asf_persist::Result<()> {
-        self.d = r.get_f64()?;
-        self.answer = AnswerSet::decode(r)?;
-        self.recomputes = r.get_u64()?;
-        Ok(())
-    }
+    asf_persist::persist!(fn save_state, load_state { d, answer, recomputes });
 
     fn rank_space(&self) -> Option<RankSpace> {
         Some(self.query.space())

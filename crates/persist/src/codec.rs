@@ -1,8 +1,12 @@
 //! Fixed-width little-endian state encoding.
 //!
 //! Every domain type that persists itself (filters, views, ledgers,
-//! protocol state) serializes through [`StateWriter`] / [`StateReader`] so
-//! the byte layout is defined in exactly one place. The encoding is
+//! protocol state) serializes through [`StateWriter`] / [`StateReader`].
+//! A record's layout is declared once: a type implements [`Persist`] —
+//! usually through [`persist!`](crate::persist), which turns one field
+//! list into both the writer and the reader — and a record is its fields'
+//! encodings in order. Only checks across fields are written by hand, and
+//! they run once after the generated read. The encoding is
 //! deliberately boring: fixed-width little-endian integers, `f64` as raw
 //! IEEE-754 bits (`to_bits`/`from_bits`, so `-0.0`, infinities, and every
 //! NaN payload round-trip bit-exactly — byte-identical recovery depends on
@@ -15,6 +19,8 @@
 //! ([`StateWriter::put_table`]). The declarations change no byte of the
 //! image; the snapshot store reads them to store each table as byte
 //! planes ([`column`](mod@crate::column)).
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::column::BLOCK_ROWS;
 use crate::{PersistError, Result};
@@ -107,13 +113,6 @@ impl StateWriter {
         Self::default()
     }
 
-    /// A writer reusing `buf` (cleared first) so checkpoint serialization
-    /// can recycle one allocation across rounds.
-    pub fn with_buffer(mut buf: Vec<u8>) -> Self {
-        buf.clear();
-        Self::from(buf)
-    }
-
     /// Bytes encoded so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -135,40 +134,33 @@ impl StateWriter {
     }
 
     /// Appends one byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a bool as one byte (`0` / `1`).
+    #[inline]
     pub fn put_bool(&mut self, v: bool) {
         self.buf.push(v as u8);
     }
 
     /// Appends a `u32`, little-endian.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `u64`, little-endian.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends an `f64` as its raw IEEE-754 bits, little-endian.
+    #[inline]
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
-    }
-
-    /// Appends an `Option<f64>` as a presence byte plus (if present) the
-    /// raw bits.
-    pub fn put_opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            None => self.put_u8(0),
-            Some(x) => {
-                self.put_u8(1);
-                self.put_f64(x);
-            }
-        }
     }
 
     /// Appends a length-prefixed (`u32`) byte string.
@@ -181,11 +173,6 @@ impl StateWriter {
         let len = u32::try_from(bytes.len()).expect("byte string too long");
         self.put_u32(len);
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_bytes(s.as_bytes());
     }
 
     /// Appends `inner`'s bytes as a length-prefixed byte string
@@ -252,16 +239,37 @@ impl StateWriter {
 /// when the buffer is short — decoding always happens on bytes that came
 /// off a disk, and a CRC collision, however unlikely, must surface as an
 /// error, not a crash.
+///
+/// A reader also carries the population of the image it reads: every
+/// entity id ([`StateReader::get_id`]) must lie below it.
 #[derive(Clone, Copy, Debug)]
 pub struct StateReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    population: u64,
 }
 
 impl<'a> StateReader<'a> {
-    /// A reader over `buf`, positioned at the start.
+    /// A reader over `buf`, positioned at the start. Any `u32` is an id
+    /// until [`StateReader::set_population`] bounds them.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self { buf, pos: 0, population: 1 << 32 }
+    }
+
+    /// Declares the population of the state read from here on: an id
+    /// outside `0..n` is corruption.
+    pub fn set_population(&mut self, n: usize) {
+        self.population = n as u64;
+    }
+
+    /// Reads a `u32` entity id and checks it against the population.
+    #[inline]
+    pub fn get_id(&mut self) -> Result<u32> {
+        let id = self.get_u32()?;
+        if u64::from(id) >= self.population {
+            return Err(PersistError::corrupt("id outside the population"));
+        }
+        Ok(id)
     }
 
     /// Bytes not yet consumed.
@@ -280,6 +288,7 @@ impl<'a> StateReader<'a> {
         }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(PersistError::corrupt("state payload truncated"));
@@ -290,12 +299,14 @@ impl<'a> StateReader<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a bool encoded as one byte; any value other than `0`/`1` is
     /// corruption.
+    #[inline]
     pub fn get_bool(&mut self) -> Result<bool> {
         match self.get_u8()? {
             0 => Ok(false),
@@ -305,29 +316,23 @@ impl<'a> StateReader<'a> {
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
 
     /// Reads an `f64` from raw IEEE-754 bits.
+    #[inline]
     pub fn get_f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// Reads an `Option<f64>` (presence byte plus raw bits).
-    pub fn get_opt_f64(&mut self) -> Result<Option<f64>> {
-        if self.get_bool()? {
-            Ok(Some(self.get_f64()?))
-        } else {
-            Ok(None)
-        }
     }
 
     /// Reads a `u64` count of items that follow, each at least `item_bytes`
@@ -337,6 +342,7 @@ impl<'a> StateReader<'a> {
     /// # Panics
     ///
     /// Panics if `item_bytes` is zero.
+    #[inline]
     pub fn get_len(&mut self, item_bytes: usize) -> Result<usize> {
         let len = self.get_u64()?;
         if len > (self.remaining() / item_bytes) as u64 {
@@ -378,12 +384,211 @@ impl<'a> StateReader<'a> {
         let len = self.get_u32()? as usize;
         self.take(len)
     }
+}
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<&'a str> {
-        std::str::from_utf8(self.get_bytes()?)
-            .map_err(|_| PersistError::corrupt("string is not UTF-8"))
+/// A value with one declared byte layout: [`Persist::put`] writes it and
+/// [`Persist::get`] reads it back, so a record built from `Persist` fields
+/// states its field order once.
+///
+/// A reader is canonical: whatever it accepts re-encodes to exactly the
+/// bytes it consumed, so corrupt input is either an error or a value the
+/// writer could have written.
+pub trait Persist: Sized {
+    /// The fewest bytes any value encodes to — what a `u64` count prefix of
+    /// these values is checked against ([`StateReader::get_len`]).
+    const MIN_BYTES: usize;
+
+    /// Appends the value.
+    fn put(&self, w: &mut StateWriter);
+
+    /// Reads a value [`Persist::put`] wrote; corrupt input is an error.
+    fn get(r: &mut StateReader<'_>) -> Result<Self>;
+}
+
+macro_rules! persist_scalar {
+    ($($ty:ty: $bytes:expr, $put:ident, $get:ident;)*) => {$(
+        impl Persist for $ty {
+            const MIN_BYTES: usize = $bytes;
+            #[inline]
+            fn put(&self, w: &mut StateWriter) {
+                w.$put(*self);
+            }
+            #[inline]
+            fn get(r: &mut StateReader<'_>) -> Result<Self> {
+                r.$get()
+            }
+        }
+    )*};
+}
+
+persist_scalar! {
+    u8: 1, put_u8, get_u8;
+    bool: 1, put_bool, get_bool;
+    u32: 4, put_u32, get_u32;
+    u64: 8, put_u64, get_u64;
+    f64: 8, put_f64, get_f64;
+}
+
+/// A `u64`.
+impl Persist for usize {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut StateWriter) {
+        w.put_u64(*self as u64);
     }
+    fn get(r: &mut StateReader<'_>) -> Result<Self> {
+        usize::try_from(r.get_u64()?).map_err(|_| PersistError::corrupt("count exceeds usize"))
+    }
+}
+
+/// A `0`/`1` tag byte, then the value if present.
+impl<T: Persist> Persist for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut StateWriter) {
+        w.put_bool(self.is_some());
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut StateReader<'_>) -> Result<Self> {
+        Ok(if r.get_bool()? { Some(T::get(r)?) } else { None })
+    }
+}
+
+/// The `N` items in order, no prefix.
+impl<T: Persist + Copy + Default, const N: usize> Persist for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
+    fn put(&self, w: &mut StateWriter) {
+        self.iter().for_each(|v| v.put(w));
+    }
+    fn get(r: &mut StateReader<'_>) -> Result<Self> {
+        let mut out = [T::default(); N];
+        for v in &mut out {
+            *v = T::get(r)?;
+        }
+        Ok(out)
+    }
+}
+
+/// A `u64` count, then the items in order.
+impl<T: Persist> Persist for Vec<T> {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut StateWriter) {
+        w.put_u64(self.len() as u64);
+        self.iter().for_each(|v| v.put(w));
+    }
+    fn get(r: &mut StateReader<'_>) -> Result<Self> {
+        let len = r.get_len(T::MIN_BYTES.max(1))?;
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(T::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+/// The layout of a `Vec` of the members, which must ascend strictly.
+impl<T: Persist + Ord> Persist for BTreeSet<T> {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut StateWriter) {
+        w.put_u64(self.len() as u64);
+        self.iter().for_each(|v| v.put(w));
+    }
+    fn get(r: &mut StateReader<'_>) -> Result<Self> {
+        let len = r.get_len(T::MIN_BYTES.max(1))?;
+        let mut out = BTreeSet::new();
+        for _ in 0..len {
+            let v = T::get(r)?;
+            if out.last().is_some_and(|last| *last >= v) {
+                return Err(PersistError::corrupt("set members not strictly ascending"));
+            }
+            out.insert(v);
+        }
+        Ok(out)
+    }
+}
+
+/// The layout of a `Vec` of `(key, value)` entries, whose keys must ascend
+/// strictly.
+impl<K: Persist + Ord, V: Persist> Persist for BTreeMap<K, V> {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut StateWriter) {
+        w.put_u64(self.len() as u64);
+        for (k, v) in self {
+            k.put(w);
+            v.put(w);
+        }
+    }
+    fn get(r: &mut StateReader<'_>) -> Result<Self> {
+        let len = r.get_len((K::MIN_BYTES + V::MIN_BYTES).max(1))?;
+        let mut out = BTreeMap::new();
+        for _ in 0..len {
+            let k = K::get(r)?;
+            if out.last_key_value().is_some_and(|(last, _)| *last >= k) {
+                return Err(PersistError::corrupt("map keys not strictly ascending"));
+            }
+            out.insert(k, V::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+/// Declares a record's layout once, as one field list: each field is
+/// written with [`Persist::put`] and read with [`Persist::get`], in the
+/// order listed.
+///
+/// `persist!(impl Persist for T { field: Type, … })` implements
+/// [`Persist`] for a struct. Fields left out of the list take their values
+/// from a trailing `..base` expression. A trailing `check path` names a
+/// `fn(&T) -> Result<()>` run on every value read: the place for checks
+/// across fields.
+///
+/// `persist!(vis fn put_name, get_name { field, … })`, inside an `impl`
+/// block, defines a writer `put_name(&self, w)` and a reader
+/// `get_name(&mut self, r) -> Result<()>` of the listed fields of a larger
+/// value whose other fields are configuration, not state, with the same
+/// optional `check`. The reader assigns each field as it reads it: on
+/// error the value is partly overwritten.
+///
+/// ```
+/// use asf_persist::{persist, Persist, StateReader, StateWriter};
+///
+/// struct Span { lo: u64, hi: u64 }
+/// persist!(impl Persist for Span { lo: u64, hi: u64 });
+///
+/// let mut w = StateWriter::new();
+/// Span { lo: 2, hi: 5 }.put(&mut w);
+/// let back = Span::get(&mut StateReader::new(w.bytes())).unwrap();
+/// assert_eq!((back.lo, back.hi, Span::MIN_BYTES), (2, 5, 16));
+/// ```
+#[macro_export]
+macro_rules! persist {
+    (impl Persist for $ty:ty {
+        $($field:ident: $fty:ty),* $(, ..$base:expr)? $(,)?
+    } $(check $check:path)?) => {
+        impl $crate::Persist for $ty {
+            const MIN_BYTES: usize = 0 $(+ <$fty as $crate::Persist>::MIN_BYTES)*;
+            #[inline]
+            fn put(&self, w: &mut $crate::StateWriter) {
+                $($crate::Persist::put(&self.$field, w);)*
+            }
+            #[inline]
+            fn get(r: &mut $crate::StateReader<'_>) -> $crate::Result<Self> {
+                let value = Self { $($field: <$fty as $crate::Persist>::get(r)?,)* $(..$base)? };
+                $($check(&value)?;)?
+                Ok(value)
+            }
+        }
+    };
+    ($vis:vis fn $put:ident, $get:ident { $($field:ident),* $(,)? } $(check $check:path)?) => {
+        $vis fn $put(&self, w: &mut $crate::StateWriter) {
+            $($crate::Persist::put(&self.$field, w);)*
+        }
+        $vis fn $get(&mut self, r: &mut $crate::StateReader<'_>) -> $crate::Result<()> {
+            $(self.$field = $crate::Persist::get(r)?;)*
+            $($check(self)?;)?
+            Ok(())
+        }
+    };
 }
 
 #[cfg(test)]
@@ -399,10 +604,7 @@ mod tests {
         w.put_u64(u64::MAX - 1);
         w.put_f64(-0.0);
         w.put_f64(f64::INFINITY);
-        w.put_opt_f64(None);
-        w.put_opt_f64(Some(42.5));
         w.put_bytes(b"blob");
-        w.put_str("RTP");
 
         let bytes = w.into_bytes();
         let mut r = StateReader::new(&bytes);
@@ -412,10 +614,7 @@ mod tests {
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.get_f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(r.get_f64().unwrap(), f64::INFINITY);
-        assert_eq!(r.get_opt_f64().unwrap(), None);
-        assert_eq!(r.get_opt_f64().unwrap(), Some(42.5));
         assert_eq!(r.get_bytes().unwrap(), b"blob");
-        assert_eq!(r.get_str().unwrap(), "RTP");
         r.finish().unwrap();
     }
 
@@ -492,6 +691,69 @@ mod tests {
         let mut r = StateReader::new(&bytes);
         assert_eq!(r.get_u32().unwrap(), 5);
         assert!(r.finish().is_err());
+    }
+
+    #[test]
+    fn persist_layouts_match_the_hand_written_ones() {
+        let set: BTreeSet<u32> = [3, 9].into();
+        let map: BTreeMap<u32, f64> = [(1, 2.5)].into();
+        let mut w = StateWriter::new();
+        Some(7u32).put(&mut w);
+        None::<f64>.put(&mut w);
+        [1u64, 2].put(&mut w);
+        vec![true].put(&mut w);
+        set.put(&mut w);
+        map.put(&mut w);
+        let mut hand = StateWriter::new();
+        hand.put_bool(true);
+        hand.put_u32(7);
+        hand.put_bool(false);
+        hand.put_u64(1);
+        hand.put_u64(2);
+        hand.put_u64(1);
+        hand.put_bool(true);
+        hand.put_u64(2);
+        hand.put_u32(3);
+        hand.put_u32(9);
+        hand.put_u64(1);
+        hand.put_u32(1);
+        hand.put_f64(2.5);
+        assert_eq!(w.bytes(), hand.bytes());
+        let mut r = StateReader::new(hand.bytes());
+        assert_eq!(Option::<u32>::get(&mut r).unwrap(), Some(7));
+        assert_eq!(Option::<f64>::get(&mut r).unwrap(), None);
+        assert_eq!(<[u64; 2]>::get(&mut r).unwrap(), [1, 2]);
+        assert_eq!(Vec::<bool>::get(&mut r).unwrap(), vec![true]);
+        assert_eq!(<BTreeSet<u32> as Persist>::get(&mut r).unwrap(), set);
+        assert_eq!(<BTreeMap<u32, f64> as Persist>::get(&mut r).unwrap(), map);
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn ordered_collections_and_ids_are_canonical() {
+        let mut w = StateWriter::new();
+        vec![9u32, 3].put(&mut w);
+        let bytes = w.into_bytes();
+        assert!(
+            <BTreeSet<u32> as Persist>::get(&mut StateReader::new(&bytes)).is_err(),
+            "descending"
+        );
+        let mut w = StateWriter::new();
+        w.put_u64(2);
+        for v in [1.0, 2.0] {
+            w.put_u32(4);
+            w.put_f64(v);
+        }
+        let bytes = w.into_bytes();
+        assert!(
+            <BTreeMap<u32, f64> as Persist>::get(&mut StateReader::new(&bytes)).is_err(),
+            "repeated"
+        );
+        let bytes = 5u32.to_le_bytes();
+        assert_eq!(StateReader::new(&bytes).get_id().unwrap(), 5, "unbounded by default");
+        let mut r = StateReader::new(&bytes);
+        r.set_population(5);
+        assert!(r.get_id().is_err(), "an id at the population is outside it");
     }
 
     #[test]

@@ -372,7 +372,7 @@ mod tests {
         odd: Option<usize>,
     ) -> StateWriter {
         let mut w = StateWriter::new();
-        w.put_str("prefix");
+        w.put_bytes(b"prefix");
         w.put_u64(n as u64);
         let consts: Vec<u8> = (0..stride).map(|_| rng.next() as u8).collect();
         let mut index = 0u32;
@@ -395,7 +395,7 @@ mod tests {
                 w.put_u8(0xEE);
             }
         });
-        w.put_str("suffix");
+        w.put_bytes(b"suffix");
         w
     }
 

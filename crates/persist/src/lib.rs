@@ -7,8 +7,9 @@
 //!   on-disk record.
 //! - [`codec`] — [`StateWriter`]/[`StateReader`], the fixed-width
 //!   little-endian encoding every persisted domain type goes through
-//!   (`f64` as raw bits, so recovered state is bit-exact). A writer also
-//!   declares its row tables ([`StateWriter::put_table`]).
+//!   (`f64` as raw bits, so recovered state is bit-exact), and
+//!   [`Persist`] / [`persist!`], which declare each record's layout once.
+//!   A writer also declares its row tables ([`StateWriter::put_table`]).
 //! - [`column`](mod@column) — column coding of checkpoint bodies: each
 //!   declared table stored as byte planes (one byte for a constant plane,
 //!   runs for the rest, gaps for an ascending index column) below the
@@ -37,7 +38,7 @@ pub mod crc;
 pub mod record;
 pub mod store;
 
-pub use codec::{Image, StateReader, StateWriter, Table};
+pub use codec::{Image, Persist, StateReader, StateWriter, Table};
 pub use column::{Coding, BLOCK_ROWS};
 pub use crc::{crc32, Crc32};
 pub use record::{

@@ -81,10 +81,11 @@ use asf_core::protocol::{CtxStats, Protocol};
 use asf_core::rank::RankForest;
 use asf_core::workload::{EventBatch, UpdateEvent, Workload};
 use asf_core::AnswerSet;
-use asf_persist::{Journal, PersistError, SnapshotImage, SnapshotStore, StateReader, StateWriter};
+use asf_persist::{
+    persist, Journal, Persist, PersistError, SnapshotImage, SnapshotStore, StateReader, StateWriter,
+};
 use asf_telemetry::{chrome_trace, Cause, Registry, TraceDepth, TraceEvent, TraceRing};
 use simkit::SimTime;
-use streamnet::chaos::CHANNEL_ROW_BYTES;
 use streamnet::{
     ChaosConfig, ChaosFleet, ChaosState, ChaosStats, Ledger, MessageKind, RepairPlan, ReportFate,
     Rows, ServerView, SourceFleet, StreamId,
@@ -103,11 +104,14 @@ use crate::shard::{Partition, Shard, ShardCmd, ShardReply, SpecEvent};
 /// recovery reads at most 1.5 full images' worth of checkpoint.
 const DELTA_DIVISOR: u64 = 2;
 
-/// Bytes of one dirty view entry in a delta: index, known flag, value.
-const DELTA_VIEW_ROW: u64 = 13;
+/// The scalars a server image opens with, before the shards' rows.
+struct Header {
+    now: SimTime,
+    events: u64,
+    shards: u64,
+}
 
-/// Bytes of one selected channel row in a delta: index and row.
-const DELTA_CHANNEL_ROW: u64 = 4 + CHANNEL_ROW_BYTES as u64;
+persist!(impl Persist for Header { now: SimTime, events: u64, shards: u64 });
 
 /// The last full image this server encoded, as the full-or-delta rule
 /// weighs it.
@@ -975,9 +979,9 @@ impl<P: Protocol> ShardedServer<P> {
     /// now; `None` means the checkpoint must be full. The delta's size is
     /// estimated from the dirty-bit popcounts and the last full image's
     /// proportions: its whole-state parts as they weighed then, plus each
-    /// dirty source at that image's mean source-row size, each dirty view
-    /// entry at [`DELTA_VIEW_ROW`] and each selected channel at
-    /// [`DELTA_CHANNEL_ROW`], every row behind a 4-byte index.
+    /// dirty source at that image's mean source-row size and each dirty
+    /// view entry and selected channel at its table's row width, every row
+    /// behind its index ([`Rows::width`]).
     fn delta_base(&mut self) -> Option<u64> {
         let base = self.full_base?;
         for handle in self.handles.iter_mut() {
@@ -993,14 +997,15 @@ impl<P: Protocol> ShardedServer<P> {
         let n = self.n as u64;
         let dirty_view = self.core.view().dirty_rows() as u64;
         let dirty_channels = self.chaos.as_ref().map_or(0, |c| c.dirty_rows() as u64);
+        let delta_row = |row_bytes: u64| Rows::Dirty.width(row_bytes as usize) as u64;
+        let view_row = ServerView::ROW_BYTES as u64;
         // What a delta writes whole: the full image without its source
-        // rows, its view entries (9 bytes each, unindexed) and its channel
-        // rows.
-        let whole = base.bytes.saturating_sub(base.source_rows + 9 * n + base.channel_rows);
+        // rows, its view entries and its channel rows.
+        let whole = base.bytes.saturating_sub(base.source_rows + view_row * n + base.channel_rows);
         let estimate = whole
-            + dirty_sources * (4 + base.source_rows / n)
-            + dirty_view * DELTA_VIEW_ROW
-            + dirty_channels * DELTA_CHANNEL_ROW;
+            + dirty_sources * delta_row(base.source_rows / n)
+            + dirty_view * delta_row(view_row)
+            + dirty_channels * delta_row(ChaosState::ROW_BYTES as u64);
         (estimate * DELTA_DIVISOR < base.bytes).then_some(base.seq)
     }
 
@@ -1014,14 +1019,13 @@ impl<P: Protocol> ShardedServer<P> {
     /// after it; [`Rows::Dirty`] is a delta against that base.
     fn snapshot_state(&mut self, rows: Rows) -> StateWriter {
         let mut w = StateWriter::new();
-        w.put_f64(self.now);
-        w.put_u64(self.events_processed);
-        w.put_u64(self.config.num_shards as u64);
+        let shards = self.config.num_shards as u64;
+        Header { now: self.now, events: self.events_processed, shards }.put(&mut w);
         let mut source_rows = 0;
         for handle in self.handles.iter_mut() {
             match handle.request(ShardCmd::SaveState { rows }) {
                 ShardReply::State(state) => {
-                    source_rows += state.len() as u64 - 8;
+                    source_rows += (state.len() - Rows::COUNT_BYTES) as u64;
                     w.put_nested(&state);
                 }
                 other => unreachable!("SaveState got {other:?}"),
@@ -1043,7 +1047,7 @@ impl<P: Protocol> ShardedServer<P> {
                 w.put_nested(&cw);
                 if rows == Rows::All {
                     chaos.clear_dirty();
-                    channel_rows = (CHANNEL_ROW_BYTES * chaos.len()) as u64;
+                    channel_rows = (ChaosState::ROW_BYTES * chaos.len()) as u64;
                 }
             }
         }
@@ -1066,21 +1070,19 @@ impl<P: Protocol> ShardedServer<P> {
         let seq = checkpoint.seq();
         let image = Arc::new(checkpoint.into_state());
         let mut r = StateReader::new(&image);
-        let now = r.get_f64()?;
+        let Header { now, events, shards } = Header::get(&mut r)?;
         if now.is_nan() {
             return Err(PersistError::corrupt("snapshot time is NaN"));
         }
-        let events = r.get_u64()?;
         if events != seq {
             return Err(PersistError::corrupt("checkpoint sequence mismatch"));
         }
-        let shards = r.get_u64()? as usize;
-        if shards != self.config.num_shards {
+        if shards != self.config.num_shards as u64 {
             return Err(PersistError::corrupt("snapshot shard count differs from configuration"));
         }
         // Each shard's rows, located in the image for the shard to decode.
-        let mut blobs = Vec::with_capacity(shards);
-        for _ in 0..shards {
+        let mut blobs = Vec::with_capacity(self.config.num_shards);
+        for _ in 0..self.config.num_shards {
             let len = r.get_bytes()?.len();
             let end = image.len() - r.remaining();
             blobs.push(end - len..end);

@@ -14,6 +14,8 @@
 //! the schedule's `horizon`, every frame delivers and no round faults —
 //! this is the "faults cease" boundary the convergence proofs rely on.
 
+use asf_persist::{persist, PersistError};
+
 use crate::dist::Geometric;
 use crate::rng::SimRng;
 
@@ -68,28 +70,46 @@ impl FaultMix {
         Self { drop_p: 0.02, crash_p, max_outage_ticks: 4096, ..Self::none() }
     }
 
-    fn validate(&self) {
+    /// What is malformed about the mix, if anything.
+    fn problem(&self) -> Option<&'static str> {
         let sum = self.drop_p + self.delay_p + self.dup_p;
-        assert!(
-            (0.0..=1.0).contains(&sum)
-                && self.drop_p >= 0.0
-                && self.delay_p >= 0.0
-                && self.dup_p >= 0.0,
-            "fault probabilities must be non-negative and sum to <= 1, got {self:?}"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.crash_p),
-            "crash_p must be a probability, got {}",
-            self.crash_p
-        );
-        if self.delay_p > 0.0 {
-            assert!(self.max_delay_ticks > 0, "delay_p > 0 requires max_delay_ticks > 0");
-        }
-        if self.crash_p > 0.0 {
-            assert!(self.max_outage_ticks > 0, "crash_p > 0 requires max_outage_ticks > 0");
+        if !((0.0..=1.0).contains(&sum)
+            && self.drop_p >= 0.0
+            && self.delay_p >= 0.0
+            && self.dup_p >= 0.0)
+        {
+            Some("fault probabilities must be non-negative and sum to <= 1")
+        } else if !(0.0..=1.0).contains(&self.crash_p) {
+            Some("crash_p must be a probability")
+        } else if self.delay_p > 0.0 && self.max_delay_ticks == 0 {
+            Some("delay_p > 0 requires max_delay_ticks > 0")
+        } else if self.crash_p > 0.0 && self.max_outage_ticks == 0 {
+            Some("crash_p > 0 requires max_outage_ticks > 0")
+        } else {
+            None
         }
     }
+
+    fn validate(&self) {
+        if let Some(problem) = self.problem() {
+            panic!("{problem}, got {self:?}");
+        }
+    }
+
+    /// A decoded mix must be one [`FaultSchedule::new`] accepts.
+    fn check(&self) -> asf_persist::Result<()> {
+        self.problem().map_or(Ok(()), |p| Err(PersistError::corrupt(p)))
+    }
 }
+
+persist!(impl Persist for FaultMix {
+    drop_p: f64,
+    delay_p: f64,
+    dup_p: f64,
+    crash_p: f64,
+    max_delay_ticks: u64,
+    max_outage_ticks: u64,
+} check FaultMix::check);
 
 /// The fate of one frame on an unreliable channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,6 +175,13 @@ pub struct ScheduleState {
     pub crash_skip: u64,
 }
 
+persist!(impl Persist for ScheduleState {
+    frames: [u64; 4],
+    rounds: [u64; 4],
+    heartbeat_skip: u64,
+    crash_skip: u64,
+});
+
 impl FaultSchedule {
     /// Creates a schedule; faults are active while `clock < horizon` ticks.
     ///
@@ -162,20 +189,8 @@ impl FaultSchedule {
     ///
     /// Panics if the mix's probabilities are malformed.
     pub fn new(seed: u64, mix: FaultMix, horizon: u64) -> Self {
-        Self::resume_frames(SimRng::seed_from_u64(seed).state(), mix, horizon)
-    }
-
-    /// Resumes from a frame-stream state alone — a checkpoint written before
-    /// the round stream existed. The frame stream continues exactly; the
-    /// round stream starts from those words as [`FaultSchedule::new`] starts
-    /// it from the seed's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mix's probabilities are malformed.
-    pub fn resume_frames(frames: [u64; 4], mix: FaultMix, horizon: u64) -> Self {
         mix.validate();
-        let rng = SimRng::from_state(frames);
+        let rng = SimRng::seed_from_u64(seed);
         let mut rounds = rng.clone().derive(ROUND_STREAM);
         let (heartbeat_gap, crash_gap) = Self::gaps(&mix);
         let mut first =
@@ -343,7 +358,17 @@ impl Backoff {
     pub fn cap(&self) -> u64 {
         self.cap
     }
+
+    /// A decoded policy must be one [`Backoff::new`] accepts.
+    fn check(&self) -> asf_persist::Result<()> {
+        if self.base == 0 || self.cap < self.base {
+            return Err(PersistError::corrupt("backoff base is zero or above its cap"));
+        }
+        Ok(())
+    }
 }
+
+persist!(impl Persist for Backoff { base: u64, cap: u64 } check Backoff::check);
 
 #[cfg(test)]
 mod tests {
@@ -433,14 +458,6 @@ mod tests {
         for t in 257..1_000 {
             assert_eq!(round(&mut original, t), round(&mut resumed, t));
         }
-    }
-
-    #[test]
-    fn frame_state_alone_resumes_like_the_seed() {
-        let mix = FaultMix::crash_restart(0.1);
-        let fresh = FaultSchedule::new(5, mix, 100);
-        let resumed = FaultSchedule::resume_frames(SimRng::seed_from_u64(5).state(), mix, 100);
-        assert_eq!(fresh.state(), resumed.state());
     }
 
     /// Heartbeat faults hit each channel with probability `drop_p + dup_p`

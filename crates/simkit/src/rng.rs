@@ -28,6 +28,9 @@ pub struct SimRng {
     s: [u64; 4],
 }
 
+// The raw state words, so recovery resumes the exact stream.
+asf_persist::persist!(impl Persist for SimRng { s: [u64; 4] });
+
 impl SimRng {
     /// Creates a generator from a 64-bit seed.
     pub fn seed_from_u64(seed: u64) -> Self {

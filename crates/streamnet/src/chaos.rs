@@ -76,8 +76,10 @@
 //! [`ChaosState::encode`] / [`ChaosState::decode`], so a durable server
 //! checkpoints its channel layer alongside protocol state and a
 //! crash+recover *inside* a fault window resumes the exact decision stream
-//! (see `asf-server`'s chaos-recovery differential suite). Version-1
-//! records decode through a stated migration.
+//! (see `asf-server`'s chaos-recovery differential suite). Each part of
+//! the record — config, schedule state, channel row, parked frame,
+//! counters — declares its layout once ([`asf_persist::persist!`]); a
+//! record of any version but the current one is rejected.
 //!
 //! A checkpoint may carry only the channels that changed
 //! ([`ChaosState::encode_rows`] of [`Rows::Dirty`]): each selected channel's
@@ -98,8 +100,8 @@
 //! image it was taken against and re-derives and re-checks everything the
 //! rows do not carry.
 
-use asf_persist::{PersistError, StateReader, StateWriter, Table};
-use simkit::fault::{Backoff, FaultDecision, FaultMix, FaultSchedule, ScheduleState};
+use asf_persist::{persist, Persist, PersistError, StateReader, StateWriter};
+use simkit::fault::{Backoff, FaultDecision, FaultMix, FaultSchedule};
 use simkit::time::TickClock;
 
 use crate::filter::Filter;
@@ -127,20 +129,30 @@ pub struct ChaosConfig {
     pub max_retries: u32,
 }
 
+persist!(impl Persist for ChaosConfig {
+    seed: u64,
+    mix: FaultMix,
+    fault_horizon_ticks: u64,
+    lease_ticks: u64,
+    timeout_ticks: u64,
+    backoff: Backoff,
+    max_retries: u32,
+});
+
 /// Ceiling of a channel's lease, as a multiple of the configured
 /// [`ChaosConfig::lease_ticks`] floor. Each lease adapts to its channel's
 /// observed heartbeat jitter, by doubling and halving between the two.
 pub const MAX_LEASE_FACTOR: u64 = 16;
 
 /// Version tag of the serialized chaos-state record
-/// ([`ChaosState::encode`] / [`ChaosState::decode`]). Version 1 — one RNG
-/// stream, a dense `last_heard` and lease column — still decodes.
+/// ([`ChaosState::encode`] / [`ChaosState::decode`]), the only version
+/// read.
 const CHAOS_STATE_VERSION: u8 = 2;
 
-/// Bytes of one channel row in a chaos-state record: the epoch, both
-/// sequence numbers, the outage end, the recorded flags and the lease
-/// class. A delta writes each selected row behind a 4-byte index.
-pub const CHANNEL_ROW_BYTES: usize = 4 * 8 + 2;
+/// The adaptive-lease and batched-repair flag bytes after the config in a
+/// record: both mechanisms are always on, and the bytes stay so that
+/// records keep their layout.
+const ALWAYS_ON: [bool; 2] = [true, true];
 
 impl ChaosConfig {
     /// Creates a config with conventional lease/backoff defaults.
@@ -208,6 +220,25 @@ pub struct ChaosStats {
     pub repair_frames: u64,
 }
 
+persist!(impl Persist for ChaosStats {
+    retries: u64,
+    timeouts: u64,
+    epoch_rejects: u64,
+    reports_lost: u64,
+    reports_delayed: u64,
+    dup_frames: u64,
+    heartbeats_sent: u64,
+    heartbeats_lost: u64,
+    crashes: u64,
+    repaired_sources: u64,
+    overhead_frames: u64,
+    lease_renewals: u64,
+    lease_expirations: u64,
+    spurious_expirations: u64,
+    repair_batches: u64,
+    repair_frames: u64,
+});
+
 /// Fate of one source→server report at admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReportFate {
@@ -250,6 +281,45 @@ struct Channel {
     recv_seq: u64,
     /// The source is down (crash outage) until this tick.
     down_until: u64,
+}
+
+persist!(impl Persist for Channel {
+    epoch: u64,
+    send_seq: u64,
+    recv_seq: u64,
+    down_until: u64,
+} check Channel::check);
+
+impl Channel {
+    fn check(&self) -> asf_persist::Result<()> {
+        if self.recv_seq > self.send_seq {
+            return Err(PersistError::corrupt("chaos channel received past sent"));
+        }
+        Ok(())
+    }
+}
+
+/// A channel's row in a record: its cold record, its recorded flags and
+/// its lease class.
+struct ChannelRow {
+    channel: Channel,
+    flags: u8,
+    class: u8,
+}
+
+persist!(impl Persist for ChannelRow { channel: Channel, flags: u8, class: u8 } check ChannelRow::check);
+
+impl ChannelRow {
+    fn check(&self) -> asf_persist::Result<()> {
+        let flags = self.flags;
+        if flags & !RECORDED != 0 || flags & (DEAD | VERIFIED) == DEAD | VERIFIED {
+            return Err(PersistError::corrupt("chaos channel flags malformed"));
+        }
+        if self.class as usize >= LEASE_CLASSES {
+            return Err(PersistError::corrupt("chaos lease length out of bounds"));
+        }
+        Ok(())
+    }
 }
 
 /// The source restarted (or rejoined) and needs a repair re-probe.
@@ -338,6 +408,14 @@ struct ParkedReport {
     value: f64,
 }
 
+persist!(impl Persist for ParkedReport {
+    due: u64,
+    seq: u64,
+    epoch: u64,
+    id: StreamId,
+    value: f64,
+});
+
 /// All channel state of the unreliable fleet plus the fault source.
 #[derive(Debug, Clone)]
 pub struct ChaosState {
@@ -391,6 +469,10 @@ pub struct ChaosState {
 }
 
 impl ChaosState {
+    /// Bytes of one channel's row in a record: the epoch, both sequence
+    /// numbers, the outage end, the recorded flags and the lease class.
+    pub const ROW_BYTES: usize = ChannelRow::MIN_BYTES;
+
     /// Creates channel state for `n` sources.
     ///
     /// Channels start fully caught up: the server is expected to have
@@ -966,67 +1048,27 @@ impl ChaosState {
     /// now, behind its index. Everything else is written whole.
     pub fn encode_rows(&self, w: &mut StateWriter, rows: Rows) {
         w.put_u8(CHAOS_STATE_VERSION);
-        self.encode_config(w);
-        let schedule = self.schedule.state();
-        for word in schedule.frames.into_iter().chain(schedule.rounds) {
-            w.put_u64(word);
-        }
-        w.put_u64(schedule.heartbeat_skip);
-        w.put_u64(schedule.crash_skip);
+        self.cfg.put(w);
+        ALWAYS_ON.put(w);
+        self.schedule.state().put(w);
         w.put_u64(self.clock.now());
         w.put_u64(self.round_tick);
         let selected = self.selected(rows);
-        w.put_u64(selected.clone().count() as u64);
-        w.put_table(rows.table(), selected, |w, i| {
-            if rows == Rows::Dirty {
-                w.put_u32(i as u32);
-            }
-            let ch = &self.channels[i];
-            w.put_u64(ch.epoch);
-            w.put_u64(ch.send_seq);
-            w.put_u64(ch.recv_seq);
-            w.put_u64(ch.down_until);
-            w.put_u8(self.flags[i] & RECORDED);
-            w.put_u8(self.lease_class[i]);
+        rows.put_rows(w, selected.clone().count(), selected, |w, i| {
+            let (channel, class) = (self.channels[i], self.lease_class[i]);
+            ChannelRow { channel, flags: self.flags[i] & RECORDED, class }.put(w);
         });
         let exceptions = (0..self.len()).filter(|&i| self.is_exception(i));
-        w.put_u64(exceptions.clone().count() as u64);
-        w.put_table(Table::Indexed, exceptions, |w, i| {
-            w.put_u32(i as u32);
-            w.put_u64(self.last_heard[i]);
+        Rows::Dirty.put_rows(w, exceptions.clone().count(), exceptions, |w, i| {
+            self.last_heard[i].put(w);
         });
-        // Parked frames (in pool order — order is state: `take_due_reports`
-        // sorts due frames, but `retain` preserves pool order for the rest).
-        w.put_u64(self.parked.len() as u64);
-        for f in &self.parked {
-            w.put_u64(f.due);
-            w.put_u64(f.seq);
-            w.put_u64(f.epoch);
-            w.put_u32(f.id.0);
-            w.put_f64(f.value);
-        }
-        w.put_u64(self.stats.retries);
-        w.put_u64(self.stats.timeouts);
-        w.put_u64(self.stats.epoch_rejects);
-        w.put_u64(self.stats.reports_lost);
-        w.put_u64(self.stats.reports_delayed);
-        w.put_u64(self.stats.dup_frames);
-        w.put_u64(self.stats.heartbeats_sent);
-        w.put_u64(self.stats.heartbeats_lost);
-        w.put_u64(self.stats.crashes);
-        w.put_u64(self.stats.repaired_sources);
-        w.put_u64(self.stats.overhead_frames);
-        w.put_u64(self.stats.lease_renewals);
-        w.put_u64(self.stats.lease_expirations);
-        w.put_u64(self.stats.spurious_expirations);
-        w.put_u64(self.stats.repair_batches);
-        w.put_u64(self.stats.repair_frames);
+        // Parked frames in pool order — order is state: `take_due_reports`
+        // sorts due frames, but `retain` preserves pool order for the rest.
+        self.parked.put(w);
+        self.stats.put(w);
         // Undrained lease samples (empty at server checkpoints, which drain
         // every round, but the record is complete regardless).
-        w.put_u64(self.lease_samples.len() as u64);
-        for &s in &self.lease_samples {
-            w.put_u64(s);
-        }
+        self.lease_samples.put(w);
     }
 
     /// The channels `rows` selects, ascending: every one, or each one whose
@@ -1053,26 +1095,6 @@ impl ChaosState {
         }
     }
 
-    fn encode_config(&self, w: &mut StateWriter) {
-        w.put_u64(self.cfg.seed);
-        w.put_f64(self.cfg.mix.drop_p);
-        w.put_f64(self.cfg.mix.delay_p);
-        w.put_f64(self.cfg.mix.dup_p);
-        w.put_f64(self.cfg.mix.crash_p);
-        w.put_u64(self.cfg.mix.max_delay_ticks);
-        w.put_u64(self.cfg.mix.max_outage_ticks);
-        w.put_u64(self.cfg.fault_horizon_ticks);
-        w.put_u64(self.cfg.lease_ticks);
-        w.put_u64(self.cfg.timeout_ticks);
-        w.put_u64(self.cfg.backoff.base());
-        w.put_u64(self.cfg.backoff.cap());
-        w.put_u32(self.cfg.max_retries);
-        // The adaptive-lease and batched-repair flag bytes: both mechanisms
-        // are always on, and the bytes stay so that images keep their layout.
-        w.put_bool(true);
-        w.put_bool(true);
-    }
-
     /// Decodes a full record written by [`ChaosState::encode`]:
     /// [`ChaosState::decode_rows`] of [`Rows::All`] into a new machine.
     pub fn decode(r: &mut StateReader<'_>) -> asf_persist::Result<Self> {
@@ -1088,13 +1110,7 @@ impl ChaosState {
     /// config and population come from the record. [`Rows::Dirty`] applies a
     /// delta onto the machine decoded from the full image it was taken
     /// against, whose config it must carry. The decoded rows are marked
-    /// dirty.
-    ///
-    /// A full version-1 record (one RNG stream, every channel's
-    /// `last_heard`, the lease in ticks, a separate dead bitmap) migrates:
-    /// every channel becomes an exception, and the round stream is derived
-    /// from the v1 RNG words as a fresh schedule derives it from the seed.
-    /// Any other version is an error.
+    /// dirty. A record of another version is an error.
     ///
     /// Every field that a constructor would assert on (fault probabilities,
     /// backoff shape, lease bounds), every length prefix and every
@@ -1106,254 +1122,68 @@ impl ChaosState {
     /// not recorded. On error the machine is partly overwritten: discard
     /// it.
     pub fn decode_rows(&mut self, r: &mut StateReader<'_>, rows: Rows) -> asf_persist::Result<()> {
-        let version = r.get_u8()?;
-        if version != CHAOS_STATE_VERSION && (version != 1 || rows == Rows::Dirty) {
+        if r.get_u8()? != CHAOS_STATE_VERSION {
             return Err(PersistError::corrupt("unknown chaos-state version"));
         }
-        let cfg = Self::decode_config(r)?;
+        let cfg = ChaosConfig::get(r)?;
         if rows == Rows::Dirty && cfg != self.cfg {
             return Err(PersistError::corrupt("chaos delta config differs from its base"));
         }
-        let (mix, horizon) = (cfg.mix, cfg.fault_horizon_ticks);
-        let mut words = || -> asf_persist::Result<[u64; 4]> {
-            Ok([r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?])
-        };
-        let schedule = if version == 1 {
-            FaultSchedule::resume_frames(words()?, mix, horizon)
-        } else {
-            let (frames, rounds) = (words()?, words()?);
-            let (heartbeat_skip, crash_skip) = (r.get_u64()?, r.get_u64()?);
-            let state = ScheduleState { frames, rounds, heartbeat_skip, crash_skip };
-            FaultSchedule::resume(state, mix, horizon)
-        };
-        let now = r.get_u64()?;
+        if <[bool; 2]>::get(r)? != ALWAYS_ON {
+            return Err(PersistError::corrupt("chaos record turns off a retired mechanism"));
+        }
+        let schedule = FaultSchedule::resume(Persist::get(r)?, cfg.mix, cfg.fault_horizon_ticks);
+        let (now, round_tick) = (r.get_u64()?, r.get_u64()?);
+        if round_tick > now {
+            return Err(PersistError::corrupt("chaos round tick past the clock"));
+        }
         if rows == Rows::All {
+            // The channel count is the population: peek it to size the
+            // machine before the table is read.
+            let mut peek = *r;
+            let n = peek.get_len(Self::ROW_BYTES)?;
             *self = Self::new(0, cfg);
+            self.channels = vec![Channel::default(); n];
+            self.flags = vec![0; n];
+            self.lease_class = vec![0; n];
+            self.dirty = DirtyRows::new(n);
         }
         self.schedule = schedule;
         self.clock = TickClock::new();
         self.clock.advance_to(now);
-        if version == 1 {
-            self.decode_v1_channels(r)?;
-        } else {
-            self.decode_v2_channels(r, rows)?;
-        }
-        let parked_len = r.get_len(3 * 8 + 4 + 8)?;
-        self.parked.clear();
-        self.parked.reserve_exact(parked_len);
-        for _ in 0..parked_len {
-            let frame = ParkedReport {
-                due: r.get_u64()?,
-                seq: r.get_u64()?,
-                epoch: r.get_u64()?,
-                id: StreamId(r.get_u32()?),
-                value: r.get_f64()?,
-            };
-            let Some(ch) = self.channels.get(frame.id.index()) else {
-                return Err(PersistError::corrupt("chaos parked frame from unknown source"));
-            };
-            // A frame is stamped with its channel's epoch and next sequence
-            // number, and both only grow.
-            if frame.seq > ch.send_seq || frame.epoch > ch.epoch {
-                return Err(PersistError::corrupt("chaos parked frame ahead of its channel"));
-            }
-            self.parked.push(frame);
-        }
-        if version == 1 {
-            for i in 0..self.len() {
-                if r.get_bool()? {
-                    // The lease machine never vouches for a dead source.
-                    if self.flags[i] & VERIFIED != 0 {
-                        return Err(PersistError::corrupt(
-                            "chaos dead bitmap contradicts channels",
-                        ));
-                    }
-                    self.flags[i] |= DEAD;
-                }
-            }
-        }
-        self.stats = ChaosStats {
-            retries: r.get_u64()?,
-            timeouts: r.get_u64()?,
-            epoch_rejects: r.get_u64()?,
-            reports_lost: r.get_u64()?,
-            reports_delayed: r.get_u64()?,
-            dup_frames: r.get_u64()?,
-            heartbeats_sent: r.get_u64()?,
-            heartbeats_lost: r.get_u64()?,
-            crashes: r.get_u64()?,
-            repaired_sources: r.get_u64()?,
-            overhead_frames: r.get_u64()?,
-            lease_renewals: r.get_u64()?,
-            lease_expirations: r.get_u64()?,
-            spurious_expirations: r.get_u64()?,
-            repair_batches: r.get_u64()?,
-            repair_frames: r.get_u64()?,
-        };
-        let samples_len = r.get_len(8)?;
-        self.lease_samples.clear();
-        self.lease_samples.reserve_exact(samples_len);
-        for _ in 0..samples_len {
-            self.lease_samples.push(r.get_u64()?);
-        }
-        self.settle_decoded()
-    }
-
-    fn decode_config(r: &mut StateReader<'_>) -> asf_persist::Result<ChaosConfig> {
-        let seed = r.get_u64()?;
-        let mix = FaultMix {
-            drop_p: r.get_f64()?,
-            delay_p: r.get_f64()?,
-            dup_p: r.get_f64()?,
-            crash_p: r.get_f64()?,
-            max_delay_ticks: r.get_u64()?,
-            max_outage_ticks: r.get_u64()?,
-        };
-        let prob_ok = |p: f64| (0.0..=1.0).contains(&p);
-        if !(prob_ok(mix.drop_p)
-            && prob_ok(mix.delay_p)
-            && prob_ok(mix.dup_p)
-            && prob_ok(mix.crash_p)
-            && prob_ok(mix.drop_p + mix.delay_p + mix.dup_p))
-        {
-            return Err(PersistError::corrupt("chaos fault probabilities out of range"));
-        }
-        if (mix.delay_p > 0.0 && mix.max_delay_ticks == 0)
-            || (mix.crash_p > 0.0 && mix.max_outage_ticks == 0)
-        {
-            return Err(PersistError::corrupt("chaos fault bounds inconsistent"));
-        }
-        let fault_horizon_ticks = r.get_u64()?;
-        let lease_ticks = r.get_u64()?;
-        let timeout_ticks = r.get_u64()?;
-        let (backoff_base, backoff_cap) = (r.get_u64()?, r.get_u64()?);
-        if backoff_base == 0 || backoff_cap < backoff_base {
-            return Err(PersistError::corrupt("chaos backoff malformed"));
-        }
-        let max_retries = r.get_u32()?;
-        // The adaptive-lease and batched-repair flag bytes: both mechanisms
-        // are always on, so a 0 is corruption.
-        if !(r.get_bool()? && r.get_bool()?) {
-            return Err(PersistError::corrupt("chaos record turns off a retired mechanism"));
-        }
-        Ok(ChaosConfig {
-            seed,
-            mix,
-            fault_horizon_ticks,
-            lease_ticks,
-            timeout_ticks,
-            backoff: Backoff::new(backoff_base, backoff_cap),
-            max_retries,
-        })
-    }
-
-    /// Gives a machine that decodes a full record `n` blank channels.
-    fn resize_channels(&mut self, n: usize) {
-        self.channels = vec![Channel::default(); n];
-        self.flags = vec![0; n];
-        self.lease_class = vec![0; n];
-        self.dirty = DirtyRows::new(n);
-    }
-
-    /// Overwrites channel `i` with a decoded row and marks it dirty.
-    fn set_channel(
-        &mut self,
-        i: usize,
-        ch: Channel,
-        flags: u8,
-        class: u8,
-    ) -> asf_persist::Result<()> {
-        if ch.recv_seq > ch.send_seq {
-            return Err(PersistError::corrupt("chaos channel received past sent"));
-        }
-        self.channels[i] = ch;
-        self.flags[i] = flags;
-        self.lease_class[i] = class;
-        self.dirty.mark(i);
-        Ok(())
-    }
-
-    /// Version 2: the round tick, the selected channel rows (34 bytes
-    /// each, behind an index in a delta), then the exception set with its
-    /// explicit `last_heard`s.
-    fn decode_v2_channels(
-        &mut self,
-        r: &mut StateReader<'_>,
-        rows: Rows,
-    ) -> asf_persist::Result<()> {
-        let round_tick = r.get_u64()?;
-        if round_tick > self.clock.now() {
-            return Err(PersistError::corrupt("chaos round tick past the clock"));
-        }
         self.round_tick = round_tick;
-        let count = match rows {
-            Rows::All => {
-                let n = r.get_len(CHANNEL_ROW_BYTES)?;
-                self.resize_channels(n);
-                n
-            }
-            Rows::Dirty => rows.read_count(r, self.len(), 4 + CHANNEL_ROW_BYTES)?,
-        };
         let n = self.len();
-        let mut next = 0;
-        for k in 0..count {
-            let i = rows.read_index(r, k, next, n)?;
-            next = i + 1;
-            let ch = Channel {
-                epoch: r.get_u64()?,
-                send_seq: r.get_u64()?,
-                recv_seq: r.get_u64()?,
-                down_until: r.get_u64()?,
-            };
-            let (flags, class) = (r.get_u8()?, r.get_u8()?);
-            if flags & !RECORDED != 0 || flags & (DEAD | VERIFIED) == DEAD | VERIFIED {
-                return Err(PersistError::corrupt("chaos channel flags malformed"));
-            }
-            if class as usize >= LEASE_CLASSES {
-                return Err(PersistError::corrupt("chaos lease length out of bounds"));
-            }
-            self.set_channel(i, ch, flags, class)?;
-        }
+        rows.get_rows(r, n, Self::ROW_BYTES, |r, i| {
+            let row = ChannelRow::get(r)?;
+            self.channels[i] = row.channel;
+            self.flags[i] = row.flags;
+            self.lease_class[i] = row.class;
+            self.dirty.mark(i);
+            Ok(())
+        })?;
         self.last_heard.clear();
         self.last_heard.resize(n, round_tick);
         self.exceptions.clear();
         self.exceptions.resize(n.div_ceil(64), 0);
-        let count = r.get_len(4 + 8)?;
-        let mut next = 0;
-        for k in 0..count {
-            let i = Rows::Dirty.read_index(r, k, next, n)?;
-            next = i + 1;
+        Rows::Dirty.get_rows(r, n, u64::MIN_BYTES, |r, i| {
             self.exceptions[i / 64] |= 1 << (i % 64);
-            self.last_heard[i] = r.get_u64()?;
+            self.last_heard[i] = u64::get(r)?;
+            Ok(())
+        })?;
+        r.set_population(n);
+        self.parked = Persist::get(r)?;
+        // A frame is stamped with its channel's epoch and next sequence
+        // number, and both only grow.
+        let ahead = |f: &ParkedReport| {
+            let ch = &self.channels[f.id.index()];
+            f.seq > ch.send_seq || f.epoch > ch.epoch
+        };
+        if self.parked.iter().any(ahead) {
+            return Err(PersistError::corrupt("chaos parked frame ahead of its channel"));
         }
-        Ok(())
-    }
-
-    /// Version 1: 52 bytes a channel, every one an exception.
-    fn decode_v1_channels(&mut self, r: &mut StateReader<'_>) -> asf_persist::Result<()> {
-        // Per channel: six words, three flag bytes, one dead-bitmap byte.
-        let n = r.get_len(6 * 8 + 3 + 1)?;
-        self.resize_channels(n);
-        self.last_heard = vec![0; n];
-        self.round_tick = self.clock.now();
-        for i in 0..n {
-            let (epoch, send_seq, recv_seq) = (r.get_u64()?, r.get_u64()?, r.get_u64()?);
-            self.last_heard[i] = r.get_u64()?;
-            let down_until = r.get_u64()?;
-            let lease = r.get_u64()?;
-            let class = (0..LEASE_CLASSES as u8).find(|&k| self.leases.0[k as usize] == lease);
-            let Some(class) = class else {
-                return Err(PersistError::corrupt("chaos lease length out of bounds"));
-            };
-            let mut flags = 0;
-            set_flag(&mut flags, NEEDS_REPAIR, r.get_bool()?);
-            set_flag(&mut flags, HEARD, r.get_bool()?);
-            set_flag(&mut flags, VERIFIED, r.get_bool()?);
-            let ch = Channel { epoch, send_seq, recv_seq, down_until };
-            self.set_channel(i, ch, flags, class)?;
-        }
-        self.exceptions = all_exceptions(n);
-        Ok(())
+        self.stats = ChaosStats::get(r)?;
+        self.lease_samples = Persist::get(r)?;
+        self.settle_decoded()
     }
 
     /// Re-derives, over every channel, what a record does not carry —

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use asf_persist::{PersistError, StateReader, StateWriter};
+use asf_persist::{Persist, PersistError, StateReader, StateWriter};
 
 /// An adaptive filter installed at a stream source.
 ///
@@ -120,8 +120,29 @@ impl Filter {
         }
     }
 
-    /// Serializes the filter into a durable checkpoint.
-    pub fn encode(&self, w: &mut StateWriter) {
+    /// The §3.1 violation test: does moving from `last_reported` to
+    /// `current` cross the filter boundary?
+    ///
+    /// For `ReportAll` every change is a violation (all updates reported);
+    /// for `Cells` a violation is any cut crossing (cell index changed).
+    #[inline]
+    pub fn violated(&self, last_reported: f64, current: f64) -> bool {
+        match self {
+            Filter::ReportAll => true,
+            Filter::Interval { lo, hi } => interval_violated(*lo, *hi, last_reported, current),
+            Filter::Cells(cuts) => {
+                Self::cell_index(cuts, last_reported) != Self::cell_index(cuts, current)
+            }
+        }
+    }
+}
+
+/// A variant byte, then `lo, hi` for an interval or a `u32`-counted cut
+/// table.
+impl Persist for Filter {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, w: &mut StateWriter) {
         match self {
             Filter::ReportAll => w.put_u8(0),
             Filter::Interval { lo, hi } => {
@@ -139,12 +160,10 @@ impl Filter {
         }
     }
 
-    /// Decodes a filter written by [`Filter::encode`].
-    ///
     /// Re-validates the constructor invariants (no NaN, ordered bounds,
     /// sorted cut table) so corrupt bytes surface as an error, never as a
     /// filter that could not have been built.
-    pub fn decode(r: &mut StateReader<'_>) -> asf_persist::Result<Self> {
+    fn get(r: &mut StateReader<'_>) -> asf_persist::Result<Self> {
         match r.get_u8()? {
             0 => Ok(Filter::ReportAll),
             1 => {
@@ -170,22 +189,6 @@ impl Filter {
                 Ok(Filter::Cells(Arc::from(cuts)))
             }
             _ => Err(PersistError::corrupt("unknown filter variant")),
-        }
-    }
-
-    /// The §3.1 violation test: does moving from `last_reported` to
-    /// `current` cross the filter boundary?
-    ///
-    /// For `ReportAll` every change is a violation (all updates reported);
-    /// for `Cells` a violation is any cut crossing (cell index changed).
-    #[inline]
-    pub fn violated(&self, last_reported: f64, current: f64) -> bool {
-        match self {
-            Filter::ReportAll => true,
-            Filter::Interval { lo, hi } => interval_violated(*lo, *hi, last_reported, current),
-            Filter::Cells(cuts) => {
-                Self::cell_index(cuts, last_reported) != Self::cell_index(cuts, current)
-            }
         }
     }
 }
@@ -314,10 +317,10 @@ mod tests {
         ];
         for f in filters {
             let mut w = StateWriter::new();
-            f.encode(&mut w);
+            f.put(&mut w);
             let bytes = w.into_bytes();
             let mut r = StateReader::new(&bytes);
-            assert_eq!(Filter::decode(&mut r).unwrap(), f);
+            assert_eq!(Filter::get(&mut r).unwrap(), f);
             r.finish().unwrap();
         }
     }
@@ -325,20 +328,20 @@ mod tests {
     #[test]
     fn decode_rejects_corrupt_filters() {
         // Unknown variant byte.
-        assert!(Filter::decode(&mut StateReader::new(&[9])).is_err());
+        assert!(Filter::get(&mut StateReader::new(&[9])).is_err());
         // Inverted interval.
         let mut w = StateWriter::new();
         w.put_u8(1);
         w.put_f64(5.0);
         w.put_f64(1.0);
         let bytes = w.into_bytes();
-        assert!(Filter::decode(&mut StateReader::new(&bytes)).is_err());
+        assert!(Filter::get(&mut StateReader::new(&bytes)).is_err());
         // Cut-table length pointing past the payload must not allocate.
         let mut w = StateWriter::new();
         w.put_u8(2);
         w.put_u32(u32::MAX);
         let bytes = w.into_bytes();
-        assert!(Filter::decode(&mut StateReader::new(&bytes)).is_err());
+        assert!(Filter::get(&mut StateReader::new(&bytes)).is_err());
     }
 
     #[test]

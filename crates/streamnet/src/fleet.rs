@@ -23,6 +23,8 @@
 //! Batch outputs are written into caller-provided buffers so hot callers
 //! can reuse one allocation across rounds.
 
+use asf_persist::Persist;
+
 use crate::filter::{interval_violated, Filter};
 use crate::rows::{DirtyRows, Rows};
 use crate::source::{must_report, must_sync, StreamSource};
@@ -250,15 +252,11 @@ impl SourceFleet {
 
     /// Serializes the sources `rows` selects — every one, positionally, or
     /// each one changed since the dirty bits were last cleared, behind its
-    /// index — with [`StreamSource::encode`], declared as one row table.
+    /// index — as [`StreamSource`] rows, declared as one row table.
     pub fn encode_rows(&self, w: &mut asf_persist::StateWriter, rows: Rows) {
-        w.put_u64(self.dirty.selected_count(rows, self.len()) as u64);
-        w.put_table(rows.table(), self.dirty.selected(rows, self.len()), |w, i| {
-            if rows == Rows::Dirty {
-                w.put_u32(i as u32);
-            }
-            self.source(StreamId(i as u32)).encode(w);
-        });
+        let (count, selected) =
+            (self.dirty.selected_count(rows, self.len()), self.dirty.selected(rows, self.len()));
+        rows.put_rows(w, count, selected, |w, i| self.source(StreamId(i as u32)).put(w));
     }
 
     /// Overwrites the rows an [`SourceFleet::encode_rows`] image of the
@@ -271,21 +269,13 @@ impl SourceFleet {
         r: &mut asf_persist::StateReader<'_>,
         rows: Rows,
     ) -> asf_persist::Result<()> {
-        // An encoded source is at least 18 bytes, plus its index.
-        let min_row = if rows == Rows::Dirty { 22 } else { 18 };
-        let count = rows.read_count(r, self.len(), min_row)?;
-        let mut next = 0;
-        for k in 0..count {
-            let i = rows.read_index(r, k, next, self.len())?;
-            next = i + 1;
-            // `StreamSource::decode` rejects a non-finite value or
-            // last-reported and a NaN bound, so no decoded number can
-            // alias a NaN sentinel.
-            let (hot, cold) = Self::split_row(StreamSource::decode(StreamId(i as u32), r)?);
-            (self.hot[i], self.cold[i]) = (hot, cold);
+        rows.get_rows(r, self.len(), StreamSource::MIN_BYTES, |r, i| {
+            // A decoded source has a finite value and last-reported and no
+            // NaN bound, so no decoded number can alias a NaN sentinel.
+            (self.hot[i], self.cold[i]) = Self::split_row(StreamSource::get(r)?);
             self.dirty.mark(i);
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// How many sources changed since the dirty bits were last cleared.
@@ -1097,7 +1087,7 @@ mod tests {
             let mut w = StateWriter::new();
             w.put_u64(1);
             w.put_f64(5.0);
-            w.put_opt_f64(last);
+            last.put(&mut w);
             w.put_u8(1);
             w.put_f64(lo);
             w.put_f64(hi);

@@ -60,6 +60,18 @@ impl StreamId {
     }
 }
 
+/// A `u32`, which must lie below the population the reader declares
+/// ([`asf_persist::StateReader::set_population`]).
+impl asf_persist::Persist for StreamId {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, w: &mut asf_persist::StateWriter) {
+        w.put_u32(self.0);
+    }
+    fn get(r: &mut asf_persist::StateReader<'_>) -> asf_persist::Result<Self> {
+        r.get_id().map(StreamId)
+    }
+}
+
 impl std::fmt::Display for StreamId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "S{}", self.0)

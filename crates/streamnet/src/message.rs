@@ -5,7 +5,7 @@
 //! server↔source message, broken down by class, so benches can report both
 //! the headline total and where it went (DESIGN.md §3.3).
 
-use asf_persist::{StateReader, StateWriter};
+use asf_persist::persist;
 
 /// Classes of messages exchanged between server and sources.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -65,6 +65,8 @@ pub struct Ledger {
     broadcast_ops: u64,
 }
 
+persist!(impl Persist for Ledger { counts: [u64; 5], broadcast_ops: u64 });
+
 impl Ledger {
     /// Creates an empty ledger.
     pub fn new() -> Self {
@@ -114,24 +116,6 @@ impl Ledger {
     /// Resets all counters to zero.
     pub fn reset(&mut self) {
         *self = Ledger::default();
-    }
-
-    /// Serializes the ledger into a durable checkpoint.
-    pub fn encode(&self, w: &mut StateWriter) {
-        for &c in &self.counts {
-            w.put_u64(c);
-        }
-        w.put_u64(self.broadcast_ops);
-    }
-
-    /// Decodes a ledger written by [`Ledger::encode`].
-    pub fn decode(r: &mut StateReader<'_>) -> asf_persist::Result<Self> {
-        let mut counts = [0u64; 5];
-        for c in &mut counts {
-            *c = r.get_u64()?;
-        }
-        let broadcast_ops = r.get_u64()?;
-        Ok(Self { counts, broadcast_ops })
     }
 
     /// One-line breakdown, e.g. for bench table footers.
@@ -192,14 +176,15 @@ mod tests {
 
     #[test]
     fn encode_decode_round_trip() {
+        use asf_persist::{Persist, StateReader, StateWriter};
         let mut l = Ledger::new();
         l.record(MessageKind::Update, 3);
         l.record(MessageKind::FilterBroadcast, 800);
         let mut w = StateWriter::new();
-        l.encode(&mut w);
+        l.put(&mut w);
         let bytes = w.into_bytes();
         let mut r = StateReader::new(&bytes);
-        let back = Ledger::decode(&mut r).unwrap();
+        let back = Ledger::get(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back, l);
         assert_eq!(back.broadcast_ops(), 1);

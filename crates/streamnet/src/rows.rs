@@ -10,7 +10,7 @@
 //! and keeps them. (The channel machine's rule is a little wider; see
 //! `streamnet::chaos`, "Durability".)
 
-use asf_persist::{PersistError, StateReader, Table};
+use asf_persist::{PersistError, StateReader, StateWriter, Table};
 
 /// Which rows a row encoder writes (and its reader expects).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,13 +24,60 @@ pub enum Rows {
 }
 
 impl Rows {
-    /// How the row table of this selection is declared to the store: a
-    /// full image's rows are positional, a delta's start with their index.
-    pub fn table(self) -> Table {
+    /// Bytes of a row table's count prefix: everything in a table but its
+    /// rows.
+    pub const COUNT_BYTES: usize = 8;
+
+    /// Bytes a row of `row_bytes` takes in this selection's table: itself,
+    /// behind its `u32` index in a delta.
+    pub fn width(self, row_bytes: usize) -> usize {
         match self {
-            Rows::All => Table::Positional,
-            Rows::Dirty => Table::Indexed,
+            Rows::All => row_bytes,
+            Rows::Dirty => 4 + row_bytes,
         }
+    }
+
+    /// Writes one row table: the count, then the `count` rows `selected`
+    /// names, ascending, each through `put_row` — behind its index under
+    /// [`Rows::Dirty`] — declared to the store as one table (a full image's
+    /// rows positional, a delta's indexed). The one place a row table's
+    /// framing is written: the caller states only its columns.
+    pub(crate) fn put_rows(
+        self,
+        w: &mut StateWriter,
+        count: usize,
+        selected: impl Iterator<Item = usize>,
+        mut put_row: impl FnMut(&mut StateWriter, usize),
+    ) {
+        w.put_u64(count as u64);
+        let table = if self == Rows::All { Table::Positional } else { Table::Indexed };
+        w.put_table(table, selected, |w, i| {
+            if self == Rows::Dirty {
+                w.put_u32(i as u32);
+            }
+            put_row(w, i);
+        });
+    }
+
+    /// Reads a table [`Rows::put_rows`] wrote over a table of `len` rows,
+    /// none shorter than `row_bytes`, handing each row's index to
+    /// `get_row`. The count and the indices are validated
+    /// ([`Rows::read_count`], [`Rows::read_index`]) before any row is read.
+    pub(crate) fn get_rows(
+        self,
+        r: &mut StateReader<'_>,
+        len: usize,
+        row_bytes: usize,
+        mut get_row: impl FnMut(&mut StateReader<'_>, usize) -> asf_persist::Result<()>,
+    ) -> asf_persist::Result<()> {
+        let count = self.read_count(r, len, self.width(row_bytes))?;
+        let mut next = 0;
+        for k in 0..count {
+            let i = self.read_index(r, k, next, len)?;
+            next = i + 1;
+            get_row(r, i)?;
+        }
+        Ok(())
     }
 
     /// Reads the row count a row encoder wrote and checks it against a
@@ -38,7 +85,7 @@ impl Rows {
     /// [`Rows::Dirty`] at most every row. A row is never shorter than
     /// `min_row` bytes, so a count the remaining payload cannot hold is
     /// corruption, not an allocation request.
-    pub(crate) fn read_count(
+    fn read_count(
         self,
         r: &mut StateReader<'_>,
         len: usize,
@@ -59,7 +106,7 @@ impl Rows {
     /// Reads the index of the `k`-th row: `k` itself for [`Rows::All`],
     /// the stored index for [`Rows::Dirty`], which must exceed the
     /// previous row's (`next` is one past it) and lie below `len`.
-    pub(crate) fn read_index(
+    fn read_index(
         self,
         r: &mut StateReader<'_>,
         k: usize,
@@ -132,7 +179,6 @@ impl DirtyRows {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asf_persist::StateWriter;
 
     #[test]
     fn marks_count_select_and_clear() {

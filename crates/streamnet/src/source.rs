@@ -1,6 +1,6 @@
 //! A single stream source with its adaptive filter.
 
-use asf_persist::{PersistError, StateReader, StateWriter};
+use asf_persist::{persist, PersistError};
 
 use crate::filter::Filter;
 use crate::StreamId;
@@ -13,6 +13,9 @@ use crate::StreamId;
 /// stores its sources in its own hot/cold layout and hands out
 /// `StreamSource` values as read-only snapshots; both apply the same two
 /// rules, the §3.1 report rule and the install-time sync rule.
+///
+/// Its checkpoint row is everything but the id, which is positional in the
+/// fleet's table: a decoded source reads as `S0` until the table places it.
 #[derive(Clone, Debug)]
 pub struct StreamSource {
     pub(crate) id: StreamId,
@@ -26,6 +29,14 @@ pub struct StreamSource {
     /// accounting extension (shut-down sensors send/receive nothing).
     pub(crate) traffic: u64,
 }
+
+persist!(impl Persist for StreamSource {
+    value: f64,
+    last_reported: Option<f64>,
+    filter: Filter,
+    traffic: u64,
+    ..StreamSource::new(StreamId(0), 0.0)
+} check StreamSource::check);
 
 /// The §3.1 report rule: a source holding `filter`, whose server last heard
 /// `last_reported`, must report `value` iff the filter is violated — or if
@@ -83,27 +94,12 @@ impl StreamSource {
         self.traffic
     }
 
-    /// Serializes the full source state (value, last-reported, filter,
-    /// traffic) into a durable checkpoint. The id is not written — it is
-    /// positional in the fleet encoding.
-    pub fn encode(&self, w: &mut StateWriter) {
-        w.put_f64(self.value);
-        w.put_opt_f64(self.last_reported);
-        self.filter.encode(w);
-        w.put_u64(self.traffic);
-    }
-
-    /// Decodes a source written by [`StreamSource::encode`], reattaching
-    /// the positional `id`.
-    pub fn decode(id: StreamId, r: &mut StateReader<'_>) -> asf_persist::Result<Self> {
-        let value = r.get_f64()?;
-        let last_reported = r.get_opt_f64()?;
-        let filter = Filter::decode(r)?;
-        let traffic = r.get_u64()?;
-        if !value.is_finite() || last_reported.is_some_and(|v| !v.is_finite()) {
+    /// A decoded source's values must be finite, as a live one's are.
+    fn check(&self) -> asf_persist::Result<()> {
+        if !self.value.is_finite() || self.last_reported.is_some_and(|v| !v.is_finite()) {
             return Err(PersistError::corrupt("non-finite stream value"));
         }
-        Ok(Self { id, value, last_reported, filter, traffic })
+        Ok(())
     }
 
     /// Applies a new value from the workload and decides whether the filter
@@ -146,6 +142,7 @@ impl StreamSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asf_persist::{Persist, StateReader, StateWriter};
 
     fn src(v: f64) -> StreamSource {
         StreamSource::new(StreamId(0), v)
@@ -237,10 +234,10 @@ mod tests {
         s.apply_value(550.0);
         s.traffic = 7;
         let mut w = StateWriter::new();
-        s.encode(&mut w);
+        s.put(&mut w);
         let bytes = w.into_bytes();
         let mut r = StateReader::new(&bytes);
-        let back = StreamSource::decode(StreamId(0), &mut r).unwrap();
+        let back = StreamSource::get(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back.id(), s.id());
         assert_eq!(back.value(), s.value());

@@ -5,7 +5,7 @@
 //! based on this view; the ground truth lives in the sources and is only
 //! accessible to the oracle (tests) or by paying probe messages.
 
-use asf_persist::{PersistError, StateReader, StateWriter};
+use asf_persist::{persist, Persist, PersistError, StateReader, StateWriter};
 
 use crate::rows::{DirtyRows, Rows};
 use crate::StreamId;
@@ -27,6 +27,26 @@ pub struct ServerView {
     dirty: DirtyRows,
 }
 
+/// One view entry's row in an image.
+struct Entry {
+    known: bool,
+    value: f64,
+}
+
+persist!(impl Persist for Entry { known: bool, value: f64 } check Entry::check);
+
+impl Entry {
+    /// A known value is finite; an unknown one is `0.0`, as
+    /// [`ServerView::mark_unknown`] leaves it.
+    fn check(&self) -> asf_persist::Result<()> {
+        let ok = if self.known { self.value.is_finite() } else { self.value.to_bits() == 0 };
+        if !ok {
+            return Err(PersistError::corrupt("view value not finite, or set while unknown"));
+        }
+        Ok(())
+    }
+}
+
 impl PartialEq for ServerView {
     fn eq(&self, other: &Self) -> bool {
         self.values == other.values && self.known == other.known
@@ -34,6 +54,9 @@ impl PartialEq for ServerView {
 }
 
 impl ServerView {
+    /// Bytes of one entry's row in an image: known flag and value.
+    pub const ROW_BYTES: usize = Entry::MIN_BYTES;
+
     /// Creates a view over `n` streams with no knowledge yet.
     pub fn new(n: usize) -> Self {
         Self {
@@ -113,13 +136,10 @@ impl ServerView {
     /// each one changed since the dirty bits were last cleared, behind its
     /// index — as `known:bool, value:f64`, declared as one row table.
     pub fn encode_rows(&self, w: &mut StateWriter, rows: Rows) {
-        w.put_u64(self.dirty.selected_count(rows, self.len()) as u64);
-        w.put_table(rows.table(), self.dirty.selected(rows, self.len()), |w, i| {
-            if rows == Rows::Dirty {
-                w.put_u32(i as u32);
-            }
-            w.put_bool(self.known[i]);
-            w.put_f64(self.values[i]);
+        let (count, selected) =
+            (self.dirty.selected_count(rows, self.len()), self.dirty.selected(rows, self.len()));
+        rows.put_rows(w, count, selected, |w, i| {
+            Entry { known: self.known[i], value: self.values[i] }.put(w);
         });
     }
 
@@ -128,24 +148,16 @@ impl ServerView {
     /// cover exactly this view's population). Corrupt input is an error,
     /// never a panic; entries read before it stay overwritten.
     pub fn decode_rows(&mut self, r: &mut StateReader<'_>, rows: Rows) -> asf_persist::Result<()> {
-        let min_row = if rows == Rows::Dirty { 13 } else { 9 };
-        let count = rows.read_count(r, self.len(), min_row)?;
-        let mut next = 0;
-        for k in 0..count {
-            let i = rows.read_index(r, k, next, self.len())?;
-            next = i + 1;
-            let known = r.get_bool()?;
-            let value = r.get_f64()?;
+        rows.get_rows(r, self.len(), Self::ROW_BYTES, |r, i| {
+            let entry = Entry::get(r)?;
             let id = StreamId(i as u32);
-            if !known {
-                self.mark_unknown(id);
-            } else if value.is_finite() {
-                self.set(id, value);
+            if entry.known {
+                self.set(id, entry.value);
             } else {
-                return Err(PersistError::corrupt("non-finite view value"));
+                self.mark_unknown(id);
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// How many entries changed since the dirty bits were last cleared.

@@ -12,9 +12,9 @@
 //! 7371cd7aca9e3006329af92bbd64752b98d0de62.** They were re-pinned on
 //! purpose: version 2 draws the gap from one faulted channel to the next
 //! instead of one trial per channel, so the same fault distribution is
-//! realised by different RNG outputs. `fixtures/chaos_state_v1.bin` was
-//! written on commit 0bec03b555ca5ef7faba5b664a65ed58646043b9 and is frozen:
-//! it pins the version-1 migration. A mismatch means a draw moved, a counter
+//! realised by different RNG outputs. Version 1 records are no longer
+//! read: no checkpoint that recovery opens can hold one. A mismatch means a
+//! draw moved, a counter
 //! drifted or the record format changed: either a bug, or a deliberate
 //! schedule bump that replaces the constants (a failing assertion prints the
 //! new value) together with a `CHAOS_STATE_VERSION` decision.
@@ -297,13 +297,6 @@ fn pinned_runs_exercise_every_fault_path() {
     assert!((0..N).any(|i| rig.state.lease_len_of(StreamId(i as u32)) > 100));
 }
 
-/// A version-1 record: 36 storm rounds at n = 24, written on commit
-/// 0bec03b.
-const RECORD_V1: &[u8] = include_bytes!("fixtures/chaos_state_v1.bin");
-/// Digest of `resume_digest` over a fresh n = 24 storm rig whose channel
-/// state is `RECORD_V1`, migrated.
-const RECORD_V1_RESUME_DIGEST: u64 = 0x36672832f53fb8b8;
-
 const RECORD: &[u8] = include_bytes!("fixtures/chaos_state_v2.bin");
 /// Digest of 32 more rounds + calm + 8 rounds resumed from `RECORD`.
 const RECORD_RESUME_DIGEST: u64 = 0x603696142b7e7e80;
@@ -325,24 +318,6 @@ fn resume_digest(rig: &mut Rig) -> u64 {
     d.0
 }
 
-/// The version-1 record written by the array-of-struct commit decodes
-/// through the migration (every channel an exception, the round stream
-/// derived from its RNG words), lands on a canonical version-2 state, and
-/// resumes a pinned decision stream.
-#[test]
-fn parent_commit_record_decodes_and_resumes_identically() {
-    assert_eq!(RECORD_V1[0], 1, "the frozen fixture is a version-1 record");
-    let state = decoded(RECORD_V1).expect("version-1 record decodes");
-    assert!(state.parked_len() > 0 && state.dead_count() > 0, "record is mid-storm");
-    let v2 = encoded(&state);
-    assert_eq!(v2[0], 2, "a migrated state encodes as version 2");
-    assert_eq!(encoded(&decoded(&v2).expect("migrated record decodes")), v2);
-    let mut rig = Rig::new(24, storm_mix());
-    rig.state = state;
-    let got = resume_digest(&mut rig);
-    assert_eq!(got, RECORD_V1_RESUME_DIGEST, "migrated stream drifted: got {got:#018x}");
-}
-
 /// A version-2 record decodes, re-encodes to the same bytes, and resumes
 /// the exact decision stream the live rig continues with.
 #[test]
@@ -359,15 +334,15 @@ fn version_2_record_decodes_and_resumes_identically() {
 /// An unknown record version fails loudly instead of guessing a layout.
 #[test]
 fn unknown_record_versions_are_rejected() {
-    for version in [0u8, 3, 0xFF] {
+    for version in [0u8, 1, 3, 0xFF] {
         let mut bytes = RECORD.to_vec();
         bytes[0] = version;
         assert!(decoded(&bytes).is_err(), "version {version} decoded");
     }
 }
 
-/// Rewrites `fixtures/chaos_state_v2.bin` and prints both resume digests —
-/// only for a deliberate schedule bump. (The version-1 fixture is frozen.)
+/// Rewrites `fixtures/chaos_state_v2.bin` and prints its resume digest —
+/// only for a deliberate schedule bump.
 #[test]
 #[ignore = "regenerates the checked-in record"]
 fn regenerate_record() {
@@ -375,9 +350,6 @@ fn regenerate_record() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/chaos_state_v2.bin");
     std::fs::write(path, encoded(&rig.state)).expect("write fixture record");
     println!("RECORD_RESUME_DIGEST = {:#018x}", resume_digest(&mut rig));
-    let mut rig = Rig::new(24, storm_mix());
-    rig.state = decoded(RECORD_V1).expect("version-1 record decodes");
-    println!("RECORD_V1_RESUME_DIGEST = {:#018x}", resume_digest(&mut rig));
 }
 
 /// `decode(encode(s))` then 32 rounds equals 32 rounds on `s`, for every mix.
@@ -397,10 +369,9 @@ fn codec_round_trip_resumes_exact_stream_under_every_mix() {
     }
 }
 
-/// Every single-byte overwrite and every truncation of a mid-storm record,
-/// version 2 and version 1, either fails to decode or decodes to a state
-/// that re-encodes to exactly the bytes it consumed (a version-1 input: to
-/// a version-2 record that does) — and never panics or aborts. (On 0bec03b
+/// Every single-byte overwrite and every truncation of a mid-storm record
+/// either fails to decode or decodes to a state that re-encodes to exactly
+/// the bytes it consumed — and never panics or aborts. (On 0bec03b
 /// a corrupted length prefix went straight into `Vec::with_capacity` and
 /// the process died with `memory allocation of … bytes failed`.)
 #[test]
@@ -414,33 +385,25 @@ fn decode_survives_every_byte_flip_and_truncation() {
             Err(_) => panic!("decode panicked on {what}"),
             Ok(Err(_)) => false,
             Ok(Ok((state, consumed))) => {
-                let again = encoded(&state);
-                let canonical = if bytes[0] == 1 {
-                    encoded(&decoded(&again).expect("a migrated state decodes"))
-                } else {
-                    bytes[..consumed].to_vec()
-                };
-                assert_eq!(again, canonical, "{what} does not round-trip");
+                assert_eq!(encoded(&state), bytes[..consumed], "{what} does not round-trip");
                 true
             }
         }
     };
-    for record in [RECORD, RECORD_V1] {
-        let mut bytes = record.to_vec();
-        for cut in 0..bytes.len() {
-            assert!(
-                !check(&bytes[..cut], &format!("truncation at {cut}")),
-                "truncated record accepted"
-            );
+    let mut bytes = RECORD.to_vec();
+    for cut in 0..bytes.len() {
+        assert!(
+            !check(&bytes[..cut], &format!("truncation at {cut}")),
+            "truncated record accepted"
+        );
+    }
+    for at in 0..bytes.len() {
+        let original = bytes[at];
+        for poison in [0x00, 0x7F, 0x80, 0xFF] {
+            bytes[at] = poison;
+            check(&bytes, &format!("byte {at} = {poison:#04x}"));
         }
-        for at in 0..bytes.len() {
-            let original = bytes[at];
-            for poison in [0x00, 0x7F, 0x80, 0xFF] {
-                bytes[at] = poison;
-                check(&bytes, &format!("byte {at} = {poison:#04x}"));
-            }
-            bytes[at] = original;
-        }
+        bytes[at] = original;
     }
 }
 
