@@ -198,16 +198,6 @@ pub fn read_single_record(bytes: &[u8], tag: u32) -> Result<&[u8]> {
     }
 }
 
-/// Checks `bytes` is a whole valid file of `kind` and returns the record
-/// region (header stripped).
-pub fn file_body(bytes: &[u8], kind: FileKind) -> Result<&[u8]> {
-    let found = decode_header(bytes)?;
-    if found != kind {
-        return Err(PersistError::corrupt("wrong file kind"));
-    }
-    Ok(&bytes[HEADER_LEN..])
-}
-
 /// CRC-32 of an arbitrary byte string — re-exported at the record layer so
 /// callers fingerprinting configs don't need the `crc` module directly.
 pub fn checksum(bytes: &[u8]) -> u32 {

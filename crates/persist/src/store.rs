@@ -135,11 +135,6 @@ impl CrashPoint {
         self.budget = None;
     }
 
-    /// Whether a crash is armed and not yet spent.
-    pub fn is_armed(&self) -> bool {
-        self.budget.is_some()
-    }
-
     /// Writes `bytes` to `file` under the budget. On a budget crossing,
     /// writes the surviving prefix and returns `InjectedCrash`.
     fn write(&mut self, file: &mut File, bytes: &[u8]) -> Result<()> {
@@ -355,8 +350,8 @@ impl SnapshotImage {
 /// [`save`](Self::save) alternates between two slot files, always
 /// overwriting the *older* one via tmp-write + `fsync` + rename, so the
 /// newest durable checkpoint survives a crash at any point of the next
-/// write. [`latest`](Self::latest) returns the valid slot with the highest
-/// sequence number. [`save_delta`](Self::save_delta) writes the rows
+/// write. [`open_and_latest`](Self::open_and_latest) loads the valid slot
+/// with the highest sequence number. [`save_delta`](Self::save_delta) writes the rows
 /// changed since one full image beside the slots, and
 /// [`delta_for`](Self::delta_for) returns it only against that image.
 ///
@@ -381,8 +376,7 @@ impl SnapshotStore {
     /// whose header *claims* the higher sequence is read and CRC-validated
     /// first — when it proves valid (the overwhelmingly common case) the
     /// other slot is never read at all, so recovery holds one image, not
-    /// two. `open` + [`latest`](Self::latest) would read and checksum both
-    /// slots twice.
+    /// two.
     ///
     /// The store always writes next into the slot that does NOT hold the
     /// newest valid snapshot, so the newest survives a torn write. The
@@ -475,24 +469,6 @@ impl SnapshotStore {
             }
             _ => Ok(None),
         }
-    }
-
-    /// Loads the newest valid checkpoint, if any, as `(seq, state)`.
-    ///
-    /// A slot that is missing, torn, or corrupt is simply skipped — the
-    /// other slot (or no checkpoint at all) is the answer.
-    pub fn latest(&self) -> Result<Option<(u64, Vec<u8>)>> {
-        let mut best: Option<(u64, Vec<u8>)> = None;
-        for name in SLOT_NAMES {
-            if let Some(bytes) = read_file(&self.dir.join(name))? {
-                if let Some(image) = read_snapshot(&bytes)? {
-                    if best.as_ref().is_none_or(|(s, _)| image.seq > *s) {
-                        best = Some((image.seq, image.into_state()));
-                    }
-                }
-            }
-        }
-        Ok(best)
     }
 }
 
@@ -951,18 +927,24 @@ mod tests {
         dir
     }
 
+    /// The newest valid checkpoint in `dir`, as `(seq, state)`.
+    fn latest(dir: &Path) -> Option<(u64, Vec<u8>)> {
+        let (_, image) = SnapshotStore::open_and_latest(dir).unwrap();
+        image.map(|image| (image.seq(), image.into_state()))
+    }
+
     #[test]
     fn snapshot_save_and_latest_round_trip() {
         let dir = test_dir("snap-rt");
         let mut store = SnapshotStore::open(&dir).unwrap();
-        assert!(store.latest().unwrap().is_none());
+        assert!(latest(&dir).is_none());
         store.save(10, b"state-ten").unwrap();
-        assert_eq!(store.latest().unwrap(), Some((10, b"state-ten".to_vec())));
+        assert_eq!(latest(&dir), Some((10, b"state-ten".to_vec())));
         store.save(20, b"state-twenty").unwrap();
-        assert_eq!(store.latest().unwrap(), Some((20, b"state-twenty".to_vec())));
+        assert_eq!(latest(&dir), Some((20, b"state-twenty".to_vec())));
         // Both slot files exist now; newest wins.
         store.save(30, b"state-thirty").unwrap();
-        assert_eq!(store.latest().unwrap().unwrap().0, 30);
+        assert_eq!(latest(&dir).unwrap().0, 30);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -979,7 +961,7 @@ mod tests {
         store.set_crash_after(5);
         assert!(matches!(store.save(3, b"three"), Err(PersistError::InjectedCrash)));
         store.clear_crash();
-        assert_eq!(store.latest().unwrap(), Some((2, b"two".to_vec())));
+        assert_eq!(latest(&dir), Some((2, b"two".to_vec())));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -996,8 +978,7 @@ mod tests {
             let mut s = SnapshotStore::open(&dir).unwrap();
             s.set_crash_after(budget);
             let _ = s.save(6, b"newer checkpoint state!");
-            let latest = SnapshotStore::open(&dir).unwrap().latest().unwrap();
-            let (seq, state) = latest.expect("a checkpoint must survive, budget {budget}");
+            let (seq, state) = latest(&dir).expect("a checkpoint must survive, budget {budget}");
             if seq == 5 {
                 assert_eq!(state, b"good checkpoint state");
             } else {
@@ -1029,7 +1010,7 @@ mod tests {
         assert_eq!(tmp_files(&dir).len(), 3, "{:?}", tmp_files(&dir));
         let store = SnapshotStore::open(&dir).unwrap();
         assert!(tmp_files(&dir).is_empty(), "{:?}", tmp_files(&dir));
-        assert_eq!(store.latest().unwrap(), Some((4, b"durable state".to_vec())));
+        assert_eq!(latest(&dir), Some((4, b"durable state".to_vec())));
         let delta = store.delta_for(4).unwrap().unwrap();
         assert_eq!((delta.seq(), delta.state()), (6, &b"durable delta"[..]));
         fs::remove_dir_all(&dir).unwrap();
@@ -1133,31 +1114,25 @@ mod tests {
     #[test]
     fn open_and_latest_reads_past_a_newer_slot_that_fails_validation() {
         // `open_and_latest` reads only the slot whose header claims the
-        // newer seq unless it fails validation; every case must agree with
-        // `latest`, which reads and validates both slots.
+        // newer seq unless it fails validation; every case must still load
+        // the newest slot that validates.
         let dir = test_dir("snap-peek");
         let mut store = SnapshotStore::open(&dir).unwrap();
         store.save(7, b"older state").unwrap();
         store.save(8, b"newer state").unwrap();
         let newer = dir.join(SLOT_NAMES[1]);
         let image = fs::read(&newer).unwrap();
-        let loaded = |dir: &Path| {
-            let (_, image) = SnapshotStore::open_and_latest(dir).unwrap();
-            let loaded = image.map(|img| (img.seq(), img.state().to_vec()));
-            assert_eq!(loaded, SnapshotStore::open(dir).unwrap().latest().unwrap());
-            loaded
-        };
-        assert_eq!(loaded(&dir), Some((8, b"newer state".to_vec())));
+        assert_eq!(latest(&dir), Some((8, b"newer state".to_vec())));
         // A flipped state byte: the header still claims 8, the CRC fails.
         let mut flipped = image.clone();
         *flipped.iter_mut().rev().nth(6).unwrap() ^= 1;
         fs::write(&newer, &flipped).unwrap();
-        assert_eq!(loaded(&dir), Some((7, b"older state".to_vec())));
+        assert_eq!(latest(&dir), Some((7, b"older state".to_vec())));
         // Shorter than the claim's prefix, and missing.
         fs::write(&newer, &image[..HEADER_LEN + 4]).unwrap();
-        assert_eq!(loaded(&dir), Some((7, b"older state".to_vec())));
+        assert_eq!(latest(&dir), Some((7, b"older state".to_vec())));
         fs::remove_file(&newer).unwrap();
-        assert_eq!(loaded(&dir), Some((7, b"older state".to_vec())));
+        assert_eq!(latest(&dir), Some((7, b"older state".to_vec())));
         fs::remove_dir_all(&dir).unwrap();
     }
 

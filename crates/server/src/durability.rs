@@ -18,15 +18,17 @@
 //! A checkpoint is a **full image** of the server, or a **delta**: the
 //! rows changed since one full image (its *base*) plus the small
 //! whole-state parts, written over `delta.bin` beside the two full slots.
-//! The coordinator picks which (see [`crate::ShardedServer`]); recovery
-//! loads the newest valid full image, applies the delta taken against it,
-//! if any, and replays the journal from there. The journal-pruning floor
-//! advances to a checkpoint's sequence once it lands, and a delta is only
-//! written once its base has landed: after a background full save fails,
-//! a delta against it could never be applied, so pruning to it would
-//! strand recovery, and writing it would replace the delta (whose
-//! sequence the floor may already stand on) that recovery still needs.
-//! Such deltas are dropped until the next full image lands.
+//! The coordinator encodes the delta and keeps it while it is small
+//! against its base, encoding the full image otherwise (see
+//! [`crate::ShardedServer`]); recovery loads the newest valid full image,
+//! applies the delta taken against it, if any, and replays the journal
+//! from there. The journal-pruning floor advances to a checkpoint's
+//! sequence once it lands, and a delta is only written once its base has
+//! landed: after a background full save fails, a delta against it could
+//! never be applied, so pruning to it would strand recovery, and writing
+//! it would replace the delta (whose sequence the floor may already stand
+//! on) that recovery still needs. Such deltas are dropped until the next
+//! full image lands.
 //!
 //! ## Checkpoint modes
 //!
@@ -36,9 +38,8 @@
 //!   channel of depth 1 — if the writer is still busy with the previous
 //!   checkpoint, the new one is *coalesced* (skipped; retried at the next
 //!   boundary), so ingest never blocks on checkpoint I/O. A coalesced
-//!   checkpoint is never serialized:
-//!   [`Durability::save_checkpoint_with`] takes the encoder and runs it
-//!   only once the writer's queue slot is free.
+//!   checkpoint is never serialized: [`Durability::save_with`] takes the
+//!   encoder and runs it only once the writer's queue slot is free.
 //! * [`CheckpointMode::Sync`]: the save happens inline. Deterministic, and
 //!   the mode under which checkpoint crash injection is supported.
 //!
@@ -345,56 +346,42 @@ impl Durability {
     }
 
     /// Persists (or schedules) an already-encoded full checkpoint `state`
-    /// taken at `seq` — [`Self::save_checkpoint_with`] for a caller that
-    /// holds the image anyway (bare bytes: no row table is declared).
+    /// taken at `seq` — [`Self::save_with`] for a caller that holds the
+    /// image anyway (bare bytes: no row table is declared).
     pub fn save_checkpoint(&mut self, seq: u64, state: Vec<u8>) -> asf_persist::Result<bool> {
-        self.save_checkpoint_with(seq, || StateWriter::from(state))
+        self.save_with(seq, || (None, StateWriter::from(state)))
     }
 
-    /// Persists (or schedules) a full checkpoint taken at `seq`, calling
-    /// `encode` for its image only when the writer will take it: always in
+    /// Persists (or schedules) a checkpoint taken at `seq`, calling
+    /// `encode` only when the writer will take it: always in
     /// [`CheckpointMode::Sync`], and in [`CheckpointMode::Background`] only
-    /// when the writer's queue slot is free. Returns `Ok(true)` if the
+    /// when the writer's queue slot is free. `encode` returns the image and
+    /// its base: `None` for a full image, `Some(base_seq)` for a delta that
+    /// brings the full image taken at `base_seq` to `seq` (a delta counts
+    /// toward the cadence like a full image). Returns `Ok(true)` if the
     /// checkpoint was written/queued, `Ok(false)` if a busy background
     /// writer coalesced it (retried at the next boundary; `encode` did not
     /// run).
-    pub fn save_checkpoint_with(
+    pub fn save_with(
         &mut self,
         seq: u64,
-        encode: impl FnOnce() -> StateWriter,
-    ) -> asf_persist::Result<bool> {
-        self.schedule(Checkpoint { seq, base: None }, encode)
-    }
-
-    /// [`Self::save_checkpoint_with`] for a delta checkpoint: `encode`'s
-    /// image brings the full image taken at `base_seq` to `seq`. It counts
-    /// toward the cadence like a full image.
-    pub fn save_delta_with(
-        &mut self,
-        base_seq: u64,
-        seq: u64,
-        encode: impl FnOnce() -> StateWriter,
-    ) -> asf_persist::Result<bool> {
-        self.schedule(Checkpoint { seq, base: Some(base_seq) }, encode)
-    }
-
-    fn schedule(
-        &mut self,
-        ckpt: Checkpoint,
-        encode: impl FnOnce() -> StateWriter,
+        encode: impl FnOnce() -> (Option<u64>, StateWriter),
     ) -> asf_persist::Result<bool> {
         self.check_poison()?;
         match &mut self.writer {
-            Writer::Sync(store, landed) => match landed.save(store, ckpt, &encode()) {
-                Ok(()) => {
-                    self.last_checkpoint_seq = ckpt.seq;
-                    Ok(true)
+            Writer::Sync(store, landed) => {
+                let (base, state) = encode();
+                match landed.save(store, Checkpoint { seq, base }, &state) {
+                    Ok(()) => {
+                        self.last_checkpoint_seq = seq;
+                        Ok(true)
+                    }
+                    Err(e) => {
+                        self.poisoned = Some(e.to_string());
+                        Err(e)
+                    }
                 }
-                Err(e) => {
-                    self.poisoned = Some(e.to_string());
-                    Err(e)
-                }
-            },
+            }
             Writer::Background { tx, queued, join } => {
                 // The queue's slot still holds an image the writer has not
                 // taken: this checkpoint would be coalesced, so it is not
@@ -404,9 +391,10 @@ impl Durability {
                     return Ok(false);
                 }
                 queued.store(true, Ordering::Release);
-                match tx.try_send((ckpt, encode())) {
+                let (base, state) = encode();
+                match tx.try_send((Checkpoint { seq, base }, state)) {
                     Ok(()) => {
-                        self.last_checkpoint_seq = ckpt.seq;
+                        self.last_checkpoint_seq = seq;
                         Ok(true)
                     }
                     Err(TrySendError::Full(_)) => Ok(false),
@@ -545,8 +533,9 @@ mod tests {
         let cfg = DurabilityConfig::new(&dir).mode(CheckpointMode::Sync);
         let d = Durability::new(&cfg, 42, b"anchor-state").unwrap();
         drop(d);
-        let store = SnapshotStore::open(&dir).unwrap();
-        assert_eq!(store.latest().unwrap(), Some((42, b"anchor-state".to_vec())));
+        let (_, image) = SnapshotStore::open_and_latest(&dir).unwrap();
+        let image = image.unwrap();
+        assert_eq!((image.seq(), image.state()), (42, &b"anchor-state"[..]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -648,25 +637,25 @@ mod tests {
         let encodes = std::cell::Cell::new(0);
         let encode = || {
             encodes.set(encodes.get() + 1);
-            StateWriter::from(b"image".to_vec())
+            (None, StateWriter::from(b"image".to_vec()))
         };
 
         // The writer takes checkpoint 10 and stays busy with it; 20 fills
         // the queue's one slot.
-        assert!(d.save_checkpoint_with(10, encode).unwrap());
+        assert!(d.save_with(10, encode).unwrap());
         assert_eq!(started_rx.recv().unwrap(), 10);
-        assert!(d.save_checkpoint_with(20, encode).unwrap());
+        assert!(d.save_with(20, encode).unwrap());
         assert_eq!(encodes.get(), 2);
         // Every boundary while the slot is held coalesces without encoding.
         for _ in 0..3 {
-            assert!(!d.save_checkpoint_with(30, encode).unwrap());
+            assert!(!d.save_with(30, encode).unwrap());
         }
         assert_eq!(encodes.get(), 2, "a coalesced checkpoint was encoded");
         // The writer finishes 10 and takes 20: the slot is free again, and
         // the next boundary encodes exactly once.
         release_tx.send(()).unwrap();
         assert_eq!(started_rx.recv().unwrap(), 20);
-        assert!(d.save_checkpoint_with(30, encode).unwrap());
+        assert!(d.save_with(30, encode).unwrap());
         assert_eq!(encodes.get(), 3);
         release_tx.send(()).unwrap();
         release_tx.send(()).unwrap();
@@ -699,11 +688,7 @@ mod tests {
         .unwrap();
         let checkpoint = |d: &mut Durability, base: Option<u64>, seq: u64| {
             let image = format!("image {seq}").into_bytes();
-            let queued = match base {
-                None => d.save_checkpoint(seq, image),
-                Some(base) => d.save_delta_with(base, seq, || image.into()),
-            };
-            assert!(queued.unwrap(), "the writer is idle");
+            assert!(d.save_with(seq, || (base, image.into())).unwrap(), "the writer is idle");
             done_rx.recv().unwrap();
         };
         checkpoint(&mut d, Some(0), 5);
@@ -730,8 +715,8 @@ mod tests {
         let mut d = Durability::new(&cfg, 0, b"anchor").unwrap();
         assert!(d.save_checkpoint(10, b"ten".to_vec()).unwrap());
         d.shutdown();
-        let store = SnapshotStore::open(&dir).unwrap();
-        assert_eq!(store.latest().unwrap().unwrap().0, 10);
+        let (_, image) = SnapshotStore::open_and_latest(&dir).unwrap();
+        assert_eq!(image.unwrap().seq(), 10);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -62,7 +62,7 @@ pub enum ExecMode {
     #[default]
     Inline,
     /// The coordinator runs shard 0; each other shard runs on a worker
-    /// thread of its own behind a one-slot [`Mailbox`].
+    /// thread of its own behind a one-slot `Mailbox`.
     Threaded,
 }
 
@@ -145,18 +145,6 @@ impl ShardHandle {
     pub fn request(&mut self, cmd: ShardCmd) -> ShardReply {
         self.send(cmd);
         self.recv()
-    }
-
-    /// The cumulative busy time (ns) of a coordinator-run shard, in either
-    /// mode; `None` for a worker, whose figure [`ShardHandle::shutdown`]
-    /// returns. It grows only with window evaluations and batch fleet
-    /// operations ([`Shard::busy_ns`]); single-stream touches are not
-    /// timed.
-    pub fn busy_ns(&self) -> Option<u64> {
-        match self {
-            ShardHandle::Local { shard, .. } => Some(shard.busy_ns()),
-            ShardHandle::Worker { .. } => None,
-        }
     }
 
     /// Stops the worker, if any, and returns the shard's cumulative busy
@@ -334,6 +322,15 @@ mod tests {
         ShardCmd::Probe { local, positions: Vec::new() }
     }
 
+    /// The cumulative busy time (ns) of a coordinator-run shard; `None`
+    /// for a worker, whose figure [`ShardHandle::shutdown`] returns.
+    fn busy_ns(h: &ShardHandle) -> Option<u64> {
+        match h {
+            ShardHandle::Local { shard, .. } => Some(shard.busy_ns()),
+            ShardHandle::Worker { .. } => None,
+        }
+    }
+
     /// Runs `f` on a helper thread and fails the test if it has not
     /// returned within a generous bound — a hang becomes a failure.
     fn within_bound(what: &str, f: impl FnOnce() + Send + 'static) {
@@ -366,7 +363,7 @@ mod tests {
                 other => panic!("unexpected reply {other:?}"),
             }
             assert_eq!(probed(h.request(probe(1))), 550.0);
-            assert_eq!(h.busy_ns().is_some(), mode == ExecMode::Inline);
+            assert_eq!(busy_ns(&h).is_some(), mode == ExecMode::Inline);
             assert!(h.shutdown() > 0);
         }
     }
@@ -376,7 +373,7 @@ mod tests {
         for mode in [ExecMode::Inline, ExecMode::Threaded] {
             let h = ShardHandle::spawn(Shard::new(&[1.0]), 0, mode);
             assert!(matches!(h, ShardHandle::Local { .. }), "{mode:?}");
-            assert_eq!(h.busy_ns(), Some(0), "{mode:?}");
+            assert_eq!(busy_ns(&h), Some(0), "{mode:?}");
         }
     }
 
@@ -395,7 +392,7 @@ mod tests {
             // A batch operation is timed; its busy time appears only at
             // `recv`, so sending ran nothing and receiving runs it.
             h.send(ShardCmd::ProbeAll);
-            let before = h.busy_ns();
+            let before = busy_ns(&h);
             assert!(matches!(h, ShardHandle::Local { pending: Some(_), .. }));
             match h.recv() {
                 ShardReply::ProbedAll { values, .. } => {
@@ -403,7 +400,7 @@ mod tests {
                 }
                 other => panic!("unexpected reply {other:?}"),
             }
-            assert!(h.busy_ns() > before);
+            assert!(busy_ns(&h) > before);
             h.send(probe(local));
             assert_eq!(probed(h.recv()), value, "the probe sees the delivery sent before it");
         }

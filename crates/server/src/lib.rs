@@ -4,7 +4,7 @@
 //! architecture: the population is partitioned across worker **shards**
 //! (each owning its sources' values, filters, and report decisions),
 //! updates are ingested in **batches** handed to the shards through
-//! one-slot mailboxes (see [`handle`]), and a coordinator runs the
+//! one-slot mailboxes (module `handle`), and a coordinator runs the
 //! unmodified protocol state machines of the paper — ZT/FT/RTP/VT, single-
 //! or multi-query — over a routing fleet that fans control-plane
 //! operations out to the shards.
@@ -28,7 +28,7 @@
 //! * **Touch-respeculated commits.** Shards evaluate each batch
 //!   speculatively; a report handler's `probe` / `install` / `deliver`
 //!   carries the touched streams' speculated positions, and the owning
-//!   shard respeculates just those (see [`router`]) while every other
+//!   shard respeculates just those (module `router`) while every other
 //!   stream's speculation stands. A `broadcast` or `probe_all` commits
 //!   every shard up to the report being handled and respeculates the whole
 //!   suffix past it (see [`server`]). Nothing is rolled back and
@@ -38,7 +38,7 @@
 //!   verified per-protocol by `tests/server_shard_invariance.rs`.
 //! * **One metering site.** Shards and routers only move source state;
 //!   the coordinator's protocol core records every message in the one
-//!   ledger and keeps the one server view (see [`router`]).
+//!   ledger and keeps the one server view (module `router`).
 //! * **Deterministic under a fixed seed.** Thread scheduling can change
 //!   only *when* shards run, never the sequence-ordered outcome, so the
 //!   tolerance oracle validates the concurrent runtime end-to-end exactly
@@ -73,10 +73,10 @@
 #![warn(missing_docs)]
 
 pub mod durability;
-pub mod handle;
+mod handle;
 pub mod metrics;
 mod occurrence;
-pub mod router;
+mod router;
 pub mod server;
 pub mod shard;
 

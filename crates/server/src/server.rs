@@ -26,7 +26,7 @@
 //! only mutates protocol bookkeeping (the common case for quiet
 //! maintenance — ZT/FT range protocols, RTP cases 1–2, multi-query cell
 //! tracking) invalidates nothing. A handler action that *does* touch the
-//! fleet goes through the [`crate::router::GuardedRouter`], which keeps
+//! fleet goes through the `router::GuardedRouter`, which keeps
 //! exact only what the touch can reach, by one rule: the shards
 //! **respeculate** the speculated events past the report that the
 //! operation can reach — rewind them, run the operation against the exact
@@ -58,7 +58,7 @@
 //! ledger, the server view and the rank forest — once, for the whole
 //! population. Its `ServerCtx` is the only writer of the three: every
 //! fleet operation a handler issues goes out through the
-//! [`crate::router::ShardRouter`], which only moves source state, and the
+//! `router::ShardRouter`, which only moves source state, and the
 //! context meters what comes back and writes it into the view. A shard
 //! holds its partition's sources, its speculation journal and scratch
 //! buffers; it keeps no view replica and no ledger, so a checkpoint
@@ -70,7 +70,7 @@
 //! and committed at one quiescent point
 //! ([`crate::ServerMetrics::coalesced_reports_per_group`]); the batch
 //! fleet operations a handler *does* issue execute as one scatter/gather
-//! each (see [`crate::router::ShardRouter`]), so a reinit storm costs one
+//! each (see `router::ShardRouter`), so a reinit storm costs one
 //! probe storm plus one deployment storm, not `2n` round-trips.
 
 use std::sync::Arc;
@@ -98,10 +98,10 @@ use crate::occurrence::OccurrenceIndex;
 use crate::router::{GuardedRouter, InflightWindow, ShardRouter};
 use crate::shard::{Partition, Shard, ShardCmd, ShardReply, SpecEvent};
 
-/// The full-or-delta rule: a due checkpoint is a delta while the delta's
-/// estimated size stays below `1 / DELTA_DIVISOR` of the last full image,
-/// and a full image (which clears the dirty bits) otherwise. At ½ a
-/// recovery reads at most 1.5 full images' worth of checkpoint.
+/// The full-or-delta rule: a due checkpoint is a delta while the encoded
+/// delta stays below `1 / DELTA_DIVISOR` of the last full image, and a
+/// full image (which clears the dirty bits) otherwise. At ½ a recovery
+/// reads less than 1.5 full images' worth of checkpoint.
 const DELTA_DIVISOR: u64 = 2;
 
 /// The scalars a server image opens with, before the shards' rows.
@@ -121,10 +121,6 @@ struct FullBase {
     seq: u64,
     /// Its size.
     bytes: u64,
-    /// The bytes of its source rows, all shards together.
-    source_rows: u64,
-    /// The bytes of its channel rows (0 without chaos).
-    channel_rows: u64,
 }
 
 /// Observability configuration of a [`ShardedServer`]. Everything here is
@@ -498,9 +494,8 @@ impl<P: Protocol> ShardedServer<P> {
         ok
     }
 
-    /// Serializes the server state — a delta against the last full image
-    /// when [`Self::delta_base`] allows one, the full state otherwise — and
-    /// hands it to the checkpoint writer, or, when a busy background writer
+    /// Serializes the server state ([`Self::encode_checkpoint`]) and hands
+    /// it to the checkpoint writer, or, when a busy background writer
     /// would coalesce it, does neither. The serialization (and, in
     /// `CheckpointMode::Sync`, the save itself) is the metered
     /// `checkpoint_ns` critical-path cost.
@@ -512,27 +507,43 @@ impl<P: Protocol> ShardedServer<P> {
             self.events_processed,
         );
         let seq = self.events_processed;
-        let base = self.delta_base();
         let mut d = self.durability.take().expect("caller checked durability");
-        let mut bytes = 0;
-        let rows = if base.is_some() { Rows::Dirty } else { Rows::All };
-        let encode = || {
-            let image = self.snapshot_state(rows);
-            bytes = image.len() as u64;
-            image
-        };
-        let saved = match base {
-            Some(base) => d.save_delta_with(base, seq, encode),
-            None => d.save_checkpoint_with(seq, encode),
-        };
-        if matches!(saved, Ok(true)) {
-            self.metrics.checkpoints += 1;
-            self.metrics.delta_checkpoints += u64::from(base.is_some());
-            self.metrics.checkpoint_bytes += bytes;
-        }
+        let mut written = None;
+        let saved = d.save_with(seq, || {
+            let (base, image) = self.encode_checkpoint();
+            written = Some((base.is_some(), image.len()));
+            (base, image)
+        });
         self.durability = Some(d);
-        self.metrics.checkpoint_ns += start.elapsed().as_nanos() as u64;
+        self.note_checkpoint(written.filter(|_| matches!(saved, Ok(true))), start);
         self.core.telemetry_mut().trace.end(TraceDepth::Coarse);
+    }
+
+    /// The image a due checkpoint writes, and its base: the delta against
+    /// the last full image while it is below `1 / DELTA_DIVISOR` of that
+    /// image's bytes ([`DELTA_DIVISOR`]), the full image otherwise. The
+    /// rule weighs the delta as encoded; a rejected one is dropped before
+    /// the full image is encoded.
+    fn encode_checkpoint(&mut self) -> (Option<u64>, StateWriter) {
+        if let Some(base) = self.full_base {
+            let delta = self.snapshot_state(Rows::Dirty);
+            if delta.len() as u64 * DELTA_DIVISOR < base.bytes {
+                return (Some(base.seq), delta);
+            }
+        }
+        (None, self.snapshot_state(Rows::All))
+    }
+
+    /// Meters one checkpoint: the critical-path time since `start`, and
+    /// what the writer took, if anything — `(delta, bytes)`, a delta or a
+    /// full image of `bytes`.
+    fn note_checkpoint(&mut self, written: Option<(bool, usize)>, start: Instant) {
+        if let Some((delta, bytes)) = written {
+            self.metrics.checkpoints += 1;
+            self.metrics.delta_checkpoints += u64::from(delta);
+            self.metrics.checkpoint_bytes += bytes as u64;
+        }
+        self.metrics.checkpoint_ns += start.elapsed().as_nanos() as u64;
     }
 
     /// The chunk-end repair round of the unreliable-fleet simulation: the
@@ -974,41 +985,6 @@ impl<P: Protocol> ShardedServer<P> {
         SourceFleet::from_values(&self.truth_values())
     }
 
-    /// The sequence of the full image a delta checkpoint would be taken
-    /// against, if the full-or-delta rule ([`DELTA_DIVISOR`]) picks a delta
-    /// now; `None` means the checkpoint must be full. The delta's size is
-    /// estimated from the dirty-bit popcounts and the last full image's
-    /// proportions: its whole-state parts as they weighed then, plus each
-    /// dirty source at that image's mean source-row size and each dirty
-    /// view entry and selected channel at its table's row width, every row
-    /// behind its index ([`Rows::width`]).
-    fn delta_base(&mut self) -> Option<u64> {
-        let base = self.full_base?;
-        for handle in self.handles.iter_mut() {
-            handle.send(ShardCmd::CountDirty);
-        }
-        let mut dirty_sources = 0;
-        for handle in self.handles.iter_mut() {
-            match handle.recv() {
-                ShardReply::Dirty(n) => dirty_sources += n,
-                other => unreachable!("CountDirty got {other:?}"),
-            }
-        }
-        let n = self.n as u64;
-        let dirty_view = self.core.view().dirty_rows() as u64;
-        let dirty_channels = self.chaos.as_ref().map_or(0, |c| c.dirty_rows() as u64);
-        let delta_row = |row_bytes: u64| Rows::Dirty.width(row_bytes as usize) as u64;
-        let view_row = ServerView::ROW_BYTES as u64;
-        // What a delta writes whole: the full image without its source
-        // rows, its view entries and its channel rows.
-        let whole = base.bytes.saturating_sub(base.source_rows + view_row * n + base.channel_rows);
-        let estimate = whole
-            + dirty_sources * delta_row(base.source_rows / n)
-            + dirty_view * delta_row(view_row)
-            + dirty_channels * delta_row(ChaosState::ROW_BYTES as u64);
-        (estimate * DELTA_DIVISOR < base.bytes).then_some(base.seq)
-    }
-
     /// Serializes the deterministic server state at chunk-boundary
     /// quiescence — the only place it is called from: simulation clock,
     /// event sequence, the source rows `rows` selects from every shard's
@@ -1021,13 +997,9 @@ impl<P: Protocol> ShardedServer<P> {
         let mut w = StateWriter::new();
         let shards = self.config.num_shards as u64;
         Header { now: self.now, events: self.events_processed, shards }.put(&mut w);
-        let mut source_rows = 0;
         for handle in self.handles.iter_mut() {
             match handle.request(ShardCmd::SaveState { rows }) {
-                ShardReply::State(state) => {
-                    source_rows += (state.len() - Rows::COUNT_BYTES) as u64;
-                    w.put_nested(&state);
-                }
+                ShardReply::State(state) => w.put_nested(&state),
                 other => unreachable!("SaveState got {other:?}"),
             }
         }
@@ -1036,7 +1008,6 @@ impl<P: Protocol> ShardedServer<P> {
         // durability compose, and a recovered server resumes the exact
         // fault-decision stream. Checkpoints happen after the chunk-end
         // repair round, so the serialized machine is post-round state.
-        let mut channel_rows = 0;
         match &mut self.chaos {
             None => w.put_bool(false),
             Some(chaos) => {
@@ -1047,14 +1018,12 @@ impl<P: Protocol> ShardedServer<P> {
                 w.put_nested(&cw);
                 if rows == Rows::All {
                     chaos.clear_dirty();
-                    channel_rows = (ChaosState::ROW_BYTES * chaos.len()) as u64;
                 }
             }
         }
         if rows == Rows::All {
             self.core.clear_view_dirty();
-            let (seq, bytes) = (self.events_processed, w.len() as u64);
-            self.full_base = Some(FullBase { seq, bytes, source_rows, channel_rows });
+            self.full_base = Some(FullBase { seq: self.events_processed, bytes: w.len() as u64 });
         }
         w
     }
@@ -1262,9 +1231,7 @@ impl<P: Protocol> ShardedServer<P> {
         let start = Instant::now();
         let state = self.snapshot_state(Rows::All);
         let d = Durability::new(&cfg, self.events_processed, &state)?;
-        self.metrics.checkpoints += 1;
-        self.metrics.checkpoint_bytes += state.len() as u64;
-        self.metrics.checkpoint_ns += start.elapsed().as_nanos() as u64;
+        self.note_checkpoint(Some((false, state.len())), start);
         self.metrics.journal_bytes = d.journal_bytes();
         self.durability = Some(d);
         Ok(())

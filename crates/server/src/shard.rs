@@ -231,9 +231,6 @@ pub enum ShardCmd {
     /// The messages the partition's sources exchanged with the server: the
     /// sum of their traffic counters — tests.
     CountTraffic,
-    /// How many of the shard's sources changed since its last full image:
-    /// the popcount the coordinator's full-or-delta rule reads.
-    CountDirty,
     /// Serialize the rows `rows` selects of the shard's durable state (its
     /// local [`SourceFleet`]: values, filters, report baselines) for a
     /// checkpoint ([`SourceFleet::encode_rows`]). [`Rows::All`] is a full
@@ -345,8 +342,6 @@ pub enum ShardReply {
     Truth(Vec<f64>),
     /// Outcome of [`ShardCmd::CountTraffic`].
     Traffic(u64),
-    /// Outcome of [`ShardCmd::CountDirty`].
-    Dirty(u64),
     /// Outcome of [`ShardCmd::SaveState`]: the serialized local fleet rows,
     /// their row table declared.
     State(asf_persist::StateWriter),
@@ -518,7 +513,6 @@ impl Shard {
             ShardCmd::CountTraffic => {
                 ShardReply::Traffic(self.fleet.iter().map(|s| s.traffic()).sum())
             }
-            ShardCmd::CountDirty => ShardReply::Dirty(self.fleet.dirty_rows() as u64),
             ShardCmd::SaveState { rows } => {
                 debug_assert!(
                     self.spec.is_empty(),

@@ -2,9 +2,8 @@
 //!
 //! The paper's workloads need: exponential inter-arrival times (§6.2, mean 20
 //! time units), normal value steps (§6.2, `N(0, σ)`), and — for the
-//! TCP-trace substitute (DESIGN.md §5) — log-normal connection sizes, Zipf
-//! subnet activity, and Pareto heavy tails; the fault schedule needs
-//! geometric gaps between faulted channels. `rand_distr` is not among the
+//! TCP-trace substitute (DESIGN.md §5) — Zipf subnet activity; the fault
+//! schedule needs geometric gaps between faulted channels. `rand_distr` is not among the
 //! approved offline crates, so the transforms live here with their own tests.
 
 use crate::rng::SimRng;
@@ -109,65 +108,6 @@ impl Sample for Normal {
         let r = (-2.0 * u1.ln()).sqrt();
         let theta = 2.0 * std::f64::consts::PI * u2;
         self.mean + self.sd * r * theta.cos()
-    }
-}
-
-/// Log-normal distribution: `exp(N(mu, sigma²))`.
-///
-/// Used by the TCP-like workload for connection byte counts, whose empirical
-/// distributions are famously heavy-tailed and well approximated as
-/// log-normal in the body.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LogNormal {
-    log_normal: Normal,
-}
-
-impl LogNormal {
-    /// Creates a log-normal with log-space mean `mu` and log-space standard
-    /// deviation `sigma >= 0`.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        Self { log_normal: Normal::new(mu, sigma) }
-    }
-
-    /// Median of the distribution (`exp(mu)`).
-    pub fn median(&self) -> f64 {
-        self.log_normal.mean.exp()
-    }
-}
-
-impl Sample for LogNormal {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.log_normal.sample(rng).exp()
-    }
-}
-
-/// Pareto (type I) distribution with scale `x_min > 0` and shape `alpha > 0`.
-///
-/// Inverse transform: `x_min / u^{1/alpha}`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Pareto {
-    x_min: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `x_min > 0` and `alpha > 0` (finite).
-    pub fn new(x_min: f64, alpha: f64) -> Self {
-        assert!(
-            x_min.is_finite() && x_min > 0.0 && alpha.is_finite() && alpha > 0.0,
-            "invalid pareto({x_min}, {alpha})"
-        );
-        Self { x_min, alpha }
-    }
-}
-
-impl Sample for Pareto {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.x_min / rng.next_f64_open().powf(1.0 / self.alpha)
     }
 }
 
@@ -362,30 +302,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(d.sample(&mut r), 3.0);
         }
-    }
-
-    #[test]
-    fn lognormal_median_matches() {
-        let d = LogNormal::new(500f64.ln(), 0.8);
-        let mut r = rng();
-        let n = 100_000;
-        let mut samples: Vec<f64> = (0..n).map(|_| d.sample(&mut r)).collect();
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = samples[n / 2];
-        assert!((median / 500.0 - 1.0).abs() < 0.05, "median {median}");
-        assert!((d.median() - 500.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pareto_respects_scale_and_tail() {
-        let d = Pareto::new(2.0, 1.5);
-        let mut r = rng();
-        let n = 100_000;
-        let samples: Vec<f64> = (0..n).map(|_| d.sample(&mut r)).collect();
-        assert!(samples.iter().all(|&x| x >= 2.0));
-        // P(X > 4) = (2/4)^1.5 ≈ 0.3536
-        let frac = samples.iter().filter(|&&x| x > 4.0).count() as f64 / n as f64;
-        assert!((frac - 0.3536).abs() < 0.01, "tail fraction {frac}");
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use dist::{Exponential, Geometric, LogNormal, Normal, Pareto, Uniform, Zipf};
+pub use dist::{Exponential, Geometric, Normal, Uniform, Zipf};
 pub use fault::{Backoff, FaultDecision, FaultMix, FaultSchedule, ScheduleState};
 pub use queue::EventQueue;
 pub use rng::SimRng;

@@ -471,7 +471,7 @@ pub struct ChaosState {
 impl ChaosState {
     /// Bytes of one channel's row in a record: the epoch, both sequence
     /// numbers, the outage end, the recorded flags and the lease class.
-    pub const ROW_BYTES: usize = ChannelRow::MIN_BYTES;
+    const ROW_BYTES: usize = ChannelRow::MIN_BYTES;
 
     /// Creates channel state for `n` sources.
     ///
@@ -1076,11 +1076,6 @@ impl ChaosState {
     fn selected(&self, rows: Rows) -> impl Iterator<Item = usize> + Clone + '_ {
         let changed = move |i: usize| self.dirty.is_marked(i) || self.is_exception(i);
         (0..self.len()).filter(move |&i| rows == Rows::All || changed(i))
-    }
-
-    /// How many channel rows a delta checkpoint would write now.
-    pub fn dirty_rows(&self) -> usize {
-        self.selected(Rows::Dirty).count()
     }
 
     /// A full image was taken: the marks restart from its exceptions whose

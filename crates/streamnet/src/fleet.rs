@@ -278,11 +278,6 @@ impl SourceFleet {
         })
     }
 
-    /// How many sources changed since the dirty bits were last cleared.
-    pub fn dirty_rows(&self) -> usize {
-        self.dirty.count()
-    }
-
     /// Clears the dirty bits: a full image of every source was taken.
     pub fn clear_dirty(&mut self) {
         self.dirty.clear();
@@ -1171,8 +1166,8 @@ mod tests {
                 }
             }
             log.commit_prefix(&mut fleet, u64::MAX);
-            assert!(fleet.dirty_rows() <= n);
-            if fleet.dirty_rows() < n {
+            assert!(fleet.dirty.count() <= n);
+            if fleet.dirty.count() < n {
                 sparse += 1;
             } else {
                 full += 1;

@@ -24,19 +24,6 @@ pub enum Rows {
 }
 
 impl Rows {
-    /// Bytes of a row table's count prefix: everything in a table but its
-    /// rows.
-    pub const COUNT_BYTES: usize = 8;
-
-    /// Bytes a row of `row_bytes` takes in this selection's table: itself,
-    /// behind its `u32` index in a delta.
-    pub fn width(self, row_bytes: usize) -> usize {
-        match self {
-            Rows::All => row_bytes,
-            Rows::Dirty => 4 + row_bytes,
-        }
-    }
-
     /// Writes one row table: the count, then the `count` rows `selected`
     /// names, ascending, each through `put_row` — behind its index under
     /// [`Rows::Dirty`] — declared to the store as one table (a full image's
@@ -70,7 +57,9 @@ impl Rows {
         row_bytes: usize,
         mut get_row: impl FnMut(&mut StateReader<'_>, usize) -> asf_persist::Result<()>,
     ) -> asf_persist::Result<()> {
-        let count = self.read_count(r, len, self.width(row_bytes))?;
+        // A delta's row is behind its `u32` index.
+        let index_bytes = if self == Rows::Dirty { 4 } else { 0 };
+        let count = self.read_count(r, len, index_bytes + row_bytes)?;
         let mut next = 0;
         for k in 0..count {
             let i = self.read_index(r, k, next, len)?;

@@ -55,7 +55,7 @@ impl PartialEq for ServerView {
 
 impl ServerView {
     /// Bytes of one entry's row in an image: known flag and value.
-    pub const ROW_BYTES: usize = Entry::MIN_BYTES;
+    const ROW_BYTES: usize = Entry::MIN_BYTES;
 
     /// Creates a view over `n` streams with no knowledge yet.
     pub fn new(n: usize) -> Self {
@@ -158,11 +158,6 @@ impl ServerView {
             }
             Ok(())
         })
-    }
-
-    /// How many entries changed since the dirty bits were last cleared.
-    pub fn dirty_rows(&self) -> usize {
-        self.dirty.count()
     }
 
     /// The entries changed since the dirty bits were last cleared,
@@ -282,7 +277,7 @@ mod tests {
         v.set(StreamId(4), 40.0);
         v.mark_unknown(StreamId(1));
         v.set(StreamId(4), 41.0);
-        assert_eq!(v.dirty_rows(), 2);
+        assert_eq!(v.dirty.count(), 2);
         let mut w = StateWriter::new();
         v.encode_rows(&mut w, Rows::Dirty);
         assert_eq!(w.len(), 8 + 2 * 13, "count, then index + entry per dirty row");

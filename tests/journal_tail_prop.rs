@@ -212,15 +212,15 @@ fn recovery_over_truncated_journals_matches_the_surviving_prefix() {
 
 #[test]
 fn every_truncation_and_byte_flip_of_a_delta_is_ignored_or_an_error() {
-    assert_delta_damage_is_ignored_or_an_error(None, 2, 0);
+    assert_delta_damage_is_ignored_or_an_error(None, 20, 2, 0);
 }
 
 #[test]
 fn every_truncation_and_byte_flip_of_a_chaos_delta_is_ignored_or_an_error() {
     // The channel layer attached after the anchor, under every fault kind:
-    // its re-anchoring full image has every channel pending, so the
-    // checkpoint at 8 is full and the one at 16 a delta carrying channel
-    // rows.
+    // its re-anchoring full images are the base of the delta at 8, which
+    // carries channel rows (the checkpoint at 16 would be a full image,
+    // so the run stops at 12).
     let mix = FaultMix {
         drop_p: 0.05,
         delay_p: 0.05,
@@ -230,15 +230,17 @@ fn every_truncation_and_byte_flip_of_a_chaos_delta_is_ignored_or_an_error() {
         max_outage_ticks: 64,
     };
     let cfg = ChaosConfig::new(0xC4A05, mix, u64::MAX).lease_ticks(32);
-    assert_delta_damage_is_ignored_or_an_error(Some(cfg), 1, 8);
+    assert_delta_damage_is_ignored_or_an_error(Some(cfg), 12, 1, 0);
 }
 
-/// 96 streams, a checkpoint per 8-event chunk: the checkpoints after the
-/// anchor are deltas while they stay under half the full image (`deltas`
-/// of them; the last full image is at `last_full`). The directory ends
-/// with the delta at 16 and one more chunk in the journal.
+/// 96 streams and `events` updates in 8-event chunks, a checkpoint per
+/// chunk: the checkpoints after the anchor are deltas while they stay
+/// under half the full image (`deltas` of them, the first at 8; the last
+/// full image is at `last_full`). The directory ends with a delta and one
+/// more 4-event chunk in the journal.
 fn assert_delta_damage_is_ignored_or_an_error(
     chaos: Option<ChaosConfig>,
+    events: usize,
     deltas: u64,
     last_full: u64,
 ) {
@@ -249,7 +251,8 @@ fn assert_delta_damage_is_ignored_or_an_error(
         ..Default::default()
     });
     let initial = w.initial_values();
-    let events: Vec<UpdateEvent> = std::iter::from_fn(|| w.next_event()).take(20).collect();
+    let events: Vec<UpdateEvent> = std::iter::from_fn(|| w.next_event()).take(events).collect();
+    let total = events.len() as u64;
     let query = RangeQuery::new(400.0, 600.0).unwrap();
     let config = ServerConfig::with_shards(2).batch_size(8);
     let dir = test_dir("delta-build");
@@ -261,7 +264,9 @@ fn assert_delta_damage_is_ignored_or_an_error(
     if let Some(cfg) = chaos {
         server.enable_chaos(cfg);
     }
-    server.ingest_batch(&events);
+    server.ingest_batch(&events[..8]);
+    assert_eq!(server.metrics().delta_checkpoints, 1, "the checkpoint at event 8 is a delta");
+    server.ingest_batch(&events[8..]);
     assert_eq!(server.metrics().delta_checkpoints, deltas, "the fixture must end on a delta");
     let (answer, ledger, truth) = (server.answer(), server.ledger().clone(), server.truth_values());
     let stats = server.chaos_stats().copied();
@@ -274,7 +279,7 @@ fn assert_delta_damage_is_ignored_or_an_error(
     };
     // Untouched, the delta is applied: only the last chunk replays.
     let recovered = recover(&delta).unwrap();
-    assert_eq!((recovered.events_processed(), recovered.metrics().events), (20, 4));
+    assert_eq!((recovered.events_processed(), recovered.metrics().events), (total, 4));
     // A torn or flipped file fails its CRC: the last full image plus the
     // journal after it rebuild the same state. (`asf-persist` sweeps every
     // truncation and byte of the file; through recovery go the framing —
@@ -292,7 +297,7 @@ fn assert_delta_damage_is_ignored_or_an_error(
         let mut recovered = recover(bytes).unwrap();
         let tag = format!("{} bytes", bytes.len());
         let replayed = (recovered.events_processed(), recovered.metrics().events);
-        assert_eq!(replayed, (20, 20 - last_full), "{tag}");
+        assert_eq!(replayed, (total, total - last_full), "{tag}");
         assert_eq!(recovered.answer(), answer, "{tag}");
         assert_eq!(*recovered.ledger(), ledger, "{tag}");
         assert_eq!(recovered.truth_values(), truth, "{tag}");
@@ -301,7 +306,7 @@ fn assert_delta_damage_is_ignored_or_an_error(
     // The same damage to the newest full image: its slot is skipped, and
     // with it the delta taken against it. Without chaos that leaves no
     // checkpoint, and a cold start replays the whole journal to the same
-    // state. With chaos the older image predates the channel layer, so
+    // state. With chaos the other slot holds a re-anchoring image, so
     // recovery may only fail or succeed, never panic.
     let slot = dir.join(if last_full == 0 { "snap-a.bin" } else { "snap-b.bin" });
     let full = std::fs::read(&slot).unwrap();
@@ -321,7 +326,8 @@ fn assert_delta_damage_is_ignored_or_an_error(
         }
         let mut recovered = recovered.unwrap();
         let tag = format!("full image of {} bytes", bytes.len());
-        assert_eq!((recovered.events_processed(), recovered.metrics().events), (20, 20), "{tag}");
+        let replayed = (recovered.events_processed(), recovered.metrics().events);
+        assert_eq!(replayed, (total, total), "{tag}");
         assert_eq!(recovered.answer(), answer, "{tag}");
         assert_eq!(*recovered.ledger(), ledger, "{tag}");
         assert_eq!(recovered.truth_values(), truth, "{tag}");

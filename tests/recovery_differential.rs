@@ -19,7 +19,9 @@ use asf_core::query::{RangeQuery, RankQuery};
 use asf_core::tolerance::FractionTolerance;
 use asf_core::workload::{UpdateEvent, VecWorkload, Workload};
 use asf_persist::SnapshotStore;
-use asf_server::{CheckpointMode, DurabilityConfig, ExecMode, ServerConfig, ShardedServer};
+use asf_server::{
+    CheckpointMode, DurabilityConfig, ExecMode, ServerConfig, ServerMetrics, ShardedServer,
+};
 use asf_telemetry::Cause;
 use streamnet::StreamId;
 use workloads::{SyntheticConfig, SyntheticWorkload};
@@ -175,9 +177,10 @@ fn assert_crash_at_recovers_identical<P, F>(
 /// crashes after each chunk of a sweep — one chunk of journal past a
 /// checkpoint, or none — and must recover byte-identical to a
 /// never-crashed run with the same resyncs, replaying only the journal
-/// past the crashed run's last checkpoint, delta or full. Returns the
-/// longest crashed run's checkpoint kinds, in order (`F` full, `D` delta),
-/// and the kind each crash recovered through.
+/// past the crashed run's last checkpoint, delta or full. Every delta
+/// stays below half the bytes of the last full image. Returns the longest
+/// crashed run's checkpoint kinds, in order (`F` full, `D` delta), and the
+/// kind each crash recovered through.
 fn assert_delta_cadence_recovers_identical<P, F>(name: &str, make: F) -> (String, String)
 where
     P: Protocol,
@@ -186,11 +189,16 @@ where
     const CHUNK: usize = 64;
     let (initial, events) = fixture_of(512, 80.0, 0xDE17A);
     let chunks: Vec<&[UpdateEvent]> = events.chunks(CHUNK).collect();
-    let drive = |server: &mut ShardedServer<P>, chunks_done: std::ops::Range<usize>| {
+    // `seen` reads the metrics after every chunk and every resync.
+    let drive = |server: &mut ShardedServer<P>,
+                 chunks_done: std::ops::Range<usize>,
+                 seen: &mut dyn FnMut(&ServerMetrics)| {
         for k in chunks_done {
             server.ingest_batch(chunks[k]);
+            seen(server.metrics());
             if (k + 1) % 7 == 0 {
                 server.resync(make());
+                seen(server.metrics());
             }
         }
     };
@@ -199,7 +207,7 @@ where
         let config = ServerConfig::with_shards(shards).batch_size(CHUNK);
         let mut want = ShardedServer::new(&initial, make(), config);
         want.initialize();
-        drive(&mut want, 0..chunks.len());
+        drive(&mut want, 0..chunks.len(), &mut |_| {});
         for crash_after in [3, 7, 9, 16, 19, 24] {
             let tag = format!("{name} shards={shards} crash after chunk {crash_after}");
             let dir = test_dir("delta");
@@ -209,19 +217,10 @@ where
             let mut crashed = ShardedServer::new(&initial, make(), config);
             crashed.initialize();
             crashed.enable_durability(durable.clone()).unwrap();
-            let mut last_checkpoint = 0;
-            kinds = "F".into();
-            for k in 0..crash_after {
-                let m = crashed.metrics();
-                let (full, delta) = (m.checkpoints - m.delta_checkpoints, m.delta_checkpoints);
-                drive(&mut crashed, k..k + 1);
-                let m = crashed.metrics();
-                kinds.push_str(&"F".repeat((m.checkpoints - m.delta_checkpoints - full) as usize));
-                kinds.push_str(&"D".repeat((m.delta_checkpoints - delta) as usize));
-                if m.checkpoints > full + delta {
-                    last_checkpoint = crashed.events_processed();
-                }
-            }
+            let mut log = CheckpointLog::anchored(crashed.metrics());
+            drive(&mut crashed, 0..crash_after, &mut |m| log.observe(&tag, m));
+            let CheckpointLog { kinds: run_kinds, last_checkpoint, .. } = log;
+            kinds = run_kinds;
             let split = crashed.events_processed();
             recovered_through.extend(kinds.chars().last());
             drop(crashed);
@@ -233,12 +232,64 @@ where
                 split - last_checkpoint,
                 "{tag}: recovery must replay only past the last checkpoint ({kinds})"
             );
-            drive(&mut recovered, crash_after..chunks.len());
+            drive(&mut recovered, crash_after..chunks.len(), &mut |_| {});
             assert_state_identical(&tag, &mut recovered, &mut want, false);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
     (kinds, recovered_through)
+}
+
+/// The checkpoints a durable run wrote, read off its metrics after every
+/// step that can write one: an ingested chunk writes at most one, a
+/// resync two full images of one state.
+struct CheckpointLog {
+    /// Their kinds, in order (`F` full, `D` delta), the anchor first.
+    kinds: String,
+    /// The event sequence of the newest.
+    last_checkpoint: u64,
+    /// The bytes of the newest full image.
+    full_bytes: u64,
+    /// `(checkpoints, delta_checkpoints, checkpoint_bytes)` when last read.
+    seen: (u64, u64, u64),
+}
+
+impl CheckpointLog {
+    /// The log of a run whose only checkpoint is its anchor.
+    fn anchored(m: &ServerMetrics) -> Self {
+        assert_eq!((m.checkpoints, m.delta_checkpoints), (1, 0), "one full anchor");
+        let seen = (m.checkpoints, m.delta_checkpoints, m.checkpoint_bytes);
+        Self { kinds: "F".into(), last_checkpoint: m.events, full_bytes: m.checkpoint_bytes, seen }
+    }
+
+    /// Logs the checkpoints written since the last read. A delta must be
+    /// below half the bytes of the last full image (the full-or-delta
+    /// rule's bound).
+    fn observe(&mut self, tag: &str, m: &ServerMetrics) {
+        let (checkpoints, deltas, bytes) = (
+            m.checkpoints - self.seen.0,
+            m.delta_checkpoints - self.seen.1,
+            m.checkpoint_bytes - self.seen.2,
+        );
+        self.seen = (m.checkpoints, m.delta_checkpoints, m.checkpoint_bytes);
+        if checkpoints == 0 {
+            return;
+        }
+        self.last_checkpoint = m.events;
+        if deltas == 0 {
+            self.full_bytes = bytes / checkpoints;
+            self.kinds.push_str(&"F".repeat(checkpoints as usize));
+        } else {
+            assert_eq!((checkpoints, deltas), (1, 1), "{tag}: a delta is a chunk's one checkpoint");
+            assert!(
+                2 * bytes < self.full_bytes,
+                "{tag}: a {bytes}-byte delta against a {}-byte full image ({})",
+                self.full_bytes,
+                self.kinds
+            );
+            self.kinds.push('D');
+        }
+    }
 }
 
 #[test]
