@@ -16,10 +16,10 @@
 
 use std::collections::VecDeque;
 
-use asf_persist::{Persist, PersistError, StateReader, StateWriter};
-use asf_telemetry::{Cause, CauseLedger, NUM_KIND_SLOTS};
+use asf_persist::{PersistError, Rows};
+use asf_telemetry::Cause;
 use simkit::SimTime;
-use streamnet::{Filter, FleetOps, Ledger, Rows, ServerView, SourceFleet, StreamId};
+use streamnet::{Filter, FleetOps, Ledger, ServerView, SourceFleet, StreamId};
 
 use crate::answer::AnswerSet;
 use crate::protocol::{CtxStats, FleetScratch, Protocol, ServerCtx};
@@ -317,41 +317,26 @@ impl<P: Protocol> ProtocolCore<P> {
         &mut self.telem
     }
 
-    /// Serializes the core's durable state at a quiescent point: the view
-    /// entries `rows` selects (all of them, or those changed since the
-    /// view's dirty bits were last cleared — see
-    /// [`ServerView::encode_rows`]), and whole: the message ledger, the
-    /// protocol's mutable state, and the report counter. Configuration
-    /// (population, tolerances, rank parts) is *not* written —
-    /// [`ProtocolCore::load_state`] restores into a core built with the
-    /// same constructor arguments. The per-cause message matrix is included
-    /// (it is message accounting, deterministic); wall-clock observables
-    /// (ctx stats, trace rings) are excluded because they cannot be
-    /// reproduced byte-identically across runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the core is mid-cascade (pending sync reports or deferred
-    /// installs queued) — checkpoints are only meaningful at quiescence.
-    pub fn save_state(&self, w: &mut StateWriter, rows: Rows) {
-        assert!(
-            self.pending.is_empty() && self.deferred.is_empty(),
-            "save_state requires a quiescent core (no pending syncs or deferred installs)"
-        );
-        self.put_header(w);
-        self.view.encode_rows(w, rows);
-        self.ledger.put(w);
-        self.protocol.save_state(w);
-        // The per-cause attribution matrix rides along so a recovered
-        // server's cause breakdown matches one that never crashed. Fixed
-        // width: NUM_CAUSES × NUM_KIND_SLOTS counters in `Cause::ALL`
-        // order.
-        for cause in Cause::ALL {
-            self.telem.causes.row(cause).put(w);
-        }
-    }
-
-    asf_persist::persist!(fn put_header, get_header { initialized, reports_processed });
+    asf_persist::persist!(
+        /// The core's durable state: the view entries `rows` selects, and
+        /// whole the ledger, the protocol's state, the report counter and
+        /// the (deterministic) per-cause matrix. Configuration is not
+        /// written: the reader restores into a core built alike, a delta
+        /// onto its full image's state. Core methods drain their syncs and
+        /// deferred installs before returning, so no queued work is left
+        /// out. The rank index is rebuilt from the view, or re-keyed at a
+        /// delta's entries ([`RankForest::refresh_from_changed`]). Corrupt
+        /// input is an error, never a panic; the core is then partly
+        /// overwritten: discard it.
+        pub fn encode_rows, decode_rows(rows) {
+            initialized,
+            reports_processed,
+            view: rows,
+            ledger,
+            protocol: in,
+            telem.causes,
+        } check Self::rebuild_rank
+    );
 
     /// Clears the view's dirty bits: a full image of the core
     /// ([`Rows::All`]) was just written, and the next delta counts from it.
@@ -359,34 +344,9 @@ impl<P: Protocol> ProtocolCore<P> {
         self.view.clear_dirty();
     }
 
-    /// Restores state written by [`ProtocolCore::save_state`] with the same
-    /// row selection into a core constructed with the same configuration
-    /// (population, protocol config, rank parts) — [`Rows::Dirty`] on top
-    /// of the state its full image restored. The rank index is not
-    /// serialized. A full image rebuilds it from the restored view, which
-    /// yields the identical treap (priorities derive deterministically
-    /// from stream ids); a delta re-keys only the view entries it names
-    /// ([`RankForest::refresh_from_changed`]), with the same result.
-    ///
-    /// Every stream id in the image must lie in the population. Corrupt
-    /// input is an error, never a panic; the core is then partly
-    /// overwritten: discard it.
-    pub fn load_state(&mut self, r: &mut StateReader<'_>, rows: Rows) -> asf_persist::Result<()> {
-        r.set_population(self.view.len());
-        self.get_header(r)?;
-        // Cleared first, the view's dirty marks name exactly the entries
-        // this image writes. No delta is taken against them: a restored
-        // core's next checkpoint is a full image.
-        self.view.clear_dirty();
-        self.view.decode_rows(r, rows)?;
-        self.ledger = Ledger::get(r)?;
-        self.protocol.load_state(r)?;
-        let mut causes = CauseLedger::new();
-        for cause in Cause::ALL {
-            let row = <[u64; NUM_KIND_SLOTS]>::get(r)?;
-            row.iter().enumerate().for_each(|(kind, &n)| causes.add(cause, kind, n));
-        }
-        self.telem.causes = causes;
+    /// Brings the rank index up to the restored view, whose dirty marks
+    /// name the entries the image held.
+    fn rebuild_rank(&mut self, rows: Rows) -> asf_persist::Result<()> {
         if let Some(forest) = self.rank.as_mut() {
             if !self.view.all_known() {
                 return Err(PersistError::corrupt("rank snapshot with partially-known view"));
@@ -567,29 +527,24 @@ impl<P: Protocol> Engine<P> {
         self.core.telemetry_mut()
     }
 
-    /// Serializes the whole simulation state (clock, event counter, source
-    /// fleet, and the core via [`ProtocolCore::save_state`]) at a quiescent
-    /// point. Restore with [`Engine::load_state`] into an engine built with
-    /// the same constructor arguments.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        self.put_header(w);
-        self.fleet.encode(w);
-        self.core.save_state(w, Rows::All);
-    }
+    asf_persist::persist!(
+        /// The whole simulation state: clock, event counter, every source
+        /// and the core ([`ProtocolCore::encode_rows`]), read into an engine
+        /// built alike. Corrupt input is an error, never a panic; the engine
+        /// is then partly overwritten: discard it.
+        pub fn save_state, load_state {
+            now,
+            events_processed,
+            fleet: rows,
+            core: rows,
+        } check Self::check_clock
+    );
 
-    asf_persist::persist!(fn put_header, get_header { now, events_processed });
-
-    /// Restores state written by [`Engine::save_state`] into an engine
-    /// constructed with the same configuration (population size, protocol
-    /// config). Corrupt input is rejected without panicking; the engine is
-    /// then partly overwritten: discard it.
-    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> asf_persist::Result<()> {
-        self.get_header(r)?;
+    fn check_clock(&self) -> asf_persist::Result<()> {
         if self.now.is_nan() {
             return Err(PersistError::corrupt("snapshot clock is NaN"));
         }
-        self.fleet.decode_rows(r, Rows::All)?;
-        self.core.load_state(r, Rows::All)
+        Ok(())
     }
 }
 
@@ -597,6 +552,7 @@ impl<P: Protocol> Engine<P> {
 mod tests {
     use super::*;
     use crate::workload::VecWorkload;
+    use asf_persist::{StateReader, StateWriter};
     use streamnet::Filter;
 
     /// Minimal protocol: installs a fixed filter everywhere and records

@@ -44,7 +44,6 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use asf_persist::Persist;
 use streamnet::{Filter, StreamId};
 
 use crate::answer::{AnswerSet, IdSet};
@@ -326,6 +325,11 @@ impl MultiRangeZt {
         IdSet::from_sorted(ids)
     }
 
+    /// Every query's members, in query order.
+    fn answers(&self) -> Vec<IdSet> {
+        (0..self.queries.len()).map(|j| self.sorted_answer(j)).collect()
+    }
+
     /// Grows the per-stream tables to `n` streams; the new ones are never
     /// heard, so they join the uncovered cell 0.
     fn ensure_rows(&mut self, n: usize) {
@@ -363,6 +367,12 @@ impl MultiRangeZt {
             row.slot = bucket.len() as u32;
             bucket.push(id as u32);
         }
+    }
+
+    /// The check after a read: the partition, rebuilt from the rows read.
+    fn repartition(&mut self) -> asf_persist::Result<()> {
+        self.rebuild_partition();
+        Ok(())
     }
 }
 
@@ -429,32 +439,12 @@ impl Protocol for MultiRangeZt {
             .collect()
     }
 
-    /// The image is the per-query answers, in the layout of a
-    /// `Vec<IdSet>` but computed one at a time, then the rows. `last` is
-    /// protocol state, not view state: the partition is rebuilt from it,
-    /// and the answers are checked against it.
-    fn save_state(&self, w: &mut asf_persist::StateWriter) {
-        w.put_u64(self.queries.len() as u64);
-        (0..self.queries.len()).for_each(|j| self.sorted_answer(j).put(w));
-        self.rows.put(w);
-    }
-
-    fn load_state(&mut self, r: &mut asf_persist::StateReader<'_>) -> asf_persist::Result<()> {
-        let answers = Vec::<IdSet>::get(r)?;
-        if answers.len() != self.queries.len() {
-            return Err(asf_persist::PersistError::corrupt("answer count != query count"));
-        }
-        self.rows = Persist::get(r)?;
-        self.rebuild_partition();
-        // The answers are redundant with `last`: an image whose answers
-        // disagree with it is corrupt, whatever its checksum says.
-        if answers.iter().enumerate().any(|(j, a)| *a != self.sorted_answer(j)) {
-            return Err(asf_persist::PersistError::corrupt(
-                "per-query answer disagrees with the last-value table",
-            ));
-        }
-        Ok(())
-    }
+    asf_persist::persist!(
+        /// The per-query answers, then the rows. `last` is protocol state,
+        /// not view state: the partition is rebuilt from it, and an image
+        /// whose answers disagree with it is corrupt, whatever its checksum.
+        fn save_state, load_state { answers: derived, rows } check Self::repartition
+    );
 }
 
 #[cfg(test)]

@@ -5,8 +5,10 @@
 //! A record's layout is declared once: a type implements [`Persist`] —
 //! usually through [`persist!`](crate::persist), which turns one field
 //! list into both the writer and the reader — and a record is its fields'
-//! encodings in order. Only checks across fields are written by hand, and
-//! they run once after the generated read. The encoding is
+//! encodings in order. A composite record — one that nests row tables
+//! ([`Rows`](crate::Rows)) and values read in place — is declared the same way, as one
+//! part list. Only checks across fields are written by hand, and they run
+//! once after the generated read. The encoding is
 //! deliberately boring: fixed-width little-endian integers, `f64` as raw
 //! IEEE-754 bits (`to_bits`/`from_bits`, so `-0.0`, infinities, and every
 //! NaN payload round-trip bit-exactly — byte-identical recovery depends on
@@ -20,7 +22,9 @@
 //! image; the snapshot store reads them to store each table as byte
 //! planes ([`column`](mod@crate::column)).
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 use crate::column::BLOCK_ROWS;
 use crate::{PersistError, Result};
@@ -270,6 +274,11 @@ impl<'a> StateReader<'a> {
             return Err(PersistError::corrupt("id outside the population"));
         }
         Ok(id)
+    }
+
+    /// Bytes consumed so far: the offset of the next byte in the buffer.
+    pub fn position(&self) -> usize {
+        self.pos
     }
 
     /// Bytes not yet consumed.
@@ -532,21 +541,55 @@ impl<K: Persist + Ord, V: Persist> Persist for BTreeMap<K, V> {
     }
 }
 
-/// Declares a record's layout once, as one field list: each field is
-/// written with [`Persist::put`] and read with [`Persist::get`], in the
-/// order listed.
+/// A byte string its owner writes and reads itself: written, its image
+/// moves into the writer ([`StateWriter::put_nested`]) and is freed once
+/// copied; read, it records where its bytes lie, for the owner to decode.
+#[derive(Default)]
+pub struct Nested {
+    image: Cell<StateWriter>,
+    /// Where [`Persist::get`] found the bytes in the buffer read.
+    pub at: Range<usize>,
+}
+
+impl From<StateWriter> for Nested {
+    fn from(image: StateWriter) -> Self {
+        Self { image: Cell::new(image), at: 0..0 }
+    }
+}
+
+impl Persist for Nested {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, w: &mut StateWriter) {
+        w.put_nested(&self.image.take());
+    }
+    fn get(r: &mut StateReader<'_>) -> Result<Self> {
+        let len = r.get_u32()? as usize;
+        let start = r.position();
+        r.get_slice(len)?;
+        Ok(Self { at: start..start + len, ..Self::default() })
+    }
+}
+
+/// Declares a record's layout once, as one field list.
 ///
 /// `persist!(impl Persist for T { field: Type, … })` implements
-/// [`Persist`] for a struct. Fields left out of the list take their values
-/// from a trailing `..base` expression. A trailing `check path` names a
-/// `fn(&T) -> Result<()>` run on every value read: the place for checks
-/// across fields.
+/// [`Persist`] for a struct: each field is written with [`Persist::put`]
+/// and read with [`Persist::get`], in the order listed. Fields left out of
+/// the list take their values from a trailing `..base` expression. A
+/// trailing `check path` names a `fn(&T) -> Result<()>` run on every value
+/// read: the place for checks across fields.
 ///
-/// `persist!(vis fn put_name, get_name { field, … })`, inside an `impl`
-/// block, defines a writer `put_name(&self, w)` and a reader
-/// `get_name(&mut self, r) -> Result<()>` of the listed fields of a larger
-/// value whose other fields are configuration, not state, with the same
-/// optional `check`. The reader assigns each field as it reads it: on
+/// `persist!(vis fn put, get { part, … })`, inside an `impl` block,
+/// defines a writer `put(&self, w)` and a reader `get(&mut self, r)` of a
+/// larger value's parts, in order. A part is a [`Persist`] value `field`
+/// (or `field.path`); a row-selected part `field: rows` (its
+/// `encode_rows(w, rows)` and, in place, `decode_rows(r, rows)`); a nested
+/// value `field: in` (its `save_state(w)` and, in place, `load_state(r)`);
+/// a layout constant `NAME: const`; or `name: derived`, written from
+/// `self.name()`, which must equal it once every part is read and the
+/// check has run. With `get(rows)` both functions take a `rows: Rows` for
+/// the row parts (otherwise [`Rows::All`](crate::Rows::All)), and the check is a
+/// `fn(&mut Self, Rows)`. Attributes before `fn` go on both functions. On
 /// error the value is partly overwritten.
 ///
 /// ```
@@ -579,16 +622,73 @@ macro_rules! persist {
             }
         }
     };
-    ($vis:vis fn $put:ident, $get:ident { $($field:ident),* $(,)? } $(check $check:path)?) => {
-        $vis fn $put(&self, w: &mut $crate::StateWriter) {
-            $($crate::Persist::put(&self.$field, w);)*
+    (
+        $(#[$attr:meta])*
+        $vis:vis fn $put:ident, $get:ident $(($rows:ident))? { $($parts:tt)* }
+        $(check $check:path)?
+    ) => {
+        $(#[$attr])*
+        #[inline]
+        $vis fn $put(&self, w: &mut $crate::StateWriter $(, $rows: $crate::Rows)?) {
+            $crate::persist!(@put self w ($crate::persist!(@rows $($rows)?)) $($parts)*);
         }
-        $vis fn $get(&mut self, r: &mut $crate::StateReader<'_>) -> $crate::Result<()> {
-            $(self.$field = $crate::Persist::get(r)?;)*
-            $($check(self)?;)?
+        $(#[$attr])*
+        #[inline]
+        $vis fn $get(
+            &mut self,
+            r: &mut $crate::StateReader<'_>
+            $(, $rows: $crate::Rows)?
+        ) -> $crate::Result<()> {
+            $crate::persist!(
+                @get self r ($crate::persist!(@rows $($rows)?)) [$($check ;)? $($rows)?] $($parts)*
+            );
             Ok(())
         }
     };
+    (@rows) => { $crate::Rows::All };
+    (@rows $rows:ident) => { $rows };
+    (@check $s:tt [$($rows:ident)?]) => {};
+    (@check $s:tt [$check:path ; $rows:ident]) => { $check($s, $rows)?; };
+    (@check $s:tt [$check:path ;]) => { $check($s)?; };
+    (@put $s:tt $w:tt $rows:tt $(,)?) => {};
+    (@put $s:tt $w:tt $rows:tt $($p:ident).+ $(: $kind:tt)? $(, $($rest:tt)*)?) => {
+        $crate::persist!(@put1 $s $w $rows [$($p).+] $($kind)?);
+        $crate::persist!(@put $s $w $rows $($($rest)*)?);
+    };
+    (@put1 $s:tt $w:tt $rows:tt [$c:ident] const) => { $crate::Persist::put(&$c, $w); };
+    (@put1 $s:tt $w:tt $rows:tt [$n:ident] derived) => { $crate::Persist::put(&$s.$n(), $w); };
+    (@put1 $s:tt $w:tt $rows:tt [$($p:ident).+] rows) => { $s.$($p).+.encode_rows($w, $rows); };
+    (@put1 $s:tt $w:tt $rows:tt [$($p:ident).+] in) => { $s.$($p).+.save_state($w); };
+    (@put1 $s:tt $w:tt $rows:tt [$($p:ident).+]) => { $crate::Persist::put(&$s.$($p).+, $w); };
+    (@get $s:tt $r:tt $rows:tt $check:tt $(,)?) => {
+        $crate::persist!(@check $s $check);
+    };
+    (@get $s:tt $r:tt $rows:tt $check:tt $n:ident: derived $(, $($rest:tt)*)?) => {
+        let value = $crate::Persist::get($r)?;
+        $crate::persist!(@get $s $r $rows $check $($($rest)*)?);
+        $crate::persist!(@same value, $s.$n(), "record part disagrees with its sources");
+    };
+    (@get $s:tt $r:tt $rows:tt $check:tt $($p:ident).+ $(: $kind:tt)? $(, $($rest:tt)*)?) => {
+        $crate::persist!(@get1 $s $r $rows [$($p).+] $($kind)?);
+        $crate::persist!(@get $s $r $rows $check $($($rest)*)?);
+    };
+    (@get1 $s:tt $r:tt $rows:tt [$c:ident] const) => {
+        $crate::persist!(@same $crate::Persist::get($r)?, $c, "record constant differs");
+    };
+    (@get1 $s:tt $r:tt $rows:tt [$($p:ident).+] rows) => { $s.$($p).+.decode_rows($r, $rows)?; };
+    (@get1 $s:tt $r:tt $rows:tt [$($p:ident).+] in) => { $s.$($p).+.load_state($r)?; };
+    (@get1 $s:tt $r:tt $rows:tt [$($p:ident).+]) => { $s.$($p).+ = $crate::Persist::get($r)?; };
+    (@same $read:expr, $expected:expr, $what:literal) => {
+        if !$crate::codec::same(&$read, &$expected) {
+            return Err($crate::PersistError::corrupt($what));
+        }
+    };
+}
+
+/// Whether a value read is the one expected (fixes the type it is read as).
+#[doc(hidden)]
+pub fn same<T: PartialEq>(read: &T, expected: &T) -> bool {
+    read == expected
 }
 
 #[cfg(test)]

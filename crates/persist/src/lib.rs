@@ -10,6 +10,8 @@
 //!   (`f64` as raw bits, so recovered state is bit-exact), and
 //!   [`Persist`] / [`persist!`], which declare each record's layout once.
 //!   A writer also declares its row tables ([`StateWriter::put_table`]).
+//! - [`rows`] — [`Rows`], the row selection of a checkpoint: a full image
+//!   writes every row of a table, a delta only the changed ones.
 //! - [`column`](mod@column) — column coding of checkpoint bodies: each
 //!   declared table stored as byte planes (one byte for a constant plane,
 //!   runs for the rest, gaps for an ascending index column) below the
@@ -36,15 +38,17 @@ pub mod codec;
 pub mod column;
 pub mod crc;
 pub mod record;
+pub mod rows;
 pub mod store;
 
-pub use codec::{Image, Persist, StateReader, StateWriter, Table};
+pub use codec::{Image, Nested, Persist, StateReader, StateWriter, Table};
 pub use column::{Coding, BLOCK_ROWS};
 pub use crc::{crc32, Crc32};
 pub use record::{
     decode_header, encode_header, encode_record, scan_records, FileKind, Record, Scan, HEADER_LEN,
     MAX_RECORD_LEN, RECORD_OVERHEAD,
 };
+pub use rows::Rows;
 pub use store::{
     pruned_floor, CrashPoint, Journal, JournalEntry, RotateStep, SnapshotImage, SnapshotStore,
     TAG_DELTA, TAG_JOURNAL_CHUNK, TAG_SNAPSHOT,

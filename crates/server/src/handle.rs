@@ -299,6 +299,23 @@ impl<T> Drop for CloseOnDrop<'_, T> {
     }
 }
 
+/// Sends `$cmd(s)` to every shard `s`, then gathers each reply, in shard
+/// order, as `$reply`'s `$value`. Every shard has its command before any
+/// reply is awaited, which is what lets threaded shards run concurrently.
+macro_rules! each_shard {
+    ($handles:expr, $cmd:expr, $reply:pat => $value:expr) => {{
+        let handles: &mut [$crate::handle::ShardHandle] = $handles;
+        for (s, handle) in handles.iter_mut().enumerate() {
+            handle.send($cmd(s));
+        }
+        Vec::from_iter(handles.iter_mut().map(|handle| match handle.recv() {
+            $reply => $value,
+            other => unreachable!("shard replied {other:?}"),
+        }))
+    }};
+}
+pub(crate) use each_shard;
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -140,7 +140,8 @@ pub struct ServerMetrics {
     /// active file plus any sealed segments not yet pruned by compaction.
     pub journal_bytes: u64,
     /// Time spent replaying the journal suffix during
-    /// `ShardedServer::recover` (ns). Zero for servers that never
+    /// `ShardedServer::recover` (ns), from the restored checkpoint on: the
+    /// restore itself is not included. Zero for servers that never
     /// recovered.
     pub recovery_replay_ns: u64,
     /// Server→source request frames retransmitted after a channel timeout.

@@ -33,7 +33,7 @@ use asf_core::workload::EventBatch;
 use asf_telemetry::{TraceDepth, TraceRing};
 use streamnet::{Filter, FleetOps, StreamId};
 
-use crate::handle::ShardHandle;
+use crate::handle::{each_shard, ShardHandle};
 use crate::metrics::FleetOpStats;
 use crate::occurrence::OccurrenceIndex;
 use crate::shard::{Partition, ShardCmd, ShardReply, SpecEvent, FLIP_REPORTS};
@@ -145,23 +145,17 @@ impl<'a> ShardRouter<'a> {
         self.trace_begin("fleet_probe_all", self.n as u64);
         let mut busy = vec![0u64; self.partition.shards()];
         let mut all_flips = Vec::new();
-        for handle in self.handles.iter_mut() {
-            handle.send(ShardCmd::ProbeAll);
-        }
+        let replies = each_shard!(self.handles, |_| ShardCmd::ProbeAll,
+            ShardReply::ProbedAll { values, flips, busy_ns } => (values, flips, busy_ns));
         out.clear();
         out.resize(self.n, 0.0);
-        for (shard, handle) in self.handles.iter_mut().enumerate() {
-            match handle.recv() {
-                ShardReply::ProbedAll { values, flips, busy_ns } => {
-                    busy[shard] = busy_ns;
-                    if !flips.is_empty() {
-                        all_flips.push((shard, flips));
-                    }
-                    for (local, v) in values.into_iter().enumerate() {
-                        out[self.partition.global_of(shard, local as u32).index()] = v;
-                    }
-                }
-                other => unreachable!("ProbeAll got {other:?}"),
+        for (shard, (values, flips, busy_ns)) in replies.into_iter().enumerate() {
+            busy[shard] = busy_ns;
+            if !flips.is_empty() {
+                all_flips.push((shard, flips));
+            }
+            for (local, v) in values.into_iter().enumerate() {
+                out[self.partition.global_of(shard, local as u32).index()] = v;
             }
         }
         self.record_batch_op(started, &busy);
@@ -172,15 +166,7 @@ impl<'a> ShardRouter<'a> {
     /// Commits every shard's speculative applications below `keep_below`
     /// (scatter, then gather); later ones stay journaled.
     pub(crate) fn commit_all(&mut self, keep_below: u64) {
-        for handle in self.handles.iter_mut() {
-            handle.send(ShardCmd::Commit { keep_below });
-        }
-        for handle in self.handles.iter_mut() {
-            match handle.recv() {
-                ShardReply::Ack => {}
-                other => unreachable!("Commit got {other:?}"),
-            }
-        }
+        each_shard!(self.handles, |_| ShardCmd::Commit { keep_below }, ShardReply::Ack => ());
     }
 
     /// [`FleetOps::deliver`], respeculating the source's applications at
@@ -348,22 +334,16 @@ impl<'a> ShardRouter<'a> {
         self.trace_begin("fleet_broadcast", self.n as u64);
         let mut busy = vec![0u64; self.partition.shards()];
         let mut all_flips = Vec::new();
-        for handle in self.handles.iter_mut() {
-            handle.send(ShardCmd::Broadcast { filter: filter.clone() });
-        }
+        let replies = each_shard!(self.handles, |_| ShardCmd::Broadcast { filter: filter.clone() },
+            ShardReply::Broadcasted { syncs, flips, busy_ns } => (syncs, flips, busy_ns));
         syncs.clear();
-        for (shard, handle) in self.handles.iter_mut().enumerate() {
-            match handle.recv() {
-                ShardReply::Broadcasted { syncs: local_syncs, flips, busy_ns } => {
-                    busy[shard] = busy_ns;
-                    if !flips.is_empty() {
-                        all_flips.push((shard, flips));
-                    }
-                    for (local, v) in local_syncs {
-                        syncs.push((self.partition.global_of(shard, local), v));
-                    }
-                }
-                other => unreachable!("Broadcast got {other:?}"),
+        for (shard, (local_syncs, flips, busy_ns)) in replies.into_iter().enumerate() {
+            busy[shard] = busy_ns;
+            if !flips.is_empty() {
+                all_flips.push((shard, flips));
+            }
+            for (local, v) in local_syncs {
+                syncs.push((self.partition.global_of(shard, local), v));
             }
         }
         // Serial-identical order: ascending global id.

@@ -82,17 +82,17 @@ use asf_core::rank::RankForest;
 use asf_core::workload::{EventBatch, UpdateEvent, Workload};
 use asf_core::AnswerSet;
 use asf_persist::{
-    persist, Journal, Persist, PersistError, SnapshotImage, SnapshotStore, StateReader, StateWriter,
+    Journal, Nested, PersistError, Rows, SnapshotImage, SnapshotStore, StateReader, StateWriter,
 };
 use asf_telemetry::{chrome_trace, Cause, Registry, TraceDepth, TraceEvent, TraceRing};
 use simkit::SimTime;
 use streamnet::{
     ChaosConfig, ChaosFleet, ChaosState, ChaosStats, Ledger, MessageKind, RepairPlan, ReportFate,
-    Rows, ServerView, SourceFleet, StreamId,
+    ServerView, SourceFleet, StreamId,
 };
 
 use crate::durability::{Durability, DurabilityConfig};
-use crate::handle::{ExecMode, ShardHandle};
+use crate::handle::{each_shard, ExecMode, ShardHandle};
 use crate::metrics::ServerMetrics;
 use crate::occurrence::OccurrenceIndex;
 use crate::router::{GuardedRouter, InflightWindow, ShardRouter};
@@ -103,15 +103,6 @@ use crate::shard::{Partition, Shard, ShardCmd, ShardReply, SpecEvent};
 /// full image (which clears the dirty bits) otherwise. At ½ a recovery
 /// reads less than 1.5 full images' worth of checkpoint.
 const DELTA_DIVISOR: u64 = 2;
-
-/// The scalars a server image opens with, before the shards' rows.
-struct Header {
-    now: SimTime,
-    events: u64,
-    shards: u64,
-}
-
-persist!(impl Persist for Header { now: SimTime, events: u64, shards: u64 });
 
 /// The last full image this server encoded, as the full-or-delta rule
 /// weighs it.
@@ -245,6 +236,10 @@ pub struct ShardedServer<P: Protocol> {
     /// whole channel machine is serialized into every checkpoint, so a
     /// recovered server resumes mid-fault-storm bit-exact.
     chaos: Option<ChaosState>,
+    /// The nested parts of the image being written or read, which their
+    /// owners encode and decode themselves. Empty between checkpoints.
+    fleet_rows: Vec<Nested>,
+    chaos_rows: Option<Nested>,
     /// Pooled buffer for delayed report frames surfacing at chunk end.
     chaos_scratch: Vec<(StreamId, f64)>,
     /// Pooled repair plan of the chunk-end round.
@@ -302,13 +297,10 @@ impl<P: Protocol> ShardedServer<P> {
         core.telemetry_mut().set_causes_enabled(tcfg.causes);
         core.telemetry_mut().trace = TraceRing::new(tcfg.trace, tcfg.trace_capacity, epoch);
         if tcfg.trace != TraceDepth::Off {
-            for handle in handles.iter_mut() {
-                let ring = TraceRing::new(tcfg.trace, tcfg.trace_capacity, epoch);
-                match handle.request(ShardCmd::SetTrace { ring }) {
-                    ShardReply::Ack => {}
-                    other => unreachable!("SetTrace got {other:?}"),
-                }
-            }
+            let ring = |_| ShardCmd::SetTrace {
+                ring: TraceRing::new(tcfg.trace, tcfg.trace_capacity, epoch),
+            };
+            each_shard!(&mut handles, ring, ShardReply::Ack => ());
         }
         Self {
             partition,
@@ -331,6 +323,8 @@ impl<P: Protocol> ShardedServer<P> {
             chaos: None,
             chaos_scratch: Vec::new(),
             chaos_plan: RepairPlan::default(),
+            fleet_rows: Vec::new(),
+            chaos_rows: None,
         }
     }
 
@@ -876,15 +870,8 @@ impl<P: Protocol> ShardedServer<P> {
         let fleet = self.fleet_trace.take();
         let mut shard_events: Vec<Vec<TraceEvent>> = Vec::new();
         if self.config.telemetry.trace != TraceDepth::Off {
-            for handle in self.handles.iter_mut() {
-                handle.send(ShardCmd::TakeTrace);
-            }
-            for handle in self.handles.iter_mut() {
-                match handle.recv() {
-                    ShardReply::Trace(events) => shard_events.push(events),
-                    other => unreachable!("TakeTrace got {other:?}"),
-                }
-            }
+            shard_events =
+                each_shard!(&mut self.handles, |_| ShardCmd::TakeTrace, ShardReply::Trace(e) => e);
         }
         let shard_names: Vec<String> =
             (0..shard_events.len()).map(|s| format!("shard-{s}")).collect();
@@ -902,15 +889,12 @@ impl<P: Protocol> ShardedServer<P> {
     pub fn trace_spans_dropped(&mut self) -> u64 {
         let mut dropped = self.core.telemetry().trace.dropped() + self.fleet_trace.dropped();
         if self.config.telemetry.trace != TraceDepth::Off {
-            for handle in self.handles.iter_mut() {
-                handle.send(ShardCmd::TraceDropped);
-            }
-            for handle in self.handles.iter_mut() {
-                match handle.recv() {
-                    ShardReply::TraceDropped(n) => dropped += n,
-                    other => unreachable!("TraceDropped got {other:?}"),
-                }
-            }
+            let per_shard = each_shard!(
+                &mut self.handles,
+                |_| ShardCmd::TraceDropped,
+                ShardReply::TraceDropped(n) => n
+            );
+            dropped += per_shard.iter().sum::<u64>();
         }
         dropped
     }
@@ -945,17 +929,11 @@ impl<P: Protocol> ShardedServer<P> {
     /// for the oracle and tests (a real deployment has no such backdoor).
     pub fn truth_values(&mut self) -> Vec<f64> {
         let mut values = vec![0.0f64; self.n];
-        for handle in self.handles.iter_mut() {
-            handle.send(ShardCmd::TruthSnapshot);
-        }
-        for shard in 0..self.handles.len() {
-            match self.handles[shard].recv() {
-                ShardReply::Truth(local_values) => {
-                    for (local, v) in local_values.into_iter().enumerate() {
-                        values[self.partition.global_of(shard, local as u32).index()] = v;
-                    }
-                }
-                other => unreachable!("TruthSnapshot got {other:?}"),
+        let truth =
+            each_shard!(&mut self.handles, |_| ShardCmd::TruthSnapshot, ShardReply::Truth(v) => v);
+        for (shard, local_values) in truth.into_iter().enumerate() {
+            for (local, v) in local_values.into_iter().enumerate() {
+                values[self.partition.global_of(shard, local as u32).index()] = v;
             }
         }
         values
@@ -966,17 +944,9 @@ impl<P: Protocol> ShardedServer<P> {
     /// counts touches exactly one source, so on a loss-free channel this
     /// equals the ledger's total.
     pub fn source_traffic(&mut self) -> u64 {
-        for handle in self.handles.iter_mut() {
-            handle.send(ShardCmd::CountTraffic);
-        }
-        let mut traffic = 0;
-        for handle in self.handles.iter_mut() {
-            match handle.recv() {
-                ShardReply::Traffic(n) => traffic += n,
-                other => unreachable!("CountTraffic got {other:?}"),
-            }
-        }
-        traffic
+        each_shard!(&mut self.handles, |_| ShardCmd::CountTraffic, ShardReply::Traffic(n) => n)
+            .iter()
+            .sum()
     }
 
     /// Ground truth as a throwaway [`SourceFleet`] (values only) so the
@@ -985,42 +955,61 @@ impl<P: Protocol> ShardedServer<P> {
         SourceFleet::from_values(&self.truth_values())
     }
 
-    /// Serializes the deterministic server state at chunk-boundary
-    /// quiescence — the only place it is called from: simulation clock,
-    /// event sequence, the source rows `rows` selects from every shard's
-    /// fleet, and the protocol core (the selected view entries; whole: the
-    /// ledger, protocol state and cause matrix), then the channel machine
-    /// (the selected channel rows; the rest whole). [`Rows::All`] is a full
-    /// image: it clears the dirty bits and becomes the base of the deltas
-    /// after it; [`Rows::Dirty`] is a delta against that base.
-    fn snapshot_state(&mut self, rows: Rows) -> StateWriter {
-        let mut w = StateWriter::new();
-        let shards = self.config.num_shards as u64;
-        Header { now: self.now, events: self.events_processed, shards }.put(&mut w);
-        for handle in self.handles.iter_mut() {
-            match handle.request(ShardCmd::SaveState { rows }) {
-                ShardReply::State(state) => w.put_nested(&state),
-                other => unreachable!("SaveState got {other:?}"),
-            }
+    asf_persist::persist!(
+        /// The server image: simulation clock, event sequence, each shard's
+        /// fleet rows, the protocol core, then the channel machine if
+        /// attached — the shards and the machine write and read their own.
+        fn put_image, get_image(rows) {
+            now,
+            events_processed,
+            fleet_rows,
+            core: rows,
+            chaos_rows,
+        } check Self::check_image
+    );
+
+    /// What a server image must agree on with the server it is read into.
+    fn check_image(&mut self, rows: Rows) -> asf_persist::Result<()> {
+        if self.now.is_nan() {
+            return Err(PersistError::corrupt("snapshot time is NaN"));
         }
-        self.core.save_state(&mut w, rows);
+        if self.fleet_rows.len() != self.config.num_shards {
+            return Err(PersistError::corrupt("snapshot shard count differs from configuration"));
+        }
+        // A delta's channel rows land on the base's machine, which must
+        // exist exactly when the delta carries one.
+        if rows == Rows::Dirty && self.chaos_rows.is_some() != self.chaos.is_some() {
+            return Err(PersistError::corrupt("delta and base differ in chaos"));
+        }
+        Ok(())
+    }
+
+    /// The server image at chunk-boundary quiescence. [`Rows::All`] is a
+    /// full image: it clears the dirty bits and becomes the base of the
+    /// deltas after it; [`Rows::Dirty`] is a delta against that base.
+    fn snapshot_state(&mut self, rows: Rows) -> StateWriter {
+        self.fleet_rows = each_shard!(
+            &mut self.handles,
+            |_| ShardCmd::SaveState { rows },
+            ShardReply::State(image) => image.into()
+        );
         // The channel layer travels with the checkpoint: chaos and
         // durability compose, and a recovered server resumes the exact
         // fault-decision stream. Checkpoints happen after the chunk-end
         // repair round, so the serialized machine is post-round state.
-        match &mut self.chaos {
-            None => w.put_bool(false),
-            Some(chaos) => {
-                w.put_bool(true);
-                let mut cw = StateWriter::new();
-                chaos.encode_rows(&mut cw, rows);
-                self.metrics.chaos_state_bytes = cw.len() as u64;
-                w.put_nested(&cw);
-                if rows == Rows::All {
-                    chaos.clear_dirty();
-                }
+        if let Some(chaos) = self.chaos.as_mut() {
+            let mut cw = StateWriter::new();
+            chaos.encode_rows(&mut cw, rows);
+            if rows == Rows::All {
+                chaos.clear_dirty();
             }
+            self.metrics.chaos_state_bytes = cw.len() as u64;
+            self.chaos_rows = Some(cw.into());
         }
+        let mut w = StateWriter::new();
+        self.put_image(&mut w, rows);
+        self.fleet_rows.clear();
+        self.chaos_rows = None;
         if rows == Rows::All {
             self.core.clear_view_dirty();
             self.full_base = Some(FullBase { seq: self.events_processed, bytes: w.len() as u64 });
@@ -1030,71 +1019,46 @@ impl<P: Protocol> ShardedServer<P> {
 
     /// Restores a [`ShardedServer::snapshot_state`] checkpoint written with
     /// the same `rows`: a full image into a freshly built server of the
-    /// same configuration, then a delta on top of the full image it was
-    /// taken against. Every field is re-validated, and the checkpoint's
-    /// sequence must be the event count it holds; corruption yields an
+    /// same configuration, then a delta onto the full image's state. The
+    /// sequence must be the event count the image holds; corruption is an
     /// error, never a panic (the caller discards the server on error).
-    /// The shards decode their rows straight from the shared image.
     fn restore_state(&mut self, checkpoint: SnapshotImage, rows: Rows) -> asf_persist::Result<()> {
         let seq = checkpoint.seq();
         let image = Arc::new(checkpoint.into_state());
         let mut r = StateReader::new(&image);
-        let Header { now, events, shards } = Header::get(&mut r)?;
-        if now.is_nan() {
-            return Err(PersistError::corrupt("snapshot time is NaN"));
-        }
-        if events != seq {
+        self.get_image(&mut r, rows)?;
+        r.finish()?;
+        if self.events_processed != seq {
             return Err(PersistError::corrupt("checkpoint sequence mismatch"));
         }
-        if shards != self.config.num_shards as u64 {
-            return Err(PersistError::corrupt("snapshot shard count differs from configuration"));
-        }
-        // Each shard's rows, located in the image for the shard to decode.
-        let mut blobs = Vec::with_capacity(self.config.num_shards);
-        for _ in 0..self.config.num_shards {
-            let len = r.get_bytes()?.len();
-            let end = image.len() - r.remaining();
-            blobs.push(end - len..end);
-        }
-        self.core.load_state(&mut r, rows)?;
-        // A delta's channel rows land on the base's machine, which must
-        // exist exactly when the delta carries one.
-        let chaos = match (r.get_bool()?, rows, self.chaos.take()) {
-            (false, Rows::All, _) | (false, Rows::Dirty, None) => None,
-            (true, Rows::All, _) => {
-                let mut cr = StateReader::new(r.get_bytes()?);
-                let state = ChaosState::decode(&mut cr)?;
+        // The nested parts' owners decode them in place: the channel
+        // machine here, and each shard its rows, on its own worker, from
+        // the shared image.
+        match self.chaos_rows.take() {
+            Some(Nested { at, .. }) => {
+                let chaos = match rows {
+                    Rows::All => self.chaos.insert(ChaosState::default()),
+                    Rows::Dirty => self.chaos.as_mut().expect("checked against the delta"),
+                };
+                let mut cr = StateReader::new(&image[at]);
+                chaos.decode_rows(&mut cr, rows)?;
                 cr.finish()?;
-                if state.len() != self.n {
+                if chaos.len() != self.n {
                     return Err(PersistError::corrupt("snapshot channel count differs"));
                 }
-                Some(state)
             }
-            (true, Rows::Dirty, Some(mut base)) => {
-                let mut cr = StateReader::new(r.get_bytes()?);
-                base.decode_rows(&mut cr, Rows::Dirty)?;
-                cr.finish()?;
-                Some(base)
-            }
-            _ => return Err(PersistError::corrupt("delta and base differ in chaos")),
+            None if rows == Rows::All => self.chaos = None,
+            None => {}
+        }
+        let fleet_rows = std::mem::take(&mut self.fleet_rows);
+        let restore = |s: usize| ShardCmd::RestoreState {
+            image: Arc::clone(&image),
+            range: fleet_rows[s].at.clone(),
+            rows,
         };
-        r.finish()?;
-        for (handle, range) in self.handles.iter_mut().zip(blobs) {
-            let image = Arc::clone(&image);
-            handle.send(ShardCmd::RestoreState { image, range, rows });
-        }
-        let mut restored = Ok(());
-        for handle in self.handles.iter_mut() {
-            match handle.recv() {
-                ShardReply::Restored(result) => restored = restored.and(result),
-                other => unreachable!("RestoreState got {other:?}"),
-            }
-        }
-        restored?;
-        self.now = now;
-        self.events_processed = events;
-        self.chaos = chaos;
-        Ok(())
+        each_shard!(&mut self.handles, restore, ShardReply::Restored(result) => result)
+            .into_iter()
+            .collect()
     }
 
     /// Attaches the unreliable-fleet simulation: every subsequent
@@ -1295,12 +1259,6 @@ impl<P: Protocol> ShardedServer<P> {
         let (store, snapshot) = SnapshotStore::open_and_latest(&durability.dir)?;
         let (journal, entries) = Journal::open_and_read(&durability.dir)?;
         let mut server = Self::new(initial_values, protocol, config);
-        let replay_start = Instant::now();
-        server.core.telemetry_mut().trace.begin(
-            TraceDepth::Coarse,
-            "recovery_replay",
-            entries.len() as u64,
-        );
         // The full image is decoded and dropped before the delta taken
         // against it is read, so recovery never holds two images at once.
         let checkpoint_seq = match snapshot {
@@ -1340,6 +1298,15 @@ impl<P: Protocol> ShardedServer<P> {
                 ));
             }
         }
+        // The replay meter starts once the checkpoint is restored and counts
+        // only the entries it does not supersede.
+        let replay_start = Instant::now();
+        let replayed = entries.iter().filter(|entry| entry.seq >= checkpoint_seq).count();
+        server.core.telemetry_mut().trace.begin(
+            TraceDepth::Coarse,
+            "recovery_replay",
+            replayed as u64,
+        );
         let mut next_seq = checkpoint_seq;
         for entry in entries {
             if entry.seq < next_seq {

@@ -55,8 +55,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use asf_core::workload::EventBatch;
+use asf_persist::Rows;
 use asf_telemetry::{TraceDepth, TraceEvent, TraceRing};
-use streamnet::{Filter, FleetOps, Rows, SourceFleet, SpecLog, StreamId};
+use streamnet::{Filter, FleetOps, SourceFleet, SpecLog, StreamId};
 
 /// Strided assignment of global stream ids to `k` shards: global `g` lives
 /// on shard `g % k` at local index `g / k`.

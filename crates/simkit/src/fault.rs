@@ -14,7 +14,7 @@
 //! the schedule's `horizon`, every frame delivers and no round faults —
 //! this is the "faults cease" boundary the convergence proofs rely on.
 
-use asf_persist::{persist, PersistError};
+use asf_persist::{persist, Persist, PersistError};
 
 use crate::dist::Geometric;
 use crate::rng::SimRng;
@@ -181,6 +181,19 @@ persist!(impl Persist for ScheduleState {
     heartbeat_skip: u64,
     crash_skip: u64,
 });
+
+/// A schedule's record is its [`ScheduleState`]; a schedule read back
+/// faults nothing until its owner resumes it ([`FaultSchedule::resume`])
+/// under the mix and horizon of its config.
+impl Persist for FaultSchedule {
+    const MIN_BYTES: usize = ScheduleState::MIN_BYTES;
+    fn put(&self, w: &mut asf_persist::StateWriter) {
+        self.state().put(w);
+    }
+    fn get(r: &mut asf_persist::StateReader<'_>) -> asf_persist::Result<Self> {
+        Ok(Self::resume(ScheduleState::get(r)?, FaultMix::none(), 0))
+    }
+}
 
 impl FaultSchedule {
     /// Creates a schedule; faults are active while `clock < horizon` ticks.

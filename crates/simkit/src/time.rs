@@ -21,6 +21,8 @@ pub struct TickClock {
     now: u64,
 }
 
+asf_persist::persist!(impl Persist for TickClock { now: u64 });
+
 impl TickClock {
     /// Creates a clock at tick zero.
     pub fn new() -> Self {

@@ -73,13 +73,12 @@
 //! The whole machine — config, both fault-RNG streams and their gap
 //! cursors, logical clock, every channel, the exception set, the
 //! parked-frame pool, and the counters — round-trips through
-//! [`ChaosState::encode`] / [`ChaosState::decode`], so a durable server
-//! checkpoints its channel layer alongside protocol state and a
+//! [`ChaosState::encode_rows`] / [`ChaosState::decode_rows`], so a durable
+//! server checkpoints its channel layer alongside protocol state and a
 //! crash+recover *inside* a fault window resumes the exact decision stream
-//! (see `asf-server`'s chaos-recovery differential suite). Each part of
-//! the record — config, schedule state, channel row, parked frame,
-//! counters — declares its layout once ([`asf_persist::persist!`]); a
-//! record of any version but the current one is rejected.
+//! (see `asf-server`'s chaos-recovery differential suite). The record is
+//! one part list ([`asf_persist::persist!`]); a record of any version but
+//! the current one is rejected.
 //!
 //! A checkpoint may carry only the channels that changed
 //! ([`ChaosState::encode_rows`] of [`Rows::Dirty`]): each selected channel's
@@ -100,13 +99,13 @@
 //! image it was taken against and re-derives and re-checks everything the
 //! rows do not carry.
 
-use asf_persist::{persist, Persist, PersistError, StateReader, StateWriter};
+use asf_persist::{persist, Persist, PersistError, Rows, StateReader, StateWriter};
 use simkit::fault::{Backoff, FaultDecision, FaultMix, FaultSchedule};
 use simkit::time::TickClock;
 
 use crate::filter::Filter;
 use crate::fleet::FleetOps;
-use crate::rows::{DirtyRows, Rows};
+use crate::rows::DirtyRows;
 use crate::StreamId;
 
 /// Configuration of one unreliable-fleet simulation.
@@ -145,8 +144,8 @@ persist!(impl Persist for ChaosConfig {
 pub const MAX_LEASE_FACTOR: u64 = 16;
 
 /// Version tag of the serialized chaos-state record
-/// ([`ChaosState::encode`] / [`ChaosState::decode`]), the only version
-/// read.
+/// ([`ChaosState::encode_rows`] / [`ChaosState::decode_rows`]), the only
+/// version read.
 const CHAOS_STATE_VERSION: u8 = 2;
 
 /// The adaptive-lease and batched-repair flag bytes after the config in a
@@ -172,6 +171,21 @@ impl ChaosConfig {
     pub fn lease_ticks(mut self, ticks: u64) -> Self {
         self.lease_ticks = ticks;
         self
+    }
+
+    /// The config, whole under either selection: a full image's replaces
+    /// the machine's, and a delta must repeat its base's.
+    fn encode_rows(&self, w: &mut StateWriter, _rows: Rows) {
+        self.put(w);
+    }
+
+    fn decode_rows(&mut self, r: &mut StateReader<'_>, rows: Rows) -> asf_persist::Result<()> {
+        let cfg = Self::get(r)?;
+        if rows == Rows::Dirty && cfg != *self {
+            return Err(PersistError::corrupt("chaos delta config differs from its base"));
+        }
+        *self = cfg;
+        Ok(())
     }
 }
 
@@ -422,29 +436,11 @@ pub struct ChaosState {
     cfg: ChaosConfig,
     schedule: FaultSchedule,
     clock: TickClock,
-    /// Cold per-source records.
-    channels: Vec<Channel>,
-    /// Hot column: tick at which the server last heard from an exception
-    /// channel. A steady channel's entry is stale — it was heard at
-    /// `round_tick` — and is rewritten when the channel becomes an
-    /// exception again.
-    last_heard: Vec<u64>,
-    /// Hot column: the lease class.
-    lease_class: Vec<u8>,
+    /// The per-channel columns.
+    channels: Channels,
     leases: Leases,
-    /// Hot column: `NEEDS_REPAIR | HEARD | VERIFIED | DEAD | GAP |
-    /// MAYBE_DOWN`, plus the in-round `ADAPTED` and `LOST`.
-    flags: Vec<u8>,
-    /// The exception set, one bit per channel: every channel that is not
-    /// steady, whose lease just adapted, or that a report, probe, install or
-    /// crash touched since the last round. Rounds visit only these.
-    exceptions: Vec<u64>,
     /// Channels outside the exception set, per lease class.
     steady: [usize; LEASE_CLASSES],
-    /// Channels whose row was written since the last full image, seeded
-    /// with that image's non-steady exceptions (see the module's
-    /// "Durability").
-    dirty: DirtyRows,
     /// Tick of the last heartbeat round: when every steady channel was last
     /// heard.
     round_tick: u64,
@@ -468,11 +464,32 @@ pub struct ChaosState {
     repair_window: bool,
 }
 
-impl ChaosState {
-    /// Bytes of one channel's row in a record: the epoch, both sequence
-    /// numbers, the outage end, the recorded flags and the lease class.
-    const ROW_BYTES: usize = ChannelRow::MIN_BYTES;
+/// The per-channel columns of a [`ChaosState`], one row per source.
+#[derive(Debug, Clone, Default)]
+struct Channels {
+    /// Cold per-source records.
+    cold: Vec<Channel>,
+    /// Hot column: tick at which the server last heard from an exception
+    /// channel. A steady channel's entry is stale — it was heard at
+    /// `round_tick` — and is rewritten when the channel becomes an
+    /// exception again.
+    last_heard: Vec<u64>,
+    /// Hot column: the lease class.
+    lease_class: Vec<u8>,
+    /// Hot column: `NEEDS_REPAIR | HEARD | VERIFIED | DEAD | GAP |
+    /// MAYBE_DOWN`, plus the in-round `ADAPTED` and `LOST`.
+    flags: Vec<u8>,
+    /// The exception set, one bit per channel: every channel that is not
+    /// steady, whose lease just adapted, or that a report, probe, install or
+    /// crash touched since the last round. Rounds visit only these.
+    exceptions: Vec<u64>,
+    /// Channels whose row was written since the last full image, seeded
+    /// with that image's non-steady exceptions (see the module's
+    /// "Durability").
+    dirty: DirtyRows,
+}
 
+impl ChaosState {
     /// Creates channel state for `n` sources.
     ///
     /// Channels start fully caught up: the server is expected to have
@@ -484,14 +501,9 @@ impl ChaosState {
         Self {
             schedule,
             clock: TickClock::new(),
-            channels: vec![Channel::default(); n],
-            last_heard: vec![0; n],
-            lease_class: vec![0; n],
+            channels: Channels::new(n),
             leases: Leases::new(cfg.lease_ticks),
-            flags: vec![VERIFIED; n],
-            exceptions: all_exceptions(n),
             steady: [0; LEASE_CLASSES],
-            dirty: DirtyRows::new(n),
             round_tick: 0,
             dead: 0,
             faults: Vec::new(),
@@ -507,12 +519,12 @@ impl ChaosState {
 
     /// Number of channels.
     pub fn len(&self) -> usize {
-        self.channels.len()
+        self.channels.cold.len()
     }
 
     /// Whether there are zero channels.
     pub fn is_empty(&self) -> bool {
-        self.channels.is_empty()
+        self.channels.cold.is_empty()
     }
 
     /// Current logical tick.
@@ -538,17 +550,17 @@ impl ChaosState {
 
     /// Filter epoch currently installed at a source.
     pub fn epoch_of(&self, id: StreamId) -> u64 {
-        self.channels[id.index()].epoch
+        self.channels.cold[id.index()].epoch
     }
 
     /// Highest frame sequence the source has sent.
     pub fn send_seq_of(&self, id: StreamId) -> u64 {
-        self.channels[id.index()].send_seq
+        self.channels.cold[id.index()].send_seq
     }
 
     /// Highest frame sequence the server has accounted for.
     pub fn recv_seq_of(&self, id: StreamId) -> u64 {
-        self.channels[id.index()].recv_seq
+        self.channels.cold[id.index()].recv_seq
     }
 
     /// Number of report frames still parked in the simulated network.
@@ -559,7 +571,7 @@ impl ChaosState {
     /// A channel's current lease length in ticks (equals the configured
     /// `lease_ticks` unless adaptive leases have grown or shrunk it).
     pub fn lease_len_of(&self, id: StreamId) -> u64 {
-        self.leases.0[self.lease_class[id.index()] as usize]
+        self.leases.0[self.channels.lease_class[id.index()] as usize]
     }
 
     /// Drains the lease lengths that changed since the last drain — the
@@ -583,7 +595,7 @@ impl ChaosState {
 
     /// Whether a source's lease has expired.
     pub fn is_dead(&self, id: StreamId) -> bool {
-        self.flags[id.index()] & DEAD != 0
+        self.channels.flags[id.index()] & DEAD != 0
     }
 
     /// Ids of all currently-dead sources, ascending.
@@ -599,7 +611,7 @@ impl ChaosState {
     /// population: these are the sources whose view entries the server can
     /// currently vouch for.
     pub fn is_verified(&self, id: StreamId) -> bool {
-        self.flags[id.index()] & VERIFIED != 0
+        self.channels.flags[id.index()] & VERIFIED != 0
     }
 
     /// Ids of all verified-live sources, ascending.
@@ -608,37 +620,33 @@ impl ChaosState {
     }
 
     fn ids_with(&self, bit: u8) -> Vec<StreamId> {
-        let set = self.flags.iter().enumerate().filter(|(_, &f)| f & bit != 0);
+        let set = self.channels.flags.iter().enumerate().filter(|(_, &f)| f & bit != 0);
         set.map(|(i, _)| StreamId(i as u32)).collect()
     }
 
-    fn is_exception(&self, i: usize) -> bool {
-        self.exceptions[i / 64] & (1 << (i % 64)) != 0
-    }
-
     fn is_up(&self, i: usize, now: u64) -> bool {
-        self.flags[i] & MAYBE_DOWN == 0 || now >= self.channels[i].down_until
+        self.channels.flags[i] & MAYBE_DOWN == 0 || now >= self.channels.cold[i].down_until
     }
 
     /// Makes channel `i` an exception — every writer outside the round
     /// calls this before it changes the channel — so its implicit
     /// `last_heard` becomes explicit.
     fn touch(&mut self, i: usize) {
-        if !self.is_exception(i) {
-            self.exceptions[i / 64] |= 1 << (i % 64);
-            self.last_heard[i] = self.round_tick;
-            self.steady[self.lease_class[i] as usize] -= 1;
+        if !self.channels.is_exception(i) {
+            self.channels.exceptions[i / 64] |= 1 << (i % 64);
+            self.channels.last_heard[i] = self.round_tick;
+            self.steady[self.channels.lease_class[i] as usize] -= 1;
         }
     }
 
     /// The server accepted frame `seq` of channel `i` at tick `now`.
     fn accept_frame(&mut self, i: usize, seq: u64, now: u64) {
         self.touch(i);
-        self.dirty.mark(i);
-        let ch = &mut self.channels[i];
+        self.channels.dirty.mark(i);
+        let ch = &mut self.channels.cold[i];
         ch.recv_seq = seq;
-        self.last_heard[i] = now;
-        set_flag(&mut self.flags[i], GAP, seq < ch.send_seq);
+        self.channels.last_heard[i] = now;
+        set_flag(&mut self.channels.flags[i], GAP, seq < ch.send_seq);
     }
 
     /// Admits one source→server report, stamping it with the channel's
@@ -646,7 +654,7 @@ impl ChaosState {
     pub fn admit_report(&mut self, id: StreamId, value: f64) -> ReportFate {
         let now = self.clock.now();
         let i = id.index();
-        if now < self.channels[i].down_until {
+        if now < self.channels.cold[i].down_until {
             // The reporting process is down; the frame is never sent. The
             // value evolution itself continues (sensor hardware keeps
             // running) — only the channel is dark.
@@ -654,10 +662,10 @@ impl ChaosState {
             return ReportFate::Lost;
         }
         self.touch(i);
-        self.dirty.mark(i);
-        let ch = &mut self.channels[i];
+        self.channels.dirty.mark(i);
+        let ch = &mut self.channels.cold[i];
         ch.send_seq += 1;
-        self.flags[i] |= GAP; // until the server accepts the frame
+        self.channels.flags[i] |= GAP; // until the server accepts the frame
         let (seq, epoch) = (ch.send_seq, ch.epoch);
         match self.schedule.draw(now) {
             FaultDecision::Drop => {
@@ -704,7 +712,7 @@ impl ChaosState {
         // and the unstable sort is as deterministic as a stable one.
         due.sort_unstable_by_key(|f| (f.due, f.id.0, f.seq));
         for f in due.drain(..) {
-            let ch = &self.channels[f.id.index()];
+            let ch = &self.channels.cold[f.id.index()];
             if f.epoch == ch.epoch && f.seq > ch.recv_seq {
                 self.accept_frame(f.id.index(), f.seq, now);
                 out.push((f.id, f.value));
@@ -733,10 +741,11 @@ impl ChaosState {
                 continue;
             }
             self.touch(i);
-            self.dirty.mark(i);
+            self.channels.dirty.mark(i);
             self.stats.crashes += 1;
-            self.channels[i].down_until = now + outage;
-            self.flags[i] = (self.flags[i] | NEEDS_REPAIR | MAYBE_DOWN) & !VERIFIED;
+            self.channels.cold[i].down_until = now + outage;
+            self.channels.flags[i] =
+                (self.channels.flags[i] | NEEDS_REPAIR | MAYBE_DOWN) & !VERIFIED;
         }
         self.crashes = crashes;
     }
@@ -770,7 +779,7 @@ impl ChaosState {
         for k in 0..LEASE_CLASSES as u8 {
             if self.steady[k as usize] > 0 && self.leases.adapted(k, gap) != k {
                 for i in 0..n {
-                    if self.lease_class[i] == k {
+                    if self.channels.lease_class[i] == k {
                         self.touch(i);
                     }
                 }
@@ -788,8 +797,8 @@ impl ChaosState {
         for &(c, dropped) in &faults {
             if dropped {
                 lost += 1;
-                if self.is_exception(c as usize) {
-                    self.flags[c as usize] |= LOST;
+                if self.channels.is_exception(c as usize) {
+                    self.channels.flags[c as usize] |= LOST;
                 }
             } else {
                 dups += 1;
@@ -799,21 +808,10 @@ impl ChaosState {
         // a full per-source sweep applies to every channel.
         let (mut down, mut spurious) = (0u64, 0u64);
         if self.steady.iter().sum::<usize>() < n {
-            let Self {
-                channels,
-                last_heard,
-                lease_class,
-                flags,
-                exceptions,
-                steady,
-                dead,
-                leases,
-                lease_samples,
-                dirty,
-                ..
-            } = self;
+            let Self { channels, steady, dead, leases, lease_samples, .. } = self;
+            let Channels { cold, last_heard, lease_class, flags, exceptions, dirty } = channels;
             // Slices keep the columns' bases and lengths in registers.
-            let (channels, last_heard) = (channels.as_slice(), last_heard.as_mut_slice());
+            let (channels, last_heard) = (cold.as_slice(), last_heard.as_mut_slice());
             let (lease_class, flags) = (lease_class.as_mut_slice(), flags.as_mut_slice());
             for (w, word) in exceptions.iter_mut().enumerate() {
                 let mut bits = *word;
@@ -876,13 +874,13 @@ impl ChaosState {
         let newly_dead = plan.newly_dead.len();
         for &(c, dropped) in &faults {
             let i = c as usize;
-            if !dropped || self.is_exception(i) {
+            if !dropped || self.channels.is_exception(i) {
                 continue;
             }
             self.touch(i);
-            self.flags[i] = STEADY & !HEARD;
-            if gap > self.leases.0[self.lease_class[i] as usize] {
-                self.flags[i] = DEAD;
+            self.channels.flags[i] = STEADY & !HEARD;
+            if gap > self.leases.0[self.channels.lease_class[i] as usize] {
+                self.channels.flags[i] = DEAD;
                 self.dead += 1;
                 spurious += 1;
                 plan.newly_dead.push(StreamId(c));
@@ -912,8 +910,9 @@ impl ChaosState {
         }
         let now = self.clock.now();
         let round_tick = self.round_tick;
-        let Self { channels, last_heard, lease_class, flags, exceptions, steady, .. } = self;
-        let (channels, last_heard) = (channels.as_slice(), last_heard.as_slice());
+        let Self { channels, steady, .. } = self;
+        let Channels { cold, last_heard, lease_class, flags, exceptions, .. } = channels;
+        let (channels, last_heard) = (cold.as_slice(), last_heard.as_slice());
         let (lease_class, flags) = (lease_class.as_slice(), flags.as_mut_slice());
         for (w, word) in exceptions.iter_mut().enumerate() {
             let (mut bits, mut keep) = (*word, *word);
@@ -951,7 +950,7 @@ impl ChaosState {
     /// is (finally) delivered; the caller then executes the real operation
     /// exactly once.
     fn charge_request(&mut self, id: StreamId, idempotent_dup: bool) {
-        let down_until = self.channels[id.index()].down_until;
+        let down_until = self.channels.cold[id.index()].down_until;
         if self.clock.now() < down_until {
             // Synchronous resolution: the server retries until the source
             // restarts, paying the outage in simulated time.
@@ -999,9 +998,9 @@ impl ChaosState {
     fn on_probed(&mut self, id: StreamId) {
         let i = id.index();
         self.touch(i);
-        self.dead -= usize::from(self.flags[i] & DEAD != 0);
-        self.flags[i] &= !(DEAD | NEEDS_REPAIR);
-        self.last_heard[i] = self.clock.now();
+        self.dead -= usize::from(self.channels.flags[i] & DEAD != 0);
+        self.channels.flags[i] &= !(DEAD | NEEDS_REPAIR);
+        self.channels.last_heard[i] = self.clock.now();
         self.on_synced(id);
     }
 
@@ -1011,153 +1010,164 @@ impl ChaosState {
     fn on_installed(&mut self, id: StreamId) {
         let i = id.index();
         self.touch(i);
-        self.dirty.mark(i);
-        self.channels[i].epoch += 1;
-        self.last_heard[i] = self.clock.now();
+        self.channels.dirty.mark(i);
+        self.channels.cold[i].epoch += 1;
+        self.channels.last_heard[i] = self.clock.now();
     }
 
     /// A probe or install-sync reply supersedes every frame still in
     /// flight from the source. It can only clear a `GAP`, which a steady
     /// channel never has, so it needs no [`ChaosState::touch`].
     fn on_synced(&mut self, id: StreamId) {
-        let ch = &mut self.channels[id.index()];
+        let ch = &mut self.channels.cold[id.index()];
         if ch.recv_seq != ch.send_seq {
             ch.recv_seq = ch.send_seq;
-            self.dirty.mark(id.index());
+            self.channels.dirty.mark(id.index());
         }
-        self.flags[id.index()] &= !GAP;
+        self.channels.flags[id.index()] &= !GAP;
     }
 
-    /// Serializes the complete machine — config, both fault-RNG streams and
-    /// their gap cursors, logical clock, every channel, the exception set,
-    /// the parked-frame pool, and all counters — into `w` as a version-2
-    /// record: [`ChaosState::encode_rows`] of [`Rows::All`]. The record is
-    /// self-describing (the config travels with the state), so
-    /// [`ChaosState::decode`] needs no out-of-band [`ChaosConfig`].
-    ///
-    /// The transient `repair_window` flag is deliberately not recorded:
-    /// checkpoints only ever happen at quiescent points, outside any repair
-    /// pass.
-    pub fn encode(&self, w: &mut StateWriter) {
-        self.encode_rows(w, Rows::All);
-    }
-
-    /// Serializes the machine with the channel rows `rows` selects: every
-    /// channel, positionally (the full record), or — a delta against the
-    /// last full image — each channel marked dirty or in the exception set
-    /// now, behind its index. Everything else is written whole.
-    pub fn encode_rows(&self, w: &mut StateWriter, rows: Rows) {
-        w.put_u8(CHAOS_STATE_VERSION);
-        self.cfg.put(w);
-        ALWAYS_ON.put(w);
-        self.schedule.state().put(w);
-        w.put_u64(self.clock.now());
-        w.put_u64(self.round_tick);
-        let selected = self.selected(rows);
-        rows.put_rows(w, selected.clone().count(), selected, |w, i| {
-            let (channel, class) = (self.channels[i], self.lease_class[i]);
-            ChannelRow { channel, flags: self.flags[i] & RECORDED, class }.put(w);
-        });
-        let exceptions = (0..self.len()).filter(|&i| self.is_exception(i));
-        Rows::Dirty.put_rows(w, exceptions.clone().count(), exceptions, |w, i| {
-            self.last_heard[i].put(w);
-        });
-        // Parked frames in pool order — order is state: `take_due_reports`
-        // sorts due frames, but `retain` preserves pool order for the rest.
-        self.parked.put(w);
-        self.stats.put(w);
-        // Undrained lease samples (empty at server checkpoints, which drain
-        // every round, but the record is complete regardless).
-        self.lease_samples.put(w);
-    }
-
-    /// The channels `rows` selects, ascending: every one, or each one whose
-    /// row may differ from the last full image's.
-    fn selected(&self, rows: Rows) -> impl Iterator<Item = usize> + Clone + '_ {
-        let changed = move |i: usize| self.dirty.is_marked(i) || self.is_exception(i);
-        (0..self.len()).filter(move |&i| rows == Rows::All || changed(i))
-    }
+    persist!(
+        /// The machine's record, with the channel rows `rows` selects (see
+        /// the module's "Durability"). It carries its config, so
+        /// [`Rows::All`] replaces any machine ([`ChaosState::default`]);
+        /// [`Rows::Dirty`] lands on the machine its full image restored.
+        /// Corrupt bytes are [`PersistError::Corrupt`], never a panic; the
+        /// machine is then partly overwritten: discard it. The transient
+        /// `repair_window` is not recorded (checkpoints are quiescent), and
+        /// parked frames keep pool order, which `retain` preserves.
+        pub fn encode_rows, decode_rows(rows) {
+            CHAOS_STATE_VERSION: const,
+            cfg: rows,
+            ALWAYS_ON: const,
+            schedule,
+            clock,
+            round_tick,
+            channels: rows,
+            parked,
+            stats,
+            lease_samples,
+        } check ChaosState::settle_decoded
+    );
 
     /// A full image was taken: the marks restart from its exceptions whose
     /// recorded flags are not the steady ones, since such a channel may be
     /// steady at the next delta, with flags that differ from the image's.
     pub fn clear_dirty(&mut self) {
-        self.dirty.clear();
-        for i in 0..self.len() {
-            if self.is_exception(i) && self.flags[i] & RECORDED != STEADY {
-                self.dirty.mark(i);
+        let table = &mut self.channels;
+        table.dirty.clear();
+        for i in 0..table.cold.len() {
+            if table.is_exception(i) && table.flags[i] & RECORDED != STEADY {
+                table.dirty.mark(i);
             }
         }
     }
 
-    /// Decodes a full record written by [`ChaosState::encode`]:
-    /// [`ChaosState::decode_rows`] of [`Rows::All`] into a new machine.
-    pub fn decode(r: &mut StateReader<'_>) -> asf_persist::Result<Self> {
-        let mut state = Self::new(0, ChaosConfig::new(0, FaultMix::none(), 0));
-        state.decode_rows(r, Rows::All)?;
-        Ok(state)
-    }
-
-    /// Decodes a record written by [`ChaosState::encode_rows`] with the same
-    /// selection, rebuilding the fault schedule mid-stream from the
-    /// persisted RNG words and gap cursors so the decision sequence
-    /// continues byte-identically. [`Rows::All`] replaces the whole machine:
-    /// config and population come from the record. [`Rows::Dirty`] applies a
-    /// delta onto the machine decoded from the full image it was taken
-    /// against, whose config it must carry. The decoded rows are marked
-    /// dirty. A record of another version is an error.
-    ///
-    /// Every field that a constructor would assert on (fault probabilities,
-    /// backoff shape, lease bounds), every length prefix and every
-    /// cross-field condition the machine relies on is validated here and
-    /// surfaces as [`PersistError::Corrupt`] — bytes off a disk must never
-    /// panic or abort. That includes a parked frame ahead of its channel
-    /// (a sequence past `send_seq` or an epoch past the channel's) and an
-    /// exception heard after the clock. `GAP` and `MAYBE_DOWN` are derived,
-    /// not recorded. On error the machine is partly overwritten: discard
-    /// it.
-    pub fn decode_rows(&mut self, r: &mut StateReader<'_>, rows: Rows) -> asf_persist::Result<()> {
-        if r.get_u8()? != CHAOS_STATE_VERSION {
-            return Err(PersistError::corrupt("unknown chaos-state version"));
-        }
-        let cfg = ChaosConfig::get(r)?;
-        if rows == Rows::Dirty && cfg != self.cfg {
-            return Err(PersistError::corrupt("chaos delta config differs from its base"));
-        }
-        if <[bool; 2]>::get(r)? != ALWAYS_ON {
-            return Err(PersistError::corrupt("chaos record turns off a retired mechanism"));
-        }
-        let schedule = FaultSchedule::resume(Persist::get(r)?, cfg.mix, cfg.fault_horizon_ticks);
-        let (now, round_tick) = (r.get_u64()?, r.get_u64()?);
-        if round_tick > now {
+    /// Re-derives what a record does not carry — the leases and the
+    /// schedule's mix and horizon (config), steady `last_heard`, `GAP`,
+    /// `MAYBE_DOWN`, the dead and steady counts — and checks what parts
+    /// alone cannot show: the last round not after the clock, no parked
+    /// frame ahead of its channel, no exception heard after the clock, and
+    /// every channel outside the exception set steady. A delta's rows land
+    /// on its base's, so the checks run over the result.
+    fn settle_decoded(&mut self, _rows: Rows) -> asf_persist::Result<()> {
+        let now = self.now();
+        if self.round_tick > now {
             return Err(PersistError::corrupt("chaos round tick past the clock"));
         }
-        if rows == Rows::All {
-            // The channel count is the population: peek it to size the
-            // machine before the table is read.
-            let mut peek = *r;
-            let n = peek.get_len(Self::ROW_BYTES)?;
-            *self = Self::new(0, cfg);
-            self.channels = vec![Channel::default(); n];
-            self.flags = vec![0; n];
-            self.lease_class = vec![0; n];
-            self.dirty = DirtyRows::new(n);
+        let ChaosConfig { mix, fault_horizon_ticks, lease_ticks, .. } = self.cfg;
+        self.leases = Leases::new(lease_ticks);
+        self.schedule = FaultSchedule::resume(self.schedule.state(), mix, fault_horizon_ticks);
+        // A frame is stamped with its channel's epoch and next sequence
+        // number, and both only grow.
+        let ahead = |f: &ParkedReport| {
+            let ch = &self.channels.cold[f.id.index()];
+            f.seq > ch.send_seq || f.epoch > ch.epoch
+        };
+        if self.parked.iter().any(ahead) {
+            return Err(PersistError::corrupt("chaos parked frame ahead of its channel"));
         }
-        self.schedule = schedule;
-        self.clock = TickClock::new();
-        self.clock.advance_to(now);
-        self.round_tick = round_tick;
-        let n = self.len();
-        rows.get_rows(r, n, Self::ROW_BYTES, |r, i| {
+        self.dead = 0;
+        self.steady = [0; LEASE_CLASSES];
+        let table = &mut self.channels;
+        for i in 0..table.cold.len() {
+            let ch = table.cold[i];
+            let mut f = table.flags[i];
+            set_flag(&mut f, GAP, ch.recv_seq < ch.send_seq);
+            set_flag(&mut f, MAYBE_DOWN, now < ch.down_until);
+            table.flags[i] = f;
+            self.dead += usize::from(f & DEAD != 0);
+            if table.is_exception(i) {
+                if table.last_heard[i] > now {
+                    return Err(PersistError::corrupt("chaos channel heard after the clock"));
+                }
+            } else if f == STEADY {
+                table.last_heard[i] = self.round_tick;
+                self.steady[table.lease_class[i] as usize] += 1;
+            } else {
+                return Err(PersistError::corrupt("chaos channel outside the exception set"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// An empty machine, for a full image to be decoded into.
+impl Default for ChaosState {
+    fn default() -> Self {
+        Self::new(0, ChaosConfig::new(0, FaultMix::none(), 0))
+    }
+}
+
+impl Channels {
+    /// `n` channels, caught up, all exceptions: none heard in a round yet.
+    fn new(n: usize) -> Self {
+        Self {
+            cold: vec![Channel::default(); n],
+            last_heard: vec![0; n],
+            lease_class: vec![0; n],
+            flags: vec![VERIFIED; n],
+            exceptions: all_exceptions(n),
+            dirty: DirtyRows::new(n),
+        }
+    }
+
+    fn is_exception(&self, i: usize) -> bool {
+        self.exceptions[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// The rows `rows` selects — every channel, or each one marked dirty or
+    /// an exception — then each exception's `last_heard`.
+    fn encode_rows(&self, w: &mut StateWriter, rows: Rows) {
+        let n = self.cold.len();
+        let changed = |i: &usize| self.dirty.is_marked(*i) || self.is_exception(*i);
+        let selected = (0..n).filter(|i| rows == Rows::All || changed(i));
+        rows.put_rows(w, selected.clone().count(), selected, |w, i| {
+            let (channel, class) = (self.cold[i], self.lease_class[i]);
+            ChannelRow { channel, flags: self.flags[i] & RECORDED, class }.put(w);
+        });
+        let exceptions = (0..n).filter(|&i| self.is_exception(i));
+        Rows::Dirty.put_rows(w, exceptions.clone().count(), exceptions, |w, i| {
+            self.last_heard[i].put(w);
+        });
+    }
+
+    /// A full image sizes the table. Decoded rows are marked dirty; a steady
+    /// channel's `last_heard` is left to the caller. The channel count is
+    /// the population of the ids read after the table.
+    fn decode_rows(&mut self, r: &mut StateReader<'_>, rows: Rows) -> asf_persist::Result<()> {
+        if rows == Rows::All {
+            // Peek the row count to size the table before it is read.
+            *self = Self::new({ *r }.get_len(ChannelRow::MIN_BYTES)?);
+        }
+        let n = self.cold.len();
+        rows.get_rows(r, n, ChannelRow::MIN_BYTES, |r, i| {
             let row = ChannelRow::get(r)?;
-            self.channels[i] = row.channel;
-            self.flags[i] = row.flags;
-            self.lease_class[i] = row.class;
+            (self.cold[i], self.flags[i], self.lease_class[i]) =
+                (row.channel, row.flags, row.class);
             self.dirty.mark(i);
             Ok(())
         })?;
-        self.last_heard.clear();
-        self.last_heard.resize(n, round_tick);
         self.exceptions.clear();
         self.exceptions.resize(n.div_ceil(64), 0);
         Rows::Dirty.get_rows(r, n, u64::MIN_BYTES, |r, i| {
@@ -1166,47 +1176,6 @@ impl ChaosState {
             Ok(())
         })?;
         r.set_population(n);
-        self.parked = Persist::get(r)?;
-        // A frame is stamped with its channel's epoch and next sequence
-        // number, and both only grow.
-        let ahead = |f: &ParkedReport| {
-            let ch = &self.channels[f.id.index()];
-            f.seq > ch.send_seq || f.epoch > ch.epoch
-        };
-        if self.parked.iter().any(ahead) {
-            return Err(PersistError::corrupt("chaos parked frame ahead of its channel"));
-        }
-        self.stats = ChaosStats::get(r)?;
-        self.lease_samples = Persist::get(r)?;
-        self.settle_decoded()
-    }
-
-    /// Re-derives, over every channel, what a record does not carry —
-    /// `GAP`, `MAYBE_DOWN`, the dead and steady counts — and checks the
-    /// invariants rows alone cannot show: no exception was heard after the
-    /// clock, and every channel outside the exception set is steady. A
-    /// delta's rows land on its base's, so the check runs over the result.
-    fn settle_decoded(&mut self) -> asf_persist::Result<()> {
-        let now = self.now();
-        self.dead = 0;
-        self.steady = [0; LEASE_CLASSES];
-        for i in 0..self.len() {
-            let ch = self.channels[i];
-            let mut f = self.flags[i];
-            set_flag(&mut f, GAP, ch.recv_seq < ch.send_seq);
-            set_flag(&mut f, MAYBE_DOWN, now < ch.down_until);
-            self.flags[i] = f;
-            self.dead += usize::from(f & DEAD != 0);
-            if self.is_exception(i) {
-                if self.last_heard[i] > now {
-                    return Err(PersistError::corrupt("chaos channel heard after the clock"));
-                }
-            } else if f == STEADY {
-                self.steady[self.lease_class[i] as usize] += 1;
-            } else {
-                return Err(PersistError::corrupt("chaos channel outside the exception set"));
-            }
-        }
         Ok(())
     }
 }
@@ -1579,10 +1548,11 @@ mod tests {
         drive(&mut original, 40);
 
         let mut w = StateWriter::new();
-        original.encode(&mut w);
+        original.encode_rows(&mut w, Rows::All);
         let bytes = w.into_bytes();
         let mut r = StateReader::new(&bytes);
-        let mut restored = ChaosState::decode(&mut r).expect("decode");
+        let mut restored = ChaosState::default();
+        restored.decode_rows(&mut r, Rows::All).expect("decode");
         r.finish().expect("record fully consumed");
 
         assert_eq!(restored.now(), original.now());
@@ -1608,23 +1578,23 @@ mod tests {
         let mut state = ChaosState::new(2, ChaosConfig::new(1, FaultMix::loss_only(0.5), 100));
         drive(&mut state, 5);
         let mut w = StateWriter::new();
-        state.encode(&mut w);
+        state.encode_rows(&mut w, Rows::All);
         let bytes = w.into_bytes();
 
         // Unknown version byte.
         let mut bad = bytes.clone();
         bad[0] = CHAOS_STATE_VERSION + 1;
-        assert!(ChaosState::decode(&mut StateReader::new(&bad)).is_err());
+        assert!(decoded(&bad).is_err());
 
         // Overfull drop probability (bytes 9..17 hold drop_p's raw bits)
         // must surface as corruption, not a constructor panic.
         let mut bad = bytes.clone();
         bad[9..17].copy_from_slice(&2.0f64.to_bits().to_le_bytes());
-        assert!(ChaosState::decode(&mut StateReader::new(&bad)).is_err());
+        assert!(decoded(&bad).is_err());
 
         // Truncation anywhere must error, never panic.
         for cut in [1, 40, bytes.len() / 2, bytes.len() - 1] {
-            assert!(ChaosState::decode(&mut StateReader::new(&bytes[..cut])).is_err());
+            assert!(decoded(&bytes[..cut]).is_err());
         }
     }
 
@@ -1637,17 +1607,11 @@ mod tests {
         let bytes = encoded_rows(&state, Rows::All);
         let flags = 1 + 8 + 4 * 8 + 2 * 8 + 8 + 8 + 8 + 2 * 8 + 4;
         assert_eq!(bytes[flags..flags + 2], [1, 1]);
-        assert!(ChaosState::decode(&mut StateReader::new(&bytes)).is_ok());
+        assert!(decoded(&bytes).is_ok());
         for at in [flags, flags + 1] {
             let mut bad = bytes.clone();
             bad[at] = 0;
-            assert!(
-                matches!(
-                    ChaosState::decode(&mut StateReader::new(&bad)),
-                    Err(PersistError::Corrupt(_))
-                ),
-                "flag byte {at} off"
-            );
+            assert!(matches!(decoded(&bad), Err(PersistError::Corrupt(_))), "flag byte {at} off");
         }
     }
 
@@ -1777,7 +1741,7 @@ mod tests {
             FaultMix { drop_p: 0.3, crash_p: 0.05, max_outage_ticks: 200, ..FaultMix::none() };
         let mut state = ChaosState::new(100, ChaosConfig::new(21, mix, 20_000).lease_ticks(40));
         let mut fleet = SourceFleet::from_values(&[0.0; 100]);
-        let scan = |s: &ChaosState| s.flags.iter().filter(|&&f| f & DEAD != 0).count();
+        let scan = |s: &ChaosState| s.channels.flags.iter().filter(|&&f| f & DEAD != 0).count();
         for r in 0..400u64 {
             state.advance(30);
             state.draw_crashes();
@@ -1793,13 +1757,13 @@ mod tests {
         }
         assert!(state.stats().lease_expirations > 50);
         let mut w = StateWriter::new();
-        state.encode(&mut w);
-        let restored = ChaosState::decode(&mut StateReader::new(w.bytes())).unwrap();
+        state.encode_rows(&mut w, Rows::All);
+        let restored = decoded(w.bytes()).unwrap();
         assert_eq!(restored.dead_count(), scan(&state));
     }
 
     fn exception_count(state: &ChaosState) -> usize {
-        state.exceptions.iter().map(|w| w.count_ones() as usize).sum()
+        state.channels.exceptions.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     #[test]
@@ -1807,16 +1771,23 @@ mod tests {
         let mix = FaultMix { crash_p: 1.0, max_outage_ticks: 30, ..FaultMix::none() };
         let mut state = ChaosState::new(1, ChaosConfig::new(6, mix, 1).lease_ticks(10_000));
         state.draw_crashes();
-        let down_until = state.channels[0].down_until;
-        assert!(down_until > 0 && state.flags[0] & MAYBE_DOWN != 0);
+        let down_until = state.channels.cold[0].down_until;
+        assert!(down_until > 0 && state.channels.flags[0] & MAYBE_DOWN != 0);
         state.advance(down_until - 1);
         state.heartbeat_round();
         assert_eq!(state.stats().heartbeats_sent, 0, "still down: silent");
-        assert!(state.flags[0] & MAYBE_DOWN != 0);
+        assert!(state.channels.flags[0] & MAYBE_DOWN != 0);
         state.advance(1);
         state.heartbeat_round();
         assert_eq!(state.stats().heartbeats_sent, 1);
-        assert_eq!(state.flags[0] & MAYBE_DOWN, 0);
+        assert_eq!(state.channels.flags[0] & MAYBE_DOWN, 0);
+    }
+
+    /// A machine decoded from a full record.
+    fn decoded(bytes: &[u8]) -> asf_persist::Result<ChaosState> {
+        let mut state = ChaosState::default();
+        state.decode_rows(&mut StateReader::new(bytes), Rows::All)?;
+        Ok(state)
     }
 
     fn encoded_rows(state: &ChaosState, rows: Rows) -> Vec<u8> {
@@ -1900,7 +1871,7 @@ mod tests {
                 }
                 1..=6 => {
                     let delta = encoded_rows(&state, Rows::Dirty);
-                    let mut rebuilt = ChaosState::decode(&mut StateReader::new(&base)).unwrap();
+                    let mut rebuilt = decoded(&base).unwrap();
                     let mut r = StateReader::new(&delta);
                     rebuilt.decode_rows(&mut r, Rows::Dirty).expect("delta applies");
                     r.finish().unwrap();
@@ -1924,28 +1895,25 @@ mod tests {
         let mix = FaultMix { delay_p: 1.0, max_delay_ticks: 50, ..FaultMix::none() };
         let mut state = ChaosState::new(2, ChaosConfig::new(5, mix, u64::MAX));
         assert_eq!(state.admit_report(StreamId(1), 4.0), ReportFate::Parked);
-        assert!(ChaosState::decode(&mut StateReader::new(&encoded_rows(&state, Rows::All))).is_ok());
+        assert!(decoded(&encoded_rows(&state, Rows::All)).is_ok());
         let corrupt = |edit: &dyn Fn(&mut ChaosState)| {
             let mut bad = state.clone();
             edit(&mut bad);
             let bytes = encoded_rows(&bad, Rows::All);
-            matches!(
-                ChaosState::decode(&mut StateReader::new(&bytes)),
-                Err(PersistError::Corrupt(_))
-            )
+            matches!(decoded(&bytes), Err(PersistError::Corrupt(_)))
         };
         assert!(corrupt(&|s| s.parked[0].seq += 1), "a frame the source never sent");
         assert!(corrupt(&|s| s.parked[0].epoch += 1), "a frame from a future filter");
-        assert!(corrupt(&|s| s.last_heard[1] = s.now() + 1), "heard after the clock");
+        assert!(corrupt(&|s| s.channels.last_heard[1] = s.now() + 1), "heard after the clock");
     }
 
     /// The per-source formula `finish_round` evaluated before the flags
     /// column existed — the oracle for the flag-only version.
     fn verified_by_formula(state: &ChaosState, i: usize) -> bool {
-        let ch = &state.channels[i];
+        let ch = &state.channels.cold[i];
         !state.is_dead(StreamId(i as u32))
-            && state.flags[i] & HEARD != 0
-            && state.flags[i] & NEEDS_REPAIR == 0
+            && state.channels.flags[i] & HEARD != 0
+            && state.channels.flags[i] & NEEDS_REPAIR == 0
             && ch.recv_seq == ch.send_seq
             && state.now() >= ch.down_until
     }
@@ -1967,9 +1935,13 @@ mod tests {
         let mut rng = simkit::rng::SimRng::seed_from_u64(7);
         let mut due = Vec::new();
         let check = |state: &ChaosState, verified: bool| {
-            for (i, ch) in state.channels.iter().enumerate() {
-                assert_eq!(state.flags[i] & GAP != 0, ch.recv_seq < ch.send_seq, "GAP of {i}");
-                assert!(state.flags[i] & MAYBE_DOWN != 0 || state.now() >= ch.down_until);
+            for (i, ch) in state.channels.cold.iter().enumerate() {
+                assert_eq!(
+                    state.channels.flags[i] & GAP != 0,
+                    ch.recv_seq < ch.send_seq,
+                    "GAP of {i}"
+                );
+                assert!(state.channels.flags[i] & MAYBE_DOWN != 0 || state.now() >= ch.down_until);
                 if verified {
                     assert_eq!(
                         state.is_verified(StreamId(i as u32)),

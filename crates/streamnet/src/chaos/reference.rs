@@ -74,7 +74,7 @@ impl Model {
         let mut plan = RepairPlan::default();
         let (mut sent, mut lost, mut dups, mut spurious) = (0u64, 0u64, 0u64, 0u64);
         for i in 0..state.len() {
-            let ch = &state.channels[i];
+            let ch = &state.channels.cold[i];
             let fate = match fates.next_if(|&&(c, _)| c as usize == i) {
                 Some(&(_, true)) => FaultDecision::Drop,
                 Some(&(_, false)) => FaultDecision::Duplicate,
@@ -135,7 +135,7 @@ impl Model {
 
     fn finish_round(&mut self, state: &ChaosState) {
         let now = state.now();
-        for (f, ch) in self.flags.iter_mut().zip(&state.channels) {
+        for (f, ch) in self.flags.iter_mut().zip(&state.channels.cold) {
             let caught_up = *f & (DEAD | HEARD | NEEDS_REPAIR) == HEARD
                 && ch.recv_seq == ch.send_seq
                 && now >= ch.down_until;
@@ -146,15 +146,18 @@ impl Model {
     fn assert_agrees(&self, state: &ChaosState, tag: &str) {
         let mut steady = [0; LEASE_CLASSES];
         for i in 0..state.len() {
-            let heard = if state.is_exception(i) {
-                state.last_heard[i]
+            let heard = if state.channels.is_exception(i) {
+                state.channels.last_heard[i]
             } else {
-                assert_eq!(state.flags[i], STEADY, "{tag}: unsteady channel {i} left the set");
-                steady[state.lease_class[i] as usize] += 1;
+                assert_eq!(
+                    state.channels.flags[i], STEADY,
+                    "{tag}: unsteady channel {i} left the set"
+                );
+                steady[state.channels.lease_class[i] as usize] += 1;
                 state.round_tick
             };
             assert_eq!(
-                (heard, state.lease_len_of(StreamId(i as u32)), state.flags[i] & RECORDED),
+                (heard, state.lease_len_of(StreamId(i as u32)), state.channels.flags[i] & RECORDED),
                 (self.last_heard[i], self.lease_len[i], self.flags[i]),
                 "{tag}: channel {i} (last_heard, lease, flags)"
             );
@@ -234,9 +237,9 @@ fn run(seed: u64, fault_p: f64, horizon: u64) {
             _ => 10,
         };
         state.advance(ticks);
-        let down_before: Vec<u64> = state.channels.iter().map(|c| c.down_until).collect();
+        let down_before: Vec<u64> = state.channels.cold.iter().map(|c| c.down_until).collect();
         state.draw_crashes();
-        for i in (0..N).filter(|&i| state.channels[i].down_until != down_before[i]) {
+        for i in (0..N).filter(|&i| state.channels.cold[i].down_until != down_before[i]) {
             model.crashed(i);
         }
         state.take_due_reports(&mut due);

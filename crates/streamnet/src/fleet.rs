@@ -23,10 +23,10 @@
 //! Batch outputs are written into caller-provided buffers so hot callers
 //! can reuse one allocation across rounds.
 
-use asf_persist::Persist;
+use asf_persist::{Persist, Rows};
 
 use crate::filter::{interval_violated, Filter};
-use crate::rows::{DirtyRows, Rows};
+use crate::rows::DirtyRows;
 use crate::source::{must_report, must_sync, StreamSource};
 use crate::StreamId;
 
@@ -242,12 +242,6 @@ impl SourceFleet {
     /// server must [`Self::probe`] to learn it).
     pub fn true_value(&self, id: StreamId) -> f64 {
         self.hot[id.index()].value
-    }
-
-    /// Serializes every source's full state (positionally) into a durable
-    /// checkpoint: [`SourceFleet::encode_rows`] of [`Rows::All`].
-    pub fn encode(&self, w: &mut asf_persist::StateWriter) {
-        self.encode_rows(w, Rows::All);
     }
 
     /// Serializes the sources `rows` selects — every one, positionally, or

@@ -16,8 +16,8 @@
 //!   implements; it moves source state, and the caller meters it.
 //! * [`message`] — the message taxonomy and cost ledger (DESIGN.md §3.3).
 //! * [`view`] — the server's (possibly stale) view of stream values.
-//! * [`rows`] — checkpoint row selection: the dirty bitmaps the fleet and
-//!   the view keep, so a delta checkpoint writes only the changed rows.
+//! * `rows` — the dirty bitmaps behind delta checkpoints
+//!   ([`asf_persist::Rows`]): a delta writes only the changed rows.
 //! * [`chaos`] — unreliable source↔server channels: seeded fault injection
 //!   (drop / delay / duplicate / reorder / crash-restart), filter epochs,
 //!   sequence numbers, and heartbeat leases.
@@ -32,7 +32,7 @@ pub mod chaos;
 pub mod filter;
 pub mod fleet;
 pub mod message;
-pub mod rows;
+mod rows;
 pub mod source;
 pub mod view;
 
@@ -40,7 +40,6 @@ pub use chaos::{ChaosConfig, ChaosFleet, ChaosState, ChaosStats, RepairPlan, Rep
 pub use filter::Filter;
 pub use fleet::{FleetOps, SourceFleet, SpecLog};
 pub use message::{Ledger, MessageKind};
-pub use rows::Rows;
 pub use source::StreamSource;
 pub use view::ServerView;
 

@@ -5,9 +5,9 @@
 //! based on this view; the ground truth lives in the sources and is only
 //! accessible to the oracle (tests) or by paying probe messages.
 
-use asf_persist::{persist, Persist, PersistError, StateReader, StateWriter};
+use asf_persist::{persist, Persist, PersistError, Rows, StateReader, StateWriter};
 
-use crate::rows::{DirtyRows, Rows};
+use crate::rows::DirtyRows;
 use crate::StreamId;
 
 /// Last-known values of all `n` streams, indexed by [`StreamId`].
@@ -145,9 +145,13 @@ impl ServerView {
 
     /// Overwrites the entries an [`ServerView::encode_rows`] image of the
     /// same selection names ([`Rows::All`]: every entry, so the image must
-    /// cover exactly this view's population). Corrupt input is an error,
-    /// never a panic; entries read before it stay overwritten.
+    /// cover exactly this view's population); afterwards exactly those
+    /// entries are marked dirty. The view's length is the population of
+    /// the stream ids `r` reads after it. Corrupt input is an error, never
+    /// a panic; entries read before it stay overwritten.
     pub fn decode_rows(&mut self, r: &mut StateReader<'_>, rows: Rows) -> asf_persist::Result<()> {
+        r.set_population(self.len());
+        self.dirty.clear();
         rows.get_rows(r, self.len(), Self::ROW_BYTES, |r, i| {
             let entry = Entry::get(r)?;
             let id = StreamId(i as u32);

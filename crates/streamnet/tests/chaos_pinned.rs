@@ -21,7 +21,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use asf_persist::{StateReader, StateWriter};
+use asf_persist::{Rows, StateReader, StateWriter};
 use simkit::fault::FaultMix;
 use simkit::rng::SimRng;
 use streamnet::{
@@ -68,13 +68,14 @@ impl Digest {
 
 fn encoded(state: &ChaosState) -> Vec<u8> {
     let mut w = StateWriter::new();
-    state.encode(&mut w);
+    state.encode_rows(&mut w, Rows::All);
     w.into_bytes()
 }
 
 fn decoded(bytes: &[u8]) -> asf_persist::Result<ChaosState> {
     let mut r = StateReader::new(bytes);
-    let state = ChaosState::decode(&mut r)?;
+    let mut state = ChaosState::default();
+    state.decode_rows(&mut r, Rows::All)?;
     r.finish()?;
     Ok(state)
 }
@@ -379,7 +380,8 @@ fn decode_survives_every_byte_flip_and_truncation() {
     let check = |bytes: &[u8], what: &str| {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut r = StateReader::new(bytes);
-            ChaosState::decode(&mut r).map(|s| (s, bytes.len() - r.remaining()))
+            let mut state = ChaosState::default();
+            state.decode_rows(&mut r, Rows::All).map(|()| (state, bytes.len() - r.remaining()))
         }));
         match outcome {
             Err(_) => panic!("decode panicked on {what}"),

@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use asf_persist::StateWriter;
+use asf_persist::{Rows, StateWriter};
 use simkit::rng::SimRng;
 use streamnet::{
     Filter, FleetOps, Ledger, MessageKind, ServerView, SourceFleet, SpecLog, StreamId,
@@ -54,7 +54,7 @@ impl Digest {
 
 fn encoded(fleet: &SourceFleet) -> Vec<u8> {
     let mut w = StateWriter::new();
-    fleet.encode(&mut w);
+    fleet.encode_rows(&mut w, Rows::All);
     w.into_bytes()
 }
 

@@ -109,6 +109,9 @@ pub struct CauseLedger {
     rows: [[u64; NUM_KIND_SLOTS]; NUM_CAUSES],
 }
 
+// The matrix's rows in `Cause::ALL` order: every counter, fixed width.
+asf_persist::persist!(impl Persist for CauseLedger { rows: [[u64; NUM_KIND_SLOTS]; NUM_CAUSES] });
+
 impl CauseLedger {
     /// An empty matrix.
     pub fn new() -> Self {
@@ -187,5 +190,20 @@ mod tests {
         assert!(s.contains("update=7"));
         assert!(s.contains("install=7"));
         assert!(!s.contains("reinit_storm"), "zero rows are omitted");
+    }
+
+    #[test]
+    fn checkpoint_layout_is_the_rows_in_serialization_order() {
+        use asf_persist::{Persist, StateReader, StateWriter};
+        assert!(Cause::ALL.iter().enumerate().all(|(i, c)| c.slot() == i));
+        let mut ledger = CauseLedger::new();
+        ledger.add(Cause::Repair, 4, 9);
+        let mut w = StateWriter::new();
+        ledger.put(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), NUM_CAUSES * NUM_KIND_SLOTS * 8);
+        let last = (NUM_CAUSES * NUM_KIND_SLOTS - NUM_KIND_SLOTS + 4) * 8;
+        assert_eq!(bytes[last], 9);
+        assert_eq!(CauseLedger::get(&mut StateReader::new(&bytes)).unwrap(), ledger);
     }
 }

@@ -1,4 +1,4 @@
-//! # asf-telemetry — dependency-free observability primitives
+//! # asf-telemetry — std-only observability primitives
 //!
 //! Everything in this crate is **observational**: nothing here may feed a
 //! protocol decision, so wall-clock noise can never perturb the
@@ -17,7 +17,8 @@
 //!   [`validate_chrome_trace`]) for Perfetto / `chrome://tracing`.
 //! * [`CauseLedger`] — per-cause message accounting: the same five
 //!   message-kind counters the `streamnet` ledger keeps, broken down by the
-//!   *protocol decision* that originated them ([`Cause`]).
+//!   *protocol decision* that originated them ([`Cause`]); checkpointed,
+//!   through `asf-persist`'s codec, the crate's only dependency.
 //! * [`json`] — a minimal recursive-descent JSON parser used by the trace
 //!   validator and the snapshot-schema tests.
 
