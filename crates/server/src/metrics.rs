@@ -139,10 +139,17 @@ pub struct ServerMetrics {
     /// Total write-ahead journal bytes on disk (headers included): the
     /// active file plus any sealed segments not yet pruned by compaction.
     pub journal_bytes: u64,
+    /// Time spent restoring the checkpoint during `ShardedServer::recover`
+    /// (ns): from the store open through the restore of the full image and
+    /// its delta, or through the cold re-initialization when no checkpoint
+    /// is readable. The journal replay after it is
+    /// [`ServerMetrics::recovery_replay_ns`]. Zero for servers that never
+    /// recovered.
+    pub recovery_restore_ns: u64,
     /// Time spent replaying the journal suffix during
     /// `ShardedServer::recover` (ns), from the restored checkpoint on: the
-    /// restore itself is not included. Zero for servers that never
-    /// recovered.
+    /// restore itself is [`ServerMetrics::recovery_restore_ns`]. Zero for
+    /// servers that never recovered.
     pub recovery_replay_ns: u64,
     /// Server→source request frames retransmitted after a channel timeout.
     /// Zero without chaos (reliable channels never retry).
@@ -318,6 +325,7 @@ impl ServerMetrics {
         reg.counter("server.checkpoint_bytes", self.checkpoint_bytes);
         reg.counter("server.checkpoint_ns", self.checkpoint_ns);
         reg.counter("server.journal_bytes", self.journal_bytes);
+        reg.counter("server.recovery_restore_ns", self.recovery_restore_ns);
         reg.counter("server.recovery_replay_ns", self.recovery_replay_ns);
         reg.counter("server.retries", self.retries);
         reg.counter("server.timeouts", self.timeouts);

@@ -1215,7 +1215,8 @@ impl<P: Protocol> ShardedServer<P> {
     /// corruption and fails recovery.
     ///
     /// `initial_values` and `config` must match the crashed server's; the
-    /// replay cost is metered as `recovery_replay_ns`. Durability is
+    /// restore is metered as `recovery_restore_ns` and the replay as
+    /// `recovery_replay_ns`. Durability is
     /// re-attached before returning, anchor-free: the loaded checkpoint
     /// plus the journal already cover the recovered state, so recovery
     /// never pays an extra O(state) snapshot write. The next checkpoint is
@@ -1256,6 +1257,7 @@ impl<P: Protocol> ShardedServer<P> {
         // checkpoint, the journal open (which physically truncates any
         // torn tail) yields the replayable entries from its single scan,
         // and both handles go to `attach` below, so nothing is re-read.
+        let restore_start = Instant::now();
         let (store, snapshot) = SnapshotStore::open_and_latest(&durability.dir)?;
         let (journal, entries) = Journal::open_and_read(&durability.dir)?;
         let mut server = Self::new(initial_values, protocol, config);
@@ -1282,6 +1284,7 @@ impl<P: Protocol> ShardedServer<P> {
                 0
             }
         };
+        server.metrics.recovery_restore_ns = restore_start.elapsed().as_nanos() as u64;
         // Compaction guard: pruning destroys journal history below the
         // durable-checkpoint floor. If every checkpoint has since been
         // lost or corrupted, the surviving journal suffix alone does NOT

@@ -325,6 +325,36 @@ impl SourceFleet {
         self.mark_reported(i, 2);
         self.hot[i].value
     }
+
+    /// Asks the CPU to start loading source `id`'s hot record into cache,
+    /// so a loop that knows the rows it will touch can issue the load a
+    /// few events before it needs the row. Changes nothing, reads nothing
+    /// back, and ignores an id past the population.
+    #[inline]
+    pub fn prefetch(&self, id: StreamId) {
+        if let Some(hot) = self.hot.get(id.index()) {
+            prefetch_read(hot);
+        }
+    }
+}
+
+/// Issues a prefetch of `row`'s cache line into every cache level; a no-op
+/// off x86_64. The crate's one `unsafe` block: `std::hint::prefetch_read`
+/// would make it safe, but is unstable (`hint_prefetch`).
+#[inline(always)]
+#[allow(unsafe_code)]
+fn prefetch_read(row: &Hot) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` is `unsafe` only because it takes a raw
+    // pointer and needs SSE. The pointer comes from a live `&Hot`, and a
+    // prefetch never dereferences it and cannot fault in any case. SSE is
+    // part of the x86_64 baseline, so the target feature is always on.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(row).cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = row;
 }
 
 /// Undo log for speculative batch execution over a [`SourceFleet`].

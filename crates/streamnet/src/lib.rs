@@ -24,8 +24,27 @@
 //!
 //! This crate knows nothing about queries or tolerances; those live in
 //! `asf-core`.
+//!
+//! ## The one `unsafe` block
+//!
+//! [`SourceFleet::prefetch`] issues a cache prefetch of a source's hot
+//! record, so the shard's evaluation loop can start loading the row of an
+//! event a fixed distance ahead while it tests the current one: at
+//! n = 500k the rows far exceed L2 and the loop otherwise stalls on every
+//! row it reads. On stable Rust the prefetch instruction is reachable
+//! only through `std::arch::x86_64::_mm_prefetch`, an `unsafe fn`, so the
+//! private helper behind it holds the crate's only `unsafe` block, with
+//! its `SAFETY` argument (a `&Hot` pointer, never dereferenced, SSE in the
+//! x86_64 baseline); off x86_64 the helper is a no-op. That is why this
+//! crate root says `deny(unsafe_code)` where every other crate says
+//! `forbid`: `forbid` cannot be relaxed for one item.
+//! `deny(clippy::undocumented_unsafe_blocks)` keeps the argument attached,
+//! and `tests/unsafe_containment.rs` fails on any second `unsafe`. Once
+//! `std::hint::prefetch_read` (`hint_prefetch`) is stable the helper
+//! becomes safe code and this crate returns to `forbid(unsafe_code)`.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod chaos;

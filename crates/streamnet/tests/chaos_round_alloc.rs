@@ -3,7 +3,7 @@
 //! and under loss every buffer the round fills keeps its capacity.
 //!
 //! Its own test binary, because the counting allocator is process-wide
-//! (`streamnet` itself forbids `unsafe`).
+//! (`streamnet` itself denies `unsafe` outside its one prefetch helper).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

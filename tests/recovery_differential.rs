@@ -9,6 +9,7 @@
 //! instead of panicking or silently replaying corruption.
 
 use std::path::PathBuf;
+use std::time::Instant;
 
 use asf_core::engine::Engine;
 use asf_core::multi_query::{CellMode, MultiRangeZt};
@@ -154,13 +155,24 @@ fn assert_crash_at_recovers_identical<P, F>(
         // Crash: drop without shutdown — no final checkpoint, no flush.
         drop(crashed);
 
+        let wall = Instant::now();
         let mut recovered = ShardedServer::recover(initial, make(), config, durable).unwrap();
+        let wall_ns = wall.elapsed().as_nanos() as u64;
         assert_eq!(
             recovered.events_processed(),
             split as u64,
             "{tag}: recovery lost durable events"
         );
-        assert!(recovered.metrics().recovery_replay_ns > 0, "{tag}: replay not metered");
+        // A warm recovery: the checkpoint restore and the journal replay
+        // are metered apart, and together fit inside the call.
+        let (restore_ns, replay_ns) =
+            (recovered.metrics().recovery_restore_ns, recovered.metrics().recovery_replay_ns);
+        assert!(restore_ns > 0, "{tag}: restore not metered");
+        assert!(replay_ns > 0, "{tag}: replay not metered");
+        assert!(
+            restore_ns + replay_ns <= wall_ns,
+            "{tag}: restore {restore_ns} + replay {replay_ns} ns exceed the call's {wall_ns} ns"
+        );
         recovered.ingest_batch(&events[split..]);
 
         let mut want = reference(initial, events, &make, config);
