@@ -96,7 +96,7 @@ use crate::handle::{each_shard, ExecMode, ShardHandle};
 use crate::metrics::ServerMetrics;
 use crate::occurrence::OccurrenceIndex;
 use crate::router::{GuardedRouter, InflightWindow, ShardRouter};
-use crate::shard::{Partition, Shard, ShardCmd, ShardReply, SpecEvent};
+use crate::shard::{Partition, Shard, ShardCmd, ShardReply, SpecEvent, PREFETCH_DISTANCE};
 
 /// The full-or-delta rule: a due checkpoint is a delta while the encoded
 /// delta stays below `1 / DELTA_DIVISOR` of the last full image, and a
@@ -676,8 +676,13 @@ impl<P: Protocol> ShardedServer<P> {
     /// Consumes the gathered reports serially through the protocol. A fleet
     /// touch respeculates the positions between the report and the chunk
     /// end that it can reach, and patches the flips into `merged` (the loop
-    /// re-reads it by index). Meters the drain's pure-serial time (fleet-op
-    /// shard busy excluded — that is attributed to `metrics.fleet`).
+    /// re-reads it by index). Before each report the loop hints the source
+    /// row of the report `PREFETCH_DISTANCE` entries ahead to its shard
+    /// ([`ShardHandle::prefetch_row`]), so the handler's re-install there
+    /// finds the row in cache if a coordinator-run shard owns it; a patch
+    /// can move the entry the hint named, which costs a wasted prefetch and
+    /// nothing else. Meters the drain's pure-serial time (fleet-op shard
+    /// busy excluded — that is attributed to `metrics.fleet`).
     fn drain_reports(&mut self) {
         let serial_start = Instant::now();
         self.core.telemetry_mut().trace.begin(
@@ -694,6 +699,9 @@ impl<P: Protocol> ShardedServer<P> {
         let mut chaos = self.chaos.take();
         let mut next = 0;
         while let Some(&(ev, shard)) = merged.get(next) {
+            if let Some(&(ahead, s)) = merged.get(next + PREFETCH_DISTANCE) {
+                self.handles[s].prefetch_row(ahead.local);
+            }
             next += 1;
             let id = self.partition.global_of(shard, ev.local);
             // Unreliable channels: the source emitted the report (its
@@ -1407,8 +1415,9 @@ fn merge_by_seq(
 mod tests {
     use super::{merge_by_seq, ServerConfig, ShardedServer};
     use crate::handle::ExecMode;
-    use crate::shard::SpecEvent;
+    use crate::shard::{SpecEvent, PREFETCH_DISTANCE};
     use asf_core::engine::Engine;
+    use asf_core::multi_query::MultiRangeZt;
     use asf_core::protocol::{Rtp, ZtNrp};
     use asf_core::query::{RangeQuery, RankQuery};
     use asf_core::workload::{UpdateEvent, VecWorkload, Workload};
@@ -1546,6 +1555,91 @@ mod tests {
                 let serial_truth: Vec<f64> = engine.fleet().iter().map(|s| s.value()).collect();
                 assert_eq!(truth, serial_truth, "{tag}: respeculation lost source state");
             }
+        }
+    }
+
+    #[test]
+    fn drain_lookahead_at_every_report_count_matches_serial_engine() {
+        // Chunks whose drains handle 0, 1, D − 1, D, D + 1 and 2D + 1
+        // reports, D being the lookahead distance. Server-managed cells
+        // re-install at every reporter, and each reporter recurs in its
+        // chunk, stepping through three cells in turn: a report speculated
+        // under the old cell turns silent or a silent step turns into a
+        // report under the new one, so respeculation inserts and removes
+        // `merged` entries ahead of the drain's cursor, the prefetched one
+        // among them.
+        const D: usize = PREFETCH_DISTANCE;
+        let queries =
+            vec![RangeQuery::new(100.0, 140.0).unwrap(), RangeQuery::new(150.0, 240.0).unwrap()];
+        let (n, reporters, chunk_len) = (12usize, 5usize, 4 * D + 8);
+        let initial = vec![50.0; n];
+        // Three cells a reporter walks through: every step leaves its cell.
+        let cells = [160.0, 120.0, 60.0];
+        let mut step = vec![0usize; reporters];
+        let mut value = initial.clone();
+        let counts = [0, 1, D - 1, D, D + 1, 2 * D + 1];
+        let chunks: Vec<Vec<UpdateEvent>> = counts
+            .iter()
+            .enumerate()
+            .map(|(c, &reports)| {
+                (0..chunk_len)
+                    .map(|t| {
+                        // Reporting steps at the chunk's even positions
+                        // first, then silent repeats of a current value.
+                        let r = t / 2;
+                        let (stream, v) = if t % 2 == 0 && r < reports {
+                            let s = (r * 3) % reporters;
+                            step[s] += 1;
+                            value[s] = cells[step[s] % cells.len()];
+                            (s, value[s])
+                        } else {
+                            let s = (t * 7) % n;
+                            (s, value[s])
+                        };
+                        let time = (c * chunk_len + t) as f64;
+                        UpdateEvent { time, stream: StreamId(stream as u32), value: v }
+                    })
+                    .collect()
+            })
+            .collect();
+
+        let make = || MultiRangeZt::new(queries.clone()).unwrap();
+        let mut engine = Engine::new(&initial, make());
+        engine.initialize();
+        let mut serial_reports = Vec::new();
+        for chunk in &chunks {
+            let before = engine.reports_processed();
+            chunk.iter().for_each(|&ev| engine.apply_event(ev));
+            serial_reports.push(engine.reports_processed() - before);
+        }
+        assert_eq!(serial_reports, counts.map(|c| c as u64), "fixture shape");
+
+        let placements = [(1, ExecMode::Inline), (2, ExecMode::Inline), (3, ExecMode::Inline)]
+            .into_iter()
+            .chain([(2, ExecMode::Threaded)]);
+        for (shards, mode) in placements {
+            let tag = format!("{shards} shards, {mode:?}");
+            let config = ServerConfig::with_shards(shards).batch_size(chunk_len).mode(mode);
+            let mut server = ShardedServer::new(&initial, make(), config);
+            server.initialize();
+            let mut drained = Vec::new();
+            for chunk in &chunks {
+                let before = server.metrics().reports_consumed;
+                server.ingest_batch(chunk);
+                drained.push(server.metrics().reports_consumed - before);
+            }
+            assert_eq!(drained, serial_reports, "{tag}: reports drained per chunk");
+            assert!(server.metrics().respec_flips > 0, "{tag}: no report flipped");
+            for j in 0..queries.len() {
+                let answer = server.protocol().answer_of(j);
+                assert_eq!(answer, engine.protocol().answer_of(j), "{tag}: query {j}");
+            }
+            assert_eq!(server.ledger(), engine.ledger(), "{tag}");
+            let known = |view: &streamnet::ServerView| -> Vec<(StreamId, u64)> {
+                view.iter_known().map(|(id, v)| (id, v.to_bits())).collect()
+            };
+            assert_eq!(known(server.view()), known(engine.view()), "{tag}: view");
+            server.shutdown();
         }
     }
 }

@@ -129,8 +129,10 @@ impl Partition {
 /// cache arrives before the §3.1 test reaches it, near enough that it is
 /// not evicted first: of 8, 16, 32 and 64, 8 gained least and 32 ran
 /// `asf_bench`'s `durable_recover` and `range_hot` fastest (2-core box,
-/// 2 MB L2).
-const PREFETCH_DISTANCE: usize = 32;
+/// 2 MB L2). The coordinator's report drain looks the same distance ahead
+/// along its merged reports ([`Shard::prefetch_row`]), where 16 and 32
+/// measured alike on `multi_range`.
+pub(crate) const PREFETCH_DISTANCE: usize = 32;
 
 /// One event of a speculative batch, addressed by shard-local id and
 /// stamped with its global batch sequence number.
@@ -451,6 +453,15 @@ impl Shard {
     /// and a clock pair costs as much as the touch.
     pub fn busy_ns(&self) -> u64 {
         self.busy_ns
+    }
+
+    /// Asks the CPU to start loading source `local`'s whole row, hot and
+    /// cold records ([`SourceFleet::prefetch_row`]): the report drain
+    /// calls it a fixed distance ahead of the reports whose handlers
+    /// re-install there. Changes nothing, and ignores an id past the
+    /// partition.
+    pub(crate) fn prefetch_row(&self, local: u32) {
+        self.fleet.prefetch_row(StreamId(local));
     }
 
     /// Executes one command: on the coordinator for a coordinator-run
@@ -871,10 +882,13 @@ mod tests {
 
     #[test]
     fn prefetch_accepts_every_id_the_lookahead_can_name() {
+        // The evaluation loop's hot-record hint and the drain's whole-row
+        // hint alike: ids past the partition are ignored.
         let shard = Shard::new(&[1.0, 2.0, 3.0]);
         let before: Vec<_> = (0..3).map(|l| row(&shard.fleet, l)).collect();
         for id in (0..shard.len() + PREFETCH_DISTANCE).map(|i| i as u32).chain([u32::MAX]) {
             shard.fleet.prefetch(StreamId(id));
+            shard.prefetch_row(id);
         }
         assert_eq!((0..3).map(|l| row(&shard.fleet, l)).collect::<Vec<_>>(), before);
     }

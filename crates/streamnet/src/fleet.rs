@@ -336,17 +336,29 @@ impl SourceFleet {
             prefetch_read(hot);
         }
     }
+
+    /// Like [`Self::prefetch`] for the whole row, hot and cold records:
+    /// for a loop ahead of installs and reports, which write the filter
+    /// and the traffic counter as well as the hot record.
+    #[inline]
+    pub fn prefetch_row(&self, id: StreamId) {
+        if let (Some(hot), Some(cold)) = (self.hot.get(id.index()), self.cold.get(id.index())) {
+            prefetch_read(hot);
+            prefetch_read(cold);
+        }
+    }
 }
 
-/// Issues a prefetch of `row`'s cache line into every cache level; a no-op
-/// off x86_64. The crate's one `unsafe` block: `std::hint::prefetch_read`
-/// would make it safe, but is unstable (`hint_prefetch`).
+/// Issues a prefetch of the cache line holding `row`'s first byte into
+/// every cache level; a no-op off x86_64. The crate's one `unsafe` block:
+/// `std::hint::prefetch_read` would make it safe, but is unstable
+/// (`hint_prefetch`).
 #[inline(always)]
 #[allow(unsafe_code)]
-fn prefetch_read(row: &Hot) {
+fn prefetch_read<T>(row: &T) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: `_mm_prefetch` is `unsafe` only because it takes a raw
-    // pointer and needs SSE. The pointer comes from a live `&Hot`, and a
+    // pointer and needs SSE. The pointer comes from a live `&T`, and a
     // prefetch never dereferences it and cannot fault in any case. SSE is
     // part of the x86_64 baseline, so the target feature is always on.
     unsafe {

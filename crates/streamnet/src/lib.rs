@@ -27,15 +27,18 @@
 //!
 //! ## The one `unsafe` block
 //!
-//! [`SourceFleet::prefetch`] issues a cache prefetch of a source's hot
-//! record, so the shard's evaluation loop can start loading the row of an
-//! event a fixed distance ahead while it tests the current one: at
-//! n = 500k the rows far exceed L2 and the loop otherwise stalls on every
-//! row it reads. On stable Rust the prefetch instruction is reachable
-//! only through `std::arch::x86_64::_mm_prefetch`, an `unsafe fn`, so the
-//! private helper behind it holds the crate's only `unsafe` block, with
-//! its `SAFETY` argument (a `&Hot` pointer, never dereferenced, SSE in the
-//! x86_64 baseline); off x86_64 the helper is a no-op. That is why this
+//! Two callers issue cache prefetches a fixed distance ahead of the rows
+//! they will touch. [`SourceFleet::prefetch`] loads a source's hot record
+//! for the shard's evaluation loop, which otherwise stalls on every row it
+//! reads once the rows exceed L2 (n = 500k). [`SourceFleet::prefetch_row`]
+//! loads the hot and the cold record for the server's report drain, whose
+//! handlers re-install a filter at most reporters. On stable Rust the
+//! prefetch instruction is reachable only through
+//! `std::arch::x86_64::_mm_prefetch`, an `unsafe fn`, so one private
+//! helper, generic over the row type, serves both and holds the crate's
+//! only `unsafe` block, with its `SAFETY` argument (a pointer from a live
+//! reference, never dereferenced, SSE in the x86_64 baseline); off x86_64
+//! the helper is a no-op. That is why this
 //! crate root says `deny(unsafe_code)` where every other crate says
 //! `forbid`: `forbid` cannot be relaxed for one item.
 //! `deny(clippy::undocumented_unsafe_blocks)` keeps the argument attached,
